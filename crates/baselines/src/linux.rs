@@ -31,11 +31,12 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use ix_testkit::Bytes;
+use ix_testkit::{buffer_id, Bytes};
 use ix_core::api::{EventCond, IxApp, Syscall, SyscallResult, UserCtx};
 use ix_nic::host::{CoreRef, CpuDomain};
 use ix_nic::nic::{Nic, NicRef, QueueId};
-use ix_sim::{Nanos, SimTime, Simulator};
+use ix_mempool::Mbuf;
+use ix_sim::{EventTarget, Nanos, SimTime, Simulator};
 use ix_tcp::{AckPolicy, FlowId, StackConfig, TcpShard};
 
 /// Cost and behaviour parameters of the Linux model.
@@ -155,6 +156,10 @@ pub struct LinuxCore {
     app_events: Vec<EventCond>,
     pending_results: Vec<SyscallResult>,
     sndbufs: HashMap<u64, KernelSndBuf>,
+    /// Emptied chunk queues of closed sockets, handed to the next socket
+    /// that writes: on a connection-churn path a send buffer's queue
+    /// keeps its storage across connections.
+    spare_chunks: Vec<VecDeque<Bytes>>,
     /// Application thread is blocked in `epoll_wait`.
     app_blocked: bool,
     /// An app-run event is scheduled.
@@ -168,6 +173,19 @@ pub struct LinuxCore {
     idle_wake: Option<ix_sim::EventId>,
     /// NICs with freshly pushed TX descriptors awaiting a doorbell.
     pending_kicks: Vec<NicRef>,
+    /// The application thread's user context, kept across wake-ups: its
+    /// event vector ping-pongs with `app_events`, its result vector with
+    /// `pending_results`, and its syscall batch is drained in place.
+    ctx: UserCtx,
+    /// Recycled per-pass scratch, each drained where it is used and put
+    /// back: the NAPI batch, its GRO flow keys, the sockets one wake-up
+    /// reads, and the buffers swapped into the shard's event and TX
+    /// queues when theirs are taken.
+    rx_scratch: Vec<Mbuf>,
+    seen_flows: Vec<u64>,
+    read_sockets: Vec<u64>,
+    events_scratch: Vec<EventCond>,
+    tx_scratch: Vec<Mbuf>,
     /// Counters.
     pub stats: LinuxStats,
 }
@@ -195,6 +213,30 @@ pub struct LinuxStats {
 pub type LinuxCoreRef = Rc<RefCell<LinuxCore>>;
 
 impl LinuxCore {
+    /// Mutable access to the application (for test/bench inspection).
+    pub fn app_mut(&mut self) -> &mut dyn IxApp {
+        self.app.as_mut()
+    }
+
+    /// Identity of every vector the core recycles from pass to pass
+    /// (see [`ix_testkit::buffer_id`]): its own scratch, the user
+    /// context's and the shard's.
+    pub fn scratch_buffers(&self) -> Vec<(usize, usize)> {
+        let mut ids = vec![
+            buffer_id(&self.app_events),
+            buffer_id(&self.pending_results),
+            buffer_id(&self.pending_kicks),
+            buffer_id(&self.rx_scratch),
+            buffer_id(&self.seen_flows),
+            buffer_id(&self.read_sockets),
+            buffer_id(&self.events_scratch),
+            buffer_id(&self.tx_scratch),
+        ];
+        ids.extend(self.ctx.scratch_buffers());
+        ids.extend(self.shard.scratch_buffers());
+        ids
+    }
+
     /// Interrupt entry: a frame arrived on this core's queue.
     fn on_rx(this: &LinuxCoreRef, sim: &mut Simulator, qi: usize) {
         let fire_at = {
@@ -209,8 +251,7 @@ impl LinuxCore {
             t.stats.interrupts += 1;
             at
         };
-        let this = this.clone();
-        sim.schedule_at(fire_at, move |sim| LinuxCore::softirq(&this, sim));
+        sim.schedule_event_at(fire_at, this, EV_SOFTIRQ);
     }
 
     /// One NAPI pass: hardirq cost + up to `napi_budget` packets.
@@ -221,7 +262,7 @@ impl LinuxCore {
         t.stats.softirqs += 1;
         let mut kernel = t.params.hardirq_ns;
         let budget = t.params.napi_budget;
-        let mut frames = Vec::new();
+        let mut frames = std::mem::take(&mut t.rx_scratch);
         'outer: loop {
             let mut any = false;
             for qi in 0..t.queues.len() {
@@ -249,8 +290,8 @@ impl LinuxCore {
         t.stats.rx_packets += frames.len() as u64;
         // GRO: within this NAPI batch, the first frame of each flow pays
         // the full stack path; same-flow continuations are coalesced.
-        let mut seen_flows: Vec<u64> = Vec::with_capacity(frames.len().min(16));
-        for f in frames {
+        let mut seen_flows = std::mem::take(&mut t.seen_flows);
+        for f in frames.drain(..) {
             let key = flow_key_of(f.data());
             if key != 0 && seen_flows.contains(&key) {
                 kernel += t.params.gro_pkt_ns;
@@ -262,11 +303,13 @@ impl LinuxCore {
             }
             t.shard.input(now_ns, f);
         }
+        t.rx_scratch = frames;
+        seen_flows.clear();
+        t.seen_flows = seen_flows;
         // Kernel timers piggyback on softirq.
         t.shard.advance_timers(now_ns);
         // Stack events → socket readiness; Sent events drain sndbufs.
-        let events = t.shard.take_events();
-        LinuxCore::absorb_stack_events(&mut t, now_ns, events);
+        LinuxCore::absorb_stack_events(&mut t, now_ns);
         // Transmit anything the stack produced (ACKs, retransmits,
         // sndbuf drains) from softirq context.
         kernel += LinuxCore::flush_tx(&mut t);
@@ -287,22 +330,17 @@ impl LinuxCore {
             t.app_blocked = false;
             t.app_scheduled = true;
         }
-        let kicks = std::mem::take(&mut t.pending_kicks);
         drop(t);
-        for nic in kicks {
-            Nic::kick_tx(&nic, sim);
-        }
+        LinuxCore::ring_doorbells(this, sim);
         if wake_app {
             // Scheduler wake-up: the thread starts after the delay, once
             // the core is free.
             let delay = this.borrow().params.sched_wakeup_ns;
-            let this2 = this.clone();
-            sim.schedule_at(end + Nanos(delay), move |sim| LinuxCore::app_run(&this2, sim));
+            sim.schedule_event_at(end + Nanos(delay), this, EV_APP_RUN);
         }
         if more_rx {
             // Budget exhausted: NAPI re-polls without a new interrupt.
-            let this2 = this.clone();
-            sim.schedule_at(end, move |sim| LinuxCore::softirq(&this2, sim));
+            sim.schedule_event_at(end, this, EV_SOFTIRQ);
         } else {
             this.borrow_mut().softirq_scheduled = false;
             LinuxCore::ensure_tick(this, sim);
@@ -310,9 +348,13 @@ impl LinuxCore {
     }
 
     /// Maps stack upcalls to application-visible events, intercepting
-    /// `Sent` to drain the kernel send buffers.
-    fn absorb_stack_events(t: &mut LinuxCore, now_ns: u64, events: Vec<EventCond>) {
-        for ev in events {
+    /// `Sent` to drain the kernel send buffers. Returns whether the stack
+    /// had any.
+    fn absorb_stack_events(t: &mut LinuxCore, now_ns: u64) -> bool {
+        let recycled = std::mem::take(&mut t.events_scratch);
+        let mut events = t.shard.take_events_swap(recycled);
+        let had_events = !events.is_empty();
+        for ev in events.drain(..) {
             match ev {
                 EventCond::Sent { flow, cookie, bytes_acked, .. } => {
                     // Window opened: push buffered bytes into the stack.
@@ -345,17 +387,44 @@ impl LinuxCore {
                     }
                 }
                 EventCond::Dead { flow, .. } => {
-                    t.sndbufs.remove(&flow.key);
+                    t.drop_sndbuf(flow.key);
                     t.app_events.push(ev);
                 }
                 other => t.app_events.push(other),
             }
         }
+        t.events_scratch = events;
+        had_events
+    }
+
+    /// Discards a closed socket's send buffer, keeping its chunk queue
+    /// for the next socket.
+    fn drop_sndbuf(&mut self, key: u64) {
+        if let Some(mut buf) = self.sndbufs.remove(&key) {
+            buf.chunks.clear();
+            if buf.chunks.capacity() > 0 {
+                self.spare_chunks.push(buf.chunks);
+            }
+        }
+    }
+
+    /// Rings the doorbell of every NIC a flush pushed descriptors to.
+    fn ring_doorbells(this: &LinuxCoreRef, sim: &mut Simulator) {
+        let mut kicks = std::mem::take(&mut this.borrow_mut().pending_kicks);
+        for nic in kicks.drain(..) {
+            Nic::kick_tx(&nic, sim);
+        }
+        let mut t = this.borrow_mut();
+        debug_assert!(t.pending_kicks.is_empty(), "a doorbell flushes nothing");
+        t.pending_kicks = kicks;
     }
 
     fn drain_sndbuf(shard: &mut TcpShard, now_ns: u64, flow: FlowId, buf: &mut KernelSndBuf) {
         while let Some(front) = buf.chunks.front_mut() {
-            match shard.send(now_ns, flow, front) {
+            // The chunk is already a refcounted block the kernel owns: the
+            // retransmit queue aliases it (the user-to-kernel copy was
+            // charged when `write` accepted it).
+            match shard.send_bytes(now_ns, flow, front) {
                 Ok(0) => break,
                 Ok(n) if n < front.len() => {
                     let rest = front.slice(n..);
@@ -378,24 +447,24 @@ impl LinuxCore {
 
     /// Pushes stack-produced frames to the NIC (charged by the caller).
     fn flush_tx(t: &mut LinuxCore) -> u64 {
-        let tx = t.shard.take_tx();
-        if tx.is_empty() {
-            return 0;
-        }
+        let recycled = std::mem::take(&mut t.tx_scratch);
+        let mut tx = t.shard.take_tx_swap(recycled);
         let mut cost = 0;
         let nq = t.queues.len();
-        let mut kick: Vec<NicRef> = Vec::new();
-        for (i, f) in tx.into_iter().enumerate() {
+        // One doorbell per NIC per flush (flushes do not dedup against
+        // each other).
+        let first = t.pending_kicks.len();
+        for (i, f) in tx.drain(..).enumerate() {
             cost += t.params.tx_pkt_ns;
             let (nic, q) = t.queues[i % nq].clone();
             let _ = nic.borrow_mut().tx_ring(q).push(f);
             nic.borrow_mut().tx_ring(q).reclaim();
-            if !kick.iter().any(|n| Rc::ptr_eq(n, &nic)) {
-                kick.push(nic);
+            if !t.pending_kicks[first..].iter().any(|n| Rc::ptr_eq(n, &nic)) {
+                t.pending_kicks.push(nic);
             }
             t.stats.tx_packets += 1;
         }
-        t.pending_kicks.extend(kick);
+        t.tx_scratch = tx;
         cost
     }
 
@@ -406,18 +475,19 @@ impl LinuxCore {
         let mut t = this.borrow_mut();
         t.app_scheduled = false;
         t.stats.wakeups += 1;
-        let events = std::mem::take(&mut t.app_events);
-        let results = std::mem::take(&mut t.pending_results);
+        let mut ctx = std::mem::take(&mut t.ctx);
+        let core = &mut *t;
+        ctx.load(&mut core.app_events, &mut core.pending_results);
         // Kernel-side costs of waking and harvesting events.
         let mut kernel = t.params.ctx_switch_ns
             + t.params.syscall_ns
             + t.params.epoll_wait_ns
-            + t.params.epoll_event_ns * events.len() as u64;
+            + t.params.epoll_event_ns * ctx.events.len() as u64;
         // Per-socket read() costs: one syscall per ready socket per wake
         // (the application drains each socket with a single read), plus
         // the user copy per byte.
-        let mut read_sockets: Vec<u64> = Vec::new();
-        for ev in &events {
+        let mut read_sockets = std::mem::take(&mut t.read_sockets);
+        for ev in &ctx.events {
             if let EventCond::Recv { payload, flow, .. } = ev {
                 if !read_sockets.contains(&flow.key) {
                     read_sockets.push(flow.key);
@@ -431,39 +501,32 @@ impl LinuxCore {
                 t.stats.bytes_copied += payload.len() as u64;
             }
         }
-        let mut ctx = UserCtx {
-            now_ns,
-            events,
-            results,
-            syscalls: Vec::new(),
-            user_ns: 0,
-        };
+        read_sockets.clear();
+        t.read_sockets = read_sockets;
+        ctx.now_ns = now_ns;
+        ctx.user_ns = 0;
         t.app.on_cycle(&mut ctx);
         let user = ctx.user_ns;
         // Application system calls, one kernel crossing each.
-        for s in ctx.syscalls {
+        let mut syscalls = std::mem::take(&mut ctx.syscalls);
+        for s in syscalls.drain(..) {
             t.stats.syscalls += 1;
             kernel += t.params.syscall_ns;
-            let r = LinuxCore::dispatch(&mut t, now_ns, s, &mut kernel);
+            let r = LinuxCore::dispatch(&mut t, &mut ctx, now_ns, s, &mut kernel);
             t.pending_results.push(r);
         }
+        ctx.unload(syscalls);
+        t.ctx = ctx;
         kernel += LinuxCore::flush_tx(&mut t);
         let mid = t.core.borrow_mut().run(now, Nanos(kernel), CpuDomain::Kernel);
         let end = t.core.borrow_mut().run(mid, Nanos(user), CpuDomain::User);
         drop(t);
-        let this2 = this.clone();
-        sim.schedule_at(end, move |sim| LinuxCore::app_epilogue(&this2, sim));
+        sim.schedule_event_at(end, this, EV_APP_EPILOGUE);
     }
 
     /// After the app slice: kick TX, decide whether to loop or block.
     fn app_epilogue(this: &LinuxCoreRef, sim: &mut Simulator) {
-        let kicks = {
-            let mut t = this.borrow_mut();
-            std::mem::take(&mut t.pending_kicks)
-        };
-        for nic in kicks {
-            Nic::kick_tx(&nic, sim);
-        }
+        LinuxCore::ring_doorbells(this, sim);
         let (rerun, wake_in) = {
             let t = this.borrow();
             let more = !t.app_events.is_empty()
@@ -480,9 +543,8 @@ impl LinuxCore {
             if !t.app_scheduled {
                 t.app_scheduled = true;
                 drop(t);
-                let this2 = this.clone();
                 // Immediate re-loop: the thread did not block.
-                sim.schedule_at(sim.now(), move |sim| LinuxCore::app_run(&this2, sim));
+                sim.schedule_event_at(sim.now(), this, EV_APP_RUN);
             }
         } else {
             let mut t = this.borrow_mut();
@@ -494,11 +556,7 @@ impl LinuxCore {
                 t.app_blocked = false;
                 t.app_scheduled = true;
                 drop(t);
-                let this2 = this.clone();
-                let id = sim.schedule_in(Nanos(ns), move |sim| {
-                    this2.borrow_mut().idle_wake = None;
-                    LinuxCore::app_run(&this2, sim);
-                });
+                let id = sim.schedule_event_in(Nanos(ns), this, EV_IDLE_WAKE);
                 this.borrow_mut().idle_wake = Some(id);
             }
         }
@@ -507,18 +565,27 @@ impl LinuxCore {
 
     /// Executes one syscall with Linux semantics: `Sendv` copies into the
     /// kernel send buffer; everything else passes through to the stack.
-    fn dispatch(t: &mut LinuxCore, now_ns: u64, s: Syscall, kernel: &mut u64) -> SyscallResult {
+    fn dispatch(
+        t: &mut LinuxCore,
+        ctx: &mut UserCtx,
+        now_ns: u64,
+        s: Syscall,
+        kernel: &mut u64,
+    ) -> SyscallResult {
         match s {
             Syscall::Sendv { handle, sg } => {
                 *kernel += t.params.write_ns;
                 let total: usize = sg.iter().map(Bytes::len).sum();
-                let buf = t.sndbufs.entry(handle.key).or_default();
+                let buf = t.sndbufs.entry(handle.key).or_insert_with(|| KernelSndBuf {
+                    chunks: t.spare_chunks.pop().unwrap_or_default(),
+                    ..KernelSndBuf::default()
+                });
                 let space = t.params.sndbuf.saturating_sub(buf.bytes);
                 let mut accept = total.min(space);
                 let accepted = accept;
                 *kernel += (accepted as u64 * t.params.copy_byte_ns_x1000) / 1000;
                 t.stats.bytes_copied += accepted as u64;
-                for chunk in sg {
+                for chunk in &sg {
                     if accept == 0 {
                         break;
                     }
@@ -527,6 +594,7 @@ impl LinuxCore {
                     buf.bytes += take;
                     accept -= take;
                 }
+                ctx.recycle_sg(sg);
                 if accepted < total {
                     buf.app_waiting = true;
                 }
@@ -552,14 +620,14 @@ impl LinuxCore {
                 }
             }
             Syscall::Close { handle } => {
-                t.sndbufs.remove(&handle.key);
+                t.drop_sndbuf(handle.key);
                 match t.shard.close(now_ns, handle) {
                     Ok(()) => SyscallResult::Ok,
                     Err(e) => SyscallResult::Err(e),
                 }
             }
             Syscall::Abort { handle } => {
-                t.sndbufs.remove(&handle.key);
+                t.drop_sndbuf(handle.key);
                 match t.shard.abort(now_ns, handle) {
                     Ok(()) => SyscallResult::Ok,
                     Err(e) => SyscallResult::Err(e),
@@ -579,8 +647,7 @@ impl LinuxCore {
         }
         this.borrow_mut().tick_armed = true;
         let jiffy = this.borrow().params.jiffy_ns;
-        let this2 = this.clone();
-        sim.schedule_in(Nanos(jiffy), move |sim| LinuxCore::tick(&this2, sim));
+        sim.schedule_event_in(Nanos(jiffy), this, EV_TICK);
     }
 
     /// The timer softirq: advance the wheel, flush retransmissions.
@@ -591,9 +658,7 @@ impl LinuxCore {
             let mut t = this.borrow_mut();
             t.tick_armed = false;
             t.shard.advance_timers(now_ns);
-            let events = t.shard.take_events();
-            let had_events = !events.is_empty();
-            LinuxCore::absorb_stack_events(&mut t, now_ns, events);
+            let had_events = LinuxCore::absorb_stack_events(&mut t, now_ns);
             let cost = 300 + LinuxCore::flush_tx(&mut t);
             t.core.borrow_mut().run(now, Nanos(cost), CpuDomain::Kernel);
             let wake = had_events
@@ -607,18 +672,36 @@ impl LinuxCore {
                 t.app_scheduled = true;
                 let delay = t.params.sched_wakeup_ns;
                 drop(t);
-                let this2 = this.clone();
-                sim.schedule_in(Nanos(delay), move |sim| LinuxCore::app_run(&this2, sim));
+                sim.schedule_event_in(Nanos(delay), this, EV_APP_RUN);
             }
         }
-        let kicks = {
-            let mut t = this.borrow_mut();
-            std::mem::take(&mut t.pending_kicks)
-        };
-        for nic in kicks {
-            Nic::kick_tx(&nic, sim);
-        }
+        LinuxCore::ring_doorbells(this, sim);
         LinuxCore::ensure_tick(this, sim);
+    }
+}
+
+/// Plain-event arguments: what a core schedules on itself.
+const EV_SOFTIRQ: u64 = 0;
+const EV_APP_RUN: u64 = 1;
+const EV_APP_EPILOGUE: u64 = 2;
+const EV_IDLE_WAKE: u64 = 3;
+const EV_TICK: u64 = 4;
+
+impl EventTarget for LinuxCore {
+    fn on_event(this: &LinuxCoreRef, sim: &mut Simulator, arg: u64) {
+        match arg {
+            EV_SOFTIRQ => LinuxCore::softirq(this, sim),
+            EV_APP_RUN => LinuxCore::app_run(this, sim),
+            EV_APP_EPILOGUE => LinuxCore::app_epilogue(this, sim),
+            EV_IDLE_WAKE => {
+                this.borrow_mut().idle_wake = None;
+                LinuxCore::app_run(this, sim);
+            }
+            _ => {
+                debug_assert_eq!(arg, EV_TICK);
+                LinuxCore::tick(this, sim);
+            }
+        }
     }
 }
 
@@ -686,6 +769,7 @@ impl LinuxHost {
                 app_events: Vec::new(),
                 pending_results: Vec::new(),
                 sndbufs: HashMap::new(),
+                spare_chunks: Vec::new(),
                 app_blocked: true,
                 app_scheduled: false,
                 softirq_scheduled: false,
@@ -693,6 +777,12 @@ impl LinuxHost {
                 tick_armed: false,
                 idle_wake: None,
                 pending_kicks: Vec::new(),
+                ctx: UserCtx::default(),
+                rx_scratch: Vec::new(),
+                seen_flows: Vec::new(),
+                read_sockets: Vec::new(),
+                events_scratch: Vec::new(),
+                tx_scratch: Vec::new(),
                 stats: LinuxStats::default(),
             }));
             for (qi, (nic, q)) in queues.iter().enumerate() {
@@ -718,8 +808,7 @@ impl LinuxHost {
                 t.app_blocked = false;
                 t.app_scheduled = true;
                 drop(t);
-                let lc2 = lc.clone();
-                sim.schedule_at(sim.now(), move |sim| LinuxCore::app_run(&lc2, sim));
+                sim.schedule_event_at(sim.now(), lc, EV_APP_RUN);
             }
         }
         LinuxHost { cores }

@@ -21,7 +21,8 @@ use std::rc::Rc;
 use ix_core::api::{EventCond, IxApp, Syscall, SyscallResult, UserCtx};
 use ix_nic::host::{CoreRef, CpuDomain};
 use ix_nic::nic::{Nic, NicRef, QueueId};
-use ix_sim::{Nanos, SimTime, Simulator};
+use ix_mempool::Mbuf;
+use ix_sim::{EventTarget, Nanos, SimTime, Simulator};
 use ix_tcp::{AckPolicy, StackConfig, TcpShard};
 
 /// Cost and behaviour parameters of the mTCP model.
@@ -88,6 +89,16 @@ pub struct MtcpCore {
     idle_wake: Option<ix_sim::EventId>,
     /// NICs with freshly pushed TX descriptors awaiting a doorbell.
     pending_kicks: Vec<NicRef>,
+    /// The application thread's user context, kept across slices: its
+    /// event vector ping-pongs with `evq`, its result vector with
+    /// `pending_results`, and its syscall batch is drained in place.
+    ctx: UserCtx,
+    /// Recycled per-pass scratch, each drained where it is used and put
+    /// back: the polled batch, and the buffers swapped into the shard's
+    /// event and TX queues when theirs are taken.
+    rx_scratch: Vec<Mbuf>,
+    events_scratch: Vec<EventCond>,
+    tx_scratch: Vec<Mbuf>,
     /// Counters.
     pub stats: MtcpStats,
 }
@@ -125,8 +136,7 @@ impl MtcpCore {
             let busy = t.core.borrow().busy_until;
             sim.now().max(busy)
         };
-        let this = this.clone();
-        sim.schedule_at(start, move |sim| MtcpCore::tcp_pass(&this, sim));
+        sim.schedule_event_at(start, this, EV_TCP_PASS);
     }
 
     /// One TCP-thread pass: poll RX, run the stack, buffer events, flush
@@ -139,7 +149,7 @@ impl MtcpCore {
         t.stats.polls += 1;
         let mut cost = t.params.poll_ns;
         let batch = t.params.batch;
-        let mut frames = Vec::new();
+        let mut frames = std::mem::take(&mut t.rx_scratch);
         'outer: loop {
             let mut any = false;
             for qi in 0..t.queues.len() {
@@ -165,18 +175,20 @@ impl MtcpCore {
             }
         }
         t.stats.rx_packets += frames.len() as u64;
-        for f in frames {
+        for f in frames.drain(..) {
             cost += t.params.rx_pkt_ns + (f.len() as u64 * t.params.rx_byte_ns_x1000) / 1000;
             t.shard.input(now_ns, f);
         }
+        t.rx_scratch = frames;
         t.shard.advance_timers(now_ns);
         // Buffer events for the app's next batch boundary.
-        let events = t.shard.take_events();
+        let recycled = std::mem::take(&mut t.events_scratch);
+        let mut events = t.shard.take_events_swap(recycled);
         cost += t.params.event_ns * events.len() as u64;
-        t.evq.extend(events);
+        t.evq.append(&mut events);
+        t.events_scratch = events;
         cost += MtcpCore::flush_tx(&mut t);
         let end = t.core.borrow_mut().run(now, Nanos(cost), CpuDomain::Kernel);
-        let kicks = std::mem::take(&mut t.pending_kicks);
         // Decide follow-ups.
         let rx_pending = t
             .queues
@@ -200,25 +212,30 @@ impl MtcpCore {
             wake = Some(wake.map_or(rel, |w| w.min(rel)));
         }
         drop(t);
-        for nic in kicks {
-            Nic::kick_tx(&nic, sim);
-        }
+        MtcpCore::ring_doorbells(this, sim);
         if schedule_app {
-            let this2 = this.clone();
-            sim.schedule_at(app_at, move |sim| MtcpCore::app_slice(&this2, sim));
+            sim.schedule_event_at(app_at, this, EV_APP_SLICE);
         }
         if rx_pending {
             MtcpCore::schedule_tcp(this, sim);
         } else if !schedule_app {
             if let Some(ns) = wake {
-                let this2 = this.clone();
-                let id = sim.schedule_in(Nanos(ns.max(1)), move |sim| {
-                    this2.borrow_mut().idle_wake = None;
-                    MtcpCore::schedule_tcp(&this2, sim);
-                });
+                let id = sim.schedule_event_in(Nanos(ns.max(1)), this, EV_IDLE_WAKE);
                 this.borrow_mut().idle_wake = Some(id);
             }
         }
+    }
+
+    /// Rings the doorbell of every NIC a flush pushed descriptors to,
+    /// once per frame pushed (a draining NIC ignores the repeats).
+    fn ring_doorbells(this: &MtcpCoreRef, sim: &mut Simulator) {
+        let mut kicks = std::mem::take(&mut this.borrow_mut().pending_kicks);
+        for nic in kicks.drain(..) {
+            Nic::kick_tx(&nic, sim);
+        }
+        let mut t = this.borrow_mut();
+        debug_assert!(t.pending_kicks.is_empty(), "a doorbell flushes nothing");
+        t.pending_kicks = kicks;
     }
 
     /// One application slice at a batch boundary: consume all buffered
@@ -230,39 +247,35 @@ impl MtcpCore {
         t.app_scheduled = false;
         t.last_app = now;
         t.stats.app_batches += 1;
-        let events = std::mem::take(&mut t.evq);
-        let results = std::mem::take(&mut t.pending_results);
-        t.stats.events += events.len() as u64;
+        let mut ctx = std::mem::take(&mut t.ctx);
+        let core = &mut *t;
+        ctx.load(&mut core.evq, &mut core.pending_results);
+        t.stats.events += ctx.events.len() as u64;
         // Two context switches per exchange (into and out of the app).
-        let mut kernel = 2 * t.params.switch_ns + t.params.event_ns * events.len() as u64;
-        let mut ctx = UserCtx {
-            now_ns,
-            events,
-            results,
-            syscalls: Vec::new(),
-            user_ns: 0,
-        };
+        let mut kernel = 2 * t.params.switch_ns + t.params.event_ns * ctx.events.len() as u64;
+        ctx.now_ns = now_ns;
+        ctx.user_ns = 0;
         t.app.on_cycle(&mut ctx);
         let user = ctx.user_ns;
-        for s in ctx.syscalls {
+        let mut syscalls = std::mem::take(&mut ctx.syscalls);
+        for s in syscalls.drain(..) {
             kernel += t.params.request_ns;
-            let r = MtcpCore::dispatch(&mut t, now_ns, s);
+            let r = MtcpCore::dispatch(&mut t, &mut ctx, now_ns, s);
             t.pending_results.push(r);
         }
+        ctx.unload(syscalls);
+        t.ctx = ctx;
         kernel += MtcpCore::flush_tx(&mut t);
         let mid = t.core.borrow_mut().run(now, Nanos(kernel), CpuDomain::Kernel);
         let end = t.core.borrow_mut().run(mid, Nanos(user), CpuDomain::User);
         let _ = end;
-        let kicks = std::mem::take(&mut t.pending_kicks);
         drop(t);
-        for nic in kicks {
-            Nic::kick_tx(&nic, sim);
-        }
+        MtcpCore::ring_doorbells(this, sim);
         // The TCP thread resumes control of the core.
         MtcpCore::schedule_tcp(this, sim);
     }
 
-    fn dispatch(t: &mut MtcpCore, now_ns: u64, s: Syscall) -> SyscallResult {
+    fn dispatch(t: &mut MtcpCore, ctx: &mut UserCtx, now_ns: u64, s: Syscall) -> SyscallResult {
         match s {
             Syscall::Connect { cookie, dst_ip, dst_port } => {
                 match t.shard.connect(now_ns, dst_ip, dst_port, cookie) {
@@ -276,8 +289,11 @@ impl MtcpCore {
             },
             Syscall::Sendv { handle, sg } => {
                 let mut total = 0u32;
+                let mut failed = None;
                 for chunk in &sg {
-                    match t.shard.send(now_ns, handle, chunk) {
+                    // The request queue hands the stack the app's own
+                    // refcounted block; the retransmit queue aliases it.
+                    match t.shard.send_bytes(now_ns, handle, chunk) {
                         Ok(n) => {
                             total += n as u32;
                             if n < chunk.len() {
@@ -285,14 +301,16 @@ impl MtcpCore {
                             }
                         }
                         Err(e) => {
-                            if total == 0 {
-                                return SyscallResult::Err(e);
-                            }
+                            failed = Some(e);
                             break;
                         }
                     }
                 }
-                SyscallResult::Sent(total)
+                ctx.recycle_sg(sg);
+                match failed {
+                    Some(e) if total == 0 => SyscallResult::Err(e),
+                    _ => SyscallResult::Sent(total),
+                }
             }
             Syscall::RecvDone { handle, bytes } => {
                 match t.shard.recv_done(now_ns, handle, bytes) {
@@ -312,13 +330,11 @@ impl MtcpCore {
     }
 
     fn flush_tx(t: &mut MtcpCore) -> u64 {
-        let tx = t.shard.take_tx();
-        if tx.is_empty() {
-            return 0;
-        }
+        let recycled = std::mem::take(&mut t.tx_scratch);
+        let mut tx = t.shard.take_tx_swap(recycled);
         let mut cost = 0;
         let nq = t.queues.len();
-        for (i, f) in tx.into_iter().enumerate() {
+        for (i, f) in tx.drain(..).enumerate() {
             cost += t.params.tx_pkt_ns;
             let (nic, q) = t.queues[i % nq].clone();
             let _ = nic.borrow_mut().tx_ring(q).push(f);
@@ -326,7 +342,27 @@ impl MtcpCore {
             t.pending_kicks.push(nic);
             t.stats.tx_packets += 1;
         }
+        t.tx_scratch = tx;
         cost
+    }
+}
+
+/// Plain-event arguments: what a core schedules on itself.
+const EV_TCP_PASS: u64 = 0;
+const EV_APP_SLICE: u64 = 1;
+const EV_IDLE_WAKE: u64 = 2;
+
+impl EventTarget for MtcpCore {
+    fn on_event(this: &MtcpCoreRef, sim: &mut Simulator, arg: u64) {
+        match arg {
+            EV_TCP_PASS => MtcpCore::tcp_pass(this, sim),
+            EV_APP_SLICE => MtcpCore::app_slice(this, sim),
+            _ => {
+                debug_assert_eq!(arg, EV_IDLE_WAKE);
+                this.borrow_mut().idle_wake = None;
+                MtcpCore::schedule_tcp(this, sim);
+            }
+        }
     }
 }
 
@@ -399,6 +435,10 @@ impl MtcpHost {
                 tcp_scheduled: false,
                 idle_wake: None,
                 pending_kicks: Vec::new(),
+                ctx: UserCtx::default(),
+                rx_scratch: Vec::new(),
+                events_scratch: Vec::new(),
+                tx_scratch: Vec::new(),
                 stats: MtcpStats::default(),
             }));
             for (nic, q) in &queues {

@@ -8,7 +8,7 @@
 //! array of event conditions. [`UserCtx`] is that pair of arrays;
 //! [`IxApp::on_cycle`] is one `run_io` round trip as seen from user code.
 
-use ix_testkit::Bytes;
+use ix_testkit::{buffer_id, Bytes};
 use ix_net::ip::Ipv4Addr;
 use ix_tcp::{FlowId, StackError, TcpEvent};
 
@@ -86,6 +86,12 @@ pub enum SyscallResult {
 
 /// One run-to-completion cycle's user-space view: consumed event
 /// conditions in, batched system calls out.
+///
+/// An engine keeps one `UserCtx` for the life of a thread and refills it
+/// each cycle, so the three arrays — and the scatter-gather vectors that
+/// travel inside `Sendv` calls — are allocated once and reused: the
+/// application drains `events` and `results` in place, and the engine
+/// drains `syscalls`.
 #[derive(Debug, Default)]
 pub struct UserCtx {
     /// Current virtual time, ns.
@@ -101,6 +107,9 @@ pub struct UserCtx {
     /// to the user domain (this is how the §5.5 kernel/user split is
     /// measured).
     pub user_ns: u64,
+    /// Emptied scatter-gather vectors of `Sendv` calls the engine has
+    /// executed, waiting for [`UserCtx::sendv`] to refill them.
+    sg_spare: Vec<Vec<Bytes>>,
 }
 
 impl UserCtx {
@@ -114,6 +123,62 @@ impl UserCtx {
     pub fn syscall(&mut self, s: Syscall) -> usize {
         self.syscalls.push(s);
         self.syscalls.len() - 1
+    }
+
+    /// Queues a `Sendv` of `chunks` on `handle`, building its
+    /// scatter-gather array in a vector recycled from an earlier call
+    /// when one is spare. Returns the syscall's index, like
+    /// [`UserCtx::syscall`].
+    pub fn sendv(&mut self, handle: FlowId, chunks: impl IntoIterator<Item = Bytes>) -> usize {
+        let mut sg = self.sg_spare.pop().unwrap_or_default();
+        sg.extend(chunks);
+        self.syscall(Syscall::Sendv { handle, sg })
+    }
+
+    /// Engine side: loads the cycle's inputs by trading the context's
+    /// drained `events` and `results` vectors for the engine's filled
+    /// ones. Each pair of buffers serves alternate cycles, so the one
+    /// going back to the engine is sized for the batch the other just
+    /// carried and the pair reaches its high-water capacity together.
+    pub fn load(&mut self, events: &mut Vec<EventCond>, results: &mut Vec<SyscallResult>) {
+        debug_assert!(self.events.is_empty() && self.results.is_empty());
+        debug_assert!(self.syscalls.is_empty());
+        self.events.reserve(events.len());
+        std::mem::swap(&mut self.events, events);
+        self.results.reserve(results.len());
+        std::mem::swap(&mut self.results, results);
+    }
+
+    /// Engine side: ends the cycle [`UserCtx::load`] began. Takes back
+    /// the syscall batch the engine took out and drained, and drops
+    /// whatever the application left unconsumed in `events` and
+    /// `results`, so that all three vectors are empty — capacity intact —
+    /// for the next `load`.
+    pub fn unload(&mut self, drained_syscalls: Vec<Syscall>) {
+        debug_assert!(drained_syscalls.is_empty() && self.syscalls.is_empty());
+        self.syscalls = drained_syscalls;
+        self.events.clear();
+        self.results.clear();
+    }
+
+    /// Identity of every vector the context recycles (see
+    /// [`ix_testkit::buffer_id`]), spare scatter-gather vectors included.
+    pub fn scratch_buffers(&self) -> Vec<(usize, usize)> {
+        let mut ids = vec![
+            buffer_id(&self.events),
+            buffer_id(&self.results),
+            buffer_id(&self.syscalls),
+            buffer_id(&self.sg_spare),
+        ];
+        ids.extend(self.sg_spare.iter().map(buffer_id));
+        ids
+    }
+
+    /// Engine side: takes back the scatter-gather vector of a `Sendv`
+    /// it has executed, releasing the buffers it still references.
+    pub fn recycle_sg(&mut self, mut sg: Vec<Bytes>) {
+        sg.clear();
+        self.sg_spare.push(sg);
     }
 }
 
@@ -162,6 +227,27 @@ mod tests {
         });
         assert_eq!((i0, i1), (0, 1));
         assert_eq!(ctx.syscalls.len(), 2);
+    }
+
+    #[test]
+    fn sendv_reuses_the_vector_the_engine_hands_back() {
+        let mut ctx = UserCtx::default();
+        let handle = FlowId { key: 3, gen: 1 };
+        let chunk = Bytes::from(vec![7u8; 16]);
+        ctx.sendv(handle, [chunk.clone(), chunk.clone()]);
+        let Some(Syscall::Sendv { sg, .. }) = ctx.syscalls.pop() else {
+            unreachable!("sendv queues a Sendv")
+        };
+        assert_eq!(sg.len(), 2);
+        let (ptr, cap) = (sg.as_ptr(), sg.capacity());
+        ctx.recycle_sg(sg);
+        assert_eq!(chunk.ref_count(), 1, "recycling drops the payload references");
+        ctx.sendv(handle, [chunk.clone()]);
+        let Some(Syscall::Sendv { sg, .. }) = ctx.syscalls.pop() else {
+            unreachable!("sendv queues a Sendv")
+        };
+        assert_eq!((sg.as_ptr(), sg.capacity()), (ptr, cap));
+        assert_eq!(sg.len(), 1);
     }
 
     #[test]

@@ -29,8 +29,9 @@ use std::rc::Rc;
 use ix_nic::cache::DdioModel;
 use ix_nic::host::{CoreRef, CpuDomain};
 use ix_nic::nic::{Nic, NicRef, QueueId};
-use ix_sim::{Nanos, Simulator};
+use ix_sim::{EventTarget, Nanos, Simulator};
 use ix_tcp::{StackConfig, TcpShard};
+use ix_testkit::buffer_id;
 
 use crate::api::{IxApp, Syscall, SyscallResult, UserCtx};
 use crate::params::CostParams;
@@ -90,17 +91,18 @@ pub struct ElasticThread {
     /// Reusable per-cycle scratch: the polled RX frame batch.
     rx_scratch: Vec<ix_mempool::Mbuf>,
     /// Reusable per-cycle scratch: TX frames routed to their queues,
-    /// handed to the commit closure and returned after the drain.
+    /// parked here from the end of `run_iteration` until the cycle's
+    /// commit event pushes them to the rings (one cycle is in flight at
+    /// a time: the next iteration cannot start before the core is free,
+    /// which is when the commit fires).
     out_scratch: Vec<(NicRef, QueueId, ix_mempool::Mbuf)>,
     /// Capacity recycled into the shard's TX queue each cycle.
     tx_scratch: Vec<ix_mempool::Mbuf>,
-    /// Capacity recycled into the shard's event queue each cycle.
-    events_scratch: Vec<ix_tcp::TcpEvent>,
-    /// Capacity recycled into `pending_results` each cycle.
-    results_scratch: Vec<SyscallResult>,
-    /// Capacity recycled into the user context's syscall batch.
-    syscalls_scratch: Vec<Syscall>,
-    /// Reusable dedup list of NICs kicked by the commit closure.
+    /// The user context, kept across cycles: its event vector ping-pongs
+    /// with the shard's event queue, its result vector with
+    /// `pending_results`, and its syscall batch is drained in place.
+    ctx: UserCtx,
+    /// Reusable dedup list of NICs kicked by the commit event.
     kicked_scratch: Vec<NicRef>,
     /// High-water sum of scratch capacities; growth past it counts one
     /// `scratch_allocs` (ping-ponging buffers of unequal capacity stay
@@ -146,9 +148,7 @@ impl ElasticThread {
             rx_scratch: Vec::new(),
             out_scratch: Vec::new(),
             tx_scratch: Vec::new(),
-            events_scratch: Vec::new(),
-            results_scratch: Vec::new(),
-            syscalls_scratch: Vec::new(),
+            ctx: UserCtx::default(),
             kicked_scratch: Vec::new(),
             scratch_cap_hwm: 0,
             stats: DataplaneStats::default(),
@@ -158,6 +158,22 @@ impl ElasticThread {
     /// Mutable access to the application (for test/bench inspection).
     pub fn app_mut(&mut self) -> &mut dyn IxApp {
         self.app.as_mut()
+    }
+
+    /// Identity of every vector the thread recycles from cycle to cycle
+    /// (see [`ix_testkit::buffer_id`]): its own scratch, the user
+    /// context's and the shard's.
+    pub fn scratch_buffers(&self) -> Vec<(usize, usize)> {
+        let mut ids = vec![
+            buffer_id(&self.rx_scratch),
+            buffer_id(&self.out_scratch),
+            buffer_id(&self.tx_scratch),
+            buffer_id(&self.kicked_scratch),
+            buffer_id(&self.pending_results),
+        ];
+        ids.extend(self.ctx.scratch_buffers());
+        ids.extend(self.shard.scratch_buffers());
+        ids
     }
 
     /// The `(nic, queue)` pairs this thread serves (control-plane view).
@@ -180,8 +196,7 @@ impl ElasticThread {
             let busy = t.core.borrow().busy_until;
             sim.now().max(busy)
         };
-        let th = th.clone();
-        sim.schedule_at(start, move |sim| ElasticThread::run_iteration(&th, sim));
+        sim.schedule_event_at(start, th, EV_ITERATE);
     }
 
     /// One run-to-completion cycle.
@@ -263,45 +278,15 @@ impl ElasticThread {
         t.shard.input_batch(now_ns, &mut frames);
         t.rx_scratch = frames; // drained; capacity retained
 
-        // (3) User-mode application processing. The event/result/syscall
-        // vectors ping-pong between the shard/thread and the user
-        // context so steady-state cycles reallocate nothing.
-        let recycled_events = std::mem::take(&mut t.events_scratch);
-        let events = t.shard.take_events_swap(recycled_events);
-        let recycled_results = std::mem::take(&mut t.results_scratch);
-        let results = std::mem::replace(&mut t.pending_results, recycled_results);
-        let run_app = !events.is_empty() || !results.is_empty() || t.app.wants_cycle(now_ns);
+        // (3) User-mode application processing and (4) its batched
+        // system calls.
         let mut user: u64 = 0;
-        if run_app {
-            kernel += 2 * t.cost.vmx_transition_ns + t.cost.event_ns * events.len() as u64;
-            t.stats.events += events.len() as u64;
-            let mut ctx = UserCtx {
-                now_ns,
-                events,
-                results,
-                syscalls: std::mem::take(&mut t.syscalls_scratch),
-                user_ns: 0,
-            };
-            t.app.on_cycle(&mut ctx);
-            user += ctx.user_ns;
-
-            // (4) Batched system calls.
-            t.stats.syscalls += ctx.syscalls.len() as u64;
-            for s in ctx.syscalls.drain(..) {
-                kernel_pkt += t.cost.syscall_ns;
-                let r = ElasticThread::dispatch(&mut t, now_ns, s);
-                t.pending_results.push(r);
-            }
-            let UserCtx { mut events, mut results, syscalls, .. } = ctx;
-            events.clear();
-            results.clear();
-            t.events_scratch = events;
-            t.results_scratch = results;
-            t.syscalls_scratch = syscalls;
-        } else {
-            // Nothing ran: hand the (empty) buffers straight back.
-            t.events_scratch = events;
-            t.results_scratch = results;
+        if let Some(ran) = ElasticThread::user_phase(&mut t, now_ns, true) {
+            kernel += 2 * t.cost.vmx_transition_ns + t.cost.event_ns * ran.events;
+            kernel_pkt += t.cost.syscall_ns * ran.syscalls;
+            t.stats.events += ran.events;
+            t.stats.syscalls += ran.syscalls;
+            user += ran.user_ns;
         }
 
         // (5) Kernel timers.
@@ -313,7 +298,7 @@ impl ElasticThread {
         let recycled_tx = std::mem::take(&mut t.tx_scratch);
         let mut tx = t.shard.take_tx_swap(recycled_tx);
         let mut out = std::mem::take(&mut t.out_scratch);
-        debug_assert!(out.is_empty());
+        debug_assert!(out.is_empty(), "previous cycle's commit has run");
         for f in tx.drain(..) {
             kernel_pkt += t.cost.tx_cost(f.len());
             let (nic, q) = t.queues[t.tx_cursor % nq].clone();
@@ -346,43 +331,79 @@ impl ElasticThread {
         let cap_now = t.rx_scratch.capacity()
             + out.capacity()
             + t.tx_scratch.capacity()
-            + t.events_scratch.capacity()
-            + t.results_scratch.capacity()
-            + t.syscalls_scratch.capacity()
+            + t.ctx.events.capacity()
+            + t.ctx.results.capacity()
+            + t.ctx.syscalls.capacity()
             + t.kicked_scratch.capacity()
             + t.pending_results.capacity();
         if cap_now > t.scratch_cap_hwm {
             t.stats.scratch_allocs += 1;
             t.scratch_cap_hwm = cap_now;
         }
+        t.out_scratch = out;
         drop(t);
 
         // Outputs become visible at the end of the cycle.
-        let th2 = th.clone();
-        sim.schedule_at(end, move |sim| {
-            let mut out = out;
-            let mut kicked = {
-                let mut t = th2.borrow_mut();
-                let mut kicked = std::mem::take(&mut t.kicked_scratch);
-                debug_assert!(kicked.is_empty());
-                for (nic, q, f) in out.drain(..) {
-                    if nic.borrow_mut().tx_ring(q).push(f).is_err() {
-                        t.stats.tx_ring_drops += 1;
-                    }
-                    nic.borrow_mut().tx_ring(q).reclaim();
-                    if !kicked.iter().any(|n| Rc::ptr_eq(n, &nic)) {
-                        kicked.push(nic);
-                    }
-                }
-                t.out_scratch = out; // drained; capacity retained
-                kicked
-            };
-            for nic in kicked.drain(..) {
-                Nic::kick_tx(&nic, sim);
+        sim.schedule_event_at(end, th, EV_COMMIT);
+    }
+
+    /// Steps (3) and (4): hands the shard's event conditions and the
+    /// previous batch's return codes to the application, then executes
+    /// the system calls it batched. Returns `None`, having run nothing,
+    /// when there is nothing to deliver — unless `ask_app` is set and
+    /// the application wants a cycle anyway.
+    fn user_phase(t: &mut ElasticThread, now_ns: u64, ask_app: bool) -> Option<UserPhase> {
+        let mut ctx = std::mem::take(&mut t.ctx);
+        debug_assert!(ctx.events.is_empty() && ctx.results.is_empty() && ctx.syscalls.is_empty());
+        ctx.events = t.shard.take_events_swap(std::mem::take(&mut ctx.events));
+        ctx.results.reserve(t.pending_results.len());
+        std::mem::swap(&mut ctx.results, &mut t.pending_results);
+        let idle = ctx.events.is_empty() && ctx.results.is_empty();
+        let ran = if idle && !(ask_app && t.app.wants_cycle(now_ns)) {
+            None
+        } else {
+            let events = ctx.events.len() as u64;
+            ctx.now_ns = now_ns;
+            ctx.user_ns = 0;
+            t.app.on_cycle(&mut ctx);
+            let mut syscalls = std::mem::take(&mut ctx.syscalls);
+            let n = syscalls.len() as u64;
+            for s in syscalls.drain(..) {
+                let r = ElasticThread::dispatch(t, &mut ctx, now_ns, s);
+                t.pending_results.push(r);
             }
-            th2.borrow_mut().kicked_scratch = kicked;
-            ElasticThread::post_cycle(&th2, sim);
-        });
+            ctx.unload(syscalls);
+            Some(UserPhase { events, syscalls: n, user_ns: ctx.user_ns })
+        };
+        t.ctx = ctx;
+        ran
+    }
+
+    /// The end of a cycle: its frames reach the TX rings, the doorbells
+    /// ring, and the thread decides what to do next.
+    fn commit(th: &ThreadRef, sim: &mut Simulator) {
+        let mut kicked = {
+            let mut t = th.borrow_mut();
+            let mut out = std::mem::take(&mut t.out_scratch);
+            let mut kicked = std::mem::take(&mut t.kicked_scratch);
+            debug_assert!(kicked.is_empty());
+            for (nic, q, f) in out.drain(..) {
+                if nic.borrow_mut().tx_ring(q).push(f).is_err() {
+                    t.stats.tx_ring_drops += 1;
+                }
+                nic.borrow_mut().tx_ring(q).reclaim();
+                if !kicked.iter().any(|n| Rc::ptr_eq(n, &nic)) {
+                    kicked.push(nic);
+                }
+            }
+            t.out_scratch = out; // drained; capacity retained
+            kicked
+        };
+        for nic in kicked.drain(..) {
+            Nic::kick_tx(&nic, sim);
+        }
+        th.borrow_mut().kicked_scratch = kicked;
+        ElasticThread::post_cycle(th, sim);
     }
 
     /// After a cycle commits: either chain the next iteration (work is
@@ -418,11 +439,7 @@ impl ElasticThread {
         } else if let Some(ns) = wake_in {
             // Quiescent state: "hyperthread-friendly polling" — the wake
             // is free in virtual time; only real work costs CPU.
-            let th2 = th.clone();
-            let id = sim.schedule_in(Nanos(ns.max(1)), move |sim| {
-                th2.borrow_mut().idle_wake = None;
-                ElasticThread::schedule_iteration(&th2, sim);
-            });
+            let id = sim.schedule_event_in(Nanos(ns.max(1)), th, EV_IDLE_WAKE);
             th.borrow_mut().idle_wake = Some(id);
         }
     }
@@ -440,22 +457,8 @@ impl ElasticThread {
             let (out, kick) = {
                 let mut t = th.borrow_mut();
                 let now_ns = sim.now().as_nanos();
-                let events = t.shard.take_events();
-                let results = std::mem::take(&mut t.pending_results);
-                if events.is_empty() && results.is_empty() {
+                if ElasticThread::user_phase(&mut t, now_ns, false).is_none() {
                     break;
-                }
-                let mut ctx = UserCtx {
-                    now_ns,
-                    events,
-                    results,
-                    syscalls: Vec::new(),
-                    user_ns: 0,
-                };
-                t.app.on_cycle(&mut ctx);
-                for s in ctx.syscalls {
-                    let r = ElasticThread::dispatch(&mut t, now_ns, s);
-                    t.pending_results.push(r);
                 }
                 t.shard.advance_timers(now_ns);
                 t.shard.end_cycle(now_ns);
@@ -489,7 +492,12 @@ impl ElasticThread {
     /// failures return errors rather than corrupting state — the §4.5
     /// security property that "no sequence of batched system calls ...
     /// can be used to violate correct adherence to TCP".
-    fn dispatch(t: &mut ElasticThread, now_ns: u64, s: Syscall) -> SyscallResult {
+    fn dispatch(
+        t: &mut ElasticThread,
+        ctx: &mut UserCtx,
+        now_ns: u64,
+        s: Syscall,
+    ) -> SyscallResult {
         match s {
             Syscall::Connect { cookie, dst_ip, dst_port } => {
                 match t.shard.connect(now_ns, dst_ip, dst_port, cookie) {
@@ -503,6 +511,7 @@ impl ElasticThread {
             },
             Syscall::Sendv { handle, sg } => {
                 let mut total: u32 = 0;
+                let mut failed = None;
                 for chunk in &sg {
                     // Zero-copy: the stack's retransmit queue slices the
                     // app's own refcounted block (`sendv` semantics, §3 —
@@ -515,14 +524,16 @@ impl ElasticThread {
                             }
                         }
                         Err(e) => {
-                            if total == 0 {
-                                return SyscallResult::Err(e);
-                            }
+                            failed = Some(e);
                             break;
                         }
                     }
                 }
-                SyscallResult::Sent(total)
+                ctx.recycle_sg(sg);
+                match failed {
+                    Some(e) if total == 0 => SyscallResult::Err(e),
+                    _ => SyscallResult::Sent(total),
+                }
             }
             Syscall::RecvDone { handle, bytes } => {
                 match t.shard.recv_done(now_ns, handle, bytes) {
@@ -538,6 +549,36 @@ impl ElasticThread {
                 Ok(()) => SyscallResult::Ok,
                 Err(e) => SyscallResult::Err(e),
             },
+        }
+    }
+}
+
+/// What one [`ElasticThread::user_phase`] did, for the caller's cost
+/// accounting.
+struct UserPhase {
+    /// Event conditions delivered.
+    events: u64,
+    /// System calls executed.
+    syscalls: u64,
+    /// User-mode CPU the application charged, ns.
+    user_ns: u64,
+}
+
+/// Plain-event arguments: the three things a thread schedules on itself.
+const EV_ITERATE: u64 = 0;
+const EV_COMMIT: u64 = 1;
+const EV_IDLE_WAKE: u64 = 2;
+
+impl EventTarget for ElasticThread {
+    fn on_event(th: &ThreadRef, sim: &mut Simulator, arg: u64) {
+        match arg {
+            EV_ITERATE => ElasticThread::run_iteration(th, sim),
+            EV_COMMIT => ElasticThread::commit(th, sim),
+            _ => {
+                debug_assert_eq!(arg, EV_IDLE_WAKE);
+                th.borrow_mut().idle_wake = None;
+                ElasticThread::schedule_iteration(th, sim);
+            }
         }
     }
 }

@@ -18,11 +18,10 @@
 //! pending-byte cap.
 
 use std::collections::hash_map::Entry;
-use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
-use ix_testkit::Bytes;
+use ix_testkit::{buffer_id, Bytes};
 use ix_tcp::{DeadReason, FlowId};
 
 use crate::api::{EventCond, IxApp, Syscall, SyscallResult, UserCtx};
@@ -190,10 +189,19 @@ pub struct Libix<H: LibixHandler + 'static> {
     /// sorted `dirty` set, never by iterating this map.
     conns: HashMap<u64, Conn>,
     /// Cookies whose `(pending, writable)` state may have changed this
-    /// cycle: the flush pass visits only these (in cookie order)
-    /// instead of scanning every connection. At 250k mostly-idle
+    /// cycle, in arrival order and possibly repeated: the flush pass
+    /// sorts and dedups the list and visits only these (in cookie
+    /// order) instead of scanning every connection. At 250k mostly-idle
     /// connections that scan *was* the per-cycle cost.
-    dirty: BTreeSet<u64>,
+    dirty: Vec<u64>,
+    /// Emptied write queues of closed connections, handed to the next
+    /// connection opened: on a connection-churn path a `Conn`'s queue
+    /// keeps its buffer across connections.
+    spare_pending: Vec<VecDeque<Bytes>>,
+    /// Actions handlers deferred to the end of the cycle; a field so
+    /// that its buffer, like `dirty`'s and `submitted`'s, is drained in
+    /// place and serves every cycle.
+    actions: Vec<Action>,
     /// Flow-handle → cookie map: events generated by the dataplane
     /// *before* an `accept`/`connect` cookie attachment executes carry a
     /// stale cookie (the knock/data race within one batch); resolving by
@@ -239,7 +247,9 @@ impl<H: LibixHandler + 'static> Libix<H> {
         Libix {
             handler,
             conns: HashMap::new(),
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
+            spare_pending: Vec::new(),
+            actions: Vec::new(),
             by_flow: HashMap::new(),
             next_cookie: 1,
             submitted: Vec::new(),
@@ -263,6 +273,16 @@ impl<H: LibixHandler + 'static> Libix<H> {
         self.conns.len()
     }
 
+    /// Identity of the per-cycle lists libix recycles (see
+    /// [`ix_testkit::buffer_id`]).
+    pub fn scratch_buffers(&self) -> Vec<(usize, usize)> {
+        vec![
+            buffer_id(&self.dirty),
+            buffer_id(&self.actions),
+            buffer_id(&self.submitted),
+        ]
+    }
+
     /// Diagnostic dump of per-connection user-level state, in cookie
     /// order (sorted explicitly: the map itself is unordered).
     pub fn debug_conns(&self) -> Vec<String> {
@@ -279,14 +299,44 @@ impl<H: LibixHandler + 'static> Libix<H> {
             .collect()
     }
 
-    fn flush_conn(conn: &mut Conn, out: &mut Vec<Syscall>, submitted: &mut Vec<SubmitRecord>) {
+    /// Registers a new connection under `cookie`, on a recycled write
+    /// queue when one is spare. Takes the two fields it touches so the
+    /// caller can go on to run the handler against the returned `Conn`.
+    fn open_conn<'a>(
+        conns: &'a mut HashMap<u64, Conn>,
+        spare_pending: &mut Vec<VecDeque<Bytes>>,
+        handle: FlowId,
+        cookie: u64,
+        user: u64,
+    ) -> &'a mut Conn {
+        let conn = Conn {
+            handle,
+            cookie,
+            user,
+            pending: spare_pending.pop().unwrap_or_default(),
+            pending_bytes: 0,
+            writable: true,
+            closing: false,
+        };
+        conns.insert(cookie, conn);
+        conns.get_mut(&cookie).expect("inserted")
+    }
+
+    /// Keeps a removed connection's write queue for the next one.
+    fn retire_conn(&mut self, mut conn: Conn) {
+        conn.pending.clear();
+        if conn.pending.capacity() > 0 {
+            self.spare_pending.push(conn.pending);
+        }
+    }
+
+    fn flush_conn(conn: &mut Conn, ctx: &mut UserCtx, submitted: &mut Vec<SubmitRecord>) {
         if conn.pending.is_empty() || !conn.writable {
             return;
         }
         // Coalesce every pending buffer into ONE sendv (§4.3).
-        let sg: Vec<Bytes> = conn.pending.iter().cloned().collect();
-        let bytes: usize = sg.iter().map(Bytes::len).sum();
-        out.push(Syscall::Sendv { handle: conn.handle, sg });
+        let bytes: usize = conn.pending.iter().map(Bytes::len).sum();
+        ctx.sendv(conn.handle, conn.pending.iter().cloned());
         submitted.push(SubmitRecord::Sendv { cookie: conn.cookie, bytes });
         // Optimistically mark unwritable until the result confirms full
         // acceptance; partial results re-arm on `sent`.
@@ -333,11 +383,14 @@ impl<H: LibixHandler + 'static> Libix<H> {
 
 impl<H: LibixHandler + 'static> IxApp for Libix<H> {
     fn on_cycle(&mut self, ctx: &mut UserCtx) {
-        let mut actions: Vec<Action> = Vec::new();
+        // The per-cycle lists are walked with `drain` and handed back,
+        // so each keeps its buffer from cycle to cycle — including
+        // `ctx.events`, which the engine recycles into its shard.
+        let mut actions = std::mem::take(&mut self.actions);
 
         // Pair last cycle's syscall results.
-        let records = std::mem::take(&mut self.submitted);
-        for (i, rec) in records.into_iter().enumerate() {
+        let mut records = std::mem::take(&mut self.submitted);
+        for (i, rec) in records.drain(..).enumerate() {
             if let SubmitRecord::Sendv { cookie, bytes } = rec {
                 let accepted = match ctx.results.get(i) {
                     Some(SyscallResult::Sent(n)) => *n as usize,
@@ -346,6 +399,7 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                 self.apply_send_result(cookie, accepted, bytes);
             }
         }
+        self.submitted = records;
 
         // Pacing hook.
         {
@@ -359,27 +413,23 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
         }
 
         // Event dispatch.
-        let events = std::mem::take(&mut ctx.events);
-        for ev in events {
+        let mut events = std::mem::take(&mut ctx.events);
+        for ev in events.drain(..) {
             match ev {
                 EventCond::Knock { flow, .. } => {
                     let cookie = self.next_cookie;
                     self.next_cookie += 1;
                     ctx.syscalls.push(Syscall::Accept { handle: flow, cookie });
                     self.submitted.push(SubmitRecord::Other);
-                    let conn = Conn {
-                        handle: flow,
-                        cookie,
-                        user: 0,
-                        pending: VecDeque::new(),
-                        pending_bytes: 0,
-                        writable: true,
-                        closing: false,
-                    };
-                    self.conns.insert(cookie, conn);
                     self.by_flow.insert(flow, cookie);
                     self.stats.accepted += 1;
-                    let conn = self.conns.get_mut(&cookie).expect("inserted");
+                    let conn = Libix::<H>::open_conn(
+                        &mut self.conns,
+                        &mut self.spare_pending,
+                        flow,
+                        cookie,
+                        0,
+                    );
                     let mut cctx = ConnCtx {
                         conn,
                         actions: &mut actions,
@@ -388,7 +438,7 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                         charge_ns: &mut ctx.user_ns,
                     };
                     self.handler.on_accept(&mut cctx);
-                    self.dirty.insert(cookie);
+                    self.dirty.push(cookie);
                 }
                 EventCond::Connected { flow, cookie, ok } => {
                     if ok {
@@ -407,9 +457,10 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                         };
                         self.handler.on_connected(&mut cctx, ok);
                         if !ok {
-                            e.remove();
+                            let conn = e.remove();
+                            self.retire_conn(conn);
                         } else {
-                            self.dirty.insert(cookie);
+                            self.dirty.push(cookie);
                         }
                     }
                 }
@@ -429,21 +480,15 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                         self.next_cookie += 1;
                         ctx.syscalls.push(Syscall::Accept { handle: flow, cookie });
                         self.submitted.push(SubmitRecord::Other);
-                        self.conns.insert(
-                            cookie,
-                            Conn {
-                                handle: flow,
-                                cookie,
-                                user: 0,
-                                pending: VecDeque::new(),
-                                pending_bytes: 0,
-                                writable: true,
-                                closing: false,
-                            },
-                        );
                         self.by_flow.insert(flow, cookie);
                         self.stats.adopted += 1;
-                        let conn = self.conns.get_mut(&cookie).expect("inserted");
+                        let conn = Libix::<H>::open_conn(
+                            &mut self.conns,
+                            &mut self.spare_pending,
+                            flow,
+                            cookie,
+                            0,
+                        );
                         let mut cctx = ConnCtx {
                             conn,
                             actions: &mut actions,
@@ -464,7 +509,7 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                             charge_ns: &mut ctx.user_ns,
                         };
                         self.handler.on_data(&mut cctx, &payload);
-                        self.dirty.insert(cookie);
+                        self.dirty.push(cookie);
                         Some(conn.handle)
                     } else {
                         None
@@ -493,7 +538,7 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                             charge_ns: &mut ctx.user_ns,
                         };
                         self.handler.on_sent(&mut cctx);
-                        self.dirty.insert(cookie);
+                        self.dirty.push(cookie);
                     }
                 }
                 EventCond::Dead { cookie, flow, reason } => {
@@ -517,19 +562,23 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                             ctx.syscalls.push(Syscall::Close { handle });
                             self.submitted.push(SubmitRecord::Other);
                         }
+                        self.retire_conn(conn);
                     }
                 }
             }
         }
 
+        ctx.events = events;
+
         // Apply deferred actions.
-        for a in actions {
+        for a in actions.drain(..) {
             match a {
                 Action::Close(cookie) => {
                     if let Some(conn) = self.conns.remove(&cookie) {
                         self.by_flow.remove(&conn.handle);
                         ctx.syscalls.push(Syscall::Close { handle: conn.handle });
                         self.submitted.push(SubmitRecord::Other);
+                        self.retire_conn(conn);
                     }
                 }
                 Action::Abort(cookie) => {
@@ -537,6 +586,7 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                         self.by_flow.remove(&conn.handle);
                         ctx.syscalls.push(Syscall::Abort { handle: conn.handle });
                         self.submitted.push(SubmitRecord::Other);
+                        self.retire_conn(conn);
                     }
                 }
                 Action::Write { cookie, data } => {
@@ -544,7 +594,7 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                         if conn.pending_bytes + data.len() <= self.max_pending {
                             conn.pending_bytes += data.len();
                             conn.pending.push_back(data);
-                            self.dirty.insert(cookie);
+                            self.dirty.push(cookie);
                         } else {
                             self.stats.cap_rejections += 1;
                         }
@@ -553,23 +603,20 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                 Action::Connect { dst_ip, dst_port, user } => {
                     let cookie = self.next_cookie;
                     self.next_cookie += 1;
-                    self.conns.insert(
+                    Libix::<H>::open_conn(
+                        &mut self.conns,
+                        &mut self.spare_pending,
+                        FlowId { key: 0, gen: 0 },
                         cookie,
-                        Conn {
-                            handle: FlowId { key: 0, gen: 0 },
-                            cookie,
-                            user,
-                            pending: VecDeque::new(),
-                            pending_bytes: 0,
-                            writable: true,
-                            closing: false,
-                        },
+                        user,
                     );
                     ctx.syscalls.push(Syscall::Connect { cookie, dst_ip, dst_port });
                     self.submitted.push(SubmitRecord::Other);
                 }
             }
         }
+
+        self.actions = actions;
 
         // Transmit coalescing: one sendv per connection with new data.
         // Only connections whose (pending, writable) state could have
@@ -581,13 +628,15 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
         // pending marks the cookie above (result pairing alone never
         // does both — full acceptance drains pending, partial leaves
         // `writable` false until its `sent` event).
-        let mut new_syscalls: Vec<Syscall> = Vec::new();
-        for cookie in std::mem::take(&mut self.dirty) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        for cookie in dirty.drain(..) {
             if let Some(conn) = self.conns.get_mut(&cookie) {
-                Libix::<H>::flush_conn(conn, &mut new_syscalls, &mut self.submitted);
+                Libix::<H>::flush_conn(conn, ctx, &mut self.submitted);
             }
         }
-        ctx.syscalls.extend(new_syscalls);
+        self.dirty = dirty;
     }
 
     fn wants_cycle(&self, now_ns: u64) -> bool {

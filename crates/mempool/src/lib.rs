@@ -9,8 +9,8 @@
 //! and transmitting packets."*
 //!
 //! This crate reproduces that allocator: [`MbufPool`] provisions
-//! fixed-size buffers in page-sized blocks and recycles them through a
-//! free list; [`Mbuf`] is the packet storage object, with headroom
+//! fixed-size buffers on demand, a small block at a time, and recycles
+//! them through a free list; [`Mbuf`] is the packet storage object, with headroom
 //! management so protocol headers can be prepended without copying — the
 //! mechanism behind IX's zero-copy API.
 //!
@@ -22,4 +22,4 @@ pub mod mbuf;
 pub mod pool;
 
 pub use mbuf::{Mbuf, MBUF_DATA_SIZE, MBUF_DEFAULT_HEADROOM};
-pub use pool::{MbufPool, ObjectPool, PoolStats};
+pub use pool::{MbufPool, ObjectPool, PoolStats, PROVISION_BLOCK};

@@ -1,4 +1,4 @@
-//! Fixed-size object pools provisioned in page-sized blocks.
+//! Fixed-size object pools provisioned on demand in small blocks.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -7,8 +7,17 @@ use std::sync::Arc;
 use crate::mbuf::{Mbuf, MBUF_DATA_SIZE};
 
 /// Simulated large-page size: IX allocates dataplane memory exclusively in
-/// 2 MB pages (§4.2).
+/// 2 MB pages (§4.2). A unit of *capacity* ([`MbufPool::with_large_pages`]);
+/// host memory is committed in much smaller steps, see [`PROVISION_BLOCK`].
 pub const LARGE_PAGE: usize = 2 * 1024 * 1024;
+
+/// Buffers materialized each time a pool's free list runs dry below its
+/// capacity (64 KiB of storage). A testbed holds hundreds of pools — one
+/// per RX ring and per shard on every host — and most never have more
+/// than a few dozen buffers outstanding, so host memory follows
+/// `peak_outstanding` to within one block instead of jumping by a whole
+/// simulated large page on a pool's first use.
+pub const PROVISION_BLOCK: usize = 32;
 
 /// Allocation statistics for a pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,8 +52,8 @@ pub struct FreeList {
     /// Recycled storage still aliased by a live `Bytes` view; swept back
     /// into `free` once unique.
     deferred: Vec<Arc<[u8]>>,
-    /// Buffers materialized so far; grows in large-page blocks up to
-    /// `capacity`.
+    /// Buffers materialized so far; grows a [`PROVISION_BLOCK`] at a time
+    /// up to `capacity`.
     provisioned: usize,
     /// The configured capacity in buffers.
     capacity: usize,
@@ -54,19 +63,19 @@ pub struct FreeList {
 
 impl FreeList {
     /// Pops a buffer and charges it as outstanding, in one pass. Backing
-    /// storage is materialized on demand one simulated 2 MB large page
-    /// at a time (§4.2: the dataplane grows its mbuf region in large
-    /// pages), so a testbed of many shards only pays — in allocation and
-    /// page-fault cost — for the buffers its workload actually touches.
+    /// storage is materialized on demand, one small block at a time and
+    /// one host allocation per buffer, so a testbed of many pools only
+    /// pays — in allocation and page-fault cost — for the buffers its
+    /// workload actually has in flight.
     fn take(&mut self) -> Option<Arc<[u8]>> {
         if self.free.is_empty() {
             self.sweep_deferred();
         }
         if self.free.is_empty() && self.provisioned < self.capacity {
-            let block = (self.capacity - self.provisioned).min(LARGE_PAGE / MBUF_DATA_SIZE);
+            let block = (self.capacity - self.provisioned).min(PROVISION_BLOCK);
             self.free.reserve(block);
             for _ in 0..block {
-                self.free.push(Arc::from(vec![0u8; MBUF_DATA_SIZE]));
+                self.free.push(Arc::new([0u8; MBUF_DATA_SIZE]));
             }
             self.provisioned += block;
         }
@@ -105,8 +114,8 @@ impl FreeList {
 /// A pool of MTU-sized packet buffers for one hardware thread.
 ///
 /// Capacity is expressed in buffers; backing storage is provisioned on
-/// demand in simulated 2 MB large-page blocks (§4.2), and once a buffer
-/// is materialized it recycles through the free list forever — the
+/// demand a [`PROVISION_BLOCK`] at a time, and once a buffer is
+/// materialized it recycles through the free list forever — the
 /// steady-state alloc path never touches the global allocator. When the
 /// pool is exhausted, `alloc` returns `None` — the NIC model translates
 /// that into a packet drop, exactly what a real NIC does when the host
@@ -204,6 +213,13 @@ impl MbufPool {
     pub fn available(&self) -> usize {
         let list = self.list.borrow();
         list.capacity - list.outstanding as usize
+    }
+
+    /// Buffers whose storage has been materialized so far: at most one
+    /// [`PROVISION_BLOCK`] past what demand has required, never more
+    /// than the capacity.
+    pub fn provisioned(&self) -> usize {
+        self.list.borrow().provisioned
     }
 
     /// A snapshot of allocation statistics (outstanding/peak/frees come

@@ -1,9 +1,12 @@
 //! Property tests (ix-testkit harness) for the memory manager: the pool
-//! never over-allocates, recycling is exact, and mbuf headroom/tailroom
+//! never over-allocates, recycling is exact, storage is provisioned no
+//! further than demand plus one block, and mbuf headroom/tailroom
 //! arithmetic matches a byte-level reference model under arbitrary
 //! prepend/append/pull/truncate programs.
 
-use ix_mempool::{Mbuf, MbufPool, ObjectPool, MBUF_DATA_SIZE, MBUF_DEFAULT_HEADROOM};
+use ix_mempool::{
+    Mbuf, MbufPool, ObjectPool, MBUF_DATA_SIZE, MBUF_DEFAULT_HEADROOM, PROVISION_BLOCK,
+};
 use ix_testkit::prelude::*;
 
 /// One step of an mbuf manipulation program. Sizes are raw draws; the
@@ -128,6 +131,72 @@ props! {
         let stats = pool.stats();
         prop_assert_eq!(stats.allocs, stats.frees, "every alloc returned");
         prop_assert_eq!(stats.outstanding, 0);
+    }
+
+    /// Demand-sized provisioning under alloc / free / free-while-viewed /
+    /// release-view programs over pools of one to four blocks. A buffer
+    /// whose mbuf was dropped while a `Bytes` view still reads it is
+    /// unavailable until the view goes, so the pool refuses exactly when
+    /// held + viewed buffers reach capacity; storage materialized never
+    /// exceeds the demand high-water mark by a whole block, nor the
+    /// capacity; and mbufs and views that outlive the pool stay valid.
+    #[test]
+    fn provisioning_follows_demand(
+        capacity in 1usize..(4 * PROVISION_BLOCK),
+        program in collection::vec((0u8..8, any::<u8>()), 1..400),
+    ) {
+        let mut pool = MbufPool::new(capacity);
+        let mut held: Vec<Mbuf> = Vec::new();
+        let mut views: Vec<(Bytes, u8)> = Vec::new();
+        let mut peak = 0;
+        for (op, byte) in program {
+            match op {
+                // Allocation is the common op, so pools fill up.
+                0..=3 => match pool.alloc_with(&[byte]) {
+                    Some(m) => {
+                        prop_assert!(held.len() + views.len() < capacity, "over-allocated");
+                        held.push(m);
+                    }
+                    None => prop_assert_eq!(held.len() + views.len(), capacity, "refused early"),
+                },
+                4 | 5 => {
+                    if !held.is_empty() {
+                        drop(held.swap_remove(byte as usize % held.len()));
+                    }
+                }
+                6 => {
+                    if !held.is_empty() {
+                        let m = held.swap_remove(byte as usize % held.len());
+                        views.push((m.as_bytes(), m.data()[0]));
+                    }
+                }
+                _ => {
+                    if !views.is_empty() {
+                        views.swap_remove(byte as usize % views.len());
+                    }
+                }
+            }
+            peak = peak.max(held.len() + views.len());
+            prop_assert_eq!(pool.stats().outstanding as usize, held.len());
+            prop_assert!(pool.provisioned() >= held.len() + views.len());
+            prop_assert!(pool.provisioned() <= capacity);
+            prop_assert!(
+                pool.provisioned() < peak + PROVISION_BLOCK,
+                "provisioned {} for a demand peak of {peak}",
+                pool.provisioned()
+            );
+            // A live view is never scribbled over by a later allocation.
+            for (v, first) in &views {
+                prop_assert_eq!(v[0], *first);
+            }
+        }
+        // Orphans: the pool goes first, its buffers and views after.
+        drop(pool);
+        for (v, first) in &views {
+            prop_assert_eq!(v[0], *first);
+        }
+        drop(held);
+        drop(views);
     }
 
     /// A fresh allocation always starts with the default headroom and no

@@ -9,7 +9,7 @@ use ix_net::eth::{EthHeader, EtherType, MacAddr};
 use ix_net::filter::{self, FilterPolicy, Verdict};
 use ix_net::ip::IpProto;
 use ix_net::rss::{hash_ipv4_tuple, RssKey, TOEPLITZ_DEFAULT_KEY};
-use ix_sim::Simulator;
+use ix_sim::{EventTarget, Simulator};
 
 use crate::params::MachineParams;
 use crate::ring::{RxRing, TxRing};
@@ -331,8 +331,7 @@ impl Nic {
             n.tx_draining = true;
             sim.now()
         };
-        let nic = nic.clone();
-        sim.schedule_at(start, move |sim| Nic::drain_one(&nic, sim));
+        sim.schedule_event_at(start, nic, 0);
     }
 
     /// Serializes the next pending TX frame onto the wire, then chains
@@ -350,8 +349,7 @@ impl Nic {
             }
         };
         if let Some(end) = hang_until {
-            let nic = nic.clone();
-            sim.schedule_at(ix_sim::SimTime(end), move |sim| Nic::drain_one(&nic, sim));
+            sim.schedule_event_at(ix_sim::SimTime(end), nic, 0);
             return;
         }
         let (frame, depart, sw, port) = {
@@ -385,13 +383,10 @@ impl Nic {
         };
         let ingress_at = depart + ix_sim::Nanos(tx_lat + prop);
         if let Some(sw) = sw.upgrade() {
-            sim.schedule_at(ingress_at, move |sim| {
-                Switch::ingress(&sw, sim, frame, port);
-            });
+            Switch::schedule_ingress(&sw, sim, ingress_at, frame, port);
         }
         // Chain the next drain at end of this frame's serialization.
-        let nic = nic.clone();
-        sim.schedule_at(depart, move |sim| Nic::drain_one(&nic, sim));
+        sim.schedule_event_at(depart, nic, 0);
     }
 
     /// Current time adjusted view: when the port will next be idle.
@@ -402,6 +397,13 @@ impl Nic {
     /// The machine parameters this NIC was built with.
     pub fn params(&self) -> &MachineParams {
         &self.params
+    }
+}
+
+impl EventTarget for Nic {
+    /// The NIC's only event: the wire is free for the next TX frame.
+    fn on_event(this: &NicRef, sim: &mut Simulator, _arg: u64) {
+        Nic::drain_one(this, sim);
     }
 }
 

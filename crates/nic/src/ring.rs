@@ -56,8 +56,8 @@ impl RxRing {
 
     /// Creates a ring with `capacity` descriptors and `pool_bufs`
     /// receive buffers (floored at `capacity` so a fully posted ring can
-    /// always land). Buffer memory is provisioned lazily in large-page
-    /// blocks by the pool.
+    /// always land). Buffer memory is provisioned lazily by the pool, as
+    /// frames actually arrive.
     pub fn with_pool(capacity: usize, pool_bufs: usize) -> RxRing {
         RxRing {
             capacity,
@@ -90,6 +90,11 @@ impl RxRing {
     /// anywhere between this ring and the application's `recv_done`).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
+    }
+
+    /// Receive buffers whose storage the pool has materialized so far.
+    pub fn pool_provisioned(&self) -> usize {
+        self.pool.provisioned()
     }
 
     /// Hardware side: deposit an arriving frame. Returns `false` (and

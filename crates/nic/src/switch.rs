@@ -14,10 +14,28 @@ use ix_faults::{FaultsRef, LinkVerdict};
 use ix_mempool::Mbuf;
 use ix_net::eth::{EthHeader, EtherType, MacAddr};
 use ix_net::rss::{hash_ipv4_tuple, TOEPLITZ_DEFAULT_KEY};
-use ix_sim::{Nanos, SimTime, Simulator};
+use ix_sim::{EventTarget, Nanos, SimTime, Simulator};
 
 use crate::nic::{Nic, NicRef};
 use crate::params::MachineParams;
+
+/// Where [`Switch::resolve`] sends a frame.
+enum Route {
+    /// Nowhere: runt frame or unknown unicast destination.
+    Drop,
+    /// One output port (the per-packet case).
+    Port(u16),
+    /// Every attached port but the one it came in on.
+    Flood,
+}
+
+/// Which hop a parked frame is waiting to make (the top bit of a plain
+/// event's argument; the port and the frame's slot fill the rest).
+const HOP_DELIVER: u64 = 1 << 63;
+
+fn hop_arg(hop: u64, port: u16, slot: u32) -> u64 {
+    hop | u64::from(port) << 32 | u64::from(slot)
+}
 
 /// Forwarding decision for a destination MAC.
 #[derive(Debug, Clone)]
@@ -58,6 +76,15 @@ pub struct Switch {
     /// receiver's). Absent by default: the fault-free path draws no
     /// randomness and schedules nothing extra.
     faults: Option<FaultsRef>,
+    /// Frames on a cable: between a NIC's serializer and this switch's
+    /// ingress, or between an egress port and the destination NIC. Each
+    /// is parked here while the plain event that moves it on is pending,
+    /// and that event's argument names its slot — so a frame in flight
+    /// costs no allocation, and events may fire in any order (the fault
+    /// plane's `Delay` reorders them).
+    in_flight: Vec<Option<Mbuf>>,
+    /// Vacant `in_flight` slots.
+    free_slots: Vec<u32>,
 }
 
 impl Switch {
@@ -70,7 +97,37 @@ impl Switch {
             table: HashMap::new(),
             stats: SwitchStats::default(),
             faults: None,
+            in_flight: Vec::new(),
+            free_slots: Vec::new(),
         }
+    }
+
+    /// Parks a frame until the event carrying its slot fires.
+    fn park(&mut self, frame: Mbuf) -> u32 {
+        match self.free_slots.pop() {
+            Some(slot) => {
+                self.in_flight[slot as usize] = Some(frame);
+                slot
+            }
+            None => {
+                self.in_flight.push(Some(frame));
+                (self.in_flight.len() - 1) as u32
+            }
+        }
+    }
+
+    /// A frame leaves its sender's serializer and will have fully
+    /// arrived at `in_port` at `at`: the NIC-to-switch hop, as one plain
+    /// event.
+    pub fn schedule_ingress(
+        switch: &Rc<RefCell<Switch>>,
+        sim: &mut Simulator,
+        at: SimTime,
+        frame: Mbuf,
+        in_port: u16,
+    ) {
+        let slot = switch.borrow_mut().park(frame);
+        sim.schedule_event_at(at, switch, hop_arg(0, in_port, slot));
     }
 
     /// Installs the fault plane ([`crate::fabric::Fabric::install_faults`]
@@ -101,31 +158,29 @@ impl Switch {
         self.ports.len()
     }
 
-    /// Resolves the output port(s) for a frame.
-    fn resolve(&mut self, frame: &Mbuf, in_port: u16) -> Vec<u16> {
+    /// Resolves where a frame goes.
+    fn resolve(&mut self, frame: &Mbuf) -> Route {
         let data = frame.data();
         if data.len() < EthHeader::LEN {
-            return Vec::new();
+            return Route::Drop;
         }
         let dst = MacAddr([data[0], data[1], data[2], data[3], data[4], data[5]]);
         if dst.is_broadcast() {
             self.stats.flooded += 1;
-            return (0..self.ports.len() as u16)
-                .filter(|&p| p != in_port && self.attached[p as usize].is_some())
-                .collect();
+            return Route::Flood;
         }
         match self.table.get(&dst) {
             Some(PortSel::One(p)) => {
                 self.stats.forwarded += 1;
-                vec![*p]
+                Route::Port(*p)
             }
             Some(PortSel::Lag(members)) => {
                 self.stats.forwarded += 1;
-                vec![members[Switch::lag_hash(data) % members.len()]]
+                Route::Port(members[Switch::lag_hash(data) % members.len()])
             }
             None => {
                 self.stats.unknown_dropped += 1;
-                Vec::new()
+                Route::Drop
             }
         }
     }
@@ -180,16 +235,28 @@ impl Switch {
 
     /// The fault-free forwarding body of [`Switch::ingress`].
     fn forward(switch: &Rc<RefCell<Switch>>, sim: &mut Simulator, frame: Mbuf, in_port: u16) {
-        let outs = switch.borrow_mut().resolve(&frame, in_port);
-        let Some((&last, rest)) = outs.split_last() else {
-            return;
-        };
-        // Clone for all but the last output (flood path only); the common
-        // unicast case moves the frame without copying.
-        for &out in rest {
-            Switch::egress(switch, sim, frame.clone(), out);
+        let route = switch.borrow_mut().resolve(&frame);
+        match route {
+            Route::Drop => {}
+            // The common unicast case moves the frame without copying.
+            Route::Port(out) => Switch::egress(switch, sim, frame, out),
+            Route::Flood => {
+                let outs: Vec<u16> = {
+                    let sw = switch.borrow();
+                    (0..sw.ports.len() as u16)
+                        .filter(|&p| p != in_port && sw.attached[p as usize].is_some())
+                        .collect()
+                };
+                let Some((&last, rest)) = outs.split_last() else {
+                    return;
+                };
+                // Clone for all but the last output.
+                for &out in rest {
+                    Switch::egress(switch, sim, frame.clone(), out);
+                }
+                Switch::egress(switch, sim, frame, last);
+            }
         }
-        Switch::egress(switch, sim, frame, last);
     }
 
     /// True when the frame carries an IPv4 ethertype (and therefore
@@ -229,7 +296,7 @@ impl Switch {
                 LinkVerdict::Delay(d) => extra_delay = d,
             }
         }
-        let (depart, dst_nic, prop, rx_lat) = {
+        let (arrive, slot) = {
             let mut sw = switch.borrow_mut();
             let l2_payload = frame.len().saturating_sub(EthHeader::LEN);
             let ser = sw.params.serialization_ns(l2_payload);
@@ -237,13 +304,32 @@ impl Switch {
                 .max(sw.ports[out as usize].busy_until);
             let depart = start + Nanos(ser);
             sw.ports[out as usize].busy_until = depart;
-            let dst = sw.attached[out as usize].clone();
-            (depart, dst, sw.params.propagation_ns, sw.params.nic_rx_latency_ns)
+            if sw.attached[out as usize].is_none() {
+                return;
+            }
+            let lat = sw.params.propagation_ns + sw.params.nic_rx_latency_ns;
+            (depart + Nanos(lat + extra_delay), sw.park(frame))
         };
-        let Some(dst_nic) = dst_nic else { return };
-        sim.schedule_at(depart + Nanos(prop + rx_lat + extra_delay), move |sim| {
-            Nic::deliver(&dst_nic, sim, frame);
-        });
+        sim.schedule_event_at(arrive, switch, hop_arg(HOP_DELIVER, out, slot));
+    }
+}
+
+impl EventTarget for Switch {
+    /// A parked frame completes its hop: into the forwarding path, or
+    /// into the NIC cabled to the egress port.
+    fn on_event(this: &Rc<RefCell<Switch>>, sim: &mut Simulator, arg: u64) {
+        let (port, slot) = ((arg >> 32) as u16, arg as u32);
+        let mut sw = this.borrow_mut();
+        let frame = sw.in_flight[slot as usize].take().expect("event names a parked frame");
+        sw.free_slots.push(slot);
+        if arg & HOP_DELIVER == 0 {
+            drop(sw);
+            Switch::ingress(this, sim, frame, port);
+        } else {
+            let nic = sw.attached[port as usize].clone().expect("egress checked the port is cabled");
+            drop(sw);
+            Nic::deliver(&nic, sim, frame);
+        }
     }
 }
 

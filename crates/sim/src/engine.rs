@@ -2,9 +2,15 @@
 //! time queue.
 //!
 //! Components (NICs, links, dataplanes, applications) are reference-counted
-//! cells; events are closures that capture handles to the components they
-//! touch and receive `&mut Simulator` so they can read the clock, draw
-//! randomness, and schedule further events.
+//! cells, and an event comes in one of two forms. The general form is a
+//! closure that captures handles to the components it touches and
+//! receives `&mut Simulator` so it can read the clock, draw randomness,
+//! and schedule further events ([`Simulator::schedule_at`]); it is boxed,
+//! so it costs one heap allocation. The per-packet and per-cycle paths
+//! use the plain-data form instead ([`Simulator::schedule_event_at`]): a
+//! handle to a component implementing [`EventTarget`] plus one `u64`,
+//! stored inline in the event's slab slot — no allocation. Both forms
+//! share one sequence counter, one queue and one [`EventId`] space.
 //!
 //! Determinism: events are ordered by `(time, sequence)` where `sequence`
 //! is a monotonically increasing insertion counter, so ties are broken by
@@ -32,8 +38,10 @@
 //! set) and a stale [`EventId`] — one whose event already fired — fails the
 //! generation check and is a true no-op, so `events_pending` stays exact.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
+use std::rc::Rc;
 
 use crate::rng::SimRng;
 use crate::time::{Nanos, SimTime};
@@ -67,7 +75,36 @@ impl EventId {
     }
 }
 
-type Action = Box<dyn FnOnce(&mut Simulator)>;
+/// A component that receives plain-data events: the allocation-free
+/// counterpart of a closure capturing `Rc<RefCell<Self>>`. `arg` is
+/// whatever the component packed when it scheduled the event — an event
+/// kind, a queue index, a slot in a component-owned table of parked
+/// frames.
+pub trait EventTarget: Sized + 'static {
+    /// Runs the event scheduled with `arg` against `this`.
+    fn on_event(this: &Rc<RefCell<Self>>, sim: &mut Simulator, arg: u64);
+}
+
+/// Object-safe face of [`EventTarget`], so a slot can hold any
+/// component's handle as one `Rc<dyn Fire>` (an unsizing coercion of the
+/// caller's `Rc`, not a new allocation).
+trait Fire {
+    fn fire(self: Rc<Self>, sim: &mut Simulator, arg: u64);
+}
+
+impl<T: EventTarget> Fire for RefCell<T> {
+    fn fire(self: Rc<Self>, sim: &mut Simulator, arg: u64) {
+        T::on_event(&self, sim, arg);
+    }
+}
+
+/// What a pending event runs.
+enum Action {
+    /// General form: a boxed closure.
+    Boxed(Box<dyn FnOnce(&mut Simulator)>),
+    /// Plain-data form: a component handle and its argument, inline.
+    Plain(Rc<dyn Fire>, u64),
+}
 
 /// Slot state in the event slab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,8 +162,12 @@ impl Ord for FarEvent {
 /// guessed. Snapshot via [`Simulator::counters`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimCounters {
-    /// Events accepted by `schedule_at`/`schedule_in`.
+    /// Events accepted, in either form.
     pub scheduled: u64,
+    /// The subset of `scheduled` that took the closure form
+    /// (`schedule_at`/`schedule_in`) and so boxed its action. The
+    /// steady-state message path schedules none.
+    pub boxed: u64,
     /// Events whose action ran.
     pub executed: u64,
     /// Live events cancelled in place.
@@ -258,7 +299,10 @@ impl Simulator {
         self.free.push(idx);
     }
 
-    /// Schedules `action` to run at absolute time `at`.
+    /// Schedules `action` to run at absolute time `at`. This is the
+    /// general form: the closure is boxed (one allocation), which suits
+    /// control planes, fault injection, tests and drivers. Per-packet
+    /// and per-cycle events use [`Simulator::schedule_event_at`].
     ///
     /// # Panics
     ///
@@ -268,10 +312,55 @@ impl Simulator {
         at: SimTime,
         action: impl FnOnce(&mut Simulator) + 'static,
     ) -> EventId {
+        self.counters.boxed += 1;
+        self.enqueue(at, Action::Boxed(Box::new(action)))
+    }
+
+    /// Schedules `action` to run after `delay`.
+    pub fn schedule_in(
+        &mut self,
+        delay: Nanos,
+        action: impl FnOnce(&mut Simulator) + 'static,
+    ) -> EventId {
+        self.schedule_at(self.now + delay, action)
+    }
+
+    /// Schedules `T::on_event(target, sim, arg)` to run at absolute time
+    /// `at`: the plain-data form, stored inline in the event's slot.
+    /// Ordering, cancellation and every counter but
+    /// [`SimCounters::boxed`] are those of [`Simulator::schedule_at`];
+    /// like a closure capturing `target`, the pending event keeps the
+    /// component alive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
+    pub fn schedule_event_at<T: EventTarget>(
+        &mut self,
+        at: SimTime,
+        target: &Rc<RefCell<T>>,
+        arg: u64,
+    ) -> EventId {
+        self.enqueue(at, Action::Plain(target.clone(), arg))
+    }
+
+    /// Schedules a plain-data event after `delay`.
+    pub fn schedule_event_in<T: EventTarget>(
+        &mut self,
+        delay: Nanos,
+        target: &Rc<RefCell<T>>,
+        arg: u64,
+    ) -> EventId {
+        self.schedule_event_at(self.now + delay, target, arg)
+    }
+
+    /// Assigns the next sequence number and files the event in the tier
+    /// its bucket selects.
+    fn enqueue(&mut self, at: SimTime, action: Action) -> EventId {
         assert!(at >= self.now, "cannot schedule into the past: {at} < {}", self.now);
         let seq = self.seq;
         self.seq += 1;
-        let idx = self.alloc_slot(at, seq, Box::new(action));
+        let idx = self.alloc_slot(at, seq, action);
         let generation = self.slab[idx as usize].generation;
         let bucket = at.0 >> BUCKET_SHIFT;
         if bucket <= self.cursor {
@@ -296,15 +385,6 @@ impl Simulator {
         EventId::new(idx, generation)
     }
 
-    /// Schedules `action` to run after `delay`.
-    pub fn schedule_in(
-        &mut self,
-        delay: Nanos,
-        action: impl FnOnce(&mut Simulator) + 'static,
-    ) -> EventId {
-        self.schedule_at(self.now + delay, action)
-    }
-
     /// Cancels a previously scheduled event in place. Cancelling an event
     /// that has already fired (or was already cancelled) is a no-op — the
     /// slot's generation has moved on, so the stale id matches nothing and
@@ -316,7 +396,7 @@ impl Simulator {
                 if s.generation == id.generation() && s.state == SlotState::Pending =>
             {
                 s.state = SlotState::Cancelled;
-                // Drop the closure now; the queue reference is reclaimed
+                // Drop the action now; the queue reference is reclaimed
                 // lazily when the pop path reaches it.
                 s.action = None;
                 self.pending -= 1;
@@ -365,15 +445,19 @@ impl Simulator {
                 self.counters.promotions += 1;
             }
             let slot = (self.cursor % N_BUCKETS as u64) as usize;
-            let mut run = std::mem::take(&mut self.ring[slot]);
-            if run.is_empty() {
+            if self.ring[slot].is_empty() {
                 continue;
             }
+            // The bucket is lent out for the sort (its key reads the
+            // slab) and handed back drained, so bucket and run both keep
+            // their buffers from one lap of the ring to the next.
+            let mut run = std::mem::take(&mut self.ring[slot]);
             self.ring_len -= run.len();
             self.counters.bucket_high_water =
                 self.counters.bucket_high_water.max(run.len() as u64);
             run.sort_unstable_by_key(|&idx| std::cmp::Reverse(self.key(idx)));
-            self.active = run.into();
+            self.active.extend(run.drain(..));
+            self.ring[slot] = run;
             return true;
         }
     }
@@ -420,7 +504,10 @@ impl Simulator {
                 self.now = time;
                 self.pending -= 1;
                 self.counters.executed += 1;
-                action(self);
+                match action {
+                    Action::Boxed(f) => f(self),
+                    Action::Plain(target, arg) => target.fire(self, arg),
+                }
                 true
             }
             None => false,
@@ -694,6 +781,83 @@ mod tests {
         );
     }
 
+    /// A component that logs `(now, arg)` and, for odd `arg`, schedules
+    /// a follow-up plain event on itself.
+    struct Probe {
+        log: Vec<(u64, u64)>,
+    }
+
+    impl EventTarget for Probe {
+        fn on_event(this: &Rc<RefCell<Probe>>, sim: &mut Simulator, arg: u64) {
+            this.borrow_mut().log.push((sim.now().as_nanos(), arg));
+            if arg % 2 == 1 {
+                sim.schedule_event_in(Nanos(5), this, arg + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn plain_and_closure_events_share_one_order() {
+        let mut sim = Simulator::new(0);
+        let probe = Rc::new(RefCell::new(Probe { log: Vec::new() }));
+        // Same timestamp throughout: only the insertion order decides.
+        sim.schedule_event_at(SimTime(50), &probe, 10);
+        let p = probe.clone();
+        sim.schedule_at(SimTime(50), move |sim| {
+            p.borrow_mut().log.push((sim.now().as_nanos(), 11));
+        });
+        sim.schedule_event_at(SimTime(50), &probe, 12);
+        let cancelled = sim.schedule_event_at(SimTime(50), &probe, 13);
+        sim.schedule_event_at(SimTime(50), &probe, 1);
+        sim.cancel(cancelled);
+        assert_eq!(sim.events_pending(), 4);
+        sim.run();
+        assert_eq!(
+            probe.borrow().log,
+            vec![(50, 10), (50, 11), (50, 12), (50, 1), (55, 2)]
+        );
+        let c = sim.counters();
+        assert_eq!((c.scheduled, c.boxed, c.executed, c.cancelled), (6, 1, 5, 1));
+    }
+
+    #[test]
+    fn pending_plain_event_holds_its_target_until_fired_or_cancelled() {
+        let mut sim = Simulator::new(0);
+        let probe = Rc::new(RefCell::new(Probe { log: Vec::new() }));
+        let id = sim.schedule_event_at(SimTime(10), &probe, 0);
+        sim.schedule_event_at(SimTime(20), &probe, 2);
+        assert_eq!(Rc::strong_count(&probe), 3);
+        sim.cancel(id);
+        assert_eq!(Rc::strong_count(&probe), 2, "cancel releases the handle at once");
+        sim.run();
+        assert_eq!(Rc::strong_count(&probe), 1);
+        assert_eq!(probe.borrow().log, vec![(20, 2)]);
+    }
+
+    #[test]
+    fn buckets_keep_their_buffers_across_laps() {
+        // One event per lap into the same ring slot: after the first lap
+        // neither the bucket nor the active run may allocate again.
+        let mut sim = Simulator::new(0);
+        let probe = Rc::new(RefCell::new(Probe { log: Vec::new() }));
+        let lap = (N_BUCKETS as u64) << BUCKET_SHIFT;
+        let slot = 7usize;
+        let at = |k: u64| SimTime(k * lap + ((slot as u64) << BUCKET_SHIFT));
+        sim.schedule_event_at(at(0), &probe, 0);
+        sim.run();
+        let (bucket_cap, active_cap) = (sim.ring[slot].capacity(), sim.active.capacity());
+        assert!(bucket_cap > 0 && active_cap > 0);
+        let bucket_ptr = sim.ring[slot].as_ptr();
+        for k in 1..4 {
+            sim.schedule_event_at(at(k), &probe, 0);
+            sim.run();
+            assert_eq!(sim.ring[slot].as_ptr(), bucket_ptr);
+            assert_eq!(sim.ring[slot].capacity(), bucket_cap);
+            assert_eq!(sim.active.capacity(), active_cap);
+        }
+        assert_eq!(probe.borrow().log.len(), 4);
+    }
+
     #[test]
     fn counters_track_the_queue() {
         let mut sim = Simulator::new(0);
@@ -705,6 +869,7 @@ mod tests {
         sim.run();
         let c = sim.counters();
         assert_eq!(c.scheduled, 11);
+        assert_eq!(c.boxed, 11);
         assert_eq!(c.executed, 10);
         assert_eq!(c.cancelled, 1);
         assert_eq!(c.pending_high_water, 11);

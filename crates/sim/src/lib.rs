@@ -12,9 +12,12 @@
 //!
 //! * Virtual time is a [`SimTime`], a nanosecond count since simulation
 //!   start. Durations are [`Nanos`].
-//! * Events are boxed `FnOnce(&mut Simulator)` closures ordered by
-//!   `(time, sequence)`; the sequence number makes execution order total and
-//!   therefore deterministic for equal timestamps.
+//! * Events are ordered by `(time, sequence)`; the sequence number makes
+//!   execution order total and therefore deterministic for equal
+//!   timestamps. An event is either a boxed `FnOnce(&mut Simulator)`
+//!   closure (the general form) or a plain `(component, u64)` pair
+//!   delivered to an [`EventTarget`] (the allocation-free form the packet
+//!   and cycle paths use).
 //! * Randomness comes exclusively from [`rng::SimRng`], seeded at
 //!   construction, so a run is a pure function of its configuration and
 //!   seed.
@@ -36,7 +39,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{EventId, SimCounters, Simulator};
+pub use engine::{EventId, EventTarget, SimCounters, Simulator};
 pub use rng::SimRng;
 pub use stats::{Histogram, RunningStats};
 pub use time::{Nanos, SimTime};

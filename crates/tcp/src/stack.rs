@@ -1,7 +1,7 @@
 //! The sharded TCP/IP stack: segment processing, connection management,
 //! ARP/ICMP/UDP, timers, and output generation.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::rc::Rc;
 
 use ix_mempool::{Mbuf, MbufPool};
@@ -13,7 +13,7 @@ use ix_net::ip::{IpProto, Ipv4Addr, Ipv4Header};
 use ix_net::tcp::{seq_le, seq_lt, TcpFlags, TcpHeader};
 use ix_net::udp::UdpHeader;
 use ix_net::NetError;
-use ix_testkit::Bytes;
+use ix_testkit::{buffer_id, Bytes};
 use ix_timerwheel::TimerWheel;
 
 use crate::arp_table::ArpTable;
@@ -249,6 +249,12 @@ pub struct TcpShard {
     udp: Vec<UdpDatagram>,
     /// Flows with a deferred ACK pending (EndOfCycle policy).
     pending_acks: Vec<u64>,
+    /// Reusable list of the timers one `advance_timers` pass fired.
+    fired_scratch: Vec<TimerEntry>,
+    /// Emptied retransmit and held-receive queues of destroyed flows,
+    /// handed to the next flow created: on a connection-churn path a
+    /// TCB's queues keep their buffers across slab-slot reuse.
+    spare_queues: Vec<(VecDeque<TxSeg>, VecDeque<Mbuf>)>,
     steer: Option<(usize, SteerFn)>,
     next_gen: u32,
     iss: u32,
@@ -308,6 +314,8 @@ impl TcpShard {
             events: Vec::new(),
             udp: Vec::new(),
             pending_acks: Vec::new(),
+            fired_scratch: Vec::new(),
+            spare_queues: Vec::new(),
             steer: None,
             next_gen: 1,
             iss: 0x1000,
@@ -394,6 +402,28 @@ impl TcpShard {
         self.pool.stats()
     }
 
+    /// Transmit buffers whose storage the shard's pool has materialized
+    /// so far.
+    pub fn pool_provisioned(&self) -> usize {
+        self.pool.provisioned()
+    }
+
+    /// Identity of every vector the shard recycles from cycle to cycle
+    /// (see [`ix_testkit::buffer_id`]): the TX and event queues the
+    /// engine swaps, the deferred-ACK list, the fired-timer list and the
+    /// batched-RX staging arrays.
+    pub fn scratch_buffers(&self) -> Vec<(usize, usize)> {
+        vec![
+            buffer_id(&self.tx),
+            buffer_id(&self.events),
+            buffer_id(&self.pending_acks),
+            buffer_id(&self.fired_scratch),
+            buffer_id(&self.batch_segs),
+            buffer_id(&self.batch_groups),
+            buffer_id(&self.batch_next),
+        ]
+    }
+
     /// Diagnostic view of a flow's retransmit-queue payloads (O(1)
     /// refcounted clones). Tests use `Bytes::ptr_eq` on these to prove
     /// that queuing, retransmission, and reaping share — and release —
@@ -439,17 +469,22 @@ impl TcpShard {
 
     /// Takes the outbound frame queue, leaving the (empty) `replacement`
     /// in its place so the engine can recycle buffer capacity across
-    /// run-to-completion cycles instead of reallocating each one.
-    pub fn take_tx_swap(&mut self, replacement: Vec<Mbuf>) -> Vec<Mbuf> {
+    /// run-to-completion cycles instead of reallocating each one. The
+    /// two buffers serve alternate cycles, so the one going on duty is
+    /// sized for the batch the other just carried: the pair reaches its
+    /// high-water capacity together instead of one burst apart.
+    pub fn take_tx_swap(&mut self, mut replacement: Vec<Mbuf>) -> Vec<Mbuf> {
         debug_assert!(replacement.is_empty());
+        replacement.reserve(self.tx.len());
         std::mem::replace(&mut self.tx, replacement)
     }
 
     /// Takes the pending upcall events, leaving the (empty)
     /// `replacement` in their place (capacity-recycling counterpart of
     /// [`TcpShard::take_events`]).
-    pub fn take_events_swap(&mut self, replacement: Vec<TcpEvent>) -> Vec<TcpEvent> {
+    pub fn take_events_swap(&mut self, mut replacement: Vec<TcpEvent>) -> Vec<TcpEvent> {
         debug_assert!(replacement.is_empty());
+        replacement.reserve(self.events.len());
         std::mem::replace(&mut self.events, replacement)
     }
 
@@ -790,7 +825,7 @@ impl TcpShard {
         let id = FlowId { key, gen };
         self.iss = self.iss.wrapping_add(64_000 + (self.flows.len() as u32 & 0x3f));
         let iss = self.iss;
-        let mut tcb = Tcb::new(&self.cfg, id, cookie, TcpState::SynSent, iss);
+        let mut tcb = self.new_tcb(id, cookie, TcpState::SynSent, iss);
         tcb.snd_nxt = iss.wrapping_add(1); // SYN occupies one.
         tcb.open_time_ns = now_ns;
         let syn = SegmentSpec {
@@ -868,7 +903,6 @@ impl TcpShard {
         let mss = (tcb.mss as usize).min(cfg_mss);
         let had_flight = tcb.flight() > 0;
         let key = flow.key;
-        let mut specs: Vec<(u32, usize, usize)> = Vec::new(); // (seq, off, len)
         if accepted > 0 {
             // One storage block backs every rtq entry of this call: the
             // caller's own block (send_bytes — nothing copied) or a single
@@ -881,10 +915,10 @@ impl TcpShard {
                     Bytes::copy_from_slice(&data[..accepted])
                 }
             };
-            let tcb = self.flows.get_mut(key).expect("validated");
             let mut off = 0usize;
             while off < accepted {
                 let len = mss.min(accepted - off);
+                let tcb = self.flows.get_mut(key).expect("validated");
                 let seq = tcb.snd_nxt;
                 tcb.snd_nxt = tcb.snd_nxt.wrapping_add(len as u32);
                 tcb.rtq.push_back(TxSeg {
@@ -894,23 +928,19 @@ impl TcpShard {
                     tx_time_ns: now_ns,
                     retransmitted: false,
                 });
-                specs.push((seq, off, len));
+                let spec = SegmentSpec {
+                    flags: TcpFlags { psh: off + len == accepted, ..TcpFlags::ACK },
+                    seq,
+                    ack: tcb.rcv_nxt,
+                    window: tcb.advertised_window_field(),
+                    mss: None,
+                    wscale: None,
+                    payload: &data[off..off + len],
+                };
+                // ACK piggybacked: clear any deferred ACK obligation.
+                self.emit_segment_for_key(key, spec);
                 off += len;
             }
-        }
-        for (seq, off, len) in specs {
-            let tcb = self.flows.get(key).expect("validated");
-            let spec = SegmentSpec {
-                flags: TcpFlags { psh: off + len == accepted, ..TcpFlags::ACK },
-                seq,
-                ack: tcb.rcv_nxt,
-                window: tcb.advertised_window_field(),
-                mss: None,
-                wscale: None,
-                payload: &data[off..off + len],
-            };
-            // ACK piggybacked: clear any deferred ACK obligation.
-            self.emit_segment_for_key(key, spec);
         }
         if accepted > 0 {
             self.stats.bytes_tx += accepted as u64;
@@ -1496,7 +1526,7 @@ impl TcpShard {
             let id = FlowId { key, gen };
             self.iss = self.iss.wrapping_add(64_000);
             let iss = self.iss;
-            let mut tcb = Tcb::new(&self.cfg, id, 0, TcpState::SynRcvd, iss);
+            let mut tcb = self.new_tcb(id, 0, TcpState::SynRcvd, iss);
             tcb.open_time_ns = self.now_ns;
             tcb.rcv_nxt = hdr.seq.wrapping_add(1);
             tcb.snd_wnd = hdr.window as u32;
@@ -1621,7 +1651,7 @@ impl TcpShard {
         let gen = self.next_gen;
         self.next_gen += 1;
         let id = FlowId { key, gen };
-        let mut tcb = Tcb::new(&self.cfg, id, 0, TcpState::Established, cookie);
+        let mut tcb = self.new_tcb(id, 0, TcpState::Established, cookie);
         tcb.open_time_ns = self.now_ns;
         tcb.snd_una = cookie.wrapping_add(1);
         tcb.snd_nxt = cookie.wrapping_add(1);
@@ -2070,11 +2100,21 @@ impl TcpShard {
         self.flows.get_mut(key).expect("live").timewait_timer = Some(t);
     }
 
+    /// A fresh PCB, on the queues a destroyed flow left behind if any.
+    fn new_tcb(&mut self, id: FlowId, cookie: u64, state: TcpState, iss: u32) -> Tcb {
+        let mut tcb = Tcb::new(&self.cfg, id, cookie, state, iss);
+        if let Some((rtq, rx_held)) = self.spare_queues.pop() {
+            tcb.rtq = rtq;
+            tcb.rx_held = rx_held;
+        }
+        tcb
+    }
+
     /// Removes a flow and cancels its timers. Dropping the TCB releases
     /// any receive buffers it still held (uncredited deliveries and
     /// out-of-order segments) back to their pools.
     fn destroy(&mut self, key: u64) {
-        if let Some(tcb) = self.flows.remove(key) {
+        if let Some(mut tcb) = self.flows.remove(key) {
             self.stats.rx_pool_outstanding -= (tcb.rx_held.len() + tcb.ooo.len()) as u64;
             if tcb.state == TcpState::SynRcvd {
                 self.synrcvd_count -= 1;
@@ -2090,6 +2130,11 @@ impl TcpShard {
             {
                 self.wheel.cancel(t);
             }
+            tcb.rtq.clear();
+            tcb.rx_held.clear();
+            if tcb.rtq.capacity() + tcb.rx_held.capacity() > 0 {
+                self.spare_queues.push((tcb.rtq, tcb.rx_held));
+            }
         }
     }
 
@@ -2101,9 +2146,9 @@ impl TcpShard {
     /// probes, and TIME_WAIT expiries (Fig 1b step 5).
     pub fn advance_timers(&mut self, now_ns: u64) {
         self.now_ns = now_ns;
-        let mut fired = Vec::new();
+        let mut fired = std::mem::take(&mut self.fired_scratch);
         self.wheel.advance(now_ns, |e| fired.push(e));
-        for e in fired {
+        for e in fired.drain(..) {
             let Some(tcb) = self.flows.get_mut(e.key) else { continue };
             if tcb.id.gen != e.gen {
                 continue;
@@ -2127,6 +2172,7 @@ impl TcpShard {
                 }
             }
         }
+        self.fired_scratch = fired;
     }
 
     fn persist_fire(&mut self, key: u64) {
@@ -2282,8 +2328,8 @@ impl TcpShard {
     /// data segment waits (armed timer) hoping to piggyback on outgoing
     /// data; a second segment forces the ACK out immediately.
     fn delayed_ack_pass(&mut self, delay_ns: u64) {
-        let keys = std::mem::take(&mut self.pending_acks);
-        for key in keys {
+        let mut keys = std::mem::take(&mut self.pending_acks);
+        for key in keys.drain(..) {
             let Some(tcb) = self.flows.get_mut(key) else { continue };
             if !tcb.need_ack {
                 continue;
@@ -2302,16 +2348,26 @@ impl TcpShard {
                 self.flows.get_mut(key).expect("live").delack_timer = Some(t);
             }
         }
+        self.restore_pending_acks(keys);
     }
 
     fn flush_acks(&mut self) {
-        let keys = std::mem::take(&mut self.pending_acks);
-        for key in keys {
+        let mut keys = std::mem::take(&mut self.pending_acks);
+        for key in keys.drain(..) {
             let needs = self.flows.get(key).map(|t| t.need_ack).unwrap_or(false);
             if needs {
                 self.emit_bare_ack(key);
             }
         }
+        self.restore_pending_acks(keys);
+    }
+
+    /// Hands the drained deferred-ACK list back so its buffer serves the
+    /// next cycle. Emitting an ACK never defers another, so nothing was
+    /// queued behind the walk.
+    fn restore_pending_acks(&mut self, drained: Vec<u64>) {
+        debug_assert!(drained.is_empty() && self.pending_acks.is_empty());
+        self.pending_acks = drained;
     }
 
     // ------------------------------------------------------------------

@@ -25,6 +25,16 @@ pub mod prop;
 pub use bytes::{ByteBuf, Bytes};
 pub use ix_sim::SimRng;
 
+/// `(address, capacity)` of a vector's heap buffer. A component that
+/// recycles its per-cycle vectors reports these through a
+/// `scratch_buffers` accessor, and a test that compares the (sorted)
+/// list before and after a run of cycles shows that no buffer was
+/// regrown, dropped or replaced — ping-ponging buffers only trade
+/// places.
+pub fn buffer_id<T>(v: &Vec<T>) -> (usize, usize) {
+    (v.as_ptr() as usize, v.capacity())
+}
+
 /// One-stop imports for property-test files.
 pub mod prelude {
     pub use crate::bytes::Bytes;

@@ -55,6 +55,11 @@ pub struct TimerWheel<T> {
     resolution_ns: u64,
     /// `slots[level][slot]` holds indices into `entries`.
     slots: Vec<Vec<Vec<u32>>>,
+    /// The empty vector left in a slot while `advance` walks the slot's
+    /// entries (relinks may land back in the slot being walked); the
+    /// walked vector becomes the next spare, so slot buffers circulate
+    /// and none is ever dropped and regrown.
+    spare: Vec<u32>,
     entries: Vec<Entry<T>>,
     free_head: u32,
     /// The current tick (time / resolution).
@@ -88,6 +93,7 @@ impl<T> TimerWheel<T> {
             slots: (0..LEVELS)
                 .map(|_| (0..SLOTS_PER_LEVEL).map(|_| Vec::new()).collect())
                 .collect(),
+            spare: Vec::new(),
             entries: Vec::new(),
             free_head: NIL,
             now_tick: 0,
@@ -340,20 +346,27 @@ impl<T> TimerWheel<T> {
     /// are reconstructed. O(live).
     fn jump_to(&mut self, tick: u64) {
         debug_assert!(tick >= self.now_tick);
-        let mut all: Vec<u32> = Vec::with_capacity(self.live);
+        let mut all = std::mem::take(&mut self.spare);
         for level in &mut self.slots {
             for slot in level {
                 all.append(slot);
             }
         }
         self.now_tick = tick;
-        for idx in all {
+        for idx in all.drain(..) {
             self.entries[idx as usize].location = None;
             let deadline = self.entries[idx as usize].deadline;
             debug_assert!(deadline > tick, "jump skipped a deadline");
             let (l, s) = self.place(deadline);
             self.link(idx, l, s);
         }
+        self.spare = all;
+    }
+
+    /// Empties a slot for walking, leaving the spare buffer in its place.
+    fn take_slot(&mut self, level: usize, slot: usize) -> Vec<u32> {
+        let spare = std::mem::take(&mut self.spare);
+        std::mem::replace(&mut self.slots[level][slot], spare)
     }
 
     /// Advances the wheel to `now_ns`, invoking `fire` for every expired
@@ -407,22 +420,22 @@ impl<T> TimerWheel<T> {
                     break;
                 }
                 let slot = (self.now_tick >> (LEVEL_BITS * level)) & SLOT_MASK;
-                let moved: Vec<u32> =
-                    std::mem::take(&mut self.slots[level as usize][slot as usize]);
-                for idx in moved {
+                let mut moved = self.take_slot(level as usize, slot as usize);
+                for idx in moved.drain(..) {
                     self.entries[idx as usize].location = None;
                     let deadline = self.entries[idx as usize].deadline;
                     let (l, s) = self.place(deadline);
                     self.link(idx, l, s);
                 }
+                self.spare = moved;
             }
             // Fire the level-0 slot for this tick.
             let slot = (self.now_tick & SLOT_MASK) as usize;
             if self.slots[0][slot].is_empty() {
                 continue;
             }
-            let due: Vec<u32> = std::mem::take(&mut self.slots[0][slot]);
-            for idx in due {
+            let mut due = self.take_slot(0, slot);
+            for idx in due.drain(..) {
                 let e = &mut self.entries[idx as usize];
                 if e.deadline > self.now_tick {
                     // A future lap of the wheel; relink.
@@ -439,6 +452,7 @@ impl<T> TimerWheel<T> {
                 self.fired_total += 1;
                 fire(payload);
             }
+            self.spare = due;
         }
     }
 
@@ -481,6 +495,24 @@ impl<T> fmt::Debug for TimerWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fired_slots_keep_a_buffer() {
+        // One short timer armed per tick, for two laps of level 0: every
+        // slot fires twice. Walking a slot must not cost it its buffer —
+        // buffers circulate through the spare, so afterwards at most one
+        // slot (whoever holds the initially empty spare) is without.
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        let res = w.resolution_ns();
+        let mut fired = 0;
+        for tick in 1..=2 * SLOTS_PER_LEVEL as u64 {
+            w.schedule(3 * res, 0);
+            w.advance(tick * res, |_| fired += 1);
+        }
+        assert_eq!(fired, 2 * SLOTS_PER_LEVEL - 2);
+        let bare = w.slots[0].iter().filter(|s| s.capacity() == 0).count();
+        assert!(bare <= 1, "{bare} level-0 slots lost their buffer");
+    }
 
     #[test]
     fn fires_at_or_after_deadline_never_before() {
