@@ -43,17 +43,21 @@ cargo test -q --offline -p ix-tcp --test migration
 # function of insertion history alone, independent of table layout.
 cargo test -q --offline -p ix-tcp --test bucket_index
 
-# Batched-RX pipeline gates: the checksum property suite pins the
-# widened u64 fold byte-identical to the RFC 1071 u16 reference; the
-# rx_batch differential suite replays randomized interleavings through
-# the staged pipeline against the per-packet oracle. The byte-identity
-# grep pins the named batch_rx-off witness: with the knob off (the
-# default every figure sweep runs under), input_batch is globally
-# byte-identical to per-packet input().
+# RX-path gates: the checksum property suite pins the widened u64 fold
+# byte-identical to the RFC 1071 u16 reference; the rx_batch
+# differential suite replays randomized interleavings (reordering,
+# corruption, passive opens with and without SYN cookies, mid-batch
+# teardown) through `input_batch` against the `input_reference` oracle
+# under all three ACK policies. The grep pins the named batch-of-one
+# witness: `input()` is the same receive path on a batch of one, and
+# fed one frame per call it is globally byte-identical to the oracle —
+# every wire frame, every event, the whole StackStats block. That is
+# what keeps every per-frame caller (Linux/mTCP models, quiesce drain,
+# golden traces) where it is.
 cargo test -q --offline -p ix-net --test checksum_prop
 cargo test --offline -p ix-tcp --test rx_batch 2>&1 | tee /tmp/ci_rxbatch.out
-if ! grep -q "test batch_rx_off_is_byte_identical ... ok" /tmp/ci_rxbatch.out; then
-    echo "ci: FAIL — batch_rx-off byte-identity witness did not pass" >&2
+if ! grep -q "test batch_of_one_is_byte_identical ... ok" /tmp/ci_rxbatch.out; then
+    echo "ci: FAIL — batch-of-one byte-identity witness did not pass" >&2
     exit 1
 fi
 
@@ -103,11 +107,16 @@ if ! awk -v s="$speedup" 'BEGIN { exit !(s >= 5.0) }'; then
 fi
 echo "ci: migrate/extract_100k bulk speedup ${speedup}x (floor 5x)"
 
-# Batched-RX microbench gates: the [checksum] and [rxbatch] comparisons
-# must run, the flow-grouped batch must hold >= 1.5x over per-frame
-# input() (64-frame batches, 16 interleaved flows — the documented
-# ACK-coalescing and single-probe-per-flow win), and the widened
-# checksum fold must hold >= 2x over the u16 baseline at MTU size. Both
+# RX microbench gates: the [checksum] and [rxbatch] comparisons must
+# run; the widened checksum fold must hold >= 2x over the u16 baseline
+# at MTU size; and one `input_batch` of 64 frames (16 interleaved flows)
+# must hold >= 1.2x over the same frames through 64 `input` calls. Both
+# sides of that ratio are the same code — it is the price of not
+# batching (one table probe and one ACK per flow per batch instead of
+# per segment), not a comparison of two implementations. Floor reset
+# from 1.5x: `input` now takes the in-order fast path too, so the
+# 64-call side fell 19.4 -> 18.0 us with the batched side unchanged at
+# 11.8 us; measured 1.52x median, 1.22-2.09x over 22 quick runs. Both
 # per-iteration costs calibrate to plenty of iterations in quick mode,
 # so the ratios are stable enough to gate.
 for wl in verify_64b verify_1460b build_1460b; do
@@ -117,11 +126,11 @@ for wl in verify_64b verify_1460b build_1460b; do
     fi
 done
 rxb=$(sed -n 's/^\[rxbatch\] group_probe:.*(\([0-9.]*\)x)$/\1/p' /tmp/ci_bench.out)
-if ! awk -v s="$rxb" 'BEGIN { exit !(s >= 1.5) }'; then
-    echo "ci: FAIL — rxbatch/group_probe speedup ${rxb}x is below the 1.5x floor" >&2
+if ! awk -v s="$rxb" 'BEGIN { exit !(s >= 1.2) }'; then
+    echo "ci: FAIL — rxbatch/group_probe speedup ${rxb}x is below the 1.2x floor" >&2
     exit 1
 fi
-echo "ci: rxbatch/group_probe batched speedup ${rxb}x (floor 1.5x)"
+echo "ci: rxbatch/group_probe batched speedup ${rxb}x (floor 1.2x)"
 cks=$(sed -n 's/^\[checksum\] verify_1460b:.*(\([0-9.]*\)x)$/\1/p' /tmp/ci_bench.out)
 if ! awk -v s="$cks" 'BEGIN { exit !(s >= 2.0) }'; then
     echo "ci: FAIL — checksum/verify_1460b speedup ${cks}x is below the 2x floor" >&2

@@ -1077,12 +1077,13 @@ fn bench_checksum(r: &mut BenchRunner) {
     });
 }
 
-/// The staged RX batch pipeline against per-frame `input()`: one
-/// 64-frame polled batch of pure ACKs from 16 interleaved established
-/// flows, over a shard also holding ~2k idle connections (so flow-table
-/// probes miss cache the way a loaded shard's do). The batched side
-/// probes the table once per flow per run and takes the hot-TCB fast
-/// path; the per-frame side pays the full dispatch per segment.
+/// The price of not batching: one 64-frame `input_batch` against the
+/// same frames through 64 `input()` calls — the same receive path, on
+/// batches of one. The batch is small data segments from 16 interleaved
+/// established flows, over a shard also holding ~16k idle connections
+/// (so flow-table probes miss cache the way a loaded shard's do). The
+/// batched side probes the table once per flow per run and sends one
+/// ACK per flow; the batch-of-one side probes and ACKs per segment.
 fn bench_rxbatch(r: &mut BenchRunner) {
     use ix_mempool::Mbuf;
     use ix_net::eth::{EthHeader, EtherType, MacAddr};
@@ -1261,11 +1262,7 @@ fn bench_rxbatch(r: &mut BenchRunner) {
     }
 
     r.bench("rxbatch/group_probe", |b| {
-        let cfg = StackConfig {
-            batch_rx: true,
-            ack_policy: AckPolicy::Immediate,
-            ..StackConfig::default()
-        };
+        let cfg = StackConfig { ack_policy: AckPolicy::Immediate, ..StackConfig::default() };
         let (mut shard, hot_acks) = established_shard(cfg);
         let mut batch = mk_batch(&hot_acks);
         let mut seqs = seq_cursors();
@@ -1583,8 +1580,8 @@ fn write_report(r: &BenchRunner) {
         ix_bench::report::update_section(&format!("checksum_speedup{suffix}"), &cmp);
     }
 
-    // And for the staged RX batch pipeline: one flow-grouped 64-frame
-    // batch against the same frames fed one `input()` call at a time.
+    // And for RX batching: one flow-grouped 64-frame `input_batch`
+    // against the same frames fed one `input()` call at a time.
     let mut cmp = String::from("{");
     let mut first = true;
     for wl in ["group_probe"] {

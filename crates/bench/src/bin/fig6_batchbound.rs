@@ -8,11 +8,12 @@
 use ix_apps::harness::{run_kv, EngineTuning, KvConfig, System};
 use ix_apps::workload::WorkloadKind;
 use ix_core::params::CostParams;
-use ix_tcp::StackConfig;
 
-/// One full B-sweep; `batch_rx` toggles the staged RX pipeline
-/// (DESIGN.md §5j) so the headline can be compared with it on and off.
-fn sweep(batch_rx: bool, record_as: &str) {
+fn main() {
+    ix_bench::banner(
+        "Figure 6",
+        "memcached USR p99 latency vs throughput for batch bounds B (IX, 6 cores)",
+    );
     let bounds: &[usize] = &[1, 2, 8, 16, 64];
     let targets: &[f64] = if ix_bench::sweep::quick() {
         &[200e3, 2000e3]
@@ -28,7 +29,6 @@ fn sweep(batch_rx: bool, record_as: &str) {
     let outcome = ix_bench::sweep::run(&points, |&(t, b)| {
         let tuning = EngineTuning {
             ix: CostParams::with_batch_bound(b),
-            stack: StackConfig { batch_rx, ..StackConfig::default() },
             ..EngineTuning::default()
         };
         let cfg = KvConfig {
@@ -74,20 +74,9 @@ fn sweep(batch_rx: bool, record_as: &str) {
     if max_rps[0] > 0.0 {
         let b16 = max_rps[bounds.iter().position(|&b| b == 16).expect("16 present")];
         println!(
-            "B=16 vs B=1 throughput [batch_rx={batch_rx}]: +{:.0}% (paper: +29%)",
+            "B=16 vs B=1 throughput: +{:.0}% (paper: +29%)",
             100.0 * (b16 / max_rps[0] - 1.0)
         );
     }
-    ix_bench::sweep::record(record_as, &outcome);
-}
-
-fn main() {
-    ix_bench::banner(
-        "Figure 6",
-        "memcached USR p99 latency vs throughput for batch bounds B (IX, 6 cores)",
-    );
-    sweep(false, "fig6_batchbound");
-    println!();
-    println!("-- same sweep with the staged RX pipeline (batch_rx) on --");
-    sweep(true, "fig6_batchbound_batchrx");
+    ix_bench::sweep::record("fig6_batchbound", &outcome);
 }

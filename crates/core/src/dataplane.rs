@@ -269,9 +269,8 @@ impl ElasticThread {
         };
 
         // (2) Protocol processing: the whole polled batch goes through
-        // the stack in one call (the staged pipeline when `batch_rx` is
-        // on, the per-frame path otherwise). Per-packet CPU cost is
-        // charged identically either way.
+        // the stack in one call, grouped by flow. CPU cost is charged
+        // per packet.
         for f in &frames {
             kernel_pkt += t.cost.rx_cost(f.len()) + ddio_penalty;
         }

@@ -9,14 +9,17 @@
 /// application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckPolicy {
-    /// ACK as soon as data is accepted (quickack behaviour).
+    /// ACK before the input call that accepted the data returns
+    /// (quickack behaviour): per frame through `input`, at most one per
+    /// flow per batch through `input_batch`.
     Immediate,
     /// Defer ACKs to the end of the processing cycle (IX model); the
     /// engine must call [`crate::TcpShard::end_cycle`].
     EndOfCycle,
-    /// Classic delayed ACKs (Linux/mTCP models): ACK every second
-    /// segment immediately, otherwise wait up to the given delay for a
-    /// data segment to piggyback on.
+    /// Classic delayed ACKs (Linux/mTCP models), applied once per input
+    /// call: ACK at once if an earlier ACK is still pending, otherwise
+    /// wait up to the given delay for a data segment to piggyback on —
+    /// fed frame by frame, every second segment is ACKed immediately.
     Delayed(u64),
 }
 
@@ -75,14 +78,6 @@ pub struct StackConfig {
     /// in its mint bucket and the next one, so this is half the minimum
     /// handshake-completion deadline.
     pub syn_cookie_bucket_ns: u64,
-    /// When true, [`crate::TcpShard::input_batch`] runs the staged batch
-    /// pipeline (pre-parse the whole polled batch, group segments by
-    /// flow so the table is probed once per flow per batch, process
-    /// same-flow runs back-to-back against a hot TCB, and coalesce pure
-    /// ACKs to at most one per flow per run under the Immediate/Delayed
-    /// policies). Default off: `input_batch` degenerates to per-frame
-    /// `input` calls and is behaviour-identical byte for byte.
-    pub batch_rx: bool,
 }
 
 impl Default for StackConfig {
@@ -104,7 +99,6 @@ impl Default for StackConfig {
             syn_cookies: false,
             syn_backlog: 65_536,
             syn_cookie_bucket_ns: 1_000_000_000,
-            batch_rx: false,
         }
     }
 }

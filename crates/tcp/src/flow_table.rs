@@ -21,7 +21,7 @@
 //!   load, so footprint stays linear in *live* flows.
 //! * **Indices, not values.** The table stores `u32` slots into a
 //!   [`FlowMap`] slab, so 250k TCBs are contiguous and flow-group
-//!   migration (`extract_flows`/`absorb_flows`, paper §4.4) moves
+//!   migration (`extract_bucket_into`/`absorb_flows`, paper §4.4) moves
 //!   indices and re-probes small keys — it never memmoves TCBs during
 //!   rehash.
 //!
@@ -766,8 +766,7 @@ impl<T> FlowMap<T> {
     }
 
     /// Collect every live key in slot order via the branchless probe
-    /// array scan (see [`FlowTable::collect_keys`]) — the migration
-    /// scan (`extract_flows`) wants exactly this: a predicated pass
+    /// array scan (see [`FlowTable::collect_keys`]): a predicated pass
     /// over 16-byte slots, not 250k TCB cache lines.
     pub fn collect_keys(&self) -> Vec<u64> {
         self.table.collect_keys()

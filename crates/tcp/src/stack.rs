@@ -214,15 +214,17 @@ struct TimerEntry {
 /// ephemeral-port probing (§4.4).
 pub type SteerFn = Rc<dyn Fn(Ipv4Addr, u16, u16) -> usize>;
 
-/// One TCP segment staged by the batch pre-parse pass (`input_batch`,
-/// DESIGN.md §5j): headers fully validated (including IPv4 and TCP
-/// checksums), Ethernet/IP/TCP framing pulled, the mbuf positioned at
-/// the payload (taken when the segment is processed — the grouping pass
-/// visits the scratch array out of arrival order via a sorted index, so
-/// the mbuf moves out by `Option::take` rather than by draining).
+/// One TCP segment out of the validating parse ([`TcpShard::parse`]):
+/// Ethernet, IPv4 and TCP headers verified (both checksums included) and
+/// pulled, the mbuf positioned at the payload.
 struct ParsedFrame {
-    ip: Ipv4Header,
+    /// Packed [`FlowId`] key of the segment's tuple (the only part of
+    /// the IPv4 header TCP processing reads past the parse).
+    key: u64,
     hdr: TcpHeader,
+    /// Taken by the run step (runs visit a staged batch out of arrival
+    /// order, so the mbuf moves out of its slot rather than the slot
+    /// out of the array).
     payload: Option<Mbuf>,
 }
 
@@ -273,10 +275,10 @@ pub struct TcpShard {
     /// Live `SynRcvd` TCBs — the half-open backlog gauge bounded by
     /// `cfg.syn_backlog`.
     synrcvd_count: usize,
-    /// Reusable staging array for the batched RX pipeline
-    /// (`input_batch`): validated TCP segments awaiting flow-grouped
-    /// processing. Kept on the shard so steady-state cycles allocate
-    /// nothing once the high-water batch size has been seen.
+    /// Reusable staging array of [`TcpShard::input_batch`]: the batch's
+    /// validated TCP segments awaiting their flow's run. Kept on the
+    /// shard so steady-state cycles allocate nothing once the high-water
+    /// batch size has been seen; single-frame input never touches it.
     batch_segs: Vec<ParsedFrame>,
     /// Per-batch flow groups: `(flow key, chain head, chain tail)` into
     /// `batch_next`. A polled batch holds at most a few dozen distinct
@@ -385,11 +387,6 @@ impl TcpShard {
         (hash & (NUM_BUCKETS as u32 - 1)) as u16
     }
 
-    /// Number of live flows in one RSS bucket (O(bucket population)).
-    pub fn bucket_flow_count(&self, bucket: u16) -> usize {
-        self.flows.bucket_len(bucket)
-    }
-
     /// TCB-slab occupancy and resident bytes (live flows, high-water
     /// slab slots, slab+table footprint) for peak-RSS-style accounting.
     pub fn flow_mem_stats(&self) -> FlowMapMem {
@@ -411,7 +408,7 @@ impl TcpShard {
     /// Identity of every vector the shard recycles from cycle to cycle
     /// (see [`ix_testkit::buffer_id`]): the TX and event queues the
     /// engine swaps, the deferred-ACK list, the fired-timer list and the
-    /// batched-RX staging arrays.
+    /// three `input_batch` staging arrays (last, in that order).
     pub fn scratch_buffers(&self) -> Vec<(usize, usize)> {
         vec![
             buffer_id(&self.tx),
@@ -508,97 +505,36 @@ impl TcpShard {
         self.wheel.next_deadline_ns()
     }
 
-    /// Diagnostic snapshot of every live flow (state, send/receive
-    /// cursors, queue depths, timer presence).
-    pub fn debug_flows(&self) -> Vec<String> {
-        self.flows
-            .values()
-            .map(|t| {
-                format!(
-                    "{}:{}->{} g{} {:?} una={} nxt={} rtq={} rcv_nxt={} wnd={} cwnd={} need_ack={} rto={} persist={}",
-                    t.local_port,
-                    t.remote_ip,
-                    t.remote_port,
-                    t.id.gen,
-                    t.state,
-                    t.snd_una,
-                    t.snd_nxt,
-                    t.rtq.len(),
-                    t.rcv_nxt,
-                    t.snd_wnd,
-                    t.cwnd,
-                    t.need_ack,
-                    t.rto_timer.is_some(),
-                    t.persist_timer.is_some(),
-                )
-            })
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Flow migration (control-plane elastic thread add/revoke, §4.4):
     // "when a core is revoked from a dataplane, the corresponding
     // network flows must be assigned to another elastic thread."
     // ------------------------------------------------------------------
 
-    /// Extracts the flows for which `belongs_elsewhere` returns true,
-    /// cancelling their timers on this shard. The control plane hands
-    /// them to [`TcpShard::absorb_flows`] on their new shard.
-    ///
-    /// The selection walks the per-bucket index lists (bucket 0..128,
-    /// each in insertion order) — never the full probe array, and never
-    /// a sort: the order is a function of the flows' insertion history
-    /// alone, identical across table layouts. The predicate receives
-    /// the tuple `(remote_ip, remote_port, local_port)` unpacked from
-    /// the link's key, so nothing touches the TCB slab until a flow is
-    /// actually extracted.
-    pub fn extract_flows(
-        &mut self,
-        mut belongs_elsewhere: impl FnMut(Ipv4Addr, u16, u16) -> bool,
-    ) -> Vec<Tcb> {
-        let mut keys = Vec::new();
-        for b in 0..NUM_BUCKETS as u16 {
-            keys.extend(self.flows.bucket_keys(b).filter(|&k| {
-                belongs_elsewhere(Ipv4Addr((k >> 32) as u32), (k >> 16) as u16, k as u16)
-            }));
-        }
-        self.extract_keys(&keys)
-    }
-
     /// Extracts every flow in one RSS bucket — the §4.4 flow-group
-    /// migration primitive. O(bucket population): the bucket's
-    /// insertion-ordered list is the work list; no scan, no sort, no
-    /// per-flow Toeplitz hash.
-    pub fn extract_bucket(&mut self, bucket: u16) -> Vec<Tcb> {
-        let mut out = Vec::with_capacity(self.flows.bucket_len(bucket));
-        self.extract_bucket_into(bucket, &mut out);
-        out
-    }
-
-    /// Like [`Stack::extract_bucket`], but appends into a caller-owned
-    /// batch. The control plane pre-sizes one batch per destination
-    /// (via [`Stack::bucket_len`]) and extracts every mis-steered
-    /// bucket straight into it — one TCB write each, no intermediate
-    /// per-bucket `Vec` and no growth re-copies mid-migration.
+    /// migration primitive — cancelling their timers on this shard and
+    /// appending them to a caller-owned batch for
+    /// [`TcpShard::absorb_flows`] on their new shard. O(bucket
+    /// population): the bucket's insertion-ordered list is the work
+    /// list; no scan, no sort, no per-flow Toeplitz hash, so the order is
+    /// a function of the flows' insertion history alone. The control
+    /// plane pre-sizes one batch per destination (via
+    /// [`TcpShard::bucket_len`]) and extracts every mis-steered bucket
+    /// straight into it — one TCB write each, no intermediate per-bucket
+    /// `Vec` and no growth re-copies mid-migration.
     pub fn extract_bucket_into(&mut self, bucket: u16, out: &mut Vec<Tcb>) {
         let keys: Vec<u64> = self.flows.bucket_keys(bucket).collect();
         self.extract_keys_into(&keys, out);
     }
 
-    /// Live flows currently homed on RSS bucket `bucket`.
+    /// Live flows currently homed on RSS bucket `bucket` (O(bucket
+    /// population)).
     pub fn bucket_len(&self, bucket: u16) -> usize {
         self.flows.bucket_len(bucket)
     }
 
     /// Removes the given flows, cancelling their timers in bulk and
     /// recording each residual delay for re-arming on the destination.
-    fn extract_keys(&mut self, keys: &[u64]) -> Vec<Tcb> {
-        let mut out = Vec::with_capacity(keys.len());
-        self.extract_keys_into(keys, &mut out);
-        out
-    }
-
-    /// [`Stack::extract_keys`] into a caller-owned batch.
     fn extract_keys_into(&mut self, keys: &[u64], out: &mut Vec<Tcb>) {
         for &k in keys {
             let mut tcb = self.flows.remove(k).expect("indexed key present");
@@ -634,7 +570,7 @@ impl TcpShard {
     }
 
     /// Adopts flows migrated from another shard, re-arming their timers
-    /// on this shard's wheel with the residual delays `extract_flows`
+    /// on this shard's wheel with the residual delays the extract
     /// recorded — a timer that had 300 µs left on the source core has
     /// 300 µs left here, so migration neither loses a pending timeout
     /// nor postpones it (frequent migration must not starve the RTO).
@@ -1097,20 +1033,82 @@ impl TcpShard {
         }
     }
 
-    /// Processes one received frame (Ethernet and up). The engine calls
-    /// this for each frame polled from the RX ring.
-    pub fn input(&mut self, now_ns: u64, mut frame: Mbuf) {
+    /// Processes one received frame (Ethernet and up): the receive path
+    /// on a batch of one — parse, run step, ACK-policy pass — without a
+    /// trip through the staging arrays [`TcpShard::input_batch`] groups
+    /// a larger batch in.
+    pub fn input(&mut self, now_ns: u64, frame: Mbuf) {
         self.now_ns = now_ns;
-        let Ok(eth) = EthHeader::decode(frame.data()) else {
-            self.stats.parse_drops += 1;
-            return;
-        };
+        if let Some(mut seg) = self.parse(frame) {
+            let slot = self.flows.slot_of(seg.key);
+            self.run_segment(slot, &mut false, &mut seg);
+            self.ack_policy_pass();
+        }
+    }
+
+    /// Test oracle for `tests/rx_batch.rs`, not a receive path: the same
+    /// parse and state machine, one frame at a time — never grouped,
+    /// never coalesced, never through `fast_segment`.
+    #[doc(hidden)]
+    pub fn input_reference(&mut self, now_ns: u64, frame: Mbuf) {
+        self.now_ns = now_ns;
+        if let Some(ParsedFrame { key, hdr, payload }) = self.parse(frame) {
+            let live = self.flows.contains_key(key);
+            self.dispatch_tcp_segment(live, key, hdr, payload.expect("fresh from the parse"));
+            self.ack_policy_pass();
+        }
+    }
+
+    /// The validating parse, Ethernet and up — the one place a received
+    /// frame's headers are decoded. ARP, ICMP and UDP are handled here,
+    /// at once; a TCP segment comes back for its flow's run. Whatever is
+    /// rejected lands on the drop counters, once.
+    fn parse(&mut self, mut frame: Mbuf) -> Option<ParsedFrame> {
+        let eth = EthHeader::decode(frame.data()).map_err(|e| self.count_parse_drop(e)).ok()?;
         frame.pull(EthHeader::LEN);
         match eth.ethertype {
-            EtherType::Arp => self.input_arp(frame),
-            EtherType::Ipv4 => self.input_ipv4(frame),
-            EtherType::Other(_) => self.stats.parse_drops += 1,
+            EtherType::Ipv4 => {}
+            EtherType::Arp => {
+                self.input_arp(frame);
+                return None;
+            }
+            EtherType::Other(_) => {
+                self.stats.parse_drops += 1;
+                return None;
+            }
         }
+        let ip = Ipv4Header::decode(frame.data()).map_err(|e| self.count_parse_drop(e)).ok()?;
+        // Trim link-layer padding (min-frame) to the datagram length.
+        if frame.len() > ip.total_len as usize {
+            frame.truncate(ip.total_len as usize);
+        }
+        if ip.dst != self.local_ip || frame.len() < ip.total_len as usize {
+            self.stats.parse_drops += 1;
+            return None;
+        }
+        frame.pull(Ipv4Header::LEN);
+        match ip.proto {
+            IpProto::Tcp => {}
+            IpProto::Udp => {
+                self.input_udp(ip, frame);
+                return None;
+            }
+            IpProto::Icmp => {
+                self.input_icmp(ip, frame);
+                return None;
+            }
+            IpProto::Other(_) => {
+                self.stats.parse_drops += 1;
+                return None;
+            }
+        }
+        let (hdr, hlen) = TcpHeader::decode(frame.data(), ip.src, ip.dst)
+            .map_err(|e| self.count_parse_drop(e))
+            .ok()?;
+        frame.pull(hlen);
+        self.stats.rx_segments += 1;
+        let key = FlowId::pack(ip.src, hdr.src_port, hdr.dst_port);
+        Some(ParsedFrame { key, hdr, payload: Some(frame) })
     }
 
     fn input_arp(&mut self, frame: Mbuf) {
@@ -1126,35 +1124,6 @@ impl TcpShard {
         if pkt.op == ArpOp::Request && pkt.target_ip == self.local_ip {
             let reply = pkt.reply_to(self.local_mac);
             self.emit_arp(reply, pkt.sender_mac);
-        }
-    }
-
-    fn input_ipv4(&mut self, mut frame: Mbuf) {
-        let ip = match Ipv4Header::decode(frame.data()) {
-            Ok(ip) => ip,
-            Err(e) => {
-                self.count_parse_drop(e);
-                return;
-            }
-        };
-        if ip.dst != self.local_ip {
-            self.stats.parse_drops += 1;
-            return;
-        }
-        // Trim link-layer padding (min-frame) to the datagram length.
-        if frame.len() > ip.total_len as usize {
-            frame.truncate(ip.total_len as usize);
-        }
-        if frame.len() < ip.total_len as usize {
-            self.stats.parse_drops += 1;
-            return;
-        }
-        frame.pull(Ipv4Header::LEN);
-        match ip.proto {
-            IpProto::Tcp => self.input_tcp(ip, frame),
-            IpProto::Udp => self.input_udp(ip, frame),
-            IpProto::Icmp => self.input_icmp(ip, frame),
-            IpProto::Other(_) => self.stats.parse_drops += 1,
         }
     }
 
@@ -1233,19 +1202,9 @@ impl TcpShard {
         } else {
             // Cold ARP entry: serialize once into a transient buffer and
             // park it until the next hop resolves (no pool mbuf needed).
-            self.ip_ident = self.ip_ident.wrapping_add(1);
-            let total = Ipv4Header::LEN + len as usize;
-            let ip = Ipv4Header {
-                tos: 0,
-                total_len: total as u16,
-                ident: self.ip_ident,
-                ttl: Ipv4Header::DEFAULT_TTL,
-                proto: IpProto::Udp,
-                src: self.local_ip,
-                dst: dst_ip,
-            };
+            let ip = self.next_ipv4(IpProto::Udp, dst_ip, len as usize);
             self.stats.tx_transient_allocs += 1;
-            let mut l3 = vec![0u8; total];
+            let mut l3 = vec![0u8; ip.total_len as usize];
             l3[Ipv4Header::LEN + UdpHeader::LEN..].copy_from_slice(payload);
             if !payload.is_empty() {
                 self.stats.tx_payload_writes += 1;
@@ -1254,174 +1213,67 @@ impl TcpShard {
             let (uh, pl) = rest.split_at_mut(UdpHeader::LEN);
             hdr.encode(uh, self.local_ip, dst_ip, pl);
             ip.encode(ih);
-            if self.arp.park(dst_ip, l3.into()) {
-                let req = ArpPacket::request(self.local_mac, self.local_ip, dst_ip);
-                self.emit_arp(req, MacAddr::BROADCAST);
-            }
+            self.park_l3(dst_ip, l3.into());
         }
     }
 
-    fn input_tcp(&mut self, ip: Ipv4Header, mut frame: Mbuf) {
-        let (hdr, hlen) = match TcpHeader::decode(frame.data(), ip.src, ip.dst) {
-            Ok(ok) => ok,
-            Err(e) => {
-                self.count_parse_drop(e);
-                return;
-            }
-        };
-        frame.pull(hlen);
-        self.stats.rx_segments += 1;
-        let key = FlowId::pack(ip.src, hdr.src_port, hdr.dst_port);
-        self.dispatch_tcp_segment(key, ip, hdr, frame);
-        // Immediate-ack policy flushes per segment; delayed-ack applies
-        // the every-second-segment rule with a piggyback timeout.
-        match self.cfg.ack_policy {
-            AckPolicy::Immediate => self.flush_acks(),
-            AckPolicy::Delayed(delay_ns) => self.delayed_ack_pass(delay_ns),
-            AckPolicy::EndOfCycle => {}
-        }
-    }
-
-    /// State-machine dispatch for one validated TCP segment (shared by
-    /// the per-frame path and the batch pipeline's general fallback).
-    fn dispatch_tcp_segment(&mut self, key: u64, ip: Ipv4Header, hdr: TcpHeader, payload: Mbuf) {
-        if self.flows.contains_key(key) {
+    /// State-machine dispatch for one validated TCP segment; `live` says
+    /// whether its flow is in the table.
+    fn dispatch_tcp_segment(&mut self, live: bool, key: u64, hdr: TcpHeader, payload: Mbuf) {
+        if live {
             self.segment_for_flow(key, hdr, payload);
         } else {
-            self.segment_no_flow(ip, hdr, payload);
+            self.segment_no_flow(key, hdr, payload);
         }
     }
 
-    /// Processes a whole polled batch of frames (DESIGN.md §5j).
-    ///
-    /// With `cfg.batch_rx` off (the default) this drains `frames`
-    /// through the per-frame [`TcpShard::input`] path and is
-    /// behaviour-identical byte for byte. With it on, the staged
-    /// pipeline runs instead: (1) pre-parse classifies each frame with
-    /// the fixed-offset [`ix_net::filter::pre_parse`] probe — non-TCP
-    /// frames (ARP/ICMP/UDP/malformed) are handled immediately in
-    /// arrival order, TCP frames get the full validating parse
-    /// (identical header/checksum checks and drop counters as the
-    /// per-frame path) into a reusable `ParsedFrame` scratch array;
-    /// (2) segments are grouped by packed [`FlowId`], stable in arrival
-    /// order within each flow; (3) each same-flow run is processed
-    /// back-to-back against a hot TCB resolved to its slab slot once
-    /// per run, with a fast path for in-order Established data/ACK
-    /// segments and the general state machine as fallback; (4) pure
-    /// ACKs are coalesced to at most one per flow per batch under the
-    /// Immediate/Delayed policies (EndOfCycle already coalesces at
-    /// `end_cycle`). Cross-flow segment order and ACK coalescing are
-    /// the only observable differences; per-flow app byte streams and
-    /// data-bearing wire frames are identical.
+    /// Processes a whole polled batch of frames (DESIGN.md §5j): (1)
+    /// each frame takes the validating parse in arrival order — non-TCP
+    /// frames are handled there, TCP segments are staged and chained
+    /// onto their flow's group; (2) each same-flow run is processed
+    /// back-to-back, in order of each flow's first arrival, against a
+    /// TCB resolved to its slab slot once per run; (3) one ACK-policy
+    /// pass, so Immediate/Delayed emit at most one pure ACK per flow per
+    /// batch (EndOfCycle coalesces at `end_cycle` regardless). Against
+    /// frame-at-a-time input, cross-flow segment order and that ACK
+    /// coalescing are the only observable differences; per-flow
+    /// application byte streams and data-bearing wire frames are
+    /// identical.
     pub fn input_batch(&mut self, now_ns: u64, frames: &mut Vec<Mbuf>) {
-        if !self.cfg.batch_rx {
-            for frame in frames.drain(..) {
-                self.input(now_ns, frame);
-            }
-            return;
+        if frames.len() == 1 {
+            return self.input(now_ns, frames.pop().expect("one frame"));
         }
         self.now_ns = now_ns;
         let mut segs = std::mem::take(&mut self.batch_segs);
         let mut groups = std::mem::take(&mut self.batch_groups);
         let mut next = std::mem::take(&mut self.batch_next);
         debug_assert!(segs.is_empty() && groups.is_empty() && next.is_empty());
-        // Stage 1: pre-parse + validate into the scratch array.
-        for mut frame in frames.drain(..) {
-            let is_tcp = ix_net::filter::pre_parse(frame.data())
-                .is_some_and(|p| p.proto == IpProto::Tcp);
-            if !is_tcp {
-                // ARP/ICMP/UDP/other and runt frames keep the exact
-                // per-frame semantics (and drop counters), in arrival
-                // order relative to each other.
-                self.input(now_ns, frame);
-                continue;
-            }
-            // Full validating parse, replicating input/input_ipv4/
-            // input_tcp check-for-check so drop accounting is identical.
-            let Ok(_eth) = EthHeader::decode(frame.data()) else {
-                self.stats.parse_drops += 1;
-                continue;
-            };
-            frame.pull(EthHeader::LEN);
-            let ip = match Ipv4Header::decode(frame.data()) {
-                Ok(ip) => ip,
-                Err(e) => {
-                    self.count_parse_drop(e);
-                    continue;
-                }
-            };
-            if ip.dst != self.local_ip {
-                self.stats.parse_drops += 1;
-                continue;
-            }
-            if frame.len() > ip.total_len as usize {
-                frame.truncate(ip.total_len as usize);
-            }
-            if frame.len() < ip.total_len as usize {
-                self.stats.parse_drops += 1;
-                continue;
-            }
-            frame.pull(Ipv4Header::LEN);
-            let (hdr, hlen) = match TcpHeader::decode(frame.data(), ip.src, ip.dst) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    self.count_parse_drop(e);
-                    continue;
-                }
-            };
-            frame.pull(hlen);
-            self.stats.rx_segments += 1;
-            let key = FlowId::pack(ip.src, hdr.src_port, hdr.dst_port);
-            // Stage 2 (fused): chain the segment onto its flow group.
+        for frame in frames.drain(..) {
+            let Some(seg) = self.parse(frame) else { continue };
             // The group list is one cache line per ~5 flows and a batch
             // holds at most a few dozen distinct flows, so the linear
             // scan is cheaper than sorting; chains keep arrival order.
             let idx = segs.len() as u32;
-            match groups.iter_mut().find(|g| g.0 == key) {
+            match groups.iter_mut().find(|g| g.0 == seg.key) {
                 Some(g) => {
                     next[g.2 as usize] = idx;
                     g.2 = idx;
                 }
-                None => groups.push((key, idx, idx)),
+                None => groups.push((seg.key, idx, idx)),
             }
             next.push(u32::MAX);
-            segs.push(ParsedFrame { ip, hdr, payload: Some(frame) });
+            segs.push(seg);
         }
-        // Stage 3: process each same-flow run back-to-back, in order of
-        // each flow's first arrival.
         for &(key, head, _) in &groups {
-            // One probe per run; the handle indexes the slab directly
-            // for every segment of the run.
             let mut slot = self.flows.slot_of(key);
             let mut run_acked = false;
             let mut cur = head;
             while cur != u32::MAX {
                 let seg = &mut segs[cur as usize];
                 cur = next[cur as usize];
-                let payload = seg.payload.take().expect("staged payload");
-                if let Some(idx) = slot {
-                    if self.fast_segment(idx, key, &seg.hdr, &payload, &mut run_acked) {
-                        // Consume the payload on the fast path.
-                        let tcb = self.flows.slot_mut(idx);
-                        if !payload.is_empty() {
-                            let n = payload.len() as u32;
-                            tcb.rcv_nxt = tcb.rcv_nxt.wrapping_add(n);
-                            tcb.rcv_outstanding += n;
-                            let (id, cookie) = (tcb.id, tcb.cookie);
-                            let view = payload.as_bytes();
-                            tcb.rx_held.push_back(payload);
-                            self.stats.bytes_rx += n as u64;
-                            self.stats.rx_pool_outstanding += 1;
-                            self.events.push(TcpEvent::Recv { flow: id, cookie, payload: view });
-                        }
-                        continue;
-                    }
+                if !self.run_segment(slot, &mut run_acked, seg) && cur != u32::MAX {
+                    slot = self.flows.slot_of(key);
                 }
-                // General path: the full state machine. It may create or
-                // destroy the flow, so re-resolve the handle after.
-                let (ip, hdr) = (seg.ip, seg.hdr);
-                self.dispatch_tcp_segment(key, ip, hdr, payload);
-                slot = self.flows.slot_of(key);
             }
         }
         segs.clear();
@@ -1430,9 +1282,37 @@ impl TcpShard {
         self.batch_segs = segs;
         self.batch_groups = groups;
         self.batch_next = next;
-        // Stage 4: batch-scoped ACK policy — at most one pure ACK per
-        // flow per batch under Immediate/Delayed (the coalescing the
-        // EndOfCycle policy already gets from `end_cycle`).
+        self.ack_policy_pass();
+    }
+
+    /// The run step for one segment of a same-flow run whose TCB sits at
+    /// `slot` (if the flow is live): the fast path for in-order
+    /// Established data and no-op ACKs, else the full state machine.
+    /// Returns false when the state machine ran — it may have created or
+    /// destroyed the flow, so the caller re-resolves `slot` before the
+    /// run's next segment.
+    fn run_segment(&mut self, slot: Option<u32>, run_acked: &mut bool, seg: &mut ParsedFrame) -> bool {
+        let payload = seg.payload.take().expect("each segment runs once");
+        let plen = payload.len() as u32;
+        if let Some(idx) = slot {
+            if self.fast_segment(idx, seg.key, &seg.hdr, plen, run_acked) {
+                if plen > 0 {
+                    let ev = self.flows.slot_mut(idx).deliver(payload);
+                    self.stats.bytes_rx += plen as u64;
+                    self.stats.rx_pool_outstanding += 1;
+                    self.events.push(ev);
+                }
+                return true;
+            }
+        }
+        self.dispatch_tcp_segment(slot.is_some(), seg.key, seg.hdr, payload);
+        false
+    }
+
+    /// The per-call ACK policy: Immediate flushes, Delayed applies the
+    /// every-second-segment rule with a piggyback timeout, EndOfCycle
+    /// waits for `end_cycle`.
+    fn ack_policy_pass(&mut self) {
         match self.cfg.ack_policy {
             AckPolicy::Immediate => self.flush_acks(),
             AckPolicy::Delayed(delay_ns) => self.delayed_ack_pass(delay_ns),
@@ -1440,8 +1320,8 @@ impl TcpShard {
         }
     }
 
-    /// Fast-path eligibility + ACK-side handling for one batch segment
-    /// against the hot TCB at `idx`. Returns true when the segment is
+    /// Fast-path eligibility + ACK-side handling for one segment against
+    /// the TCB at `idx`. Returns true when the segment is
     /// fully handled modulo payload delivery (which the caller performs
     /// to keep the mbuf move out of this borrow): an Established
     /// segment, plain ACK flags, an acknowledgment that is a no-op
@@ -1449,14 +1329,7 @@ impl TcpShard {
     /// is unchanged and nothing is in flight), exactly in-order data
     /// within the advertised window, no reassembly backlog, and no
     /// parked FIN. Everything else takes the general state machine.
-    fn fast_segment(
-        &mut self,
-        idx: u32,
-        key: u64,
-        hdr: &TcpHeader,
-        payload: &Mbuf,
-        run_acked: &mut bool,
-    ) -> bool {
+    fn fast_segment(&mut self, idx: u32, key: u64, hdr: &TcpHeader, plen: u32, run_acked: &mut bool) -> bool {
         let tcb = self.flows.slot_mut(idx);
         let f = &hdr.flags;
         if tcb.state != TcpState::Established || f.syn || f.fin || f.rst || !f.ack {
@@ -1476,7 +1349,6 @@ impl TcpShard {
         if hdr.seq != tcb.rcv_nxt || tcb.peer_fin.is_some() || !tcb.ooo.is_empty() {
             return false;
         }
-        let plen = payload.len() as u32;
         if plen == 0 {
             // Pure no-op ACK at rcv_nxt: nothing to do, nothing to send.
             return true;
@@ -1497,17 +1369,18 @@ impl TcpShard {
     }
 
     /// A segment for a tuple with no PCB: passive open or RST.
-    fn segment_no_flow(&mut self, ip: Ipv4Header, hdr: TcpHeader, payload: Mbuf) {
+    fn segment_no_flow(&mut self, key: u64, hdr: TcpHeader, payload: Mbuf) {
         if hdr.flags.rst {
             return; // Never respond to a RST.
         }
+        let src_ip = remote_ip(key);
         if hdr.flags.syn && !hdr.flags.ack && self.listeners.contains(&hdr.dst_port) {
             // Stateless path first: under a challenge (global knob or a
             // filter-policy syn-challenge verdict for this tuple) the
             // SYN-ACK carries a cookie ISS and *nothing* is allocated —
             // no TCB, no timer, no retransmit state.
-            if self.cookie_mode(ip.src, hdr.dst_port) {
-                self.send_cookie_synack(&ip, &hdr);
+            if self.cookie_mode(src_ip, hdr.dst_port) {
+                self.send_cookie_synack(key, &hdr);
                 return;
             }
             // Half-open backlog bound: past it, drop the SYN silently
@@ -1520,7 +1393,6 @@ impl TcpShard {
             // Passive open: create the PCB and answer SYN-ACK. The knock
             // event is raised when the handshake completes (the paper's
             // knock reports "a remotely initiated connection was opened").
-            let key = FlowId::pack(ip.src, hdr.src_port, hdr.dst_port);
             let gen = self.next_gen;
             self.next_gen += 1;
             let id = FlowId { key, gen };
@@ -1557,7 +1429,7 @@ impl TcpShard {
             );
             tcb.rto_timer = Some(t);
             self.synrcvd_count += 1;
-            tcb.rss_bucket = self.rss_bucket_for(ip.src, hdr.src_port, hdr.dst_port);
+            tcb.rss_bucket = self.rss_bucket_for(src_ip, hdr.src_port, hdr.dst_port);
             let bucket = tcb.rss_bucket;
             self.flows.insert_in_bucket(key, bucket, tcb);
             return;
@@ -1568,16 +1440,16 @@ impl TcpShard {
         if hdr.flags.ack
             && !hdr.flags.syn
             && self.listeners.contains(&hdr.dst_port)
-            && self.cookie_mode(ip.src, hdr.dst_port)
+            && self.cookie_mode(src_ip, hdr.dst_port)
         {
-            if self.try_cookie_accept(&ip, &hdr, payload) {
+            if self.try_cookie_accept(key, &hdr, payload) {
                 return;
             }
             // Forged, expired, or stray: fall through to the RST below
             // (the ACK arm never reads the payload length).
             self.stats.syn_cookies_rejected += 1;
             self.stats.no_listener += 1;
-            self.raw_rst(self.now_ns, hdr.dst_port, hdr.src_port, hdr.ack, 0, true, ip.src);
+            self.raw_rst(hdr.dst_port, hdr.src_port, hdr.ack, 0, true, src_ip);
             return;
         }
         // No listener / half-open garbage: RST per RFC 793 §3.4 — with
@@ -1595,7 +1467,7 @@ impl TcpShard {
                 ),
             )
         };
-        self.raw_rst(self.now_ns, hdr.dst_port, hdr.src_port, seq, ack, hdr.flags.ack, ip.src);
+        self.raw_rst(hdr.dst_port, hdr.src_port, seq, ack, hdr.flags.ack, src_ip);
     }
 
     /// True when a SYN from `src_ip` to `dst_port` must be answered
@@ -1614,8 +1486,7 @@ impl TcpShard {
     /// only thing that outlives this call is the emitted frame. The MSS
     /// the peer offered survives as a 2-bit class inside the cookie; no
     /// window scaling is negotiated (nowhere to remember the shift).
-    fn send_cookie_synack(&mut self, ip: &Ipv4Header, hdr: &TcpHeader) {
-        let key = FlowId::pack(ip.src, hdr.src_port, hdr.dst_port);
+    fn send_cookie_synack(&mut self, key: u64, hdr: &TcpHeader) {
         let bucket = self.now_ns / self.cfg.syn_cookie_bucket_ns;
         let peer_mss = hdr.mss.unwrap_or(536).min(self.cfg.mss as u16);
         let class = syncookie::mss_class(peer_mss);
@@ -1630,7 +1501,7 @@ impl TcpShard {
             wscale: None,
             payload: &[],
         };
-        self.build_and_queue_tcp(ip.src, hdr.dst_port, hdr.src_port, spec);
+        self.build_and_queue_tcp(remote_ip(key), hdr.dst_port, hdr.src_port, spec);
     }
 
     /// Validates the cookie implied by a bare ACK (`cookie = ack - 1`,
@@ -1638,8 +1509,7 @@ impl TcpShard {
     /// connection directly in `Established` — the TCB's first allocation
     /// happens here, after the peer proved the round trip. Returns false
     /// (consuming the payload) when the cookie does not verify.
-    fn try_cookie_accept(&mut self, ip: &Ipv4Header, hdr: &TcpHeader, payload: Mbuf) -> bool {
-        let key = FlowId::pack(ip.src, hdr.src_port, hdr.dst_port);
+    fn try_cookie_accept(&mut self, key: u64, hdr: &TcpHeader, payload: Mbuf) -> bool {
         let bucket_now = self.now_ns / self.cfg.syn_cookie_bucket_ns;
         let cookie = hdr.ack.wrapping_sub(1);
         let peer_iss = hdr.seq.wrapping_sub(1);
@@ -1658,7 +1528,7 @@ impl TcpShard {
         tcb.rcv_nxt = hdr.seq;
         tcb.snd_wnd = hdr.window as u32;
         tcb.mss = tcb.mss.min(mss as u32);
-        let (src_ip, src_port) = (ip.src, hdr.src_port);
+        let (src_ip, src_port) = (remote_ip(key), hdr.src_port);
         self.stats.conns_accepted += 1;
         self.stats.syn_cookies_accepted += 1;
         self.events.push(TcpEvent::Knock { flow: id, src_ip, src_port });
@@ -1723,7 +1593,7 @@ impl TcpShard {
             // Bogus ACK of our SYN: reset per RFC 793.
             let (seq, ack) = (hdr.ack, 0);
             let (dst_ip, sp, dp) = (tcb.remote_ip, tcb.local_port, tcb.remote_port);
-            self.raw_rst(self.now_ns, sp, dp, seq, ack, true, dst_ip);
+            self.raw_rst(sp, dp, seq, ack, true, dst_ip);
             return;
         }
         tcb.snd_una = hdr.ack;
@@ -1969,15 +1839,11 @@ impl TcpShard {
             // window — zero copies — hold the buffer until `recv_done`
             // credits it, then drain any contiguous out-of-order
             // segments.
-            let n = payload.len() as u32;
-            tcb.rcv_nxt = tcb.rcv_nxt.wrapping_add(n);
-            tcb.rcv_outstanding += n;
-            let (id, cookie) = (tcb.id, tcb.cookie);
-            let view = payload.as_bytes();
-            tcb.rx_held.push_back(payload);
-            self.stats.bytes_rx += n as u64;
+            let n = payload.len() as u64;
+            let ev = tcb.deliver(payload);
+            self.stats.bytes_rx += n;
             self.stats.rx_pool_outstanding += 1;
-            self.events.push(TcpEvent::Recv { flow: id, cookie, payload: view });
+            self.events.push(ev);
             self.drain_ooo(key);
         } else {
             // Out of order: buffer the trimmed mbuf itself, keyed by
@@ -2017,16 +1883,11 @@ impl TcpShard {
             // not a copy) and deliver the rest as a view of the buffered
             // mbuf itself — the drain path copies nothing.
             m.pull(skip);
-            let n = m.len() as u32;
-            tcb.rcv_nxt = tcb.rcv_nxt.wrapping_add(n);
-            tcb.rcv_outstanding += n;
-            let (id, cookie) = (tcb.id, tcb.cookie);
-            let view = m.as_bytes();
             // The mbuf moves from the reassembly map to the held queue:
             // `rx_pool_outstanding` is unchanged.
-            tcb.rx_held.push_back(m);
-            self.stats.bytes_rx += n as u64;
-            self.events.push(TcpEvent::Recv { flow: id, cookie, payload: view });
+            self.stats.bytes_rx += m.len() as u64;
+            let ev = tcb.deliver(m);
+            self.events.push(ev);
         }
         // Clean any now-stale buffered segments.
         let tcb = self.flows.get_mut(key).expect("checked");
@@ -2183,15 +2044,12 @@ impl TcpShard {
         let gen = tcb.id.gen;
         // Zero-window probe: an empty segment at snd_nxt-1, which the
         // peer must answer with an ACK restating its window.
-        let spec = SegmentSpec {
-            flags: TcpFlags::ACK,
-            seq: tcb.snd_nxt.wrapping_sub(1),
-            ack: tcb.rcv_nxt,
-            window: tcb.advertised_window_field(),
-            mss: None,
-            wscale: None,
-            payload: &[],
-        };
+        let spec = SegmentSpec::bare(
+            TcpFlags::ACK,
+            tcb.snd_nxt.wrapping_sub(1),
+            tcb.rcv_nxt,
+            tcb.advertised_window_field(),
+        );
         self.emit_segment_for_key(key, spec);
         self.stats.persist_probes += 1;
         let t = self.wheel.schedule(
@@ -2382,15 +2240,7 @@ impl TcpShard {
         }
         let window = tcb.advertised_window_field();
         tcb.adv_wnd_last = tcb.advertised_window();
-        let spec = SegmentSpec {
-            flags: TcpFlags::ACK,
-            seq: tcb.snd_nxt,
-            ack: tcb.rcv_nxt,
-            window,
-            mss: None,
-            wscale: None,
-            payload: &[],
-        };
+        let spec = SegmentSpec::bare(TcpFlags::ACK, tcb.snd_nxt, tcb.rcv_nxt, window);
         self.emit_segment_for_key(key, spec);
     }
 
@@ -2409,15 +2259,7 @@ impl TcpShard {
             retransmitted: false,
         });
         tcb.need_ack = false;
-        let spec = SegmentSpec {
-            flags: TcpFlags::FIN_ACK,
-            seq,
-            ack: tcb.rcv_nxt,
-            window: tcb.advertised_window_field(),
-            mss: None,
-            wscale: None,
-            payload: &[],
-        };
+        let spec = SegmentSpec::bare(TcpFlags::FIN_ACK, seq, tcb.rcv_nxt, tcb.advertised_window_field());
         self.emit_segment_for_key(key, spec);
         self.restart_rto(key);
     }
@@ -2426,15 +2268,13 @@ impl TcpShard {
         let tcb = self.flows.get(key).expect("live");
         let remote = tcb.remote_ip;
         let (sp, dp) = (tcb.local_port, tcb.remote_port);
-        self.raw_rst(self.now_ns, sp, dp, seq, ack, false, remote);
+        self.raw_rst(sp, dp, seq, ack, false, remote);
     }
 
     /// Emits a RST without requiring a PCB. The argument list mirrors
     /// the wire header fields it fills in.
-    #[allow(clippy::too_many_arguments)]
     fn raw_rst(
         &mut self,
-        _now: u64,
         src_port: u16,
         dst_port: u16,
         seq: u32,
@@ -2444,16 +2284,7 @@ impl TcpShard {
     ) {
         self.stats.rst_tx += 1;
         let flags = if seq_from_ack { TcpFlags::RST } else { TcpFlags::RST_ACK };
-        let spec = SegmentSpec {
-            flags,
-            seq,
-            ack,
-            window: 0,
-            mss: None,
-            wscale: None,
-            payload: &[],
-        };
-        self.build_and_queue_tcp(dst_ip, src_port, dst_port, spec);
+        self.build_and_queue_tcp(dst_ip, src_port, dst_port, SegmentSpec::bare(flags, seq, ack, 0));
     }
 
     /// Emits a segment for a PCB not (yet) in the flow map.
@@ -2492,19 +2323,7 @@ impl TcpShard {
             wscale: spec.wscale,
         };
         let hlen = hdr.len();
-        // One ident per emitted datagram, consumed before routing — the
-        // Vec-chain path did so even for frames later dropped on pool
-        // exhaustion, and recovery traces depend on that numbering.
-        self.ip_ident = self.ip_ident.wrapping_add(1);
-        let ip = Ipv4Header {
-            tos: 0,
-            total_len: (Ipv4Header::LEN + hlen + spec.payload.len()) as u16,
-            ident: self.ip_ident,
-            ttl: Ipv4Header::DEFAULT_TTL,
-            proto: IpProto::Tcp,
-            src: self.local_ip,
-            dst: dst_ip,
-        };
+        let ip = self.next_ipv4(IpProto::Tcp, dst_ip, hlen + spec.payload.len());
         match self.arp.lookup(dst_ip) {
             Some(mac) => {
                 let Some(mut m) = self.pool.alloc_with_headroom(TX_HEADROOM) else {
@@ -2517,13 +2336,7 @@ impl TcpShard {
                 }
                 hdr.encode(m.prepend(hlen), self.local_ip, dst_ip, spec.payload);
                 ip.encode(m.prepend(Ipv4Header::LEN));
-                EthHeader {
-                    dst: mac,
-                    src: self.local_mac,
-                    ethertype: EtherType::Ipv4,
-                }
-                .encode(m.prepend(EthHeader::LEN));
-                self.tx.push(m);
+                self.queue_frame(m, mac, EtherType::Ipv4);
             }
             None => {
                 // Cold ARP entry: serialize once into a transient buffer
@@ -2538,10 +2351,7 @@ impl TcpShard {
                 let (th, pl) = rest.split_at_mut(hlen);
                 hdr.encode(th, self.local_ip, dst_ip, pl);
                 ip.encode(ih);
-                if self.arp.park(dst_ip, l3.into()) {
-                    let req = ArpPacket::request(self.local_mac, self.local_ip, dst_ip);
-                    self.emit_arp(req, MacAddr::BROADCAST);
-                }
+                self.park_l3(dst_ip, l3.into());
             }
         }
     }
@@ -2550,36 +2360,18 @@ impl TcpShard {
     /// the headroom in place — in IPv4, and routes it. Used by the ICMP
     /// echo reply (aliasing the RX mbuf) and `udp_send`.
     fn transmit_l4_mbuf(&mut self, dst_ip: Ipv4Addr, proto: IpProto, mut m: Mbuf) {
-        self.ip_ident = self.ip_ident.wrapping_add(1);
-        let ip = Ipv4Header {
-            tos: 0,
-            total_len: (Ipv4Header::LEN + m.len()) as u16,
-            ident: self.ip_ident,
-            ttl: Ipv4Header::DEFAULT_TTL,
-            proto,
-            src: self.local_ip,
-            dst: dst_ip,
-        };
+        let ip = self.next_ipv4(proto, dst_ip, m.len());
         ip.encode(m.prepend(Ipv4Header::LEN));
         match self.arp.lookup(dst_ip) {
             Some(mac) => {
-                EthHeader {
-                    dst: mac,
-                    src: self.local_mac,
-                    ethertype: EtherType::Ipv4,
-                }
-                .encode(m.prepend(EthHeader::LEN));
-                self.tx.push(m);
+                self.queue_frame(m, mac, EtherType::Ipv4);
             }
             None => {
                 // Park a serialized copy; the mbuf itself goes back to
                 // its owner (pool or RX clone) when dropped here.
                 self.stats.tx_transient_allocs += 1;
                 self.stats.tx_payload_writes += 1;
-                if self.arp.park(dst_ip, Bytes::copy_from_slice(m.data())) {
-                    let req = ArpPacket::request(self.local_mac, self.local_ip, dst_ip);
-                    self.emit_arp(req, MacAddr::BROADCAST);
-                }
+                self.park_l3(dst_ip, Bytes::copy_from_slice(m.data()));
             }
         }
     }
@@ -2595,19 +2387,10 @@ impl TcpShard {
                 };
                 m.extend_from_slice(&l3);
                 self.stats.tx_payload_writes += 1;
-                EthHeader {
-                    dst: mac,
-                    src: self.local_mac,
-                    ethertype: EtherType::Ipv4,
-                }
-                .encode(m.prepend(EthHeader::LEN));
-                self.tx.push(m);
+                self.queue_frame(m, mac, EtherType::Ipv4);
             }
             None => {
-                if self.arp.park(dst_ip, l3) {
-                    let req = ArpPacket::request(self.local_mac, self.local_ip, dst_ip);
-                    self.emit_arp(req, MacAddr::BROADCAST);
-                }
+                self.park_l3(dst_ip, l3);
             }
         }
     }
@@ -2619,14 +2402,45 @@ impl TcpShard {
         };
         self.stats.arp_tx += 1;
         pkt.encode(m.append(ArpPacket::LEN));
-        EthHeader {
+        self.queue_frame(m, dst, EtherType::Arp);
+    }
+
+    /// The IPv4 header of the next datagram this shard emits. One ident
+    /// per datagram, consumed here, before routing — even for a frame
+    /// later dropped on pool exhaustion; recovery traces depend on that
+    /// numbering.
+    fn next_ipv4(&mut self, proto: IpProto, dst: Ipv4Addr, l4_len: usize) -> Ipv4Header {
+        self.ip_ident = self.ip_ident.wrapping_add(1);
+        Ipv4Header {
+            tos: 0,
+            total_len: (Ipv4Header::LEN + l4_len) as u16,
+            ident: self.ip_ident,
+            ttl: Ipv4Header::DEFAULT_TTL,
+            proto,
+            src: self.local_ip,
             dst,
-            src: self.local_mac,
-            ethertype: EtherType::Arp,
         }
-        .encode(m.prepend(EthHeader::LEN));
+    }
+
+    /// Prepends the Ethernet header and queues the frame for the NIC.
+    fn queue_frame(&mut self, mut m: Mbuf, dst: MacAddr, ethertype: EtherType) {
+        EthHeader { dst, src: self.local_mac, ethertype }.encode(m.prepend(EthHeader::LEN));
         self.tx.push(m);
     }
+
+    /// Parks a serialized L3 frame until `dst_ip` resolves, asking for
+    /// the address unless a request is already out.
+    fn park_l3(&mut self, dst_ip: Ipv4Addr, l3: Bytes) {
+        if self.arp.park(dst_ip, l3) {
+            let req = ArpPacket::request(self.local_mac, self.local_ip, dst_ip);
+            self.emit_arp(req, MacAddr::BROADCAST);
+        }
+    }
+}
+
+/// The remote address packed into a flow key ([`FlowId::pack`]).
+fn remote_ip(key: u64) -> Ipv4Addr {
+    Ipv4Addr((key >> 32) as u32)
 }
 
 /// Parameters of an outgoing segment.
@@ -2638,6 +2452,13 @@ struct SegmentSpec<'a> {
     mss: Option<u16>,
     wscale: Option<u8>,
     payload: &'a [u8],
+}
+
+impl SegmentSpec<'static> {
+    /// A segment with no options and no payload.
+    fn bare(flags: TcpFlags, seq: u32, ack: u32, window: u16) -> Self {
+        SegmentSpec { flags, seq, ack, window, mss: None, wscale: None, payload: &[] }
+    }
 }
 
 impl std::fmt::Debug for TcpShard {

@@ -15,7 +15,7 @@ use ix_testkit::Bytes;
 use ix_timerwheel::TimerId;
 
 use crate::config::StackConfig;
-use crate::event::FlowId;
+use crate::event::{FlowId, TcpEvent};
 
 /// RFC 793 connection states (LISTEN is represented by the shard's
 /// listener table rather than a PCB).
@@ -181,7 +181,7 @@ pub struct Tcb {
     pub delack_timer: Option<TimerId>,
 
     // --- Migration carry-state (§4.4) ---
-    /// Residual delay of the RTO timer when `extract_flows` cancelled it
+    /// Residual delay of the RTO timer when the extract cancelled it
     /// on the source wheel; `absorb_flows` re-arms the destination wheel
     /// with the same remainder. Timer *identity* cannot migrate (wheel
     /// slots are per-core), and re-arming at the full interval would let
@@ -364,6 +364,19 @@ impl Tcb {
             }
         }
         (bytes, sample)
+    }
+
+    /// Accepts `m` as the next in-order payload: advances `rcv_nxt`,
+    /// charges the receive window, holds the buffer until `recv_done`
+    /// credits it, and returns the `Recv` event carrying a refcounted
+    /// view of the mbuf's payload window — zero copies.
+    pub(crate) fn deliver(&mut self, m: Mbuf) -> TcpEvent {
+        let n = m.len() as u32;
+        self.rcv_nxt = self.rcv_nxt.wrapping_add(n);
+        self.rcv_outstanding += n;
+        let payload = m.as_bytes();
+        self.rx_held.push_back(m);
+        TcpEvent::Recv { flow: self.id, cookie: self.cookie, payload }
     }
 
     /// True when every byte (and FIN) we ever sent is acknowledged.

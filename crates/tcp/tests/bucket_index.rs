@@ -204,6 +204,13 @@ fn mk_tcb(cfg: &StackConfig, gen: u32, remote: u32, rport: u16, lport: u16) -> T
     Tcb::new(cfg, FlowId { key, gen }, 0, TcpState::Established, 0x1000)
 }
 
+/// Every bucket's flows, bucket 0..128, each in insertion order.
+fn extract_all(s: &mut TcpShard) -> Vec<Tcb> {
+    let mut out = Vec::new();
+    (0..NUM_BUCKETS as u16).for_each(|b| s.extract_bucket_into(b, &mut out));
+    out
+}
+
 /// Shard-level determinism pin: two shards with different flow-table
 /// histories (one brand new, one that already absorbed and re-extracted
 /// thousands of unrelated flows, growing its table and fragmenting its
@@ -223,7 +230,7 @@ fn shard_extract_order_is_layout_independent() {
     let scar: Vec<Tcb> =
         (0..3000u32).map(|i| mk_tcb(&cfg, 1, 0x0b00_0001 + i, 40_000, 7000)).collect();
     b.absorb_flows(0, scar);
-    let extracted = b.extract_flows(|_, _, _| true);
+    let extracted = extract_all(&mut b);
     assert_eq!(extracted.len(), 3000);
     // Same flows, same order, into both shards.
     let mkset = |gen: u32| -> Vec<Tcb> {
@@ -233,14 +240,14 @@ fn shard_extract_order_is_layout_independent() {
     };
     a.absorb_flows(0, mkset(10));
     b.absorb_flows(0, mkset(10));
-    let ea: Vec<u64> = a.extract_flows(|_, _, _| true).iter().map(|t| t.id.key).collect();
-    let eb: Vec<u64> = b.extract_flows(|_, _, _| true).iter().map(|t| t.id.key).collect();
+    let ea: Vec<u64> = extract_all(&mut a).iter().map(|t| t.id.key).collect();
+    let eb: Vec<u64> = extract_all(&mut b).iter().map(|t| t.id.key).collect();
     assert!(!ea.is_empty());
     assert_eq!(ea, eb, "extract order depends on table layout");
 }
 
-/// Absorb computes a hand-built TCB's RSS bucket once; extract_bucket
-/// on that bucket then finds it without any scan.
+/// Absorb computes a hand-built TCB's RSS bucket once; extracting that
+/// bucket then finds it without any scan.
 #[test]
 fn absorbed_flows_land_on_their_bucket_list() {
     let cfg = StackConfig::default();
@@ -256,8 +263,9 @@ fn absorbed_flows_land_on_their_bucket_list() {
     let mut found = 0usize;
     let mut per_bucket_total = 0usize;
     for bkt in 0..NUM_BUCKETS as u16 {
-        per_bucket_total += s.bucket_flow_count(bkt);
-        let group = s.extract_bucket(bkt);
+        per_bucket_total += s.bucket_len(bkt);
+        let mut group = Vec::new();
+        s.extract_bucket_into(bkt, &mut group);
         found += group.iter().filter(|t| keys.contains(&t.id.key)).count();
         s.absorb_flows(0, group);
     }

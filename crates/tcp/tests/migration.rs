@@ -16,7 +16,7 @@ use std::rc::Rc;
 use ix_mempool::Mbuf;
 use ix_net::eth::MacAddr;
 use ix_net::ip::Ipv4Addr;
-use ix_tcp::{AckPolicy, DeadReason, FlowId, StackConfig, StackStats, TcpEvent, TcpShard};
+use ix_tcp::{AckPolicy, DeadReason, FlowId, StackConfig, StackStats, TcpEvent, TcpShard, NUM_BUCKETS};
 use ix_testkit::prelude::*;
 
 const C_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -91,7 +91,8 @@ impl Cluster {
     fn migrate(&mut self) {
         let from = self.owner;
         let to = 1 - from;
-        let flows = self.s[from].extract_flows(|_, _, _| true);
+        let mut flows = Vec::new();
+        (0..NUM_BUCKETS as u16).for_each(|b| self.s[from].extract_bucket_into(b, &mut flows));
         self.s[to].absorb_flows(self.now, flows);
         self.owner = to;
     }

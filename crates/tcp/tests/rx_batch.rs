@@ -1,29 +1,35 @@
-//! Differential property suite for the batched RX pipeline (DESIGN.md
-//! §5j). Every plan drives the *same* wire frames into three shards:
+//! Differential property suite for the RX path (DESIGN.md §5j). Every
+//! plan drives the *same* wire frames into two shards:
 //!
-//! - **batched** — `batch_rx: true`, fed through `input_batch` (the
-//!   staged pre-parse → flow-group → run-process pipeline under test),
-//! - **oracle** — fed one frame at a time through the per-packet
-//!   `input()` path, the reference semantics,
-//! - **off** — `batch_rx: false`, fed through `input_batch`, which must
-//!   degrade to a plain drain through `input()`.
+//! - **pipeline** — the receive path under test: whole batches through
+//!   `input_batch` (parse → flow-grouped runs → one ACK-policy pass), or,
+//!   in the batch-of-one mode, one frame per `input()` call;
+//! - **reference** — the `input_reference` oracle: the same parse and
+//!   state machine, one frame at a time, never grouped, never coalesced,
+//!   never through the fast path.
 //!
-//! The observables cross-checked after every cycle:
+//! The observables cross-checked after every cycle, batch mode:
 //!
 //! - per-flow application byte streams and event sequences (grouping
 //!   may reorder *across* flows, never within one),
-//! - per-flow wire frames, byte-identical — except pure ACKs under
-//!   `AckPolicy::Immediate`, where the batch pipeline's documented
-//!   per-flow coalescing may emit fewer (never more, never a different
-//!   final ack/window),
+//! - per-flow wire frames, byte-identical apart from the two counters
+//!   stamped in processing order (IPv4 ident, passive-open ISS) —
+//!   except pure ACKs under `AckPolicy::Immediate`/`Delayed`, where the
+//!   one-pass-per-call policy may emit fewer or later ones (under
+//!   Immediate never more, never a different final ack/window; under
+//!   every policy the last ACK a live flow sees once timers settle
+//!   acknowledges the same byte),
 //! - drop counters: corrupted frames land on `checksum_drops` /
-//!   `parse_drops` identically on both paths,
-//! - the **off** shard's output is globally byte-identical to the
-//!   oracle's, frames and events both, every cycle.
+//!   `parse_drops` identically on both sides.
+//!
+//! Batch-of-one mode is stricter: everything the pipeline shard emits —
+//! every wire frame including its ident, every event, the whole
+//! `StackStats` block — equals the reference's, globally, every cycle.
 //!
 //! Plans interleave in-order runs, out-of-order arrivals, duplicates,
-//! corrupted frames, and mid-batch FIN/RST teardown across four client
-//! flows.
+//! corrupted frames, passive opens (with and without SYN cookies), and
+//! mid-batch FIN/RST teardown across four client flows plus two tuples
+//! that never complete a handshake.
 
 use ix_mempool::Mbuf;
 use ix_net::eth::{EthHeader, EtherType, MacAddr};
@@ -36,6 +42,8 @@ const A_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const B_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const SRV_PORT: u16 = 80;
 const N_FLOWS: usize = 4;
+/// Client tuples: the established flows plus two that only ever SYN.
+const N_TUPLES: usize = N_FLOWS + 2;
 
 fn mac(i: u16) -> MacAddr {
     MacAddr::from_host_index(i)
@@ -72,6 +80,10 @@ enum FrameOp {
     Fin { flow: usize },
     /// Client RST at the cursor (abortive mid-batch teardown).
     Rst { flow: usize },
+    /// A connection-opening SYN on tuple `flow` (any of `N_TUPLES`): a
+    /// passive open — stateless under SYN cookies — when the tuple has
+    /// no flow, a stray SYN on a live one.
+    Syn { flow: usize },
 }
 
 impl FrameOp {
@@ -84,7 +96,8 @@ impl FrameOp {
             | FrameOp::BadDst { flow }
             | FrameOp::Runt { flow }
             | FrameOp::Fin { flow }
-            | FrameOp::Rst { flow } => flow,
+            | FrameOp::Rst { flow }
+            | FrameOp::Syn { flow } => flow,
         }
     }
 }
@@ -122,14 +135,22 @@ fn wire(flow: usize, seq: u32, ack: u32, flags: TcpFlags, payload: &[u8], dst: I
     f
 }
 
-/// Emitting fewer ACKs shifts the shard's per-packet IPv4 `ident`
-/// counter, so every frame *after* a coalesced ACK differs from the
-/// oracle's in exactly ident + the IP header checksum it perturbs. For
-/// modulo-coalescing comparisons, blank both.
-fn ident_blind(raw: &[u8]) -> Vec<u8> {
+/// Two shard-global counters are stamped in *processing* order, which
+/// flow grouping permutes across flows (and ACK coalescing shortens):
+/// the per-packet IPv4 `ident`, and the ISS a passive open draws. For
+/// per-flow comparisons blank both — ident and the IP header checksum it
+/// perturbs on every frame, sequence number and TCP checksum on SYN-ACKs
+/// (cookie SYN-ACKs hash their ISS from the tuple, so blanking them
+/// hides nothing that could differ).
+fn order_blind(raw: &[u8]) -> Vec<u8> {
+    const TCP: usize = EthHeader::LEN + Ipv4Header::LEN;
     let mut v = raw.to_vec();
     v[EthHeader::LEN + 4..EthHeader::LEN + 6].fill(0);
     v[EthHeader::LEN + 10..EthHeader::LEN + 12].fill(0);
+    if v[TCP + 13] & 0x02 != 0 {
+        v[TCP + 4..TCP + 8].fill(0);
+        v[TCP + 16..TCP + 18].fill(0);
+    }
     v
 }
 
@@ -208,84 +229,134 @@ struct FlowCtx {
     /// sequence number, so stream positions past it no longer line up
     /// with `byte_at` offsets.
     first_fin: Option<usize>,
+    /// A client RST was sent: the server side is gone for good.
+    reset: bool,
 }
 
-/// Three shards in lockstep plus the synthesized clients.
+/// How the pipeline shard is fed.
+#[derive(Clone, Copy, PartialEq)]
+enum Feed {
+    /// Each plan batch through one `input_batch` call.
+    Batch,
+    /// One frame per `input()` call: must equal the reference globally.
+    OneByOne,
+}
+
+/// One stack configuration of the differential matrix.
+#[derive(Clone, Copy)]
+struct Mode {
+    policy: AckPolicy,
+    syn_cookies: bool,
+    feed: Feed,
+}
+
+/// The delayed-ACK timeout both baseline models run.
+const DELAYED: AckPolicy = AckPolicy::Delayed(100_000);
+const POLICIES: [AckPolicy; 3] = [AckPolicy::Immediate, AckPolicy::EndOfCycle, DELAYED];
+
+/// Two shards in lockstep plus the synthesized clients.
 struct Harness {
-    batched: TcpShard,
-    oracle: TcpShard,
-    off: TcpShard,
-    coalesce: bool,
+    pipeline: TcpShard,
+    reference: TcpShard,
+    mode: Mode,
     now: u64,
     flows: Vec<FlowCtx>,
-    /// Cumulative per-flow delivered stream (from the oracle; the
-    /// batched shard is asserted identical each cycle).
+    /// Cumulative per-flow delivered stream (from the reference; the
+    /// pipeline shard is asserted identical each cycle).
     streams: Vec<Vec<u8>>,
     /// Delivered-but-uncredited bytes per flow.
     owed: Vec<u32>,
+    /// Acknowledgment number of the last pure ACK each client port saw,
+    /// on the pipeline and on the reference shard.
+    last_ack: [[Option<u32>; N_TUPLES]; 2],
 }
 
 impl Harness {
-    fn establish(policy: AckPolicy, isns: &[u32; N_FLOWS]) -> Harness {
-        let mk = |batch_rx| {
-            let cfg = StackConfig { batch_rx, ack_policy: policy, ..StackConfig::default() };
+    fn establish(mode: Mode, isns: &[u32; N_FLOWS]) -> Harness {
+        let mk = || {
+            let cfg = StackConfig {
+                ack_policy: mode.policy,
+                syn_cookies: mode.syn_cookies,
+                ..StackConfig::default()
+            };
             let mut b = TcpShard::new(cfg, B_IP, mac(2));
             b.arp_seed(A_IP, mac(1));
             b.listen(SRV_PORT);
             b
         };
         let mut h = Harness {
-            batched: mk(true),
-            oracle: mk(false),
-            off: mk(false),
-            coalesce: matches!(policy, AckPolicy::Immediate | AckPolicy::Delayed(_)),
+            pipeline: mk(),
+            reference: mk(),
+            mode,
             now: 1_000,
             flows: Vec::new(),
             streams: vec![Vec::new(); N_FLOWS],
             owed: vec![0; N_FLOWS],
+            last_ack: [[None; N_TUPLES]; 2],
         };
         for (flow, &isn) in isns.iter().enumerate() {
             // Client ISN is isn-1 so the first payload byte carries isn.
             h.now += 1_000;
             let syn = wire(flow, isn.wrapping_sub(1), 0, TcpFlags::SYN, &[], B_IP);
-            let mut srv_ack = None;
-            for shard in [&mut h.batched, &mut h.oracle, &mut h.off] {
-                shard.input(h.now, mk_mbuf(&syn));
-                shard.end_cycle(h.now);
+            h.feed(std::slice::from_ref(&syn));
+            let [sa_p, sa_r] = [&mut h.pipeline, &mut h.reference].map(|shard| {
                 let out = drain(shard);
-                let sa = out
-                    .tx
-                    .iter()
-                    .find(|t| t.hdr.flags.syn && t.hdr.flags.ack)
-                    .map(|t| t.hdr.seq.wrapping_add(1))
-                    .expect("SYN-ACK emitted");
-                // Deterministic ISS: all three shards must agree, or the
-                // shared client frames below would be meaningless.
-                assert_eq!(*srv_ack.get_or_insert(sa), sa, "shards diverged on ISS");
-            }
-            let srv_ack = srv_ack.unwrap();
+                let synack = out.tx.iter().find(|t| t.hdr.flags.syn && t.hdr.flags.ack);
+                synack.map(|t| t.hdr.seq.wrapping_add(1)).expect("SYN-ACK emitted")
+            });
+            // Deterministic ISS: the shards must agree, or the shared
+            // client frames below would be meaningless.
+            assert_eq!(sa_p, sa_r, "shards diverged on ISS");
             h.now += 1_000;
-            let ackf = wire(flow, isn, srv_ack, TcpFlags::ACK, &[], B_IP);
-            let mut id = None;
-            for shard in [&mut h.batched, &mut h.oracle, &mut h.off] {
-                shard.input(h.now, mk_mbuf(&ackf));
-                shard.end_cycle(h.now);
-                for e in shard.take_events() {
-                    if let TcpEvent::Knock { flow: fl, .. } = e {
-                        shard.accept(fl, flow as u64).unwrap();
-                        assert_eq!(*id.get_or_insert(fl), fl, "shards diverged on FlowId");
-                    }
-                }
+            let ackf = wire(flow, isn, sa_r, TcpFlags::ACK, &[], B_IP);
+            h.feed(std::slice::from_ref(&ackf));
+            let [id_p, id_r] = [&mut h.pipeline, &mut h.reference].map(|shard| {
                 let _ = shard.take_tx();
-            }
-            h.flows.push(FlowCtx { id: id.expect("knock on every shard"), base: isn, srv_ack, cursor: 0, first_fin: None });
+                let knock = shard.take_events().into_iter().find_map(|e| match e {
+                    TcpEvent::Knock { flow: fl, .. } => Some(fl),
+                    _ => None,
+                });
+                let fl = knock.expect("knock on every shard");
+                shard.accept(fl, flow as u64).unwrap();
+                fl
+            });
+            assert_eq!(id_p, id_r, "shards diverged on FlowId");
+            h.flows.push(FlowCtx { id: id_r, base: isn, srv_ack: sa_r, cursor: 0, first_fin: None, reset: false });
         }
         h
+    }
+
+    /// One cycle's input on both shards: timers first, then the frames —
+    /// the pipeline shard as its feed mode says, the reference always
+    /// one by one — then the end-of-cycle flush.
+    fn feed(&mut self, wires: &[Vec<u8>]) {
+        self.pipeline.advance_timers(self.now);
+        self.reference.advance_timers(self.now);
+        match self.mode.feed {
+            Feed::Batch => {
+                let mut frames: Vec<Mbuf> = wires.iter().map(|w| mk_mbuf(w)).collect();
+                self.pipeline.input_batch(self.now, &mut frames);
+            }
+            Feed::OneByOne => {
+                for w in wires {
+                    self.pipeline.input(self.now, mk_mbuf(w));
+                }
+            }
+        }
+        for w in wires {
+            self.reference.input_reference(self.now, mk_mbuf(w));
+        }
+        self.pipeline.end_cycle(self.now);
+        self.reference.end_cycle(self.now);
     }
 
     /// Builds the wire bytes for one op and updates the driver cursor.
     fn build(&mut self, op: &FrameOp) -> Vec<u8> {
         let fx = op.flow();
+        if fx >= N_FLOWS {
+            // A tuple that never got past its SYN.
+            return wire(fx, 7_000 * fx as u32, 0, TcpFlags::SYN, &[], B_IP);
+        }
         let (base, srv_ack, cursor) = {
             let f = &self.flows[fx];
             (f.base, f.srv_ack, f.cursor)
@@ -325,44 +396,51 @@ impl Harness {
                 self.flows[fx].cursor += 1;
                 w
             }
-            FrameOp::Rst { flow } => wire(flow, seq_at(cursor), srv_ack, TcpFlags::RST, &[], B_IP),
+            FrameOp::Rst { flow } => {
+                self.flows[fx].reset = true;
+                wire(flow, seq_at(cursor), srv_ack, TcpFlags::RST, &[], B_IP)
+            }
+            FrameOp::Syn { flow } => wire(flow, seq_at(cursor), 0, TcpFlags::SYN, &[], B_IP),
         }
     }
 
-    /// Feeds one batch to all three shards, cross-checks every
-    /// observable, and credits delivered bytes back.
-    fn run_batch(&mut self, ops: &[FrameOp]) {
-        self.now += 100_000;
-        let wires: Vec<Vec<u8>> = ops.iter().map(|op| self.build(op)).collect();
-
-        let mut fb: Vec<Mbuf> = wires.iter().map(|w| mk_mbuf(w)).collect();
-        self.batched.input_batch(self.now, &mut fb);
-        self.batched.end_cycle(self.now);
-        for w in &wires {
-            self.oracle.input(self.now, mk_mbuf(w));
+    /// Drains both shards, records the pure ACKs each port saw, and —
+    /// in batch-of-one mode — holds the pipeline shard to the reference
+    /// globally: same frames (ident included) in the same order, same
+    /// events, same counters.
+    fn drain_both(&mut self) -> (CycleOut, CycleOut) {
+        let cp = drain(&mut self.pipeline);
+        let cr = drain(&mut self.reference);
+        for (seen, out) in self.last_ack.iter_mut().zip([&cp, &cr]) {
+            for t in out.tx.iter().filter(|t| t.is_pure_ack()) {
+                seen[(t.hdr.dst_port - cli_port(0)) as usize] = Some(t.hdr.ack);
+            }
         }
-        self.oracle.end_cycle(self.now);
-        let mut fo: Vec<Mbuf> = wires.iter().map(|w| mk_mbuf(w)).collect();
-        self.off.input_batch(self.now, &mut fo);
-        self.off.end_cycle(self.now);
+        if self.mode.feed == Feed::OneByOne {
+            let raw_p: Vec<&Vec<u8>> = cp.tx.iter().map(|t| &t.raw).collect();
+            let raw_r: Vec<&Vec<u8>> = cr.tx.iter().map(|t| &t.raw).collect();
+            assert_eq!(raw_p, raw_r, "batch-of-one TX diverged from the reference");
+            assert_eq!(cp.evs, cr.evs, "batch-of-one events diverged");
+            assert_eq!(cp.stats, cr.stats, "batch-of-one stats diverged");
+        }
+        (cp, cr)
+    }
 
-        let cb = drain(&mut self.batched);
-        let co = drain(&mut self.oracle);
-        let cf = drain(&mut self.off);
+    /// Feeds one batch to both shards, cross-checks every observable,
+    /// and credits delivered bytes back.
+    fn run_batch(&mut self, ops: &[FrameOp]) {
+        // Shorter than the delayed-ACK timeout: an armed timer outlives
+        // the next batch unless that batch's segments consume it.
+        self.now += 60_000;
+        let wires: Vec<Vec<u8>> = ops.iter().map(|op| self.build(op)).collect();
+        self.feed(&wires);
+        let (cp, cr) = self.drain_both();
+        self.compare_batched(&cp, &cr);
 
-        // batch_rx off degrades to the per-packet path, byte for byte:
-        // same frames in the same global order, same events, same stats.
-        let raw_o: Vec<&Vec<u8>> = co.tx.iter().map(|t| &t.raw).collect();
-        let raw_f: Vec<&Vec<u8>> = cf.tx.iter().map(|t| &t.raw).collect();
-        assert_eq!(raw_f, raw_o, "batch_rx-off TX diverged from per-frame input()");
-        assert_eq!(cf.evs, co.evs, "batch_rx-off events diverged");
-        assert_eq!(cf.stats, co.stats, "batch_rx-off stats diverged");
-
-        self.compare_batched(&cb, &co);
-
-        // Per-flow streams accumulate from the oracle (batched already
-        // asserted identical); credit everything straight back.
-        for (key, ev) in &co.evs {
+        // Per-flow streams accumulate from the reference (the pipeline
+        // shard already asserted identical); credit everything straight
+        // back.
+        for (key, ev) in &cr.evs {
             if let Ev::Recv(bytes) = ev {
                 let fx = self.flow_index(*key);
                 self.streams[fx].extend_from_slice(bytes);
@@ -375,20 +453,20 @@ impl Harness {
                 continue;
             }
             let id = self.flows[fx].id;
-            let rb = self.batched.recv_done(self.now, id, n);
-            let ro = self.oracle.recv_done(self.now, id, n);
-            let rf = self.off.recv_done(self.now, id, n);
-            // A torn-down flow refuses credit on every shard alike.
-            assert_eq!(rb.is_ok(), ro.is_ok(), "recv_done outcome diverged (batched)");
-            assert_eq!(rf.is_ok(), ro.is_ok(), "recv_done outcome diverged (off)");
+            let rp = self.pipeline.recv_done(self.now, id, n);
+            let rr = self.reference.recv_done(self.now, id, n);
+            // A torn-down flow refuses credit on both shards alike.
+            assert_eq!(rp.is_ok(), rr.is_ok(), "recv_done outcome diverged");
             // A window-update ACK, if any, must restate agreed state on
-            // the batched shard too; flush both so cycles stay aligned.
-            let wb = drain(&mut self.batched);
-            let wo = drain(&mut self.oracle);
-            let _ = drain(&mut self.off);
-            let rb: Vec<Vec<u8>> = wb.tx.iter().map(|t| ident_blind(&t.raw)).collect();
-            let ro2: Vec<Vec<u8>> = wo.tx.iter().map(|t| ident_blind(&t.raw)).collect();
-            assert_eq!(rb, ro2, "window-update ACKs diverged");
+            // the pipeline shard too — except under Delayed, where the
+            // update rule keys off the window last *advertised* and the
+            // two sides legitimately last ACKed at different moments.
+            let (wp, wr) = self.drain_both();
+            if self.mode.policy != DELAYED {
+                let rp: Vec<Vec<u8>> = wp.tx.iter().map(|t| order_blind(&t.raw)).collect();
+                let rr: Vec<Vec<u8>> = wr.tx.iter().map(|t| order_blind(&t.raw)).collect();
+                assert_eq!(rp, rr, "window-update ACKs diverged");
+            }
         }
     }
 
@@ -396,88 +474,110 @@ impl Harness {
         self.flows.iter().position(|f| f.id.key == key).expect("event for known flow")
     }
 
-    /// The batched-vs-oracle differential: per-flow equality, modulo
-    /// the documented pure-ACK coalescing when the policy allows it.
-    fn compare_batched(&self, cb: &CycleOut, co: &CycleOut) {
-        for f in &self.flows {
-            let evs_b: Vec<&Ev> = cb.evs.iter().filter(|(k, _)| *k == f.id.key).map(|(_, e)| e).collect();
-            let evs_o: Vec<&Ev> = co.evs.iter().filter(|(k, _)| *k == f.id.key).map(|(_, e)| e).collect();
-            assert_eq!(evs_b, evs_o, "per-flow event sequence diverged");
+    /// The pipeline-vs-reference differential: per-tuple equality,
+    /// modulo the documented pure-ACK coalescing when the policy allows
+    /// it.
+    fn compare_batched(&self, cp: &CycleOut, cr: &CycleOut) {
+        let coalesce = self.mode.policy != AckPolicy::EndOfCycle;
+        for fx in 0..N_TUPLES {
+            let (port, key) = (cli_port(fx), FlowId::pack(A_IP, cli_port(fx), SRV_PORT));
+            let evs_p: Vec<&Ev> = cp.evs.iter().filter(|(k, _)| *k == key).map(|(_, e)| e).collect();
+            let evs_r: Vec<&Ev> = cr.evs.iter().filter(|(k, _)| *k == key).map(|(_, e)| e).collect();
+            assert_eq!(evs_p, evs_r, "per-flow event sequence diverged");
 
-            let port = cli_port(self.flows.iter().position(|g| g.id.key == f.id.key).unwrap());
-            let tx_b: Vec<&TxFrame> = cb.tx.iter().filter(|t| t.hdr.dst_port == port).collect();
-            let tx_o: Vec<&TxFrame> = co.tx.iter().filter(|t| t.hdr.dst_port == port).collect();
-            // Flow-grouping reorders emissions *across* flows, which
-            // re-stamps the global IPv4 ident counter; per-flow frames
-            // are compared ident-blind (the strict global byte-identity
-            // pin is the batch_rx-off shard above).
-            if !self.coalesce {
-                let raw_b: Vec<Vec<u8>> = tx_b.iter().map(|t| ident_blind(&t.raw)).collect();
-                let raw_o: Vec<Vec<u8>> = tx_o.iter().map(|t| ident_blind(&t.raw)).collect();
-                assert_eq!(raw_b, raw_o, "per-flow TX diverged (no coalescing in play)");
-            } else {
-                let solid_b: Vec<Vec<u8>> =
-                    tx_b.iter().filter(|t| !t.is_pure_ack()).map(|t| ident_blind(&t.raw)).collect();
-                let solid_o: Vec<Vec<u8>> =
-                    tx_o.iter().filter(|t| !t.is_pure_ack()).map(|t| ident_blind(&t.raw)).collect();
-                assert_eq!(solid_b, solid_o, "per-flow non-ACK TX diverged");
-                let acks_b: Vec<&TxFrame> = tx_b.iter().filter(|t| t.is_pure_ack()).copied().collect();
-                let acks_o: Vec<&TxFrame> = tx_o.iter().filter(|t| t.is_pure_ack()).copied().collect();
+            let tx_p: Vec<&TxFrame> = cp.tx.iter().filter(|t| t.hdr.dst_port == port).collect();
+            let tx_r: Vec<&TxFrame> = cr.tx.iter().filter(|t| t.hdr.dst_port == port).collect();
+            // Flow-grouping reorders processing *across* flows, which
+            // re-stamps the shard-global counters; per-flow frames are
+            // compared blind to them (the strict global byte-identity
+            // pin is the batch-of-one mode).
+            let blind = |txs: &[&TxFrame], keep_acks: bool| -> Vec<Vec<u8>> {
+                txs.iter().filter(|t| keep_acks || !t.is_pure_ack()).map(|t| order_blind(&t.raw)).collect()
+            };
+            assert_eq!(blind(&tx_p, !coalesce), blind(&tx_r, !coalesce), "per-flow TX diverged");
+            if self.mode.policy == AckPolicy::Immediate {
+                let acks_p: Vec<&TxFrame> = tx_p.iter().filter(|t| t.is_pure_ack()).copied().collect();
+                let acks_r: Vec<&TxFrame> = tx_r.iter().filter(|t| t.is_pure_ack()).copied().collect();
                 assert!(
-                    acks_b.len() <= acks_o.len(),
+                    acks_p.len() <= acks_r.len(),
                     "batching may only coalesce ACKs, never add them ({} > {})",
-                    acks_b.len(),
-                    acks_o.len()
+                    acks_p.len(),
+                    acks_r.len()
                 );
                 // No presence check: a same-batch teardown can consume a
-                // pending coalesced ACK entirely (the per-frame path had
+                // pending coalesced ACK entirely (the reference had
                 // already flushed per segment before the flow died).
-                if let (Some(b), Some(o)) = (acks_b.last(), acks_o.last()) {
-                    assert_eq!(b.hdr.ack, o.hdr.ack, "final coalesced ack diverged");
-                    assert_eq!(b.hdr.window, o.hdr.window, "final advertised window diverged");
+                if let (Some(p), Some(r)) = (acks_p.last(), acks_r.last()) {
+                    assert_eq!(p.hdr.ack, r.hdr.ack, "final coalesced ack diverged");
+                    assert_eq!(p.hdr.window, r.hdr.window, "final advertised window diverged");
                 }
             }
         }
-        assert_eq!(cb.evs.len(), co.evs.len(), "stray events for unknown flows");
+        assert_eq!(cp.evs.len(), cr.evs.len(), "stray events for unknown flows");
 
         // RX-side counters must agree regardless of policy.
-        let (b, o) = (&cb.stats, &co.stats);
-        assert_eq!(b.rx_segments, o.rx_segments, "rx_segments diverged");
-        assert_eq!(b.parse_drops, o.parse_drops, "parse_drops diverged");
-        assert_eq!(b.checksum_drops, o.checksum_drops, "checksum_drops diverged");
-        assert_eq!(b.rst_rx, o.rst_rx, "rst_rx diverged");
-        assert_eq!(b.bytes_rx, o.bytes_rx, "bytes_rx diverged");
-        assert_eq!(b.rx_pool_outstanding, o.rx_pool_outstanding, "rx_pool_outstanding diverged");
-        assert_eq!(b.rx_payload_copies, o.rx_payload_copies, "rx_payload_copies diverged");
-        assert_eq!(b.rx_ooo_copies, o.rx_ooo_copies, "rx_ooo_copies diverged");
-        if !self.coalesce {
-            // EndOfCycle coalesces identically on both paths: the whole
+        let (p, r) = (&cp.stats, &cr.stats);
+        assert_eq!(p.rx_segments, r.rx_segments, "rx_segments diverged");
+        assert_eq!(p.parse_drops, r.parse_drops, "parse_drops diverged");
+        assert_eq!(p.checksum_drops, r.checksum_drops, "checksum_drops diverged");
+        assert_eq!(p.rst_rx, r.rst_rx, "rst_rx diverged");
+        assert_eq!(p.bytes_rx, r.bytes_rx, "bytes_rx diverged");
+        assert_eq!(p.rx_pool_outstanding, r.rx_pool_outstanding, "rx_pool_outstanding diverged");
+        assert_eq!(p.rx_payload_copies, r.rx_payload_copies, "rx_payload_copies diverged");
+        assert_eq!(p.rx_ooo_copies, r.rx_ooo_copies, "rx_ooo_copies diverged");
+        if !coalesce {
+            // EndOfCycle coalesces identically on both sides: the whole
             // counter block must match, TX included.
-            assert_eq!(cb.stats, co.stats, "full stats diverged under EndOfCycle");
+            assert_eq!(cp.stats, cr.stats, "full stats diverged under EndOfCycle");
         }
     }
 
-    /// Verifies the cumulative per-flow streams carry the exact bytes
+    /// Lets every delayed-ACK timer run out, then checks the plan as a
+    /// whole, flow by flow: whatever was coalesced or deferred on the
+    /// way, the last pure ACK the flow saw acknowledges the same byte on
+    /// both shards, and its cumulative stream carries the exact bytes
     /// the plan enqueued in order — exact up to the first FIN, past
     /// which a consumed sequence number shifts positions off the
-    /// `byte_at` grid (content equality between the shards is still
-    /// asserted every cycle by the differential).
-    fn check_streams(&self) {
-        for (fx, stream) in self.streams.iter().enumerate() {
-            let limit = self.flows[fx].first_fin.unwrap_or(usize::MAX).min(stream.len());
+    /// `byte_at` grid. Flows the plan reset are exempt (an ACK may have
+    /// died with the flow, and under SYN cookies the replayed handshake
+    /// ACK legitimately reopens the tuple at stream offset 0); content
+    /// equality between the shards is still asserted every cycle.
+    fn settle(&mut self) {
+        self.now += 1_000_000;
+        self.feed(&[]);
+        self.drain_both();
+        for (fx, f) in self.flows.iter().enumerate().filter(|(_, f)| !f.reset) {
+            assert_eq!(self.last_ack[0][fx], self.last_ack[1][fx], "flow {fx}: settled ACK diverged");
+            let stream = &self.streams[fx];
+            let limit = f.first_fin.unwrap_or(usize::MAX).min(stream.len());
             let want: Vec<u8> = (0..limit).map(|p| byte_at(fx, p)).collect();
             assert_eq!(&stream[..limit], &want[..], "flow {fx} stream content corrupted");
         }
     }
 }
 
-fn run_plan(policy: AckPolicy, isns: [u32; N_FLOWS], batches: &[Vec<FrameOp>]) -> Harness {
-    let mut h = Harness::establish(policy, &isns);
+fn run_mode(mode: Mode, isns: [u32; N_FLOWS], batches: &[Vec<FrameOp>]) -> Harness {
+    let mut h = Harness::establish(mode, &isns);
     for batch in batches {
         h.run_batch(batch);
     }
-    h.check_streams();
+    h.settle();
     h
+}
+
+/// One plan through `input_batch` under one ACK policy, with SYN cookies
+/// off and on.
+fn run_plan(policy: AckPolicy, isns: [u32; N_FLOWS], batches: &[Vec<FrameOp>]) {
+    for syn_cookies in [false, true] {
+        run_mode(Mode { policy, syn_cookies, feed: Feed::Batch }, isns, batches);
+    }
+}
+
+/// One plan under every ACK policy.
+fn run_plan_all(isns: [u32; N_FLOWS], batches: &[Vec<FrameOp>]) {
+    for policy in POLICIES {
+        run_plan(policy, isns, batches);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -485,27 +585,20 @@ fn run_plan(policy: AckPolicy, isns: [u32; N_FLOWS], batches: &[Vec<FrameOp>]) -
 // ---------------------------------------------------------------------
 
 /// 16 interleaved in-order segments (4 flows round-robin): the shape of
-/// the rxbatch microbench. Under Immediate the batched side must
-/// coalesce to exactly one ACK per flow while the per-frame oracle acks
-/// every segment.
+/// the rxbatch microbench. Under Immediate the pipeline must coalesce to
+/// exactly one ACK per flow while the reference acks every segment.
 #[test]
 fn interleaved_inorder_runs_coalesce_acks() {
-    let mut h = Harness::establish(AckPolicy::Immediate, &[1_000, 2_000, 3_000, 4_000]);
+    let mode = Mode { policy: AckPolicy::Immediate, syn_cookies: false, feed: Feed::Batch };
+    let mut h = Harness::establish(mode, &[1_000, 2_000, 3_000, 4_000]);
     let ops: Vec<FrameOp> = (0..16).map(|j| FrameOp::Next { flow: j % N_FLOWS, len: 100 }).collect();
     let wires: Vec<Vec<u8>> = ops.iter().map(|op| h.build(op)).collect();
-    let mut fb: Vec<Mbuf> = wires.iter().map(|w| mk_mbuf(w)).collect();
     h.now += 100_000;
-    h.batched.input_batch(h.now, &mut fb);
-    h.batched.end_cycle(h.now);
-    for w in &wires {
-        h.oracle.input(h.now, mk_mbuf(w));
-    }
-    h.oracle.end_cycle(h.now);
-    let cb = drain(&mut h.batched);
-    let co = drain(&mut h.oracle);
-    assert_eq!(cb.tx.iter().filter(|t| t.is_pure_ack()).count(), N_FLOWS, "one coalesced ACK per flow");
-    assert_eq!(co.tx.iter().filter(|t| t.is_pure_ack()).count(), 16, "per-frame path acks every segment");
-    h.compare_batched(&cb, &co);
+    h.feed(&wires);
+    let (cp, cr) = h.drain_both();
+    assert_eq!(cp.tx.iter().filter(|t| t.is_pure_ack()).count(), N_FLOWS, "one coalesced ACK per flow");
+    assert_eq!(cr.tx.iter().filter(|t| t.is_pure_ack()).count(), 16, "the reference acks every segment");
+    h.compare_batched(&cp, &cr);
 }
 
 #[test]
@@ -513,8 +606,7 @@ fn interleaved_inorder_streams_match() {
     let batches: Vec<Vec<FrameOp>> = (0..3)
         .map(|_| (0..16).map(|j| FrameOp::Next { flow: j % N_FLOWS, len: 257 }).collect())
         .collect();
-    run_plan(AckPolicy::Immediate, [10, 20, 30, 40], &batches);
-    run_plan(AckPolicy::EndOfCycle, [10, 20, 30, 40], &batches);
+    run_plan_all([10, 20, 30, 40], &batches);
 }
 
 #[test]
@@ -536,15 +628,15 @@ fn ooo_within_batch_fills_holes() {
             FrameOp::Next { flow: 0, len: 300 },
         ],
     ];
-    run_plan(AckPolicy::Immediate, [u32::MAX - 200, 7, 1 << 31, 99_999], &batches);
-    run_plan(AckPolicy::EndOfCycle, [u32::MAX - 200, 7, 1 << 31, 99_999], &batches);
+    run_plan_all([u32::MAX - 200, 7, 1 << 31, 99_999], &batches);
 }
 
 #[test]
 fn corrupted_frames_land_on_drop_counters() {
-    let mut h = Harness::establish(AckPolicy::EndOfCycle, &[5, 6, 7, 8]);
-    let before_b = h.batched.stats;
-    let before_o = h.oracle.stats;
+    let mode = Mode { policy: AckPolicy::EndOfCycle, syn_cookies: false, feed: Feed::Batch };
+    let mut h = Harness::establish(mode, &[5, 6, 7, 8]);
+    let before_p = h.pipeline.stats;
+    let before_r = h.reference.stats;
     h.run_batch(&[
         FrameOp::Next { flow: 0, len: 64 },
         FrameOp::BadSum { flow: 1, len: 64 },
@@ -553,12 +645,12 @@ fn corrupted_frames_land_on_drop_counters() {
         FrameOp::Runt { flow: 3 },
         FrameOp::Next { flow: 1, len: 64 },
     ]);
-    for (shard, before) in [(&h.batched, before_b), (&h.oracle, before_o)] {
+    for (shard, before) in [(&h.pipeline, before_p), (&h.reference, before_r)] {
         assert_eq!(shard.stats.checksum_drops - before.checksum_drops, 2, "two corrupted checksums");
         assert_eq!(shard.stats.parse_drops - before.parse_drops, 4, "checksum + misaddressed + runt drops");
         assert_eq!(shard.stats.rx_segments - before.rx_segments, 2, "only intact segments count");
     }
-    h.check_streams();
+    h.settle();
 }
 
 #[test]
@@ -575,47 +667,61 @@ fn mid_batch_fin_teardown() {
         ],
         vec![FrameOp::Next { flow: 1, len: 50 }, FrameOp::Next { flow: 2, len: 400 }],
     ];
-    run_plan(AckPolicy::Immediate, [11, 22, 33, 44], &batches);
-    run_plan(AckPolicy::EndOfCycle, [11, 22, 33, 44], &batches);
+    run_plan_all([11, 22, 33, 44], &batches);
 }
 
 #[test]
-fn mid_batch_rst_teardown() {
+fn mid_batch_rst_teardown_and_reopen() {
     let batches = vec![
         vec![
             FrameOp::Next { flow: 2, len: 333 },
             FrameOp::Rst { flow: 2 },
             FrameOp::Next { flow: 2, len: 100 }, // lands on a dead flow
             FrameOp::Next { flow: 3, len: 64 },
+            FrameOp::Syn { flow: 2 }, // passive open on the freed tuple
+            FrameOp::Syn { flow: 4 }, // and on a fresh one
         ],
-        vec![FrameOp::Next { flow: 2, len: 10 }, FrameOp::Next { flow: 3, len: 64 }],
+        vec![
+            FrameOp::Next { flow: 2, len: 10 },
+            FrameOp::Syn { flow: 4 }, // SYN retransmit
+            FrameOp::Syn { flow: 3 }, // stray SYN on a live flow
+            FrameOp::Next { flow: 3, len: 64 },
+        ],
     ];
-    run_plan(AckPolicy::Immediate, [100, 200, 300, 400], &batches);
-    run_plan(AckPolicy::EndOfCycle, [100, 200, 300, 400], &batches);
+    run_plan_all([100, 200, 300, 400], &batches);
 }
 
-/// The headline default-config pin, CI-grepped by name: with `batch_rx`
-/// off, `input_batch` must be *globally* byte-identical to the
-/// per-packet oracle — every wire frame (ident included), every event,
-/// the full stats block — across a plan mixing runs, reordering,
-/// corruption, and teardown. (`run_batch` asserts exactly that for the
-/// `off` shard after every cycle; this test exists so the invariant has
-/// a named, directed witness.)
+/// The headline pin, CI-grepped by name: `input()` is the receive path
+/// on a batch of one, so plans fed one frame per `input()` call must
+/// equal the reference *globally* — every wire frame (ident included),
+/// every event, the full stats block — under all three ACK policies,
+/// across plans mixing runs, reordering, corruption, passive opens and
+/// teardown. This is what keeps every per-frame caller (the Linux and
+/// mTCP models, the quiesce drain, the golden traces) where it is. A
+/// shard only ever fed through `input()` also never grows the staging
+/// arrays `input_batch` groups in.
 #[test]
-fn batch_rx_off_is_byte_identical() {
+fn batch_of_one_is_byte_identical() {
     let batches = vec![
         (0..16).map(|j| FrameOp::Next { flow: j % N_FLOWS, len: 128 }).collect(),
         vec![
             FrameOp::Ahead { flow: 0, gap: 64, len: 64 },
             FrameOp::BadSum { flow: 1, len: 64 },
             FrameOp::Next { flow: 0, len: 64 },
+            FrameOp::Syn { flow: 5 },
             FrameOp::Behind { flow: 2, back: 50, len: 80 },
             FrameOp::Rst { flow: 3 },
+            FrameOp::Syn { flow: 3 },
         ],
-        vec![FrameOp::Fin { flow: 1 }, FrameOp::Next { flow: 2, len: 700 }],
+        vec![FrameOp::Fin { flow: 1 }, FrameOp::Next { flow: 2, len: 700 }, FrameOp::Next { flow: 3, len: 9 }],
     ];
-    run_plan(AckPolicy::Immediate, [9, 8, 7, 6], &batches);
-    run_plan(AckPolicy::EndOfCycle, [9, 8, 7, 6], &batches);
+    for policy in POLICIES {
+        for syn_cookies in [false, true] {
+            let h = run_mode(Mode { policy, syn_cookies, feed: Feed::OneByOne }, [9, 8, 7, 6], &batches);
+            let staging = &h.pipeline.scratch_buffers()[4..];
+            assert!(staging.iter().all(|&(_, cap)| cap == 0), "input() touched the staging arrays");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -635,6 +741,7 @@ fn op_strategy() -> impl Strategy<Value = FrameOp> {
         1 => fl.clone().prop_map(|flow| FrameOp::Runt { flow }),
         1 => fl.clone().prop_map(|flow| FrameOp::Fin { flow }),
         1 => fl.prop_map(|flow| FrameOp::Rst { flow }),
+        1 => (0usize..N_TUPLES).prop_map(|flow| FrameOp::Syn { flow }),
     ]
 }
 
@@ -642,7 +749,7 @@ props! {
     #![config(cases = 24)]
 
     #[test]
-    fn batched_matches_per_packet_oracle_immediate(
+    fn pipeline_matches_reference_immediate(
         isns in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
         batches in collection::vec(collection::vec(op_strategy(), 1..48), 1..5),
     ) {
@@ -650,10 +757,29 @@ props! {
     }
 
     #[test]
-    fn batched_matches_per_packet_oracle_endofcycle(
+    fn pipeline_matches_reference_endofcycle(
         isns in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
         batches in collection::vec(collection::vec(op_strategy(), 1..48), 1..5),
     ) {
         run_plan(AckPolicy::EndOfCycle, [isns.0, isns.1, isns.2, isns.3], &batches);
+    }
+
+    #[test]
+    fn pipeline_matches_reference_delayed(
+        isns in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        batches in collection::vec(collection::vec(op_strategy(), 1..48), 1..5),
+    ) {
+        run_plan(DELAYED, [isns.0, isns.1, isns.2, isns.3], &batches);
+    }
+
+    #[test]
+    fn batch_of_one_matches_reference_globally(
+        isns in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        batches in collection::vec(collection::vec(op_strategy(), 1..48), 1..5),
+        policy in 0usize..3,
+        syn_cookies in any::<bool>(),
+    ) {
+        let mode = Mode { policy: POLICIES[policy], syn_cookies, feed: Feed::OneByOne };
+        run_mode(mode, [isns.0, isns.1, isns.2, isns.3], &batches);
     }
 }
