@@ -1,0 +1,184 @@
+//! Timer expiry: retransmission, zero-window persist, delayed ACK and
+//! TIME_WAIT.
+
+use ix_net::tcp::TcpFlags;
+use ix_testkit::Bytes;
+
+use super::{SegmentSpec, TcpShard, TimerEntry};
+use crate::event::{DeadReason, TcpEvent};
+use crate::tcb::{TcpState, TimerKind};
+
+impl TcpShard {
+    pub(super) fn enter_time_wait(&mut self, key: u64) {
+        let gen = self.flows.get(key).expect("live").id.gen;
+        // Cancel data timers; start the quarantine clock.
+        let (rto, persist) = {
+            let tcb = self.flows.get_mut(key).expect("live");
+            tcb.state = TcpState::TimeWait;
+            (tcb.rto_timer.take(), tcb.persist_timer.take())
+        };
+        if let Some(t) = rto {
+            self.wheel.cancel(t);
+        }
+        if let Some(t) = persist {
+            self.wheel.cancel(t);
+        }
+        let t = self.wheel.schedule(
+            self.cfg.time_wait_ns,
+            TimerEntry { key, gen, kind: TimerKind::TimeWait },
+        );
+        self.flows.get_mut(key).expect("live").timewait_timer = Some(t);
+    }
+
+    // ------------------------------------------------------------------
+    // Timers.
+    // ------------------------------------------------------------------
+
+    /// Advances the timing wheel to `now_ns`, firing retransmissions,
+    /// probes, and TIME_WAIT expiries (Fig 1b step 5).
+    pub fn advance_timers(&mut self, now_ns: u64) {
+        self.now_ns = now_ns;
+        let mut fired = std::mem::take(&mut self.fired_scratch);
+        self.wheel.advance(now_ns, |e| fired.push(e));
+        for e in fired.drain(..) {
+            let Some(tcb) = self.flows.get_mut(e.key) else { continue };
+            if tcb.id.gen != e.gen {
+                continue;
+            }
+            match e.kind {
+                TimerKind::TimeWait => {
+                    self.flows.get_mut(e.key).expect("live").timewait_timer = None;
+                    self.destroy(e.key);
+                }
+                TimerKind::Persist => {
+                    self.flows.get_mut(e.key).expect("live").persist_timer = None;
+                    self.persist_fire(e.key);
+                }
+                TimerKind::Rto => {
+                    self.flows.get_mut(e.key).expect("live").rto_timer = None;
+                    self.rto_fire(e.key);
+                }
+                TimerKind::DelAck => {
+                    self.flows.get_mut(e.key).expect("live").delack_timer = None;
+                    self.emit_bare_ack(e.key);
+                }
+            }
+        }
+        self.fired_scratch = fired;
+    }
+
+    fn persist_fire(&mut self, key: u64) {
+        let tcb = self.flows.get(key).expect("live");
+        if tcb.snd_wnd > 0 {
+            return; // Window reopened; probe no longer needed.
+        }
+        let gen = tcb.id.gen;
+        // Zero-window probe: an empty segment at snd_nxt-1, which the
+        // peer must answer with an ACK restating its window.
+        let spec = SegmentSpec::bare(
+            TcpFlags::ACK,
+            tcb.snd_nxt.wrapping_sub(1),
+            tcb.rcv_nxt,
+            tcb.advertised_window_field(),
+        );
+        self.emit_segment_for_key(key, spec);
+        self.stats.persist_probes += 1;
+        let t = self.wheel.schedule(
+            self.cfg.persist_ns,
+            TimerEntry { key, gen, kind: TimerKind::Persist },
+        );
+        self.flows.get_mut(key).expect("live").persist_timer = Some(t);
+    }
+
+    fn rto_fire(&mut self, key: u64) {
+        let cfg = self.cfg.clone();
+        let now = self.now_ns;
+        self.stats.rto_fires += 1;
+        let tcb = self.flows.get_mut(key).expect("live");
+        tcb.retries += 1;
+        if tcb.recovery_episode.is_none() {
+            tcb.recovery_episode = Some((now, tcb.snd_nxt));
+        }
+        if tcb.retries > cfg.max_retries {
+            let (id, cookie, state) = (tcb.id, tcb.cookie, tcb.state);
+            if state == TcpState::SynSent {
+                self.events.push(TcpEvent::Connected { flow: id, cookie, ok: false });
+            } else {
+                self.events.push(TcpEvent::Dead { flow: id, cookie, reason: DeadReason::TimedOut });
+            }
+            self.destroy(key);
+            return;
+        }
+        match tcb.state {
+            TcpState::SynSent | TcpState::SynRcvd => {
+                let syn_ack = tcb.state == TcpState::SynRcvd;
+                let (seq, ack) = (tcb.snd_una, tcb.rcv_nxt);
+                let window = tcb.advertised_window().min(65_535) as u16;
+                let gen = tcb.id.gen;
+                let retries = tcb.retries;
+                let spec = SegmentSpec {
+                    flags: if syn_ack { TcpFlags::SYN_ACK } else { TcpFlags::SYN },
+                    seq,
+                    ack: if syn_ack { ack } else { 0 },
+                    window,
+                    mss: Some(cfg.mss as u16),
+                    wscale: if cfg.window_scale > 0 { Some(cfg.window_scale) } else { None },
+                    payload: &[],
+                };
+                self.emit_segment_for_key(key, spec);
+                self.stats.retransmits += 1;
+                let t = self.wheel.schedule(
+                    cfg.syn_rto_ns << retries.min(6),
+                    TimerEntry { key, gen, kind: TimerKind::Rto },
+                );
+                self.flows.get_mut(key).expect("live").rto_timer = Some(t);
+            }
+            _ => {
+                tcb.cwnd_on_rto();
+                tcb.rto_ns = (tcb.rto_ns * 2).clamp(cfg.min_rto_ns, cfg.max_rto_ns);
+                self.stats.retransmits += 1;
+                self.retransmit_front(key);
+                self.restart_rto(key);
+            }
+        }
+    }
+
+    /// Retransmits the oldest unacknowledged segment.
+    pub(super) fn retransmit_front(&mut self, key: u64) {
+        let now = self.now_ns;
+        let tcb = self.flows.get_mut(key).expect("live");
+        tcb.last_retx_ns = now;
+        let Some(seg) = tcb.rtq.front_mut() else { return };
+        seg.retransmitted = true;
+        seg.tx_time_ns = now;
+        // O(1): a refcount bump on the shared storage block — the
+        // retransmit serializes from the same bytes `send` queued, so no
+        // payload is copied until the segment lands in its pool mbuf.
+        let spec_data: Bytes = seg.data.clone();
+        let (seq, fin) = (seg.seq, seg.fin);
+        let flags = TcpFlags { fin, psh: !fin, ..TcpFlags::ACK };
+        let (ack, window) = (tcb.rcv_nxt, tcb.advertised_window_field());
+        let spec = SegmentSpec { flags, seq, ack, window, mss: None, wscale: None, payload: &spec_data };
+        self.emit_segment_for_key(key, spec);
+    }
+
+    /// Cancels and reschedules the RTO timer based on outstanding data.
+    pub(super) fn restart_rto(&mut self, key: u64) {
+        let (old, need, rto, gen) = {
+            let tcb = self.flows.get_mut(key).expect("live");
+            (
+                tcb.rto_timer.take(),
+                !tcb.rtq.is_empty(),
+                tcb.rto_ns,
+                tcb.id.gen,
+            )
+        };
+        if let Some(t) = old {
+            self.wheel.cancel(t);
+        }
+        if need {
+            let t = self.wheel.schedule(rto, TimerEntry { key, gen, kind: TimerKind::Rto });
+            self.flows.get_mut(key).expect("live").rto_timer = Some(t);
+        }
+    }
+}
