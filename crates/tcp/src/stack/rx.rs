@@ -267,9 +267,9 @@ impl TcpShard {
     }
 
     /// Fast-path eligibility + ACK-side handling for one segment against
-    /// the TCB at `idx`. Returns true when the segment is
-    /// fully handled modulo payload delivery (which the caller performs
-    /// to keep the mbuf move out of this borrow): an Established
+    /// the TCB at `idx`. Returns true when the segment is fully handled
+    /// modulo payload delivery (which the caller performs to keep the
+    /// mbuf move out of this borrow): an Established
     /// segment, plain ACK flags, an acknowledgment that is a no-op
     /// under `process_ack` (not new; if equal to `snd_una`, the window
     /// is unchanged and nothing is in flight), exactly in-order data
