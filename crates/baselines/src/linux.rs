@@ -27,7 +27,6 @@
 //! in the Linux kernel.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -35,9 +34,9 @@ use ix_testkit::{buffer_id, Bytes};
 use ix_core::api::{EventCond, IxApp, Syscall, SyscallResult, UserCtx};
 use ix_nic::host::{CoreRef, CpuDomain};
 use ix_nic::nic::{Nic, NicRef, QueueId};
-use ix_mempool::Mbuf;
+use ix_mempool::{LentQueues, Mbuf, Spares};
 use ix_sim::{EventTarget, Nanos, SimTime, Simulator};
-use ix_tcp::{AckPolicy, FlowId, StackConfig, TcpShard};
+use ix_tcp::{AckPolicy, FlowId, FlowMap, StackConfig, TcpShard};
 
 /// Cost and behaviour parameters of the Linux model.
 #[derive(Debug, Clone)]
@@ -132,7 +131,9 @@ fn flow_key_of(data: &[u8]) -> u64 {
     (src << 32) | ports | 1
 }
 
-/// Kernel-side send buffer for one socket.
+/// Kernel-side send buffer for one socket. The entry lives as long as
+/// the socket; the queue's own buffer is borrowed from the core's spare
+/// stack only while bytes wait for the window.
 #[derive(Debug, Default)]
 struct KernelSndBuf {
     chunks: VecDeque<Bytes>,
@@ -155,11 +156,11 @@ pub struct LinuxCore {
     /// Events awaiting the application (socket readiness queue).
     app_events: Vec<EventCond>,
     pending_results: Vec<SyscallResult>,
-    sndbufs: HashMap<u64, KernelSndBuf>,
-    /// Emptied chunk queues of closed sockets, handed to the next socket
-    /// that writes: on a connection-churn path a send buffer's queue
-    /// keeps its storage across connections.
-    spare_chunks: Vec<VecDeque<Bytes>>,
+    /// Send buffers by flow key. Never iterated.
+    sndbufs: FlowMap<KernelSndBuf>,
+    /// The buffers behind the send buffers' chunk queues, lent to a
+    /// socket only while it has bytes the window has not taken.
+    spare_chunks: Spares<VecDeque<Bytes>>,
     /// Application thread is blocked in `epoll_wait`.
     app_blocked: bool,
     /// An app-run event is scheduled.
@@ -235,6 +236,14 @@ impl LinuxCore {
         ids.extend(self.ctx.scratch_buffers());
         ids.extend(self.shard.scratch_buffers());
         ids
+    }
+
+    /// Census of the lent chunk-queue buffers: how many sockets hold
+    /// one, what drained sockets still own (nothing), and what sits on
+    /// the spare stack.
+    #[doc(hidden)]
+    pub fn lent_queues(&self) -> LentQueues {
+        self.spare_chunks.census(self.sndbufs.values().map(|b| &b.chunks))
     }
 
     /// Interrupt entry: a frame arrived on this core's queue.
@@ -359,16 +368,16 @@ impl LinuxCore {
                 EventCond::Sent { flow, cookie, bytes_acked, .. } => {
                     // Window opened: push buffered bytes into the stack.
                     let mut freed = false;
-                    if let Some(buf) = t.sndbufs.get_mut(&flow.key) {
+                    if let Some(buf) = t.sndbufs.get_mut(flow.key) {
                         let had = buf.bytes;
-                        Self::drain_sndbuf(&mut t.shard, now_ns, flow, buf);
+                        Self::drain_sndbuf(&mut t.shard, &mut t.spare_chunks, now_ns, flow, buf);
                         freed = buf.bytes < had || buf.bytes == 0;
                     }
                     // The app sees a Sent only if it was waiting for
                     // buffer space (EPOLLOUT semantics).
                     let waiting = t
                         .sndbufs
-                        .get_mut(&flow.key)
+                        .get_mut(flow.key)
                         .map(|b| {
                             let w = b.app_waiting && freed;
                             if w {
@@ -380,7 +389,7 @@ impl LinuxCore {
                     if waiting {
                         let window = t
                             .sndbufs
-                            .get(&flow.key)
+                            .get(flow.key)
                             .map(|b| (t.params.sndbuf - b.bytes) as u32)
                             .unwrap_or(0);
                         t.app_events.push(EventCond::Sent { flow, cookie, bytes_acked, window });
@@ -397,14 +406,12 @@ impl LinuxCore {
         had_events
     }
 
-    /// Discards a closed socket's send buffer, keeping its chunk queue
-    /// for the next socket.
+    /// Discards a closed socket's send buffer, taking back whatever
+    /// buffer its chunk queue still holds.
     fn drop_sndbuf(&mut self, key: u64) {
-        if let Some(mut buf) = self.sndbufs.remove(&key) {
+        if let Some(mut buf) = self.sndbufs.remove(key) {
             buf.chunks.clear();
-            if buf.chunks.capacity() > 0 {
-                self.spare_chunks.push(buf.chunks);
-            }
+            self.spare_chunks.reclaim(&mut buf.chunks);
         }
     }
 
@@ -419,7 +426,15 @@ impl LinuxCore {
         t.pending_kicks = kicks;
     }
 
-    fn drain_sndbuf(shard: &mut TcpShard, now_ns: u64, flow: FlowId, buf: &mut KernelSndBuf) {
+    /// Pushes buffered bytes into the stack, as far as the window goes.
+    /// A queue this empties hands its buffer back to `spare_chunks`.
+    fn drain_sndbuf(
+        shard: &mut TcpShard,
+        spare_chunks: &mut Spares<VecDeque<Bytes>>,
+        now_ns: u64,
+        flow: FlowId,
+        buf: &mut KernelSndBuf,
+    ) {
         while let Some(front) = buf.chunks.front_mut() {
             // The chunk is already a refcounted block the kernel owns: the
             // retransmit queue aliases it (the user-to-kernel copy was
@@ -443,6 +458,7 @@ impl LinuxCore {
                 }
             }
         }
+        spare_chunks.reclaim(&mut buf.chunks);
     }
 
     /// Pushes stack-produced frames to the NIC (charged by the caller).
@@ -576,10 +592,10 @@ impl LinuxCore {
             Syscall::Sendv { handle, sg } => {
                 *kernel += t.params.write_ns;
                 let total: usize = sg.iter().map(Bytes::len).sum();
-                let buf = t.sndbufs.entry(handle.key).or_insert_with(|| KernelSndBuf {
-                    chunks: t.spare_chunks.pop().unwrap_or_default(),
-                    ..KernelSndBuf::default()
-                });
+                // A socket's first write creates its entry; the spare
+                // stack has room for every socket's buffer from then on.
+                t.spare_chunks.note_borrowers(t.sndbufs.len() + 1);
+                let buf = t.sndbufs.get_or_insert_default(handle.key);
                 let space = t.params.sndbuf.saturating_sub(buf.bytes);
                 let mut accept = total.min(space);
                 let accepted = accept;
@@ -590,7 +606,7 @@ impl LinuxCore {
                         break;
                     }
                     let take = accept.min(chunk.len());
-                    buf.chunks.push_back(chunk.slice(..take));
+                    t.spare_chunks.push_back(&mut buf.chunks, chunk.slice(..take));
                     buf.bytes += take;
                     accept -= take;
                 }
@@ -599,8 +615,7 @@ impl LinuxCore {
                     buf.app_waiting = true;
                 }
                 // Drain as much as the window allows right now.
-                let buf = t.sndbufs.get_mut(&handle.key).expect("present");
-                Self::drain_sndbuf(&mut t.shard, now_ns, handle, buf);
+                Self::drain_sndbuf(&mut t.shard, &mut t.spare_chunks, now_ns, handle, buf);
                 SyscallResult::Sent(accepted as u32)
             }
             Syscall::Connect { cookie, dst_ip, dst_port } => {
@@ -768,8 +783,8 @@ impl LinuxHost {
                 core: host.cores[i].clone(),
                 app_events: Vec::new(),
                 pending_results: Vec::new(),
-                sndbufs: HashMap::new(),
-                spare_chunks: Vec::new(),
+                sndbufs: FlowMap::new(),
+                spare_chunks: Spares::new(),
                 app_blocked: true,
                 app_scheduled: false,
                 softirq_scheduled: false,

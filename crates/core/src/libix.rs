@@ -17,12 +17,12 @@
 //! write coalescing, partial-send reissue on `sent` events, and the
 //! pending-byte cap.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
+use ix_mempool::{LentQueues, Spares};
 use ix_testkit::{buffer_id, Bytes};
-use ix_tcp::{DeadReason, FlowId};
+use ix_tcp::{DeadReason, FlowId, FlowMap, NO_BUCKET};
 
 use crate::api::{EventCond, IxApp, Syscall, SyscallResult, UserCtx};
 
@@ -41,6 +41,9 @@ pub struct Conn {
     /// Application tag (e.g. a request-state index).
     pub user: u64,
     /// Writes accepted by libix but not yet accepted by the TCP stack.
+    /// Holds a buffer only while non-empty: borrowed from the thread's
+    /// spare stack by the first write, returned when the stack has
+    /// accepted the last byte.
     pending: VecDeque<Bytes>,
     pending_bytes: usize,
     /// The stack currently has window space (last `sendv` was not
@@ -61,6 +64,7 @@ pub struct ConnCtx<'a> {
     /// The connection.
     pub conn: &'a mut Conn,
     actions: &'a mut Vec<Action>,
+    spare_pending: &'a mut Spares<VecDeque<Bytes>>,
     max_pending: usize,
     /// Virtual time, ns.
     pub now_ns: u64,
@@ -85,7 +89,7 @@ impl ConnCtx<'_> {
             return false;
         }
         self.conn.pending_bytes += data.len();
-        self.conn.pending.push_back(data);
+        self.spare_pending.push_back(&mut self.conn.pending, data);
         true
     }
 
@@ -101,6 +105,7 @@ impl ConnCtx<'_> {
     pub fn abort(&mut self) {
         self.conn.closing = true;
         self.conn.pending.clear();
+        self.spare_pending.reclaim(&mut self.conn.pending);
         self.conn.pending_bytes = 0;
         self.actions.push(Action::Abort(self.conn.cookie));
     }
@@ -184,20 +189,19 @@ pub trait LibixHandler {
 /// The adapter from [`LibixHandler`] to the raw dataplane [`IxApp`].
 pub struct Libix<H: LibixHandler + 'static> {
     handler: H,
-    /// Connection table. Unordered: per-cycle flush order (and
-    /// therefore packet order) is kept deterministic by flushing the
-    /// sorted `dirty` set, never by iterating this map.
-    conns: HashMap<u64, Conn>,
+    /// Connection table, by cookie. Unordered: per-cycle flush order
+    /// (and therefore packet order) is kept deterministic by flushing
+    /// the sorted `dirty` set, never by iterating this map.
+    conns: FlowMap<Conn>,
     /// Cookies whose `(pending, writable)` state may have changed this
     /// cycle, in arrival order and possibly repeated: the flush pass
     /// sorts and dedups the list and visits only these (in cookie
     /// order) instead of scanning every connection. At 250k mostly-idle
     /// connections that scan *was* the per-cycle cost.
     dirty: Vec<u64>,
-    /// Emptied write queues of closed connections, handed to the next
-    /// connection opened: on a connection-churn path a `Conn`'s queue
-    /// keeps its buffer across connections.
-    spare_pending: Vec<VecDeque<Bytes>>,
+    /// The buffers behind the connections' write queues, lent to a
+    /// connection only while it has unaccepted writes.
+    spare_pending: Spares<VecDeque<Bytes>>,
     /// Actions handlers deferred to the end of the cycle; a field so
     /// that its buffer, like `dirty`'s and `submitted`'s, is drained in
     /// place and serves every cycle.
@@ -246,9 +250,9 @@ impl<H: LibixHandler + 'static> Libix<H> {
     pub fn new(handler: H) -> Libix<H> {
         Libix {
             handler,
-            conns: HashMap::new(),
+            conns: FlowMap::new(),
             dirty: Vec::new(),
-            spare_pending: Vec::new(),
+            spare_pending: Spares::new(),
             actions: Vec::new(),
             by_flow: HashMap::new(),
             next_cookie: 1,
@@ -283,6 +287,14 @@ impl<H: LibixHandler + 'static> Libix<H> {
         ]
     }
 
+    /// Census of the lent write-queue buffers: how many connections
+    /// hold one, what idle connections still own (nothing), and what
+    /// sits on the spare stack.
+    #[doc(hidden)]
+    pub fn lent_queues(&self) -> LentQueues {
+        self.spare_pending.census(self.conns.values().map(|c| &c.pending))
+    }
+
     /// Diagnostic dump of per-connection user-level state, in cookie
     /// order (sorted explicitly: the map itself is unordered).
     pub fn debug_conns(&self) -> Vec<String> {
@@ -299,35 +311,36 @@ impl<H: LibixHandler + 'static> Libix<H> {
             .collect()
     }
 
-    /// Registers a new connection under `cookie`, on a recycled write
-    /// queue when one is spare. Takes the two fields it touches so the
-    /// caller can go on to run the handler against the returned `Conn`.
+    /// Registers a new connection under `cookie`. It owns no buffer;
+    /// the spare stack gets room here, in the ramp, for the one it will
+    /// borrow and return. Takes the two fields it touches so the caller
+    /// can go on to run the handler against the returned `Conn`.
     fn open_conn<'a>(
-        conns: &'a mut HashMap<u64, Conn>,
-        spare_pending: &mut Vec<VecDeque<Bytes>>,
+        conns: &'a mut FlowMap<Conn>,
+        spare_pending: &mut Spares<VecDeque<Bytes>>,
         handle: FlowId,
         cookie: u64,
         user: u64,
     ) -> &'a mut Conn {
+        spare_pending.note_borrowers(conns.len() + 1);
         let conn = Conn {
             handle,
             cookie,
             user,
-            pending: spare_pending.pop().unwrap_or_default(),
+            pending: VecDeque::new(),
             pending_bytes: 0,
             writable: true,
             closing: false,
         };
-        conns.insert(cookie, conn);
-        conns.get_mut(&cookie).expect("inserted")
+        let (slot, _) = conns.insert_in_bucket(cookie, NO_BUCKET, conn);
+        conns.slot_mut(slot)
     }
 
-    /// Keeps a removed connection's write queue for the next one.
+    /// Takes back whatever buffer a removed connection's write queue
+    /// still holds.
     fn retire_conn(&mut self, mut conn: Conn) {
         conn.pending.clear();
-        if conn.pending.capacity() > 0 {
-            self.spare_pending.push(conn.pending);
-        }
+        self.spare_pending.reclaim(&mut conn.pending);
     }
 
     fn flush_conn(conn: &mut Conn, ctx: &mut UserCtx, submitted: &mut Vec<SubmitRecord>) {
@@ -346,7 +359,7 @@ impl<H: LibixHandler + 'static> Libix<H> {
     /// Resolves an event's connection: by cookie if known, else by flow
     /// handle (events raced ahead of the cookie attachment).
     fn resolve(&self, cookie: u64, flow: FlowId) -> Option<u64> {
-        match self.conns.get(&cookie) {
+        match self.conns.get(cookie) {
             // The handle must match: a migrated flow can carry a cookie
             // that collides with an unrelated local connection (cookies
             // are per-thread counters).
@@ -356,7 +369,7 @@ impl<H: LibixHandler + 'static> Libix<H> {
     }
 
     fn apply_send_result(&mut self, cookie: u64, accepted: usize, submitted_bytes: usize) {
-        let Some(conn) = self.conns.get_mut(&cookie) else { return };
+        let Some(conn) = self.conns.get_mut(cookie) else { return };
         // Drop `accepted` bytes from the front of the pending queue.
         let mut left = accepted;
         while left > 0 {
@@ -370,6 +383,7 @@ impl<H: LibixHandler + 'static> Libix<H> {
                 left = 0;
             }
         }
+        self.spare_pending.reclaim(&mut conn.pending);
         conn.pending_bytes -= accepted;
         self.stats.bytes_out += accepted as u64;
         if accepted == submitted_bytes {
@@ -433,6 +447,7 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                     let mut cctx = ConnCtx {
                         conn,
                         actions: &mut actions,
+                        spare_pending: &mut self.spare_pending,
                         max_pending: self.max_pending,
                         now_ns: ctx.now_ns,
                         charge_ns: &mut ctx.user_ns,
@@ -444,23 +459,22 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                     if ok {
                         self.by_flow.insert(flow, cookie);
                     }
-                    if let Entry::Occupied(mut e) = self.conns.entry(cookie) {
-                        e.get_mut().handle = flow;
+                    if let Some(conn) = self.conns.get_mut(cookie) {
+                        conn.handle = flow;
                         self.stats.connected += ok as u64;
-                        let conn = e.get_mut();
                         let mut cctx = ConnCtx {
                             conn,
                             actions: &mut actions,
+                            spare_pending: &mut self.spare_pending,
                             max_pending: self.max_pending,
                             now_ns: ctx.now_ns,
                             charge_ns: &mut ctx.user_ns,
                         };
                         self.handler.on_connected(&mut cctx, ok);
-                        if !ok {
-                            let conn = e.remove();
-                            self.retire_conn(conn);
-                        } else {
+                        if ok {
                             self.dirty.push(cookie);
+                        } else if let Some(conn) = self.conns.remove(cookie) {
+                            self.retire_conn(conn);
                         }
                     }
                 }
@@ -492,6 +506,7 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                         let mut cctx = ConnCtx {
                             conn,
                             actions: &mut actions,
+                            spare_pending: &mut self.spare_pending,
                             max_pending: self.max_pending,
                             now_ns: ctx.now_ns,
                             charge_ns: &mut ctx.user_ns,
@@ -499,11 +514,12 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                         self.handler.on_accept(&mut cctx);
                         cookie
                     };
-                    let handle = if let Some(conn) = self.conns.get_mut(&cookie) {
+                    let handle = if let Some(conn) = self.conns.get_mut(cookie) {
                         self.stats.bytes_in += n as u64;
                         let mut cctx = ConnCtx {
                             conn,
                             actions: &mut actions,
+                            spare_pending: &mut self.spare_pending,
                             max_pending: self.max_pending,
                             now_ns: ctx.now_ns,
                             charge_ns: &mut ctx.user_ns,
@@ -528,11 +544,12 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                         continue; // Window update for a flow this app
                                   // never adopted; nothing to re-flush.
                     };
-                    if let Some(conn) = self.conns.get_mut(&cookie) {
+                    if let Some(conn) = self.conns.get_mut(cookie) {
                         conn.writable = true;
                         let mut cctx = ConnCtx {
                             conn,
                             actions: &mut actions,
+                            spare_pending: &mut self.spare_pending,
                             max_pending: self.max_pending,
                             now_ns: ctx.now_ns,
                             charge_ns: &mut ctx.user_ns,
@@ -546,12 +563,13 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                         continue; // Unknown (never-adopted) flow died.
                     };
                     self.by_flow.remove(&flow);
-                    if let Some(mut conn) = self.conns.remove(&cookie) {
+                    if let Some(mut conn) = self.conns.remove(cookie) {
                         let was_closing = conn.closing;
                         let handle = conn.handle;
                         let mut cctx = ConnCtx {
                             conn: &mut conn,
                             actions: &mut actions,
+                            spare_pending: &mut self.spare_pending,
                             max_pending: self.max_pending,
                             now_ns: ctx.now_ns,
                             charge_ns: &mut ctx.user_ns,
@@ -574,7 +592,7 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
         for a in actions.drain(..) {
             match a {
                 Action::Close(cookie) => {
-                    if let Some(conn) = self.conns.remove(&cookie) {
+                    if let Some(conn) = self.conns.remove(cookie) {
                         self.by_flow.remove(&conn.handle);
                         ctx.syscalls.push(Syscall::Close { handle: conn.handle });
                         self.submitted.push(SubmitRecord::Other);
@@ -582,7 +600,7 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                     }
                 }
                 Action::Abort(cookie) => {
-                    if let Some(conn) = self.conns.remove(&cookie) {
+                    if let Some(conn) = self.conns.remove(cookie) {
                         self.by_flow.remove(&conn.handle);
                         ctx.syscalls.push(Syscall::Abort { handle: conn.handle });
                         self.submitted.push(SubmitRecord::Other);
@@ -590,10 +608,10 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                     }
                 }
                 Action::Write { cookie, data } => {
-                    if let Some(conn) = self.conns.get_mut(&cookie) {
+                    if let Some(conn) = self.conns.get_mut(cookie) {
                         if conn.pending_bytes + data.len() <= self.max_pending {
                             conn.pending_bytes += data.len();
-                            conn.pending.push_back(data);
+                            self.spare_pending.push_back(&mut conn.pending, data);
                             self.dirty.push(cookie);
                         } else {
                             self.stats.cap_rejections += 1;
@@ -632,7 +650,7 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
         dirty.sort_unstable();
         dirty.dedup();
         for cookie in dirty.drain(..) {
-            if let Some(conn) = self.conns.get_mut(&cookie) {
+            if let Some(conn) = self.conns.get_mut(cookie) {
                 Libix::<H>::flush_conn(conn, ctx, &mut self.submitted);
             }
         }

@@ -10,6 +10,12 @@
 //!   opened (buffers that ping-pong only trade places);
 //! * and have materialized no more mbuf storage in any pool than its
 //!   demand high-water mark plus one provisioning block.
+//!
+//! The second case is the other end of the scale: many connections, few
+//! of them busy. There an idle connection must own no buffer at all —
+//! its queues borrow one from their spare stack while they hold
+//! something — and the buffers in existence must follow the connections
+//! busy at once, not the connections open.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -19,7 +25,7 @@ use ix_core::api::IxApp;
 use ix_core::dataplane::Dataplane;
 use ix_core::libix::{ConnCtx, Libix, LibixCtx, LibixHandler};
 use ix_core::params::CostParams;
-use ix_mempool::PROVISION_BLOCK;
+use ix_mempool::{LentQueues, Spares, PROVISION_BLOCK};
 use ix_nic::fabric::Fabric;
 use ix_nic::params::MachineParams;
 use ix_sim::{SimTime, Simulator};
@@ -87,12 +93,9 @@ impl LibixHandler for EchoClient {
     }
 }
 
-/// The sorted scratch identities of an application behind `Libix`.
-fn libix_scratch<H: LibixHandler + 'static>(app: &mut dyn IxApp) -> Vec<(usize, usize)> {
-    app.as_any()
-        .downcast_mut::<Libix<H>>()
-        .expect("every application runs under Libix")
-        .scratch_buffers()
+/// The `Libix` an application runs under.
+fn libix<H: LibixHandler + 'static>(app: &mut dyn IxApp) -> &mut Libix<H> {
+    app.as_any().downcast_mut().expect("every application runs under Libix")
 }
 
 /// Every recycled vector on the server and on the clients, sorted.
@@ -101,24 +104,35 @@ fn scratch(server: &Dataplane, clients: &[LinuxHost]) -> Vec<(usize, usize)> {
     for th in &server.threads {
         let mut t = th.borrow_mut();
         ids.extend(t.scratch_buffers());
-        ids.extend(libix_scratch::<EchoServer>(t.app_mut()));
+        ids.extend(libix::<EchoServer>(t.app_mut()).scratch_buffers());
     }
     for core in clients.iter().flat_map(|h| &h.cores) {
         let mut c = core.borrow_mut();
         ids.extend(c.scratch_buffers());
-        ids.extend(libix_scratch::<EchoClient>(c.app_mut()));
+        ids.extend(libix::<EchoClient>(c.app_mut()).scratch_buffers());
     }
     ids.sort_unstable();
     ids
 }
 
-#[test]
-fn steady_state_allocates_nothing_and_pools_follow_demand() {
+/// An IX echo server and `client_hosts` Linux-model client machines on
+/// one switch, every application under `Libix`.
+struct Bed {
+    sim: Simulator,
+    fabric: Fabric,
+    dp: Dataplane,
+    clients: Vec<LinuxHost>,
+}
+
+fn launch<H: LibixHandler + 'static>(
+    client_hosts: usize,
+    mut client: impl FnMut(ix_net::Ipv4Addr) -> H,
+) -> Bed {
     let mut sim = Simulator::new(11);
     let mut fabric = Fabric::new(8, MachineParams::default());
     let server = fabric.add_host(1, SERVER_THREADS, 0);
     let client_ids: Vec<_> =
-        (0..CLIENT_HOSTS).map(|_| fabric.add_host(1, CLIENT_THREADS, 0)).collect();
+        (0..client_hosts).map(|_| fabric.add_host(1, CLIENT_THREADS, 0)).collect();
     let (server_ip, server_mac) = (fabric.host(server).ip, fabric.host(server).mac);
 
     let dp = Dataplane::launch(
@@ -130,7 +144,6 @@ fn steady_state_allocates_nothing_and_pools_follow_demand() {
         Some(PORT),
         |_| Box::new(Libix::new(EchoServer { template: Bytes::from(vec![0x5au8; MSG]) })),
     );
-    let completed = Rc::new(Cell::new(0u64));
     let clients: Vec<LinuxHost> = client_ids
         .iter()
         .map(|&id| {
@@ -142,21 +155,26 @@ fn steady_state_allocates_nothing_and_pools_follow_demand() {
                 LinuxParams::default(),
                 StackConfig::default(),
                 None,
-                |_| {
-                    Box::new(Libix::new(EchoClient {
-                        server: server_ip,
-                        dialed: 0,
-                        got: vec![0; CONNS_PER_THREAD],
-                        template: Bytes::from(vec![0x5au8; MSG]),
-                        completed: completed.clone(),
-                    }))
-                },
+                |_| Box::new(Libix::new(client(server_ip))),
             );
             lh.seed_arp(server_ip, server_mac);
             dp.seed_arp(host.ip, host.mac);
             lh
         })
         .collect();
+    Bed { sim, fabric, dp, clients }
+}
+
+#[test]
+fn steady_state_allocates_nothing_and_pools_follow_demand() {
+    let completed = Rc::new(Cell::new(0u64));
+    let Bed { mut sim, fabric, dp, clients } = launch(CLIENT_HOSTS, |server| EchoClient {
+        server,
+        dialed: 0,
+        got: vec![0; CONNS_PER_THREAD],
+        template: Bytes::from(vec![0x5au8; MSG]),
+        completed: completed.clone(),
+    });
 
     // Warm-up: connections open, then the server stalls for a
     // millisecond so that every connection's request is queued at once.
@@ -217,4 +235,134 @@ fn steady_state_allocates_nothing_and_pools_follow_demand() {
     }
     let tcp = dp.threads.iter().map(|t| t.borrow().shard.stats.retransmits).sum::<u64>();
     assert_eq!(tcp, 0, "lossless fabric");
+}
+
+/// Connections each client thread of the idle case holds open.
+const IDLE_CONNS_PER_THREAD: usize = 256;
+
+/// Holds `IDLE_CONNS_PER_THREAD` connections open and keeps one `MSG`-byte
+/// message in flight, on each connection in turn.
+struct RotatingClient {
+    server: ix_net::Ipv4Addr,
+    dialed: usize,
+    /// Cookies of the established connections, by `Conn::user`.
+    cookies: Vec<u64>,
+    connected: usize,
+    got: usize,
+    template: Bytes,
+    completed: Rc<Cell<u64>>,
+}
+
+impl LibixHandler for RotatingClient {
+    fn on_tick(&mut self, ctx: &mut LibixCtx<'_>) {
+        // Dial a few at a time: a burst of 256 SYNs per thread would
+        // overflow the server's half-open backlog.
+        while self.dialed < IDLE_CONNS_PER_THREAD && self.dialed < self.connected + 16 {
+            ctx.connect(self.server, PORT, self.dialed as u64);
+            self.dialed += 1;
+        }
+    }
+
+    fn on_connected(&mut self, ctx: &mut ConnCtx<'_>, ok: bool) {
+        assert!(ok, "connect failed");
+        self.cookies[ctx.conn.user as usize] = ctx.conn.cookie;
+        self.connected += 1;
+        if self.connected == IDLE_CONNS_PER_THREAD {
+            assert!(ctx.write(self.template.clone()));
+        }
+    }
+
+    fn on_data(&mut self, ctx: &mut ConnCtx<'_>, data: &Bytes) {
+        self.got += data.len();
+        assert!(self.got <= MSG, "over-delivery");
+        if self.got == MSG {
+            self.got = 0;
+            self.completed.set(self.completed.get() + 1);
+            let next = (ctx.conn.user as usize + 1) % IDLE_CONNS_PER_THREAD;
+            ctx.write_to(self.cookies[next], self.template.clone());
+        }
+    }
+
+    fn wants_tick(&self, _now_ns: u64) -> bool {
+        self.dialed < IDLE_CONNS_PER_THREAD
+    }
+}
+
+/// The census of every spare stack on the server and on the clients, in
+/// a fixed order: per server thread `rtq`, `rx_held`, libix `pending`;
+/// per client core the same three and then the kernel's `chunks`.
+fn lent(server: &Dataplane, clients: &[LinuxHost]) -> Vec<LentQueues> {
+    let mut all = Vec::new();
+    for th in &server.threads {
+        let mut t = th.borrow_mut();
+        all.extend(t.shard.lent_queues());
+        all.push(libix::<EchoServer>(t.app_mut()).lent_queues());
+    }
+    for core in clients.iter().flat_map(|h| &h.cores) {
+        let mut c = core.borrow_mut();
+        all.extend(c.shard.lent_queues());
+        all.push(libix::<RotatingClient>(c.app_mut()).lent_queues());
+        all.push(c.lent_queues());
+    }
+    all
+}
+
+#[test]
+fn idle_connections_hold_no_buffers() {
+    // One client machine. A reply stays in the server's retransmit queue
+    // until the Linux client's delayed ACK (100 us: rotation leaves no
+    // next request on that connection to piggyback on), so each client
+    // thread keeps a handful of server `rtq`s busy — two threads, about
+    // a dozen, inside the first batch of buffers a spare stack makes.
+    let completed = Rc::new(Cell::new(0u64));
+    // (The fabric is the wire: it has to outlive the run.)
+    let Bed { mut sim, dp, clients, fabric: _fabric } = launch(1, |server| RotatingClient {
+        server,
+        dialed: 0,
+        cookies: vec![0; IDLE_CONNS_PER_THREAD],
+        connected: 0,
+        got: 0,
+        template: Bytes::from(vec![0x5au8; MSG]),
+        completed: completed.clone(),
+    });
+    let threads = CLIENT_THREADS;
+    let conns = threads * IDLE_CONNS_PER_THREAD;
+
+    // Warm-up: the ramp, then every connection visited a few times.
+    // Sampled every 2 us: the most queues of each stack ever seen busy
+    // at once, and that no queue seen empty still owned a buffer.
+    sim.run_until(SimTime(20_000_000));
+    assert_eq!(dp.host_conns.get(), conns as u64, "every connection established");
+    let mut busy_hw = vec![0usize; lent(&dp, &clients).len()];
+    let mut sample = |sim: &mut Simulator, until_ns: u64, step_ns: u64| {
+        while sim.now().as_nanos() < until_ns {
+            sim.run_until(SimTime(sim.now().as_nanos() + step_ns));
+            for (hw, l) in busy_hw.iter_mut().zip(lent(&dp, &clients)) {
+                assert_eq!(l.idle_capacity, 0, "an empty queue kept its buffer: {l:?}");
+                *hw = (*hw).max(l.busy);
+            }
+        }
+    };
+    sample(&mut sim, 24_000_000, 2_000);
+    sim.run_until(SimTime(60_000_000));
+    let (msgs0, lent0) = (completed.get(), lent(&dp, &clients));
+    assert!(msgs0 > 3 * conns as u64, "only {msgs0} messages in the warm-up");
+
+    // The window, sampled more coarsely.
+    sample(&mut sim, 200_000_000, 250_000);
+    let msgs = completed.get() - msgs0;
+    assert!(msgs > 10 * conns as u64, "only {msgs} messages in the window");
+    for ((l0, l1), &hw) in lent0.iter().zip(lent(&dp, &clients)).zip(&busy_hw) {
+        // No buffer made or dropped, and the stack's own vector neither
+        // regrown nor replaced: borrowing and returning is all that
+        // happened, ten times per connection.
+        assert_eq!(l1.busy + l1.spare, l0.busy + l0.spare, "{l0:?} -> {l1:?}");
+        assert_eq!(l1.list, l0.list, "spare stack regrown or replaced");
+        // Buffers follow the connections busy at once — at most that
+        // high-water plus one restocking batch — not the hundreds open.
+        let batch = (hw / 4).max(Spares::<()>::MIN_BATCH);
+        assert!(l1.busy + l1.spare < hw.max(threads) + batch, "{l1:?} for {hw} busy at once");
+    }
+    // Every stack was exercised, so "no buffer" above is not vacuous.
+    assert!(lent0.iter().all(|l| l.busy + l.spare > 0), "{lent0:?}");
 }

@@ -12,14 +12,18 @@
 //! fixed-size buffers on demand, a small block at a time, and recycles
 //! them through a free list; [`Mbuf`] is the packet storage object, with headroom
 //! management so protocol headers can be prepended without copying — the
-//! mechanism behind IX's zero-copy API.
+//! mechanism behind IX's zero-copy API. [`Spares`] applies the same free-list
+//! rule to the heap buffers behind per-connection queues: lent while a
+//! connection holds something, never parked per flow.
 //!
 //! Pools are intentionally *not* thread-safe: one pool per elastic thread
 //! is the paper's design (no synchronization or coherence traffic on the
 //! hot path), and the simulation is single-threaded.
 
+pub mod lend;
 pub mod mbuf;
 pub mod pool;
 
+pub use lend::{LentQueues, Spares};
 pub use mbuf::{Mbuf, MBUF_DATA_SIZE, MBUF_DEFAULT_HEADROOM};
 pub use pool::{MbufPool, ObjectPool, PoolStats, PROVISION_BLOCK};

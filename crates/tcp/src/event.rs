@@ -26,19 +26,25 @@ impl FlowId {
         (remote_ip.0 as u64) << 32 | (remote_port as u64) << 16 | local_port as u64
     }
 
+    /// The tuple a key packs: `(remote_ip, remote_port, local_port)`.
+    /// The key is the only copy of the tuple a connection keeps.
+    pub fn unpack(key: u64) -> (Ipv4Addr, u16, u16) {
+        (Ipv4Addr((key >> 32) as u32), (key >> 16) as u16, key as u16)
+    }
+
     /// The remote IP from the packed key.
     pub fn remote_ip(&self) -> Ipv4Addr {
-        Ipv4Addr((self.key >> 32) as u32)
+        FlowId::unpack(self.key).0
     }
 
     /// The remote port from the packed key.
     pub fn remote_port(&self) -> u16 {
-        (self.key >> 16) as u16
+        FlowId::unpack(self.key).1
     }
 
     /// The local port from the packed key.
     pub fn local_port(&self) -> u16 {
-        self.key as u16
+        FlowId::unpack(self.key).2
     }
 }
 

@@ -378,10 +378,14 @@ pub struct FlowMap<T> {
     table: FlowTable,
     slab: Vec<Option<T>>,
     free: Vec<u32>,
-    /// Per-slot bucket-list nodes; `links.len() == slab.len()` always.
+    /// Per-slot bucket-list nodes, parallel to the slab — once the map
+    /// is threaded (see `heads`). A map that never sees a bucketed
+    /// entry keeps this empty: app-side maps pay for a slab and a probe
+    /// table, not for 24 bytes of list node per slot.
     links: Vec<Link>,
-    /// Per-bucket list heads/tails (`EMPTY` = empty list); allocated on
-    /// the first bucketed insert so unbucketed maps stay allocation-free.
+    /// Per-bucket list heads/tails (`EMPTY` = empty list). Non-empty
+    /// means the map is *threaded*: the first bucketed insert (or slab
+    /// adoption) allocates these and brings `links` level with the slab.
     heads: Vec<u32>,
     tails: Vec<u32>,
     /// Per-bucket populations, maintained at link/unlink so
@@ -422,7 +426,7 @@ impl<T> FlowMap<T> {
             table: FlowTable::with_capacity(n),
             slab: Vec::with_capacity(n),
             free: Vec::new(),
-            links: Vec::with_capacity(n),
+            links: Vec::new(),
             heads: Vec::new(),
             tails: Vec::new(),
             counts: Vec::new(),
@@ -449,7 +453,26 @@ impl<T> FlowMap<T> {
         self.table.reserve(additional);
         let grow = additional.saturating_sub(self.free.len());
         self.slab.reserve(grow);
-        self.links.reserve(grow);
+        if self.threaded() {
+            self.links.reserve(grow);
+        }
+    }
+
+    /// True once the map carries bucket lists.
+    fn threaded(&self) -> bool {
+        !self.heads.is_empty()
+    }
+
+    /// Gives the map its bucket lists: heads, tails, counters, and a
+    /// list node for every slab slot there is so far.
+    fn thread(&mut self) {
+        if !self.threaded() {
+            self.heads = vec![EMPTY; NUM_BUCKETS];
+            self.tails = vec![EMPTY; NUM_BUCKETS];
+            self.counts = vec![0; NUM_BUCKETS];
+            self.links.reserve(self.slab.capacity());
+            self.links.resize(self.slab.len(), UNLINKED);
+        }
     }
 
     /// Live entries.
@@ -506,15 +529,16 @@ impl<T> FlowMap<T> {
     pub fn insert_in_bucket(&mut self, key: u64, bucket: u16, value: T) -> (u32, Option<T>) {
         debug_assert!(bucket == NO_BUCKET || (bucket as usize) < NUM_BUCKETS);
         let mut pending = Some(value);
+        let threaded = self.threaded();
         let (slab, free, links) = (&mut self.slab, &mut self.free, &mut self.links);
         let idx = self.table.get_or_insert_with(key, || {
-            alloc_slot(slab, free, links, key, pending.take().expect("make called once"))
+            alloc_slot(slab, free, links, threaded, key, pending.take().expect("make called once"))
         });
         match pending.take() {
             // The closure never ran: `key` already had a slab slot.
             Some(v) => {
                 let old = self.slab[idx as usize].replace(v);
-                if self.links[idx as usize].bucket != bucket {
+                if self.bucket_at(idx) != bucket {
                     self.unlink(idx);
                     self.link_tail(idx, key, bucket);
                 }
@@ -569,6 +593,7 @@ impl<T> FlowMap<T> {
         self.retire_slab();
         self.slab = values.into_iter().map(Some).collect();
         self.links.clear();
+        self.thread();
         self.links.resize(n, UNLINKED);
         self.table.reserve(n);
         self.staged.reserve(n);
@@ -621,7 +646,8 @@ impl<T> FlowMap<T> {
     /// is unreachable until [`FlowMap::stage_adopted`] threads it and
     /// [`FlowMap::commit_staged`] probes it in.
     pub fn stage_push(&mut self, key: u64, value: T) -> u32 {
-        alloc_slot(&mut self.slab, &mut self.free, &mut self.links, key, value)
+        let threaded = self.threaded();
+        alloc_slot(&mut self.slab, &mut self.free, &mut self.links, threaded, key, value)
     }
 
     /// Thread slot `idx` (from [`FlowMap::adopt_slab`] or
@@ -648,10 +674,11 @@ impl<T> FlowMap<T> {
     where
         T: Default,
     {
+        let threaded = self.threaded();
         let (slab, free, links) = (&mut self.slab, &mut self.free, &mut self.links);
         let idx = self
             .table
-            .get_or_insert_with(key, || alloc_slot(slab, free, links, key, T::default()));
+            .get_or_insert_with(key, || alloc_slot(slab, free, links, threaded, key, T::default()));
         self.slab[idx as usize].as_mut().expect("live table entry")
     }
 
@@ -678,7 +705,12 @@ impl<T> FlowMap<T> {
     #[inline]
     pub fn bucket_of(&self, key: u64) -> Option<u16> {
         let idx = self.table.get(key)?;
-        Some(self.links[idx as usize].bucket)
+        Some(self.bucket_at(idx))
+    }
+
+    /// The bucket slot `idx` is threaded on (none, in an unthreaded map).
+    fn bucket_at(&self, idx: u32) -> u16 {
+        self.links.get(idx as usize).map_or(NO_BUCKET, |l| l.bucket)
     }
 
     /// Walk `bucket`'s keys in insertion order without touching the
@@ -707,14 +739,12 @@ impl<T> FlowMap<T> {
     /// Append slot `idx` to `bucket`'s list (no-op for [`NO_BUCKET`]).
     fn link_tail(&mut self, idx: u32, key: u64, bucket: u16) {
         if bucket == NO_BUCKET {
-            self.links[idx as usize] = Link { prev: EMPTY, next: EMPTY, key, bucket };
+            if let Some(link) = self.links.get_mut(idx as usize) {
+                *link = Link { prev: EMPTY, next: EMPTY, key, bucket };
+            }
             return;
         }
-        if self.heads.is_empty() {
-            self.heads = vec![EMPTY; NUM_BUCKETS];
-            self.tails = vec![EMPTY; NUM_BUCKETS];
-            self.counts = vec![0; NUM_BUCKETS];
-        }
+        self.thread();
         let tail = self.tails[bucket as usize];
         self.links[idx as usize] = Link { prev: tail, next: EMPTY, key, bucket };
         if tail == EMPTY {
@@ -728,7 +758,7 @@ impl<T> FlowMap<T> {
 
     /// Detach slot `idx` from its bucket list (no-op if unbucketed).
     fn unlink(&mut self, idx: u32) {
-        let Link { prev, next, bucket, .. } = self.links[idx as usize];
+        let Some(&Link { prev, next, bucket, .. }) = self.links.get(idx as usize) else { return };
         if bucket == NO_BUCKET {
             return;
         }
@@ -802,27 +832,32 @@ impl<T> Default for FlowMap<T> {
 }
 
 /// Place `value` in a free slab slot (LIFO reuse, else grow the tail)
-/// and return its index, keeping the link array slot-parallel. The
-/// caller threads the link afterwards ([`FlowMap::link_tail`]). Free
-/// function so [`FlowMap`] methods can call it while the table is
-/// mutably borrowed.
+/// and return its index, keeping the link array of a `threaded` map
+/// slot-parallel. The caller threads the link afterwards
+/// ([`FlowMap::link_tail`]). Free function so [`FlowMap`] methods can
+/// call it while the table is mutably borrowed.
 fn alloc_slot<T>(
     slab: &mut Vec<Option<T>>,
     free: &mut Vec<u32>,
     links: &mut Vec<Link>,
+    threaded: bool,
     key: u64,
     value: T,
 ) -> u32 {
     match free.pop() {
         Some(i) => {
             slab[i as usize] = Some(value);
-            links[i as usize] = Link { key, ..UNLINKED };
+            if threaded {
+                links[i as usize] = Link { key, ..UNLINKED };
+            }
             i
         }
         None => {
             assert!(slab.len() < EMPTY as usize, "flow slab exceeds u32 indexing");
             slab.push(Some(value));
-            links.push(Link { key, ..UNLINKED });
+            if threaded {
+                links.push(Link { key, ..UNLINKED });
+            }
             (slab.len() - 1) as u32
         }
     }

@@ -142,6 +142,34 @@ fn unbucketed_entries_are_invisible_to_bucket_walks() {
 }
 
 #[test]
+fn an_unbucketed_map_carries_no_list_nodes() {
+    let slab_and_table = |m: &FlowMap<u64>| {
+        m.slab.capacity() * std::mem::size_of::<Option<u64>>() + m.table.mem_bytes()
+    };
+    let mut m: FlowMap<u64> = FlowMap::new();
+    for k in 0..100u64 {
+        m.insert(k, k);
+    }
+    *m.get_or_insert_default(100) = 100;
+    assert_eq!(m.remove(3), Some(3));
+    m.insert(3, 33); // Reuses the freed slot.
+    assert_eq!(m.mem_stats().bytes, slab_and_table(&m) + m.free.capacity() * 4);
+    assert_eq!(m.bucket_of(3), Some(NO_BUCKET));
+    // The first bucketed entry threads the map: every slot there is so
+    // far gets a node, and the walk sees only the bucketed one.
+    m.insert_in_bucket(200, 9, 200);
+    assert_eq!(m.links.len(), m.slab.len());
+    assert_eq!(m.bucket_keys(9).collect::<Vec<_>>(), [200]);
+    assert_eq!(m.bucket_of(50), Some(NO_BUCKET));
+    // Moving an old entry into a bucket works as in a map threaded from birth.
+    m.insert_in_bucket(50, 9, 5050);
+    assert_eq!(m.bucket_keys(9).collect::<Vec<_>>(), [200, 50]);
+    assert_eq!(m.remove(200), Some(200));
+    assert_eq!(m.bucket_keys(9).collect::<Vec<_>>(), [50]);
+    assert_eq!(m.len(), 101);
+}
+
+#[test]
 fn slot_handle_skips_the_probe() {
     let mut m: FlowMap<u64> = FlowMap::new();
     let (idx, old) = m.insert_in_bucket(42, 3, 1);

@@ -5,7 +5,7 @@ use ix_mempool::Mbuf;
 use ix_net::ip::Ipv4Addr;
 use ix_net::tcp::{TcpFlags, TcpHeader};
 
-use super::{remote_ip, SegmentSpec, TcpShard, TimerEntry};
+use super::{SegmentSpec, TcpShard, TimerEntry};
 use crate::event::{FlowId, TcpEvent};
 use crate::syncookie;
 use crate::tcb::{TcpState, TimerKind};
@@ -21,7 +21,7 @@ impl TcpShard {
         if hdr.flags.rst {
             return; // Never respond to a RST.
         }
-        let src_ip = remote_ip(key);
+        let src_ip = FlowId::unpack(key).0;
         if hdr.flags.syn && !hdr.flags.ack && self.listeners.contains(&hdr.dst_port) {
             // Stateless path first: under a challenge (global knob or a
             // filter-policy syn-challenge verdict for this tuple) the
@@ -149,7 +149,7 @@ impl TcpShard {
             wscale: None,
             payload: &[],
         };
-        self.build_and_queue_tcp(remote_ip(key), hdr.dst_port, hdr.src_port, spec);
+        self.build_and_queue_tcp(FlowId::unpack(key).0, hdr.dst_port, hdr.src_port, spec);
     }
 
     /// Validates the cookie implied by a bare ACK (`cookie = ack - 1`,
@@ -176,7 +176,7 @@ impl TcpShard {
         tcb.rcv_nxt = hdr.seq;
         tcb.snd_wnd = hdr.window as u32;
         tcb.mss = tcb.mss.min(mss as u32);
-        let (src_ip, src_port) = (remote_ip(key), hdr.src_port);
+        let (src_ip, src_port) = (FlowId::unpack(key).0, hdr.src_port);
         self.stats.conns_accepted += 1;
         self.stats.syn_cookies_accepted += 1;
         self.events.push(TcpEvent::Knock { flow: id, src_ip, src_port });
@@ -198,7 +198,7 @@ impl TcpShard {
         if hdr.ack != tcb.snd_nxt {
             // Bogus ACK of our SYN: reset per RFC 793.
             let (seq, ack) = (hdr.ack, 0);
-            let (dst_ip, sp, dp) = (tcb.remote_ip, tcb.local_port, tcb.remote_port);
+            let (dst_ip, dp, sp) = FlowId::unpack(key);
             self.raw_rst(sp, dp, seq, ack, true, dst_ip);
             return;
         }
@@ -216,8 +216,7 @@ impl TcpShard {
         }
         if tcb.retries == 0 {
             let sample = self.now_ns.saturating_sub(tcb.open_time_ns).max(1);
-            let cfg = self.cfg.clone();
-            tcb.rtt_sample(sample, &cfg);
+            tcb.rtt_sample(sample, &self.cfg);
         }
         tcb.state = TcpState::Established;
         tcb.retries = 0;
@@ -260,12 +259,11 @@ impl TcpShard {
         tcb.snd_wnd = hdr.window as u32;
         if tcb.retries == 0 {
             let sample = self.now_ns.saturating_sub(tcb.open_time_ns).max(1);
-            let cfg = self.cfg.clone();
-            tcb.rtt_sample(sample, &cfg);
+            tcb.rtt_sample(sample, &self.cfg);
         }
         tcb.state = TcpState::Established;
         tcb.retries = 0;
-        let (id, src_ip, src_port) = (tcb.id, tcb.remote_ip, tcb.remote_port);
+        let (id, src_ip, src_port) = (tcb.id, tcb.id.remote_ip(), tcb.id.remote_port());
         if let Some(t) = tcb.rto_timer.take() {
             self.wheel.cancel(t);
         }

@@ -1,11 +1,13 @@
 //! Flow-group migration between shards (§4.4): bucket extract and bulk
 //! absorb.
 
+use ix_mempool::Spares;
 use ix_timerwheel::TimerWheel;
 
 use super::{TcpShard, TimerEntry};
+use crate::event::FlowId;
 use crate::flow_table::{FlowMap, NO_BUCKET, NUM_BUCKETS};
-use crate::tcb::{Tcb, TcpState, TimerKind};
+use crate::tcb::{Tcb, TcbCold, TcpState, TimerKind};
 
 impl TcpShard {
     // ------------------------------------------------------------------
@@ -38,12 +40,15 @@ impl TcpShard {
 
     /// Removes the given flows, cancelling their timers in bulk and
     /// recording each residual delay for re-arming on the destination.
+    /// Whatever a flow has borrowed — queue buffers, a cold block —
+    /// leaves inside it and is returned to the destination's spare
+    /// stacks when it drains there.
     fn extract_keys_into(&mut self, keys: &[u64], out: &mut Vec<Tcb>) {
         for &k in keys {
             let mut tcb = self.flows.remove(k).expect("indexed key present");
             // Held receive buffers migrate with the flow; the gauge
             // follows them to the absorbing shard.
-            self.stats.rx_pool_outstanding -= (tcb.rx_held.len() + tcb.ooo.len()) as u64;
+            self.stats.rx_pool_outstanding -= (tcb.rx_held.len() + tcb.ooo_len()) as u64;
             // The half-open gauge follows migrating handshakes too.
             if tcb.state == TcpState::SynRcvd {
                 self.synrcvd_count -= 1;
@@ -51,20 +56,12 @@ impl TcpShard {
             // Cancel every armed timer in one batch, recording residual
             // delays so `absorb_flows` re-arms the destination wheel
             // with the same remainder. One wheel round-trip per timer
-            // (the payload's kind routes the residual), not two.
-            let ids = [
-                tcb.rto_timer.take(),
-                tcb.persist_timer.take(),
-                tcb.timewait_timer.take(),
-                tcb.delack_timer.take(),
-            ];
+            // (the payload's kind routes the residual), not two. The
+            // residuals ride in the cold block: a flow with no timer
+            // armed — every idle one — leaves without.
+            let ids = tcb.take_timers();
             self.wheel.cancel_batch(ids.into_iter().flatten(), |entry, remaining| {
-                match entry.kind {
-                    TimerKind::Rto => tcb.migrate_rto_ns = Some(remaining),
-                    TimerKind::Persist => tcb.migrate_persist_ns = Some(remaining),
-                    TimerKind::TimeWait => tcb.migrate_timewait_ns = Some(remaining),
-                    TimerKind::DelAck => tcb.migrate_delack_ns = Some(remaining),
-                }
+                tcb.cold_mut(&mut self.spare_cold).migrate_ns[entry.kind as usize] = Some(remaining);
             });
             // Stale pending-ACK entries for this key become no-ops
             // (flush checks `need_ack` against the live map).
@@ -105,6 +102,7 @@ impl TcpShard {
         fn flush_timers(
             wheel: &mut TimerWheel<TimerEntry>,
             flows: &mut FlowMap<Tcb>,
+            spare_cold: &mut Spares<Box<TcbCold>>,
             reqs: &mut Vec<(u64, TimerEntry)>,
             targets: &mut Vec<(u32, TimerKind)>,
         ) {
@@ -115,8 +113,8 @@ impl TcpShard {
                 let tcb = flows.slot_mut(slot);
                 match kind {
                     TimerKind::Rto => tcb.rto_timer = Some(id),
-                    TimerKind::TimeWait => tcb.timewait_timer = Some(id),
-                    TimerKind::Persist => tcb.persist_timer = Some(id),
+                    TimerKind::TimeWait => tcb.cold_mut(spare_cold).timewait_timer = Some(id),
+                    TimerKind::Persist => tcb.cold_mut(spare_cold).persist_timer = Some(id),
                     TimerKind::DelAck => tcb.delack_timer = Some(id),
                 }
             });
@@ -128,6 +126,7 @@ impl TcpShard {
         if n == 0 {
             return;
         }
+        self.expect_flows(self.flows.len() + n);
         // Value placement: an empty map adopts the batch vector as its
         // slab in place (slot i == batch index i, zero TCB copies); a
         // live map stages each value into a free slot.
@@ -151,6 +150,8 @@ impl TcpShard {
         let chunk = ABSORB_CHUNK.min(n);
         let mut reqs: Vec<(u64, TimerEntry)> = Vec::with_capacity(chunk + 4);
         let mut targets: Vec<(u32, TimerKind)> = Vec::with_capacity(chunk + 4);
+        // Queue buffers the batch brings in on loan: `[rtq, rx_held]`.
+        let mut on_loan = [0usize; 2];
         for &slot in &slots {
             let key;
             let bucket;
@@ -163,33 +164,31 @@ impl TcpShard {
                 let gen = tcb.id.gen;
                 let need_rto = !tcb.rtq.is_empty()
                     || matches!(tcb.state, TcpState::SynSent | TcpState::SynRcvd);
-                // Clear migrate residuals only when set: an idle
-                // established flow takes the read-only path through this
-                // loop, so its cache lines stay clean — no write-back of
-                // the whole 94 MB batch just to store `None` over `None`.
-                let rto = tcb.migrate_rto_ns.unwrap_or(tcb.rto_ns);
-                if tcb.migrate_rto_ns.is_some() {
-                    tcb.migrate_rto_ns = None;
-                }
+                on_loan[0] += usize::from(tcb.rtq.capacity() > 0);
+                on_loan[1] += usize::from(tcb.rx_held.capacity() > 0);
+                // The residuals arrive in the cold block, if at all: an
+                // idle established flow has none and takes the read-only
+                // path through this loop, so its cache lines stay clean —
+                // no write-back of the whole batch just to store `None`
+                // over `None`. A block that carried nothing else goes to
+                // this shard's spare stack.
+                let residuals = tcb.cold.as_mut().map(|c| {
+                    self.spare_cold.adopt(1);
+                    std::mem::take(&mut c.migrate_ns)
+                });
+                tcb.release_cold(&mut self.spare_cold);
+                let residual = |kind: TimerKind| residuals.and_then(|r| r[kind as usize]);
+                let rto = residual(TimerKind::Rto).unwrap_or(tcb.rto_ns);
                 let need_tw = tcb.state == TcpState::TimeWait;
-                let tw = tcb.migrate_timewait_ns.unwrap_or(self.cfg.time_wait_ns);
-                if tcb.migrate_timewait_ns.is_some() {
-                    tcb.migrate_timewait_ns = None;
-                }
-                let persist = tcb.migrate_persist_ns;
-                if persist.is_some() {
-                    tcb.migrate_persist_ns = None;
-                }
-                let delack = tcb.migrate_delack_ns;
-                if delack.is_some() {
-                    tcb.migrate_delack_ns = None;
-                }
+                let tw = residual(TimerKind::TimeWait).unwrap_or(self.cfg.time_wait_ns);
+                let persist = residual(TimerKind::Persist);
+                let delack = residual(TimerKind::DelAck);
                 // A pending delayed ACK stays on the timer path below; a
                 // plain `need_ack` rides the end-of-cycle flush.
                 if tcb.need_ack && delack.is_none() {
                     self.pending_acks.push(key);
                 }
-                self.stats.rx_pool_outstanding += (tcb.rx_held.len() + tcb.ooo.len()) as u64;
+                self.stats.rx_pool_outstanding += (tcb.rx_held.len() + tcb.ooo_len()) as u64;
                 if tcb.state == TcpState::SynRcvd {
                     self.synrcvd_count += 1;
                 }
@@ -199,12 +198,13 @@ impl TcpShard {
                 // life. Inlined `rss_bucket_for` — `tcb` borrows the
                 // flow map, so no whole-`self` call is possible here.
                 if tcb.rss_bucket == NO_BUCKET {
+                    let (remote_ip, remote_port, local_port) = FlowId::unpack(key);
                     let hash = ix_net::rss::hash_ipv4_tuple(
                         &ix_net::rss::TOEPLITZ_DEFAULT_KEY,
-                        tcb.remote_ip,
+                        remote_ip,
                         local_ip,
-                        tcb.remote_port,
-                        tcb.local_port,
+                        remote_port,
+                        local_port,
                     );
                     tcb.rss_bucket = (hash & (NUM_BUCKETS as u32 - 1)) as u16;
                 }
@@ -231,10 +231,14 @@ impl TcpShard {
             // cache-resident; timer write-back goes through slot
             // handles, which don't need the (still-pending) commit.
             if targets.len() >= ABSORB_CHUNK {
-                flush_timers(&mut self.wheel, &mut self.flows, &mut reqs, &mut targets);
+                flush_timers(&mut self.wheel, &mut self.flows, &mut self.spare_cold, &mut reqs, &mut targets);
             }
         }
-        flush_timers(&mut self.wheel, &mut self.flows, &mut reqs, &mut targets);
+        flush_timers(&mut self.wheel, &mut self.flows, &mut self.spare_cold, &mut reqs, &mut targets);
+        // Borrowed buffers come back to this shard's stacks as the flows
+        // drain: make room now, off the message path.
+        self.spare_rtq.adopt(on_loan[0]);
+        self.spare_rx_held.adopt(on_loan[1]);
         // The loop above only staged (slab + bucket list); one commit
         // probes the whole batch into the table in ascending home-slot
         // order — streaming writes over the probe array instead of one

@@ -16,7 +16,7 @@ mod tx;
 use std::collections::{HashSet, VecDeque};
 use std::rc::Rc;
 
-use ix_mempool::{Mbuf, MbufPool};
+use ix_mempool::{LentQueues, Mbuf, MbufPool, Spares};
 use ix_net::eth::MacAddr;
 use ix_net::filter::FilterPolicy;
 use ix_net::ip::Ipv4Addr;
@@ -28,7 +28,7 @@ use crate::arp_table::ArpTable;
 use crate::config::{AckPolicy, StackConfig};
 use crate::event::{FlowId, TcpEvent};
 use crate::flow_table::{FlowMap, FlowMapMem, NUM_BUCKETS};
-use crate::tcb::{Tcb, TcpState, TimerKind, TxSeg};
+use crate::tcb::{Tcb, TcbCold, TcpState, TimerKind, TxSeg};
 
 /// Headroom reserved when allocating a TX mbuf: enough for the worst-case
 /// Eth + IPv4 + TCP header stack, so the payload is written once into the
@@ -260,10 +260,16 @@ pub struct TcpShard {
     pending_acks: Vec<u64>,
     /// Reusable list of the timers one `advance_timers` pass fired.
     fired_scratch: Vec<TimerEntry>,
-    /// Emptied retransmit and held-receive queues of destroyed flows,
-    /// handed to the next flow created: on a connection-churn path a
-    /// TCB's queues keep their buffers across slab-slot reuse.
-    spare_queues: Vec<(VecDeque<TxSeg>, VecDeque<Mbuf>)>,
+    /// The buffers behind every flow's retransmit queue and held-receive
+    /// queue, and the cold blocks: lent to a flow only while its queue
+    /// is non-empty (its cold state set), back on these stacks
+    /// otherwise, so an idle flow owns its slab slot and nothing else
+    /// (DESIGN.md §5k). Two queue stacks because the two queues empty
+    /// at different times — `rx_held` when the application credits,
+    /// `rtq` when the peer acknowledges.
+    spare_rtq: Spares<VecDeque<TxSeg>>,
+    spare_rx_held: Spares<VecDeque<Mbuf>>,
+    spare_cold: Spares<Box<TcbCold>>,
     steer: Option<(usize, SteerFn)>,
     next_gen: u32,
     iss: u32,
@@ -324,7 +330,9 @@ impl TcpShard {
             udp: Vec::new(),
             pending_acks: Vec::new(),
             fired_scratch: Vec::new(),
-            spare_queues: Vec::new(),
+            spare_rtq: Spares::new(),
+            spare_rx_held: Spares::new(),
+            spare_cold: Spares::new(),
             steer: None,
             next_gen: 1,
             iss: 0x1000,
@@ -425,6 +433,17 @@ impl TcpShard {
             buffer_id(&self.batch_segs),
             buffer_id(&self.batch_groups),
             buffer_id(&self.batch_next),
+        ]
+    }
+
+    /// Census of the lent queue buffers, `[rtq, rx_held]`: how many
+    /// flows hold one, what idle flows still own (nothing), and what
+    /// sits on each spare stack.
+    #[doc(hidden)]
+    pub fn lent_queues(&self) -> [LentQueues; 2] {
+        [
+            self.spare_rtq.census(self.flows.values().map(|t| &t.rtq)),
+            self.spare_rx_held.census(self.flows.values().map(|t| &t.rx_held)),
         ]
     }
 
@@ -569,7 +588,7 @@ impl TcpShard {
         self.now_ns = now_ns;
         let policy = self.cfg.ack_policy;
         let mss = self.cfg.mss;
-        let tcb = self.get_mut(flow)?;
+        let tcb = live_flow(&mut self.flows, flow)?;
         if bytes > tcb.rcv_outstanding {
             return Err(StackError::BadCredit);
         }
@@ -592,6 +611,7 @@ impl TcpShard {
             tcb.rx_held.pop_front();
             released += 1;
         }
+        self.spare_rx_held.reclaim(&mut tcb.rx_held);
         self.stats.rx_pool_outstanding -= released;
         let key = flow.key;
         match policy {
@@ -653,10 +673,7 @@ impl TcpShard {
     }
 
     fn get_mut(&mut self, flow: FlowId) -> Result<&mut Tcb, StackError> {
-        match self.flows.get_mut(flow.key) {
-            Some(t) if t.id.gen == flow.gen => Ok(t),
-            _ => Err(StackError::BadHandle),
-        }
+        live_flow(&mut self.flows, flow)
     }
 
     /// Picks an ephemeral port whose reply tuple RSS-hashes back to this
@@ -677,14 +694,17 @@ impl TcpShard {
         Err(StackError::PortExhausted)
     }
 
-    /// A fresh PCB, on the queues a destroyed flow left behind if any.
+    /// A fresh PCB. It owns no buffer, only the right to borrow.
     fn new_tcb(&mut self, id: FlowId, cookie: u64, state: TcpState, iss: u32) -> Tcb {
-        let mut tcb = Tcb::new(&self.cfg, id, cookie, state, iss);
-        if let Some((rtq, rx_held)) = self.spare_queues.pop() {
-            tcb.rtq = rtq;
-            tcb.rx_held = rx_held;
-        }
-        tcb
+        self.expect_flows(self.flows.len() + 1);
+        Tcb::new(&self.cfg, id, cookie, state, iss)
+    }
+
+    /// Tells the spare stacks how many flows may come to borrow.
+    fn expect_flows(&mut self, flows: usize) {
+        self.spare_rtq.note_borrowers(flows);
+        self.spare_rx_held.note_borrowers(flows);
+        self.spare_cold.note_borrowers(flows);
     }
 
     /// Removes a flow and cancels its timers. Dropping the TCB releases
@@ -692,33 +712,33 @@ impl TcpShard {
     /// out-of-order segments) back to their pools.
     fn destroy(&mut self, key: u64) {
         if let Some(mut tcb) = self.flows.remove(key) {
-            self.stats.rx_pool_outstanding -= (tcb.rx_held.len() + tcb.ooo.len()) as u64;
+            self.stats.rx_pool_outstanding -= (tcb.rx_held.len() + tcb.ooo_len()) as u64;
             if tcb.state == TcpState::SynRcvd {
                 self.synrcvd_count -= 1;
             }
-            for t in [
-                tcb.rto_timer,
-                tcb.persist_timer,
-                tcb.timewait_timer,
-                tcb.delack_timer,
-            ]
-            .into_iter()
-            .flatten()
-            {
+            for t in tcb.take_timers().into_iter().flatten() {
                 self.wheel.cancel(t);
             }
             tcb.rtq.clear();
+            self.spare_rtq.reclaim(&mut tcb.rtq);
             tcb.rx_held.clear();
-            if tcb.rtq.capacity() + tcb.rx_held.capacity() > 0 {
-                self.spare_queues.push((tcb.rtq, tcb.rx_held));
+            self.spare_rx_held.reclaim(&mut tcb.rx_held);
+            if let Some(mut cold) = tcb.cold.take() {
+                *cold = TcbCold::default();
+                self.spare_cold.give(cold);
             }
         }
     }
 }
 
-/// The remote address packed into a flow key ([`FlowId::pack`]).
-fn remote_ip(key: u64) -> Ipv4Addr {
-    Ipv4Addr((key >> 32) as u32)
+/// Resolves a flow handle, rejecting a stale generation. A function of
+/// the flow map alone, for callers that go on to use other fields of
+/// the shard beside the TCB.
+fn live_flow(flows: &mut FlowMap<Tcb>, flow: FlowId) -> Result<&mut Tcb, StackError> {
+    match flows.get_mut(flow.key) {
+        Some(t) if t.id.gen == flow.gen => Ok(t),
+        _ => Err(StackError::BadHandle),
+    }
 }
 
 /// Parameters of an outgoing segment.

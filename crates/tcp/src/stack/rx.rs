@@ -243,7 +243,7 @@ impl TcpShard {
         if let Some(idx) = slot {
             if self.fast_segment(idx, seg.key, &seg.hdr, plen, run_acked) {
                 if plen > 0 {
-                    let ev = self.flows.slot_mut(idx).deliver(payload);
+                    let ev = self.flows.slot_mut(idx).deliver(payload, &mut self.spare_rx_held);
                     self.stats.bytes_rx += plen as u64;
                     self.stats.rx_pool_outstanding += 1;
                     self.events.push(ev);
@@ -292,7 +292,9 @@ impl TcpShard {
         {
             return false;
         }
-        if hdr.seq != tcb.rcv_nxt || tcb.peer_fin.is_some() || !tcb.ooo.is_empty() {
+        if hdr.seq != tcb.rcv_nxt
+            || tcb.cold.as_ref().is_some_and(|c| c.peer_fin.is_some() || !c.ooo.is_empty())
+        {
             return false;
         }
         if plen == 0 {
@@ -383,41 +385,46 @@ impl TcpShard {
                 }
             }
         }
+        // Only a flow with cold state has anything left to settle.
+        let Some(tcb) = self.flows.get(key) else { return };
+        if tcb.cold.is_none() {
+            return;
+        }
         // An out-of-order drain (or this segment) may have advanced
         // rcv_nxt up to a previously parked FIN.
-        if let Some(tcb) = self.flows.get(key) {
-            if tcb.peer_fin == Some(tcb.rcv_nxt) {
-                self.consume_fin(key);
-            }
+        if tcb.peer_fin() == Some(tcb.rcv_nxt) {
+            self.consume_fin(key);
+        }
+        // Recovered, reassembled, reopened: the cold block goes back.
+        if let Some(tcb) = self.flows.get_mut(key) {
+            tcb.release_cold(&mut self.spare_cold);
         }
     }
 
     fn process_ack(&mut self, key: u64, ack: u32, window: u16) {
         let now = self.now_ns;
-        let cfg = self.cfg.clone();
         let tcb = self.flows.get_mut(key).expect("checked");
         let old_wnd = tcb.snd_wnd;
         let old_usable = tcb.usable_window();
         if tcb.ack_is_new(ack) {
             tcb.snd_una = ack;
-            let (bytes, sample) = tcb.reap_rtq(ack, now);
+            let (bytes, sample) = tcb.reap_rtq(ack, now, &mut self.spare_rtq);
             if let Some(s) = sample {
-                tcb.rtt_sample(s, &cfg);
+                tcb.rtt_sample(s, &self.cfg);
             }
-            if let Some(recover) = tcb.recover {
-                if !seq_lt(ack, recover) {
-                    tcb.recover = None;
+            if let Some(cold) = &mut tcb.cold {
+                if cold.recover.is_some_and(|recover| !seq_lt(ack, recover)) {
+                    cold.recover = None;
                     tcb.cwnd = tcb.ssthresh;
                 }
-            }
-            if let Some((start, point)) = tcb.recovery_episode {
-                if !seq_lt(ack, point) {
-                    tcb.recovery_episode = None;
-                    let dur = now.saturating_sub(start);
-                    self.stats.max_recovery_ns = self.stats.max_recovery_ns.max(dur);
+                if let Some((start, point)) = cold.recovery_episode {
+                    if !seq_lt(ack, point) {
+                        cold.recovery_episode = None;
+                        let dur = now.saturating_sub(start);
+                        self.stats.max_recovery_ns = self.stats.max_recovery_ns.max(dur);
+                    }
                 }
             }
-            let tcb = self.flows.get_mut(key).expect("checked");
             tcb.cwnd_on_ack(bytes);
             tcb.dup_acks = 0;
             tcb.retries = 0;
@@ -427,7 +434,7 @@ impl TcpShard {
             let state = tcb.state;
             let (id, cookie) = (tcb.id, tcb.cookie);
             let new_usable = tcb.usable_window();
-            let persist = tcb.persist_timer.take();
+            let persist = tcb.take_persist_timer();
             // Restart or clear the retransmission timer.
             self.restart_rto(key);
             if let Some(t) = persist {
@@ -456,10 +463,9 @@ impl TcpShard {
             if tcb.flight() > 0 && (window as u32) << tcb.snd_wscale == old_wnd {
                 tcb.dup_acks += 1;
                 if tcb.dup_acks == 3 {
-                    tcb.cwnd_on_fast_retransmit();
-                    if tcb.recovery_episode.is_none() {
-                        tcb.recovery_episode = Some((now, tcb.snd_nxt));
-                    }
+                    tcb.cwnd_on_fast_retransmit(&mut self.spare_cold);
+                    let snd_nxt = tcb.snd_nxt;
+                    tcb.cold_mut(&mut self.spare_cold).recovery_episode.get_or_insert((now, snd_nxt));
                     self.stats.retransmits += 1;
                     self.stats.fast_retransmits += 1;
                     self.retransmit_front(key);
@@ -476,7 +482,7 @@ impl TcpShard {
                         window: usable,
                     });
                 }
-                let persist = self.flows.get_mut(key).expect("live").persist_timer.take();
+                let persist = self.flows.get_mut(key).expect("live").take_persist_timer();
                 if let Some(t) = persist {
                     self.wheel.cancel(t);
                 }
@@ -524,7 +530,7 @@ impl TcpShard {
             // credits it, then drain any contiguous out-of-order
             // segments.
             let n = payload.len() as u64;
-            let ev = tcb.deliver(payload);
+            let ev = tcb.deliver(payload, &mut self.spare_rx_held);
             self.stats.bytes_rx += n;
             self.stats.rx_pool_outstanding += 1;
             self.events.push(ev);
@@ -534,9 +540,10 @@ impl TcpShard {
             // start sequence — no staging copy, and none later on drain
             // (coalescing conservatively: keep the first buffer seen for
             // any given start).
-            if !tcb.ooo.contains_key(&seg_seq) {
-                tcb.ooo_bytes += payload.len() as u32;
-                tcb.ooo.insert(seg_seq, payload);
+            let cold = tcb.cold_mut(&mut self.spare_cold);
+            if !cold.ooo.contains_key(&seg_seq) {
+                cold.ooo_bytes += payload.len() as u32;
+                cold.ooo.insert(seg_seq, payload);
                 self.stats.rx_pool_outstanding += 1;
             }
         }
@@ -546,16 +553,17 @@ impl TcpShard {
         loop {
             let tcb = self.flows.get_mut(key).expect("checked");
             let rcv_nxt = tcb.rcv_nxt;
+            let Some(cold) = &mut tcb.cold else { return };
             // Find a buffered segment that starts at or before rcv_nxt.
-            let Some((&seg_seq, _)) = tcb
+            let Some((&seg_seq, _)) = cold
                 .ooo
                 .iter()
                 .find(|(&s, d)| seq_le(s, rcv_nxt) && seq_lt(rcv_nxt, s.wrapping_add(d.len() as u32)) || s == rcv_nxt)
             else {
                 break;
             };
-            let mut m = tcb.ooo.remove(&seg_seq).expect("present");
-            tcb.ooo_bytes -= m.len() as u32;
+            let mut m = cold.ooo.remove(&seg_seq).expect("present");
+            cold.ooo_bytes -= m.len() as u32;
             let skip = rcv_nxt.wrapping_sub(seg_seq) as usize;
             if skip >= m.len() {
                 // Entirely stale: the buffer goes straight back to its
@@ -570,21 +578,22 @@ impl TcpShard {
             // The mbuf moves from the reassembly map to the held queue:
             // `rx_pool_outstanding` is unchanged.
             self.stats.bytes_rx += m.len() as u64;
-            let ev = tcb.deliver(m);
+            let ev = tcb.deliver(m, &mut self.spare_rx_held);
             self.events.push(ev);
         }
         // Clean any now-stale buffered segments.
         let tcb = self.flows.get_mut(key).expect("checked");
         let rcv_nxt = tcb.rcv_nxt;
-        let stale: Vec<u32> = tcb
+        let cold = tcb.cold.as_mut().expect("the loop left through a cold block");
+        let stale: Vec<u32> = cold
             .ooo
             .iter()
             .filter(|(&s, d)| seq_le(s.wrapping_add(d.len() as u32), rcv_nxt))
             .map(|(&s, _)| s)
             .collect();
         for s in stale {
-            let d = tcb.ooo.remove(&s).expect("present");
-            tcb.ooo_bytes -= d.len() as u32;
+            let d = cold.ooo.remove(&s).expect("present");
+            cold.ooo_bytes -= d.len() as u32;
             self.stats.rx_pool_outstanding -= 1;
         }
     }
@@ -593,7 +602,7 @@ impl TcpShard {
         let tcb = self.flows.get_mut(key).expect("checked");
         if fin_seq != tcb.rcv_nxt {
             // Data still missing before the FIN; remember it.
-            tcb.peer_fin = Some(fin_seq);
+            tcb.cold_mut(&mut self.spare_cold).peer_fin = Some(fin_seq);
             return;
         }
         self.consume_fin(key);
@@ -602,7 +611,9 @@ impl TcpShard {
     fn consume_fin(&mut self, key: u64) {
         let tcb = self.flows.get_mut(key).expect("checked");
         tcb.rcv_nxt = tcb.rcv_nxt.wrapping_add(1);
-        tcb.peer_fin = None;
+        if let Some(cold) = &mut tcb.cold {
+            cold.peer_fin = None;
+        }
         tcb.need_ack = true;
         let (id, cookie, state) = (tcb.id, tcb.cookie, tcb.state);
         self.mark_ack(key);

@@ -12,22 +12,16 @@ impl TcpShard {
     pub(super) fn enter_time_wait(&mut self, key: u64) {
         let gen = self.flows.get(key).expect("live").id.gen;
         // Cancel data timers; start the quarantine clock.
-        let (rto, persist) = {
-            let tcb = self.flows.get_mut(key).expect("live");
-            tcb.state = TcpState::TimeWait;
-            (tcb.rto_timer.take(), tcb.persist_timer.take())
-        };
-        if let Some(t) = rto {
-            self.wheel.cancel(t);
-        }
-        if let Some(t) = persist {
+        let tcb = self.flows.get_mut(key).expect("live");
+        tcb.state = TcpState::TimeWait;
+        for t in [tcb.rto_timer.take(), tcb.take_persist_timer()].into_iter().flatten() {
             self.wheel.cancel(t);
         }
         let t = self.wheel.schedule(
             self.cfg.time_wait_ns,
             TimerEntry { key, gen, kind: TimerKind::TimeWait },
         );
-        self.flows.get_mut(key).expect("live").timewait_timer = Some(t);
+        tcb.cold_mut(&mut self.spare_cold).timewait_timer = Some(t);
     }
 
     // ------------------------------------------------------------------
@@ -45,21 +39,23 @@ impl TcpShard {
             if tcb.id.gen != e.gen {
                 continue;
             }
+            // The handle of a fired timer is spent. (The cold ones were
+            // armed through the cold block, so it is attached.)
             match e.kind {
                 TimerKind::TimeWait => {
-                    self.flows.get_mut(e.key).expect("live").timewait_timer = None;
+                    tcb.cold.as_mut().expect("armed").timewait_timer = None;
                     self.destroy(e.key);
                 }
                 TimerKind::Persist => {
-                    self.flows.get_mut(e.key).expect("live").persist_timer = None;
+                    tcb.cold.as_mut().expect("armed").persist_timer = None;
                     self.persist_fire(e.key);
                 }
                 TimerKind::Rto => {
-                    self.flows.get_mut(e.key).expect("live").rto_timer = None;
+                    tcb.rto_timer = None;
                     self.rto_fire(e.key);
                 }
                 TimerKind::DelAck => {
-                    self.flows.get_mut(e.key).expect("live").delack_timer = None;
+                    tcb.delack_timer = None;
                     self.emit_bare_ack(e.key);
                 }
             }
@@ -87,19 +83,18 @@ impl TcpShard {
             self.cfg.persist_ns,
             TimerEntry { key, gen, kind: TimerKind::Persist },
         );
-        self.flows.get_mut(key).expect("live").persist_timer = Some(t);
+        let tcb = self.flows.get_mut(key).expect("live");
+        tcb.cold_mut(&mut self.spare_cold).persist_timer = Some(t);
     }
 
     fn rto_fire(&mut self, key: u64) {
-        let cfg = self.cfg.clone();
         let now = self.now_ns;
         self.stats.rto_fires += 1;
         let tcb = self.flows.get_mut(key).expect("live");
         tcb.retries += 1;
-        if tcb.recovery_episode.is_none() {
-            tcb.recovery_episode = Some((now, tcb.snd_nxt));
-        }
-        if tcb.retries > cfg.max_retries {
+        let snd_nxt = tcb.snd_nxt;
+        tcb.cold_mut(&mut self.spare_cold).recovery_episode.get_or_insert((now, snd_nxt));
+        if tcb.retries > self.cfg.max_retries {
             let (id, cookie, state) = (tcb.id, tcb.cookie, tcb.state);
             if state == TcpState::SynSent {
                 self.events.push(TcpEvent::Connected { flow: id, cookie, ok: false });
@@ -121,21 +116,21 @@ impl TcpShard {
                     seq,
                     ack: if syn_ack { ack } else { 0 },
                     window,
-                    mss: Some(cfg.mss as u16),
-                    wscale: if cfg.window_scale > 0 { Some(cfg.window_scale) } else { None },
+                    mss: Some(self.cfg.mss as u16),
+                    wscale: if self.cfg.window_scale > 0 { Some(self.cfg.window_scale) } else { None },
                     payload: &[],
                 };
                 self.emit_segment_for_key(key, spec);
                 self.stats.retransmits += 1;
                 let t = self.wheel.schedule(
-                    cfg.syn_rto_ns << retries.min(6),
+                    self.cfg.syn_rto_ns << retries.min(6),
                     TimerEntry { key, gen, kind: TimerKind::Rto },
                 );
                 self.flows.get_mut(key).expect("live").rto_timer = Some(t);
             }
             _ => {
                 tcb.cwnd_on_rto();
-                tcb.rto_ns = (tcb.rto_ns * 2).clamp(cfg.min_rto_ns, cfg.max_rto_ns);
+                tcb.rto_ns = (tcb.rto_ns * 2).clamp(self.cfg.min_rto_ns, self.cfg.max_rto_ns);
                 self.stats.retransmits += 1;
                 self.retransmit_front(key);
                 self.restart_rto(key);
@@ -147,8 +142,11 @@ impl TcpShard {
     pub(super) fn retransmit_front(&mut self, key: u64) {
         let now = self.now_ns;
         let tcb = self.flows.get_mut(key).expect("live");
-        tcb.last_retx_ns = now;
-        let Some(seg) = tcb.rtq.front_mut() else { return };
+        if tcb.rtq.is_empty() {
+            return;
+        }
+        tcb.cold_mut(&mut self.spare_cold).last_retx_ns = now;
+        let seg = tcb.rtq.front_mut().expect("checked non-empty");
         seg.retransmitted = true;
         seg.tx_time_ns = now;
         // O(1): a refcount bump on the shared storage block — the

@@ -77,13 +77,14 @@ impl TcpShard {
                 let tcb = self.flows.get_mut(key).expect("validated");
                 let seq = tcb.snd_nxt;
                 tcb.snd_nxt = tcb.snd_nxt.wrapping_add(len as u32);
-                tcb.rtq.push_back(TxSeg {
+                let seg = TxSeg {
                     seq,
                     data: block.slice(off..off + len),
                     fin: false,
                     tx_time_ns: now_ns,
                     retransmitted: false,
-                });
+                };
+                self.spare_rtq.push_back(&mut tcb.rtq, seg);
                 let spec = SegmentSpec {
                     flags: TcpFlags { psh: off + len == accepted, ..TcpFlags::ACK },
                     seq,
@@ -112,14 +113,14 @@ impl TcpShard {
         } else {
             // Zero usable window: arm the persist probe so a lost window
             // update cannot deadlock the connection.
-            let tcb = self.flows.get(key).expect("validated");
-            if tcb.snd_wnd == 0 && tcb.persist_timer.is_none() {
+            let tcb = self.flows.get_mut(key).expect("validated");
+            if tcb.snd_wnd == 0 && tcb.persist_timer().is_none() {
                 let gen = tcb.id.gen;
                 let t = self.wheel.schedule(
                     self.cfg.persist_ns,
                     TimerEntry { key, gen, kind: TimerKind::Persist },
                 );
-                self.flows.get_mut(key).expect("validated").persist_timer = Some(t);
+                tcb.cold_mut(&mut self.spare_cold).persist_timer = Some(t);
             }
         }
         Ok(accepted)
@@ -275,13 +276,8 @@ impl TcpShard {
         tcb.fin_queued = true;
         let seq = tcb.snd_nxt;
         tcb.snd_nxt = tcb.snd_nxt.wrapping_add(1);
-        tcb.rtq.push_back(TxSeg {
-            seq,
-            data: Bytes::new(),
-            fin: true,
-            tx_time_ns: now,
-            retransmitted: false,
-        });
+        let fin = TxSeg { seq, data: Bytes::new(), fin: true, tx_time_ns: now, retransmitted: false };
+        self.spare_rtq.push_back(&mut tcb.rtq, fin);
         tcb.need_ack = false;
         let spec = SegmentSpec::bare(TcpFlags::FIN_ACK, seq, tcb.rcv_nxt, tcb.advertised_window_field());
         self.emit_segment_for_key(key, spec);
@@ -289,10 +285,9 @@ impl TcpShard {
     }
 
     pub(super) fn send_rst(&mut self, key: u64, seq: u32, ack: u32) {
-        let tcb = self.flows.get(key).expect("live");
-        let remote = tcb.remote_ip;
-        let (sp, dp) = (tcb.local_port, tcb.remote_port);
-        self.raw_rst(sp, dp, seq, ack, false, remote);
+        debug_assert!(self.flows.contains_key(key));
+        let (remote_ip, remote_port, local_port) = FlowId::unpack(key);
+        self.raw_rst(local_port, remote_port, seq, ack, false, remote_ip);
     }
 
     /// Emits a RST without requiring a PCB. The argument list mirrors
@@ -313,19 +308,15 @@ impl TcpShard {
 
     /// Emits a segment for a PCB not (yet) in the flow map.
     pub(super) fn emit_segment_for(&mut self, tcb: &Tcb, spec: SegmentSpec<'_>) {
-        let remote = tcb.remote_ip;
-        let (sp, dp) = (tcb.local_port, tcb.remote_port);
-        self.build_and_queue_tcp(remote, sp, dp, spec);
+        let (remote_ip, remote_port, local_port) = FlowId::unpack(tcb.id.key);
+        self.build_and_queue_tcp(remote_ip, local_port, remote_port, spec);
     }
 
-    /// Emits a segment for a flow in the map (copies the route first so
-    /// the map borrow ends before serialization).
+    /// Emits a segment for a flow in the map. The route is the key.
     pub(super) fn emit_segment_for_key(&mut self, key: u64, spec: SegmentSpec<'_>) {
-        let (remote, sp, dp) = {
-            let tcb = self.flows.get(key).expect("live");
-            (tcb.remote_ip, tcb.local_port, tcb.remote_port)
-        };
-        self.build_and_queue_tcp(remote, sp, dp, spec);
+        debug_assert!(self.flows.contains_key(key));
+        let (remote_ip, remote_port, local_port) = FlowId::unpack(key);
+        self.build_and_queue_tcp(remote_ip, local_port, remote_port, spec);
     }
 
     /// Serializes a TCP segment directly into a pool mbuf: the payload is

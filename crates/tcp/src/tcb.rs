@@ -8,8 +8,7 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-use ix_mempool::Mbuf;
-use ix_net::ip::Ipv4Addr;
+use ix_mempool::{Mbuf, Spares};
 use ix_net::tcp::{seq_le, seq_lt};
 use ix_testkit::Bytes;
 use ix_timerwheel::TimerId;
@@ -81,41 +80,21 @@ pub enum TimerKind {
     DelAck,
 }
 
-/// The protocol control block for one connection.
-#[derive(Debug)]
-pub struct Tcb {
-    /// Connection state.
-    pub state: TcpState,
-    /// Flow identity (remote tuple + generation).
-    pub id: FlowId,
-    /// Opaque user value attached at `connect`/`accept`.
-    pub cookie: u64,
-    /// Peer address (also packed in `id`, kept unpacked for the hot path).
-    pub remote_ip: Ipv4Addr,
-    /// Peer port.
-    pub remote_port: u16,
-    /// Local port.
-    pub local_port: u16,
-
-    // --- Send state (RFC 793 names) ---
-    /// Oldest unacknowledged sequence number.
-    pub snd_una: u32,
-    /// Next sequence number to send.
-    pub snd_nxt: u32,
-    /// Peer-advertised window.
-    pub snd_wnd: u32,
-    /// Retransmission queue.
-    pub rtq: VecDeque<TxSeg>,
-    /// FIN has been queued/sent.
-    pub fin_queued: bool,
-
-    // --- Congestion control (NewReno) ---
-    /// Congestion window, bytes.
-    pub cwnd: u32,
-    /// Slow-start threshold, bytes.
-    pub ssthresh: u32,
-    /// Duplicate ACK counter.
-    pub dup_acks: u32,
+/// What a connection needs only while it is recovering from loss,
+/// reassembling, probing a closed window, closing, or in transit between
+/// shards. A quiescent established flow has none of it, so it lives in a
+/// block of its own that the shard attaches ([`Tcb::cold_mut`]) on the
+/// first such event and takes back ([`Tcb::release_cold`]) once every
+/// field has returned to its default — blocks circulate through a
+/// per-shard spare stack, so a loss episode costs no allocator call.
+#[derive(Debug, Default)]
+pub struct TcbCold {
+    /// Out-of-order segments keyed by start sequence: the received
+    /// mbufs themselves, trimmed in place when drained — reassembly
+    /// buffers the buffer, not a copy of it.
+    pub ooo: BTreeMap<u32, Mbuf>,
+    /// Bytes held in `ooo`.
+    pub ooo_bytes: u32,
     /// In fast recovery until `snd_una` passes this point.
     pub recover: Option<u32>,
     /// Open loss-recovery episode: `(start_ns, recovery_point)` captured
@@ -124,8 +103,80 @@ pub struct Tcb {
     /// `StackStats::max_recovery_ns` — once the cumulative ACK reaches
     /// the recovery point.
     pub recovery_episode: Option<(u64, u32)>,
+    /// Peer's FIN sequence (consumed when in-order).
+    pub peer_fin: Option<u32>,
+    /// Pending persist (zero-window probe) timer.
+    pub persist_timer: Option<TimerId>,
+    /// Pending TIME_WAIT timer.
+    pub timewait_timer: Option<TimerId>,
+    /// When the connection last retransmitted anything. RTT samples are
+    /// taken only from segments first sent after this instant (Karn's
+    /// rule extended to cumulative ACKs, which would otherwise fold
+    /// retransmission stalls of earlier segments into the estimate).
+    /// Means nothing once the retransmit queue has drained — every
+    /// later segment is first sent after it — and is zeroed then.
+    pub last_retx_ns: u64,
+    /// Migration carry-state (§4.4), by [`TimerKind`]: the residual
+    /// delay of each timer the extract cancelled on the source wheel,
+    /// with which `absorb_flows` re-arms the destination wheel. Timer
+    /// *identity* cannot migrate (wheel slots are per-core), and
+    /// re-arming at the full interval would let frequent migration
+    /// postpone a retransmission indefinitely — so the remaining time is
+    /// the state that moves. Set only between extract and absorb, when
+    /// the four handles are `None`.
+    pub migrate_ns: [Option<u64>; 4],
+}
 
-    // --- Receive state ---
+impl TcbCold {
+    /// True when every field is back at its default. (Destructured, so
+    /// that a field added later cannot be left out.)
+    fn is_idle(&self) -> bool {
+        let TcbCold {
+            ooo,
+            ooo_bytes,
+            recover,
+            recovery_episode,
+            peer_fin,
+            persist_timer,
+            timewait_timer,
+            last_retx_ns,
+            migrate_ns,
+        } = self;
+        debug_assert!(!ooo.is_empty() || *ooo_bytes == 0);
+        ooo.is_empty()
+            && recover.is_none()
+            && recovery_episode.is_none()
+            && peer_fin.is_none()
+            && persist_timer.is_none()
+            && timewait_timer.is_none()
+            && *last_retx_ns == 0
+            && *migrate_ns == [None; 4]
+    }
+}
+
+/// The protocol control block for one connection: 208 bytes, and all an
+/// idle connection owns (its queues hold no buffer, its cold block is
+/// detached). `repr(C)` so that the declaration order is
+/// the memory order: what `fast_segment`, `deliver`, `send` and the ACK
+/// pass read comes first, the RTT estimator and handshake leftovers
+/// last.
+#[derive(Debug)]
+#[repr(C)]
+pub struct Tcb {
+    /// Flow identity (remote tuple + generation).
+    pub id: FlowId,
+    /// Opaque user value attached at `connect`/`accept`.
+    pub cookie: u64,
+
+    // --- Sequence space and windows (RFC 793 names) ---
+    /// Oldest unacknowledged sequence number.
+    pub snd_una: u32,
+    /// Next sequence number to send.
+    pub snd_nxt: u32,
+    /// Peer-advertised window.
+    pub snd_wnd: u32,
+    /// Congestion window, bytes (NewReno).
+    pub cwnd: u32,
     /// Next expected sequence number.
     pub rcv_nxt: u32,
     /// Maximum receive window (buffer size).
@@ -134,67 +185,18 @@ pub struct Tcb {
     /// `recv_done` — these shrink the advertised window (IX's cooperative
     /// flow control, §3).
     pub rcv_outstanding: u32,
-    /// Receive buffers delivered in order whose bytes the application
-    /// has not yet credited back: the mbufs backing the `Bytes` views in
-    /// outstanding `Recv` events, oldest first. `recv_done` releases
-    /// them front-to-back as credit accumulates, returning each to its
-    /// owning pool — Table 1's "frees memory buffers".
-    pub rx_held: VecDeque<Mbuf>,
-    /// `recv_done` credit accumulated toward releasing the front of
-    /// `rx_held` (credits need not align with delivery boundaries).
-    pub rx_front_credit: u32,
-    /// Out-of-order segments keyed by start sequence: the received
-    /// mbufs themselves, trimmed in place when drained — reassembly
-    /// buffers the buffer, not a copy of it.
-    pub ooo: BTreeMap<u32, Mbuf>,
-    /// Bytes held in `ooo`.
-    pub ooo_bytes: u32,
+    /// Effective MSS for this connection (min of ours and peer's).
+    pub mss: u32,
+    /// Connection state.
+    pub state: TcpState,
+    /// FIN has been queued/sent.
+    pub fin_queued: bool,
     /// An ACK should be emitted for this connection.
     pub need_ack: bool,
-    /// Peer's FIN sequence (consumed when in-order).
-    pub peer_fin: Option<u32>,
-    /// Last window we advertised (for window-update decisions).
-    pub adv_wnd_last: u32,
     /// Negotiated shift applied to windows the peer sends us.
     pub snd_wscale: u8,
     /// Negotiated shift we apply to windows we advertise.
     pub rcv_wscale: u8,
-
-    // --- RTT estimation (Jacobson/Karels) ---
-    /// Smoothed RTT, ns (0 until first sample).
-    pub srtt_ns: u64,
-    /// RTT variance, ns.
-    pub rttvar_ns: u64,
-    /// Current RTO, ns.
-    pub rto_ns: u64,
-    /// Consecutive retransmissions (for backoff and death).
-    pub retries: u32,
-
-    // --- Timers ---
-    /// Pending RTO/SYN timer.
-    pub rto_timer: Option<TimerId>,
-    /// Pending persist (zero-window probe) timer.
-    pub persist_timer: Option<TimerId>,
-    /// Pending TIME_WAIT timer.
-    pub timewait_timer: Option<TimerId>,
-    /// Pending delayed-ACK timer.
-    pub delack_timer: Option<TimerId>,
-
-    // --- Migration carry-state (§4.4) ---
-    /// Residual delay of the RTO timer when the extract cancelled it
-    /// on the source wheel; `absorb_flows` re-arms the destination wheel
-    /// with the same remainder. Timer *identity* cannot migrate (wheel
-    /// slots are per-core), and re-arming at the full interval would let
-    /// frequent migration postpone a retransmission indefinitely — so
-    /// the remaining time is the state that moves.
-    pub migrate_rto_ns: Option<u64>,
-    /// Residual delay of the persist (zero-window probe) timer.
-    pub migrate_persist_ns: Option<u64>,
-    /// Residual delay of the TIME_WAIT quarantine.
-    pub migrate_timewait_ns: Option<u64>,
-    /// Residual delay of the delayed-ACK timer.
-    pub migrate_delack_ns: Option<u64>,
-
     /// RSS redirection-table bucket this flow hashes into (`hash &
     /// 0x7f`, the NIC's Toeplitz over the reply tuple), computed once
     /// when the shard adopts the flow and carried across migrations so
@@ -203,16 +205,47 @@ pub struct Tcb {
     /// computes it.
     pub rss_bucket: u16,
 
-    /// Effective MSS for this connection (min of ours and peer's).
-    pub mss: u32,
+    // --- Second line: loss/close state, timers, the send queue ---
+    /// Loss-recovery, reassembly, close and transit state, attached only
+    /// while the flow has any.
+    pub cold: Option<Box<TcbCold>>,
+    /// Pending RTO/SYN timer.
+    pub rto_timer: Option<TimerId>,
+    /// Pending delayed-ACK timer.
+    pub delack_timer: Option<TimerId>,
+    /// Current RTO, ns.
+    pub rto_ns: u64,
+    /// Retransmission queue. Holds a buffer only while non-empty: the
+    /// first push borrows one from the shard's spare stack and the ACK
+    /// that drains the queue returns it.
+    pub rtq: VecDeque<TxSeg>,
+
+    // --- Third line: held receive buffers, congestion and RTT ---
+    /// Receive buffers delivered in order whose bytes the application
+    /// has not yet credited back: the mbufs backing the `Bytes` views in
+    /// outstanding `Recv` events, oldest first. `recv_done` releases
+    /// them front-to-back as credit accumulates, returning each to its
+    /// owning pool — Table 1's "frees memory buffers" — and the emptied
+    /// queue's own buffer to the shard's spare stack.
+    pub rx_held: VecDeque<Mbuf>,
+    /// `recv_done` credit accumulated toward releasing the front of
+    /// `rx_held` (credits need not align with delivery boundaries).
+    pub rx_front_credit: u32,
+    /// Last window we advertised (for window-update decisions).
+    pub adv_wnd_last: u32,
+    /// Slow-start threshold, bytes.
+    pub ssthresh: u32,
+    /// Duplicate ACK counter.
+    pub dup_acks: u32,
+    /// Consecutive retransmissions (for backoff and death).
+    pub retries: u32,
+    /// Smoothed RTT, ns (0 until first sample; Jacobson/Karels).
+    pub srtt_ns: u64,
+    /// RTT variance, ns.
+    pub rttvar_ns: u64,
     /// When the SYN / SYN-ACK was (last) sent, for seeding the RTT
     /// estimator from the handshake.
     pub open_time_ns: u64,
-    /// When the connection last retransmitted anything. RTT samples are
-    /// taken only from segments first sent after this instant (Karn's
-    /// rule extended to cumulative ACKs, which would otherwise fold
-    /// retransmission stalls of earlier segments into the estimate).
-    pub last_retx_ns: u64,
 }
 
 impl Tcb {
@@ -228,9 +261,6 @@ impl Tcb {
             state,
             id,
             cookie,
-            remote_ip: id.remote_ip(),
-            remote_port: id.remote_port(),
-            local_port: id.local_port(),
             rss_bucket: crate::flow_table::NO_BUCKET,
             snd_una: iss,
             snd_nxt: iss,
@@ -240,17 +270,12 @@ impl Tcb {
             cwnd: cfg.initial_cwnd_segs * cfg.mss,
             ssthresh: u32::MAX / 2,
             dup_acks: 0,
-            recover: None,
-            recovery_episode: None,
             rcv_nxt: 0,
             rcv_buf: cfg.recv_window,
             rcv_outstanding: 0,
             rx_held: VecDeque::new(),
             rx_front_credit: 0,
-            ooo: BTreeMap::new(),
-            ooo_bytes: 0,
             need_ack: false,
-            peer_fin: None,
             adv_wnd_last: cfg.recv_window,
             snd_wscale: 0,
             rcv_wscale: 0,
@@ -259,17 +284,65 @@ impl Tcb {
             rto_ns: cfg.min_rto_ns.max(1_000_000_000),
             retries: 0,
             rto_timer: None,
-            persist_timer: None,
-            timewait_timer: None,
             delack_timer: None,
-            migrate_rto_ns: None,
-            migrate_persist_ns: None,
-            migrate_timewait_ns: None,
-            migrate_delack_ns: None,
+            cold: None,
             mss: cfg.mss,
             open_time_ns: 0,
-            last_retx_ns: 0,
         }
+    }
+
+    /// The cold block, attached first — from `spares` if one is there —
+    /// when the flow has none.
+    pub fn cold_mut(&mut self, spares: &mut Spares<Box<TcbCold>>) -> &mut TcbCold {
+        self.cold.get_or_insert_with(|| spares.take_or_make(Box::default))
+    }
+
+    /// Hands the cold block back to `spares` if nothing in it is set any
+    /// more. The shard calls this where cold state is cleared: after a
+    /// segment took the full state machine, and at absorb.
+    pub fn release_cold(&mut self, spares: &mut Spares<Box<TcbCold>>) {
+        let Some(cold) = &mut self.cold else { return };
+        if self.rtq.is_empty() {
+            cold.last_retx_ns = 0;
+        }
+        if cold.is_idle() {
+            spares.give(self.cold.take().expect("checked above"));
+        }
+    }
+
+    /// Out-of-order bytes buffered for reassembly.
+    pub fn ooo_bytes(&self) -> u32 {
+        self.cold.as_ref().map_or(0, |c| c.ooo_bytes)
+    }
+
+    /// Buffers held in the reassembly map.
+    pub fn ooo_len(&self) -> usize {
+        self.cold.as_ref().map_or(0, |c| c.ooo.len())
+    }
+
+    /// The peer's parked FIN, if data before it is still missing.
+    pub fn peer_fin(&self) -> Option<u32> {
+        self.cold.as_ref().and_then(|c| c.peer_fin)
+    }
+
+    /// The pending persist timer, if armed.
+    pub fn persist_timer(&self) -> Option<TimerId> {
+        self.cold.as_ref().and_then(|c| c.persist_timer)
+    }
+
+    /// Disarms the handle of the persist timer (the caller cancels it).
+    pub fn take_persist_timer(&mut self) -> Option<TimerId> {
+        self.cold.as_mut()?.persist_timer.take()
+    }
+
+    /// Disarms every timer handle, hot and cold, for the caller to
+    /// cancel.
+    pub fn take_timers(&mut self) -> [Option<TimerId>; 4] {
+        let (persist, timewait) = match &mut self.cold {
+            Some(c) => (c.persist_timer.take(), c.timewait_timer.take()),
+            None => (None, None),
+        };
+        [self.rto_timer.take(), persist, timewait, self.delack_timer.take()]
     }
 
     /// Bytes in flight (sent, unacknowledged).
@@ -291,7 +364,7 @@ impl Tcb {
     pub fn advertised_window(&self) -> u32 {
         self.rcv_buf
             .saturating_sub(self.rcv_outstanding)
-            .saturating_sub(self.ooo_bytes)
+            .saturating_sub(self.ooo_bytes())
             .min(65_535u32 << self.rcv_wscale)
     }
 
@@ -327,10 +400,10 @@ impl Tcb {
     }
 
     /// Multiplicative decrease on loss detection (fast retransmit).
-    pub fn cwnd_on_fast_retransmit(&mut self) {
+    pub fn cwnd_on_fast_retransmit(&mut self, spares: &mut Spares<Box<TcbCold>>) {
         self.ssthresh = (self.flight() / 2).max(2 * self.mss);
         self.cwnd = self.ssthresh + 3 * self.mss;
-        self.recover = Some(self.snd_nxt);
+        self.cold_mut(spares).recover = Some(self.snd_nxt);
     }
 
     /// Collapse on retransmission timeout.
@@ -338,7 +411,9 @@ impl Tcb {
         self.ssthresh = (self.flight() / 2).max(2 * self.mss);
         self.cwnd = self.mss;
         self.dup_acks = 0;
-        self.recover = None;
+        if let Some(cold) = &mut self.cold {
+            cold.recover = None;
+        }
     }
 
     /// Whether `ack` acknowledges new data.
@@ -347,14 +422,21 @@ impl Tcb {
     }
 
     /// Drops acknowledged segments from the retransmission queue,
-    /// returning `(payload_bytes_acked, rtt_sample_ns)`.
-    pub fn reap_rtq(&mut self, ack: u32, now_ns: u64) -> (u32, Option<u64>) {
+    /// returning `(payload_bytes_acked, rtt_sample_ns)`. A queue this
+    /// drains hands its buffer back to `spares`.
+    pub fn reap_rtq(
+        &mut self,
+        ack: u32,
+        now_ns: u64,
+        spares: &mut Spares<VecDeque<TxSeg>>,
+    ) -> (u32, Option<u64>) {
         let mut bytes = 0u32;
         let mut sample = None;
+        let last_retx_ns = self.cold.as_ref().map_or(0, |c| c.last_retx_ns);
         while let Some(seg) = self.rtq.front() {
             let end = seg.seq.wrapping_add(seg.seq_len());
             if seq_le(end, ack) {
-                if !seg.retransmitted && seg.tx_time_ns >= self.last_retx_ns {
+                if !seg.retransmitted && seg.tx_time_ns >= last_retx_ns {
                     sample = Some(now_ns.saturating_sub(seg.tx_time_ns));
                 }
                 bytes += seg.data.len() as u32;
@@ -363,19 +445,21 @@ impl Tcb {
                 break;
             }
         }
+        spares.reclaim(&mut self.rtq);
         (bytes, sample)
     }
 
     /// Accepts `m` as the next in-order payload: advances `rcv_nxt`,
     /// charges the receive window, holds the buffer until `recv_done`
-    /// credits it, and returns the `Recv` event carrying a refcounted
+    /// credits it — on a buffer borrowed from `spares` if the held queue
+    /// was empty — and returns the `Recv` event carrying a refcounted
     /// view of the mbuf's payload window — zero copies.
-    pub(crate) fn deliver(&mut self, m: Mbuf) -> TcpEvent {
+    pub(crate) fn deliver(&mut self, m: Mbuf, spares: &mut Spares<VecDeque<Mbuf>>) -> TcpEvent {
         let n = m.len() as u32;
         self.rcv_nxt = self.rcv_nxt.wrapping_add(n);
         self.rcv_outstanding += n;
         let payload = m.as_bytes();
-        self.rx_held.push_back(m);
+        spares.push_back(&mut self.rx_held, m);
         TcpEvent::Recv { flow: self.id, cookie: self.cookie, payload }
     }
 
@@ -388,6 +472,32 @@ impl Tcb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ix_net::ip::Ipv4Addr;
+
+    #[test]
+    fn a_tcb_is_at_most_four_lines_and_keeps_its_niche() {
+        assert!(std::mem::size_of::<Tcb>() <= 256, "{} bytes", std::mem::size_of::<Tcb>());
+        // `FlowMap::adopt_slab` turns a `Vec<Tcb>` into the slab
+        // `Vec<Option<Tcb>>` in place, which needs equal strides.
+        assert_eq!(std::mem::size_of::<Option<Tcb>>(), std::mem::size_of::<Tcb>());
+    }
+
+    #[test]
+    fn the_cold_block_attaches_on_loss_and_detaches_when_recovered() {
+        let mut spares = Spares::new();
+        spares.note_borrowers(1);
+        let mut t = mk(TcpState::Established);
+        t.snd_nxt = t.snd_una.wrapping_add(20_000);
+        t.cwnd_on_fast_retransmit(&mut spares);
+        t.cold_mut(&mut spares).last_retx_ns = 5;
+        t.release_cold(&mut spares);
+        assert!(t.cold.is_some(), "recovery point still ahead");
+        t.cold_mut(&mut spares).recover = None;
+        t.release_cold(&mut spares);
+        // The retransmit queue is empty, so `last_retx_ns` means nothing.
+        assert!(t.cold.is_none());
+        assert_eq!(spares.len(), 1, "the block went back to the spare stack");
+    }
 
     fn mk(state: TcpState) -> Tcb {
         let cfg = StackConfig::default();
@@ -418,7 +528,7 @@ mod tests {
         assert_eq!(t.advertised_window(), 65_535);
         t.rcv_outstanding = 10_000;
         assert_eq!(t.advertised_window(), 55_535);
-        t.ooo_bytes = 55_535;
+        t.cold_mut(&mut Spares::new()).ooo_bytes = 55_535;
         assert_eq!(t.advertised_window(), 0);
     }
 
@@ -466,7 +576,7 @@ mod tests {
         let mut t = mk(TcpState::Established);
         t.snd_nxt = t.snd_una.wrapping_add(20_000);
         t.cwnd = 20_000;
-        t.cwnd_on_fast_retransmit();
+        t.cwnd_on_fast_retransmit(&mut Spares::new());
         assert_eq!(t.ssthresh, 10_000);
         assert_eq!(t.cwnd, 10_000 + 3 * t.mss);
         t.cwnd_on_rto();
@@ -476,32 +586,30 @@ mod tests {
     #[test]
     fn rtq_reaping_and_rtt_sampling() {
         let mut t = mk(TcpState::Established);
+        let mut spares = Spares::new();
         t.snd_una = 1000;
-        t.rtq.push_back(TxSeg {
-            seq: 1000,
+        let seg = |seq, tx_time_ns, retransmitted| TxSeg {
+            seq,
             data: vec![0; 500].into(),
             fin: false,
-            tx_time_ns: 100,
-            retransmitted: false,
-        });
-        t.rtq.push_back(TxSeg {
-            seq: 1500,
-            data: vec![0; 500].into(),
-            fin: false,
-            tx_time_ns: 200,
-            retransmitted: true,
-        });
+            tx_time_ns,
+            retransmitted,
+        };
+        spares.push_back(&mut t.rtq, seg(1000, 100, false));
+        spares.push_back(&mut t.rtq, seg(1500, 200, true));
         t.snd_nxt = 2000;
         // ACK covers only the first segment.
-        let (bytes, sample) = t.reap_rtq(1500, 10_100);
+        let (bytes, sample) = t.reap_rtq(1500, 10_100, &mut spares);
         assert_eq!(bytes, 500);
         assert_eq!(sample, Some(10_000));
         assert_eq!(t.rtq.len(), 1);
         // ACK covers the retransmitted one: no sample (Karn).
-        let (bytes, sample) = t.reap_rtq(2000, 20_000);
+        let (bytes, sample) = t.reap_rtq(2000, 20_000, &mut spares);
         assert_eq!(bytes, 500);
         assert_eq!(sample, None);
         assert!(t.rtq.is_empty());
+        // The ACK that drained the queue returned its buffer.
+        assert_eq!((t.rtq.capacity(), spares.len()), (0, 1));
     }
 
     #[test]
@@ -519,7 +627,7 @@ mod tests {
         });
         let ack = base.wrapping_add(400); // Wrapped past zero.
         assert!(t.ack_is_new(ack));
-        let (bytes, _) = t.reap_rtq(ack, 1);
+        let (bytes, _) = t.reap_rtq(ack, 1, &mut Spares::new());
         assert_eq!(bytes, 400);
     }
 

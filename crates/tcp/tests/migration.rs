@@ -344,6 +344,116 @@ fn stats_and_gauges_conserve_across_migration() {
 }
 
 // ---------------------------------------------------------------------
+// Lent storage (DESIGN.md §5k). A flow's queue buffers are on loan from
+// its shard's spare stacks and its timer residuals ride in its cold
+// block: both leave inside the TCB, and what was borrowed on one shard
+// is handed back on the other.
+// ---------------------------------------------------------------------
+
+/// Two flows move together: A with unacknowledged data in its `rtq` (RTO
+/// armed, the ACK path cut) and uncredited data in its `rx_held`; B with
+/// its peer's window closed and the persist timer armed. Returns the
+/// instants at which the server then retransmitted and probed.
+fn loaded_flows_timeline(migrate: bool) -> Vec<(u64, &'static str)> {
+    let ccfg = StackConfig { recv_window: 4096, ..low_lat_cfg() };
+    let mut cl = Cluster::new(ccfg, low_lat_cfg());
+    let (cfa, sfa) = cl.establish();
+    let (cfb, sfb) = cl.establish();
+    let blob = vec![0x7u8; 1460];
+
+    // A: 2000 bytes in, delivered and never credited.
+    cl.c.send(cl.now, cfa, &[0x11u8; 2000]).unwrap();
+    cl.pump(100_000, 16);
+    // B: the server fills the client's 4 KiB window; the client credits
+    // nothing, its ACK closes the window, the next send arms the probe.
+    while cl.s[0].send(cl.now, sfb, &blob).unwrap() > 0 {}
+    cl.pump(100_000, 16);
+    assert_eq!(cl.s[0].send(cl.now, sfb, &blob).unwrap(), 0, "window still open");
+    // A: 3000 bytes out with the way back cut, so they stay queued.
+    cl.cut_c2s.set(true);
+    assert_eq!(cl.s[0].send(cl.now, sfa, &[0x22u8; 3000]).unwrap(), 3000);
+    cl.pump_round(100_000);
+    drop((cl.c.take_events(), cl.s[0].take_events()));
+
+    let bytes = |views: Vec<ix_testkit::Bytes>| views.concat();
+    if migrate {
+        let (rtq, held) = (cl.s[0].rtq_payloads(sfa), cl.s[0].rx_held_payloads(sfa));
+        assert_eq!((rtq.len(), bytes(held.clone()).len()), (3, 2000));
+        let source = cl.s[0].lent_queues();
+        assert_eq!(source.map(|l| (l.busy, l.spare)), [(1, 1); 2], "A holds one of two buffers");
+        let until_timer = cl.s[0].next_timer_ns();
+
+        cl.migrate();
+
+        // Same bytes in the same storage; same time to the next timer.
+        let (rtq1, held1) = (cl.s[1].rtq_payloads(sfa), cl.s[1].rx_held_payloads(sfa));
+        assert_eq!(bytes(rtq1.clone()), bytes(rtq.clone()));
+        assert!(rtq.iter().zip(&rtq1).all(|(a, b)| a.ptr_eq(b)), "rtq storage was copied");
+        assert!(held.iter().zip(&held1).all(|(a, b)| a.ptr_eq(b)), "held buffers were copied");
+        assert_eq!(cl.s[1].next_timer_ns(), until_timer);
+        // The buffers left inside the flow: the source's stacks are as
+        // they were, the destination's are still empty.
+        let source1 = cl.s[0].lent_queues();
+        assert_eq!(source1.map(|l| (l.busy, l.spare, l.list)), source.map(|l| (0, l.spare, l.list)));
+        assert_eq!(cl.s[1].lent_queues().map(|l| (l.busy, l.spare)), [(1, 0); 2]);
+        // The held receive buffers are the client pool's, wherever the
+        // flow that holds them lives (the rest of what that pool has out
+        // is the ACK waiting for the cut wire).
+        assert_eq!(
+            cl.c.pool_stats().outstanding,
+            cl.s[1].stats.rx_pool_outstanding + cl.c.tx_len() as u64
+        );
+        assert_eq!(cl.s[0].stats.rx_pool_outstanding, 0);
+    }
+
+    // A quarter of a second with the ACK path still cut: the RTO backs
+    // off from its residual, the probe fires 200 ms after it was armed.
+    let mut timeline = Vec::new();
+    let mut seen = cl.summed_stats();
+    for _ in 0..2_500 {
+        cl.pump_round(100_000);
+        let s = cl.summed_stats();
+        if s.retransmits > seen.retransmits {
+            timeline.push((cl.now, "retransmit"));
+        }
+        if s.persist_probes > seen.persist_probes {
+            timeline.push((cl.now, "probe"));
+        }
+        seen = s;
+    }
+
+    // Everything drains: the client acknowledges and credits, the server
+    // application credits A.
+    cl.cut_c2s.set(false);
+    cl.pump(100_000, 64);
+    cl.c.recv_done(cl.now, cfa, 3000).unwrap();
+    cl.c.recv_done(cl.now, cfb, 4096).unwrap();
+    cl.s[cl.owner].recv_done(cl.now, sfa, 2000).unwrap();
+    cl.pump(100_000, 64);
+    drop((cl.c.take_events(), cl.s[0].take_events(), cl.s[1].take_events()));
+    if migrate {
+        // Borrowed on shard 0, handed back on shard 1 — which has made
+        // no buffer of its own.
+        assert_eq!(cl.s[1].lent_queues().map(|l| (l.busy, l.idle_capacity, l.spare)), [(0, 0, 1); 2]);
+    }
+    for (who, shard) in [("client", &cl.c), ("shard 0", &cl.s[0]), ("shard 1", &cl.s[1])] {
+        let pool = shard.pool_stats();
+        assert_eq!(pool.outstanding, 0, "{who} leaked mbufs: {pool:?}");
+    }
+    assert_eq!(cl.summed_stats().rx_pool_outstanding, 0);
+    timeline
+}
+
+#[test]
+fn borrowed_buffers_and_timer_residuals_travel_with_the_flow() {
+    let moved = loaded_flows_timeline(true);
+    assert!(moved.iter().filter(|e| e.1 == "retransmit").count() >= 5, "{moved:?}");
+    assert_eq!(moved.iter().filter(|e| e.1 == "probe").count(), 1, "{moved:?}");
+    // Same residual delays: to the tick, what never migrating does.
+    assert_eq!(moved, loaded_flows_timeline(false));
+}
+
+// ---------------------------------------------------------------------
 // Golden migration trace: a scripted blackout forces an RTO across a
 // migration; the exact recovery sequence — who fires, when, and how the
 // stream completes — is pinned.

@@ -29,7 +29,11 @@
 //! Plans interleave in-order runs, out-of-order arrivals, duplicates,
 //! corrupted frames, passive opens (with and without SYN cookies), and
 //! mid-batch FIN/RST teardown across four client flows plus two tuples
-//! that never complete a handshake.
+//! that never complete a handshake. Every plan also runs against a 4 KiB
+//! receive window with the application's credit withheld for its first
+//! half, so that the window closes: segments that no longer fit leave
+//! the fast path for the trimming path, and the credit that finally
+//! arrives reopens the window with an update.
 
 use ix_mempool::Mbuf;
 use ix_net::eth::{EthHeader, EtherType, MacAddr};
@@ -248,7 +252,13 @@ struct Mode {
     policy: AckPolicy,
     syn_cookies: bool,
     feed: Feed,
+    /// A [`TIGHT_WINDOW`]-byte receive window, and no `recv_done` until
+    /// the plan is half way through.
+    tight: bool,
 }
+
+/// The receive window of the tight modes: three full segments overrun it.
+const TIGHT_WINDOW: u32 = 4096;
 
 /// The delayed-ACK timeout both baseline models run.
 const DELAYED: AckPolicy = AckPolicy::Delayed(100_000);
@@ -274,11 +284,14 @@ struct Harness {
 impl Harness {
     fn establish(mode: Mode, isns: &[u32; N_FLOWS]) -> Harness {
         let mk = || {
-            let cfg = StackConfig {
+            let mut cfg = StackConfig {
                 ack_policy: mode.policy,
                 syn_cookies: mode.syn_cookies,
                 ..StackConfig::default()
             };
+            if mode.tight {
+                cfg.recv_window = TIGHT_WINDOW;
+            }
             let mut b = TcpShard::new(cfg, B_IP, mac(2));
             b.arp_seed(A_IP, mac(1));
             b.listen(SRV_PORT);
@@ -427,8 +440,8 @@ impl Harness {
     }
 
     /// Feeds one batch to both shards, cross-checks every observable,
-    /// and credits delivered bytes back.
-    fn run_batch(&mut self, ops: &[FrameOp]) {
+    /// and — if `credit` — credits every delivered byte still owed back.
+    fn run_batch(&mut self, ops: &[FrameOp], credit: bool) {
         // Shorter than the delayed-ACK timeout: an armed timer outlives
         // the next batch unless that batch's segments consume it.
         self.now += 60_000;
@@ -438,14 +451,16 @@ impl Harness {
         self.compare_batched(&cp, &cr);
 
         // Per-flow streams accumulate from the reference (the pipeline
-        // shard already asserted identical); credit everything straight
-        // back.
+        // shard already asserted identical).
         for (key, ev) in &cr.evs {
             if let Ev::Recv(bytes) = ev {
                 let fx = self.flow_index(*key);
                 self.streams[fx].extend_from_slice(bytes);
                 self.owed[fx] += bytes.len() as u32;
             }
+        }
+        if !credit {
+            return;
         }
         for fx in 0..N_FLOWS {
             let n = std::mem::take(&mut self.owed[fx]);
@@ -558,18 +573,20 @@ impl Harness {
 
 fn run_mode(mode: Mode, isns: [u32; N_FLOWS], batches: &[Vec<FrameOp>]) -> Harness {
     let mut h = Harness::establish(mode, &isns);
-    for batch in batches {
-        h.run_batch(batch);
+    for (i, batch) in batches.iter().enumerate() {
+        // A tight mode's application sits on what it is given for the
+        // first half of the plan, then credits it all at once.
+        h.run_batch(batch, !mode.tight || 2 * i + 1 >= batches.len());
     }
     h.settle();
     h
 }
 
-/// One plan through `input_batch` under one ACK policy, with SYN cookies
-/// off and on.
+/// One plan through `input_batch` under one ACK policy: with SYN cookies
+/// off and on, and against the tight window.
 fn run_plan(policy: AckPolicy, isns: [u32; N_FLOWS], batches: &[Vec<FrameOp>]) {
-    for syn_cookies in [false, true] {
-        run_mode(Mode { policy, syn_cookies, feed: Feed::Batch }, isns, batches);
+    for (syn_cookies, tight) in [(false, false), (true, false), (false, true)] {
+        run_mode(Mode { policy, syn_cookies, feed: Feed::Batch, tight }, isns, batches);
     }
 }
 
@@ -589,7 +606,7 @@ fn run_plan_all(isns: [u32; N_FLOWS], batches: &[Vec<FrameOp>]) {
 /// exactly one ACK per flow while the reference acks every segment.
 #[test]
 fn interleaved_inorder_runs_coalesce_acks() {
-    let mode = Mode { policy: AckPolicy::Immediate, syn_cookies: false, feed: Feed::Batch };
+    let mode = Mode { policy: AckPolicy::Immediate, syn_cookies: false, feed: Feed::Batch, tight: false };
     let mut h = Harness::establish(mode, &[1_000, 2_000, 3_000, 4_000]);
     let ops: Vec<FrameOp> = (0..16).map(|j| FrameOp::Next { flow: j % N_FLOWS, len: 100 }).collect();
     let wires: Vec<Vec<u8>> = ops.iter().map(|op| h.build(op)).collect();
@@ -633,18 +650,21 @@ fn ooo_within_batch_fills_holes() {
 
 #[test]
 fn corrupted_frames_land_on_drop_counters() {
-    let mode = Mode { policy: AckPolicy::EndOfCycle, syn_cookies: false, feed: Feed::Batch };
+    let mode = Mode { policy: AckPolicy::EndOfCycle, syn_cookies: false, feed: Feed::Batch, tight: false };
     let mut h = Harness::establish(mode, &[5, 6, 7, 8]);
     let before_p = h.pipeline.stats;
     let before_r = h.reference.stats;
-    h.run_batch(&[
-        FrameOp::Next { flow: 0, len: 64 },
-        FrameOp::BadSum { flow: 1, len: 64 },
-        FrameOp::BadDst { flow: 2 },
-        FrameOp::BadSum { flow: 0, len: 32 },
-        FrameOp::Runt { flow: 3 },
-        FrameOp::Next { flow: 1, len: 64 },
-    ]);
+    h.run_batch(
+        &[
+            FrameOp::Next { flow: 0, len: 64 },
+            FrameOp::BadSum { flow: 1, len: 64 },
+            FrameOp::BadDst { flow: 2 },
+            FrameOp::BadSum { flow: 0, len: 32 },
+            FrameOp::Runt { flow: 3 },
+            FrameOp::Next { flow: 1, len: 64 },
+        ],
+        true,
+    );
     for (shard, before) in [(&h.pipeline, before_p), (&h.reference, before_r)] {
         assert_eq!(shard.stats.checksum_drops - before.checksum_drops, 2, "two corrupted checksums");
         assert_eq!(shard.stats.parse_drops - before.parse_drops, 4, "checksum + misaddressed + runt drops");
@@ -691,6 +711,48 @@ fn mid_batch_rst_teardown_and_reopen() {
     run_plan_all([100, 200, 300, 400], &batches);
 }
 
+/// The receive window closes inside a batch and reopens on credit. Flow
+/// 0's third full segment pokes 284 bytes past the 4 KiB window: it
+/// fails `fast_segment`'s `plen > advertised_window()` check and the
+/// trimming path delivers the part that fits; what follows finds the
+/// window shut. The withheld credit, when it comes, reopens it (a
+/// window update under Immediate/Delayed, the end-of-cycle ACK
+/// otherwise) and the stream resumes where the *server* left it.
+#[test]
+fn closed_window_trims_then_reopens_on_credit() {
+    let window = TIGHT_WINDOW as usize;
+    let batches = [
+        vec![
+            FrameOp::Next { flow: 0, len: 1460 },
+            FrameOp::Next { flow: 1, len: 700 },
+            FrameOp::Next { flow: 0, len: 1460 },
+            FrameOp::Next { flow: 0, len: 1460 }, // 284 bytes too long: trimmed
+            FrameOp::Next { flow: 0, len: 500 },  // window shut: dropped
+            FrameOp::Next { flow: 1, len: 700 },
+        ],
+        // Still no credit. Flow 0's client retransmits from where the
+        // server's ACK said it was; nothing fits.
+        vec![FrameOp::Behind { flow: 0, back: 784, len: 784 }, FrameOp::Next { flow: 1, len: 700 }],
+        // Credited after this batch, whose retransmission is dropped too.
+        vec![FrameOp::Behind { flow: 0, back: 784, len: 784 }],
+        // Window open again: the retransmission lands and the rest follows.
+        vec![FrameOp::Behind { flow: 0, back: 784, len: 784 }, FrameOp::Next { flow: 0, len: 300 }],
+    ];
+    for policy in POLICIES {
+        for feed in [Feed::Batch, Feed::OneByOne] {
+            let mode = Mode { policy, syn_cookies: false, feed, tight: true };
+            let mut h = Harness::establish(mode, &[77, u32::MAX - 3_000, 5, 6]);
+            for (i, batch) in batches.iter().enumerate() {
+                h.run_batch(batch, i >= 2);
+                let want = if i < 3 { window } else { window + 784 + 300 };
+                assert_eq!(h.streams[0].len(), want, "flow 0 after batch {i} under {policy:?}");
+            }
+            assert_eq!(h.streams[1].len(), 2100, "flow 1 never filled its window");
+            h.settle();
+        }
+    }
+}
+
 /// The headline pin, CI-grepped by name: `input()` is the receive path
 /// on a batch of one, so plans fed one frame per `input()` call must
 /// equal the reference *globally* — every wire frame (ident included),
@@ -717,9 +779,12 @@ fn batch_of_one_is_byte_identical() {
     ];
     for policy in POLICIES {
         for syn_cookies in [false, true] {
-            let h = run_mode(Mode { policy, syn_cookies, feed: Feed::OneByOne }, [9, 8, 7, 6], &batches);
-            let staging = &h.pipeline.scratch_buffers()[4..];
-            assert!(staging.iter().all(|&(_, cap)| cap == 0), "input() touched the staging arrays");
+            for tight in [false, true] {
+                let mode = Mode { policy, syn_cookies, feed: Feed::OneByOne, tight };
+                let h = run_mode(mode, [9, 8, 7, 6], &batches);
+                let staging = &h.pipeline.scratch_buffers()[4..];
+                assert!(staging.iter().all(|&(_, cap)| cap == 0), "input() touched the staging arrays");
+            }
         }
     }
 }
@@ -778,8 +843,9 @@ props! {
         batches in collection::vec(collection::vec(op_strategy(), 1..48), 1..5),
         policy in 0usize..3,
         syn_cookies in any::<bool>(),
+        tight in any::<bool>(),
     ) {
-        let mode = Mode { policy: POLICIES[policy], syn_cookies, feed: Feed::OneByOne };
+        let mode = Mode { policy: POLICIES[policy], syn_cookies, feed: Feed::OneByOne, tight };
         run_mode(mode, [isns.0, isns.1, isns.2, isns.3], &batches);
     }
 }

@@ -18,6 +18,7 @@
 //! the timer softirq.
 
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// Default tick: 16 µs, the paper's highest-resolution timeout.
 pub const DEFAULT_RESOLUTION_NS: u64 = 16_000;
@@ -31,11 +32,26 @@ pub const LEVELS: usize = 4;
 const SLOT_MASK: u64 = (SLOTS_PER_LEVEL as u64) - 1;
 const LEVEL_BITS: u32 = 8;
 
-/// Handle to a scheduled timer; required to cancel it.
+/// Handle to a scheduled timer; required to cancel it. Eight bytes, and
+/// so is `Option<TimerId>`: the arena index is stored off by one in a
+/// `NonZeroU32`, which leaves `None` the all-zero pattern — a TCB keeps
+/// several of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId {
-    index: u32,
+    slot: NonZeroU32,
     generation: u32,
+}
+
+impl TimerId {
+    fn new(index: u32, generation: u32) -> TimerId {
+        // The arena never reaches `NIL` (u32::MAX) entries, so the
+        // increment cannot wrap to zero.
+        TimerId { slot: NonZeroU32::new(index + 1).expect("arena index below NIL"), generation }
+    }
+
+    fn index(self) -> u32 {
+        self.slot.get() - 1
+    }
 }
 
 #[derive(Debug)]
@@ -198,7 +214,7 @@ impl<T> TimerWheel<T> {
         self.link(idx, level, slot);
         self.live += 1;
         self.scheduled_total += 1;
-        TimerId { index: idx, generation }
+        TimerId::new(idx, generation)
     }
 
     /// Nanoseconds until `id` fires (tick-quantized, 0 when due), or
@@ -207,7 +223,7 @@ impl<T> TimerWheel<T> {
     /// re-arming at the full interval instead would let frequent
     /// migration postpone a deadline indefinitely.
     pub fn remaining_ns(&self, id: TimerId) -> Option<u64> {
-        let e = self.entries.get(id.index as usize)?;
+        let e = self.entries.get(id.index() as usize)?;
         if e.generation != id.generation || e.location.is_none() {
             return None;
         }
@@ -218,13 +234,13 @@ impl<T> TimerWheel<T> {
     /// Cancelling an already-fired or already-cancelled timer returns
     /// `None`.
     pub fn cancel(&mut self, id: TimerId) -> Option<T> {
-        let e = self.entries.get(id.index as usize)?;
+        let e = self.entries.get(id.index() as usize)?;
         if e.generation != id.generation || e.location.is_none() {
             return None;
         }
-        self.unlink(id.index);
-        let payload = self.entries[id.index as usize].payload.take();
-        self.free_entry(id.index);
+        self.unlink(id.index());
+        let payload = self.entries[id.index() as usize].payload.take();
+        self.free_entry(id.index());
         self.live -= 1;
         self.cancelled_total += 1;
         payload
@@ -237,15 +253,15 @@ impl<T> TimerWheel<T> {
     /// [`TimerWheel::cancel`], but with a single generation check and
     /// entry load instead of two round-trips per timer.
     pub fn cancel_with_remaining(&mut self, id: TimerId) -> Option<(T, u64)> {
-        let e = self.entries.get(id.index as usize)?;
+        let e = self.entries.get(id.index() as usize)?;
         if e.generation != id.generation || e.location.is_none() {
             return None;
         }
         let remaining = e.deadline.saturating_sub(self.now_tick) * self.resolution_ns;
-        self.unlink(id.index);
+        self.unlink(id.index());
         let payload =
-            self.entries[id.index as usize].payload.take().expect("live entry has payload");
-        self.free_entry(id.index);
+            self.entries[id.index() as usize].payload.take().expect("live entry has payload");
+        self.free_entry(id.index());
         self.live -= 1;
         self.cancelled_total += 1;
         Some((payload, remaining))
@@ -318,7 +334,7 @@ impl<T> TimerWheel<T> {
             self.link(idx, level, slot);
             self.live += 1;
             self.scheduled_total += 1;
-            sink(TimerId { index: idx, generation });
+            sink(TimerId::new(idx, generation));
         }
     }
 
@@ -495,6 +511,15 @@ impl<T> fmt::Debug for TimerWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_optional_handle_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Option<TimerId>>(), 8);
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        let first = w.schedule(1, 7);
+        assert_eq!(first.index(), 0, "arena index 0 is a valid handle");
+        assert_eq!(w.cancel(first), Some(7));
+    }
 
     #[test]
     fn fired_slots_keep_a_buffer() {
