@@ -14,12 +14,13 @@
 //! latency sampler. Both feed a shared [`LoadStats`].
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
-use ix_testkit::Bytes;
 use ix_core::libix::{ConnCtx, LibixCtx, LibixHandler};
+use ix_mempool::Blocks;
 use ix_sim::{Histogram, Nanos, SimRng, Simulator};
+use ix_testkit::Bytes;
 
 use crate::workload::{proto, Workload};
 
@@ -125,6 +126,26 @@ struct Outstanding {
 struct ConnIo {
     rx: Vec<u8>,
     fifo: VecDeque<Outstanding>,
+    /// libix cookie, filled at on_connected.
+    cookie: u64,
+}
+
+/// Draws the next operation and writes its request, numbered `seq`, in
+/// place into one of `blocks`: the key from the key index, a SET's
+/// value as filler (a GET names the length it expects and sends none).
+pub fn build_request(
+    blocks: &mut Blocks,
+    workload: &Workload,
+    rng: &mut SimRng,
+    seq: u64,
+) -> Bytes {
+    let op = workload.next_op(rng);
+    let opcode = if op.is_get { proto::OP_GET } else { proto::OP_SET };
+    blocks.build(proto::request_len(opcode, op.key_len, op.val_len), |buf| {
+        let (key, val) = proto::write_request(buf, opcode, seq, op.key_len, op.val_len);
+        Workload::write_key(op.key, key);
+        val.fill(b'w');
+    })
 }
 
 /// One coordinated load-generation thread.
@@ -140,10 +161,12 @@ pub struct MutilateClient {
     workload: Workload,
     rng: SimRng,
     stats: Rc<RefCell<LoadStats>>,
-    io: HashMap<u64, ConnIo>,
+    /// Request blocks, written in place and lent to TCP until acked.
+    blocks: Blocks,
+    /// Per-connection state, indexed by `Conn::user` (dense: this
+    /// thread numbers its connections `0..conns`).
+    io: Vec<ConnIo>,
     ready: Vec<u64>,
-    /// user -> libix cookie, filled at on_connected.
-    cookies: HashMap<u64, u64>,
     rr: usize,
     opened: usize,
     next_seq: u64,
@@ -190,9 +213,9 @@ impl MutilateClient {
             workload,
             rng,
             stats,
-            io: HashMap::new(),
+            blocks: Blocks::new(),
+            io: Vec::new(),
             ready: Vec::new(),
-            cookies: HashMap::new(),
             rr: 0,
             opened: 0,
             next_seq: 1,
@@ -207,20 +230,9 @@ impl MutilateClient {
         }
     }
 
-    /// Builds the next request and records it on `user`'s FIFO.
-    fn build(&mut self, user: u64, arrived_at: u64, now_ns: u64) -> Bytes {
-        let op = self.workload.next_op(&mut self.rng);
-        let key = Workload::key_bytes(op.key, op.key_len);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let req = if op.is_get {
-            proto::encode_request(proto::OP_GET, seq, &key, &vec![0u8; op.val_len])
-        } else {
-            proto::encode_request(proto::OP_SET, seq, &key, &vec![b'w'; op.val_len])
-        };
-        let io = self.io.get_mut(&user).expect("tracked");
-        io.fifo.push_back(Outstanding { seq, arrived_at, issued_at: now_ns });
-        Bytes::from(req)
+    /// The pool this thread's requests are built in.
+    pub fn blocks(&self) -> &Blocks {
+        &self.blocks
     }
 
     /// Drains the backlog onto connections with pipeline capacity,
@@ -233,18 +245,15 @@ impl MutilateClient {
             // Find a connection with room, starting at the RR cursor.
             for probe in 0..self.ready.len() {
                 let idx = (self.rr + probe) % self.ready.len();
-                let user = self.ready[idx];
-                let room = self
-                    .io
-                    .get(&user)
-                    .map(|io| io.fifo.len() < self.pipeline)
-                    .unwrap_or(false);
-                if room {
+                let io = &mut self.io[self.ready[idx] as usize];
+                if io.fifo.len() < self.pipeline {
                     self.rr = (idx + 1) % self.ready.len();
                     self.backlog.pop_front();
-                    let req = self.build(user, arrived, now_ns);
-                    let cookie = *self.cookies.get(&user).expect("connected");
-                    write(cookie, req);
+                    let seq = self.next_seq;
+                    self.next_seq += 1;
+                    io.fifo.push_back(Outstanding { seq, arrived_at: arrived, issued_at: now_ns });
+                    let req = build_request(&mut self.blocks, &self.workload, &mut self.rng, seq);
+                    write(io.cookie, req);
                     continue 'outer;
                 }
             }
@@ -262,8 +271,8 @@ impl LibixHandler for MutilateClient {
             self.next_arrival_ns = ctx.now_ns
                 + 2_000_000
                 + self.rng.exponential(1e9 / self.rate_rps.max(1.0)) as u64;
+            self.io.resize_with(self.conns, ConnIo::default);
             for user in 0..self.conns as u64 {
-                self.io.insert(user, ConnIo::default());
                 ctx.connect(self.server, self.port, user);
                 self.opened += 1;
             }
@@ -294,7 +303,7 @@ impl LibixHandler for MutilateClient {
     fn on_connected(&mut self, ctx: &mut ConnCtx<'_>, ok: bool) {
         assert!(ok, "mutilate connect failed");
         self.ready.push(ctx.conn.user);
-        self.cookies.insert(ctx.conn.user, ctx.conn.cookie);
+        self.io[ctx.conn.user as usize].cookie = ctx.conn.cookie;
         let me = ctx.conn.cookie;
         let now = ctx.now_ns;
         self.drain_backlog(now, |cookie, req| {
@@ -311,7 +320,7 @@ impl LibixHandler for MutilateClient {
     fn on_data(&mut self, ctx: &mut ConnCtx<'_>, data: &Bytes) {
         let user = ctx.conn.user;
         let now = ctx.now_ns;
-        let Some(io) = self.io.get_mut(&user) else { return };
+        let Some(io) = self.io.get_mut(user as usize) else { return };
         // Contiguous fast path: nothing buffered for this connection, so
         // responses parse directly from the delivered view — in place,
         // zero staging copies. Only a genuine straddle spills into the
@@ -398,6 +407,8 @@ pub struct MutilateAgent {
     workload: Workload,
     rng: SimRng,
     stats: Rc<RefCell<LoadStats>>,
+    /// Request blocks, written in place and lent to TCP until acked.
+    blocks: Blocks,
     /// Pause between samples.
     pub gap_ns: u64,
     started: bool,
@@ -426,6 +437,7 @@ impl MutilateAgent {
             workload,
             rng,
             stats,
+            blocks: Blocks::new(),
             gap_ns: 50_000,
             started: false,
             rx: Vec::new(),
@@ -440,18 +452,11 @@ impl MutilateAgent {
 
     /// Builds the next request and marks it outstanding.
     fn build_request(&mut self, now_ns: u64) -> Bytes {
-        let op = self.workload.next_op(&mut self.rng);
-        let key = Workload::key_bytes(op.key, op.key_len);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let req = if op.is_get {
-            proto::encode_request(proto::OP_GET, seq, &key, &vec![0u8; op.val_len])
-        } else {
-            proto::encode_request(proto::OP_SET, seq, &key, &vec![b'w'; op.val_len])
-        };
         self.sent_at = now_ns;
         self.awaiting = Some(seq);
-        Bytes::from(req)
+        build_request(&mut self.blocks, &self.workload, &mut self.rng, seq)
     }
 }
 

@@ -85,13 +85,19 @@ impl Workload {
         }
     }
 
-    /// The key bytes for a key index at the given length (deterministic,
-    /// so clients and the store agree without sharing state).
+    /// Writes the key bytes for a key index over all of `out`, whose
+    /// length is the key length (deterministic, so clients and the store
+    /// agree without sharing state).
+    pub fn write_key(key: u64, out: &mut [u8]) {
+        let n = out.len().min(8);
+        out[..n].copy_from_slice(&key.to_le_bytes()[..n]);
+        out[n..].fill(b'k');
+    }
+
+    /// [`write_key`](Self::write_key) into a vector of its own.
     pub fn key_bytes(key: u64, key_len: usize) -> Vec<u8> {
-        let mut v = vec![b'k'; key_len];
-        let digits = key.to_le_bytes();
-        let n = key_len.min(8);
-        v[..n].copy_from_slice(&digits[..n]);
+        let mut v = vec![0; key_len];
+        Self::write_key(key, &mut v);
         v
     }
 }
@@ -116,20 +122,45 @@ pub mod proto {
     /// Fixed response header length.
     pub const RSP_HDR: usize = 1 + 4 + 8;
 
-    /// Encodes a request. For GET, `val` communicates the *expected*
-    /// response value length via the header only; its bytes travel only
-    /// on SET.
+    /// Longest key the server accepts (memcached's limit).
+    pub const MAX_KEY: usize = 250;
+    /// Longest value the server accepts (memcached's item limit).
+    pub const MAX_VALUE: usize = 1 << 20;
+
+    /// Length on the wire of a request. For GET, `vlen` communicates the
+    /// *expected* response value length via the header only; value
+    /// bytes travel only on SET.
+    pub fn request_len(op: u8, klen: usize, vlen: usize) -> usize {
+        REQ_HDR + klen + if op == OP_SET { vlen } else { 0 }
+    }
+
+    /// Writes a request's header into `buf`, which is exactly
+    /// [`request_len`] bytes, and returns the key's and the value's
+    /// places in it (the latter empty unless SET) for the caller to
+    /// fill. This and [`write_response`] are the only encoders.
+    pub fn write_request(
+        buf: &mut [u8],
+        op: u8,
+        seq: u64,
+        klen: usize,
+        vlen: usize,
+    ) -> (&mut [u8], &mut [u8]) {
+        debug_assert_eq!(buf.len(), request_len(op, klen, vlen));
+        let (hdr, body) = buf.split_at_mut(REQ_HDR);
+        hdr[0] = op;
+        hdr[1..3].copy_from_slice(&(klen as u16).to_be_bytes());
+        hdr[3..7].copy_from_slice(&(vlen as u32).to_be_bytes());
+        hdr[7..].copy_from_slice(&seq.to_be_bytes());
+        body.split_at_mut(klen)
+    }
+
+    /// [`write_request`] into a vector of its own, copying `key` and
+    /// (for SET) `val`.
     pub fn encode_request(op: u8, seq: u64, key: &[u8], val: &[u8]) -> Vec<u8> {
-        let body = if op == OP_SET { val.len() } else { 0 };
-        let mut out = Vec::with_capacity(REQ_HDR + key.len() + body);
-        out.push(op);
-        out.extend_from_slice(&(key.len() as u16).to_be_bytes());
-        out.extend_from_slice(&(val.len() as u32).to_be_bytes());
-        out.extend_from_slice(&seq.to_be_bytes());
-        out.extend_from_slice(key);
-        if op == OP_SET {
-            out.extend_from_slice(val);
-        }
+        let mut out = vec![0; request_len(op, key.len(), val.len())];
+        let (k, v) = write_request(&mut out, op, seq, key.len(), val.len());
+        k.copy_from_slice(key);
+        v.copy_from_slice(&val[..v.len()]);
         out
     }
 
@@ -149,7 +180,7 @@ pub mod proto {
     impl ReqHeader {
         /// Total request length including header.
         pub fn total_len(&self) -> usize {
-            REQ_HDR + self.klen + if self.op == OP_SET { self.vlen } else { 0 }
+            request_len(self.op, self.klen, self.vlen)
         }
     }
 
@@ -167,13 +198,21 @@ pub mod proto {
         })
     }
 
-    /// Encodes a response.
+    /// Writes a response's header into `buf`, which is exactly
+    /// `RSP_HDR + vlen` bytes, and returns the value's place in it for
+    /// the caller to fill.
+    pub fn write_response(buf: &mut [u8], status: u8, seq: u64) -> &mut [u8] {
+        let (hdr, val) = buf.split_at_mut(RSP_HDR);
+        hdr[0] = status;
+        hdr[1..5].copy_from_slice(&(val.len() as u32).to_be_bytes());
+        hdr[5..].copy_from_slice(&seq.to_be_bytes());
+        val
+    }
+
+    /// [`write_response`] into a vector of its own, copying `val`.
     pub fn encode_response(status: u8, seq: u64, val: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(RSP_HDR + val.len());
-        out.push(status);
-        out.extend_from_slice(&(val.len() as u32).to_be_bytes());
-        out.extend_from_slice(&seq.to_be_bytes());
-        out.extend_from_slice(val);
+        let mut out = vec![0; RSP_HDR + val.len()];
+        write_response(&mut out, status, seq).copy_from_slice(val);
         out
     }
 

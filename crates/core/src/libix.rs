@@ -57,6 +57,12 @@ impl Conn {
     pub fn pending_bytes(&self) -> usize {
         self.pending_bytes
     }
+
+    /// True once the handler has closed or aborted the connection.
+    /// Events already queued for it in this cycle are still delivered.
+    pub fn is_closing(&self) -> bool {
+        self.closing
+    }
 }
 
 /// Actions a handler can take on a connection during a callback.

@@ -16,10 +16,18 @@
 //! its queues borrow one from their spare stack while they hold
 //! something — and the buffers in existence must follow the connections
 //! busy at once, not the connections open.
+//!
+//! The third is the application's end of the same rule: memcached under
+//! the ETC mix builds every request and response in a recycled block
+//! and stores every item in the store's log, so its window makes no
+//! block, boxes no event and grows the log only by what was SET.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
+use ix_apps::kvstore::{KvServer, SharedStore, SEGMENT};
+use ix_apps::mutilate::{LoadStats, MutilateClient};
+use ix_apps::workload::{Workload, WorkloadKind};
 use ix_baselines::linux::{LinuxHost, LinuxParams};
 use ix_core::api::IxApp;
 use ix_core::dataplane::Dataplane;
@@ -28,7 +36,7 @@ use ix_core::params::CostParams;
 use ix_mempool::{LentQueues, Spares, PROVISION_BLOCK};
 use ix_nic::fabric::Fabric;
 use ix_nic::params::MachineParams;
-use ix_sim::{SimTime, Simulator};
+use ix_sim::{SimRng, SimTime, Simulator};
 use ix_tcp::StackConfig;
 use ix_testkit::Bytes;
 
@@ -52,6 +60,11 @@ impl LibixHandler for EchoServer {
         ctx.charge(120);
         assert!(ctx.write(self.template.slice(..data.len())));
     }
+}
+
+/// The echo cases' server application.
+fn echo_server() -> EchoServer {
+    EchoServer { template: Bytes::from(vec![0x5au8; MSG]) }
 }
 
 /// Keeps one `MSG`-byte message in flight on each of its connections.
@@ -115,8 +128,8 @@ fn scratch(server: &Dataplane, clients: &[LinuxHost]) -> Vec<(usize, usize)> {
     ids
 }
 
-/// An IX echo server and `client_hosts` Linux-model client machines on
-/// one switch, every application under `Libix`.
+/// An IX server and `client_hosts` Linux-model client machines on one
+/// switch, every application under `Libix`.
 struct Bed {
     sim: Simulator,
     fabric: Fabric,
@@ -124,7 +137,8 @@ struct Bed {
     clients: Vec<LinuxHost>,
 }
 
-fn launch<H: LibixHandler + 'static>(
+fn launch<S: LibixHandler + 'static, H: LibixHandler + 'static>(
+    mut server_app: impl FnMut() -> S + 'static,
     client_hosts: usize,
     mut client: impl FnMut(ix_net::Ipv4Addr) -> H,
 ) -> Bed {
@@ -142,7 +156,7 @@ fn launch<H: LibixHandler + 'static>(
         CostParams::default(),
         StackConfig::default(),
         Some(PORT),
-        |_| Box::new(Libix::new(EchoServer { template: Bytes::from(vec![0x5au8; MSG]) })),
+        move |_| Box::new(Libix::new(server_app())),
     );
     let clients: Vec<LinuxHost> = client_ids
         .iter()
@@ -168,13 +182,14 @@ fn launch<H: LibixHandler + 'static>(
 #[test]
 fn steady_state_allocates_nothing_and_pools_follow_demand() {
     let completed = Rc::new(Cell::new(0u64));
-    let Bed { mut sim, fabric, dp, clients } = launch(CLIENT_HOSTS, |server| EchoClient {
+    let bed = launch(echo_server, CLIENT_HOSTS, |server| EchoClient {
         server,
         dialed: 0,
         got: vec![0; CONNS_PER_THREAD],
         template: Bytes::from(vec![0x5au8; MSG]),
         completed: completed.clone(),
     });
+    let Bed { mut sim, fabric, dp, clients } = bed;
 
     // Warm-up: connections open, then the server stalls for a
     // millisecond so that every connection's request is queued at once.
@@ -315,8 +330,7 @@ fn idle_connections_hold_no_buffers() {
     // thread keeps a handful of server `rtq`s busy — two threads, about
     // a dozen, inside the first batch of buffers a spare stack makes.
     let completed = Rc::new(Cell::new(0u64));
-    // (The fabric is the wire: it has to outlive the run.)
-    let Bed { mut sim, dp, clients, fabric: _fabric } = launch(1, |server| RotatingClient {
+    let bed = launch(echo_server, 1, |server| RotatingClient {
         server,
         dialed: 0,
         cookies: vec![0; IDLE_CONNS_PER_THREAD],
@@ -325,6 +339,8 @@ fn idle_connections_hold_no_buffers() {
         template: Bytes::from(vec![0x5au8; MSG]),
         completed: completed.clone(),
     });
+    // (The fabric is the wire: it has to outlive the run.)
+    let Bed { mut sim, dp, clients, fabric: _fabric } = bed;
     let threads = CLIENT_THREADS;
     let conns = threads * IDLE_CONNS_PER_THREAD;
 
@@ -365,4 +381,73 @@ fn idle_connections_hold_no_buffers() {
     }
     // Every stack was exercised, so "no buffer" above is not vacuous.
     assert!(lent0.iter().all(|l| l.busy + l.spare > 0), "{lent0:?}");
+}
+
+#[test]
+fn memcached_builds_in_recycled_blocks_and_stores_in_its_log() {
+    // ETC at 300 000 requests per second, open loop, from six client
+    // threads with eight connections each.
+    const RPS: f64 = 300_000.0;
+    let store = SharedStore::new();
+    let stats = LoadStats::new(0, u64::MAX);
+    let (st, ls, mut seeder) = (store.clone(), stats.clone(), SimRng::new(5));
+    let Bed { mut sim, dp, clients, fabric: _fabric } = launch(
+        move || KvServer::new(st.clone()),
+        CLIENT_HOSTS,
+        |server| {
+            MutilateClient::new(
+                server,
+                PORT,
+                CONNS_PER_THREAD,
+                RPS / (CLIENT_HOSTS * CLIENT_THREADS) as f64,
+                Workload::new(WorkloadKind::Etc),
+                seeder.fork(),
+                ls.clone(),
+            )
+        },
+    );
+    // Blocks made so far by every handler, servers first.
+    let made = || -> Vec<usize> {
+        let servers = dp.threads.iter().map(|th| {
+            libix::<KvServer>(th.borrow_mut().app_mut()).handler().blocks().made()
+        });
+        let loaders = clients.iter().flat_map(|h| &h.cores).map(|core| {
+            libix::<MutilateClient>(core.borrow_mut().app_mut()).handler().blocks().made()
+        });
+        servers.chain(loaders).collect()
+    };
+
+    // Warm-up, as in the echo case: a millisecond's stall queues 300
+    // requests behind full pipelines, and the burst that follows takes
+    // every pool past anything the open loop reaches on its own.
+    sim.run_until(SimTime(10_000_000));
+    for th in &dp.threads {
+        th.borrow_mut().parked = true;
+    }
+    sim.run_until(SimTime(11_000_000));
+    for th in &dp.threads {
+        th.borrow_mut().parked = false;
+    }
+    dp.kick(&mut sim);
+    sim.run_until(SimTime(20_000_000));
+    let (made0, sim0, done0) = (made(), sim.counters(), stats.borrow().completed_total);
+    let (segments0, log0, keys0) = {
+        let s = store.borrow();
+        (s.segments(), s.log_bytes(), s.len())
+    };
+    assert!(made0.iter().all(|&m| m > 0), "the warm-up exercised every pool: {made0:?}");
+
+    sim.run_until(SimTime(100_000_000));
+    let done = stats.borrow().completed_total - done0;
+    assert!(done > 20_000 && stats.borrow().shed == 0, "{done} requests in the window");
+    assert_eq!(made(), made0, "a message block was made in steady state");
+    assert_eq!(sim.counters().boxed, sim0.boxed, "a steady-state event took the boxing path");
+    let s = store.borrow();
+    let set = s.log_bytes() - log0;
+    assert!(s.len() > keys0 + 1_000 && set > 0, "the window stored items");
+    assert!(
+        s.segments() - segments0 <= set.div_ceil(SEGMENT as u64) as usize + 1,
+        "{} segments for {set} bytes set",
+        s.segments() - segments0
+    );
 }

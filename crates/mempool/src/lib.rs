@@ -14,7 +14,9 @@
 //! management so protocol headers can be prepended without copying — the
 //! mechanism behind IX's zero-copy API. [`Spares`] applies the same free-list
 //! rule to the heap buffers behind per-connection queues: lent while a
-//! connection holds something, never parked per flow.
+//! connection holds something, never parked per flow. [`Blocks`] is the
+//! application's end of it: message blocks written in place, lent to TCP
+//! until acknowledged, then written again.
 //!
 //! Pools are intentionally *not* thread-safe: one pool per elastic thread
 //! is the paper's design (no synchronization or coherence traffic on the
@@ -24,6 +26,6 @@ pub mod lend;
 pub mod mbuf;
 pub mod pool;
 
-pub use lend::{LentQueues, Spares};
+pub use lend::{Blocks, LentQueues, Spares};
 pub use mbuf::{Mbuf, MBUF_DATA_SIZE, MBUF_DEFAULT_HEADROOM};
 pub use pool::{MbufPool, ObjectPool, PoolStats, PROVISION_BLOCK};

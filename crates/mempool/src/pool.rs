@@ -89,15 +89,7 @@ impl FreeList {
 
     /// Moves parked storage whose last view has dropped back to `free`.
     fn sweep_deferred(&mut self) {
-        let mut i = 0;
-        while i < self.deferred.len() {
-            if Arc::strong_count(&self.deferred[i]) == 1 {
-                let storage = self.deferred.swap_remove(i);
-                self.free.push(storage);
-            } else {
-                i += 1;
-            }
-        }
+        crate::lend::sweep_unique(&mut self.deferred, &mut self.free);
     }
 
     pub(crate) fn recycle(&mut self, storage: Arc<[u8]>) {

@@ -16,6 +16,7 @@ run fig3c_msgsize 1500
 run fig3a_cores 2400
 run fig3b_roundtrips 2400
 run fig4_connscale 2400
+run fig5_memcached 1200
 run table2_sla 2400
 run ablations 1200
 echo ALL_FIGURES_DONE
