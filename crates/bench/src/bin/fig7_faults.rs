@@ -111,7 +111,6 @@ fn main() {
         "{:<22} {:>9} {:>9} {:>6} {:>11} {:>8} {:>6} {:>8} {:>8}",
         "scenario", "Kmsg/s", "p99(us)", "dip", "recover", "drops", "retx", "rto", "fastrtx"
     );
-    let mut json_rows: Vec<String> = Vec::new();
     for (sc, r) in scenarios.iter().zip(outcome.results.iter()) {
         let continuous = matches!(sc, Scenario::Loss(_));
         let recover = match (continuous, r.stalled, r.recover_ns) {
@@ -138,31 +137,6 @@ fn main() {
                 "", w.scans, w.hangs_detected, w.buckets_resteered, w.flows_migrated, w.frames_discarded
             );
         }
-        let wd = match r.watchdog {
-            Some(w) => format!(
-                "{{\"hangs\": {}, \"buckets\": {}, \"flows\": {}, \"discarded\": {}}}",
-                w.hangs_detected, w.buckets_resteered, w.flows_migrated, w.frames_discarded
-            ),
-            None => "null".to_string(),
-        };
-        json_rows.push(format!(
-            "{{\"scenario\": \"{}\", \"kmsgs_per_sec\": {:.1}, \"p99_us\": {:.2}, \
-             \"dip_frac\": {:.4}, \"recover_ms\": {}, \"stalled\": {}, \"wire_drops\": {}, \
-             \"retransmits\": {}, \"rto_fires\": {}, \"fast_retransmits\": {}, \
-             \"max_recovery_us\": {:.1}, \"watchdog\": {}}}",
-            ix_bench::report::json_escape(&sc.name()),
-            r.msgs_per_sec / 1e3,
-            r.rtt_p99_ns as f64 / 1e3,
-            r.dip_frac,
-            r.recover_ns.map_or("null".to_string(), |ns| format!("{:.1}", ns as f64 / 1e6)),
-            r.stalled,
-            r.faults.dropped_total(),
-            r.tcp.retransmits,
-            r.tcp.rto_fires,
-            r.tcp.fast_retransmits,
-            r.tcp.max_recovery_ns as f64 / 1e3,
-            wd,
-        ));
     }
 
     // Headline claims the acceptance gate checks: nothing stalls at
@@ -183,10 +157,5 @@ fn main() {
         println!("\nSTALLED scenarios: {}", stalled.join(", "));
     }
 
-    let suffix = if ix_bench::sweep::quick() { "_quick" } else { "" };
-    ix_bench::report::update_section(
-        &format!("fig7_faults{suffix}"),
-        &format!("[{}]", json_rows.join(", ")),
-    );
     ix_bench::sweep::record("fig7_faults", &outcome);
 }

@@ -98,7 +98,6 @@ fn main() {
         "{:<26} {:>8} {:>9} {:>9} {:>9} {:>10} {:>9} {:>7}",
         "scenario", "Krps", "p99(us)", "atk-sent", "filtered", "ring-drop", "cookies", "slab"
     );
-    let mut json_rows: Vec<String> = Vec::new();
     let mut baselines: Vec<(String, f64)> = Vec::new();
     for (sc, r) in scenarios.iter().zip(outcome.results.iter()) {
         println!(
@@ -116,31 +115,6 @@ fn main() {
         if sc.attack.is_none() {
             baselines.push((sys_key.clone(), r.rps));
         }
-        json_rows.push(format!(
-            "{{\"scenario\": \"{}\", \"system\": \"{}\", \"attack\": \"{}\", \
-             \"ratio\": {}, \"krps\": {:.1}, \"p99_us\": {:.2}, \"shed\": {}, \
-             \"attack_sent\": {}, \"filter_drops\": {}, \"filter_drop_allocs\": {}, \
-             \"nic_ring_drops\": {}, \"syn_cookies_sent\": {}, \
-             \"syn_cookies_accepted\": {}, \"syn_cookies_rejected\": {}, \
-             \"synrcvd_overflow_drops\": {}, \"rst_tx\": {}, \"slab_high_water\": {}}}",
-            ix_bench::report::json_escape(&sc.name()),
-            ix_bench::report::json_escape(&sys_key),
-            sc.attack.map_or("none", |k| k.name()),
-            sc.ratio,
-            r.rps / 1e3,
-            r.p99_ns as f64 / 1e3,
-            r.shed,
-            r.attack_sent,
-            r.filter.0,
-            r.filter.3,
-            r.nic_ring_drops,
-            r.tcp.syn_cookies_sent,
-            r.tcp.syn_cookies_accepted,
-            r.tcp.syn_cookies_rejected,
-            r.tcp.synrcvd_overflow_drops,
-            r.tcp.rst_tx,
-            r.slab_high_water,
-        ));
     }
 
     // Headline: filtered-IX goodput retention at the heaviest flood,
@@ -168,10 +142,5 @@ fn main() {
     println!("filter drops: {drops} frames, {drop_allocs} pool allocations (invariant: 0)");
     assert_eq!(drop_allocs, 0, "dropped frames must never touch the mbuf pool");
 
-    let suffix = if ix_bench::sweep::quick() { "_quick" } else { "" };
-    ix_bench::report::update_section(
-        &format!("fig8_adversarial{suffix}"),
-        &format!("[{}]", json_rows.join(", ")),
-    );
     ix_bench::sweep::record("fig8_adversarial", &outcome);
 }

@@ -104,7 +104,6 @@ fn main() {
         "{:<16} {:>8} {:>12} {:>9} {:>7} {:>5} {:>8} {:>9} {:>9} {:>6}",
         "run", "Kreq", "absorb", "postviol", "energy", "adds", "revokes", "migrated", "gatedrop", "dials"
     );
-    let mut json_rows: Vec<String> = Vec::new();
     for (p, r) in pts.iter().zip(outcome.results.iter()) {
         let absorb = match r.absorb_ns {
             Some(0) => "never over".to_string(),
@@ -125,46 +124,6 @@ fn main() {
             r.gate_drops,
             r.dials_ok,
         );
-        let series: Vec<String> = r
-            .windows
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"t_ms\": {:.1}, \"p99_us\": {:.1}, \"completed\": {}, \"cores\": {}, \"burst\": {}}}",
-                    w.t_ns as f64 / 1e6,
-                    w.p99_ns as f64 / 1e3,
-                    w.completed,
-                    w.active_cores,
-                    w.burst_on
-                )
-            })
-            .collect();
-        json_rows.push(format!(
-            "{{\"run\": \"{}\", \"completed\": {}, \"shed\": {}, \"absorb_ms\": {}, \
-             \"post_spike_violations\": {}, \"energy_frac\": {:.4}, \"adds\": {}, \
-             \"revokes\": {}, \"parks\": {}, \"flows_migrated\": {}, \"buckets_moved\": {}, \
-             \"add_retries\": {}, \"gate_drops\": {}, \"dials_ok\": {}, \"shed_epochs\": {}, \
-             \"series\": [{}]}}",
-            ix_bench::report::json_escape(p.name),
-            r.completed_total,
-            r.shed,
-            match r.absorb_ns {
-                Some(ns) => format!("{:.2}", ns as f64 / 1e6),
-                None => "null".to_string(),
-            },
-            r.post_spike_violations,
-            energy_frac,
-            r.ctl.adds,
-            r.ctl.revokes,
-            r.ctl.parks,
-            r.ctl.flows_migrated,
-            r.ctl.buckets_moved,
-            r.ctl.add_retries,
-            r.gate_drops,
-            r.dials_ok,
-            r.ctl.shed_epochs,
-            series.join(", "),
-        ));
     }
 
     // Headline gates the CI checks grep for.
@@ -191,10 +150,5 @@ fn main() {
         );
     }
 
-    let suffix = if quick { "_quick" } else { "" };
-    ix_bench::report::update_section(
-        &format!("fig9_elastic{suffix}"),
-        &format!("[{}]", json_rows.join(", ")),
-    );
     ix_bench::sweep::record("fig9_elastic", &outcome);
 }

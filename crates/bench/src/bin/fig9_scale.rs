@@ -45,7 +45,6 @@ fn main() {
         "{:>8} {:>9} {:>12} {:>14} {:>12} {:>12} {:>12} {:>7}",
         "conns", "moved", "ns/flow", "absorb ns/fl", "best ms", "before", "after", "resets"
     );
-    let mut json_rows: Vec<String> = Vec::new();
     for (&n, r) in conn_counts.iter().zip(results.iter()) {
         let moved = r.migrations.iter().map(|m| m.moved).min().unwrap_or(0);
         let best_ns = r.migrations.iter().map(|m| m.host_ns).min().unwrap_or(0);
@@ -60,29 +59,6 @@ fn main() {
             r.msgs_after / 1e6,
             r.resets
         );
-        let migs: Vec<String> = r
-            .migrations
-            .iter()
-            .map(|m| {
-                format!(
-                    "{{\"moved\": {}, \"host_ns\": {}, \"extract_ns\": {}, \"absorb_ns\": {}}}",
-                    m.moved, m.host_ns, m.extract_ns, m.absorb_ns
-                )
-            })
-            .collect();
-        json_rows.push(format!(
-            "{{\"conns\": {}, \"live\": {}, \"ns_per_flow\": {:.2}, \
-             \"absorb_ns_per_flow\": {:.2}, \"msgs_before\": {:.0}, \
-             \"msgs_after\": {:.0}, \"resets\": {}, \"migrations\": [{}]}}",
-            n,
-            r.conns,
-            r.ns_per_flow,
-            r.absorb_ns_per_flow,
-            r.msgs_before,
-            r.msgs_after,
-            r.resets,
-            migs.join(", ")
-        ));
     }
 
     // Headline gates the CI checks grep for: per-flow absorb cost at
@@ -116,11 +92,6 @@ fn main() {
         );
     }
 
-    let suffix = if quick { "_quick" } else { "" };
-    ix_bench::report::update_section(
-        &format!("fig9_scale{suffix}"),
-        &format!("[{}]", json_rows.join(", ")),
-    );
     ix_bench::sweep::record(
         "fig9_scale",
         &ix_bench::sweep::SweepOutcome { results, wall, threads: 1 },

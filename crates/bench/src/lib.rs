@@ -4,10 +4,9 @@
 //! the corresponding rows/series. Microbenchmarks of the hot data
 //! structures live under `benches/`. Shared output formatting lives
 //! here, alongside the parallel [`sweep`] runner the figure binaries
-//! farm their points out with and the [`report`] writer that persists
-//! measurements to `results/BENCH_sim.json`.
+//! farm their points out with. A binary's stdout is a pure function of
+//! its seed; the one host timing it takes goes to stderr.
 
-pub mod report;
 pub mod sweep;
 
 /// Prints a figure/table header with the paper reference.

@@ -16,8 +16,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::report;
-
 /// Worker count: `IX_SWEEP_THREADS` override, else the host parallelism.
 pub fn threads() -> usize {
     if let Ok(v) = std::env::var("IX_SWEEP_THREADS") {
@@ -90,30 +88,15 @@ where
     }
 }
 
-/// Records a sweep's timing under `sweep_<figure>` in `BENCH_sim.json`
-/// and prints a one-line summary.
+/// Prints the sweep's wall clock as one `[sweep]` line on stderr: host
+/// time never reaches a figure's stdout, which stays byte-reproducible.
 pub fn record<R>(figure: &str, outcome: &SweepOutcome<R>) {
-    let wall_ms = outcome.wall.as_secs_f64() * 1e3;
-    let pps = outcome.results.len() as f64 / outcome.wall.as_secs_f64().max(1e-9);
-    println!(
-        "[sweep] {figure}: {} points in {:.1} ms on {} thread(s) ({:.2} points/s)",
+    eprintln!(
+        "[sweep] {figure}: {} points in {:.1} ms on {} thread(s)",
         outcome.results.len(),
-        wall_ms,
-        outcome.threads,
-        pps
+        outcome.wall.as_secs_f64() * 1e3,
+        outcome.threads
     );
-    let value = format!(
-        "{{\"points\": {}, \"threads\": {}, \"wall_ms\": {:.1}, \"points_per_sec\": {:.3}, \"quick\": {}}}",
-        outcome.results.len(),
-        outcome.threads,
-        wall_ms,
-        pps,
-        quick()
-    );
-    // Quick (CI smoke) runs land under their own key so they never
-    // clobber a recorded full-length sweep.
-    let suffix = if quick() { "_quick" } else { "" };
-    report::update_section(&format!("sweep_{figure}{suffix}"), &value);
 }
 
 #[cfg(test)]

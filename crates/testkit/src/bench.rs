@@ -80,7 +80,7 @@ impl BenchRunner {
     /// that cargo passes are ignored).
     pub fn from_args() -> BenchRunner {
         let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        let target = if std::env::var("IX_BENCH_QUICK").is_ok() {
+        let target = if std::env::var("IX_BENCH_QUICK").is_ok_and(|v| v == "1") {
             Duration::from_millis(5)
         } else {
             Duration::from_millis(250)
