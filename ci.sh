@@ -93,13 +93,19 @@ while IFS='|' read -r name budget_s cmd must same_as; do
 done <<< "$gates"
 
 # Host allocation discipline (DESIGN.md §5k): ceilings on what the
-# benchmark row above recorded — counts of this program, not timings.
-# echo_small reads 0.09 allocations per message and 50 MiB (29.3 and 646
-# before PR 15): a boxed event or per-cycle vector back on the message
-# path trips it. conn_scale reads 0.26 and 140 MiB, ceilings 15 % above:
-# a queue keeping its buffer on every idle connection, or a 376-byte
-# TCB, trips it. kv_etc reads 0.33 in the quick window, all warm-up:
-# one `Vec` or `Bytes::from` per memcached request is a whole one more.
+# benchmark row above recorded — counts of this program, not timings,
+# the same on every box for the quick run's one seed. Allocations per
+# message read echo_small 0.006, echo_churn 0.058, echo_bulk 0.21,
+# kv_etc 0.018 and conn_scale 0.009 in the quick window (warm-up weighs
+# ten times what it does in a full run: 0.0014, 0.010, 0.030, 0.0036,
+# 0.0015 there), and each ceiling is about twice its reading. A boxed
+# event, a per-cycle vector or a `Vec` per memcached request back on the
+# message path is a whole one more; a timer wheel that allocates per
+# slot again reads 0.09 / 0.52 / 1.96 / 0.33 / 0.26 (echo_bulk and
+# echo_churn arm the most timers per message). Peak RSS reads 41 MiB on
+# echo_small (646 before PR 15) and 136 MiB on conn_scale, where a queue
+# keeping its buffer on every idle connection, or a 376-byte TCB,
+# crosses the ceiling.
 while read -r workload metric ceiling; do
     value=$(awk -F'\t' -v w="$workload" -v m="$metric" '$1 == w && $4 == 0 && $6 == m { print $7 }' \
         benchmark/out/quick.tsv)
@@ -109,11 +115,13 @@ while read -r workload metric ceiling; do
     fi
     echo "ci: ${workload} ${metric} = ${value} (ceiling ${ceiling})"
 done <<'EOF2'
-echo_small host_allocs_per_msg 3.0
+echo_small host_allocs_per_msg 0.012
 echo_small host_peak_rss_mib 128
-conn_scale host_allocs_per_msg 0.30
+echo_churn host_allocs_per_msg 0.12
+echo_bulk host_allocs_per_msg 0.45
+kv_etc host_allocs_per_msg 0.036
+conn_scale host_allocs_per_msg 0.02
 conn_scale host_peak_rss_mib 160
-kv_etc host_allocs_per_msg 0.65
 EOF2
 
 echo "ci: all green"

@@ -655,7 +655,7 @@ impl LinuxCore {
     fn ensure_tick(this: &LinuxCoreRef, sim: &mut Simulator) {
         let arm = {
             let t = this.borrow();
-            !t.tick_armed && (t.shard.flow_count() > 0 || t.shard.next_timer_ns().is_some())
+            !t.tick_armed && (t.shard.flow_count() > 0 || t.shard.has_timers())
         };
         if !arm {
             return;

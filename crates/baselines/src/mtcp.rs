@@ -206,10 +206,14 @@ impl MtcpCore {
         if schedule_app {
             t.app_scheduled = true;
         }
-        let mut wake: Option<u64> = t.shard.next_timer_ns();
-        if let Some(d) = t.app.next_deadline_ns() {
-            let rel = d.saturating_sub(now_ns).max(1);
-            wake = Some(wake.map_or(rel, |w| w.min(rel)));
+        // The idle wake-up, worked out only when the pass ends idle.
+        let mut wake: Option<u64> = None;
+        if !rx_pending && !schedule_app {
+            wake = t.shard.next_timer_ns();
+            if let Some(d) = t.app.next_deadline_ns() {
+                let rel = d.saturating_sub(now_ns).max(1);
+                wake = Some(wake.map_or(rel, |w| w.min(rel)));
+            }
         }
         drop(t);
         MtcpCore::ring_doorbells(this, sim);
@@ -218,11 +222,9 @@ impl MtcpCore {
         }
         if rx_pending {
             MtcpCore::schedule_tcp(this, sim);
-        } else if !schedule_app {
-            if let Some(ns) = wake {
-                let id = sim.schedule_event_in(Nanos(ns.max(1)), this, EV_IDLE_WAKE);
-                this.borrow_mut().idle_wake = Some(id);
-            }
+        } else if let Some(ns) = wake {
+            let id = sim.schedule_event_in(Nanos(ns.max(1)), this, EV_IDLE_WAKE);
+            this.borrow_mut().idle_wake = Some(id);
         }
     }
 

@@ -158,6 +158,20 @@ fn bench_timerwheel(r: &mut BenchRunner) {
             w.advance(now, |_| {});
         })
     });
+    // What an idle-going dataplane thread asks: one RTO per flow, 200 ms
+    // out, re-armed 50 µs apart — the per-shard populations of
+    // `echo_bulk` (36) and `echo_small` (288). They share a few level-1
+    // slots, and the answer reads the first of those chains only.
+    for flows in [36u64, 288] {
+        r.bench(&format!("timerwheel/next_deadline_{flows}"), |b| {
+            let mut w: TimerWheel<u64> = TimerWheel::new();
+            for flow in 0..flows {
+                w.advance(flow * 50_000, |_| {});
+                w.schedule(200_000_000, flow);
+            }
+            b.iter(|| black_box(w.next_deadline_ns()))
+        });
+    }
 }
 
 fn bench_mempool(r: &mut BenchRunner) {

@@ -425,12 +425,16 @@ impl ElasticThread {
                     || !t.shard.quiescent()
                     || t.app.wants_cycle(sim.now().as_nanos())
                     || !t.pending_results.is_empty();
-                let mut wake: Option<u64> = t.shard.next_timer_ns();
-                if let Some(d) = t.app.next_deadline_ns() {
-                    let rel = d.saturating_sub(sim.now().as_nanos()).max(1);
-                    wake = Some(wake.map_or(rel, |w| w.min(rel)));
+                if more {
+                    (true, None)
+                } else {
+                    let mut wake: Option<u64> = t.shard.next_timer_ns();
+                    if let Some(d) = t.app.next_deadline_ns() {
+                        let rel = d.saturating_sub(sim.now().as_nanos()).max(1);
+                        wake = Some(wake.map_or(rel, |w| w.min(rel)));
+                    }
+                    (false, wake)
                 }
-                (more, wake)
             }
         };
         if more {

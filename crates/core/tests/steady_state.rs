@@ -5,9 +5,11 @@
 //!
 //! * schedule no boxed event — every NIC, switch, dataplane and client
 //!   event takes the plain-data form;
-//! * leave every recycled per-cycle vector, on the server and on the
-//!   clients, with the address and capacity it had when the window
-//!   opened (buffers that ping-pong only trade places);
+//! * leave every recycled per-cycle vector and every shard's timer
+//!   arena, on the server and on the clients, with the address and
+//!   capacity it had when the window opened (buffers that ping-pong
+//!   only trade places; each RTO re-armed in the window walks into some
+//!   twenty wheel slots no timer has used before);
 //! * and have materialized no more mbuf storage in any pool than its
 //!   demand high-water mark plus one provisioning block.
 //!
@@ -111,17 +113,20 @@ fn libix<H: LibixHandler + 'static>(app: &mut dyn IxApp) -> &mut Libix<H> {
     app.as_any().downcast_mut().expect("every application runs under Libix")
 }
 
-/// Every recycled vector on the server and on the clients, sorted.
+/// Every recycled vector and timer arena on the server and on the
+/// clients, sorted.
 fn scratch(server: &Dataplane, clients: &[LinuxHost]) -> Vec<(usize, usize)> {
     let mut ids = Vec::new();
     for th in &server.threads {
         let mut t = th.borrow_mut();
         ids.extend(t.scratch_buffers());
+        ids.push(t.shard.timer_arena());
         ids.extend(libix::<EchoServer>(t.app_mut()).scratch_buffers());
     }
     for core in clients.iter().flat_map(|h| &h.cores) {
         let mut c = core.borrow_mut();
         ids.extend(c.scratch_buffers());
+        ids.push(c.shard.timer_arena());
         ids.extend(libix::<EchoClient>(c.app_mut()).scratch_buffers());
     }
     ids.sort_unstable();

@@ -436,6 +436,15 @@ impl TcpShard {
         ]
     }
 
+    /// `(address, capacity)` of the timer wheel's entry arena, in the
+    /// form of [`TcpShard::scratch_buffers`]: it grows to the most
+    /// timers ever armed at once and no timer operation allocates
+    /// otherwise.
+    #[doc(hidden)]
+    pub fn timer_arena(&self) -> (usize, usize) {
+        self.wheel.arena_id()
+    }
+
     /// Census of the lent queue buffers, `[rtq, rx_held]`: how many
     /// flows hold one, what idle flows still own (nothing), and what
     /// sits on each spare stack.
@@ -524,6 +533,12 @@ impl TcpShard {
     /// Nanoseconds until the next timer fires, if any.
     pub fn next_timer_ns(&self) -> Option<u64> {
         self.wheel.next_deadline_ns()
+    }
+
+    /// True while any timer is armed: [`TcpShard::next_timer_ns`] is
+    /// `Some`, without working out when.
+    pub fn has_timers(&self) -> bool {
+        self.wheel.live() > 0
     }
 
     // ------------------------------------------------------------------

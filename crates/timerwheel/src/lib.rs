@@ -8,10 +8,36 @@
 //! during TCP incast congestion."*
 //!
 //! [`TimerWheel`] reproduces that component: a 4-level wheel of 256 slots
-//! per level with a default 16 µs tick, O(1) schedule, O(1) *true* cancel
-//! (entries are unlinked immediately, not lazily), and cascading on level
-//! rollover. Timer identity is protected with generation counters so a
-//! stale [`TimerId`] can never cancel a reused slot.
+//! per level with a default 16 µs tick, *true* cancel (entries are
+//! unlinked immediately, not lazily), and cascading on level rollover.
+//! Timer identity is protected with generation counters so a stale
+//! [`TimerId`] can never cancel a reused slot.
+//!
+//! # Layout
+//!
+//! The wheel owns one growable buffer, the entry arena, and nothing else
+//! that allocates. Each of the 4 × 256 slots is one `u32`: the arena
+//! index of the head of a circular doubly-linked chain threaded through
+//! the entries' `prev` / `next` (the tail is `head.prev`; a free entry's
+//! `next` is the free-list link). An entry records the slot it is
+//! chained in, so cancelling it needs no search. One 256-bit occupancy
+//! map per level marks the slots that hold a chain.
+//!
+//! # Cost of each operation
+//!
+//! * `schedule`, `cancel`: O(1) — at most four entries written.
+//! * Cascade and fire: the slot's chain is detached by taking its head
+//!   and walked once; every relink is an O(1) append.
+//! * `next_deadline_ns`: O(levels + one chain per level) — the
+//!   occupancy maps find each level's first occupied slot in rotation
+//!   order and only that chain is read (every occupied slot of the top
+//!   level, where timers beyond the wheel's span park). A dataplane
+//!   thread asks this each time it goes idle.
+//! * `advance` across an idle gap: O(live) — every chain is spliced into
+//!   one and re-placed relative to the new origin.
+//!
+//! None of them touches the allocator once the arena has grown to the
+//! largest number of timers armed at once.
 //!
 //! In the IX dataplane the wheel is advanced at step (5) of the
 //! run-to-completion loop (Fig 1b); in the Linux model it is advanced from
@@ -31,6 +57,16 @@ pub const LEVELS: usize = 4;
 
 const SLOT_MASK: u64 = (SLOTS_PER_LEVEL as u64) - 1;
 const LEVEL_BITS: u32 = 8;
+
+/// Slots over all levels; a *bucket* is `level * SLOTS_PER_LEVEL + slot`.
+const BUCKETS: usize = LEVELS * SLOTS_PER_LEVEL;
+/// Occupancy words per level.
+const LEVEL_WORDS: usize = SLOTS_PER_LEVEL / 64;
+
+/// No entry: an empty slot, the end of a cut chain or of the free list.
+const NIL: u32 = u32::MAX;
+/// [`Entry::bucket`] of an entry that is chained nowhere.
+const NO_BUCKET: u16 = u16::MAX;
 
 /// Handle to a scheduled timer; required to cancel it. Eight bytes, and
 /// so is `Option<TimerId>`: the arena index is stored off by one in a
@@ -59,23 +95,23 @@ struct Entry<T> {
     /// Absolute expiry tick.
     deadline: u64,
     generation: u32,
-    /// Where the entry currently lives: (level, slot, position) — updated
-    /// on cascade so cancel can unlink in O(1).
-    location: Option<(u8, u16, u32)>,
+    /// Chain neighbours while scheduled (an entry alone in its slot is
+    /// its own neighbour). A free entry's `next` is the free-list link.
+    prev: u32,
+    next: u32,
+    /// The bucket the entry is chained in — updated on cascade, so
+    /// cancel can unlink in O(1) — or [`NO_BUCKET`].
+    bucket: u16,
     payload: Option<T>,
-    next_free: u32,
 }
 
 /// A hierarchical timing wheel carrying payloads of type `T`.
 pub struct TimerWheel<T> {
     resolution_ns: u64,
-    /// `slots[level][slot]` holds indices into `entries`.
-    slots: Vec<Vec<Vec<u32>>>,
-    /// The empty vector left in a slot while `advance` walks the slot's
-    /// entries (relinks may land back in the slot being walked); the
-    /// walked vector becomes the next spare, so slot buffers circulate
-    /// and none is ever dropped and regrown.
-    spare: Vec<u32>,
+    /// Head of each bucket's chain, or [`NIL`].
+    heads: Box<[u32; BUCKETS]>,
+    /// Bit `b` is set iff `heads[b]` is not [`NIL`].
+    occupied: [u64; BUCKETS / 64],
     entries: Vec<Entry<T>>,
     free_head: u32,
     /// The current tick (time / resolution).
@@ -88,7 +124,16 @@ pub struct TimerWheel<T> {
     fired_total: u64,
 }
 
-const NIL: u32 = u32::MAX;
+/// The buckets whose bits are set in occupancy word `word`, ascending.
+fn buckets_in(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let bucket = word * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            bucket
+        })
+    })
+}
 
 impl<T> TimerWheel<T> {
     /// Creates a wheel with the default 16 µs resolution, starting at
@@ -106,10 +151,8 @@ impl<T> TimerWheel<T> {
         assert!(resolution_ns > 0);
         TimerWheel {
             resolution_ns,
-            slots: (0..LEVELS)
-                .map(|_| (0..SLOTS_PER_LEVEL).map(|_| Vec::new()).collect())
-                .collect(),
-            spare: Vec::new(),
+            heads: Box::new([NIL; BUCKETS]),
+            occupied: [0; BUCKETS / 64],
             entries: Vec::new(),
             free_head: NIL,
             now_tick: 0,
@@ -140,18 +183,27 @@ impl<T> TimerWheel<T> {
         self.now_tick * self.resolution_ns
     }
 
+    /// `(address, capacity)` of the entry arena, the one buffer the wheel
+    /// can grow: the same pair before and after a run means no timer
+    /// operation in it allocated.
+    #[doc(hidden)]
+    pub fn arena_id(&self) -> (usize, usize) {
+        (self.entries.as_ptr() as usize, self.entries.capacity())
+    }
+
     fn alloc_entry(&mut self) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
-            self.free_head = self.entries[idx as usize].next_free;
+            self.free_head = self.entries[idx as usize].next;
             idx
         } else {
             self.entries.push(Entry {
                 deadline: 0,
                 generation: 0,
-                location: None,
+                prev: NIL,
+                next: NIL,
+                bucket: NO_BUCKET,
                 payload: None,
-                next_free: NIL,
             });
             (self.entries.len() - 1) as u32
         }
@@ -160,101 +212,149 @@ impl<T> TimerWheel<T> {
     fn free_entry(&mut self, idx: u32) {
         let e = &mut self.entries[idx as usize];
         e.generation = e.generation.wrapping_add(1);
-        e.location = None;
+        e.bucket = NO_BUCKET;
         e.payload = None;
-        e.next_free = self.free_head;
+        e.next = self.free_head;
         self.free_head = idx;
     }
 
-    /// Picks the level and slot for a deadline, given the current tick.
-    fn place(&self, deadline: u64) -> (u8, u16) {
+    /// Picks the bucket for a deadline, given the current tick.
+    fn place(&self, deadline: u64) -> u16 {
         let delta = deadline.saturating_sub(self.now_tick).max(1);
-        for level in 0..LEVELS as u32 {
-            let span = 1u64 << (LEVEL_BITS * (level + 1));
-            if delta < span {
-                let slot = (deadline >> (LEVEL_BITS * level)) & SLOT_MASK;
-                return (level as u8, slot as u16);
-            }
-        }
-        // Beyond the top level: park in the furthest top-level slot.
-        let level = (LEVELS - 1) as u32;
+        // Beyond the top level's span a timer parks in the top level, in
+        // the slot its digit names; each lap's cascade parks it again
+        // until it is in range.
+        let level = (0..LEVELS as u32 - 1)
+            .find(|level| delta < 1u64 << (LEVEL_BITS * (level + 1)))
+            .unwrap_or(LEVELS as u32 - 1);
         let slot = (deadline >> (LEVEL_BITS * level)) & SLOT_MASK;
-        ((LEVELS - 1) as u8, slot as u16)
+        (level << LEVEL_BITS) as u16 | slot as u16
     }
 
-    fn link(&mut self, idx: u32, level: u8, slot: u16) {
-        let list = &mut self.slots[level as usize][slot as usize];
-        let pos = list.len() as u32;
-        list.push(idx);
-        self.entries[idx as usize].location = Some((level, slot, pos));
+    /// The bucket of `level` the current tick points at.
+    fn cursor(&self, level: usize) -> usize {
+        let slot = (self.now_tick >> (LEVEL_BITS * level as u32)) & SLOT_MASK;
+        level * SLOTS_PER_LEVEL + slot as usize
     }
 
+    /// Appends `idx` to `bucket`'s chain.
+    fn link(&mut self, idx: u32, bucket: u16) {
+        let b = bucket as usize;
+        let head = self.heads[b];
+        let (prev, next) = if head == NIL {
+            self.heads[b] = idx;
+            self.occupied[b / 64] |= 1 << (b % 64);
+            (idx, idx)
+        } else {
+            let tail = std::mem::replace(&mut self.entries[head as usize].prev, idx);
+            self.entries[tail as usize].next = idx;
+            (tail, head)
+        };
+        let e = &mut self.entries[idx as usize];
+        (e.prev, e.next, e.bucket) = (prev, next, bucket);
+    }
+
+    /// Takes `idx` out of its chain and moves the chain's tail into the
+    /// place it leaves. Which timer of a tick fires after which is
+    /// pinned by every golden trace and figure row, and this is the
+    /// order the wheel has always produced (its slots began as vectors
+    /// and cancel as a `swap_remove`).
     fn unlink(&mut self, idx: u32) {
-        let (level, slot, pos) = self.entries[idx as usize]
-            .location
-            .take()
-            .expect("unlink of unlinked entry");
-        let list = &mut self.slots[level as usize][slot as usize];
-        list.swap_remove(pos as usize);
-        if let Some(&moved) = list.get(pos as usize) {
-            self.entries[moved as usize].location = Some((level, slot, pos));
+        let b = std::mem::replace(&mut self.entries[idx as usize].bucket, NO_BUCKET) as usize;
+        debug_assert!(b < BUCKETS, "unlink of unlinked entry");
+        let head = self.heads[b];
+        let tail = self.entries[head as usize].prev;
+        if head == tail {
+            self.heads[b] = NIL;
+            self.occupied[b / 64] &= !(1 << (b % 64));
+            return;
+        }
+        // Detach the tail…
+        let new_tail = self.entries[tail as usize].prev;
+        self.entries[new_tail as usize].next = head;
+        self.entries[head as usize].prev = new_tail;
+        if idx == tail {
+            return;
+        }
+        // …and give it `idx`'s neighbours: itself, when `idx` is all
+        // that is left.
+        let e = &self.entries[idx as usize];
+        let (prev, next) = if e.next == idx { (tail, tail) } else { (e.prev, e.next) };
+        let t = &mut self.entries[tail as usize];
+        (t.prev, t.next) = (prev, next);
+        self.entries[prev as usize].next = tail;
+        self.entries[next as usize].prev = tail;
+        if head == idx {
+            self.heads[b] = tail;
         }
     }
 
-    /// Schedules a timer `delay_ns` from the wheel's current time,
-    /// rounding *up* to the next tick so timers never fire early.
-    pub fn schedule(&mut self, delay_ns: u64, payload: T) -> TimerId {
-        let ticks = delay_ns.div_ceil(self.resolution_ns).max(1);
-        let deadline = self.now_tick + ticks;
+    /// Empties `bucket` for walking: returns the head of its chain with
+    /// the circle cut (the tail's `next` is [`NIL`]), or [`NIL`]. The
+    /// walker reads an entry's `next` before it relinks or frees the
+    /// entry; a relink may land back in the bucket being walked.
+    fn detach(&mut self, bucket: usize) -> u32 {
+        let head = std::mem::replace(&mut self.heads[bucket], NIL);
+        if head != NIL {
+            self.occupied[bucket / 64] &= !(1 << (bucket % 64));
+            let tail = self.entries[head as usize].prev;
+            self.entries[tail as usize].next = NIL;
+        }
+        head
+    }
+
+    /// Re-places every entry of a cut chain, head to tail.
+    fn relink_chain(&mut self, mut idx: u32) {
+        while idx != NIL {
+            let next = self.entries[idx as usize].next;
+            let bucket = self.place(self.entries[idx as usize].deadline);
+            self.link(idx, bucket);
+            idx = next;
+        }
+    }
+
+    /// Absolute tick `delay_ns` from the wheel's current time, rounded
+    /// *up* to the next tick so timers never fire early.
+    fn deadline_after(&self, delay_ns: u64) -> u64 {
+        self.now_tick + delay_ns.div_ceil(self.resolution_ns).max(1)
+    }
+
+    /// Arms a timer for `deadline` in `bucket` (its [`TimerWheel::place`]).
+    fn arm(&mut self, deadline: u64, bucket: u16, payload: T) -> TimerId {
         let idx = self.alloc_entry();
-        let generation = self.entries[idx as usize].generation;
-        self.entries[idx as usize].deadline = deadline;
-        self.entries[idx as usize].payload = Some(payload);
-        let (level, slot) = self.place(deadline);
-        self.link(idx, level, slot);
+        let e = &mut self.entries[idx as usize];
+        e.deadline = deadline;
+        e.payload = Some(payload);
+        let generation = e.generation;
+        self.link(idx, bucket);
         self.live += 1;
         self.scheduled_total += 1;
         TimerId::new(idx, generation)
     }
 
-    /// Nanoseconds until `id` fires (tick-quantized, 0 when due), or
-    /// `None` if it already fired or was cancelled. Flow migration uses
-    /// this to carry a timer's residual delay onto another core's wheel:
-    /// re-arming at the full interval instead would let frequent
-    /// migration postpone a deadline indefinitely.
-    pub fn remaining_ns(&self, id: TimerId) -> Option<u64> {
-        let e = self.entries.get(id.index() as usize)?;
-        if e.generation != id.generation || e.location.is_none() {
-            return None;
-        }
-        Some(e.deadline.saturating_sub(self.now_tick) * self.resolution_ns)
+    /// Schedules a timer `delay_ns` from the wheel's current time,
+    /// rounding *up* to the next tick so timers never fire early.
+    pub fn schedule(&mut self, delay_ns: u64, payload: T) -> TimerId {
+        let deadline = self.deadline_after(delay_ns);
+        self.arm(deadline, self.place(deadline), payload)
     }
 
     /// Cancels a timer, returning its payload if it was still pending.
     /// Cancelling an already-fired or already-cancelled timer returns
     /// `None`.
     pub fn cancel(&mut self, id: TimerId) -> Option<T> {
-        let e = self.entries.get(id.index() as usize)?;
-        if e.generation != id.generation || e.location.is_none() {
-            return None;
-        }
-        self.unlink(id.index());
-        let payload = self.entries[id.index() as usize].payload.take();
-        self.free_entry(id.index());
-        self.live -= 1;
-        self.cancelled_total += 1;
-        payload
+        self.cancel_with_remaining(id).map(|(payload, _)| payload)
     }
 
-    /// Cancels a timer and reports its residual delay in one entry
-    /// access: `(payload, remaining_ns)`, or `None` if it already fired
-    /// or was cancelled. This is the migration-extract primitive —
-    /// equivalent to [`TimerWheel::remaining_ns`] followed by
-    /// [`TimerWheel::cancel`], but with a single generation check and
-    /// entry load instead of two round-trips per timer.
+    /// Cancels a timer and reports its residual delay (tick-quantized,
+    /// 0 when due): `(payload, remaining_ns)`, or `None` if it already
+    /// fired or was cancelled. This is the migration-extract primitive:
+    /// the residual goes onto another core's wheel, because re-arming at
+    /// the full interval instead would let frequent migration postpone a
+    /// deadline indefinitely.
     pub fn cancel_with_remaining(&mut self, id: TimerId) -> Option<(T, u64)> {
         let e = self.entries.get(id.index() as usize)?;
-        if e.generation != id.generation || e.location.is_none() {
+        if e.generation != id.generation || e.bucket == NO_BUCKET {
             return None;
         }
         let remaining = e.deadline.saturating_sub(self.now_tick) * self.resolution_ns;
@@ -285,11 +385,11 @@ impl<T> TimerWheel<T> {
     /// Bulk schedule: arms every `(delay_ns, payload)` item and hands
     /// its [`TimerId`] to `sink`, in order. Identical fire semantics to
     /// calling [`TimerWheel::schedule`] per item (same tick rounding,
-    /// same per-slot tie order) but amortized for migration-sized
+    /// same order within a slot) but amortized for migration-sized
     /// batches: the entry arena is grown once up front, and the wheel
     /// position is resolved once per run of equal deadlines — absorbed
     /// flow groups carry long runs of identical residual delays, which
-    /// append to one slot chain without re-deriving level/slot each
+    /// append to one slot chain without re-deriving its bucket each
     /// time.
     pub fn schedule_batch(
         &mut self,
@@ -308,52 +408,86 @@ impl<T> TimerWheel<T> {
         if self.live == 0 && self.free_head != NIL && n >= 1024 {
             self.free_head = NIL;
             for i in (0..self.entries.len()).rev() {
-                self.entries[i].next_free = self.free_head;
+                self.entries[i].next = self.free_head;
                 self.free_head = i as u32;
             }
         }
         self.entries.reserve(n);
-        // (deadline, level, slot) of the previous item: consecutive
-        // equal deadlines skip `place`.
-        let mut last: Option<(u64, u8, u16)> = None;
+        // (deadline, bucket) of the previous item: consecutive equal
+        // deadlines skip `place`.
+        let mut last: Option<(u64, u16)> = None;
         for (delay_ns, payload) in items {
-            let ticks = delay_ns.div_ceil(self.resolution_ns).max(1);
-            let deadline = self.now_tick + ticks;
-            let idx = self.alloc_entry();
-            let generation = self.entries[idx as usize].generation;
-            self.entries[idx as usize].deadline = deadline;
-            self.entries[idx as usize].payload = Some(payload);
-            let (level, slot) = match last {
-                Some((d, l, s)) if d == deadline => (l, s),
-                _ => {
-                    let (l, s) = self.place(deadline);
-                    last = Some((deadline, l, s));
-                    (l, s)
-                }
+            let deadline = self.deadline_after(delay_ns);
+            let bucket = match last {
+                Some((d, bucket)) if d == deadline => bucket,
+                _ => self.place(deadline),
             };
-            self.link(idx, level, slot);
-            self.live += 1;
-            self.scheduled_total += 1;
-            sink(TimerId::new(idx, generation));
+            last = Some((deadline, bucket));
+            sink(self.arm(deadline, bucket, payload));
+        }
+    }
+
+    /// The first occupied bucket of `level` in rotation order, from the
+    /// one after the cursor round to the cursor itself.
+    fn first_occupied_after_cursor(&self, level: usize) -> Option<usize> {
+        let words = &self.occupied[level * LEVEL_WORDS..][..LEVEL_WORDS];
+        // The slot after the cursor's (a bucket modulo 256 is its slot).
+        let start = (self.cursor(level) + 1) % SLOTS_PER_LEVEL;
+        // The start word from the start bit up, the other words, then
+        // the start word's bits below the start bit.
+        let upper = !0u64 << (start % 64);
+        (0..=LEVEL_WORDS).find_map(|i| {
+            let w = (start / 64 + i) % LEVEL_WORDS;
+            let mask = match i {
+                0 => upper,
+                LEVEL_WORDS => !upper,
+                _ => !0,
+            };
+            let bits = words[w] & mask;
+            (bits != 0)
+                .then(|| level * SLOTS_PER_LEVEL + w * 64 + bits.trailing_zeros() as usize)
+        })
+    }
+
+    /// Earliest deadline in `bucket`'s chain, which must not be empty.
+    fn chain_min(&self, bucket: usize) -> u64 {
+        let head = self.heads[bucket];
+        let (mut best, mut idx) = (u64::MAX, head);
+        loop {
+            let e = &self.entries[idx as usize];
+            best = best.min(e.deadline);
+            idx = e.next;
+            if idx == head {
+                return best;
+            }
         }
     }
 
     /// Absolute tick of the earliest pending timer, or `None` when idle.
-    /// Linear in the number of live entries (scans occupied slots).
+    ///
+    /// Below the top level, the slot `r` places past the cursor holds
+    /// only deadlines whose digit at that level is `r` ahead of the
+    /// current tick's, and the slot *at* the cursor only the lap after
+    /// (256 ahead): the level's earliest deadline is in its first
+    /// occupied slot in rotation order. A timer beyond the wheel's span
+    /// parks in the top level under whatever its digit is, so there
+    /// every occupied slot is read.
     fn next_deadline_tick(&self) -> Option<u64> {
         if self.live == 0 {
             return None;
         }
-        let mut best: Option<u64> = None;
-        for level in &self.slots {
-            for slot in level {
-                for &idx in slot {
-                    let d = self.entries[idx as usize].deadline;
-                    best = Some(best.map_or(d, |b: u64| b.min(d)));
-                }
-            }
-        }
-        best
+        let top = LEVELS - 1;
+        let below = (0..top).filter_map(|level| self.first_occupied_after_cursor(level));
+        let parked = (top * LEVEL_WORDS..LEVELS * LEVEL_WORDS)
+            .flat_map(|word| buckets_in(word, self.occupied[word]));
+        below.chain(parked).map(|bucket| self.chain_min(bucket)).min()
+    }
+
+    /// Nanoseconds until the next pending timer fires, or `None` when the
+    /// wheel is idle.
+    pub fn next_deadline_ns(&self) -> Option<u64> {
+        let tick = self.next_deadline_tick()?;
+        Some(tick.saturating_sub(self.now_tick) * self.resolution_ns)
     }
 
     /// Teleports the wheel to `tick` (which must not skip any deadline)
@@ -362,133 +496,98 @@ impl<T> TimerWheel<T> {
     /// are reconstructed. O(live).
     fn jump_to(&mut self, tick: u64) {
         debug_assert!(tick >= self.now_tick);
-        let mut all = std::mem::take(&mut self.spare);
-        for level in &mut self.slots {
-            for slot in level {
-                all.append(slot);
+        // Splice every chain, in bucket order, into one.
+        let (mut first, mut last) = (NIL, NIL);
+        for word in 0..self.occupied.len() {
+            for bucket in buckets_in(word, self.occupied[word]) {
+                let tail = self.entries[self.heads[bucket] as usize].prev;
+                let head = self.detach(bucket);
+                if first == NIL {
+                    first = head;
+                } else {
+                    self.entries[last as usize].next = head;
+                }
+                last = tail;
             }
         }
         self.now_tick = tick;
-        for idx in all.drain(..) {
-            self.entries[idx as usize].location = None;
-            let deadline = self.entries[idx as usize].deadline;
-            debug_assert!(deadline > tick, "jump skipped a deadline");
-            let (l, s) = self.place(deadline);
-            self.link(idx, l, s);
-        }
-        self.spare = all;
+        self.relink_chain(first);
     }
 
-    /// Empties a slot for walking, leaving the spare buffer in its place.
-    fn take_slot(&mut self, level: usize, slot: usize) -> Vec<u32> {
-        let spare = std::mem::take(&mut self.spare);
-        std::mem::replace(&mut self.slots[level][slot], spare)
+    /// With `target_tick` far ahead: crosses the idle gap in front of
+    /// the wheel, if there is one, in O(live) rather than O(ticks).
+    /// Returns true when that reached `target_tick`.
+    fn skip_idle_gap(&mut self, target_tick: u64) -> bool {
+        match self.next_deadline_tick() {
+            None => self.now_tick = target_tick,
+            Some(d) if d > target_tick => self.jump_to(target_tick),
+            Some(d) => {
+                if d > self.now_tick + 1 {
+                    self.jump_to(d - 1);
+                }
+                return false;
+            }
+        }
+        true
     }
 
     /// Advances the wheel to `now_ns`, invoking `fire` for every expired
-    /// timer in deadline order (ties in schedule order).
+    /// timer in deadline order.
+    ///
+    /// Timers of one tick fire in the order they lie in that tick's
+    /// chain. That order is a pure function of the calls made, but it is
+    /// *not* schedule order: a timer joins the chain's end when it is
+    /// scheduled within 256 ticks of its deadline, or else when it
+    /// cascades down to level 0; a cancel moves the chain's last timer
+    /// into the cancelled one's place; crossing an idle gap re-places
+    /// every timer.
     ///
     /// Long idle gaps are skipped in O(live) rather than O(ticks), so a
     /// quiescent stack can be advanced across seconds cheaply.
     pub fn advance(&mut self, now_ns: u64, mut fire: impl FnMut(T)) {
         let target_tick = now_ns / self.resolution_ns;
-        // Fast-path long advances over empty wheel regions.
         const JUMP_THRESHOLD: u64 = 4 * SLOTS_PER_LEVEL as u64;
-        if target_tick > self.now_tick + JUMP_THRESHOLD {
-            match self.next_deadline_tick() {
-                None => {
-                    self.now_tick = target_tick;
-                    return;
-                }
-                Some(d) if d > target_tick => {
-                    self.jump_to(target_tick);
-                    return;
-                }
-                Some(d) if d > self.now_tick + 1 => {
-                    self.jump_to(d - 1);
-                }
-                Some(_) => {}
-            }
-        }
+        // Look for a gap on entry, then once per lap of level 0 (a jump
+        // re-places every live timer, so amortize it over 256 ticks).
+        let mut look = true;
         while self.now_tick < target_tick {
-            // Re-check for a skippable gap once per wheel lap (the scan is
-            // O(live), so amortize it over 256 ticks).
-            if self.now_tick & SLOT_MASK == 0 && target_tick > self.now_tick + JUMP_THRESHOLD {
-                match self.next_deadline_tick() {
-                    None => {
-                        self.now_tick = target_tick;
-                        return;
-                    }
-                    Some(d) if d > target_tick => {
-                        self.jump_to(target_tick);
-                        return;
-                    }
-                    Some(d) if d > self.now_tick + 1 => self.jump_to(d - 1),
-                    Some(_) => {}
-                }
+            if look
+                && target_tick > self.now_tick + JUMP_THRESHOLD
+                && self.skip_idle_gap(target_tick)
+            {
+                return;
             }
             self.now_tick += 1;
+            look = self.now_tick & SLOT_MASK == 0;
             // Cascade: when a level-k digit rolls over to 0, redistribute
             // the corresponding slot of level k+1.
-            for level in 1..LEVELS as u32 {
-                let below_mask = (1u64 << (LEVEL_BITS * level)) - 1;
+            for level in 1..LEVELS {
+                let below_mask = (1u64 << (LEVEL_BITS * level as u32)) - 1;
                 if self.now_tick & below_mask != 0 {
                     break;
                 }
-                let slot = (self.now_tick >> (LEVEL_BITS * level)) & SLOT_MASK;
-                let mut moved = self.take_slot(level as usize, slot as usize);
-                for idx in moved.drain(..) {
-                    self.entries[idx as usize].location = None;
-                    let deadline = self.entries[idx as usize].deadline;
-                    let (l, s) = self.place(deadline);
-                    self.link(idx, l, s);
-                }
-                self.spare = moved;
+                let chain = self.detach(self.cursor(level));
+                self.relink_chain(chain);
             }
             // Fire the level-0 slot for this tick.
-            let slot = (self.now_tick & SLOT_MASK) as usize;
-            if self.slots[0][slot].is_empty() {
-                continue;
-            }
-            let mut due = self.take_slot(0, slot);
-            for idx in due.drain(..) {
+            let mut idx = self.detach(self.cursor(0));
+            while idx != NIL {
                 let e = &mut self.entries[idx as usize];
-                if e.deadline > self.now_tick {
+                let (next, deadline) = (e.next, e.deadline);
+                if deadline > self.now_tick {
                     // A future lap of the wheel; relink.
-                    e.location = None;
-                    let deadline = e.deadline;
-                    let (l, s) = self.place(deadline);
-                    self.link(idx, l, s);
-                    continue;
+                    let bucket = self.place(deadline);
+                    self.link(idx, bucket);
+                } else {
+                    let payload = e.payload.take().expect("live entry has payload");
+                    self.free_entry(idx);
+                    self.live -= 1;
+                    self.fired_total += 1;
+                    fire(payload);
                 }
-                e.location = None;
-                let payload = e.payload.take().expect("live entry has payload");
-                self.free_entry(idx);
-                self.live -= 1;
-                self.fired_total += 1;
-                fire(payload);
-            }
-            self.spare = due;
-        }
-    }
-
-    /// Nanoseconds until the next pending timer fires, or `None` when the
-    /// wheel is idle. Linear in the distance to the next timer (used by
-    /// quiescent dataplanes to sleep; not on the hot path).
-    pub fn next_deadline_ns(&self) -> Option<u64> {
-        if self.live == 0 {
-            return None;
-        }
-        let mut best: Option<u64> = None;
-        for level in &self.slots {
-            for slot in level {
-                for &idx in slot {
-                    let d = self.entries[idx as usize].deadline;
-                    best = Some(best.map_or(d, |b: u64| b.min(d)));
-                }
+                idx = next;
             }
         }
-        best.map(|t| t.saturating_sub(self.now_tick) * self.resolution_ns)
     }
 }
 
@@ -522,21 +621,43 @@ mod tests {
     }
 
     #[test]
-    fn fired_slots_keep_a_buffer() {
-        // One short timer armed per tick, for two laps of level 0: every
-        // slot fires twice. Walking a slot must not cost it its buffer —
-        // buffers circulate through the spare, so afterwards at most one
-        // slot (whoever holds the initially empty spare) is without.
+    fn rearming_an_rto_leaves_the_arena_alone() {
+        // The RTO pattern — armed 200 ms out, cancelled and re-armed
+        // every 50 µs — walks into a fresh level-1 slot every 256 ticks.
+        // A second lap of level 1 must find the arena exactly as the
+        // first left it: slots are chain heads, not buffers to grow.
         let mut w: TimerWheel<u32> = TimerWheel::new();
-        let res = w.resolution_ns();
-        let mut fired = 0;
-        for tick in 1..=2 * SLOTS_PER_LEVEL as u64 {
-            w.schedule(3 * res, 0);
-            w.advance(tick * res, |_| fired += 1);
-        }
-        assert_eq!(fired, 2 * SLOTS_PER_LEVEL - 2);
-        let bare = w.slots[0].iter().filter(|s| s.capacity() == 0).count();
-        assert!(bare <= 1, "{bare} level-0 slots lost their buffer");
+        let lap_ns = (SLOTS_PER_LEVEL * SLOTS_PER_LEVEL) as u64 * w.resolution_ns();
+        let mut id = w.schedule(200_000_000, 0);
+        let mut now = 0;
+        let mut lap = |w: &mut TimerWheel<u32>| {
+            for _ in 0..lap_ns / 50_000 {
+                now += 50_000;
+                w.advance(now, |_| panic!("premature fire"));
+                assert!(w.cancel(id).is_some());
+                id = w.schedule(200_000_000, 0);
+            }
+            (w.entries.len(), w.arena_id())
+        };
+        let first = lap(&mut w);
+        assert_eq!(first.0, 1, "one timer, one entry");
+        assert_eq!(lap(&mut w), first, "the second lap grew or moved the arena");
+    }
+
+    #[test]
+    fn cancel_moves_the_chains_last_timer_into_the_gap() {
+        // The documented order within one tick, which the golden traces
+        // depend on.
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        let ids: Vec<TimerId> = (0..5).map(|p| w.schedule(48_000, p)).collect();
+        let mut fired = Vec::new();
+        assert_eq!(w.cancel(ids[1]), Some(1));
+        w.schedule(48_000, 5);
+        assert_eq!(w.cancel(ids[0]), Some(0));
+        assert_eq!(w.cancel(ids[3]), Some(3));
+        w.advance(48_000, |p| fired.push(p));
+        assert_eq!(fired, vec![5, 4, 2]);
+        assert_eq!(w.live(), 0);
     }
 
     #[test]
@@ -644,6 +765,36 @@ mod tests {
     }
 
     #[test]
+    fn next_deadline_reads_the_cursor_slot_as_the_lap_after() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        let res = w.resolution_ns();
+        w.advance(255 * res, |_| {});
+        // Tick 65 536 from tick 255: level 1, slot 0 — the slot level 1's
+        // cursor is on, a whole lap away.
+        let far = w.schedule(65_281 * res, 1);
+        assert_eq!(w.next_deadline_ns(), Some(65_281 * res));
+        // Tick 65 000: level 1, slot 253, which rotation order meets first.
+        let near = w.schedule(64_745 * res, 2);
+        assert_eq!(w.next_deadline_ns(), Some(64_745 * res));
+        // Tick 256 (level 1, slot 1) is due before tick 300 (level 0).
+        w.schedule(45 * res, 3);
+        w.schedule(res, 4);
+        assert_eq!(w.next_deadline_ns(), Some(res));
+        w.advance(256 * res, |p| assert_eq!(p, 4));
+        assert_eq!(w.next_deadline_ns(), Some(44 * res));
+        w.advance(300 * res, |p| assert_eq!(p, 3));
+        assert_eq!(w.cancel(near), Some(2));
+        assert_eq!(w.next_deadline_ns(), Some((65_536 - 300) * res));
+        // Beyond the wheel's span a timer parks in the top level under
+        // its digit, here behind a nearer one's.
+        let span = 1u64 << 32;
+        w.schedule((span + (3 << 24)) * res, 5);
+        w.schedule((5 << 24) * res, 6);
+        assert_eq!(w.cancel(far), Some(1));
+        assert_eq!(w.next_deadline_ns(), Some((5 << 24) * res));
+    }
+
+    #[test]
     fn zero_delay_fires_next_tick() {
         let mut w: TimerWheel<u32> = TimerWheel::new();
         w.schedule(0, 9);
@@ -665,20 +816,16 @@ mod tests {
     }
 
     #[test]
-    fn cancel_with_remaining_matches_remaining_then_cancel() {
-        let mut a: TimerWheel<u32> = TimerWheel::new();
-        let mut b: TimerWheel<u32> = TimerWheel::new();
-        let ida = a.schedule(1_000_000, 1);
-        let idb = b.schedule(1_000_000, 1);
-        a.advance(300_000, |_| panic!("early"));
-        b.advance(300_000, |_| panic!("early"));
-        let want = b.remaining_ns(idb).unwrap();
-        let got = a.cancel_with_remaining(ida).unwrap();
-        assert_eq!(got, (b.cancel(idb).unwrap(), want));
-        assert_eq!(a.live(), 0);
-        assert_eq!(a.counters(), b.counters());
-        // Stale id: both report nothing.
-        assert_eq!(a.cancel_with_remaining(ida), None);
+    fn cancel_with_remaining_reports_the_residual_delay() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        // 1 ms rounds up to 63 ticks; 300 µs is 18 whole ticks in.
+        let id = w.schedule(1_000_000, 1);
+        w.advance(300_000, |_| panic!("early"));
+        assert_eq!(w.cancel_with_remaining(id), Some((1, 45 * DEFAULT_RESOLUTION_NS)));
+        assert_eq!(w.live(), 0);
+        assert_eq!(w.counters(), (1, 1, 0));
+        // Stale id: nothing to report.
+        assert_eq!(w.cancel_with_remaining(id), None);
     }
 
     #[test]
