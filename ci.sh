@@ -39,6 +39,9 @@ IX_BENCH_QUICK=1 cargo bench -q -p ix-bench --offline > /dev/null
 # generous (slow shared hosts): they catch a return to minutes-long
 # runs, they do not measure.
 #  fig5       scheduler or pool regression (the seed took minutes)
+#  fig2       NetPIPE: the one two-engine assembly (the client runs the
+#             server's system and its engine must outlive the run)
+#  fig3a/3c   closed-loop echo against the Linux and mTCP servers too
 #  fig3b      a payload copy or pool leak back in in-order RX delivery
 #  fig4       a return to per-message O(conns) scans at 10k connections
 #  fig6       a per-segment allocation back in the zero-copy TX loop
@@ -55,6 +58,9 @@ IX_BENCH_QUICK=1 cargo bench -q -p ix-bench --offline > /dev/null
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 gates='
 fig5|120|IX_SWEEP_QUICK=1 ./target/release/fig5_memcached||results/quick/fig5_memcached.txt
+fig2|60|IX_SWEEP_QUICK=1 ./target/release/fig2_netpipe||results/quick/fig2_netpipe.txt
+fig3a|60|IX_SWEEP_QUICK=1 ./target/release/fig3a_cores||results/quick/fig3a_cores.txt
+fig3c|60|IX_SWEEP_QUICK=1 ./target/release/fig3c_msgsize||results/quick/fig3c_msgsize.txt
 fig3b|120|IX_SWEEP_QUICK=1 ./target/release/fig3b_roundtrips||results/quick/fig3b_roundtrips.txt
 fig4|120|IX_SWEEP_QUICK=1 ./target/release/fig4_connscale||results/quick/fig4_connscale.txt
 fig6|120|IX_SWEEP_QUICK=1 ./target/release/fig6_batchbound||results/quick/fig6_batchbound.txt

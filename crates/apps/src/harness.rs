@@ -1,4 +1,4 @@
-//! Testbed assembly and experiment runners (§5.1).
+//! The §5.1 testbed and the one experiment runner.
 //!
 //! "Our experimental setup consists of a cluster of 24 clients and one
 //! server connected by a Quanta/Cumulus 48x10GbE switch ... For 10GbE
@@ -6,32 +6,50 @@
 //! use four NIC ports bonded by the switch with a L3+L4 hash. ... Except
 //! for §5.2, client machines always run Linux."
 //!
-//! [`Testbed`] builds that cluster for any server system; the `run_*`
-//! functions execute one measured experiment and return the numbers the
-//! paper's tables and figures report. Integration tests and every bench
-//! binary go through this module, so the experiment definitions live in
-//! exactly one place.
+//! [`Testbed`] builds that cluster for any server system. An experiment
+//! is one [`Scenario`], plain data: the topology, the engine knobs, the
+//! [`App`] that loads the server, and the optional layers the figures
+//! beyond the paper add — a fault plan, an attacker and the pre-stack
+//! filter, the queue-hang watchdog, an MMPP spike under the elastic
+//! controller, the fig9-scale shard ping-pong. [`run`] assembles the
+//! testbed, runs it and returns one [`RunReport`]. Every figure binary,
+//! integration test and example goes through `run`, so an experiment is
+//! described in exactly one way and assembled in exactly one place.
+//!
+//! The assembly order is part of every pinned output. Same-instant
+//! events run in insertion order and RNG streams fork in call order, so
+//! moving one launch moves figure rows. `run` therefore creates hosts
+//! server → clients → agent → attacker → dialer; installs the fault plan
+//! once the clients exist and before the server launches (it reaches
+//! only hosts that exist by then); installs the filter right after the
+//! server launches; forks one KV client RNG per client thread in launch
+//! order; schedules the goodput sampler after the clients and before the
+//! watchdog; and starts the elastic controller before its per-window
+//! probes.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use ix_baselines::linux::{LinuxHost, LinuxParams};
 use ix_baselines::mtcp::{MtcpHost, MtcpParams};
 use ix_core::api::IxApp;
 use ix_core::dataplane::Dataplane;
+use ix_core::ixcp::{self, FilterControl, MigrateReport, WatchdogStats};
 use ix_core::libix::{Libix, LibixHandler};
 use ix_core::params::CostParams;
+use ix_faults::{FaultPlan, FaultSnapshot};
 use ix_nic::fabric::Fabric;
-use ix_nic::host::HostId;
+use ix_nic::host::{Host, HostId};
 use ix_nic::params::MachineParams;
-use ix_sim::{Nanos, SimRng, SimTime, Simulator};
-use ix_tcp::StackConfig;
+use ix_sim::{Nanos, SimCounters, SimRng, SimTime, Simulator};
+use ix_tcp::{FlowMapMem, StackConfig, StackStats, TcpShard};
 
-use crate::echo::{EchoBenchStats, EchoClient, EchoServer};
-use crate::kvstore::{KvServer, SharedStore};
+use crate::attack::{self, AttackConfig, AttackKind};
+use crate::echo::{EchoBenchStats, EchoClient, EchoServer, RotatingEchoClient};
+use crate::kvstore::{KvServer, SharedStore, StoreRef};
 use crate::mutilate::{LoadStats, MutilateAgent, MutilateClient};
 use crate::netpipe::{NetpipeClient, NetpipeServer};
-use crate::workload::Workload;
+use crate::workload::{Workload, WorkloadKind};
 
 /// Which system runs the server (and, for NetPIPE, both ends).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +73,8 @@ impl System {
     }
 }
 
-/// A launched server engine (any system).
+/// A launched engine (any system) — the server's, or a client's.
+#[derive(Clone)]
 pub enum ServerEngine {
     /// IX dataplane.
     Ix(Dataplane),
@@ -66,99 +85,103 @@ pub enum ServerEngine {
 }
 
 impl ServerEngine {
-    /// Aggregated mbuf-pool statistics across all server cores: total
-    /// alloc/free churn, current outstanding, and summed per-core peaks.
+    /// Launches `system` on `host` with `cores` threads, thread `i`
+    /// running `apps(i)`; `listen_port` is opened on every thread.
+    pub fn launch(
+        system: System,
+        sim: &mut Simulator,
+        host: &Host,
+        cores: usize,
+        tuning: &EngineTuning,
+        listen_port: Option<u16>,
+        apps: impl FnMut(usize) -> Box<dyn IxApp>,
+    ) -> ServerEngine {
+        let (stack, listen) = (tuning.stack.clone(), listen_port);
+        match system {
+            System::Ix => {
+                ServerEngine::Ix(Dataplane::launch(sim, host, cores, tuning.ix.clone(), stack, listen, apps))
+            }
+            System::Linux => {
+                ServerEngine::Linux(LinuxHost::launch(sim, host, cores, tuning.linux.clone(), stack, listen, apps))
+            }
+            System::Mtcp => {
+                ServerEngine::Mtcp(MtcpHost::launch(sim, host, cores, tuning.mtcp.clone(), stack, listen, apps))
+            }
+        }
+    }
+
+    /// Seeds every core's ARP table with one peer.
+    pub fn seed_arp(&self, ip: ix_net::Ipv4Addr, mac: ix_net::MacAddr) {
+        match self {
+            ServerEngine::Ix(d) => d.seed_arp(ip, mac),
+            ServerEngine::Linux(l) => l.seed_arp(ip, mac),
+            ServerEngine::Mtcp(m) => m.seed_arp(ip, mac),
+        }
+    }
+
+    /// Calls `f` on every core's TCP shard, in core order. Every
+    /// aggregate below is a fold over this one visitor.
+    pub fn for_each_shard(&self, mut f: impl FnMut(&TcpShard)) {
+        match self {
+            ServerEngine::Ix(d) => d.threads.iter().for_each(|t| f(&t.borrow().shard)),
+            ServerEngine::Linux(l) => l.cores.iter().for_each(|c| f(&c.borrow().shard)),
+            ServerEngine::Mtcp(m) => m.cores.iter().for_each(|c| f(&c.borrow().shard)),
+        }
+    }
+
+    /// Mbuf-pool statistics summed across cores: alloc/free churn,
+    /// current outstanding, and summed per-core peaks.
     pub fn mbuf_stats(&self) -> ix_mempool::PoolStats {
-        fn add(agg: &mut ix_mempool::PoolStats, p: ix_mempool::PoolStats) {
+        let mut agg = ix_mempool::PoolStats::default();
+        self.for_each_shard(|s| {
+            let p = s.pool_stats();
             agg.allocs += p.allocs;
             agg.frees += p.frees;
             agg.exhausted += p.exhausted;
             agg.outstanding += p.outstanding;
             agg.peak_outstanding += p.peak_outstanding;
-        }
-        let mut agg = ix_mempool::PoolStats::default();
-        match self {
-            ServerEngine::Ix(d) => agg = d.mbuf_stats(),
-            ServerEngine::Linux(l) => {
-                for c in &l.cores {
-                    add(&mut agg, c.borrow().shard.pool_stats());
-                }
-            }
-            ServerEngine::Mtcp(m) => {
-                for c in &m.cores {
-                    add(&mut agg, c.borrow().shard.pool_stats());
-                }
-            }
-        }
+        });
         agg
     }
 
-    /// Aggregated TCP stack counters across all server cores: every
-    /// per-shard counter (retransmits, checksum/parse drops, recovery
-    /// events, ...) summed — previously only mbuf statistics were
-    /// aggregated and per-core TCP counters were invisible to
-    /// experiments.
-    pub fn tcp_stats(&self) -> ix_tcp::StackStats {
-        let mut agg = ix_tcp::StackStats::default();
-        match self {
-            ServerEngine::Ix(d) => {
-                for th in &d.threads {
-                    agg.absorb(&th.borrow().shard.stats);
-                }
-            }
-            ServerEngine::Linux(l) => {
-                for c in &l.cores {
-                    agg.absorb(&c.borrow().shard.stats);
-                }
-            }
-            ServerEngine::Mtcp(m) => {
-                for c in &m.cores {
-                    agg.absorb(&c.borrow().shard.stats);
-                }
-            }
-        }
+    /// Every per-shard TCP counter, summed across cores.
+    pub fn tcp_stats(&self) -> StackStats {
+        let mut agg = StackStats::default();
+        self.for_each_shard(|s| agg.absorb(&s.stats));
         agg
     }
 
-    /// Aggregated flow-table / TCB-slab occupancy across all server
-    /// shards: live flows, high-water slab slots, and resident bytes
-    /// summed — the peak-RSS-style accounting the Fig 4 sweep prints
-    /// per point.
-    pub fn flow_mem(&self) -> ix_tcp::FlowMapMem {
-        let mut agg = ix_tcp::FlowMapMem { live: 0, slab_slots: 0, bytes: 0 };
-        let mut add = |m: ix_tcp::FlowMapMem| {
+    /// Flow-table / TCB-slab occupancy summed across shards: live flows,
+    /// high-water slab slots, resident bytes.
+    pub fn flow_mem(&self) -> FlowMapMem {
+        let mut agg = FlowMapMem::default();
+        self.for_each_shard(|s| {
+            let m = s.flow_mem_stats();
             agg.live += m.live;
             agg.slab_slots += m.slab_slots;
             agg.bytes += m.bytes;
-        };
-        match self {
-            ServerEngine::Ix(d) => {
-                for th in &d.threads {
-                    add(th.borrow().shard.flow_mem_stats());
-                }
-            }
-            ServerEngine::Linux(l) => {
-                for c in &l.cores {
-                    add(c.borrow().shard.flow_mem_stats());
-                }
-            }
-            ServerEngine::Mtcp(m) => {
-                for c in &m.cores {
-                    add(c.borrow().shard.flow_mem_stats());
-                }
-            }
-        }
+        });
         agg
     }
 
-    /// `(kernel_ns, user_ns)` CPU split across server cores.
+    /// Live connections: the dataplane's host-wide count on IX, the sum
+    /// of the shards' flow tables elsewhere.
+    pub fn conns(&self) -> u64 {
+        if let ServerEngine::Ix(d) = self {
+            return d.host_conns.get();
+        }
+        let mut n = 0;
+        self.for_each_shard(|s| n += s.flow_count() as u64);
+        n
+    }
+
+    /// `(kernel_ns, user_ns)` CPU split across cores.
     pub fn cpu_split(&self) -> (u64, u64) {
         match self {
             ServerEngine::Ix(d) => d.cpu_split(),
             ServerEngine::Linux(l) => l.cpu_split(),
             ServerEngine::Mtcp(m) => {
-                let mut k = 0;
-                let mut u = 0;
+                let (mut k, mut u) = (0, 0);
                 for c in &m.cores {
                     let t = c.borrow();
                     let core = t.core_ref().borrow();
@@ -200,21 +223,17 @@ pub struct EngineTuning {
 
 impl Testbed {
     /// Builds the cluster: one server with `server_ports` bonded ports
-    /// and `n_clients` single-port clients, all on one switch.
+    /// and `n_clients` single-port clients, all on one switch with room
+    /// for two more hosts.
     pub fn new(seed: u64, server_ports: usize, n_clients: usize) -> Testbed {
-        Testbed::with_extra_ports(seed, server_ports, n_clients, 2)
+        Testbed::sized(seed, server_ports, n_clients, 2)
     }
 
-    /// [`Testbed::new`] with room for `extra` additional late-added
-    /// hosts on the switch (latency agents, attacker hosts, taps).
-    pub fn with_extra_ports(
-        seed: u64,
-        server_ports: usize,
-        n_clients: usize,
-        extra: usize,
-    ) -> Testbed {
-        let params = MachineParams::default();
-        let mut fabric = Fabric::new(server_ports + n_clients + extra, params);
+    /// [`Testbed::new`] with switch ports for `late_hosts` single-port
+    /// hosts added after the clients. The switch's size moves nothing: a
+    /// flood skips unattached ports.
+    fn sized(seed: u64, server_ports: usize, n_clients: usize, late_hosts: usize) -> Testbed {
+        let mut fabric = Fabric::new(server_ports + n_clients + late_hosts, MachineParams::default());
         // Server: 8 cores + 8 hyperthreads, as the Xeon E5-2665 socket.
         let server = fabric.add_host(server_ports, 8, 8);
         let clients: Vec<HostId> = (0..n_clients).map(|_| fabric.add_host(1, 8, 0)).collect();
@@ -240,35 +259,9 @@ impl Testbed {
         F: FnMut(usize) -> H,
     {
         let host = self.fabric.host(self.server);
-        let engine = match system {
-            System::Ix => ServerEngine::Ix(Dataplane::launch(
-                &mut self.sim,
-                host,
-                cores,
-                tuning.ix.clone(),
-                tuning.stack.clone(),
-                Some(listen_port),
-                |i| Box::new(Libix::new(handler(i))) as Box<dyn IxApp>,
-            )),
-            System::Linux => ServerEngine::Linux(LinuxHost::launch(
-                &mut self.sim,
-                host,
-                cores,
-                tuning.linux.clone(),
-                tuning.stack.clone(),
-                Some(listen_port),
-                |i| Box::new(Libix::new(handler(i))) as Box<dyn IxApp>,
-            )),
-            System::Mtcp => ServerEngine::Mtcp(MtcpHost::launch(
-                &mut self.sim,
-                host,
-                cores,
-                tuning.mtcp.clone(),
-                tuning.stack.clone(),
-                Some(listen_port),
-                |i| Box::new(Libix::new(handler(i))) as Box<dyn IxApp>,
-            )),
-        };
+        let engine = ServerEngine::launch(system, &mut self.sim, host, cores, tuning, Some(listen_port), |i| {
+            Box::new(Libix::new(handler(i))) as Box<dyn IxApp>
+        });
         self.engine = Some(engine);
     }
 
@@ -280,37 +273,34 @@ impl Testbed {
         F: FnMut(usize, usize) -> H,
     {
         for (ci, id) in self.clients.clone().into_iter().enumerate() {
-            let host = self.fabric.host(id);
-            let lh = LinuxHost::launch(
-                &mut self.sim,
-                host,
-                threads,
-                tuning.linux.clone(),
-                tuning.stack.clone(),
-                None,
-                |t| Box::new(Libix::new(handler(ci, t))) as Box<dyn IxApp>,
-            );
-            // ARP bring-up.
-            let (sip, smac) = {
-                let s = self.fabric.host(self.server);
-                (s.ip, s.mac)
-            };
-            lh.seed_arp(sip, smac);
-            self.seed_server_arp(id);
+            self.launch_client(id, System::Linux, threads, tuning, |t| handler(ci, t));
         }
     }
 
-    /// Seeds the server engine's ARP with a client's address.
-    fn seed_server_arp(&mut self, client: HostId) {
-        let (cip, cmac) = {
-            let c = self.fabric.host(client);
-            (c.ip, c.mac)
-        };
-        match self.engine.as_ref().expect("server launched") {
-            ServerEngine::Ix(d) => d.seed_arp(cip, cmac),
-            ServerEngine::Linux(l) => l.seed_arp(cip, cmac),
-            ServerEngine::Mtcp(m) => m.seed_arp(cip, cmac),
-        }
+    /// Launches `system` on host `id`, thread `t` running `app(t)`, and
+    /// seeds ARP both ways between it and the launched server. The
+    /// returned engine may be dropped unless it is IX: the NIC holds
+    /// only weak references to elastic threads, so a quiescent one stays
+    /// resurrectable only through its `Dataplane`.
+    pub fn launch_client<H>(
+        &mut self,
+        id: HostId,
+        system: System,
+        threads: usize,
+        tuning: &EngineTuning,
+        mut app: impl FnMut(usize) -> H,
+    ) -> ServerEngine
+    where
+        H: LibixHandler + 'static,
+    {
+        let host = self.fabric.host(id);
+        let engine = ServerEngine::launch(system, &mut self.sim, host, threads, tuning, None, |t| {
+            Box::new(Libix::new(app(t))) as Box<dyn IxApp>
+        });
+        let server = self.fabric.host(self.server);
+        engine.seed_arp(server.ip, server.mac);
+        self.engine().seed_arp(host.ip, host.mac);
+        engine
     }
 
     /// The server's IP.
@@ -323,9 +313,22 @@ impl Testbed {
         self.sim.run_until(SimTime(t));
     }
 
+    fn engine(&self) -> &ServerEngine {
+        self.engine.as_ref().expect("server launched")
+    }
+
+    /// Runs `f` on the simulator and the server's dataplane; `None` when
+    /// the server is not IX.
+    fn with_ix<R>(&mut self, f: impl FnOnce(&mut Simulator, &Dataplane) -> R) -> Option<R> {
+        match &self.engine {
+            Some(ServerEngine::Ix(d)) => Some(f(&mut self.sim, d)),
+            _ => None,
+        }
+    }
+
     /// One-line engine diagnostics: batching, NIC drops, retransmits,
     /// core busy times.
-    pub fn debug_line(&self) -> String {
+    fn debug_line(&self) -> String {
         let host = self.fabric.host(self.server);
         let mut nic_rx = 0u64;
         let mut nic_drops = 0u64;
@@ -345,31 +348,25 @@ impl Testbed {
             .take(8)
             .map(|c| format!("{:.0}%", c.borrow().busy_ns as f64 / self.sim.now().as_nanos().max(1) as f64 * 100.0))
             .collect();
-        let extra = match self.engine.as_ref() {
-            Some(ServerEngine::Ix(d)) => {
+        let extra = match self.engine() {
+            e @ ServerEngine::Ix(d) => {
                 let st = d.stats();
-                let retx: u64 = d
-                    .threads
-                    .iter()
-                    .map(|t| t.borrow().shard.stats.retransmits)
-                    .sum();
                 format!(
                     "avg_batch={:.1} full={} iters={} retx={}",
                     st.batch_sum as f64 / st.iterations.max(1) as f64,
                     st.full_batches,
                     st.iterations,
-                    retx
+                    e.tcp_stats().retransmits
                 )
             }
-            Some(ServerEngine::Linux(l)) => {
+            ServerEngine::Linux(l) => {
                 let st = l.stats();
                 format!("irqs={} softirqs={} wakeups={}", st.interrupts, st.softirqs, st.wakeups)
             }
-            Some(ServerEngine::Mtcp(m)) => {
+            ServerEngine::Mtcp(m) => {
                 let st = m.stats();
                 format!("polls={} batches={}", st.polls, st.app_batches)
             }
-            None => String::new(),
         };
         format!("nic_rx={nic_rx} drops={nic_drops} busy={busy:?} {extra}
   rings: {rings}")
@@ -377,1200 +374,69 @@ impl Testbed {
 }
 
 // ---------------------------------------------------------------------
-// Echo experiment (Figs 3a, 3b, 3c, 4).
+// The experiment description.
 // ---------------------------------------------------------------------
 
-/// Configuration of one echo measurement.
-#[derive(Debug, Clone)]
-pub struct EchoConfig {
-    /// Server system.
-    pub system: System,
-    /// Server elastic threads / cores.
-    pub server_cores: usize,
-    /// Server NIC ports (1 = 10GbE, 4 = 4x10GbE).
-    pub server_ports: usize,
-    /// Client machines.
-    pub n_clients: usize,
-    /// Handler threads per client machine.
-    pub client_threads: usize,
-    /// Connections per client thread.
-    pub conns_per_thread: usize,
-    /// Message size `s`.
-    pub msg_size: usize,
-    /// Round trips per connection `n` (RST close + reopen after).
-    pub n_per_conn: usize,
-    /// Warmup before the measurement window.
-    pub warmup: Nanos,
-    /// Measurement window length.
-    pub measure: Nanos,
-    /// Engine knobs.
-    pub tuning: EngineTuning,
-    /// RNG seed.
-    pub seed: u64,
+/// What loads the server.
+#[derive(Debug, Clone, Copy)]
+pub enum App {
+    /// NetPIPE ping-pong (Fig 2): `reps` round trips of `msg` bytes
+    /// between the server and one client running the *same* system
+    /// (§5.2). The run lasts [`Scenario::measure`], its time budget;
+    /// without faults, [`run`] panics if the transfer does not finish.
+    Netpipe {
+        /// Message size.
+        msg: usize,
+        /// Round trips.
+        reps: usize,
+    },
+    /// Closed-loop echo (Figs 3a–3c, 7): every connection performs
+    /// `n_per_conn` synchronous round trips of `msg` bytes, then closes
+    /// with RST and reopens.
+    Echo {
+        /// Message size `s`.
+        msg: usize,
+        /// Round trips per connection `n`.
+        n_per_conn: usize,
+    },
+    /// The §5.4 rotating 64 B RPC (Fig 4): `total_conns` established
+    /// connections spread over the client threads, each thread keeping
+    /// `outstanding` RPCs in flight. The clients dial over a ramp of
+    /// 20 ms + 1.5 µs per connection; the warmup starts when it ends.
+    Rotating {
+        /// Established connections across all clients.
+        total_conns: usize,
+        /// Concurrent outstanding RPCs per client thread.
+        outstanding: usize,
+    },
+    /// Open-loop memcached load from mutilate (Figs 5, 6, 8, 9; Table 2).
+    Kv {
+        /// Workload profile.
+        workload: WorkloadKind,
+        /// Aggregate target load, requests/second (the MMPP base rate
+        /// under a spike).
+        rps: f64,
+    },
 }
 
-impl Default for EchoConfig {
-    fn default() -> EchoConfig {
-        EchoConfig {
-            system: System::Ix,
-            server_cores: 8,
-            server_ports: 1,
-            n_clients: 18,
-            client_threads: 8,
-            conns_per_thread: 16,
-            msg_size: 64,
-            n_per_conn: 1024,
-            warmup: Nanos::from_millis(6),
-            measure: Nanos::from_millis(12),
-            tuning: EngineTuning::default(),
-            seed: 1,
+impl App {
+    /// The server's listening port.
+    fn port(self) -> u16 {
+        match self {
+            App::Netpipe { .. } => 7100,
+            App::Echo { .. } | App::Rotating { .. } => 7000,
+            App::Kv { .. } => 11211,
         }
     }
 }
 
-/// Results of one echo measurement.
-#[derive(Debug, Clone)]
-pub struct EchoResult {
-    /// Messages per second through the measurement window.
-    pub msgs_per_sec: f64,
-    /// Goodput in Gbps (payload bits, both directions counted once).
-    pub goodput_gbps: f64,
-    /// Mean RTT, ns.
-    pub rtt_avg_ns: u64,
-    /// 99th-percentile RTT, ns.
-    pub rtt_p99_ns: u64,
-    /// Connections completed (n round trips + RST).
-    pub conns_closed: u64,
-    /// Messages observed in the window.
-    pub messages: u64,
-    /// Server CPU split `(kernel_ns, user_ns)`.
-    pub cpu_split: (u64, u64),
-    /// Engine diagnostics (batching, drops, retransmissions).
-    pub debug: String,
-}
-
-/// Engine-level instrumentation captured at the end of an experiment:
-/// the event-scheduler counters (whole testbed — server and clients run
-/// on one simulator) and the server's aggregated mbuf churn.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineInstrumentation {
-    /// Scheduler counters from the testbed's [`Simulator`].
-    pub sim: ix_sim::SimCounters,
-    /// Server-side mbuf pool statistics, summed across cores.
-    pub mbuf: ix_mempool::PoolStats,
-    /// Server-side TCP stack counters, summed across cores.
-    pub tcp: ix_tcp::StackStats,
-}
-
-impl EngineInstrumentation {
-    fn capture(tb: &Testbed) -> EngineInstrumentation {
-        let engine = tb.engine.as_ref().expect("launched");
-        EngineInstrumentation {
-            sim: tb.sim.counters(),
-            mbuf: engine.mbuf_stats(),
-            tcp: engine.tcp_stats(),
-        }
-    }
-}
-
-/// Runs one echo experiment point.
-pub fn run_echo(cfg: &EchoConfig) -> EchoResult {
-    run_echo_instrumented(cfg).0
-}
-
-/// [`run_echo`] plus the engine instrumentation snapshot.
-pub fn run_echo_instrumented(cfg: &EchoConfig) -> (EchoResult, EngineInstrumentation) {
-    let mut tb = Testbed::new(cfg.seed, cfg.server_ports, cfg.n_clients);
-    let warmup_end = cfg.warmup.as_nanos();
-    let window_end = warmup_end + cfg.measure.as_nanos();
-    let stats = EchoBenchStats::new(warmup_end, window_end);
-    let msg = cfg.msg_size;
-    tb.launch_server(cfg.system, cfg.server_cores, &cfg.tuning, 7000, |_| {
-        EchoServer::new(msg, 120)
-    });
-    let server_ip = tb.server_ip();
-    let st = stats.clone();
-    let (n_per_conn, conns, stop) = (cfg.n_per_conn, cfg.conns_per_thread, window_end);
-    tb.launch_linux_clients(cfg.client_threads, &cfg.tuning, move |_, _| {
-        let mut c = EchoClient::new(server_ip, 7000, msg, n_per_conn, conns, true, st.clone());
-        c.stop_at_ns = stop;
-        c
-    });
-    // Run a little past the window so in-flight messages drain.
-    tb.run_until_ns(window_end + Nanos::from_millis(2).as_nanos());
-    let instr = EngineInstrumentation::capture(&tb);
-    let s = stats.borrow();
-    let secs = cfg.measure.as_secs_f64();
-    let msgs_per_sec = s.messages as f64 / secs;
-    let result = EchoResult {
-        msgs_per_sec,
-        goodput_gbps: msgs_per_sec * (cfg.msg_size as f64 * 8.0) / 1e9,
-        rtt_avg_ns: s.rtt.mean().as_nanos(),
-        rtt_p99_ns: s.rtt.p99().as_nanos(),
-        conns_closed: s.conns_closed,
-        messages: s.messages,
-        cpu_split: tb.engine.as_ref().expect("launched").cpu_split(),
-        debug: tb.debug_line(),
-    };
-    (result, instr)
-}
-
-// ---------------------------------------------------------------------
-// Connection-scalability experiment (Fig 4).
-// ---------------------------------------------------------------------
-
-/// Configuration for the §5.4 connection-count sweep.
-#[derive(Debug, Clone)]
-pub struct ConnScaleConfig {
-    /// Server system.
-    pub system: System,
-    /// Server NIC ports (1 or 4).
-    pub server_ports: usize,
-    /// Server cores.
-    pub server_cores: usize,
-    /// Total established connections across all clients.
-    pub total_conns: usize,
-    /// Concurrent outstanding RPCs per client thread (paper: n=24
-    /// threads per client tuned for max throughput; we bound outstanding
-    /// instead).
-    pub outstanding_per_thread: usize,
-    /// Client machines / threads per machine.
-    pub n_clients: usize,
-    /// Threads per client.
-    pub client_threads: usize,
-    /// Measurement window after the ramp.
-    pub measure: Nanos,
-    /// Engine knobs.
-    pub tuning: EngineTuning,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for ConnScaleConfig {
-    fn default() -> ConnScaleConfig {
-        ConnScaleConfig {
-            system: System::Ix,
-            server_ports: 4,
-            server_cores: 8,
-            total_conns: 10_000,
-            outstanding_per_thread: 3,
-            n_clients: 18,
-            client_threads: 8,
-            measure: Nanos::from_millis(12),
-            tuning: EngineTuning::default(),
-            seed: 5,
-        }
-    }
-}
-
-/// Result of one connection-scalability point.
-#[derive(Debug, Clone)]
-pub struct ConnScaleResult {
-    /// Messages per second in the window.
-    pub msgs_per_sec: f64,
-    /// Mean RTT in the window, ns.
-    pub rtt_avg_ns: u64,
-    /// Modeled L3 misses per message at this connection count.
-    pub misses_per_msg: f64,
-    /// Live server-side connection count at the end.
-    pub server_conns: u64,
-    /// Summed per-core mbuf pool high-water marks (buffers).
-    pub mbuf_peak: u64,
-    /// Flow-table / TCB-slab occupancy across server shards at the
-    /// end of the window (live flows, high-water slab slots, bytes).
-    pub tcb_mem: ix_tcp::FlowMapMem,
-}
-
-/// Runs one Fig 4 point.
-pub fn run_connscale(cfg: &ConnScaleConfig) -> ConnScaleResult {
-    let mut tb = Testbed::new(cfg.seed, cfg.server_ports, cfg.n_clients);
-    // Ramp budget scales with connection count (bounded-batch opens).
-    let ramp_ns = 20_000_000 + (cfg.total_conns as u64) * 1_500;
-    let warmup_end = ramp_ns + 10_000_000;
-    let window_end = warmup_end + cfg.measure.as_nanos();
-    let stats = EchoBenchStats::new(warmup_end, window_end);
-    tb.launch_server(cfg.system, cfg.server_cores, &cfg.tuning, 7000, |_| {
-        EchoServer::new(64, 120)
-    });
-    let server_ip = tb.server_ip();
-    let threads_total = cfg.n_clients * cfg.client_threads;
-    let per_thread = cfg.total_conns.div_ceil(threads_total);
-    let st = stats.clone();
-    let outstanding = cfg.outstanding_per_thread;
-    tb.launch_linux_clients(cfg.client_threads, &cfg.tuning, move |_, _| {
-        let mut c = crate::echo::RotatingEchoClient::new(
-            server_ip,
-            7000,
-            64,
-            per_thread,
-            outstanding,
-            st.clone(),
-        );
-        c.start_at_ns = ramp_ns.saturating_sub(5_000_000);
-        c.stop_at_ns = window_end;
-        c
-    });
-    tb.run_until_ns(window_end + Nanos::from_millis(2).as_nanos());
-    let s = stats.borrow();
-    let secs = cfg.measure.as_secs_f64();
-    let server_conns = match tb.engine.as_ref().expect("launched") {
-        ServerEngine::Ix(d) => d.host_conns.get(),
-        ServerEngine::Linux(l) => l
-            .cores
-            .iter()
-            .map(|c| c.borrow().shard.flow_count() as u64)
-            .sum(),
-        ServerEngine::Mtcp(m) => m
-            .cores
-            .iter()
-            .map(|c| c.borrow().shard.flow_count() as u64)
-            .sum(),
-    };
-    let misses = ix_nic::cache::DdioModel::new(tb.fabric.params())
-        .misses_per_message(cfg.total_conns as u64);
-    // Memory accounting is read after the measured window closed, so
-    // it cannot perturb the simulated results.
-    let engine = tb.engine.as_ref().expect("launched");
-    ConnScaleResult {
-        msgs_per_sec: s.messages as f64 / secs,
-        rtt_avg_ns: s.rtt.mean().as_nanos(),
-        misses_per_msg: misses,
-        server_conns,
-        mbuf_peak: engine.mbuf_stats().peak_outstanding,
-        tcb_mem: engine.flow_mem(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Bulk-migration scaling experiment (fig9-scale).
-// ---------------------------------------------------------------------
-
-/// One fig9-scale point: migrate a whole `total_conns`-connection shard
-/// between cores while the echo load keeps running.
-#[derive(Debug, Clone)]
-pub struct ScaleMigrationConfig {
-    /// Established connections, all consolidated onto one shard before
-    /// the timed migrations.
-    pub total_conns: usize,
-    /// Server cores (the shard ping-pongs between cores 0 and 1).
-    pub server_cores: usize,
-    /// Client machines.
-    pub n_clients: usize,
-    /// Threads per client.
-    pub client_threads: usize,
-    /// Timed whole-shard migrations (alternating 0 → 1 → 0 …).
-    pub migrations: usize,
-    /// Simulated time the load runs between migrations.
-    pub settle: Nanos,
-    /// Length of the throughput windows before and after the
-    /// migration burst.
-    pub measure: Nanos,
-    /// Engine knobs.
-    pub tuning: EngineTuning,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for ScaleMigrationConfig {
-    fn default() -> ScaleMigrationConfig {
-        ScaleMigrationConfig {
-            total_conns: 10_000,
-            server_cores: 8,
-            n_clients: 18,
-            client_threads: 8,
-            migrations: 8,
-            settle: Nanos::from_millis(2),
-            measure: Nanos::from_millis(10),
-            tuning: EngineTuning::default(),
-            seed: 9,
-        }
-    }
-}
-
-/// Result of one fig9-scale point.
-#[derive(Debug, Clone)]
-pub struct ScaleMigrationResult {
-    /// Live server connections when the migration burst began.
-    pub conns: u64,
-    /// Per timed migration, in order: flows moved and the host
-    /// extract/absorb phase split.
-    pub migrations: Vec<ix_core::ixcp::MigrateReport>,
-    /// Best-case host nanoseconds per moved flow across the timed
-    /// migrations, whole pass (minimum filters host-side scheduling
-    /// noise).
-    pub ns_per_flow: f64,
-    /// Best-case host nanoseconds per flow for the absorb half alone —
-    /// the destination-side adoption cost the scaling gate tracks.
-    pub absorb_ns_per_flow: f64,
-    /// Messages/sec in the window before the burst.
-    pub msgs_before: f64,
-    /// Messages/sec in the window after the burst.
-    pub msgs_after: f64,
-    /// Connections lost across the burst (0 expected).
-    pub resets: u64,
-}
-
-/// Runs one fig9-scale point: establish `total_conns` connections in
-/// staggered dial waves, consolidate every RSS bucket onto core 0,
-/// then ping-pong the whole shard between cores 0 and 1 under load,
-/// timing each bulk migration with a host wall clock.
-pub fn run_scale_migration(cfg: &ScaleMigrationConfig) -> ScaleMigrationResult {
-    use ix_core::ixcp::reprogram_and_migrate;
-
-    let mut tb = Testbed::new(cfg.seed, 4, cfg.n_clients);
-    let ramp_ns = 20_000_000 + (cfg.total_conns as u64) * 1_500;
-    let warmup_end = ramp_ns + 10_000_000;
-    let stats = EchoBenchStats::new(warmup_end, u64::MAX);
-    tb.launch_server(System::Ix, cfg.server_cores, &cfg.tuning, 7000, |_| {
-        EchoServer::new(64, 120)
-    });
-    let server_ip = tb.server_ip();
-    let threads_total = cfg.n_clients * cfg.client_threads;
-    let per_thread = cfg.total_conns.div_ceil(threads_total);
-    // Amortized connect storm: each client thread dials in its own
-    // wave inside the first quarter of the ramp, in bounded batches.
-    let wave_ns = (ramp_ns / 4) / threads_total as u64;
-    let client_threads = cfg.client_threads;
-    let st = stats.clone();
-    tb.launch_linux_clients(cfg.client_threads, &cfg.tuning, move |ci, t| {
-        let mut c =
-            crate::echo::RotatingEchoClient::new(server_ip, 7000, 64, per_thread, 2, st.clone());
-        c.ramp_batch = 128;
-        c.dial_at_ns = ((ci * client_threads + t) as u64) * wave_ns;
-        c.start_at_ns = ramp_ns;
-        c.stop_at_ns = u64::MAX;
-        c
-    });
-
-    // Pre-migration load window.
-    tb.run_until_ns(warmup_end);
-    let m0 = stats.borrow().messages_total;
-    tb.run_until_ns(warmup_end + cfg.measure.as_nanos());
-    let m1 = stats.borrow().messages_total;
-
-    let conns = match tb.engine.as_ref().expect("launched") {
-        ServerEngine::Ix(d) => d.host_conns.get(),
-        _ => unreachable!("fig9-scale runs the IX dataplane"),
-    };
-
-    // Consolidate the whole connection population onto core 0
-    // (untimed), then ping-pong it between cores under load.
-    let migrate = |tb: &mut Testbed, target: usize| {
-        let Testbed { sim, engine, .. } = tb;
-        match engine.as_ref().expect("launched") {
-            ServerEngine::Ix(d) => reprogram_and_migrate(sim, d, vec![target; 128], None),
-            _ => unreachable!(),
-        }
-    };
-    migrate(&mut tb, 0);
-    let settle = cfg.settle.as_nanos();
-    let mut reports = Vec::with_capacity(cfg.migrations);
-    for i in 0..cfg.migrations {
-        reports.push(migrate(&mut tb, 1 - i % 2));
-        let now = tb.sim.now().as_nanos();
-        tb.run_until_ns(now + settle);
-    }
-
-    // Post-migration load window.
-    let t2 = tb.sim.now().as_nanos();
-    let m2 = stats.borrow().messages_total;
-    tb.run_until_ns(t2 + cfg.measure.as_nanos());
-    let m3 = stats.borrow().messages_total;
-
-    let conns_after = match tb.engine.as_ref().expect("launched") {
-        ServerEngine::Ix(d) => d.host_conns.get(),
-        _ => unreachable!(),
-    };
-    let secs = cfg.measure.as_secs_f64();
-    let per_flow = |ns: fn(&ix_core::ixcp::MigrateReport) -> u64| {
-        reports
-            .iter()
-            .map(|r| ns(r) as f64 / r.moved.max(1) as f64)
-            .fold(f64::INFINITY, f64::min)
-    };
-    let ns_per_flow = per_flow(|r| r.host_ns);
-    let absorb_ns_per_flow = per_flow(|r| r.absorb_ns);
-    ScaleMigrationResult {
-        conns,
-        migrations: reports,
-        ns_per_flow,
-        absorb_ns_per_flow,
-        msgs_before: (m1 - m0) as f64 / secs,
-        msgs_after: (m3 - m2) as f64 / secs,
-        resets: conns.saturating_sub(conns_after),
-    }
-}
-
-// ---------------------------------------------------------------------
-// NetPIPE experiment (Fig 2).
-// ---------------------------------------------------------------------
-
-/// Runs NetPIPE between two hosts running `system` on both ends, with
-/// the historical default seed. Returns `(one_way_ns, goodput_gbps)`.
-pub fn run_netpipe(system: System, msg_size: usize, reps: usize, tuning: &EngineTuning) -> (u64, f64) {
-    run_netpipe_seeded(system, msg_size, reps, tuning, 11)
-}
-
-/// Runs NetPIPE with an explicit experiment seed. The seed picks the
-/// client's start phase relative to the server's poll cadence (0–2 µs),
-/// the one stochastic degree of freedom in this otherwise fully
-/// deterministic experiment — so identical seeds reproduce the stats
-/// byte for byte and different seeds measure a genuinely different run.
-pub fn run_netpipe_seeded(
-    system: System,
-    msg_size: usize,
-    reps: usize,
-    tuning: &EngineTuning,
-    seed: u64,
-) -> (u64, f64) {
-    let r = run_netpipe_inner::<fn(u16, u16) -> ix_faults::FaultPlan>(
-        system, msg_size, reps, tuning, seed, None, None,
-    );
-    assert!(r.done, "NetPIPE did not finish (size {msg_size}, {} reps done)", r.reps);
-    (r.one_way_ns, r.goodput_gbps)
-}
-
-/// Result of a NetPIPE run under an installed fault plan.
-#[derive(Debug, Clone)]
-pub struct FaultedNetpipeResult {
-    /// Mean one-way latency, ns (0 if no reps finished).
-    pub one_way_ns: u64,
-    /// Goodput, Gbps (0 if no reps finished).
-    pub goodput_gbps: f64,
-    /// Whether the transfer completed within the budget.
-    pub done: bool,
-    /// Round trips completed.
-    pub reps: usize,
-    /// Server-side TCP counters (retransmits, checksum drops, recovery).
-    pub server_tcp: ix_tcp::StackStats,
-    /// Client-side TCP counters.
-    pub client_tcp: ix_tcp::StackStats,
-    /// Fault-plane counters (what was actually injected).
-    pub faults: ix_faults::FaultSnapshot,
-}
-
-/// Runs NetPIPE with a fault plan installed on the fabric. `plan` is
-/// built from `(server_port, client_port)` — the two hosts' switch
-/// ports — so callers can aim loss, flaps, or corruption at either
-/// cable. `budget_ms` overrides the fault-free time budget (faulted
-/// transfers need slack for RTO backoff). Does not assert completion;
-/// inspect [`FaultedNetpipeResult::done`].
-pub fn run_netpipe_faulted(
-    system: System,
-    msg_size: usize,
-    reps: usize,
-    tuning: &EngineTuning,
-    seed: u64,
-    budget_ms: u64,
-    plan: impl FnOnce(u16, u16) -> ix_faults::FaultPlan,
-) -> FaultedNetpipeResult {
-    run_netpipe_inner(system, msg_size, reps, tuning, seed, Some(plan), Some(budget_ms))
-}
-
-fn run_netpipe_inner<F>(
-    system: System,
-    msg_size: usize,
-    reps: usize,
-    tuning: &EngineTuning,
-    seed: u64,
-    plan: Option<F>,
-    budget_ms: Option<u64>,
-) -> FaultedNetpipeResult
-where
-    F: FnOnce(u16, u16) -> ix_faults::FaultPlan,
-{
-    let mut tb = Testbed::new(seed, 1, 1);
-    // Install faults (if any) before traffic starts. A `FaultPlan::none()`
-    // is not installed at all, keeping the fault-free path untouched.
-    let faults = plan.and_then(|f| {
-        let sp = tb.fabric.host_port(tb.server, 0);
-        let cp = tb.fabric.host_port(tb.clients[0], 0);
-        let p = f(sp, cp);
-        if p.is_none() {
-            None
-        } else {
-            Some(tb.fabric.install_faults(p))
-        }
-    });
-    let start_jitter_ns = tb.sim.rng().below(2_000);
-    let srv_rng = tb.sim.rng().fork();
-    tb.launch_server(system, 1, tuning, 7100, move |_| {
-        NetpipeServer::new(msg_size).with_jitter(srv_rng.clone(), 400)
-    });
-    let server_ip = tb.server_ip();
-    // NetPIPE runs the *same* system on both ends (§5.2) — launch the
-    // client engine accordingly on the client host.
-    let host_id = tb.clients[0];
-    // The client engine must stay alive for the whole run: the NIC holds
-    // only weak references to elastic threads, so a quiescent thread with
-    // no pending timer is kept resurrectable solely by its `Dataplane`.
-    let (result, client_eng) = {
-        let host = tb.fabric.host(host_id);
-        let cell: Rc<RefCell<Option<Rc<RefCell<crate::netpipe::NetpipeResult>>>>> =
-            Rc::new(RefCell::new(None));
-        let cell2 = cell.clone();
-        let mk = move |_i: usize| {
-            let (client, res) = NetpipeClient::new(server_ip, 7100, msg_size, reps, 4);
-            let client = client.start_after(start_jitter_ns);
-            *cell2.borrow_mut() = Some(res);
-            Box::new(Libix::new(client)) as Box<dyn IxApp>
-        };
-        let eng: ServerEngine = match system {
-            System::Ix => ServerEngine::Ix(Dataplane::launch(
-                &mut tb.sim, host, 1, tuning.ix.clone(), tuning.stack.clone(), None, mk,
-            )),
-            System::Linux => ServerEngine::Linux(LinuxHost::launch(
-                &mut tb.sim, host, 1, tuning.linux.clone(), tuning.stack.clone(), None, mk,
-            )),
-            System::Mtcp => ServerEngine::Mtcp(MtcpHost::launch(
-                &mut tb.sim, host, 1, tuning.mtcp.clone(), tuning.stack.clone(), None, mk,
-            )),
-        };
-        // ARP bring-up both ways.
-        let (cip, cmac) = (host.ip, host.mac);
-        match (&eng, tb.engine.as_ref().expect("server")) {
-            (_, ServerEngine::Ix(d)) => d.seed_arp(cip, cmac),
-            (_, ServerEngine::Linux(l)) => l.seed_arp(cip, cmac),
-            (_, ServerEngine::Mtcp(m)) => m.seed_arp(cip, cmac),
-        }
-        let (sip, smac) = {
-            let s = tb.fabric.host(tb.server);
-            (s.ip, s.mac)
-        };
-        match &eng {
-            ServerEngine::Ix(d) => d.seed_arp(sip, smac),
-            ServerEngine::Linux(l) => l.seed_arp(sip, smac),
-            ServerEngine::Mtcp(m) => m.seed_arp(sip, smac),
-        }
-        let taken = cell.borrow().clone();
-        (taken.expect("client app created"), eng)
-    };
-    // Size-dependent budget: large messages at low bandwidth need time.
-    let budget = Nanos::from_millis(
-        budget_ms.unwrap_or(200 + (msg_size as u64 * reps as u64) / 100_000),
-    );
-    tb.run_until_ns(budget.as_nanos());
-    let r = result.borrow();
-    FaultedNetpipeResult {
-        one_way_ns: r.one_way_ns(),
-        goodput_gbps: r.goodput_gbps(),
-        done: r.done,
-        reps: r.reps,
-        server_tcp: tb.engine.as_ref().expect("server").tcp_stats(),
-        client_tcp: client_eng.tcp_stats(),
-        faults: faults.map(|f| f.borrow().snapshot()).unwrap_or_default(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Fault-recovery experiment (Fig 7): continuous echo load with a fault
-// plan installed, goodput sampled in fixed windows to measure the dip
-// and the time to recover.
-// ---------------------------------------------------------------------
-
-/// Configuration of one fault-recovery measurement.
-#[derive(Debug, Clone)]
-pub struct FaultRecoveryConfig {
-    /// Server system.
-    pub system: System,
-    /// Server elastic threads / cores.
-    pub server_cores: usize,
-    /// Client machines.
-    pub n_clients: usize,
-    /// Handler threads per client machine.
-    pub client_threads: usize,
-    /// Connections per client thread.
-    pub conns_per_thread: usize,
-    /// Message size.
-    pub msg_size: usize,
-    /// Round trips per connection before RST + reopen. The default is
-    /// effectively infinite: long-lived connections recover via
-    /// retransmission instead of re-dialling through SYN timeouts.
-    pub n_per_conn: usize,
-    /// Total experiment duration.
-    pub duration: Nanos,
-    /// Goodput sampling window.
-    pub sample_window: Nanos,
-    /// When the injected faults begin (baseline windows end here).
-    pub fault_from: Nanos,
-    /// IXCP queue-hang watchdog period (IX servers only; `None` = off).
-    pub watchdog_period: Option<Nanos>,
-    /// Engine knobs.
-    pub tuning: EngineTuning,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for FaultRecoveryConfig {
-    fn default() -> FaultRecoveryConfig {
-        FaultRecoveryConfig {
-            system: System::Ix,
-            server_cores: 4,
-            n_clients: 4,
-            client_threads: 2,
-            conns_per_thread: 4,
-            msg_size: 64,
-            n_per_conn: 1_000_000,
-            duration: Nanos::from_millis(40),
-            sample_window: Nanos::from_millis(1),
-            fault_from: Nanos::from_millis(10),
-            watchdog_period: None,
-            tuning: EngineTuning::default(),
-            seed: 7,
-        }
-    }
-}
-
-/// Results of one fault-recovery measurement.
-#[derive(Debug, Clone)]
-pub struct FaultRecoveryResult {
-    /// Sampling window length, ns.
-    pub window_ns: u64,
-    /// Server-side payload bytes received per window (the goodput time
-    /// series the recovery metrics are computed from).
-    pub per_window_rx_bytes: Vec<u64>,
-    /// Mean bytes/window over the pre-fault baseline windows.
-    pub baseline_bytes: f64,
-    /// Smallest window at/after the fault onset.
-    pub min_bytes: u64,
-    /// `min_bytes / baseline_bytes` — depth of the goodput dip.
-    pub dip_frac: f64,
-    /// Time from fault onset until the end of the last window below 80%
-    /// of baseline (`None` when goodput never dipped).
-    pub recover_ns: Option<u64>,
-    /// The final window was still below 80% of baseline: traffic did not
-    /// recover within the run.
-    pub stalled: bool,
-    /// Echo messages per second over the whole run.
-    pub msgs_per_sec: f64,
-    /// 99th-percentile echo RTT, ns.
-    pub rtt_p99_ns: u64,
-    /// Server TCP counters (retransmits, recovery episodes, drops).
-    pub tcp: ix_tcp::StackStats,
-    /// Fault-plane counters.
-    pub faults: ix_faults::FaultSnapshot,
-    /// Watchdog counters when a watchdog ran.
-    pub watchdog: Option<ix_core::ixcp::WatchdogStats>,
-}
-
-/// Periodic goodput sampler: pushes the delta of a cumulative byte
-/// counter every `window` ns until `end`.
-fn sample_tick(
-    sim: &mut Simulator,
-    read: Rc<dyn Fn() -> u64>,
-    out: Rc<RefCell<Vec<u64>>>,
-    window: u64,
-    end: u64,
-    last: u64,
-) {
-    let cur = read();
-    out.borrow_mut().push(cur - last);
-    if sim.now().as_nanos() + window <= end {
-        sim.schedule_in(Nanos(window), move |sim| {
-            sample_tick(sim, read, out, window, end, cur);
-        });
-    }
-}
-
-/// Runs one fault-recovery point. `plan` builds the fault plan from the
-/// server's switch port (fault the server cable, its NIC queues, or
-/// return [`ix_faults::FaultPlan::none`] for a baseline run).
-pub fn run_fault_recovery(
-    cfg: &FaultRecoveryConfig,
-    plan: impl FnOnce(u16) -> ix_faults::FaultPlan,
-) -> FaultRecoveryResult {
-    let mut tb = Testbed::new(cfg.seed, 1, cfg.n_clients);
-    let p = plan(tb.fabric.host_port(tb.server, 0));
-    let faults = if p.is_none() { None } else { Some(tb.fabric.install_faults(p)) };
-    let end = cfg.duration.as_nanos();
-    let stats = EchoBenchStats::new(0, end);
-    let msg = cfg.msg_size;
-    tb.launch_server(cfg.system, cfg.server_cores, &cfg.tuning, 7000, |_| {
-        EchoServer::new(msg, 120)
-    });
-    let server_ip = tb.server_ip();
-    let st = stats.clone();
-    let (npc, conns) = (cfg.n_per_conn, cfg.conns_per_thread);
-    tb.launch_linux_clients(cfg.client_threads, &cfg.tuning, move |_, _| {
-        let mut c = EchoClient::new(server_ip, 7000, msg, npc, conns, true, st.clone());
-        c.stop_at_ns = end;
-        c
-    });
-    // Cumulative server-side payload bytes, summed across shards.
-    let read: Rc<dyn Fn() -> u64> = match tb.engine.as_ref().expect("server") {
-        ServerEngine::Ix(d) => {
-            let ts = d.threads.clone();
-            Rc::new(move || ts.iter().map(|t| t.borrow().shard.stats.bytes_rx).sum())
-        }
-        ServerEngine::Linux(l) => {
-            let cs = l.cores.clone();
-            Rc::new(move || cs.iter().map(|c| c.borrow().shard.stats.bytes_rx).sum())
-        }
-        ServerEngine::Mtcp(m) => {
-            let cs = m.cores.clone();
-            Rc::new(move || cs.iter().map(|c| c.borrow().shard.stats.bytes_rx).sum())
-        }
-    };
-    let samples: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-    let window = cfg.sample_window.as_nanos();
-    {
-        let (r, o) = (read, samples.clone());
-        tb.sim.schedule_in(Nanos(window), move |sim| {
-            sample_tick(sim, r, o, window, end, 0);
-        });
-    }
-    let watchdog = match (cfg.watchdog_period, tb.engine.as_ref().expect("server")) {
-        (Some(p), ServerEngine::Ix(d)) => {
-            Some(ix_core::ixcp::start_queue_watchdog(&mut tb.sim, d, p.as_nanos(), end))
-        }
-        _ => None,
-    };
-    tb.run_until_ns(end + Nanos::from_millis(2).as_nanos());
-
-    let per = samples.borrow().clone();
-    let fault_idx = (cfg.fault_from.as_nanos() / window) as usize;
-    // Baseline skips the first window (connection ramp). Empty when the
-    // faults start at (or before) that window — continuous-fault runs
-    // have no clean baseline and report zero for the dip metrics.
-    let pre_from = 1.min(per.len());
-    let pre = &per[pre_from..fault_idx.clamp(pre_from, per.len())];
-    let baseline = if pre.is_empty() {
-        0.0
-    } else {
-        pre.iter().sum::<u64>() as f64 / pre.len() as f64
-    };
-    let after = &per[fault_idx.min(per.len())..];
-    let min_bytes = after.iter().copied().min().unwrap_or(0);
-    let dip_frac = if baseline > 0.0 { min_bytes as f64 / baseline } else { 0.0 };
-    let thresh = 0.8 * baseline;
-    let mut last_below = None;
-    for (i, &v) in after.iter().enumerate() {
-        if (v as f64) < thresh {
-            last_below = Some(i);
-        }
-    }
-    let stalled = matches!(last_below, Some(i) if i + 1 == after.len());
-    let recover_ns = last_below.map(|i| (i as u64 + 1) * window);
-    let s = stats.borrow();
-    FaultRecoveryResult {
-        window_ns: window,
-        per_window_rx_bytes: per,
-        baseline_bytes: baseline,
-        min_bytes,
-        dip_frac,
-        recover_ns,
-        stalled,
-        msgs_per_sec: s.messages as f64 / cfg.duration.as_secs_f64(),
-        rtt_p99_ns: s.rtt.p99().as_nanos(),
-        tcp: tb.engine.as_ref().expect("server").tcp_stats(),
-        faults: faults.map(|f| f.borrow().snapshot()).unwrap_or_default(),
-        watchdog: watchdog.map(|w| *w.borrow()),
-    }
-}
-
-// ---------------------------------------------------------------------
-// memcached experiment (Figs 5, 6; Table 2).
-// ---------------------------------------------------------------------
-
-/// Configuration of one memcached measurement point.
-#[derive(Debug, Clone)]
-pub struct KvConfig {
-    /// Server system.
-    pub system: System,
-    /// Server cores (paper: 8 for Linux, 6 for IX).
-    pub server_cores: usize,
-    /// Workload profile.
-    pub workload: crate::workload::WorkloadKind,
-    /// Aggregate target load, requests/second.
-    pub target_rps: f64,
-    /// Client machines (paper: 23).
-    pub n_clients: usize,
-    /// Handler threads per client machine.
-    pub client_threads: usize,
-    /// Connections per client thread (paper total: 1476).
-    pub conns_per_thread: usize,
-    /// Warmup before measurement.
-    pub warmup: Nanos,
-    /// Measurement window.
-    pub measure: Nanos,
-    /// Engine knobs.
-    pub tuning: EngineTuning,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for KvConfig {
-    fn default() -> KvConfig {
-        KvConfig {
-            system: System::Ix,
-            server_cores: 6,
-            workload: crate::workload::WorkloadKind::Usr,
-            target_rps: 500_000.0,
-            n_clients: 23,
-            client_threads: 4,
-            conns_per_thread: 16, // 23 * 4 * 16 = 1472 ≈ the paper's 1476.
-            warmup: Nanos::from_millis(8),
-            measure: Nanos::from_millis(22),
-            tuning: EngineTuning::default(),
-            seed: 3,
-        }
-    }
-}
-
-/// Results of one memcached measurement point.
-#[derive(Debug, Clone)]
-pub struct KvResult {
-    /// Achieved requests/second in the window.
-    pub rps: f64,
-    /// Mean latency (load clients, includes client queueing), ns.
-    pub avg_ns: u64,
-    /// 99th-percentile latency (load clients), ns.
-    pub p99_ns: u64,
-    /// Mean network+server service time (issue→response), ns.
-    pub net_avg_ns: u64,
-    /// p99 network+server service time, ns.
-    pub net_p99_ns: u64,
-    /// Unloaded-agent mean latency, ns.
-    pub agent_avg_ns: u64,
-    /// Unloaded-agent p99 latency, ns.
-    pub agent_p99_ns: u64,
-    /// Server CPU split `(kernel_ns, user_ns)`.
-    pub cpu_split: (u64, u64),
-    /// Requests shed by the generator (hopeless overload indicator).
-    pub shed: u64,
-    /// Engine diagnostics.
-    pub debug: String,
-    /// Store operations served and total lock-wait time (contention).
-    pub store_ops: u64,
-    /// Total ns threads spent waiting on the store lock.
-    pub store_lock_wait_ns: u64,
-}
-
-/// Runs one memcached measurement point.
-pub fn run_kv(cfg: &KvConfig) -> KvResult {
-    run_kv_instrumented(cfg).0
-}
-
-/// [`run_kv`] plus the engine instrumentation snapshot.
-pub fn run_kv_instrumented(cfg: &KvConfig) -> (KvResult, EngineInstrumentation) {
-    let mut tb = Testbed::new(cfg.seed, 1, cfg.n_clients);
-    let warmup_end = cfg.warmup.as_nanos();
-    let window_end = warmup_end + cfg.measure.as_nanos();
-    let stats = LoadStats::new(warmup_end, window_end);
-    let store = SharedStore::new();
-    let st = store.clone();
-    tb.launch_server(cfg.system, cfg.server_cores, &cfg.tuning, 11211, move |_| {
-        KvServer::new(st.clone())
-    });
-    let server_ip = tb.server_ip();
-    let total_threads = (cfg.n_clients * cfg.client_threads) as f64;
-    let rate_per_thread = cfg.target_rps / total_threads;
-    let workload = Workload::new(cfg.workload);
-    let mut seeder = SimRng::new(cfg.seed.wrapping_mul(0x9e37));
-    let st2 = stats.clone();
-    let wl = workload.clone();
-    let conns = cfg.conns_per_thread;
-    let stop = window_end;
-    tb.launch_linux_clients(cfg.client_threads, &cfg.tuning, move |_ci, _t| {
-        let mut c = MutilateClient::new(
-            server_ip,
-            11211,
-            conns,
-            rate_per_thread,
-            wl.clone(),
-            seeder.fork(),
-            st2.clone(),
-        );
-        c.stop_at_ns = stop;
-        c
-    });
-    // The separate unloaded latency-measuring client gets its own
-    // dedicated host (the paper uses a separate unloaded client, §5.5).
-    let agent_id = tb.fabric.add_host(1, 2, 0);
-    {
-        let host = tb.fabric.host(agent_id);
-        let wl2 = workload.clone();
-        let st3 = stats.clone();
-        let rng = SimRng::new(cfg.seed.wrapping_add(99));
-        let mut agent = Some(MutilateAgent::new(server_ip, 11211, wl2, rng, st3));
-        if let Some(a) = agent.as_mut() {
-            a.stop_at_ns = stop;
-        }
-        let lh = LinuxHost::launch(
-            &mut tb.sim,
-            host,
-            1,
-            cfg.tuning.linux.clone(),
-            cfg.tuning.stack.clone(),
-            None,
-            move |_| Box::new(Libix::new(agent.take().expect("single thread"))) as Box<dyn IxApp>,
-        );
-        let (sip, smac) = {
-            let s = tb.fabric.host(tb.server);
-            (s.ip, s.mac)
-        };
-        lh.seed_arp(sip, smac);
-        let (aip, amac) = {
-            let a = tb.fabric.host(agent_id);
-            (a.ip, a.mac)
-        };
-        match tb.engine.as_ref().expect("server") {
-            ServerEngine::Ix(d) => d.seed_arp(aip, amac),
-            ServerEngine::Linux(l) => l.seed_arp(aip, amac),
-            ServerEngine::Mtcp(m) => m.seed_arp(aip, amac),
-        }
-    }
-    tb.run_until_ns(window_end + Nanos::from_millis(3).as_nanos());
-    let instr = EngineInstrumentation::capture(&tb);
-    let (store_ops, store_lock_wait_ns) = {
-        let st = store.borrow();
-        (st.ops, st.lock_wait_ns)
-    };
-    let s = stats.borrow();
-    let secs = cfg.measure.as_secs_f64();
-    let result = KvResult {
-        rps: s.completed as f64 / secs,
-        avg_ns: s.latency.mean().as_nanos(),
-        p99_ns: s.latency.p99().as_nanos(),
-        net_avg_ns: s.net_latency.mean().as_nanos(),
-        net_p99_ns: s.net_latency.p99().as_nanos(),
-        agent_avg_ns: s.agent_latency.mean().as_nanos(),
-        agent_p99_ns: s.agent_latency.p99().as_nanos(),
-        cpu_split: tb.engine.as_ref().expect("launched").cpu_split(),
-        shed: s.shed,
-        debug: tb.debug_line(),
-        store_ops,
-        store_lock_wait_ns,
-    };
-    (result, instr)
-}
-
-// ---------------------------------------------------------------------
-// Adversarial experiment (fig8): legitimate goodput under attack.
-// ---------------------------------------------------------------------
-
-/// Configuration of one goodput-under-attack measurement point: the
-/// fig5-style memcached load plus an attack stream sharing the fabric,
-/// with the pre-stack filter optionally installed.
-#[derive(Debug, Clone)]
-pub struct AdversarialConfig {
-    /// Server system.
-    pub system: System,
-    /// Install the pre-stack filter (IX only): a drop rule for the
-    /// spoofed attack /16 plus a SYN-challenge rule on the service port.
-    pub filtered: bool,
-    /// Attack stream, if any: shape and aggregate packets/second.
-    pub attack: Option<(crate::attack::AttackKind, f64)>,
-    /// Server cores.
-    pub server_cores: usize,
-    /// Aggregate legitimate target load, requests/second.
-    pub target_rps: f64,
-    /// Client machines.
-    pub n_clients: usize,
-    /// Handler threads per client machine.
-    pub client_threads: usize,
-    /// Connections per client thread.
-    pub conns_per_thread: usize,
-    /// Warmup before measurement (handshakes complete here; the attack
-    /// starts when the measurement window opens).
-    pub warmup: Nanos,
-    /// Measurement window (the attack runs for all of it).
-    pub measure: Nanos,
-    /// Engine knobs.
-    pub tuning: EngineTuning,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for AdversarialConfig {
-    fn default() -> AdversarialConfig {
-        AdversarialConfig {
-            system: System::Ix,
-            filtered: false,
-            attack: None,
-            server_cores: 6,
-            target_rps: 300_000.0,
-            n_clients: 12,
-            client_threads: 4,
-            conns_per_thread: 8,
-            warmup: Nanos::from_millis(8),
-            measure: Nanos::from_millis(22),
-            tuning: EngineTuning::default(),
-            seed: 11,
-        }
-    }
-}
-
-/// Results of one goodput-under-attack point.
-#[derive(Debug, Clone)]
-pub struct AdversarialResult {
-    /// Achieved legitimate requests/second in the window.
-    pub rps: f64,
-    /// Mean legitimate-request latency, ns.
-    pub avg_ns: u64,
-    /// p99 legitimate-request latency, ns.
-    pub p99_ns: u64,
-    /// Requests shed by the generator (overload indicator).
-    pub shed: u64,
-    /// Attack frames actually injected.
-    pub attack_sent: u64,
-    /// Filter verdicts summed over the server's queues
-    /// `(drops, passes, challenges, drop_allocs)`; zeros when no filter
-    /// was installed.
-    pub filter: (u64, u64, u64, u64),
-    /// Server NIC descriptor-exhaustion drops (ring tail-drop: the
-    /// congestion signature of an unfiltered flood).
-    pub nic_ring_drops: u64,
-    /// Aggregated server TCP counters (cookie mints/accepts, backlog
-    /// overflow drops, RSTs, ...).
-    pub tcp: ix_tcp::StackStats,
-    /// TCB-slab high-water slots summed over server shards — the flood's
-    /// memory footprint.
-    pub slab_high_water: usize,
-    /// Engine diagnostics.
-    pub debug: String,
-}
-
-/// Runs one goodput-under-attack measurement point.
-pub fn run_adversarial(cfg: &AdversarialConfig) -> AdversarialResult {
-    use crate::attack::{self, AttackConfig};
-    use ix_core::ixcp::FilterControl;
-    use ix_net::filter::{FilterPolicy, RuleAction};
-    use ix_net::ip::IpProto;
-
-    // Two late hosts beyond run_kv's agent: the attacker gets its own
-    // switch port so the flood shares links exactly like a real tenant.
-    let mut tb = Testbed::with_extra_ports(cfg.seed, 1, cfg.n_clients, 3);
-    let warmup_end = cfg.warmup.as_nanos();
-    let window_end = warmup_end + cfg.measure.as_nanos();
-    let stats = LoadStats::new(warmup_end, window_end);
-    let store = SharedStore::new();
-    let st = store.clone();
-    tb.launch_server(cfg.system, cfg.server_cores, &cfg.tuning, 11211, move |_| {
-        KvServer::new(st.clone())
-    });
-    // The filter: drop the spoofed attack range outright and run SYN
-    // cookies on the service port (defense in depth for SYNs from
-    // outside the dropped /16 — legitimate handshakes complete through
-    // the cookie path during warmup, exercising it end to end).
-    let _filter_ctl = if cfg.filtered {
-        match tb.engine.as_ref().expect("launched") {
-            ServerEngine::Ix(d) => {
-                let policy = FilterPolicy::new()
-                    .rule_net16(attack::attack_net_probe(), RuleAction::Drop)
-                    .rule_port(IpProto::Tcp, 11211, RuleAction::SynChallenge);
-                Some(FilterControl::install(d, policy))
-            }
-            _ => None,
-        }
-    } else {
-        None
-    };
-    let server_ip = tb.server_ip();
-    let total_threads = (cfg.n_clients * cfg.client_threads) as f64;
-    let rate_per_thread = cfg.target_rps / total_threads;
-    let workload = Workload::new(crate::workload::WorkloadKind::Usr);
-    let mut seeder = SimRng::new(cfg.seed.wrapping_mul(0x9e37));
-    let st2 = stats.clone();
-    let wl = workload.clone();
-    let conns = cfg.conns_per_thread;
-    let stop = window_end;
-    tb.launch_linux_clients(cfg.client_threads, &cfg.tuning, move |_ci, _t| {
-        let mut c = MutilateClient::new(
-            server_ip,
-            11211,
-            conns,
-            rate_per_thread,
-            wl.clone(),
-            seeder.fork(),
-            st2.clone(),
-        );
-        c.stop_at_ns = stop;
-        c
-    });
-    // Attacker host: raw frames straight onto the fabric, starting when
-    // the measurement window opens (legitimate connections are up).
-    let attack_stats = cfg.attack.map(|(kind, pps)| {
-        let attacker = tb.fabric.add_host(1, 8, 0);
-        let (tip, tmac) = {
-            let s = tb.fabric.host(tb.server);
-            (s.ip, s.mac)
-        };
-        let nic = tb.fabric.host(attacker).nics[0].clone();
-        attack::launch(
-            &mut tb.sim,
-            nic,
-            AttackConfig {
-                kind,
-                pps,
-                target_ip: tip,
-                target_mac: tmac,
-                target_port: 11211,
-                start_ns: warmup_end,
-                stop_ns: window_end,
-                seed: cfg.seed ^ 0x5eed,
-            },
-        )
-    });
-    tb.run_until_ns(window_end + Nanos::from_millis(3).as_nanos());
-    let (filter, nic_ring_drops) = {
-        let host = tb.fabric.host(tb.server);
-        let mut f = (0u64, 0u64, 0u64, 0u64);
-        let mut drops = 0u64;
-        for nic in &host.nics {
-            let n = nic.borrow();
-            let t = n.filter_stats_total();
-            f.0 += t.drops;
-            f.1 += t.passes;
-            f.2 += t.challenges;
-            f.3 += t.drop_allocs;
-            drops += n.stats.rx_ring_drops;
-        }
-        (f, drops)
-    };
-    let engine = tb.engine.as_ref().expect("launched");
-    let tcp = engine.tcp_stats();
-    let slab_high_water = engine.flow_mem().slab_slots;
-    let s = stats.borrow();
-    let secs = cfg.measure.as_secs_f64();
-    AdversarialResult {
-        rps: s.completed as f64 / secs,
-        avg_ns: s.latency.mean().as_nanos(),
-        p99_ns: s.latency.p99().as_nanos(),
-        shed: s.shed,
-        attack_sent: attack_stats.map(|a| a.borrow().sent).unwrap_or(0),
-        filter,
-        nic_ring_drops,
-        tcp,
-        slab_high_water,
-        debug: tb.debug_line(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Elastic-controller experiment (fig9): MMPP load spike absorption.
-// ---------------------------------------------------------------------
-
-/// Configuration of one elastic-scaling measurement: the fig5-style
-/// memcached fleet whose aggregate arrival rate is modulated by a
-/// two-state MMPP (base rate / spike rate), served by an IX dataplane
-/// whose cores are managed — or not — by the elastic controller.
-#[derive(Debug, Clone)]
-pub struct ElasticKvConfig {
-    /// Server cores available to the control plane.
-    pub server_cores: usize,
-    /// Cores active at launch (the elastic run starts consolidated; the
-    /// static baseline ignores this and keeps every core active).
-    pub initial_active: usize,
-    /// Run the elastic controller (false = static core allocation).
-    pub elastic: bool,
-    /// Admission gate: shed new connections at the NIC edge when every
-    /// core is saturated past the shed threshold.
-    pub admission_gate: bool,
-    /// Workload profile.
-    pub workload: crate::workload::WorkloadKind,
-    /// Aggregate base-state arrival rate, requests/second.
-    pub base_rps: f64,
+/// The fig9 layer on a KV scenario: the fleet's aggregate arrival rate
+/// follows a two-state MMPP (base [`App::Kv`] rate, spike `burst_rps`),
+/// optionally served under the elastic controller, with an optional
+/// wave of new connections dialed mid-spike. The spike runs from t = 0:
+/// the scenario's warmup should be zero.
+#[derive(Debug, Clone, Copy)]
+pub struct Spike {
     /// Aggregate spike-state arrival rate.
     pub burst_rps: f64,
     /// First spike onset.
@@ -1579,111 +445,741 @@ pub struct ElasticKvConfig {
     pub mean_on: Nanos,
     /// Mean calm dwell between spikes (exponential).
     pub mean_off: Nanos,
-    /// Total run length; also the MMPP stop (forced calm).
-    pub duration: Nanos,
-    /// Latency-series window width.
-    pub window: Nanos,
-    /// Client machines.
-    pub n_clients: usize,
-    /// Handler threads per client machine.
-    pub client_threads: usize,
-    /// Connections per client thread.
-    pub conns_per_thread: usize,
-    /// New connections dialed mid-spike (0 = none): the churn the
-    /// admission gate sheds at the NIC edge under saturation. Shed
-    /// dialers retry on a fast SYN timer and land once the gate lifts.
+    /// Run the elastic controller (false = static core allocation).
+    pub controller: bool,
+    /// Cores active at launch under the controller.
+    pub initial_active: usize,
+    /// Admission gate: shed new connections at the NIC edge when every
+    /// core is saturated past the shed threshold.
+    pub admission_gate: bool,
+    /// New connections dialed mid-spike from a host of their own (0 =
+    /// none); shed dials retry on a fast SYN timer.
     pub late_dials: usize,
     /// When the dial wave starts.
     pub dial_at: Nanos,
-    /// Queue-delay SLA for the controller and for the reported
-    /// violation windows (p99 against this).
-    pub sla: Nanos,
-    /// Controller epoch.
-    pub epoch: Nanos,
-    /// Controller's per-frame service estimate.
-    pub per_frame: Nanos,
-    /// Engine knobs.
-    pub tuning: EngineTuning,
-    /// RNG seed.
-    pub seed: u64,
 }
 
-impl Default for ElasticKvConfig {
-    fn default() -> ElasticKvConfig {
-        ElasticKvConfig {
-            server_cores: 6,
-            initial_active: 2,
-            elastic: true,
-            admission_gate: false,
-            workload: crate::workload::WorkloadKind::Usr,
-            base_rps: 300_000.0,
+impl Default for Spike {
+    /// Fig 9: a 1.5 M rps spike over the 300 K base at 10 ms, under the
+    /// controller from two active cores.
+    fn default() -> Spike {
+        Spike {
             burst_rps: 1_500_000.0,
             spike_start: Nanos::from_millis(10),
             mean_on: Nanos::from_millis(12),
             mean_off: Nanos::from_millis(10),
-            duration: Nanos::from_millis(40),
-            window: Nanos::from_millis(1),
-            n_clients: 36,
-            client_threads: 4,
-            conns_per_thread: 16,
+            controller: true,
+            initial_active: 2,
+            admission_gate: false,
             late_dials: 0,
             dial_at: Nanos::from_millis(12),
-            sla: Nanos(300_000),
-            epoch: Nanos(200_000),
-            per_frame: Nanos(2_000),
-            tuning: EngineTuning::default(),
-            seed: 9,
         }
     }
 }
 
-/// One per-window row of the elastic experiment's time series.
-#[derive(Debug, Clone, Copy)]
-pub struct ElasticWindow {
-    /// Window start, ns since run start.
-    pub t_ns: u64,
-    /// p99 open-loop latency inside the window (0 when empty).
-    pub p99_ns: u64,
-    /// Requests completed inside the window.
-    pub completed: u64,
-    /// Active (unparked) server cores at the window's end.
-    pub active_cores: usize,
-    /// Whether the MMPP burst flag was up at the window's end.
-    pub burst_on: bool,
+/// One experiment: topology, engine, load and optional layers.
+#[derive(Debug, Clone)]
+pub struct Scenario {
+    /// Server system.
+    pub system: System,
+    /// Server cores.
+    pub server_cores: usize,
+    /// Server NIC ports (1 = 10GbE, 4 = 4x10GbE).
+    pub server_ports: usize,
+    /// Client machines.
+    pub n_clients: usize,
+    /// Handler threads per client machine.
+    pub client_threads: usize,
+    /// Connections per client thread (echo and KV).
+    pub conns_per_thread: usize,
+    /// What loads the server.
+    pub app: App,
+    /// Time before the measurement window opens.
+    pub warmup: Nanos,
+    /// Measurement window; the clients stop issuing when it closes.
+    pub measure: Nanos,
+    /// Engine knobs.
+    pub tuning: EngineTuning,
+    /// RNG seed.
+    pub seed: u64,
+    /// KV only: the separate unloaded latency-sampling client on a host
+    /// of its own (§5.5).
+    pub agent: bool,
+    /// Faults injected on the fabric; links and NICs are keyed by
+    /// [`Scenario::server_port`] and [`Scenario::client_port`].
+    pub faults: FaultPlan,
+    /// Samples server goodput in 1 ms windows and reports the dip and
+    /// recovery relative to this fault onset (fig7); `None` = off.
+    pub fault_from: Option<Nanos>,
+    /// IXCP queue-hang watchdog period (IX servers only; `None` = off).
+    pub watchdog: Option<Nanos>,
+    /// Attack stream from a host of its own, through the measurement
+    /// window: shape and aggregate packets/second.
+    pub attack: Option<(AttackKind, f64)>,
+    /// Install the pre-stack filter (IX only): a drop rule for the
+    /// spoofed attack /16 plus a SYN-challenge rule on the service port.
+    pub filtered: bool,
+    /// MMPP spike, elastic controller and late dials (KV only, IX only).
+    pub spike: Option<Spike>,
+    /// Fig9-scale (IX only, [`App::Rotating`]): consolidate every RSS
+    /// bucket onto core 0 after a pre-window of `measure`, time eight
+    /// whole-shard migrations between cores 0 and 1 under load, then
+    /// measure again. The load never stops.
+    pub shard_pingpong: bool,
 }
 
-/// Results of one elastic-scaling run.
-#[derive(Debug, Clone)]
-pub struct ElasticKvResult {
-    /// The time series.
-    pub windows: Vec<ElasticWindow>,
-    /// Requests completed across the whole run.
-    pub completed_total: u64,
-    /// Requests shed client-side (generator hopelessly behind).
+impl Scenario {
+    /// Fig 3's echo point: 18 clients × 8 threads × 16 connections of
+    /// 64 B, n = 1024, against 8 IX cores on 10GbE.
+    pub fn echo() -> Scenario {
+        Scenario {
+            system: System::Ix,
+            server_cores: 8,
+            server_ports: 1,
+            n_clients: 18,
+            client_threads: 8,
+            conns_per_thread: 16,
+            app: App::Echo { msg: 64, n_per_conn: 1024 },
+            warmup: Nanos::from_millis(6),
+            measure: Nanos::from_millis(12),
+            tuning: EngineTuning::default(),
+            seed: 1,
+            agent: false,
+            faults: FaultPlan::none(),
+            fault_from: None,
+            watchdog: None,
+            attack: None,
+            filtered: false,
+            spike: None,
+            shard_pingpong: false,
+        }
+    }
+
+    /// Fig 4's point: 10 000 rotating connections, 3 outstanding per
+    /// client thread, against 8 IX cores on 4x10GbE.
+    pub fn conn_scale() -> Scenario {
+        Scenario {
+            server_ports: 4,
+            app: App::Rotating { total_conns: 10_000, outstanding: 3 },
+            warmup: Nanos::from_millis(10),
+            seed: 5,
+            ..Scenario::echo()
+        }
+    }
+
+    /// NetPIPE between two single-port hosts, with a time budget that
+    /// grows with the bytes moved.
+    pub fn netpipe(msg: usize, reps: usize) -> Scenario {
+        Scenario {
+            server_cores: 1,
+            n_clients: 1,
+            app: App::Netpipe { msg, reps },
+            measure: Nanos::from_millis(200 + (msg as u64 * reps as u64) / 100_000),
+            seed: 11,
+            ..Scenario::echo()
+        }
+    }
+
+    /// Fig 7's point: 40 ms of long-lived 64 B echo connections against
+    /// 4 IX cores, goodput sampled around a fault onset at 10 ms.
+    pub fn fault_recovery() -> Scenario {
+        Scenario {
+            server_cores: 4,
+            n_clients: 4,
+            client_threads: 2,
+            conns_per_thread: 4,
+            // Connections never close: they recover by retransmission,
+            // not by re-dialling through SYN timeouts.
+            app: App::Echo { msg: 64, n_per_conn: 1_000_000 },
+            warmup: Nanos(0),
+            measure: Nanos::from_millis(40),
+            seed: 7,
+            fault_from: Some(Nanos::from_millis(10)),
+            ..Scenario::echo()
+        }
+    }
+
+    /// Fig 5's point: USR at 500 K rps from 23 clients × 4 threads × 16
+    /// connections (1 472 ≈ the paper's 1 476) against 6 IX cores.
+    pub fn kv() -> Scenario {
+        Scenario {
+            server_cores: 6,
+            n_clients: 23,
+            client_threads: 4,
+            conns_per_thread: 16,
+            app: App::Kv { workload: WorkloadKind::Usr, rps: 500_000.0 },
+            warmup: Nanos::from_millis(8),
+            measure: Nanos::from_millis(22),
+            seed: 3,
+            agent: true,
+            ..Scenario::echo()
+        }
+    }
+
+    /// Fig 9's point: 40 ms of USR from 36 clients at a 300 K rps base
+    /// rate under [`Spike::default`].
+    pub fn elastic() -> Scenario {
+        Scenario {
+            n_clients: 36,
+            app: App::Kv { workload: WorkloadKind::Usr, rps: 300_000.0 },
+            warmup: Nanos(0),
+            measure: Nanos::from_millis(40),
+            seed: 9,
+            agent: false,
+            spike: Some(Spike::default()),
+            ..Scenario::kv()
+        }
+    }
+
+    /// The switch port of the server's first NIC: the server is the
+    /// first host added.
+    pub fn server_port(&self) -> u16 {
+        0
+    }
+
+    /// The switch port of client `k`: clients follow the server's ports.
+    pub fn client_port(&self, k: usize) -> u16 {
+        (self.server_ports + k) as u16
+    }
+}
+
+/// Everything one [`run`] measured. A number that does not apply to the
+/// scenario reads zero, `None` or empty.
+#[derive(Debug, Clone, Default)]
+pub struct RunReport {
+    /// Round trips (echo) or requests (KV) completed inside the window;
+    /// NetPIPE: round trips completed.
+    pub messages: u64,
+    /// Completions since t = 0, the drain included.
+    pub messages_total: u64,
+    /// `messages` per second of the window.
+    pub msgs_per_sec: f64,
+    /// Payload goodput, Gbps: echo counts each message once, NetPIPE
+    /// the transfer.
+    pub goodput_gbps: f64,
+    /// Mean latency, ns: echo round trip, KV request (client queueing
+    /// included).
+    pub avg_ns: u64,
+    /// 99th-percentile latency, ns, of the same.
+    pub p99_ns: u64,
+    /// NetPIPE mean one-way latency, ns.
+    pub one_way_ns: u64,
+    /// NetPIPE finished every round trip within the budget.
+    pub done: bool,
+    /// Echo connections completed (n round trips + RST).
+    pub conns_closed: u64,
+    /// KV network + server service time (issue → response), mean ns.
+    pub net_avg_ns: u64,
+    /// KV network + server service time, p99 ns.
+    pub net_p99_ns: u64,
+    /// Unloaded-agent mean latency, ns.
+    pub agent_avg_ns: u64,
+    /// Unloaded-agent p99 latency, ns.
+    pub agent_p99_ns: u64,
+    /// Requests shed by the generator (hopeless overload indicator).
     pub shed: u64,
-    /// MMPP transition log `(t_ns, burst_on)`.
-    pub transitions: Vec<(u64, bool)>,
-    /// From first spike onset until the last over-SLA window inside the
-    /// first spike ends (0 = never violated; None = never absorbed:
-    /// still violating when the spike ended).
-    pub absorb_ns: Option<u64>,
-    /// Over-SLA windows after the final spike ends — SLA-violation-free
-    /// consolidation means 0.
-    pub post_spike_violations: u64,
-    /// Σ active-cores × window over the run (core-ns) — the energy
-    /// proxy. A static run pays `server_cores × duration`.
-    pub core_ns: u64,
-    /// Static-allocation energy for the same run, core-ns.
-    pub static_core_ns: u64,
-    /// Elastic controller counters (zeroed for the static baseline).
-    pub ctl: ix_core::ElasticStats,
-    /// NIC filter drops (admission-gate sheds at the edge).
-    pub gate_drops: u64,
-    /// Late dials that eventually connected (all of them should, once
-    /// the gate lifts; 0 when `late_dials` is 0).
-    pub dials_ok: u64,
-    /// Engine diagnostics.
+    /// Store operations served.
+    pub store_ops: u64,
+    /// Total ns threads spent waiting on the store lock.
+    pub store_lock_wait_ns: u64,
+    /// Modeled L3 misses per message at the rotating connection count.
+    pub misses_per_msg: f64,
+    /// Scheduler counters (the whole testbed: one simulator).
+    pub sim: SimCounters,
+    /// Server mbuf pools, summed across cores.
+    pub mbuf: ix_mempool::PoolStats,
+    /// Server TCP counters, summed across cores.
+    pub tcp: StackStats,
+    /// Server flow-table / TCB-slab occupancy, summed across shards.
+    pub flows: FlowMapMem,
+    /// Server live connections at the end.
+    pub conns: u64,
+    /// Server CPU split `(kernel_ns, user_ns)`.
+    pub cpu_split: (u64, u64),
+    /// Pre-stack filter verdicts summed over the server's queues.
+    pub filter: ix_nic::nic::FilterStats,
+    /// Server NIC descriptor-exhaustion drops.
+    pub nic_ring_drops: u64,
+    /// Engine diagnostics (batching, drops, retransmissions).
     pub debug: String,
+    /// NetPIPE client TCP counters.
+    pub client_tcp: StackStats,
+    /// Fault-plane counters (what was actually injected).
+    pub faults: FaultSnapshot,
+    /// Server payload bytes received per 1 ms window (fig7).
+    pub rx_windows: Vec<u64>,
+    /// Smallest window at/after the fault onset over the mean pre-fault
+    /// window, the first (connection ramp) excluded; 0 without a clean
+    /// baseline.
+    pub dip_frac: f64,
+    /// Fault onset to the end of the last window below 80 % of baseline
+    /// (`None` when goodput never dipped).
+    pub recover_ns: Option<u64>,
+    /// The final window was still below 80 % of baseline.
+    pub stalled: bool,
+    /// Watchdog counters when a watchdog ran.
+    pub watchdog: Option<WatchdogStats>,
+    /// Attack frames actually injected.
+    pub attack_sent: u64,
+    /// Per 1 ms window of a spike run: `(p99_ns, completed)`, p99 0 when
+    /// the window is empty.
+    pub series: Vec<(u64, u64)>,
+    /// From the first spike onset until the last over-SLA window inside
+    /// the first spike ends (0 = never violated; `None` = still
+    /// violating when the spike ended).
+    pub absorb_ns: Option<u64>,
+    /// Over-SLA windows after the final spike ends.
+    pub post_spike_violations: u64,
+    /// Σ active cores × window over Σ server cores × window — the energy
+    /// proxy against a static allocation.
+    pub core_share: f64,
+    /// Elastic controller counters.
+    pub ctl: ix_core::ElasticStats,
+    /// Late dials that connected.
+    pub dials_ok: u64,
+    /// The shard ping-pong's timed migrations, in order.
+    pub migrations: Vec<MigrateReport>,
+    /// Best host ns per moved flow over the timed migrations, whole pass
+    /// (the minimum filters host scheduling noise).
+    pub ns_per_flow: f64,
+    /// Best host ns per moved flow of the absorb half alone.
+    pub absorb_ns_per_flow: f64,
+    /// Messages/sec in the window before the migration burst.
+    pub msgs_before: f64,
+    /// Messages/sec in the window after it.
+    pub msgs_after: f64,
+    /// Server live connections when the burst began.
+    pub burst_conns: u64,
+}
+
+// ---------------------------------------------------------------------
+// The runner.
+// ---------------------------------------------------------------------
+
+/// Goodput sampling window of the fault-recovery layer.
+const SAMPLE_NS: u64 = 1_000_000;
+/// Latency-series window of the spike layer.
+const SERIES_NS: u64 = 1_000_000;
+/// The elastic controller's queue-delay SLA, epoch and per-frame
+/// service estimate; the SLA also judges the series windows.
+const SLA_NS: u64 = 300_000;
+const EPOCH_NS: u64 = 200_000;
+const PER_FRAME_NS: u64 = 2_000;
+/// Timed whole-shard migrations of the ping-pong, and the load time
+/// between them.
+const MIGRATIONS: usize = 8;
+const SETTLE_NS: u64 = 2_000_000;
+
+/// Switch headroom for hosts added after the clients: the most any
+/// scenario adds (agent, attacker, dialer).
+const LATE_HOSTS: usize = 3;
+
+/// Builds the scenario's server and clients.
+fn testbed(sc: &Scenario) -> Testbed {
+    Testbed::sized(sc.seed, sc.server_ports, sc.n_clients, LATE_HOSTS)
+}
+
+/// Runs one experiment.
+pub fn run(sc: &Scenario) -> RunReport {
+    let mut tb = testbed(sc);
+    let faults = (!sc.faults.is_none()).then(|| tb.fabric.install_faults(sc.faults.clone()));
+    let mut r = match sc.app {
+        App::Netpipe { msg, reps } => netpipe(&mut tb, sc, msg, reps),
+        _ => load(&mut tb, sc),
+    };
+    let engine = tb.engine();
+    r.sim = tb.sim.counters();
+    r.mbuf = engine.mbuf_stats();
+    r.tcp = engine.tcp_stats();
+    r.flows = engine.flow_mem();
+    r.conns = engine.conns();
+    r.cpu_split = engine.cpu_split();
+    for nic in &tb.fabric.host(tb.server).nics {
+        let n = nic.borrow();
+        let f = n.filter_stats_total();
+        r.filter.drops += f.drops;
+        r.filter.passes += f.passes;
+        r.filter.challenges += f.challenges;
+        r.filter.drop_allocs += f.drop_allocs;
+        r.nic_ring_drops += n.stats.rx_ring_drops;
+    }
+    r.debug = tb.debug_line();
+    r.faults = faults.map(|f| f.borrow().snapshot()).unwrap_or_default();
+    r
+}
+
+/// NetPIPE: the seed's one degree of freedom is the client's start
+/// phase against the server's poll cadence (0–2 µs).
+fn netpipe(tb: &mut Testbed, sc: &Scenario, msg: usize, reps: usize) -> RunReport {
+    let port = sc.app.port();
+    let start_ns = tb.sim.rng().below(2_000);
+    let server_rng = tb.sim.rng().fork();
+    tb.launch_server(sc.system, sc.server_cores, &sc.tuning, port, move |_| {
+        NetpipeServer::new(msg).with_jitter(server_rng.clone(), 400)
+    });
+    let ip = tb.server_ip();
+    let result = RefCell::new(None);
+    // Held to the end of the run (see `launch_client`).
+    let client = tb.launch_client(tb.clients[0], sc.system, 1, &sc.tuning, |_| {
+        let (client, res) = NetpipeClient::new(ip, port, msg, reps, 4);
+        *result.borrow_mut() = Some(res);
+        client.start_after(start_ns)
+    });
+    let result = result.into_inner().expect("client app created");
+    tb.run_until_ns(sc.measure.as_nanos());
+    let res = result.borrow();
+    // Without faults a stall is a bug, not a measurement.
+    assert!(res.done || !sc.faults.is_none(), "NetPIPE did not finish (size {msg}, {} reps done)", res.reps);
+    RunReport {
+        messages: res.reps as u64,
+        goodput_gbps: res.goodput_gbps(),
+        one_way_ns: res.one_way_ns(),
+        done: res.done,
+        client_tcp: client.tcp_stats(),
+        ..RunReport::default()
+    }
+}
+
+/// Where the clients record what they measure.
+enum Sink {
+    Echo(Rc<RefCell<EchoBenchStats>>),
+    Kv(Rc<RefCell<LoadStats>>, StoreRef),
+}
+
+/// Every app but NetPIPE: a Linux client fleet against the server, plus
+/// the scenario's layers.
+fn load(tb: &mut Testbed, sc: &Scenario) -> RunReport {
+    let port = sc.app.port();
+    let ramp_ns = match sc.app {
+        App::Rotating { total_conns, .. } => 20_000_000 + total_conns as u64 * 1_500,
+        _ => 0,
+    };
+    let warmup_end = ramp_ns + sc.warmup.as_nanos();
+    let window_end = warmup_end + sc.measure.as_nanos();
+    let stop = if sc.shard_pingpong { u64::MAX } else { window_end };
+    let sink = match sc.app {
+        App::Kv { .. } => {
+            let stats = LoadStats::new(warmup_end, window_end);
+            if sc.spike.is_some() {
+                stats.borrow_mut().enable_series(0, window_end, SERIES_NS);
+            }
+            let store = SharedStore::new();
+            tb.launch_server(sc.system, sc.server_cores, &sc.tuning, port, |_| {
+                KvServer::new(store.clone())
+            });
+            Sink::Kv(stats, store)
+        }
+        _ => {
+            let msg = if let App::Echo { msg, .. } = sc.app { msg } else { 64 };
+            tb.launch_server(sc.system, sc.server_cores, &sc.tuning, port, |_| {
+                EchoServer::new(msg, 120)
+            });
+            Sink::Echo(EchoBenchStats::new(warmup_end, stop))
+        }
+    };
+    // Drop the spoofed attack range outright and run SYN cookies on the
+    // service port: legitimate handshakes complete through the cookie
+    // path during warmup.
+    let _filter = sc.filtered.then(|| {
+        use ix_net::filter::{FilterPolicy, RuleAction};
+        tb.with_ix(|_, d| {
+            let policy = FilterPolicy::new()
+                .rule_net16(attack::attack_net_probe(), RuleAction::Drop)
+                .rule_port(ix_net::ip::IpProto::Tcp, port, RuleAction::SynChallenge);
+            FilterControl::install(d, policy)
+        })
+    });
+
+    let ip = tb.server_ip();
+    let threads_total = sc.n_clients * sc.client_threads;
+    let flag = Rc::new(Cell::new(false));
+    match (&sink, sc.app) {
+        (Sink::Echo(st), App::Echo { msg, n_per_conn }) => {
+            tb.launch_linux_clients(sc.client_threads, &sc.tuning, |_, _| {
+                let mut c = EchoClient::new(ip, port, msg, n_per_conn, sc.conns_per_thread, true, st.clone());
+                c.stop_at_ns = stop;
+                c
+            })
+        }
+        (Sink::Echo(st), App::Rotating { total_conns, outstanding }) => {
+            let per_thread = total_conns.div_ceil(threads_total);
+            // The ping-pong's connect storm is amortized: each client
+            // thread dials in its own wave inside the first quarter of
+            // the ramp, in bounded batches.
+            let wave_ns = (ramp_ns / 4) / threads_total as u64;
+            tb.launch_linux_clients(sc.client_threads, &sc.tuning, |ci, t| {
+                let mut c = RotatingEchoClient::new(ip, port, 64, per_thread, outstanding, st.clone());
+                if sc.shard_pingpong {
+                    c.ramp_batch = 128;
+                    c.dial_at_ns = ((ci * sc.client_threads + t) as u64) * wave_ns;
+                    c.start_at_ns = ramp_ns;
+                } else {
+                    c.start_at_ns = ramp_ns.saturating_sub(5_000_000);
+                }
+                c.stop_at_ns = stop;
+                c
+            })
+        }
+        (Sink::Kv(ls, _), App::Kv { workload, rps }) => {
+            let rate = rps / threads_total as f64;
+            let burst = sc.spike.map(|s| s.burst_rps / threads_total as f64);
+            let wl = Workload::new(workload);
+            let mut seeder = SimRng::new(sc.seed.wrapping_mul(0x9e37));
+            tb.launch_linux_clients(sc.client_threads, &sc.tuning, |_, _| {
+                let mut c =
+                    MutilateClient::new(ip, port, sc.conns_per_thread, rate, wl.clone(), seeder.fork(), ls.clone());
+                c.stop_at_ns = stop;
+                c.burst = burst.map(|b| (flag.clone(), b));
+                c
+            });
+            if sc.agent {
+                let id = tb.fabric.add_host(1, 2, 0);
+                let mut agent = MutilateAgent::new(ip, port, wl, SimRng::new(sc.seed.wrapping_add(99)), ls.clone());
+                agent.stop_at_ns = stop;
+                let mut agent = Some(agent);
+                tb.launch_client(id, System::Linux, 1, &sc.tuning, |_| agent.take().expect("one agent thread"));
+            }
+        }
+        _ => unreachable!("the sink follows the app"),
+    }
+    // The attacker puts raw frames straight onto its own switch port, so
+    // the flood shares links exactly like a real tenant.
+    let attack = sc.attack.map(|(kind, pps)| {
+        let id = tb.fabric.add_host(1, 8, 0);
+        let server = tb.fabric.host(tb.server);
+        let cfg = AttackConfig {
+            kind,
+            pps,
+            target_ip: server.ip,
+            target_mac: server.mac,
+            target_port: port,
+            start_ns: warmup_end,
+            stop_ns: window_end,
+            seed: sc.seed ^ 0x5eed,
+        };
+        attack::launch(&mut tb.sim, tb.fabric.host(id).nics[0].clone(), cfg)
+    });
+    let dials_ok = Rc::new(Cell::new(0usize));
+    if let Some(s) = sc.spike.filter(|s| s.late_dials > 0) {
+        let id = tb.fabric.add_host(1, 8, 0);
+        let tuning = EngineTuning {
+            stack: StackConfig { syn_rto_ns: 200_000, ..sc.tuning.stack.clone() },
+            ..sc.tuning.clone()
+        };
+        tb.launch_client(id, System::Linux, 1, &tuning, |_| WaveDialer {
+            server: ip,
+            port,
+            at_ns: s.dial_at.as_nanos(),
+            want: s.late_dials,
+            launched: 0,
+            next_user: 0,
+            ok: dials_ok.clone(),
+        });
+    }
+    let transitions = sc.spike.map(|s| {
+        let rng = SimRng::new(sc.seed ^ 0x4d4d5050);
+        let (on, off) = (s.mean_on.as_nanos(), s.mean_off.as_nanos());
+        crate::mutilate::start_mmpp(&mut tb.sim, flag.clone(), rng, s.spike_start.as_nanos(), on, off, window_end)
+    });
+    let samples = Rc::new(RefCell::new(Vec::new()));
+    if sc.fault_from.is_some() {
+        let (engine, out) = (tb.engine().clone(), samples.clone());
+        tb.sim.schedule_in(Nanos(SAMPLE_NS), move |sim| sample_tick(sim, engine, out, window_end, 0));
+    }
+    let watchdog = sc
+        .watchdog
+        .and_then(|p| tb.with_ix(|sim, d| ixcp::start_queue_watchdog(sim, d, p.as_nanos(), window_end)));
+    // The control loop outlives the load by the drain, so the admission
+    // gate lifts once the backlog clears and shed dials land.
+    let drain_ns = Nanos::from_millis(if sc.spike.is_some() { 4 } else if let Sink::Kv(..) = sink { 3 } else { 2 });
+    let ctl = sc.spike.filter(|s| s.controller).map(|s| {
+        tb.with_ix(|sim, dp| {
+            let fc = s
+                .admission_gate
+                .then(|| Rc::new(FilterControl::install(dp, ix_net::filter::FilterPolicy::new())));
+            ixcp::set_active_threads(sim, dp, s.initial_active, fc.as_deref());
+            let deadline = window_end + drain_ns.as_nanos();
+            let (_, health) = ixcp::start_queue_watchdog_with_health(sim, dp, 1_000_000, deadline, fc.clone());
+            let cfg = ix_core::ElasticConfig {
+                epoch_ns: EPOCH_NS,
+                sla_ns: SLA_NS,
+                per_frame_ns: PER_FRAME_NS,
+                min_active: 1,
+                shed_port: s.admission_gate.then_some(port),
+                shed_sla_ns: SLA_NS * 2,
+                ..ix_core::ElasticConfig::default()
+            };
+            ixcp::start_elastic_controller(sim, dp, cfg, fc, Some(health), deadline)
+        })
+        .expect("the elastic controller drives an IX server")
+    });
+    // Active cores at the end of each series window.
+    let active = Rc::new(RefCell::new(Vec::new()));
+    if sc.spike.is_some() {
+        let Some(ServerEngine::Ix(d)) = &tb.engine else { panic!("the spike layer drives an IX server") };
+        for k in 0..window_end.div_ceil(SERIES_NS) {
+            let (active, threads) = (active.clone(), d.threads.clone());
+            tb.sim.schedule_in(Nanos((k + 1) * SERIES_NS - 1), move |_| {
+                active.borrow_mut().push(threads.iter().filter(|t| !t.borrow().parked).count());
+            });
+        }
+    }
+
+    let mut r = RunReport::default();
+    if sc.shard_pingpong {
+        let Sink::Echo(st) = &sink else { unreachable!("the ping-pong rotates echo connections") };
+        shard_pingpong(tb, sc, st, warmup_end, &mut r);
+    } else {
+        tb.run_until_ns(window_end + drain_ns.as_nanos());
+    }
+    match &sink {
+        Sink::Echo(s) => {
+            let s = s.borrow();
+            r.messages = s.messages;
+            r.messages_total = s.messages_total;
+            r.avg_ns = s.rtt.mean().as_nanos();
+            r.p99_ns = s.rtt.p99().as_nanos();
+            r.conns_closed = s.conns_closed;
+        }
+        Sink::Kv(s, store) => {
+            let s = s.borrow();
+            r.messages = s.completed;
+            r.messages_total = s.completed_total;
+            r.avg_ns = s.latency.mean().as_nanos();
+            r.p99_ns = s.latency.p99().as_nanos();
+            r.net_avg_ns = s.net_latency.mean().as_nanos();
+            r.net_p99_ns = s.net_latency.p99().as_nanos();
+            r.agent_avg_ns = s.agent_latency.mean().as_nanos();
+            r.agent_p99_ns = s.agent_latency.p99().as_nanos();
+            r.shed = s.shed;
+            (r.store_ops, r.store_lock_wait_ns) = (store.borrow().ops, store.borrow().lock_wait_ns);
+            if let Some(series) = &s.series {
+                r.series = series
+                    .windows
+                    .iter()
+                    .zip(&series.counts)
+                    .map(|(h, &n)| (if h.count() > 0 { h.p99().as_nanos() } else { 0 }, n))
+                    .collect();
+            }
+        }
+    }
+    r.msgs_per_sec = r.messages as f64 / sc.measure.as_secs_f64();
+    match sc.app {
+        App::Echo { msg, .. } => r.goodput_gbps = r.msgs_per_sec * (msg as f64 * 8.0) / 1e9,
+        App::Rotating { total_conns, .. } => {
+            r.misses_per_msg =
+                ix_nic::cache::DdioModel::new(tb.fabric.params()).misses_per_message(total_conns as u64)
+        }
+        _ => {}
+    }
+    if let Some(from) = sc.fault_from {
+        recovery(&mut r, samples.take(), from.as_nanos());
+    }
+    if let Some(log) = transitions {
+        let transitions = log.borrow();
+        spike_metrics(&mut r, &transitions, &active.borrow(), window_end, sc.server_cores);
+    }
+    r.attack_sent = attack.map_or(0, |a| a.borrow().sent);
+    r.watchdog = watchdog.map(|w| *w.borrow());
+    r.ctl = ctl.map(|c| *c.borrow()).unwrap_or_default();
+    r.dials_ok = dials_ok.get() as u64;
+    r
+}
+
+/// The fig9-scale timeline: a pre-window of load, the untimed
+/// consolidation onto core 0, [`MIGRATIONS`] timed whole-shard moves
+/// with [`SETTLE_NS`] of load after each, and a post-window.
+fn shard_pingpong(
+    tb: &mut Testbed,
+    sc: &Scenario,
+    stats: &Rc<RefCell<EchoBenchStats>>,
+    warmup_end: u64,
+    r: &mut RunReport,
+) {
+    let measure = sc.measure.as_nanos();
+    let total = || stats.borrow().messages_total;
+    tb.run_until_ns(warmup_end);
+    let m0 = total();
+    tb.run_until_ns(warmup_end + measure);
+    let m1 = total();
+    r.burst_conns = tb.engine().conns();
+    let migrate = |tb: &mut Testbed, core: usize| {
+        tb.with_ix(|sim, d| ixcp::reprogram_and_migrate(sim, d, vec![core; 128], None))
+            .expect("the shard ping-pong drives an IX server")
+    };
+    migrate(tb, 0);
+    for i in 0..MIGRATIONS {
+        r.migrations.push(migrate(tb, 1 - i % 2));
+        let now = tb.sim.now().as_nanos();
+        tb.run_until_ns(now + SETTLE_NS);
+    }
+    let t2 = tb.sim.now().as_nanos();
+    let m2 = total();
+    tb.run_until_ns(t2 + measure);
+    let m3 = total();
+    let secs = sc.measure.as_secs_f64();
+    r.msgs_before = (m1 - m0) as f64 / secs;
+    r.msgs_after = (m3 - m2) as f64 / secs;
+    let per_flow = |ns: fn(&MigrateReport) -> u64| {
+        r.migrations
+            .iter()
+            .map(|m| ns(m) as f64 / m.moved.max(1) as f64)
+            .fold(f64::INFINITY, f64::min)
+    };
+    (r.ns_per_flow, r.absorb_ns_per_flow) = (per_flow(|m| m.host_ns), per_flow(|m| m.absorb_ns));
+}
+
+/// Pushes the server's cumulative payload-byte delta every
+/// [`SAMPLE_NS`] until `end`.
+fn sample_tick(sim: &mut Simulator, engine: ServerEngine, out: Rc<RefCell<Vec<u64>>>, end: u64, last: u64) {
+    let mut cur = 0;
+    engine.for_each_shard(|s| cur += s.stats.bytes_rx);
+    out.borrow_mut().push(cur - last);
+    if sim.now().as_nanos() + SAMPLE_NS <= end {
+        sim.schedule_in(Nanos(SAMPLE_NS), move |sim| sample_tick(sim, engine, out, end, cur));
+    }
+}
+
+/// Fig 7's dip and recovery from the goodput windows.
+fn recovery(r: &mut RunReport, per: Vec<u64>, fault_from: u64) {
+    let fault_idx = (fault_from / SAMPLE_NS) as usize;
+    // A fault from (or before) the first window leaves no clean
+    // baseline: the dip metrics read zero.
+    let pre_from = 1.min(per.len());
+    let pre = &per[pre_from..fault_idx.clamp(pre_from, per.len())];
+    let baseline = if pre.is_empty() { 0.0 } else { pre.iter().sum::<u64>() as f64 / pre.len() as f64 };
+    let after = &per[fault_idx.min(per.len())..];
+    let min_bytes = after.iter().copied().min().unwrap_or(0);
+    r.dip_frac = if baseline > 0.0 { min_bytes as f64 / baseline } else { 0.0 };
+    let last_below = after.iter().rposition(|&v| (v as f64) < 0.8 * baseline);
+    r.stalled = matches!(last_below, Some(i) if i + 1 == after.len());
+    r.recover_ns = last_below.map(|i| (i as u64 + 1) * SAMPLE_NS);
+    r.rx_windows = per;
+}
+
+/// Fig 9's absorb time, post-spike violations and core-time share.
+fn spike_metrics(r: &mut RunReport, transitions: &[(u64, bool)], active: &[usize], end: u64, cores: usize) {
+    let over = |k: usize| r.series[k].0 > SLA_NS;
+    let start = |k: usize| k as u64 * SERIES_NS;
+    // Within the first spike, when does the last over-SLA window end?
+    let first_on = transitions.iter().find(|t| t.1).map(|t| t.0);
+    let first_off = transitions.iter().find(|t| !t.1 && Some(t.0) > first_on).map_or(end, |t| t.0);
+    let last_over = first_on.map(|on| {
+        let inside = |k: usize| start(k) + SERIES_NS > on && start(k) < first_off;
+        (on, (0..r.series.len()).rev().find(|&k| inside(k) && over(k)))
+    });
+    r.absorb_ns = match last_over {
+        None | Some((_, None)) => Some(0),
+        // Violating in the spike's final window = never absorbed.
+        Some((on, Some(k))) => (start(k) + 2 * SERIES_NS < first_off).then(|| start(k) + SERIES_NS - on),
+    };
+    // Windows after the final spike ended, one window of grace for
+    // in-flight requests, must stay under SLA.
+    let final_off = transitions.iter().rev().find(|t| !t.1).map_or(end, |t| t.0);
+    r.post_spike_violations =
+        (0..r.series.len()).filter(|&k| start(k) >= final_off + SERIES_NS && over(k)).count() as u64;
+    let core_ns: u64 = (0..r.series.len()).map(|k| active.get(k).copied().unwrap_or(0) as u64 * SERIES_NS).sum();
+    r.core_share = core_ns as f64 / (cores as u64 * end) as f64;
 }
 
 /// Dials `want` connections starting at `at_ns` and redials any whose
@@ -1696,7 +1192,7 @@ struct WaveDialer {
     want: usize,
     launched: usize,
     next_user: u64,
-    ok: Rc<std::cell::Cell<usize>>,
+    ok: Rc<Cell<usize>>,
 }
 
 impl LibixHandler for WaveDialer {
@@ -1722,227 +1218,22 @@ impl LibixHandler for WaveDialer {
     }
 }
 
-/// Runs one elastic-scaling point: MMPP-modulated memcached load
-/// against an IX server, with or without the elastic controller.
-pub fn run_elastic(cfg: &ElasticKvConfig) -> ElasticKvResult {
-    use ix_core::ixcp::{
-        set_active_threads, start_elastic_controller, start_queue_watchdog_with_health,
-        FilterControl,
-    };
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let mut tb = Testbed::new(cfg.seed, 1, cfg.n_clients);
-    let end = cfg.duration.as_nanos();
-    let window_ns = cfg.window.as_nanos();
-    let stats = LoadStats::new(0, end);
-    stats.borrow_mut().enable_series(0, end, window_ns);
-    let store = SharedStore::new();
-    let st = store.clone();
-    tb.launch_server(System::Ix, cfg.server_cores, &cfg.tuning, 11211, move |_| {
-        KvServer::new(st.clone())
-    });
-    let server_ip = tb.server_ip();
-
-    // The shared MMPP state: one flag, every client thread.
-    let flag = Rc::new(std::cell::Cell::new(false));
-    let total_threads = (cfg.n_clients * cfg.client_threads) as f64;
-    let base_per_thread = cfg.base_rps / total_threads;
-    let burst_per_thread = cfg.burst_rps / total_threads;
-    let workload = Workload::new(cfg.workload);
-    let mut seeder = SimRng::new(cfg.seed.wrapping_mul(0x9e37));
-    let st2 = stats.clone();
-    let wl = workload.clone();
-    let conns = cfg.conns_per_thread;
-    let flag2 = flag.clone();
-    tb.launch_linux_clients(cfg.client_threads, &cfg.tuning, move |_ci, _t| {
-        let mut c = MutilateClient::new(
-            server_ip,
-            11211,
-            conns,
-            base_per_thread,
-            wl.clone(),
-            seeder.fork(),
-            st2.clone(),
-        );
-        c.stop_at_ns = end;
-        c.burst = Some((flag2.clone(), burst_per_thread));
-        c
-    });
-    // The dial wave: connection churn arriving mid-spike, on its own
-    // host with a fast SYN retry so shed dials reconnect promptly once
-    // the gate lifts.
-    let dials_ok = Rc::new(std::cell::Cell::new(0usize));
-    if cfg.late_dials > 0 {
-        let dialer_host = tb.fabric.add_host(1, 8, 0);
-        let ok = dials_ok.clone();
-        let (at, want) = (cfg.dial_at.as_nanos(), cfg.late_dials);
-        let lh = LinuxHost::launch(
-            &mut tb.sim,
-            tb.fabric.host(dialer_host),
-            1,
-            cfg.tuning.linux.clone(),
-            StackConfig { syn_rto_ns: 200_000, ..cfg.tuning.stack.clone() },
-            None,
-            |_| {
-                Box::new(Libix::new(WaveDialer {
-                    server: server_ip,
-                    port: 11211,
-                    at_ns: at,
-                    want,
-                    launched: 0,
-                    next_user: 0,
-                    ok: ok.clone(),
-                })) as Box<dyn IxApp>
-            },
-        );
-        let (sip, smac) = {
-            let s = tb.fabric.host(tb.server);
-            (s.ip, s.mac)
-        };
-        lh.seed_arp(sip, smac);
-        tb.seed_server_arp(dialer_host);
-    }
-    let transitions_log = crate::mutilate::start_mmpp(
-        &mut tb.sim,
-        flag.clone(),
-        SimRng::new(cfg.seed ^ 0x4d4d5050),
-        cfg.spike_start.as_nanos(),
-        cfg.mean_on.as_nanos(),
-        cfg.mean_off.as_nanos(),
-        end,
-    );
-
-    // Control plane over the IX server.
-    let threads = match tb.engine.as_ref().expect("server") {
-        ServerEngine::Ix(d) => d.threads.clone(),
-        _ => unreachable!("elastic experiment is IX-only"),
-    };
-    let ctl = if cfg.elastic {
-        let (dp, fc) = match tb.engine.as_ref().expect("server") {
-            ServerEngine::Ix(d) => {
-                let fc = cfg
-                    .admission_gate
-                    .then(|| Rc::new(FilterControl::install(d, ix_net::filter::FilterPolicy::new())));
-                (d, fc)
-            }
-            _ => unreachable!(),
-        };
-        set_active_threads(&mut tb.sim, dp, cfg.initial_active, fc.as_deref());
-        // The control loop outlives the load by the drain slack so the
-        // admission gate lifts once the backlog clears (late dials that
-        // were shed at the NIC edge reconnect here).
-        let ctl_deadline = end + Nanos::from_millis(4).as_nanos();
-        let (_wd, health) = start_queue_watchdog_with_health(
-            &mut tb.sim,
-            dp,
-            Nanos::from_millis(1).as_nanos(),
-            ctl_deadline,
-            fc.clone(),
-        );
-        let ecfg = ix_core::ElasticConfig {
-            epoch_ns: cfg.epoch.as_nanos(),
-            sla_ns: cfg.sla.as_nanos(),
-            per_frame_ns: cfg.per_frame.as_nanos(),
-            min_active: 1,
-            shed_port: cfg.admission_gate.then_some(11211),
-            shed_sla_ns: cfg.sla.as_nanos() * 2,
-            ..ix_core::ElasticConfig::default()
-        };
-        Some(start_elastic_controller(&mut tb.sim, dp, ecfg, fc, Some(health), ctl_deadline))
-    } else {
-        None
-    };
-
-    // Per-window probes: active cores and burst state at window end.
-    let probes: Rc<RefCell<Vec<(usize, bool)>>> = Rc::new(RefCell::new(Vec::new()));
-    {
-        let n_windows = end.div_ceil(window_ns);
-        for k in 0..n_windows {
-            let probes = probes.clone();
-            let threads = threads.clone();
-            let flag = flag.clone();
-            tb.sim.schedule_in(Nanos((k + 1) * window_ns - 1), move |_| {
-                let active = threads.iter().filter(|t| !t.borrow().parked).count();
-                probes.borrow_mut().push((active, flag.get()));
-            });
-        }
-    }
-
-    tb.run_until_ns(end + Nanos::from_millis(4).as_nanos());
-
-    let gate_drops = {
-        let host = tb.fabric.host(tb.server);
-        host.nics
-            .iter()
-            .map(|n| n.borrow().filter_stats_total().drops)
-            .sum()
-    };
-    let s = stats.borrow();
-    let series = s.series.as_ref().expect("series enabled");
-    let probes = probes.borrow();
-    let sla_ns = cfg.sla.as_nanos();
-    let mut windows: Vec<ElasticWindow> = Vec::new();
-    for (k, h) in series.windows.iter().enumerate() {
-        let (active, burst_on) = probes.get(k).copied().unwrap_or((0, false));
-        windows.push(ElasticWindow {
-            t_ns: series.start_ns + k as u64 * window_ns,
-            p99_ns: if h.count() > 0 { h.p99().as_nanos() } else { 0 },
-            completed: series.counts[k],
-            active_cores: active,
-            burst_on,
-        });
-    }
-
-    // Time-to-absorb: within the first spike interval, when does the
-    // last over-SLA window end (relative to the onset)?
-    let transitions = transitions_log.borrow().clone();
-    let first_on = transitions.iter().find(|t| t.1).map(|t| t.0);
-    let first_off = transitions
-        .iter()
-        .find(|t| !t.1 && Some(t.0) > first_on)
-        .map(|t| t.0)
-        .unwrap_or(end);
-    let absorb_ns = first_on.map(|on| {
-        let mut last_over_end: u64 = 0;
-        let mut absorbed = true;
-        for w in &windows {
-            let w_end = w.t_ns + window_ns;
-            if w_end <= on || w.t_ns >= first_off {
-                continue;
-            }
-            if w.p99_ns > sla_ns {
-                last_over_end = w_end.saturating_sub(on);
-                // Violating in the spike's final window = never absorbed.
-                absorbed = w_end + window_ns < first_off;
+    /// Fault plans are keyed by switch port, and callers take those ports
+    /// from the scenario: if host creation is ever reordered, the helpers
+    /// must stop matching the fabric `run` assembles.
+    #[test]
+    fn port_helpers_match_the_assembled_fabric() {
+        for server_ports in [1, 4] {
+            let sc = Scenario { server_ports, n_clients: 3, ..Scenario::kv() };
+            let tb = testbed(&sc);
+            assert_eq!(sc.server_port(), tb.fabric.host_port(tb.server, 0));
+            for (k, &id) in tb.clients.iter().enumerate() {
+                assert_eq!(sc.client_port(k), tb.fabric.host_port(id, 0), "client {k}, {server_ports} server ports");
             }
         }
-        (absorbed, last_over_end)
-    });
-    let absorb_ns = match absorb_ns {
-        Some((true, v)) => Some(v),
-        Some((false, _)) => None,
-        None => Some(0),
-    };
-    // Consolidation quality: windows after the final spike ended (one
-    // window of grace for in-flight requests) must stay under SLA.
-    let final_off = transitions.iter().rev().find(|t| !t.1).map(|t| t.0).unwrap_or(end);
-    let post_spike_violations = windows
-        .iter()
-        .filter(|w| w.t_ns >= final_off + window_ns && w.p99_ns > sla_ns)
-        .count() as u64;
-
-    let core_ns: u64 = windows.iter().map(|w| w.active_cores as u64 * window_ns).sum();
-    ElasticKvResult {
-        completed_total: s.completed_total,
-        shed: s.shed,
-        transitions,
-        absorb_ns,
-        post_spike_violations,
-        core_ns,
-        static_core_ns: cfg.server_cores as u64 * end,
-        ctl: ctl.map(|c| *c.borrow()).unwrap_or_default(),
-        gate_drops,
-        dials_ok: dials_ok.get() as u64,
-        debug: tb.debug_line(),
-        windows,
     }
 }

@@ -19,10 +19,10 @@
 //! * [`mutilate`] — the mutilate-style load generator: open-loop Poisson
 //!   arrivals across many connections with bounded pipelining, and the
 //!   separate one-at-a-time latency-sampling agent (§5.5).
-//! * [`harness`] — testbed assembly: builds the §5.1 cluster (clients +
-//!   switch + server) for any of the three systems and runs measured
-//!   experiment windows; used by integration tests and every figure
-//!   bench.
+//! * [`harness`] — the §5.1 cluster (clients + switch + server) for any
+//!   of the three systems, and the one experiment runner: a plain-data
+//!   [`Scenario`] in, a [`RunReport`] out; used by integration tests and
+//!   every figure bench.
 
 pub mod attack;
 pub mod echo;
@@ -34,10 +34,7 @@ pub mod workload;
 
 pub use attack::{AttackConfig, AttackKind, AttackStats};
 pub use echo::{EchoBenchStats, EchoClient, EchoServer};
-pub use harness::{
-    AdversarialConfig, AdversarialResult, EchoConfig, EchoResult, FaultRecoveryConfig,
-    FaultRecoveryResult, FaultedNetpipeResult, System, Testbed,
-};
+pub use harness::{run, App, RunReport, Scenario, Spike, System, Testbed};
 pub use kvstore::{KvServer, SharedStore};
 pub use mutilate::{LoadStats, MutilateAgent, MutilateClient};
 pub use netpipe::{NetpipeClient, NetpipeResult, NetpipeServer};

@@ -730,7 +730,8 @@ impl std::fmt::Debug for LinuxCore {
 }
 
 /// A host running the Linux model: one pinned app thread + softirq
-/// context per core.
+/// context per core. Cloning copies the handles, not the cores.
+#[derive(Clone)]
 pub struct LinuxHost {
     /// Per-core state.
     pub cores: Vec<LinuxCoreRef>,

@@ -384,7 +384,9 @@ impl std::fmt::Debug for MtcpCore {
     }
 }
 
-/// A host running the mTCP model.
+/// A host running the mTCP model. Cloning copies the handles, not the
+/// cores.
+#[derive(Clone)]
 pub struct MtcpHost {
     /// Per-core state.
     pub cores: Vec<MtcpCoreRef>,

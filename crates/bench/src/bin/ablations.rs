@@ -11,29 +11,31 @@
 //!    quantum sweep — the latency/throughput trade IX's run-to-completion
 //!    design avoids.
 
-use ix_apps::harness::{run_echo, run_netpipe, EchoConfig, EngineTuning, System};
+use ix_apps::harness::{run, App, EngineTuning, Scenario, System};
 use ix_core::params::CostParams;
 use ix_sim::Nanos;
 
-fn echo_cfg(tuning: EngineTuning, msg: usize) -> EchoConfig {
-    EchoConfig {
-        system: System::Ix,
-        server_cores: 8,
-        msg_size: msg,
-        n_per_conn: 1024,
-        warmup: Nanos::from_millis(6),
+fn echo(system: System, tuning: EngineTuning, msg: usize) -> Scenario {
+    Scenario {
+        system,
+        app: App::Echo { msg, n_per_conn: 1024 },
         measure: Nanos::from_millis(14),
         tuning,
-        ..EchoConfig::default()
+        ..Scenario::echo()
     }
+}
+
+/// 64 B NetPIPE one-way latency, ns.
+fn netpipe_one_way(system: System, tuning: &EngineTuning) -> u64 {
+    run(&Scenario { system, tuning: tuning.clone(), ..Scenario::netpipe(64, 100) }).one_way_ns
 }
 
 fn main() {
     ix_bench::banner("Ablation 1", "adaptive batching: B=64 vs B=1");
     for b in [1usize, 64] {
         let t = EngineTuning { ix: CostParams::with_batch_bound(b), ..EngineTuning::default() };
-        let (one_way, _) = run_netpipe(System::Ix, 64, 100, &t);
-        let r = run_echo(&echo_cfg(t, 64));
+        let one_way = netpipe_one_way(System::Ix, &t);
+        let r = run(&echo(System::Ix, t, 64));
         println!(
             "  B={b:<3} unloaded one-way {:>6.2} us | loaded {:>5.2} M msg/s",
             one_way as f64 / 1e3,
@@ -46,7 +48,7 @@ fn main() {
     for coalesce in [32usize, 1] {
         let mut t = EngineTuning { ..EngineTuning::default() };
         t.ix.rx_replenish_batch = coalesce;
-        let r = run_echo(&echo_cfg(t, 64));
+        let r = run(&echo(System::Ix, t, 64));
         println!(
             "  replenish>={coalesce:<3} -> {:>5.2} M msg/s   {}",
             r.msgs_per_sec / 1e6,
@@ -64,12 +66,8 @@ fn main() {
     for (label, copy) in [("zero-copy", false), ("copying  ", true)] {
         let mut t = EngineTuning { ..EngineTuning::default() };
         t.ix.copy_api = copy;
-        let small = run_echo(&echo_cfg(t.clone(), 64));
-        let large = run_echo(&EchoConfig {
-            server_cores: 2,
-            server_ports: 4,
-            ..echo_cfg(t, 8192)
-        });
+        let small = run(&echo(System::Ix, t.clone(), 64));
+        let large = run(&Scenario { server_cores: 2, server_ports: 4, ..echo(System::Ix, t, 8192) });
         println!(
             "  {label} 64B: {:>5.2} M msg/s | 8KB (2 cores, 40G): {:>6.2} Gbps",
             small.msgs_per_sec / 1e6,
@@ -82,17 +80,8 @@ fn main() {
     for q_us in [5u64, 20, 50, 100] {
         let mut t = EngineTuning { ..EngineTuning::default() };
         t.mtcp.quantum_ns = q_us * 1_000;
-        let (one_way, _) = run_netpipe(System::Mtcp, 64, 100, &t);
-        let cfg = EchoConfig {
-            system: System::Mtcp,
-            server_cores: 8,
-            n_per_conn: 1024,
-            warmup: Nanos::from_millis(6),
-            measure: Nanos::from_millis(14),
-            tuning: t,
-            ..EchoConfig::default()
-        };
-        let r = run_echo(&cfg);
+        let one_way = netpipe_one_way(System::Mtcp, &t);
+        let r = run(&echo(System::Mtcp, t, 64));
         println!(
             "  quantum {q_us:>3} us -> one-way {:>7.2} us, {:>5.2} M msg/s",
             one_way as f64 / 1e3,

@@ -6,7 +6,7 @@
 //! for 5 Gbps with 24 µs at 64 B; mTCP trades latency for throughput and
 //! is an order of magnitude worse than IX at small sizes.
 
-use ix_apps::harness::{run_netpipe, EngineTuning, System};
+use ix_apps::harness::{run, Scenario, System};
 
 const SYSTEMS: [System; 3] = [System::Ix, System::Linux, System::Mtcp];
 
@@ -27,7 +27,8 @@ fn main() {
     }
     let outcome = ix_bench::sweep::run(&points, |&(size, sys)| {
         let reps = if size >= 65_536 { 30 } else { 60 };
-        run_netpipe(sys, size, reps, &EngineTuning::default())
+        let r = run(&Scenario { system: sys, ..Scenario::netpipe(size, reps) });
+        (r.one_way_ns, r.goodput_gbps)
     });
     println!(
         "{:>9} | {:>12} {:>10} | {:>12} {:>10} | {:>12} {:>10}",

@@ -6,7 +6,7 @@
 //! needs all 8; Linux stays low and flat-ish; IX on 4x10GbE scales
 //! linearly to ~3.8M connections/s at 8 cores.
 
-use ix_apps::harness::{run_echo, EchoConfig, System};
+use ix_apps::harness::{run, App, Scenario, System};
 
 const COLUMNS: [(System, usize); 5] = [
     (System::Ix, 1),
@@ -30,15 +30,13 @@ fn main() {
         }
     }
     let outcome = ix_bench::sweep::run(&points, |&(c, sys, ports)| {
-        let cfg = EchoConfig {
+        run(&Scenario {
             system: sys,
             server_cores: c,
             server_ports: ports,
-            n_per_conn: 1,
-            msg_size: 64,
-            ..EchoConfig::default()
-        };
-        run_echo(&cfg)
+            app: App::Echo { msg: 64, n_per_conn: 1 },
+            ..Scenario::echo()
+        })
     });
     println!(
         "{:>5} | {:>10} {:>10} | {:>10} {:>10} | {:>10}",

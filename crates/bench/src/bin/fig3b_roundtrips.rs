@@ -6,7 +6,7 @@
 //! 1.9× mTCP and 8.8× Linux; IX-40G is 2.3× IX-10G at n=1 and 1.3× at
 //! n=1024.
 
-use ix_apps::harness::{run_echo, EchoConfig, System};
+use ix_apps::harness::{run, App, Scenario, System};
 
 const COLUMNS: [(System, usize); 5] = [
     (System::Ix, 1),
@@ -29,15 +29,12 @@ fn main() {
         }
     }
     let outcome = ix_bench::sweep::run(&points, |&(n, sys, ports)| {
-        let cfg = EchoConfig {
+        run(&Scenario {
             system: sys,
-            server_cores: 8,
             server_ports: ports,
-            n_per_conn: n,
-            msg_size: 64,
-            ..EchoConfig::default()
-        };
-        run_echo(&cfg)
+            app: App::Echo { msg: 64, n_per_conn: n },
+            ..Scenario::echo()
+        })
     });
     println!(
         "{:>6} | {:>10} {:>10} | {:>10} {:>10} | {:>10}",

@@ -4,7 +4,7 @@
 //! throughput 37.9 of a possible 39.7 Gbps); IX-10G approaches the
 //! 10GbE ceiling; Linux stays far below at every size.
 
-use ix_apps::harness::{run_echo, EchoConfig, System};
+use ix_apps::harness::{run, App, Scenario, System};
 
 const COLUMNS: [(System, usize); 5] = [
     (System::Ix, 1),
@@ -27,15 +27,12 @@ fn main() {
     // Large messages at n=1 need fewer conns to fill the pipe but more
     // per-conn work; keep the default fleet.
     let outcome = ix_bench::sweep::run(&points, |&(s, sys, ports)| {
-        let cfg = EchoConfig {
+        run(&Scenario {
             system: sys,
-            server_cores: 8,
             server_ports: ports,
-            n_per_conn: 1,
-            msg_size: s,
-            ..EchoConfig::default()
-        };
-        run_echo(&cfg)
+            app: App::Echo { msg: s, n_per_conn: 1 },
+            ..Scenario::echo()
+        })
     });
     println!(
         "{:>8} | {:>10} {:>10} | {:>10} {:>10} | {:>10}",

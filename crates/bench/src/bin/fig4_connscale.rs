@@ -7,7 +7,7 @@
 //! IX delivers 47% of its peak; L3 misses/message go from 1.4 (≤10k
 //! connections, DDIO keeps everything in cache) to ~25 at 250k.
 
-use ix_apps::harness::{run_connscale, ConnScaleConfig, System};
+use ix_apps::harness::{run, App, Scenario, System};
 
 const COLUMNS: [(System, usize); 4] = [
     (System::Ix, 1),
@@ -30,20 +30,19 @@ fn main() {
         }
     }
     let outcome = ix_bench::sweep::run(&points, |&(n, sys, ports)| {
-        let cfg = ConnScaleConfig {
+        let base = Scenario::conn_scale();
+        run(&Scenario {
             system: sys,
             server_ports: ports,
-            total_conns: n,
             // Few connections bound concurrency by themselves.
-            outstanding_per_thread: if n < 1_000 { 1 } else { 3 },
+            app: App::Rotating { total_conns: n, outstanding: if n < 1_000 { 1 } else { 3 } },
             // The 18-host fleet saturates below 500k connections; the
             // half-million point doubles the client machines (paper
             // §5.4 tops out at 18x24 threads — connection counts past
             // 250k need a larger fleet).
-            n_clients: if n > 250_000 { 36 } else { ConnScaleConfig::default().n_clients },
-            ..ConnScaleConfig::default()
-        };
-        run_connscale(&cfg)
+            n_clients: if n > 250_000 { 36 } else { base.n_clients },
+            ..base
+        })
     });
     println!(
         "{:>8} | {:>10} {:>10} {:>10} {:>10} | {:>9}",
@@ -92,10 +91,10 @@ fn main() {
                 n,
                 sys.name(),
                 ports,
-                r.mbuf_peak,
-                r.tcb_mem.live,
-                r.tcb_mem.slab_slots,
-                r.tcb_mem.bytes as f64 / (1024.0 * 1024.0)
+                r.mbuf.peak_outstanding,
+                r.flows.live,
+                r.flows.slab_slots,
+                r.flows.bytes as f64 / (1024.0 * 1024.0)
             );
         }
     }

@@ -6,11 +6,11 @@
 //! Linux runs 8 cores; IX runs 6 (application lock contention stops IX
 //! gaining beyond 6, §5.5).
 
-use ix_apps::harness::{run_kv, KvConfig, KvResult, System};
+use ix_apps::harness::{run, App, RunReport, Scenario, System};
 use ix_apps::workload::WorkloadKind;
 use ix_sim::Nanos;
 
-fn print_series(system: System, wl: WorkloadKind, rows: &[(f64, &KvResult)]) {
+fn print_series(system: System, wl: WorkloadKind, rows: &[(f64, &RunReport)]) {
     println!(
         "--- {} / {:?} ({} cores)",
         system.name(),
@@ -25,7 +25,7 @@ fn print_series(system: System, wl: WorkloadKind, rows: &[(f64, &KvResult)]) {
         println!(
             "{:>8.0}K | {:>8.0}K | {:>9.1} {:>9.1} | {:>10.1} {:>10.1}{}",
             t / 1e3,
-            r.rps / 1e3,
+            r.msgs_per_sec / 1e3,
             r.avg_ns as f64 / 1e3,
             r.p99_ns as f64 / 1e3,
             r.agent_avg_ns as f64 / 1e3,
@@ -64,23 +64,25 @@ fn main() {
         }
     }
     let outcome = ix_bench::sweep::run(&points, |&(system, wl, t)| {
-        let mut cfg = KvConfig {
+        let mut sc = Scenario {
             system,
-            workload: wl,
-            target_rps: t,
+            app: App::Kv {
+                workload: wl,
+                rps: t,
+            },
             server_cores: if system == System::Ix { 6 } else { 8 },
-            ..KvConfig::default()
+            ..Scenario::kv()
         };
         if ix_bench::sweep::quick() {
-            cfg.warmup = Nanos::from_millis(4);
-            cfg.measure = Nanos::from_millis(8);
+            sc.warmup = Nanos::from_millis(4);
+            sc.measure = Nanos::from_millis(8);
         }
-        run_kv(&cfg)
+        run(&sc)
     });
     let mut i = 0;
     for wl in [WorkloadKind::Etc, WorkloadKind::Usr] {
         for (system, targets) in [(System::Linux, linux_targets), (System::Ix, ix_targets)] {
-            let rows: Vec<(f64, &KvResult)> = targets
+            let rows: Vec<(f64, &RunReport)> = targets
                 .iter()
                 .map(|&t| {
                     let r = &outcome.results[i];

@@ -5,7 +5,7 @@
 //! batching never delays pending packets); at high load, larger B
 //! improves throughput — +29% from B=1 to B=16 — and B ≥ 16 saturates.
 
-use ix_apps::harness::{run_kv, EngineTuning, KvConfig, System};
+use ix_apps::harness::{run, App, EngineTuning, Scenario};
 use ix_apps::workload::WorkloadKind;
 use ix_core::params::CostParams;
 
@@ -31,15 +31,14 @@ fn main() {
             ix: CostParams::with_batch_bound(b),
             ..EngineTuning::default()
         };
-        let cfg = KvConfig {
-            system: System::Ix,
-            workload: WorkloadKind::Usr,
-            target_rps: t,
-            server_cores: 6,
+        run(&Scenario {
+            app: App::Kv {
+                workload: WorkloadKind::Usr,
+                rps: t,
+            },
             tuning,
-            ..KvConfig::default()
-        };
-        run_kv(&cfg)
+            ..Scenario::kv()
+        })
     });
     println!(
         "{:>9} | {}",
@@ -54,16 +53,16 @@ fn main() {
         let mut row = format!("{:>8.0}K |", t / 1e3);
         for (i, best) in max_rps.iter_mut().enumerate() {
             let r = &outcome.results[ti * bounds.len() + i];
-            let sat = r.rps < t * 0.95;
+            let sat = r.msgs_per_sec < t * 0.95;
             row += &format!(
                 "{:>16}",
                 if sat {
-                    format!("({:.0}K max)", r.rps / 1e3)
+                    format!("({:.0}K max)", r.msgs_per_sec / 1e3)
                 } else {
                     format!("{:.1}", r.agent_p99_ns as f64 / 1e3)
                 }
             );
-            *best = best.max(r.rps);
+            *best = best.max(r.msgs_per_sec);
         }
         println!("{row}");
     }

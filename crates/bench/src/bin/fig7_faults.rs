@@ -12,14 +12,14 @@
 //! RSS flow groups until the queue-hang watchdog re-steers them to
 //! healthy queues, after which goodput returns above 80% of baseline.
 
-use ix_apps::harness::{run_fault_recovery, EngineTuning, FaultRecoveryConfig, System};
+use ix_apps::harness::{run, EngineTuning, Scenario};
 use ix_faults::{FaultPlan, LinkFaults, NicFaults};
 use ix_sim::Nanos;
 use ix_tcp::StackConfig;
 
-/// One sweep scenario: what to inject on the server's cable/NIC.
+/// One sweep row: what to inject on the server's cable/NIC.
 #[derive(Debug, Clone, Copy)]
-enum Scenario {
+enum Case {
     /// No faults: the reference point every dip is relative to.
     None,
     /// Independent per-frame loss at this rate, both directions.
@@ -31,30 +31,30 @@ enum Scenario {
     Hang,
 }
 
-impl Scenario {
+impl Case {
     fn name(self) -> String {
         match self {
-            Scenario::None => "baseline".into(),
-            Scenario::Loss(p) => format!("loss {:.1}%", p * 100.0),
-            Scenario::FlapMs(ms) => format!("flap {ms} ms"),
-            Scenario::Hang => "queue hang + watchdog".into(),
+            Case::None => "baseline".into(),
+            Case::Loss(p) => format!("loss {:.1}%", p * 100.0),
+            Case::FlapMs(ms) => format!("flap {ms} ms"),
+            Case::Hang => "queue hang + watchdog".into(),
         }
     }
 
     fn plan(self, server_port: u16) -> FaultPlan {
         const FAULT_FROM_NS: u64 = 10_000_000;
         match self {
-            Scenario::None => FaultPlan::none(),
-            Scenario::Loss(p) => FaultPlan::new(0xf7)
+            Case::None => FaultPlan::none(),
+            Case::Loss(p) => FaultPlan::new(0xf7)
                 .with_link(server_port, LinkFaults { loss: p, ..LinkFaults::default() }),
-            Scenario::FlapMs(ms) => FaultPlan::new(0xf7).with_link(
+            Case::FlapMs(ms) => FaultPlan::new(0xf7).with_link(
                 server_port,
                 LinkFaults {
                     down_windows: vec![(FAULT_FROM_NS, FAULT_FROM_NS + ms * 1_000_000)],
                     ..LinkFaults::default()
                 },
             ),
-            Scenario::Hang => {
+            Case::Hang => {
                 let mut nic = NicFaults::default();
                 nic.rx_hangs.insert(0, vec![(FAULT_FROM_NS, u64::MAX)]);
                 FaultPlan::new(0xf7).with_nic(server_port, nic)
@@ -68,51 +68,51 @@ fn main() {
         "Figure 7",
         "echo goodput dip and time-to-recover under injected faults (IX, 4 cores)",
     );
-    let scenarios: &[Scenario] = if ix_bench::sweep::quick() {
-        &[Scenario::None, Scenario::Loss(0.01), Scenario::Hang]
+    let cases: &[Case] = if ix_bench::sweep::quick() {
+        &[Case::None, Case::Loss(0.01), Case::Hang]
     } else {
         &[
-            Scenario::None,
-            Scenario::Loss(0.001),
-            Scenario::Loss(0.01),
-            Scenario::Loss(0.05),
-            Scenario::FlapMs(1),
-            Scenario::FlapMs(4),
-            Scenario::Hang,
+            Case::None,
+            Case::Loss(0.001),
+            Case::Loss(0.01),
+            Case::Loss(0.05),
+            Case::FlapMs(1),
+            Case::FlapMs(4),
+            Case::Hang,
         ]
     };
-    let outcome = ix_bench::sweep::run(scenarios, |&sc| {
-        let cfg = FaultRecoveryConfig {
-            system: System::Ix,
+    let outcome = ix_bench::sweep::run(cases, |&case| {
+        let base = Scenario::fault_recovery();
+        run(&Scenario {
             // Millisecond RTO floor: recovery timescales must fit the
             // 40 ms window (the default 200 ms floor would not).
             tuning: EngineTuning {
                 stack: StackConfig::low_latency(),
                 ..EngineTuning::default()
             },
-            watchdog_period: match sc {
-                Scenario::Hang => Some(Nanos::from_millis(1)),
+            faults: case.plan(base.server_port()),
+            watchdog: match case {
+                Case::Hang => Some(Nanos::from_millis(1)),
                 _ => None,
             },
             // Bernoulli loss has no onset: it degrades the whole run,
             // so there is no clean pre-fault baseline and the dip /
             // time-to-recover metrics do not apply (goodput and p99
             // against the fault-free scenario are the measurements).
-            fault_from: match sc {
-                Scenario::Loss(_) => Nanos(0),
-                _ => FaultRecoveryConfig::default().fault_from,
+            fault_from: match case {
+                Case::Loss(_) => Some(Nanos(0)),
+                _ => base.fault_from,
             },
-            ..FaultRecoveryConfig::default()
-        };
-        run_fault_recovery(&cfg, |server_port| sc.plan(server_port))
+            ..base
+        })
     });
 
     println!(
         "{:<22} {:>9} {:>9} {:>6} {:>11} {:>8} {:>6} {:>8} {:>8}",
         "scenario", "Kmsg/s", "p99(us)", "dip", "recover", "drops", "retx", "rto", "fastrtx"
     );
-    for (sc, r) in scenarios.iter().zip(outcome.results.iter()) {
-        let continuous = matches!(sc, Scenario::Loss(_));
+    for (case, r) in cases.iter().zip(outcome.results.iter()) {
+        let continuous = matches!(case, Case::Loss(_));
         let recover = match (continuous, r.stalled, r.recover_ns) {
             (true, ..) => "cont.".to_string(),
             (_, true, _) => "STALLED".to_string(),
@@ -121,9 +121,9 @@ fn main() {
         };
         println!(
             "{:<22} {:>9.0} {:>9.1} {:>6} {:>11} {:>8} {:>6} {:>8} {:>8}",
-            sc.name(),
+            case.name(),
             r.msgs_per_sec / 1e3,
-            r.rtt_p99_ns as f64 / 1e3,
+            r.p99_ns as f64 / 1e3,
             if continuous { "-".to_string() } else { format!("{:.2}", r.dip_frac) },
             recover,
             r.faults.dropped_total(),
@@ -145,11 +145,11 @@ fn main() {
     // recovery threshold, or if its final window moved no bytes at all
     // (continuous-loss scenarios have no threshold; dead silence is
     // their stall signal).
-    let stalled: Vec<String> = scenarios
+    let stalled: Vec<String> = cases
         .iter()
         .zip(outcome.results.iter())
-        .filter(|(_, r)| r.stalled || r.per_window_rx_bytes.last().copied().unwrap_or(0) == 0)
-        .map(|(sc, _)| sc.name())
+        .filter(|(_, r)| r.stalled || r.rx_windows.last().copied().unwrap_or(0) == 0)
+        .map(|(case, _)| case.name())
         .collect();
     if stalled.is_empty() {
         println!("\nall scenarios recovered (no permanently stalled connections)");

@@ -15,11 +15,15 @@
 //! cookies defer all connection state to a valid third ACK.
 
 use ix_apps::attack::AttackKind;
-use ix_apps::harness::{run_adversarial, AdversarialConfig, System};
+use ix_apps::harness::{run, App, Scenario, System};
+use ix_apps::workload::WorkloadKind;
+
+/// Aggregate legitimate load, requests/second.
+const LEGIT_RPS: f64 = 300_000.0;
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
-struct Scenario {
+struct Case {
     system: System,
     filtered: bool,
     attack: Option<AttackKind>,
@@ -27,7 +31,7 @@ struct Scenario {
     ratio: f64,
 }
 
-impl Scenario {
+impl Case {
     fn name(self) -> String {
         let sys = if self.filtered {
             format!("{}+filter", self.system.name())
@@ -41,8 +45,8 @@ impl Scenario {
     }
 }
 
-const S: fn(System, bool, Option<AttackKind>, f64) -> Scenario =
-    |system, filtered, attack, ratio| Scenario { system, filtered, attack, ratio };
+const S: fn(System, bool, Option<AttackKind>, f64) -> Case =
+    |system, filtered, attack, ratio| Case { system, filtered, attack, ratio };
 
 fn main() {
     ix_bench::banner(
@@ -51,7 +55,7 @@ fn main() {
          IX+filter vs IX vs Linux (6 cores, USR)",
     );
     let syn = Some(AttackKind::SynFlood);
-    let scenarios: Vec<Scenario> = if ix_bench::sweep::quick() {
+    let cases: Vec<Case> = if ix_bench::sweep::quick() {
         vec![
             S(System::Ix, true, None, 0.0),
             S(System::Ix, true, syn, 4.0),
@@ -84,13 +88,20 @@ fn main() {
         ]
     };
 
-    let base = AdversarialConfig::default();
-    let outcome = ix_bench::sweep::run(&scenarios, |&sc| {
-        run_adversarial(&AdversarialConfig {
-            system: sc.system,
-            filtered: sc.filtered,
-            attack: sc.attack.map(|k| (k, sc.ratio * base.target_rps)),
-            ..AdversarialConfig::default()
+    // The fig5 fleet at half size, without the unloaded agent: the
+    // attacker takes the late host. Legitimate handshakes complete during
+    // the warmup; the attack runs for the whole measurement window.
+    let outcome = ix_bench::sweep::run(&cases, |&case| {
+        run(&Scenario {
+            system: case.system,
+            filtered: case.filtered,
+            attack: case.attack.map(|k| (k, case.ratio * LEGIT_RPS)),
+            app: App::Kv { workload: WorkloadKind::Usr, rps: LEGIT_RPS },
+            n_clients: 12,
+            conns_per_thread: 8,
+            agent: false,
+            seed: 11,
+            ..Scenario::kv()
         })
     });
 
@@ -99,21 +110,21 @@ fn main() {
         "scenario", "Krps", "p99(us)", "atk-sent", "filtered", "ring-drop", "cookies", "slab"
     );
     let mut baselines: Vec<(String, f64)> = Vec::new();
-    for (sc, r) in scenarios.iter().zip(outcome.results.iter()) {
+    for (case, r) in cases.iter().zip(outcome.results.iter()) {
         println!(
             "{:<26} {:>8.0} {:>9.1} {:>9} {:>9} {:>10} {:>9} {:>7}",
-            sc.name(),
-            r.rps / 1e3,
+            case.name(),
+            r.msgs_per_sec / 1e3,
             r.p99_ns as f64 / 1e3,
             r.attack_sent,
-            r.filter.0,
+            r.filter.drops,
             r.nic_ring_drops,
             r.tcp.syn_cookies_accepted,
-            r.slab_high_water,
+            r.flows.slab_slots,
         );
-        let sys_key = format!("{}{}", sc.system.name(), if sc.filtered { "+filter" } else { "" });
-        if sc.attack.is_none() {
-            baselines.push((sys_key.clone(), r.rps));
+        let sys_key = format!("{}{}", case.system.name(), if case.filtered { "+filter" } else { "" });
+        if case.attack.is_none() {
+            baselines.push((sys_key.clone(), r.msgs_per_sec));
         }
     }
 
@@ -122,23 +133,23 @@ fn main() {
     // and the zero-allocation invariant for every dropped frame.
     let retention = |key: &str| -> Option<f64> {
         let base = baselines.iter().find(|(k, _)| k == key)?.1;
-        let worst = scenarios
+        let worst = cases
             .iter()
             .zip(outcome.results.iter())
-            .filter(|(sc, _)| {
-                sc.attack == Some(AttackKind::SynFlood)
-                    && format!("{}{}", sc.system.name(), if sc.filtered { "+filter" } else { "" })
+            .filter(|(case, _)| {
+                case.attack == Some(AttackKind::SynFlood)
+                    && format!("{}{}", case.system.name(), if case.filtered { "+filter" } else { "" })
                         == key
             })
-            .map(|(_, r)| r.rps)
+            .map(|(_, r)| r.msgs_per_sec)
             .fold(f64::INFINITY, f64::min);
         (worst.is_finite() && base > 0.0).then(|| worst / base)
     };
     if let Some(f) = retention("IX+filter") {
         println!("\nfiltered IX worst-case goodput retention under SYN flood: {:.1}%", f * 100.0);
     }
-    let drop_allocs: u64 = outcome.results.iter().map(|r| r.filter.3).sum();
-    let drops: u64 = outcome.results.iter().map(|r| r.filter.0).sum();
+    let drop_allocs: u64 = outcome.results.iter().map(|r| r.filter.drop_allocs).sum();
+    let drops: u64 = outcome.results.iter().map(|r| r.filter.drops).sum();
     println!("filter drops: {drops} frames, {drop_allocs} pool allocations (invariant: 0)");
     assert_eq!(drop_allocs, 0, "dropped frames must never touch the mbuf pool");
 

@@ -19,37 +19,42 @@
 //! run twice and must be bit-identical: the controller machinery
 //! contributes nothing when disabled.
 
-use ix_apps::harness::{run_elastic, ElasticKvConfig, ElasticKvResult};
+use ix_apps::harness::{run, App, Scenario, Spike};
+use ix_apps::workload::WorkloadKind;
 use ix_sim::Nanos;
 
 /// One sweep row: a named configuration of the same MMPP load.
 struct Point {
     name: &'static str,
-    cfg: ElasticKvConfig,
+    sc: Scenario,
 }
 
 fn points(quick: bool) -> Vec<Point> {
     // Calibration against fig5: IX sustains roughly 300-380 Krps per
     // core on USR, so the base rate fits the consolidated core set with
     // headroom and the spike overflows it several cores' worth.
-    let base = if quick {
-        ElasticKvConfig {
+    let (base, spike) = if quick {
+        let base = Scenario {
             n_clients: 8,
             client_threads: 2,
             conns_per_thread: 8,
-            base_rps: 120_000.0,
-            burst_rps: 700_000.0,
+            app: App::Kv { workload: WorkloadKind::Usr, rps: 120_000.0 },
             server_cores: 4,
+            measure: Nanos::from_millis(24),
+            ..Scenario::elastic()
+        };
+        let spike = Spike {
+            burst_rps: 700_000.0,
             initial_active: 1,
             spike_start: Nanos::from_millis(6),
             mean_on: Nanos::from_millis(8),
             mean_off: Nanos::from_millis(8),
-            duration: Nanos::from_millis(24),
             dial_at: Nanos::from_millis(8),
-            ..ElasticKvConfig::default()
-        }
+            ..Spike::default()
+        };
+        (base, spike)
     } else {
-        ElasticKvConfig::default()
+        (Scenario::elastic(), Spike::default())
     };
     // The gate row spikes past the capacity of EVERY core — absorbing
     // by adding cores is impossible, so the admission gate is the only
@@ -58,37 +63,23 @@ fn points(quick: bool) -> Vec<Point> {
     // open-loop backlog time to drain, so the run shows the whole gate
     // cycle: close under saturation, shed the mid-spike dial wave at
     // the NIC edge, lift after the backlog clears, shed dials land.
-    let gate = ElasticKvConfig {
+    let gate = Spike {
         admission_gate: true,
         burst_rps: if quick { 2_200_000.0 } else { 3_200_000.0 },
         mean_on: if quick { Nanos::from_millis(4) } else { Nanos::from_millis(6) },
-        mean_off: base.duration,
+        mean_off: base.measure,
         dial_at: if quick { Nanos::from_millis(8) } else { Nanos::from_millis(13) },
         late_dials: 8,
-        ..base.clone()
+        ..spike
     };
+    let under = |name, spike| Point { name, sc: Scenario { spike: Some(spike), ..base.clone() } };
+    let fixed = Spike { controller: false, ..spike };
     vec![
-        Point {
-            name: "static",
-            cfg: ElasticKvConfig { elastic: false, ..base.clone() },
-        },
-        Point {
-            name: "static (rerun)",
-            cfg: ElasticKvConfig { elastic: false, ..base.clone() },
-        },
-        Point {
-            name: "elastic",
-            cfg: base,
-        },
-        Point {
-            name: "elastic+gate",
-            cfg: gate,
-        },
+        under("static", fixed),
+        under("static (rerun)", fixed),
+        under("elastic", spike),
+        under("elastic+gate", gate),
     ]
-}
-
-fn series_fingerprint(r: &ElasticKvResult) -> Vec<(u64, u64, u64)> {
-    r.windows.iter().map(|w| (w.t_ns, w.p99_ns, w.completed)).collect()
 }
 
 fn main() {
@@ -98,7 +89,7 @@ fn main() {
         "elastic core add/revoke under an MMPP spike: absorb time, consolidation, energy",
     );
     let pts = points(quick);
-    let outcome = ix_bench::sweep::run(&pts, |p| run_elastic(&p.cfg));
+    let outcome = ix_bench::sweep::run(&pts, |p| run(&p.sc));
 
     println!(
         "{:<16} {:>8} {:>12} {:>9} {:>7} {:>5} {:>8} {:>9} {:>9} {:>6}",
@@ -110,18 +101,17 @@ fn main() {
             Some(ns) => format!("{:.1} ms", ns as f64 / 1e6),
             None => "NOT ABSORBED".to_string(),
         };
-        let energy_frac = r.core_ns as f64 / r.static_core_ns as f64;
         println!(
             "{:<16} {:>8.0} {:>12} {:>9} {:>6.0}% {:>5} {:>8} {:>9} {:>9} {:>6}",
             p.name,
-            r.completed_total as f64 / 1e3,
+            r.messages_total as f64 / 1e3,
             absorb,
             r.post_spike_violations,
-            energy_frac * 100.0,
+            r.core_share * 100.0,
             r.ctl.adds,
             r.ctl.revokes,
             r.ctl.flows_migrated,
-            r.gate_drops,
+            r.filter.drops,
             r.dials_ok,
         );
     }
@@ -129,7 +119,7 @@ fn main() {
     // Headline gates the CI checks grep for.
     let stat0 = &outcome.results[0];
     let stat1 = &outcome.results[1];
-    if series_fingerprint(stat0) == series_fingerprint(stat1) {
+    if stat0.series == stat1.series {
         println!("\ncontroller-off runs are byte-identical");
     } else {
         println!("\nDETERMINISM BROKEN: controller-off reruns diverged");
@@ -137,12 +127,12 @@ fn main() {
     let elastic = &outcome.results[2];
     let absorbed = elastic.absorb_ns.is_some();
     let clean = elastic.post_spike_violations == 0;
-    let saved = elastic.core_ns < elastic.static_core_ns;
+    let saved = elastic.core_share < 1.0;
     if absorbed && clean && saved {
         println!(
             "elastic run absorbed the spike (p99 under SLA), consolidated violation-free, \
              and spent {:.0}% of the static core-time",
-            100.0 * elastic.core_ns as f64 / elastic.static_core_ns as f64
+            100.0 * elastic.core_share
         );
     } else {
         println!(

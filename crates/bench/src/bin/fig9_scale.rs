@@ -22,7 +22,8 @@
 
 use std::time::Instant;
 
-use ix_apps::harness::{run_scale_migration, ScaleMigrationConfig};
+use ix_apps::harness::{run, App, Scenario};
+use ix_sim::Nanos;
 
 fn main() {
     let quick = ix_bench::sweep::quick();
@@ -36,8 +37,13 @@ fn main() {
     let start = Instant::now();
     let mut results = Vec::with_capacity(conn_counts.len());
     for &n in conn_counts {
-        let cfg = ScaleMigrationConfig { total_conns: n, ..ScaleMigrationConfig::default() };
-        results.push(run_scale_migration(&cfg));
+        results.push(run(&Scenario {
+            app: App::Rotating { total_conns: n, outstanding: 2 },
+            measure: Nanos::from_millis(10),
+            seed: 9,
+            shard_pingpong: true,
+            ..Scenario::conn_scale()
+        }));
     }
     let wall = start.elapsed();
 
@@ -45,7 +51,9 @@ fn main() {
         "{:>8} {:>9} {:>12} {:>14} {:>12} {:>12} {:>12} {:>7}",
         "conns", "moved", "ns/flow", "absorb ns/fl", "best ms", "before", "after", "resets"
     );
-    for (&n, r) in conn_counts.iter().zip(results.iter()) {
+    // Connections lost across the burst.
+    let resets: Vec<u64> = results.iter().map(|r| r.burst_conns.saturating_sub(r.conns)).collect();
+    for ((&n, r), resets) in conn_counts.iter().zip(results.iter()).zip(&resets) {
         let moved = r.migrations.iter().map(|m| m.moved).min().unwrap_or(0);
         let best_ns = r.migrations.iter().map(|m| m.host_ns).min().unwrap_or(0);
         println!(
@@ -57,7 +65,7 @@ fn main() {
             best_ns as f64 / 1e6,
             r.msgs_before / 1e6,
             r.msgs_after / 1e6,
-            r.resets
+            resets
         );
     }
 
@@ -72,8 +80,8 @@ fn main() {
     let ratio = last.absorb_ns_per_flow / first.absorb_ns_per_flow.max(1e-9);
     let all_moved = results
         .iter()
-        .all(|r| r.migrations.iter().all(|m| m.moved == r.conns) && !r.migrations.is_empty());
-    let no_resets = results.iter().all(|r| r.resets == 0);
+        .all(|r| r.migrations.iter().all(|m| m.moved == r.burst_conns) && !r.migrations.is_empty());
+    let no_resets = resets.iter().all(|&n| n == 0);
     let survived = results.iter().all(|r| r.msgs_after > 0.0);
     if ratio <= 2.0 && all_moved && no_resets && survived {
         println!(

@@ -7,7 +7,7 @@
 //!   USR-Linux:  85 µs unloaded,  500K RPS @ <500 µs
 //!   USR-IX:     32 µs unloaded, 1800K RPS @ <500 µs
 
-use ix_apps::harness::{run_kv, KvConfig, System};
+use ix_apps::harness::{run, App, Scenario, System};
 use ix_apps::workload::WorkloadKind;
 
 const SLA_NS: u64 = 500_000;
@@ -41,14 +41,12 @@ fn main() {
         }
     }
     let outcome = ix_bench::sweep::run(&points, |&(wl, system, target)| {
-        let cfg = KvConfig {
+        run(&Scenario {
             system,
-            workload: wl,
-            target_rps: target,
+            app: App::Kv { workload: wl, rps: target },
             server_cores: if system == System::Ix { 6 } else { 8 },
-            ..KvConfig::default()
-        };
-        run_kv(&cfg)
+            ..Scenario::kv()
+        })
     });
     println!(
         "{:<12} | {:>14} | {:>16} | paper",
@@ -64,7 +62,7 @@ fn main() {
         for &t in grid(sys) {
             let r = &outcome.results[i];
             i += 1;
-            if r.agent_p99_ns <= SLA_NS && r.rps >= t * 0.95 {
+            if r.agent_p99_ns <= SLA_NS && r.msgs_per_sec >= t * 0.95 {
                 cap = t;
             }
         }

@@ -597,7 +597,8 @@ impl std::fmt::Debug for ElasticThread {
 
 /// A dataplane: one application, N elastic threads on N hardware threads
 /// (§4.1: "Each IX dataplane supports a single, multithreaded
-/// application").
+/// application"). Cloning copies the handles, not the threads.
+#[derive(Clone)]
 pub struct Dataplane {
     /// The elastic threads.
     pub threads: Vec<ThreadRef>,

@@ -864,7 +864,7 @@ fn alloc_slot<T>(
 }
 
 /// Memory accounting snapshot from [`FlowMap::mem_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowMapMem {
     /// Live entries.
     pub live: usize,

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example key_value_store`
 
-use ix::apps::harness::{run_kv, KvConfig, System};
+use ix::apps::harness::{run, App, Scenario, System};
 use ix::apps::workload::WorkloadKind;
 use ix::sim::Nanos;
 
@@ -17,16 +17,14 @@ fn main() {
     for target in [100e3, 400e3, 800e3] {
         let mut row = format!("{:>8.0}K |", target / 1e3);
         for sys in [System::Ix, System::Linux] {
-            let cfg = KvConfig {
+            let r = run(&Scenario {
                 system: sys,
-                workload: WorkloadKind::Usr,
-                target_rps: target,
+                app: App::Kv { workload: WorkloadKind::Usr, rps: target },
                 server_cores: if sys == System::Ix { 6 } else { 8 },
                 measure: Nanos::from_millis(25),
-                ..KvConfig::default()
-            };
-            let r = run_kv(&cfg);
-            row += &format!(" {:>11.1} {:>10.0}K", r.agent_p99_ns as f64 / 1e3, r.rps / 1e3);
+                ..Scenario::kv()
+            });
+            row += &format!(" {:>11.1} {:>10.0}K", r.agent_p99_ns as f64 / 1e3, r.msgs_per_sec / 1e3);
             if sys == System::Ix {
                 row += " |";
             }

@@ -4,14 +4,13 @@
 //!
 //! Run with: `cargo run --release --example three_stacks`
 
-use ix::apps::harness::{run_netpipe, EngineTuning, System};
+use ix::apps::harness::{run, Scenario, System};
 
 fn main() {
     println!("NetPIPE 64B ping-pong, same system on both ends (paper Fig 2):\n");
-    let tuning = EngineTuning::default();
     let mut rows = Vec::new();
     for sys in [System::Ix, System::Linux, System::Mtcp] {
-        let (one_way, _) = run_netpipe(sys, 64, 100, &tuning);
+        let one_way = run(&Scenario { system: sys, ..Scenario::netpipe(64, 100) }).one_way_ns;
         rows.push((sys, one_way));
         println!("  {:<6} one-way latency: {:>7.2} us", sys.name(), one_way as f64 / 1e3);
     }

@@ -28,10 +28,10 @@
 //! ## Quickstart
 //!
 //! ```
-//! use ix::apps::harness::{run_netpipe, EngineTuning, System};
+//! use ix::apps::harness::{run, Scenario};
 //!
 //! // One-way latency of a 64-byte ping-pong between two IX hosts.
-//! let (one_way_ns, _gbps) = run_netpipe(System::Ix, 64, 10, &EngineTuning::default());
+//! let one_way_ns = run(&Scenario::netpipe(64, 10)).one_way_ns;
 //! assert!(one_way_ns > 3_000 && one_way_ns < 10_000);
 //! ```
 //!

@@ -3,33 +3,35 @@
 //! checking the paper's *orderings* hold (exact magnitudes are the
 //! benches' job).
 
-use ix::apps::harness::{
-    run_echo, run_kv, run_netpipe, EchoConfig, EngineTuning, KvConfig, System,
-};
+use ix::apps::harness::{run, App, RunReport, Scenario, System};
 use ix::apps::workload::WorkloadKind;
 use ix::sim::Nanos;
 
-fn small_echo(system: System) -> ix::apps::harness::EchoResult {
-    let cfg = EchoConfig {
+/// A 4-core echo point, `msg`-byte messages, n = 64.
+fn small_echo(system: System, msg: usize) -> Scenario {
+    Scenario {
         system,
         server_cores: 4,
         n_clients: 4,
         client_threads: 4,
         conns_per_thread: 8,
-        n_per_conn: 64,
+        app: App::Echo { msg, n_per_conn: 64 },
         warmup: Nanos::from_millis(4),
         measure: Nanos::from_millis(10),
-        ..EchoConfig::default()
-    };
-    run_echo(&cfg)
+        ..Scenario::echo()
+    }
+}
+
+/// A fault-free NetPIPE run; `run` panics if the transfer stalls.
+fn netpipe(system: System, msg: usize, reps: usize) -> RunReport {
+    run(&Scenario { system, ..Scenario::netpipe(msg, reps) })
 }
 
 #[test]
 fn netpipe_latency_ordering_matches_paper() {
-    let tuning = EngineTuning::default();
-    let (ix, _) = run_netpipe(System::Ix, 64, 50, &tuning);
-    let (linux, _) = run_netpipe(System::Linux, 64, 50, &tuning);
-    let (mtcp, _) = run_netpipe(System::Mtcp, 64, 50, &tuning);
+    let ix = netpipe(System::Ix, 64, 50).one_way_ns;
+    let linux = netpipe(System::Linux, 64, 50).one_way_ns;
+    let mtcp = netpipe(System::Mtcp, 64, 50).one_way_ns;
     // Fig 2: IX ≈ 5.7 µs, 4x better than Linux; mTCP an order of
     // magnitude worse than IX.
     assert!(ix < linux && linux < mtcp, "ordering: ix={ix} linux={linux} mtcp={mtcp}");
@@ -40,17 +42,16 @@ fn netpipe_latency_ordering_matches_paper() {
 
 #[test]
 fn netpipe_large_messages_converge_to_wire_bandwidth() {
-    let tuning = EngineTuning::default();
-    let (_, ix) = run_netpipe(System::Ix, 262_144, 20, &tuning);
+    let ix = netpipe(System::Ix, 262_144, 20).goodput_gbps;
     // A single 10GbE flow: goodput must approach but not exceed 10 Gbps.
     assert!(ix > 5.0 && ix < 10.0, "IX 256KB goodput {ix} Gbps");
 }
 
 #[test]
 fn echo_throughput_ordering_matches_paper() {
-    let ix = small_echo(System::Ix);
-    let linux = small_echo(System::Linux);
-    let mtcp = small_echo(System::Mtcp);
+    let ix = run(&small_echo(System::Ix, 64));
+    let linux = run(&small_echo(System::Linux, 64));
+    let mtcp = run(&small_echo(System::Mtcp, 64));
     // Fig 3b ordering: IX > mTCP > Linux.
     assert!(
         ix.msgs_per_sec > mtcp.msgs_per_sec && mtcp.msgs_per_sec > linux.msgs_per_sec,
@@ -68,24 +69,8 @@ fn echo_throughput_ordering_matches_paper() {
 
 #[test]
 fn echo_payload_sizes_scale_goodput() {
-    let small = EchoConfig {
-        system: System::Ix,
-        server_cores: 4,
-        n_clients: 4,
-        client_threads: 4,
-        conns_per_thread: 8,
-        msg_size: 64,
-        n_per_conn: 64,
-        warmup: Nanos::from_millis(4),
-        measure: Nanos::from_millis(10),
-        ..EchoConfig::default()
-    };
-    let big = EchoConfig {
-        msg_size: 4096,
-        ..small.clone()
-    };
-    let rs = run_echo(&small);
-    let rb = run_echo(&big);
+    let rs = run(&small_echo(System::Ix, 64));
+    let rb = run(&small_echo(System::Ix, 4096));
     assert!(
         rb.goodput_gbps > rs.goodput_gbps * 4.0,
         "4KB goodput {:.2} vs 64B {:.2}",
@@ -96,23 +81,21 @@ fn echo_payload_sizes_scale_goodput() {
 
 #[test]
 fn memcached_ix_beats_linux_on_tail_latency() {
-    let mk = |system| KvConfig {
+    let mk = |system| Scenario {
         system,
-        workload: WorkloadKind::Usr,
-        target_rps: 200_000.0,
+        app: App::Kv { workload: WorkloadKind::Usr, rps: 200_000.0 },
         server_cores: if system == System::Ix { 6 } else { 8 },
         n_clients: 8,
         client_threads: 4,
         conns_per_thread: 8,
-        warmup: Nanos::from_millis(8),
         measure: Nanos::from_millis(20),
-        ..KvConfig::default()
+        ..Scenario::kv()
     };
-    let ix = run_kv(&mk(System::Ix));
-    let linux = run_kv(&mk(System::Linux));
+    let ix = run(&mk(System::Ix));
+    let linux = run(&mk(System::Linux));
     // Both meet the offered load at this light point.
-    assert!(ix.rps > 185_000.0, "IX achieved {}", ix.rps);
-    assert!(linux.rps > 185_000.0, "Linux achieved {}", linux.rps);
+    assert!(ix.msgs_per_sec > 185_000.0, "IX achieved {}", ix.msgs_per_sec);
+    assert!(linux.msgs_per_sec > 185_000.0, "Linux achieved {}", linux.msgs_per_sec);
     // §5.5/Table 2: IX roughly halves the unloaded latencies.
     assert!(
         ix.agent_p99_ns < linux.agent_p99_ns,
@@ -121,7 +104,7 @@ fn memcached_ix_beats_linux_on_tail_latency() {
         linux.agent_p99_ns
     );
     // Kernel-share ordering (§5.5): Linux spends far more CPU in-kernel.
-    let share = |r: &ix::apps::harness::KvResult| {
+    let share = |r: &RunReport| {
         r.cpu_split.0 as f64 / (r.cpu_split.0 + r.cpu_split.1) as f64
     };
     assert!(
@@ -130,28 +113,4 @@ fn memcached_ix_beats_linux_on_tail_latency() {
         share(&linux),
         share(&ix)
     );
-}
-
-#[test]
-fn determinism_same_seed_same_result() {
-    let cfg = EchoConfig {
-        system: System::Ix,
-        server_cores: 2,
-        n_clients: 2,
-        client_threads: 2,
-        conns_per_thread: 4,
-        n_per_conn: 32,
-        warmup: Nanos::from_millis(2),
-        measure: Nanos::from_millis(6),
-        seed: 1234,
-        ..EchoConfig::default()
-    };
-    let a = run_echo(&cfg);
-    let b = run_echo(&cfg);
-    assert_eq!(a.messages, b.messages, "same seed, same message count");
-    assert_eq!(a.rtt_p99_ns, b.rtt_p99_ns, "same seed, same tail");
-    let c = run_echo(&EchoConfig { seed: 99, ..cfg });
-    // A different seed perturbs the workload draw (may coincide on
-    // counts, but the full trace differs; check a soft signal).
-    let _ = c;
 }

@@ -12,7 +12,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ix::apps::harness::{run_netpipe_faulted, EngineTuning, System};
+use ix::apps::harness::{run, EngineTuning, Scenario};
 use ix::apps::kvstore::{KvServer, SharedStore};
 use ix::apps::workload::proto;
 use ix::baselines::linux::{LinuxHost, LinuxParams};
@@ -74,20 +74,19 @@ props! {
     #![config(cases = 10)]
     #[test]
     fn netpipe_completes_under_fault_mix(mix in fault_mix(), seed in 1u64..1_000) {
-        let m = mix.clone();
-        let r = run_netpipe_faulted(System::Ix, 256, 30, &tuning(), seed, 3_000, |_, client_port| {
-            FaultPlan::new(seed ^ 0xfa17).with_link(client_port, m.link_faults())
-        });
+        let base = Scenario::netpipe(256, 30);
+        let faults = FaultPlan::new(seed ^ 0xfa17).with_link(base.client_port(0), mix.link_faults());
+        let r = run(&Scenario { tuning: tuning(), seed, measure: Nanos::from_millis(3_000), faults, ..base });
         // The transfer must complete in full: NetPIPE only reports
         // `done` when every rep echoed all 256 bytes both ways.
         assert!(
             r.done,
             "NetPIPE stalled under {mix:?} (seed {seed}): {} reps, faults {:?}",
-            r.reps, r.faults
+            r.messages, r.faults
         );
-        assert_eq!(r.reps, 30);
+        assert_eq!(r.messages, 30);
         // Anything the wire dropped was repaired by a retransmission.
-        let retx = r.server_tcp.retransmits + r.client_tcp.retransmits;
+        let retx = r.tcp.retransmits + r.client_tcp.retransmits;
         let dropped = r.faults.dropped_total();
         assert!(
             dropped == 0 || retx > 0,
@@ -222,7 +221,6 @@ props! {
 // IXCP queue-hang watchdog: detection, re-steer, recovery.
 // ---------------------------------------------------------------------
 
-use ix::apps::harness::{run_fault_recovery, FaultRecoveryConfig};
 use ix::core::ixcp::WatchdogStats;
 use ix::faults::NicFaults;
 
@@ -237,18 +235,19 @@ fn hang_plan(server_port: u16) -> FaultPlan {
 
 #[test]
 fn watchdog_resteers_hung_queue_and_traffic_recovers() {
-    let cfg = FaultRecoveryConfig {
+    let base = Scenario::fault_recovery();
+    let r = run(&Scenario {
         // Four server cores: the three healthy threads have the CPU
         // headroom to absorb the hung queue's flow groups (re-steering
         // onto a saturated core could never reach the threshold).
-        watchdog_period: Some(Nanos::from_millis(1)),
+        watchdog: Some(Nanos::from_millis(1)),
         // Frames wedged in the hung ring are discarded at re-steer and
         // recovered by client retransmission — which must fit in the
         // 40 ms run, hence the millisecond RTO floor.
         tuning: tuning(),
-        ..FaultRecoveryConfig::default()
-    };
-    let r = run_fault_recovery(&cfg, hang_plan);
+        faults: hang_plan(base.server_port()),
+        ..base
+    });
     let w: WatchdogStats = r.watchdog.expect("watchdog ran");
     assert!(w.scans > 0, "watchdog never scanned: {w:?}");
     assert!(w.hangs_detected >= 1, "hang not detected: {w:?}");
@@ -282,15 +281,16 @@ fn double_hang_plan(server_port: u16) -> FaultPlan {
 /// threshold.
 #[test]
 fn watchdog_resteers_two_simultaneously_hung_queues_in_one_pass() {
-    let cfg = FaultRecoveryConfig {
+    let base = Scenario::fault_recovery();
+    let r = run(&Scenario {
         // Six cores: with two wedged, four healthy threads remain to
         // absorb the re-steered flow groups with CPU headroom.
         server_cores: 6,
-        watchdog_period: Some(Nanos::from_millis(1)),
+        watchdog: Some(Nanos::from_millis(1)),
         tuning: tuning(),
-        ..FaultRecoveryConfig::default()
-    };
-    let r = run_fault_recovery(&cfg, double_hang_plan);
+        faults: double_hang_plan(base.server_port()),
+        ..base
+    });
     let w: WatchdogStats = r.watchdog.expect("watchdog ran");
     // Exactly one detection per hung queue: the single pass must fully
     // resolve both. Re-detections on later ticks are the signature of
@@ -303,24 +303,25 @@ fn watchdog_resteers_two_simultaneously_hung_queues_in_one_pass() {
     assert!(
         !r.stalled,
         "traffic never recovered from the double hang; dip {:.2}, windows {:?}",
-        r.dip_frac, r.per_window_rx_bytes
+        r.dip_frac, r.rx_windows
     );
 }
 
 #[test]
 fn without_watchdog_the_hung_queue_stays_dead() {
-    let cfg = FaultRecoveryConfig {
+    let base = Scenario::fault_recovery();
+    let r = run(&Scenario {
         server_cores: 2,
         tuning: tuning(),
-        ..FaultRecoveryConfig::default()
-    };
-    let r = run_fault_recovery(&cfg, hang_plan);
+        faults: hang_plan(base.server_port()),
+        ..base
+    });
     assert!(r.watchdog.is_none());
     // A permanently hung queue strands its flow groups: goodput stays
     // below the 80% recovery threshold for the rest of the run.
     assert!(
         r.stalled,
         "expected a permanent stall without the watchdog; dip {:.2}, windows {:?}",
-        r.dip_frac, r.per_window_rx_bytes
+        r.dip_frac, r.rx_windows
     );
 }
