@@ -986,9 +986,9 @@ fn load(tb: &mut Testbed, sc: &Scenario) -> RunReport {
         let (engine, out) = (tb.engine().clone(), samples.clone());
         tb.sim.schedule_in(Nanos(SAMPLE_NS), move |sim| sample_tick(sim, engine, out, window_end, 0));
     }
-    let watchdog = sc
-        .watchdog
-        .and_then(|p| tb.with_ix(|sim, d| ixcp::start_queue_watchdog(sim, d, p.as_nanos(), window_end)));
+    let watchdog = sc.watchdog.and_then(|p| {
+        tb.with_ix(|sim, d| ixcp::start_queue_watchdog(sim, d, p.as_nanos(), window_end, None).0)
+    });
     // The control loop outlives the load by the drain, so the admission
     // gate lifts once the backlog clears and shed dials land.
     let drain_ns = Nanos::from_millis(if sc.spike.is_some() { 4 } else if let Sink::Kv(..) = sink { 3 } else { 2 });
@@ -999,12 +999,11 @@ fn load(tb: &mut Testbed, sc: &Scenario) -> RunReport {
                 .then(|| Rc::new(FilterControl::install(dp, ix_net::filter::FilterPolicy::new())));
             ixcp::set_active_threads(sim, dp, s.initial_active, fc.as_deref());
             let deadline = window_end + drain_ns.as_nanos();
-            let (_, health) = ixcp::start_queue_watchdog_with_health(sim, dp, 1_000_000, deadline, fc.clone());
+            let (_, health) = ixcp::start_queue_watchdog(sim, dp, 1_000_000, deadline, fc.clone());
             let cfg = ix_core::ElasticConfig {
                 epoch_ns: EPOCH_NS,
                 sla_ns: SLA_NS,
                 per_frame_ns: PER_FRAME_NS,
-                min_active: 1,
                 shed_port: s.admission_gate.then_some(port),
                 shed_sla_ns: SLA_NS * 2,
                 ..ix_core::ElasticConfig::default()

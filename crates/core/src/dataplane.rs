@@ -711,21 +711,6 @@ impl Dataplane {
         s
     }
 
-    /// Aggregated mbuf-pool churn (allocs/frees/exhaustions, outstanding
-    /// and peak) over every elastic thread's shard pool.
-    pub fn mbuf_stats(&self) -> ix_mempool::PoolStats {
-        let mut agg = ix_mempool::PoolStats::default();
-        for th in &self.threads {
-            let p = th.borrow().shard.pool_stats();
-            agg.allocs += p.allocs;
-            agg.frees += p.frees;
-            agg.exhausted += p.exhausted;
-            agg.outstanding += p.outstanding;
-            agg.peak_outstanding += p.peak_outstanding;
-        }
-        agg
-    }
-
     /// Total kernel (dataplane) and user CPU nanoseconds across threads.
     pub fn cpu_split(&self) -> (u64, u64) {
         let mut k = 0;

@@ -1,4 +1,4 @@
-//! IXCP — the control plane (§4.1).
+//! IXCP — the control plane (§4.1, §4.4).
 //!
 //! In the real system the control plane is the full Linux kernel plus the
 //! IXCP user-level daemon: it initializes devices, allocates whole cores,
@@ -6,26 +6,33 @@
 //! their load, and elastically adds or revokes hardware threads using a
 //! protocol similar to Exokernel's resource revocation. The paper leaves
 //! sophisticated *policies* to future work and evaluates static
-//! configurations; this module implements the *mechanisms*:
+//! configurations.
 //!
-//! * registry of dataplanes and their resource grants,
-//! * elastic thread addition and revocation with RSS flow-group
-//!   migration (reprogramming the NIC redirection table and moving the
-//!   affected protocol control blocks between shards, §4.4),
-//! * queue-depth monitoring — the congestion signal the paper says a
-//!   dataplane can raise so the control plane allocates more resources
-//!   (§3),
-//! * the **elastic control loop** ([`start_elastic_controller`]): the
-//!   policy the paper left to future work — per-epoch queue-delay
-//!   sampling against a tail-latency SLA proxy, hysteresis-gated core
-//!   add/revoke with a bounded per-epoch migration rate, retry/backoff
-//!   when the watchdog flags a target core hung, and a last-resort
-//!   admission gate that sheds *new* connections at the NIC filter when
-//!   every core is saturated (graceful overload degradation).
+//! Here IXCP is a set of free functions over a [`Dataplane`] with one
+//! mechanism underneath, `remap`: rewrite the RSS redirection table of
+//! every port, quiesce the threads whose flow groups leave, move the
+//! affected protocol control blocks between shards in bulk, and wake the
+//! active threads (§4.4). Each entry point is only a policy — the table
+//! it computes and the threads it drains:
+//!
+//! * [`set_active_threads`] — grant threads `0..n`: bucket `b → b % n`;
+//! * [`reprogram_and_migrate`] — install a caller's table, timed, and
+//!   wake only the threads that own buckets;
+//! * [`start_queue_watchdog`] — re-steer the buckets of RX queues that
+//!   stopped draining onto healthy ones;
+//! * [`start_elastic_controller`] — the policy the paper left to future
+//!   work: per-epoch queue-delay sampling against a tail-latency SLA
+//!   proxy, hysteresis-gated core add/revoke with a bounded per-epoch
+//!   migration rate, retry/backoff when the watchdog flags a target core
+//!   hung, and a last-resort admission gate that sheds *new* connections
+//!   at the NIC filter when every core is saturated (graceful overload
+//!   degradation).
+//!
+//! [`FilterControl`] publishes the NIC-edge filter's rule table by RCU.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
+use std::time::Instant;
 
 use ix_net::filter::{FilterPolicy, RuleAction};
 use ix_net::ip::IpProto;
@@ -35,22 +42,6 @@ use ix_tcp::Tcb;
 
 use crate::dataplane::{Dataplane, ElasticThread, ThreadRef};
 use crate::rcu::Rcu;
-
-/// Identifies a registered dataplane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DataplaneId(pub usize);
-
-/// A queue-depth observation for one dataplane.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CongestionReport {
-    /// Deepest RX ring backlog across queues.
-    pub max_rx_backlog: usize,
-    /// Total frames waiting across queues.
-    pub total_rx_backlog: usize,
-    /// RX descriptor-exhaustion drops so far (queues "build up only at
-    /// the NIC edge", §3 — this is that edge overflowing).
-    pub rx_drops: u64,
-}
 
 /// Counters from the queue-hang watchdog (graceful degradation: a
 /// non-draining RX queue gets its RSS flow groups re-steered to healthy
@@ -62,7 +53,8 @@ pub struct WatchdogStats {
     /// Hangs detected: a queue with backlog that polled nothing for a
     /// whole period.
     pub hangs_detected: u64,
-    /// RSS redirection buckets moved off hung queues.
+    /// RSS redirection buckets moved off hung queues (counted once per
+    /// table: every port carries the same one).
     pub buckets_resteered: u64,
     /// Live connections migrated to healthy shards.
     pub flows_migrated: u64,
@@ -83,201 +75,6 @@ pub type WatchdogRef = Rc<RefCell<WatchdogStats>>;
 /// off and retries instead.
 pub type WatchdogHealth = Rc<RefCell<Vec<usize>>>;
 
-/// The control plane: owns the dataplane registry and the elastic
-/// scaling mechanism.
-#[derive(Default)]
-pub struct ControlPlane {
-    dataplanes: Vec<Dataplane>,
-}
-
-impl ControlPlane {
-    /// Creates an empty control plane.
-    pub fn new() -> ControlPlane {
-        ControlPlane::default()
-    }
-
-    /// Registers a dataplane, transferring ownership of its handle.
-    pub fn register(&mut self, dp: Dataplane) -> DataplaneId {
-        self.dataplanes.push(dp);
-        DataplaneId(self.dataplanes.len() - 1)
-    }
-
-    /// Access a registered dataplane.
-    pub fn dataplane(&self, id: DataplaneId) -> &Dataplane {
-        &self.dataplanes[id.0]
-    }
-
-    /// Number of *active* (non-parked) elastic threads.
-    pub fn active_threads(&self, id: DataplaneId) -> usize {
-        self.dataplanes[id.0]
-            .threads
-            .iter()
-            .filter(|t| !t.borrow().parked)
-            .count()
-    }
-
-    /// Samples RX queue depths — the §3 congestion signal.
-    pub fn monitor(&self, id: DataplaneId) -> CongestionReport {
-        let mut rep = CongestionReport::default();
-        for th in &self.dataplanes[id.0].threads {
-            let t = th.borrow();
-            for (nic, q) in t.queues().to_vec() {
-                let mut n = nic.borrow_mut();
-                let ring = n.rx_ring(q);
-                rep.max_rx_backlog = rep.max_rx_backlog.max(ring.pending());
-                rep.total_rx_backlog += ring.pending();
-                rep.rx_drops += ring.drops;
-            }
-        }
-        rep
-    }
-
-    /// Changes the number of active elastic threads to `n`, migrating
-    /// RSS flow groups and live connections (§4.4). Threads `0..n`
-    /// become active; the rest are parked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or exceeds the dataplane's thread count.
-    pub fn set_active_threads(&mut self, sim: &mut Simulator, id: DataplaneId, n: usize) {
-        set_active_threads(sim, &self.dataplanes[id.0], n, None);
-    }
-
-    /// Starts a periodic watchdog over the dataplane's RX queues. Every
-    /// `period_ns` it samples each queue's poll progress; a queue that
-    /// holds a backlog across a whole period without draining a single
-    /// frame is declared hung, and its RSS flow groups are re-steered to
-    /// the healthy queues (the §4.4 migration mechanism driven by a
-    /// health signal instead of a scaling decision). The watchdog stops
-    /// rescheduling itself once the next tick would land past
-    /// `deadline_ns`, so bounded experiment runs still drain to
-    /// completion.
-    ///
-    /// Returns a shared handle to the watchdog's counters.
-    pub fn start_queue_watchdog(
-        &self,
-        sim: &mut Simulator,
-        id: DataplaneId,
-        period_ns: u64,
-        deadline_ns: u64,
-    ) -> WatchdogRef {
-        start_queue_watchdog(sim, &self.dataplanes[id.0], period_ns, deadline_ns)
-    }
-}
-
-/// Every distinct NIC port the dataplane's threads serve. RSS tables
-/// must be reprogrammed identically on all of them (a flow hashes the
-/// same way on every member port).
-fn dataplane_nics(threads: &[ThreadRef]) -> Vec<NicRef> {
-    let mut nics: Vec<NicRef> = Vec::new();
-    for th in threads {
-        for (nic, _q) in th.borrow().queues() {
-            if !nics.iter().any(|n| Rc::ptr_eq(n, nic)) {
-                nics.push(nic.clone());
-            }
-        }
-    }
-    nics
-}
-
-/// Pulls every frame still sitting in `th`'s RX rings through its own
-/// shard and replenishes the consumed descriptors. Frames that were
-/// steered before a redirection-table reprogram belong to the *old*
-/// owner: processing them here (instead of extracting the flows first)
-/// is what keeps a bucket move invisible to the byte stream.
-fn drain_rings_through_own_shard(th: &ThreadRef, now_ns: u64) {
-    let mut t = th.borrow_mut();
-    let queues = t.queues().to_vec();
-    for (nic, q) in queues {
-        loop {
-            let frame = nic.borrow_mut().rx_ring(q).poll();
-            let Some(frame) = frame else { break };
-            t.shard.input(now_ns, frame);
-        }
-        let mut nn = nic.borrow_mut();
-        let un = nn.rx_ring(q).unreplenished();
-        nn.rx_ring(q).replenish(un);
-    }
-}
-
-/// Migrates every flow whose RSS bucket no longer maps to the shard
-/// holding it (§4.4): the redirection table is read once, each
-/// mis-steered *bucket* is drained from its current owner in bulk via
-/// the per-bucket flow-table index (no per-flow Toeplitz hashing, no
-/// table scan), and each destination absorbs its whole batch in one
-/// call (single table reservation, batched timer re-arm). When a
-/// [`FilterControl`] is supplied, the current policy snapshot is
-/// republished to every destination shard — a rule update published
-/// while the migration was in flight must not leave adopted flows
-/// classified by a stale snapshot. Returns the number of flows moved.
-pub fn migrate_mismatched_flows(
-    now_ns: u64,
-    threads: &[ThreadRef],
-    filter: Option<&FilterControl>,
-) -> u64 {
-    let (batches, moved) = extract_mismatched_batches(threads);
-    absorb_mismatched_batches(now_ns, threads, batches, filter);
-    moved
-}
-
-/// Extract half of [`migrate_mismatched_flows`]: drains every
-/// mis-steered bucket from its current owner into one batch per
-/// destination queue. Buckets land in (source thread, bucket,
-/// insertion-order) order — a function of the flows' history alone,
-/// so migration order is layout-independent. Each batch is pre-sized
-/// from the O(1) bucket-index populations and filled by
-/// `extract_bucket_into`, so a 250k-TCB move writes each TCB into its
-/// destination batch exactly once — no intermediate per-bucket `Vec`,
-/// no growth re-copies.
-fn extract_mismatched_batches(threads: &[ThreadRef]) -> (Vec<Vec<Tcb>>, u64) {
-    let steer_nic = threads[0].borrow().queues()[0].0.clone();
-    let map: Vec<usize> = steer_nic.borrow().redirection().to_vec();
-    let mut counts = vec![0usize; threads.len()];
-    for (i, th) in threads.iter().enumerate() {
-        let t = th.borrow();
-        for (b, &q) in map.iter().enumerate() {
-            if q != i {
-                counts[q] += t.shard.bucket_len(b as u16);
-            }
-        }
-    }
-    let mut batches: Vec<Vec<Tcb>> = counts.into_iter().map(Vec::with_capacity).collect();
-    let mut moved = 0u64;
-    for (i, th) in threads.iter().enumerate() {
-        let mut t = th.borrow_mut();
-        for (b, &q) in map.iter().enumerate() {
-            if q == i {
-                continue;
-            }
-            let before = batches[q].len();
-            t.shard.extract_bucket_into(b as u16, &mut batches[q]);
-            moved += (batches[q].len() - before) as u64;
-        }
-    }
-    (batches, moved)
-}
-
-/// Absorb half of [`migrate_mismatched_flows`]: each destination
-/// adopts its whole batch in one call (single table reservation,
-/// batched timer re-arm), then gets the current filter snapshot
-/// republished when one is supplied.
-fn absorb_mismatched_batches(
-    now_ns: u64,
-    threads: &[ThreadRef],
-    batches: Vec<Vec<Tcb>>,
-    filter: Option<&FilterControl>,
-) {
-    for (q, batch) in batches.into_iter().enumerate() {
-        if batch.is_empty() {
-            continue;
-        }
-        threads[q].borrow_mut().shard.absorb_flows(now_ns, batch);
-        if let Some(fc) = filter {
-            fc.republish_shard(&threads[q]);
-        }
-    }
-}
-
 /// Host-side measurement of one bulk migration pass.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MigrateReport {
@@ -295,44 +92,147 @@ pub struct MigrateReport {
     pub absorb_ns: u64,
 }
 
-/// Reprograms every NIC redirection table to `map`, quiesces all
-/// threads (RX rings drained through their own shards, user work
-/// flushed), runs one bulk [`migrate_mismatched_flows`] pass under a
-/// host wall clock, and wakes every thread that now owns buckets. This
-/// is the timed migration entry point the fig9-scale harness drives;
-/// [`set_active_threads`] composes the same steps with its
-/// parking policy.
-pub fn reprogram_and_migrate(
-    sim: &mut Simulator,
-    dp: &Dataplane,
-    map: Vec<usize>,
-    filter: Option<&FilterControl>,
-) -> MigrateReport {
-    assert_eq!(map.len(), 128, "82599 redirection table has 128 entries");
-    let now_ns = sim.now().as_nanos();
-    for nic in dataplane_nics(&dp.threads) {
-        nic.borrow_mut().set_redirection(map.clone());
+/// Every distinct NIC port the dataplane's threads serve. RSS tables
+/// must be reprogrammed identically on all of them (a flow hashes the
+/// same way on every member port).
+fn dataplane_nics(threads: &[ThreadRef]) -> Vec<NicRef> {
+    let mut nics: Vec<NicRef> = Vec::new();
+    for th in threads {
+        for (nic, _q) in th.borrow().queues() {
+            if !nics.iter().any(|n| Rc::ptr_eq(n, nic)) {
+                nics.push(nic.clone());
+            }
+        }
     }
-    for th in &dp.threads {
-        drain_rings_through_own_shard(th, now_ns);
+    nics
+}
+
+/// The current RSS redirection table (the same on every port).
+fn redirection(threads: &[ThreadRef]) -> Vec<usize> {
+    threads[0].borrow().queues()[0].0.borrow().redirection().to_vec()
+}
+
+/// Which threads [`remap`] wakes once the flows have moved.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Wake {
+    /// Every unparked thread.
+    Unparked,
+    /// Only the unparked threads that own a bucket of the new table.
+    Owners,
+}
+
+/// The one way IXCP moves flow groups (§4.4):
+///
+/// 1. writes `map` to every port's redirection table, so new packets
+///    steer to their new owners at once;
+/// 2. quiesces each thread in `drain`: frames already in its RX rings
+///    were steered under the *old* table and go through its own shard
+///    first, then its in-flight user work is flushed into TCP (the
+///    Exokernel-style revocation handshake) — otherwise the flows would
+///    leave orphaned events and un-sent replies behind;
+/// 3. moves every flow whose bucket now maps elsewhere, under a host
+///    wall clock: each mis-steered bucket is drained from its owner via
+///    the per-bucket flow-table index into one batch per destination
+///    (pre-sized, so each TCB is written once), and each destination
+///    absorbs its batch in one call (one table reservation, batched
+///    timer re-arm). `filter`'s current snapshot is republished to every
+///    destination: a rule update published while the migration was in
+///    flight must not leave adopted flows classified by a stale one;
+/// 4. wakes the unparked threads `wake` names so adopted flows make
+///    progress.
+///
+/// Buckets drain in (source thread, bucket, insertion) order — a
+/// function of the flows' history alone, so migration order is
+/// layout-independent.
+fn remap(
+    sim: &mut Simulator,
+    threads: &[ThreadRef],
+    map: &[usize],
+    drain: &[usize],
+    filter: Option<&FilterControl>,
+    wake: Wake,
+) -> MigrateReport {
+    let now_ns = sim.now().as_nanos();
+    for nic in dataplane_nics(threads) {
+        nic.borrow_mut().set_redirection(map.to_vec());
+    }
+    for &i in drain {
+        let th = &threads[i];
+        {
+            let mut t = th.borrow_mut();
+            for (nic, q) in t.queues().to_vec() {
+                loop {
+                    let frame = nic.borrow_mut().rx_ring(q).poll();
+                    let Some(frame) = frame else { break };
+                    t.shard.input(now_ns, frame);
+                }
+                let mut nn = nic.borrow_mut();
+                let un = nn.rx_ring(q).unreplenished();
+                nn.rx_ring(q).replenish(un);
+            }
+        }
         ElasticThread::drain_user_work(th, sim);
     }
-    let t0 = std::time::Instant::now();
-    let (batches, moved) = extract_mismatched_batches(&dp.threads);
+
+    let t0 = Instant::now();
+    let mut counts = vec![0usize; threads.len()];
+    for (i, th) in threads.iter().enumerate() {
+        let t = th.borrow();
+        for (b, &q) in map.iter().enumerate() {
+            if q != i {
+                counts[q] += t.shard.bucket_len(b as u16);
+            }
+        }
+    }
+    let mut batches: Vec<Vec<Tcb>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for (i, th) in threads.iter().enumerate() {
+        let mut t = th.borrow_mut();
+        for (b, &q) in map.iter().enumerate() {
+            if q != i {
+                t.shard.extract_bucket_into(b as u16, &mut batches[q]);
+            }
+        }
+    }
+    let moved = batches.iter().map(|b| b.len() as u64).sum();
     let extract_ns = t0.elapsed().as_nanos() as u64;
-    let t1 = std::time::Instant::now();
-    absorb_mismatched_batches(now_ns, &dp.threads, batches, filter);
+
+    let t1 = Instant::now();
+    for (q, batch) in batches.into_iter().enumerate() {
+        if batch.is_empty() {
+            continue;
+        }
+        threads[q].borrow_mut().shard.absorb_flows(now_ns, batch);
+        if let Some(fc) = filter {
+            fc.republish_shard(&threads[q]);
+        }
+    }
     let absorb_ns = t1.elapsed().as_nanos() as u64;
-    for (i, th) in dp.threads.iter().enumerate() {
-        if map.contains(&i) && !th.borrow().parked {
+
+    for (i, th) in threads.iter().enumerate() {
+        if !th.borrow().parked && (wake == Wake::Unparked || map.contains(&i)) {
             ElasticThread::schedule_iteration(th, sim);
         }
     }
     MigrateReport { moved, host_ns: extract_ns + absorb_ns, extract_ns, absorb_ns }
 }
 
-/// Standalone form of [`ControlPlane::set_active_threads`] for callers
-/// that hold a [`Dataplane`] directly (experiment harnesses). `filter`,
+/// Installs `map` as the redirection table and migrates every flow it
+/// moves, quiescing all threads first and waking only the threads that
+/// own buckets afterwards; the timed entry point the fig9-scale harness
+/// drives.
+pub fn reprogram_and_migrate(
+    sim: &mut Simulator,
+    dp: &Dataplane,
+    map: Vec<usize>,
+    filter: Option<&FilterControl>,
+) -> MigrateReport {
+    let all: Vec<usize> = (0..dp.threads.len()).collect();
+    remap(sim, &dp.threads, &map, &all, filter, Wake::Owners)
+}
+
+/// Changes the number of active elastic threads to `n` (§4.4): threads
+/// `0..n` become active and the rest are parked, RSS bucket `b` steers
+/// to queue `b % n`, and live connections follow their buckets. `filter`,
 /// when supplied, is republished to migration destinations.
 ///
 /// # Panics
@@ -345,58 +245,27 @@ pub fn set_active_threads(
     filter: Option<&FilterControl>,
 ) {
     assert!(n >= 1 && n <= dp.threads.len(), "bad thread count {n}");
-    let now_ns = sim.now().as_nanos();
-
-    // 1. Reprogram the RSS redirection tables: bucket i -> queue
-    //    (i % n). New packets immediately steer to active threads.
-    let nics = dataplane_nics(&dp.threads);
-    for nic in &nics {
-        nic.borrow_mut()
-            .set_redirection((0..128).map(|i| i % n).collect());
-    }
-
-    // 2. Quiesce the threads being revoked: pull any frames still in
-    //    their RX rings through their own stacks, then let the
-    //    application drain its in-flight results and buffered writes
-    //    into TCP (the Exokernel-style revocation handshake). Only
-    //    then park.
-    //    Threads that stay active quiesce the same way: frames already
-    //    steered into their rings and application work already queued
-    //    must reach their stacks *before* the flow table reshuffles, or
-    //    a migrated flow would leave orphaned events behind.
     for (i, th) in dp.threads.iter().enumerate() {
-        drain_rings_through_own_shard(th, now_ns);
-        ElasticThread::drain_user_work(th, sim);
         th.borrow_mut().parked = i >= n;
     }
-
-    // 3. Migrate existing flows so each lives on the shard its bucket
-    //    now maps to.
-    migrate_mismatched_flows(now_ns, &dp.threads, filter);
-
-    // 4. Wake the active threads so adopted flows make progress.
-    for th in dp.threads.iter().take(n) {
-        ElasticThread::schedule_iteration(th, sim);
-    }
+    let map: Vec<usize> = (0..128).map(|b| b % n).collect();
+    let all: Vec<usize> = (0..dp.threads.len()).collect();
+    remap(sim, &dp.threads, &map, &all, filter, Wake::Unparked);
 }
 
-/// Standalone form of [`ControlPlane::start_queue_watchdog`] for callers
-/// that hold a [`Dataplane`] directly (experiment harnesses).
+/// Starts a periodic watchdog over the dataplane's RX queues. Every
+/// `period_ns` it samples each queue's poll progress; a queue that
+/// holds a backlog across a whole period without draining a single
+/// frame is declared hung, and its RSS flow groups are re-steered to
+/// the healthy queues (the §4.4 migration mechanism driven by a health
+/// signal instead of a scaling decision). Re-steer migrations republish
+/// `filter` to their destinations. The watchdog stops rescheduling
+/// itself once the next tick would land past `deadline_ns`, so bounded
+/// experiment runs still drain to completion.
+///
+/// Returns the watchdog's counters and its health handle: the
+/// per-scan hung-thread verdicts the elastic controller reads.
 pub fn start_queue_watchdog(
-    sim: &mut Simulator,
-    dp: &Dataplane,
-    period_ns: u64,
-    deadline_ns: u64,
-) -> WatchdogRef {
-    start_queue_watchdog_with_health(sim, dp, period_ns, deadline_ns, None).0
-}
-
-/// Like [`start_queue_watchdog`], but also returns the shared health
-/// handle the watchdog publishes its per-scan hung-thread verdicts
-/// through (the elastic controller's input), and accepts the
-/// dataplane's [`FilterControl`] so re-steer migrations republish the
-/// policy snapshot to destination shards.
-pub fn start_queue_watchdog_with_health(
     sim: &mut Simulator,
     dp: &Dataplane,
     period_ns: u64,
@@ -406,8 +275,8 @@ pub fn start_queue_watchdog_with_health(
     let stats: WatchdogRef = Rc::new(RefCell::new(WatchdogStats::default()));
     let health: WatchdogHealth = Rc::new(RefCell::new(Vec::new()));
     let ctx = WatchdogCtx {
-        threads: Rc::new(dp.threads.clone()),
-        last: Rc::new(RefCell::new(HashMap::new())),
+        last: dp.threads.iter().map(|t| vec![None; t.borrow().queues().len()]).collect(),
+        threads: dp.threads.clone(),
         stats: stats.clone(),
         health: health.clone(),
         filter,
@@ -418,15 +287,13 @@ pub fn start_queue_watchdog_with_health(
     (stats, health)
 }
 
-/// Last-sample memory per `(thread, queue-slot)`: frames polled so far
-/// and the ring backlog at that instant.
-type WatchdogSamples = Rc<RefCell<HashMap<(usize, usize), (u64, usize)>>>;
-
 /// Everything one watchdog pass needs (bundled so the self-rescheduling
 /// closure moves one value).
 struct WatchdogCtx {
-    threads: Rc<Vec<ThreadRef>>,
-    last: WatchdogSamples,
+    threads: Vec<ThreadRef>,
+    /// Last sample per thread and queue slot: frames polled so far and
+    /// the ring backlog at that instant.
+    last: Vec<Vec<Option<(u64, usize)>>>,
     stats: WatchdogRef,
     health: WatchdogHealth,
     filter: Option<Rc<FilterControl>>,
@@ -436,7 +303,7 @@ struct WatchdogCtx {
 
 /// One watchdog pass: sample every queue, detect hangs, publish the
 /// verdicts, re-steer, and reschedule while within the deadline.
-fn watchdog_tick(sim: &mut Simulator, ctx: WatchdogCtx) {
+fn watchdog_tick(sim: &mut Simulator, mut ctx: WatchdogCtx) {
     ctx.stats.borrow_mut().scans += 1;
     // Sample every queue first, then re-steer all hung threads in ONE
     // pass. Re-steering per detection handled simultaneous hangs badly:
@@ -446,11 +313,11 @@ fn watchdog_tick(sim: &mut Simulator, ctx: WatchdogCtx) {
     // (at best) a later tick.
     let mut hung: Vec<usize> = Vec::new();
     for (ti, th) in ctx.threads.iter().enumerate() {
-        if th.borrow().parked {
+        let t = th.borrow();
+        if t.parked {
             continue;
         }
-        let queues = th.borrow().queues().to_vec();
-        for (pi, (nic, q)) in queues.iter().enumerate() {
+        for (pi, (nic, q)) in t.queues().iter().enumerate() {
             let (pending, received) = {
                 let mut n = nic.borrow_mut();
                 let r = n.rx_ring(*q);
@@ -460,7 +327,7 @@ fn watchdog_tick(sim: &mut Simulator, ctx: WatchdogCtx) {
             // period while a backlog sits in the ring, nothing is
             // draining the queue.
             let polled = received - pending as u64;
-            let prev = ctx.last.borrow_mut().insert((ti, pi), (polled, pending));
+            let prev = ctx.last[ti][pi].replace((polled, pending));
             if let Some((prev_polled, prev_pending)) = prev {
                 if pending > 0 && prev_pending > 0 && polled == prev_polled {
                     ctx.stats.borrow_mut().hangs_detected += 1;
@@ -475,7 +342,7 @@ fn watchdog_tick(sim: &mut Simulator, ctx: WatchdogCtx) {
     // elastic controller never steers flow groups toward a wedged core.
     *ctx.health.borrow_mut() = hung.clone();
     if !hung.is_empty() {
-        resteer_hung_queues(sim, &ctx.threads, &hung, &ctx.stats, ctx.filter.as_deref());
+        resteer_hung_queues(sim, &ctx, &hung);
     }
     if sim.now().as_nanos() + ctx.period_ns <= ctx.deadline_ns {
         let period_ns = ctx.period_ns;
@@ -483,57 +350,36 @@ fn watchdog_tick(sim: &mut Simulator, ctx: WatchdogCtx) {
     }
 }
 
-/// Moves every RSS bucket of every `hung` thread's queues to the
-/// healthy active queues (round-robin), resets the wedged ring(s), and
-/// migrates the hung shards' connections to their new owners.
+/// Moves every RSS bucket of every `hung` thread to the healthy active
+/// queues (round-robin), resets the wedged rings, and migrates the hung
+/// shards' connections to their new owners.
 ///
 /// All simultaneously hung queues are handled in one pass so the
 /// `healthy` set excludes *every* wedged thread: re-steering them one
 /// at a time could round-robin a bucket from hung queue A onto
 /// still-hung queue B, stranding roughly `1/healthy` of A's traffic in
 /// a second black hole.
-fn resteer_hung_queues(
-    sim: &mut Simulator,
-    threads: &[ThreadRef],
-    hung: &[usize],
-    stats: &WatchdogRef,
-    filter: Option<&FilterControl>,
-) {
-    let now_ns = sim.now().as_nanos();
-    let healthy: Vec<usize> = threads
-        .iter()
-        .enumerate()
-        .filter(|(i, t)| !hung.contains(i) && !t.borrow().parked)
-        .map(|(i, _)| i)
+fn resteer_hung_queues(sim: &mut Simulator, ctx: &WatchdogCtx, hung: &[usize]) {
+    let healthy: Vec<usize> = (0..ctx.threads.len())
+        .filter(|i| !hung.contains(i) && !ctx.threads[*i].borrow().parked)
         .collect();
     if healthy.is_empty() {
         return; // Nowhere to move traffic: degraded until the hang ends.
     }
-    // 1. Reprogram every port identically (multi-port hosts hash a flow
-    //    the same way on each member, so the tables must agree) and
-    //    reset the wedged rings. Each NIC's table is walked once per
-    //    hung thread, but the first walk already moves every bucket
-    //    pointing at *any* hung queue, so later walks move nothing.
+    let mut map = redirection(&ctx.threads);
     let mut moved = 0u64;
+    for e in map.iter_mut().filter(|e| hung.contains(e)) {
+        *e = healthy[moved as usize % healthy.len()];
+        moved += 1;
+    }
+    // Discard frames wedged behind the stuck DMA consumer: they cannot
+    // be polled during the hang, and replaying them after migration
+    // would resurrect stale segments on the wrong shard. TCP
+    // retransmission recovers the loss.
     let mut discarded = 0u64;
     for &h in hung {
-        let queues = threads[h].borrow().queues().to_vec();
-        for (nic, q) in &queues {
-            let mut map = nic.borrow().redirection().to_vec();
-            let mut rr = 0usize;
-            for e in map.iter_mut() {
-                if hung.contains(e) {
-                    *e = healthy[rr % healthy.len()];
-                    rr += 1;
-                    moved += 1;
-                }
-            }
+        for (nic, q) in ctx.threads[h].borrow().queues() {
             let mut n = nic.borrow_mut();
-            n.set_redirection(map);
-            // 2. Discard frames wedged behind the stuck DMA consumer:
-            //    they cannot be polled during the hang, and replaying
-            //    them after migration would resurrect stale segments on
-            //    the wrong shard. TCP retransmission recovers the loss.
             let ring = n.rx_ring(*q);
             while ring.poll().is_some() {
                 discarded += 1;
@@ -545,26 +391,32 @@ fn resteer_hung_queues(
     if moved == 0 {
         return; // Already re-steered by an earlier detection.
     }
-    {
-        let mut s = stats.borrow_mut();
-        s.buckets_resteered += moved;
-        s.frames_discarded += discarded;
-    }
-    // 3. Migrate each hung shard's connections to the shards their
-    //    buckets now map to (same mechanism as elastic revocation).
-    stats.borrow_mut().flows_migrated += migrate_mismatched_flows(now_ns, threads, filter);
-    // 4. Wake the healthy threads so adopted flows make progress.
-    for th in threads.iter() {
-        if !th.borrow().parked {
-            ElasticThread::schedule_iteration(th, sim);
-        }
-    }
+    let filter = ctx.filter.as_deref();
+    let flows = remap(sim, &ctx.threads, &map, &[], filter, Wake::Unparked).moved;
+    let mut s = ctx.stats.borrow_mut();
+    s.buckets_resteered += moved;
+    s.frames_discarded += discarded;
+    s.flows_migrated += flows;
 }
 
 // ---------------------------------------------------------------------
 // The elastic control loop (§4.4 mechanisms + the policy the paper left
 // to future work).
 // ---------------------------------------------------------------------
+
+/// Consecutive over-SLA epochs before a core is added (hysteresis: a
+/// one-epoch blip must not trigger a migration storm), and before the
+/// admission gate closes.
+const ADD_EPOCHS: u32 = 2;
+
+/// Revocation headroom: one fewer core must hold the projected delay
+/// under `sla_ns / REVOKE_HEADROOM` before a revoke starts, so add and
+/// revoke thresholds never chatter against each other.
+const REVOKE_HEADROOM: u64 = 4;
+
+/// Epochs to wait before retrying an add whose target core the watchdog
+/// flagged hung.
+const HUNG_BACKOFF_EPOCHS: u32 = 8;
 
 /// Tuning for the elastic controller. All thresholds are expressed
 /// through one queue-delay SLA proxy: a core's backlog (frames waiting
@@ -582,26 +434,16 @@ pub struct ElasticConfig {
     /// Estimated service time per backlogged frame (converts ring depth
     /// into queueing delay).
     pub per_frame_ns: u64,
-    /// Consecutive over-SLA epochs before a core is added (hysteresis:
-    /// a one-epoch blip must not trigger a migration storm).
-    pub add_epochs: u32,
     /// Consecutive idle epochs before a core is revoked. Much longer
-    /// than `add_epochs`: growing late costs SLA violations, shrinking
-    /// late only costs energy.
+    /// than the two over-SLA epochs that add one: growing late costs
+    /// SLA violations, shrinking late only costs energy.
     pub revoke_epochs: u32,
-    /// Revocation headroom: one fewer core must hold the projected
-    /// delay under `sla_ns / revoke_headroom` before a revoke starts,
-    /// so add and revoke thresholds never chatter against each other.
-    pub revoke_headroom: u32,
     /// Never revoke below this many active threads.
     pub min_active: usize,
     /// Bounded migration rate: at most this many RSS redirection
     /// buckets move per epoch, so a scaling decision never migrates the
     /// whole connection table in one burst.
     pub max_buckets_per_epoch: usize,
-    /// Epochs to wait before retrying an add whose target core the
-    /// watchdog flagged hung.
-    pub hung_backoff_epochs: u32,
     /// Graceful overload degradation: when every core is active and the
     /// delay proxy exceeds `shed_sla_ns`, publish a [`RuleAction::DropSyn`]
     /// rule for this port via the dataplane's [`FilterControl`] —
@@ -625,12 +467,9 @@ impl Default for ElasticConfig {
             epoch_ns: 50_000,
             sla_ns: 100_000,
             per_frame_ns: 1_000,
-            add_epochs: 2,
             revoke_epochs: 20,
-            revoke_headroom: 4,
             min_active: 1,
             max_buckets_per_epoch: 16,
-            hung_backoff_epochs: 8,
             shed_port: None,
             shed_sla_ns: 200_000,
             shed_calm_epochs: 6,
@@ -650,7 +489,7 @@ pub struct ElasticStats {
     /// Revoked threads fully drained and parked.
     pub parks: u64,
     /// Adds deferred because the watchdog flagged the target core hung
-    /// (each defer backs off `hung_backoff_epochs` before retrying).
+    /// (each defer backs off eight epochs before retrying).
     pub add_retries: u64,
     /// RSS redirection buckets moved (rate-bounded per epoch).
     pub buckets_moved: u64,
@@ -691,12 +530,12 @@ struct ElasticState {
 /// Everything one controller epoch needs (bundled so the
 /// self-rescheduling closure moves one value).
 struct ElasticCtx {
-    threads: Rc<Vec<ThreadRef>>,
+    threads: Vec<ThreadRef>,
     cfg: ElasticConfig,
     filter: Option<Rc<FilterControl>>,
     health: Option<WatchdogHealth>,
     stats: ElasticRef,
-    state: Rc<RefCell<ElasticState>>,
+    state: ElasticState,
     deadline_ns: u64,
 }
 
@@ -719,27 +558,26 @@ pub fn start_elastic_controller(
 ) -> ElasticRef {
     let stats: ElasticRef = Rc::new(RefCell::new(ElasticStats::default()));
     let target = dp.threads.iter().filter(|t| !t.borrow().parked).count().max(1);
+    let epoch_ns = cfg.epoch_ns;
     let ctx = ElasticCtx {
-        threads: Rc::new(dp.threads.clone()),
-        cfg: cfg.clone(),
+        threads: dp.threads.clone(),
+        cfg,
         filter,
         health,
         stats: stats.clone(),
-        state: Rc::new(RefCell::new(ElasticState {
-            target_active: target,
-            ..ElasticState::default()
-        })),
+        state: ElasticState { target_active: target, ..ElasticState::default() },
         deadline_ns,
     };
-    sim.schedule_in(Nanos(cfg.epoch_ns), move |sim| elastic_tick(sim, ctx));
+    sim.schedule_in(Nanos(epoch_ns), move |sim| elastic_tick(sim, ctx));
     stats
 }
 
 /// One controller epoch: sample, decide, converge, park, gate.
-fn elastic_tick(sim: &mut Simulator, ctx: ElasticCtx) {
+fn elastic_tick(sim: &mut Simulator, mut ctx: ElasticCtx) {
     let now_ns = sim.now().as_nanos();
     let n = ctx.threads.len();
     let cfg = &ctx.cfg;
+    let s = &mut ctx.state;
     let hung: Vec<usize> =
         ctx.health.as_ref().map(|h| h.borrow().clone()).unwrap_or_default();
 
@@ -769,7 +607,6 @@ fn elastic_tick(sim: &mut Simulator, ctx: ElasticCtx) {
     let mut wake_new: Option<usize> = None;
     {
         let mut st = ctx.stats.borrow_mut();
-        let mut s = ctx.state.borrow_mut();
         st.epochs += 1;
         st.busy_core_epochs += busy as u64;
         st.max_delay_ns = st.max_delay_ns.max(max_delay);
@@ -785,13 +622,13 @@ fn elastic_tick(sim: &mut Simulator, ctx: ElasticCtx) {
         } else {
             s.over_streak = 0;
             // Idle iff one fewer core would still hold the delay proxy
-            // with `revoke_headroom` to spare.
+            // with `REVOKE_HEADROOM` to spare.
             let projected = if s.target_active > 1 {
                 total_pending as u64 * cfg.per_frame_ns / (s.target_active as u64 - 1)
             } else {
                 u64::MAX
             };
-            if projected.saturating_mul(cfg.revoke_headroom.max(1) as u64) <= cfg.sla_ns {
+            if projected.saturating_mul(REVOKE_HEADROOM) <= cfg.sla_ns {
                 s.idle_streak += 1;
             } else {
                 s.idle_streak = 0;
@@ -799,7 +636,7 @@ fn elastic_tick(sim: &mut Simulator, ctx: ElasticCtx) {
         }
 
         // --- Scale decision. ---
-        if s.over_streak >= cfg.add_epochs && s.target_active < n && s.backoff == 0 {
+        if s.over_streak >= ADD_EPOCHS && s.target_active < n && s.backoff == 0 {
             // Threads activate in index order, so the add target is the
             // first parked index.
             let next = s.target_active;
@@ -808,7 +645,7 @@ fn elastic_tick(sim: &mut Simulator, ctx: ElasticCtx) {
                 // add and back off before retrying rather than migrating
                 // flow groups into it.
                 st.add_retries += 1;
-                s.backoff = cfg.hung_backoff_epochs;
+                s.backoff = HUNG_BACKOFF_EPOCHS;
             } else {
                 s.target_active += 1;
                 st.adds += 1;
@@ -828,37 +665,24 @@ fn elastic_tick(sim: &mut Simulator, ctx: ElasticCtx) {
     }
 
     // --- Converge the redirection tables toward bucket b → b % target,
-    //     at most `max_buckets_per_epoch` buckets per epoch, then drain
-    //     and migrate exactly the flows those buckets carried. ---
-    let target = ctx.state.borrow().target_active;
+    //     at most `max_buckets_per_epoch` buckets per epoch, draining the
+    //     sources those buckets leave before their flows move. ---
+    let target = s.target_active;
+    let mut map = redirection(&ctx.threads);
     let (moved_buckets, sources) =
-        converge_buckets(&ctx.threads, target, cfg.max_buckets_per_epoch, &hung);
+        converge_buckets(&mut map, target, cfg.max_buckets_per_epoch, &hung);
     if moved_buckets > 0 {
         ctx.stats.borrow_mut().buckets_moved += moved_buckets;
-        for &i in &sources {
-            if !ctx.threads[i].borrow().parked {
-                // Quiesce the source before its flows leave: frames in
-                // its ring and application work already queued must go
-                // through its own stack first, or the migrated flows
-                // would leave orphaned events (and un-sent replies)
-                // behind.
-                drain_rings_through_own_shard(&ctx.threads[i], now_ns);
-                ElasticThread::drain_user_work(&ctx.threads[i], sim);
-            }
-        }
-        let flows = migrate_mismatched_flows(now_ns, &ctx.threads, ctx.filter.as_deref());
+        let drain: Vec<usize> =
+            sources.into_iter().filter(|&i| !ctx.threads[i].borrow().parked).collect();
+        let flows =
+            remap(sim, &ctx.threads, &map, &drain, ctx.filter.as_deref(), Wake::Unparked).moved;
         ctx.stats.borrow_mut().flows_migrated += flows;
-        for th in ctx.threads.iter() {
-            if !th.borrow().parked {
-                ElasticThread::schedule_iteration(th, sim);
-            }
-        }
     }
 
     // --- Park revoked threads once fully drained: no buckets steer to
     //     them, their rings are empty, and their shards hold no flows
     //     (the Exokernel-style revocation handshake completes here). ---
-    let map = dataplane_nics(&ctx.threads)[0].borrow().redirection().to_vec();
     for i in target..n {
         let th = &ctx.threads[i];
         if th.borrow().parked || map.contains(&i) {
@@ -882,7 +706,6 @@ fn elastic_tick(sim: &mut Simulator, ctx: ElasticCtx) {
     // --- Admission gate (graceful overload degradation). ---
     if let (Some(port), Some(fc)) = (cfg.shed_port, ctx.filter.as_ref()) {
         let mut st = ctx.stats.borrow_mut();
-        let mut s = ctx.state.borrow_mut();
         let saturated = s.target_active == n;
         if saturated && max_delay > cfg.shed_sla_ns {
             s.shed_over_streak += 1;
@@ -895,7 +718,7 @@ fn elastic_tick(sim: &mut Simulator, ctx: ElasticCtx) {
                 s.shed_calm_streak = 0;
             }
         }
-        if !s.shed_on && s.shed_over_streak >= cfg.add_epochs {
+        if !s.shed_on && s.shed_over_streak >= ADD_EPOCHS {
             // Every core is active and still drowning: shed new
             // connections at the NIC edge so established flows keep
             // their latency. Established traffic passes untouched.
@@ -920,20 +743,17 @@ fn elastic_tick(sim: &mut Simulator, ctx: ElasticCtx) {
     }
 }
 
-/// Moves up to `budget` RSS buckets toward the canonical map
-/// `bucket b → queue (b % target)`, reprogramming every NIC port
-/// identically. Buckets whose wanted owner is in `skip` (hung) stay
-/// where they are and retry next epoch. Returns the number of buckets
-/// moved and the distinct old owners they moved away from (whose rings
-/// must drain before their flows migrate).
+/// Moves up to `budget` buckets of `map` toward the canonical table
+/// `bucket b → queue (b % target)`. Buckets whose wanted owner is in
+/// `skip` (hung) stay where they are and retry next epoch. Returns the
+/// number of buckets moved and the distinct old owners they moved away
+/// from (whose rings must drain before their flows migrate).
 fn converge_buckets(
-    threads: &[ThreadRef],
+    map: &mut [usize],
     target: usize,
     budget: usize,
     skip: &[usize],
 ) -> (u64, Vec<usize>) {
-    let nics = dataplane_nics(threads);
-    let mut map = nics[0].borrow().redirection().to_vec();
     let mut moved = 0u64;
     let mut sources: Vec<usize> = Vec::new();
     for (b, e) in map.iter_mut().enumerate() {
@@ -949,20 +769,7 @@ fn converge_buckets(
             moved += 1;
         }
     }
-    if moved > 0 {
-        for nic in &nics {
-            nic.borrow_mut().set_redirection(map.clone());
-        }
-    }
     (moved, sources)
-}
-
-impl std::fmt::Debug for ControlPlane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ControlPlane")
-            .field("dataplanes", &self.dataplanes.len())
-            .finish()
-    }
 }
 
 /// IXCP's handle on a dataplane's pre-stack filter: the rule table lives

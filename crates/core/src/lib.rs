@@ -17,9 +17,10 @@
 //! * [`libix`] — the user-level `libix` library: a libevent-like
 //!   event-loop API with transmit coalescing and flow-control-aware
 //!   buffering (§4.3), so legacy-style applications port easily.
-//! * [`ixcp`] — the control plane: coarse-grained allocation of cores and
-//!   NIC queues to dataplanes, elastic-thread addition/revocation with
-//!   RSS flow-group migration (§4.4), and queue-depth monitoring.
+//! * [`ixcp`] — the control plane: free functions over a [`Dataplane`]
+//!   that grant and revoke elastic threads, re-steer hung queues and run
+//!   the elastic control loop, all by one RSS flow-group migration step
+//!   (§4.4); plus the RCU-published NIC-edge filter.
 //! * [`rcu`] — read-copy-update for the one shared dataplane structure,
 //!   the ARP table: coherence-free reads, quiescent-period reclamation
 //!   tied to run-to-completion cycle boundaries (§4.4).
@@ -42,9 +43,8 @@ pub mod rcu;
 pub use api::{EventCond, IxApp, Syscall, SyscallResult, UserCtx};
 pub use dataplane::{Dataplane, DataplaneStats, ElasticThread};
 pub use ixcp::{
-    start_elastic_controller, start_queue_watchdog, start_queue_watchdog_with_health, ControlPlane,
-    DataplaneId, ElasticConfig, ElasticRef, ElasticStats, FilterControl, WatchdogHealth,
-    WatchdogRef, WatchdogStats,
+    start_elastic_controller, start_queue_watchdog, ElasticConfig, ElasticRef, ElasticStats,
+    FilterControl, WatchdogHealth, WatchdogRef, WatchdogStats,
 };
 pub use libix::{ConnCtx, Libix, LibixHandler};
 pub use params::CostParams;

@@ -9,7 +9,7 @@ use ix_testkit::Bytes;
 use ix_core::dataplane::Dataplane;
 use ix_core::libix::{ConnCtx, Libix, LibixCtx, LibixHandler};
 use ix_core::params::CostParams;
-use ix_core::ixcp::ControlPlane;
+use ix_core::ixcp::set_active_threads;
 use ix_nic::fabric::Fabric;
 use ix_nic::params::MachineParams;
 use ix_sim::{Nanos, Simulator};
@@ -246,14 +246,13 @@ fn steady_state_runs_without_scratch_reallocation() {
 #[test]
 fn ixcp_revocation_migrates_flows_and_traffic_continues() {
     let (mut sim, _fabric, sdp, _c, results) = setup(4, 64, 400, 16);
+    let active = |dp: &Dataplane| dp.threads.iter().filter(|t| !t.borrow().parked).count();
     // Let traffic start on 4 threads.
     sim.run_until(ix_sim::SimTime(Nanos::from_millis(5).as_nanos()));
-    let mut cp = ControlPlane::new();
-    let id = cp.register(sdp);
-    assert_eq!(cp.active_threads(id), 4);
+    assert_eq!(active(&sdp), 4);
     // Revoke two threads mid-run; flows must migrate and finish.
-    cp.set_active_threads(&mut sim, id, 2);
-    assert_eq!(cp.active_threads(id), 2);
+    set_active_threads(&mut sim, &sdp, 2, None);
+    assert_eq!(active(&sdp), 2);
     sim.run_until(ix_sim::SimTime(Nanos::from_millis(400).as_nanos()));
     assert!(
         results.borrow().done,
@@ -261,23 +260,10 @@ fn ixcp_revocation_migrates_flows_and_traffic_continues() {
         results.borrow().rtts_ns.len()
     );
     // Parked threads hold no flows.
-    for th in cp.dataplane(id).threads.iter().skip(2) {
+    for th in sdp.threads.iter().skip(2) {
         assert_eq!(th.borrow().shard.flow_count(), 0, "parked thread kept flows");
     }
     // And the control plane can give them back.
-    cp.set_active_threads(&mut sim, id, 4);
-    assert_eq!(cp.active_threads(id), 4);
-}
-
-#[test]
-fn queue_monitoring_reports_backlog() {
-    let (mut sim, _fabric, sdp, _c, results) = setup(1, 64, 50, 1);
-    sim.run_until(ix_sim::SimTime(Nanos::from_millis(100).as_nanos()));
-    assert!(results.borrow().done);
-    let mut cp = ControlPlane::new();
-    let id = cp.register(sdp);
-    let rep = cp.monitor(id);
-    // Quiescent now: no backlog, and no drops ever happened.
-    assert_eq!(rep.total_rx_backlog, 0);
-    assert_eq!(rep.rx_drops, 0);
+    set_active_threads(&mut sim, &sdp, 4, None);
+    assert_eq!(active(&sdp), 4);
 }

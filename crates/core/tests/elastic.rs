@@ -162,12 +162,9 @@ fn test_cfg() -> ElasticConfig {
         epoch_ns: 50_000,
         sla_ns: 25_000,
         per_frame_ns: 5_000,
-        add_epochs: 2,
         revoke_epochs: 4,
-        revoke_headroom: 4,
         min_active: 1,
         max_buckets_per_epoch: 32,
-        hung_backoff_epochs: 8,
         shed_port: None,
         shed_sla_ns: 50_000,
         shed_calm_epochs: 4,
@@ -398,12 +395,9 @@ fn admission_gate_sheds_new_connections_under_saturation() {
         epoch_ns: 200_000,
         sla_ns: 50_000,
         per_frame_ns: 10_000,
-        add_epochs: 2,
         revoke_epochs: 4,
-        revoke_headroom: 4,
         min_active: 1,
         max_buckets_per_epoch: 32,
-        hung_backoff_epochs: 8,
         shed_port: Some(PORT),
         shed_sla_ns: 80_000,
         shed_calm_epochs: 4,

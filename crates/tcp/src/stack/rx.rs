@@ -350,8 +350,14 @@ impl TcpShard {
             TcpState::SynSent => self.on_syn_sent(key, hdr),
             TcpState::SynRcvd => self.on_syn_rcvd(key, hdr, payload),
             TcpState::TimeWait => {
-                // Re-ACK anything that arrives in TIME_WAIT.
-                self.mark_ack(key);
+                // RFC 793 p. 73: TIME_WAIT acknowledges only a
+                // retransmitted FIN or an unacceptable segment. Answering
+                // the peer's last bare ACK would reach it after LAST_ACK
+                // has closed, and draw a RST.
+                let rcv_nxt = self.flows.get(key).expect("checked").rcv_nxt;
+                if hdr.flags.fin || !payload.is_empty() || hdr.seq != rcv_nxt {
+                    self.mark_ack(key);
+                }
             }
             TcpState::Closed => {}
             _ => self.on_established_family(key, hdr, payload),

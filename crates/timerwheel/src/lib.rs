@@ -569,22 +569,19 @@ impl<T> TimerWheel<T> {
                 let chain = self.detach(self.cursor(level));
                 self.relink_chain(chain);
             }
-            // Fire the level-0 slot for this tick.
+            // Fire the level-0 slot for this tick. Every entry in it is
+            // due: level 0 only ever holds deadlines fewer than 256 ticks
+            // out, and cascades re-place entries with `place`.
             let mut idx = self.detach(self.cursor(0));
             while idx != NIL {
                 let e = &mut self.entries[idx as usize];
-                let (next, deadline) = (e.next, e.deadline);
-                if deadline > self.now_tick {
-                    // A future lap of the wheel; relink.
-                    let bucket = self.place(deadline);
-                    self.link(idx, bucket);
-                } else {
-                    let payload = e.payload.take().expect("live entry has payload");
-                    self.free_entry(idx);
-                    self.live -= 1;
-                    self.fired_total += 1;
-                    fire(payload);
-                }
+                let next = e.next;
+                debug_assert!(e.deadline <= self.now_tick, "level-0 entry not yet due");
+                let payload = e.payload.take().expect("live entry has payload");
+                self.free_entry(idx);
+                self.live -= 1;
+                self.fired_total += 1;
+                fire(payload);
                 idx = next;
             }
         }
