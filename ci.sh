@@ -55,10 +55,13 @@ IX_BENCH_QUICK=1 cargo bench -q -p ix-bench --offline > /dev/null
 #  benchmark  the host-clock benchmark still builds against the
 #             workspace's API and its correctness and determinism gates
 #             pass on all five workloads (benchmark/README.md)
-#  deep-prop  migration.rs in release at 1000 cases, on the default
-#             seed and on a second one (~0.1 s each once built);
-#             prop.rs joins once its stream_integrity_hostile_wire
-#             case 54 (ROADMAP item 1) is fixed
+#  deep-prop  ix-tcp's property suites in release at 1000 cases
+#             (migration, rx_batch, flow_table_prop, rx_reassembly,
+#             zerocopy, rx_zerocopy, bucket_index), on the default seed
+#             and on a second one (~20 s with the test build, ~7 s for
+#             the second seed); prop.rs joins once its
+#             stream_integrity_hostile_wire case 54 (ROADMAP item 1) is
+#             fixed
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 gates='
 fig5|120|IX_SWEEP_QUICK=1 ./target/release/fig5_memcached||results/quick/fig5_memcached.txt
@@ -73,7 +76,7 @@ fig8|120|IX_SWEEP_QUICK=1 ./target/release/fig8_adversarial||results/quick/fig8_
 fig9|60|IX_SWEEP_QUICK=1 ./target/release/fig9_elastic|controller-off runs are byte-identical;elastic run absorbed the spike|results/quick/fig9_elastic.txt
 fig9-scale|90|IX_SWEEP_QUICK=1 ./target/release/fig9_scale|flat migration scaling:|
 benchmark|120|./benchmark/target/release/ix-benchmark --quick||
-deep-prop|60|IX_PROP_CASES=1000 cargo test -q --release --offline -p ix-tcp --test migration && IX_PROP_CASES=1000 IX_PROP_SEED=2 cargo test -q --release --offline -p ix-tcp --test migration||
+deep-prop|90|IX_PROP_CASES=1000 cargo test -q --release --offline -p ix-tcp --test migration --test rx_batch --test flow_table_prop --test rx_reassembly --test zerocopy --test rx_zerocopy --test bucket_index && IX_PROP_CASES=1000 IX_PROP_SEED=2 cargo test -q --release --offline -p ix-tcp --test migration --test rx_batch --test flow_table_prop --test rx_reassembly --test zerocopy --test rx_zerocopy --test bucket_index||
 '
 while IFS='|' read -r name budget_s cmd must same_as; do
     [ -n "$name" ] || continue

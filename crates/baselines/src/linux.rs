@@ -32,6 +32,7 @@ use std::rc::Rc;
 
 use ix_testkit::{buffer_id, Bytes};
 use ix_core::api::{EventCond, IxApp, Syscall, SyscallResult, UserCtx};
+use ix_core::dataplane::launch_cores;
 use ix_nic::host::{CoreRef, CpuDomain};
 use ix_nic::nic::{Nic, NicRef, QueueId};
 use ix_mempool::{LentQueues, Mbuf, Spares};
@@ -272,30 +273,7 @@ impl LinuxCore {
         let mut kernel = t.params.hardirq_ns;
         let budget = t.params.napi_budget;
         let mut frames = std::mem::take(&mut t.rx_scratch);
-        'outer: loop {
-            let mut any = false;
-            for qi in 0..t.queues.len() {
-                if frames.len() >= budget {
-                    break 'outer;
-                }
-                let (nic, q) = t.queues[qi].clone();
-                let f = {
-                    let mut n = nic.borrow_mut();
-                    let f = n.rx_ring(q).poll();
-                    if f.is_some() {
-                        n.rx_ring(q).replenish(1);
-                    }
-                    f
-                };
-                if let Some(f) = f {
-                    frames.push(f);
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-        }
+        crate::poll_rx(&t.queues, budget, &mut frames);
         t.stats.rx_packets += frames.len() as u64;
         // GRO: within this NAPI batch, the first frame of each flow pays
         // the full stack path; same-flow continuations are coalesced.
@@ -579,8 +557,9 @@ impl LinuxCore {
         LinuxCore::ensure_tick(this, sim);
     }
 
-    /// Executes one syscall with Linux semantics: `Sendv` copies into the
-    /// kernel send buffer; everything else passes through to the stack.
+    /// Executes one syscall with Linux semantics: `Sendv` on a sendable
+    /// flow copies into the kernel send buffer, and `Close`/`Abort` drop
+    /// that buffer first; the stack does the rest, as on IX.
     fn dispatch(
         t: &mut LinuxCore,
         ctx: &mut UserCtx,
@@ -591,6 +570,10 @@ impl LinuxCore {
         match s {
             Syscall::Sendv { handle, sg } => {
                 *kernel += t.params.write_ns;
+                if let Err(e) = t.shard.sendable(handle) {
+                    ctx.recycle_sg(sg);
+                    return SyscallResult::Err(e);
+                }
                 let total: usize = sg.iter().map(Bytes::len).sum();
                 // A socket's first write creates its entry; the spare
                 // stack has room for every socket's buffer from then on.
@@ -618,36 +601,11 @@ impl LinuxCore {
                 Self::drain_sndbuf(&mut t.shard, &mut t.spare_chunks, now_ns, handle, buf);
                 SyscallResult::Sent(accepted as u32)
             }
-            Syscall::Connect { cookie, dst_ip, dst_port } => {
-                match t.shard.connect(now_ns, dst_ip, dst_port, cookie) {
-                    Ok(_) => SyscallResult::InProgress,
-                    Err(e) => SyscallResult::Err(e),
-                }
-            }
-            Syscall::Accept { handle, cookie } => match t.shard.accept(handle, cookie) {
-                Ok(()) => SyscallResult::Ok,
-                Err(e) => SyscallResult::Err(e),
-            },
-            Syscall::RecvDone { handle, bytes } => {
-                match t.shard.recv_done(now_ns, handle, bytes) {
-                    Ok(()) => SyscallResult::Ok,
-                    Err(e) => SyscallResult::Err(e),
-                }
-            }
-            Syscall::Close { handle } => {
+            Syscall::Close { handle } | Syscall::Abort { handle } => {
                 t.drop_sndbuf(handle.key);
-                match t.shard.close(now_ns, handle) {
-                    Ok(()) => SyscallResult::Ok,
-                    Err(e) => SyscallResult::Err(e),
-                }
+                s.execute(&mut t.shard, now_ns, ctx)
             }
-            Syscall::Abort { handle } => {
-                t.drop_sndbuf(handle.key);
-                match t.shard.abort(now_ns, handle) {
-                    Ok(()) => SyscallResult::Ok,
-                    Err(e) => SyscallResult::Err(e),
-                }
-            }
+            other => other.execute(&mut t.shard, now_ns, ctx),
         }
     }
 
@@ -748,40 +706,25 @@ impl LinuxHost {
         listen_port: Option<u16>,
         mut app_factory: impl FnMut(usize) -> Box<dyn IxApp>,
     ) -> LinuxHost {
-        assert!(n_cores <= host.cores.len());
         // The kernel uses classic delayed ACKs with a short piggyback
         // window, window scaling (wscale 7, as Linux 3.16 negotiates),
         // and tcp_rmem-sized receive buffers.
         stack_cfg.ack_policy = AckPolicy::Delayed(100_000);
         stack_cfg.window_scale = 7;
         stack_cfg.recv_window = stack_cfg.recv_window.max(512 * 1024);
-        for nic in &host.nics {
-            nic.borrow_mut()
-                .set_redirection((0..128).map(|i| i % n_cores).collect());
-        }
-        let mut cores = Vec::with_capacity(n_cores);
-        for i in 0..n_cores {
-            let mut shard = TcpShard::new(stack_cfg.clone(), host.ip, host.mac);
-            if let Some(p) = listen_port {
-                shard.listen(p);
-            }
-            let nic0 = host.nics[0].clone();
-            let local_ip = host.ip;
-            shard.set_steering(
-                i,
-                Rc::new(move |rip, rport, lport| {
-                    nic0.borrow().queue_for_flow(rip, local_ip, rport, lport)
-                }),
-            );
-            let queues: Vec<(NicRef, QueueId)> =
-                host.nics.iter().map(|n| (n.clone(), i)).collect();
-            let lc = Rc::new(RefCell::new(LinuxCore {
-                id: i,
+        let cores = launch_cores(
+            host,
+            n_cores,
+            &stack_cfg,
+            listen_port,
+            |id, shard, queues| LinuxCore {
+                id,
                 params: params.clone(),
                 shard,
-                app: app_factory(i),
-                queues: queues.clone(),
-                core: host.cores[i].clone(),
+                app: app_factory(id),
+                last_irq: vec![SimTime::ZERO; queues.len()],
+                queues,
+                core: host.cores[id].clone(),
                 app_events: Vec::new(),
                 pending_results: Vec::new(),
                 sndbufs: FlowMap::new(),
@@ -789,7 +732,6 @@ impl LinuxHost {
                 app_blocked: true,
                 app_scheduled: false,
                 softirq_scheduled: false,
-                last_irq: vec![SimTime::ZERO; queues.len()],
                 tick_armed: false,
                 idle_wake: None,
                 pending_kicks: Vec::new(),
@@ -800,22 +742,9 @@ impl LinuxHost {
                 events_scratch: Vec::new(),
                 tx_scratch: Vec::new(),
                 stats: LinuxStats::default(),
-            }));
-            for (qi, (nic, q)) in queues.iter().enumerate() {
-                // Weak capture: see ix_core::dataplane — the notify edge
-                // must not close an Rc cycle through the engine.
-                let lc2 = Rc::downgrade(&lc);
-                nic.borrow_mut().set_notify(
-                    *q,
-                    Rc::new(move |sim: &mut Simulator, _| {
-                        if let Some(lc) = lc2.upgrade() {
-                            LinuxCore::on_rx(&lc, sim, qi);
-                        }
-                    }),
-                );
-            }
-            cores.push(lc);
-        }
+            },
+            LinuxCore::on_rx,
+        );
         // Prime pacing apps (load generators).
         for lc in &cores {
             let wants = lc.borrow().app.wants_cycle(sim.now().as_nanos());

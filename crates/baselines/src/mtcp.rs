@@ -18,7 +18,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ix_core::api::{EventCond, IxApp, Syscall, SyscallResult, UserCtx};
+use ix_core::api::{EventCond, IxApp, SyscallResult, UserCtx};
+use ix_core::dataplane::launch_cores;
 use ix_nic::host::{CoreRef, CpuDomain};
 use ix_nic::nic::{Nic, NicRef, QueueId};
 use ix_mempool::Mbuf;
@@ -150,30 +151,7 @@ impl MtcpCore {
         let mut cost = t.params.poll_ns;
         let batch = t.params.batch;
         let mut frames = std::mem::take(&mut t.rx_scratch);
-        'outer: loop {
-            let mut any = false;
-            for qi in 0..t.queues.len() {
-                if frames.len() >= batch {
-                    break 'outer;
-                }
-                let (nic, q) = t.queues[qi].clone();
-                let f = {
-                    let mut n = nic.borrow_mut();
-                    let f = n.rx_ring(q).poll();
-                    if f.is_some() {
-                        n.rx_ring(q).replenish(1);
-                    }
-                    f
-                };
-                if let Some(f) = f {
-                    frames.push(f);
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-        }
+        crate::poll_rx(&t.queues, batch, &mut frames);
         t.stats.rx_packets += frames.len() as u64;
         for f in frames.drain(..) {
             cost += t.params.rx_pkt_ns + (f.len() as u64 * t.params.rx_byte_ns_x1000) / 1000;
@@ -262,7 +240,7 @@ impl MtcpCore {
         let mut syscalls = std::mem::take(&mut ctx.syscalls);
         for s in syscalls.drain(..) {
             kernel += t.params.request_ns;
-            let r = MtcpCore::dispatch(&mut t, &mut ctx, now_ns, s);
+            let r = s.execute(&mut t.shard, now_ns, &mut ctx);
             t.pending_results.push(r);
         }
         ctx.unload(syscalls);
@@ -275,60 +253,6 @@ impl MtcpCore {
         MtcpCore::ring_doorbells(this, sim);
         // The TCP thread resumes control of the core.
         MtcpCore::schedule_tcp(this, sim);
-    }
-
-    fn dispatch(t: &mut MtcpCore, ctx: &mut UserCtx, now_ns: u64, s: Syscall) -> SyscallResult {
-        match s {
-            Syscall::Connect { cookie, dst_ip, dst_port } => {
-                match t.shard.connect(now_ns, dst_ip, dst_port, cookie) {
-                    Ok(_) => SyscallResult::InProgress,
-                    Err(e) => SyscallResult::Err(e),
-                }
-            }
-            Syscall::Accept { handle, cookie } => match t.shard.accept(handle, cookie) {
-                Ok(()) => SyscallResult::Ok,
-                Err(e) => SyscallResult::Err(e),
-            },
-            Syscall::Sendv { handle, sg } => {
-                let mut total = 0u32;
-                let mut failed = None;
-                for chunk in &sg {
-                    // The request queue hands the stack the app's own
-                    // refcounted block; the retransmit queue aliases it.
-                    match t.shard.send_bytes(now_ns, handle, chunk) {
-                        Ok(n) => {
-                            total += n as u32;
-                            if n < chunk.len() {
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                ctx.recycle_sg(sg);
-                match failed {
-                    Some(e) if total == 0 => SyscallResult::Err(e),
-                    _ => SyscallResult::Sent(total),
-                }
-            }
-            Syscall::RecvDone { handle, bytes } => {
-                match t.shard.recv_done(now_ns, handle, bytes) {
-                    Ok(()) => SyscallResult::Ok,
-                    Err(e) => SyscallResult::Err(e),
-                }
-            }
-            Syscall::Close { handle } => match t.shard.close(now_ns, handle) {
-                Ok(()) => SyscallResult::Ok,
-                Err(e) => SyscallResult::Err(e),
-            },
-            Syscall::Abort { handle } => match t.shard.abort(now_ns, handle) {
-                Ok(()) => SyscallResult::Ok,
-                Err(e) => SyscallResult::Err(e),
-            },
-        }
     }
 
     fn flush_tx(t: &mut MtcpCore) -> u64 {
@@ -403,35 +327,19 @@ impl MtcpHost {
         listen_port: Option<u16>,
         mut app_factory: impl FnMut(usize) -> Box<dyn IxApp>,
     ) -> MtcpHost {
-        assert!(n_cores <= host.cores.len());
         stack_cfg.ack_policy = AckPolicy::Delayed(100_000);
-        for nic in &host.nics {
-            nic.borrow_mut()
-                .set_redirection((0..128).map(|i| i % n_cores).collect());
-        }
-        let mut cores = Vec::with_capacity(n_cores);
-        for i in 0..n_cores {
-            let mut shard = TcpShard::new(stack_cfg.clone(), host.ip, host.mac);
-            if let Some(p) = listen_port {
-                shard.listen(p);
-            }
-            let nic0 = host.nics[0].clone();
-            let local_ip = host.ip;
-            shard.set_steering(
-                i,
-                Rc::new(move |rip, rport, lport| {
-                    nic0.borrow().queue_for_flow(rip, local_ip, rport, lport)
-                }),
-            );
-            let queues: Vec<(NicRef, QueueId)> =
-                host.nics.iter().map(|n| (n.clone(), i)).collect();
-            let mc = Rc::new(RefCell::new(MtcpCore {
-                id: i,
+        let cores = launch_cores(
+            host,
+            n_cores,
+            &stack_cfg,
+            listen_port,
+            |id, shard, queues| MtcpCore {
+                id,
                 params: params.clone(),
                 shard,
-                app: app_factory(i),
-                queues: queues.clone(),
-                core: host.cores[i].clone(),
+                app: app_factory(id),
+                queues,
+                core: host.cores[id].clone(),
                 evq: Vec::new(),
                 pending_results: Vec::new(),
                 last_app: SimTime::ZERO,
@@ -444,22 +352,11 @@ impl MtcpHost {
                 events_scratch: Vec::new(),
                 tx_scratch: Vec::new(),
                 stats: MtcpStats::default(),
-            }));
-            for (nic, q) in &queues {
-                // Weak capture: the notify edge must not close an Rc
-                // cycle through the engine (see ix_core::dataplane).
-                let mc2 = Rc::downgrade(&mc);
-                nic.borrow_mut().set_notify(
-                    *q,
-                    Rc::new(move |sim: &mut Simulator, _| {
-                        if let Some(mc) = mc2.upgrade() {
-                            MtcpCore::schedule_tcp(&mc, sim);
-                        }
-                    }),
-                );
-            }
-            MtcpCore::schedule_tcp(&mc, sim);
-            cores.push(mc);
+            },
+            |mc, sim, _| MtcpCore::schedule_tcp(mc, sim),
+        );
+        for mc in &cores {
+            MtcpCore::schedule_tcp(mc, sim);
         }
         MtcpHost { cores }
     }

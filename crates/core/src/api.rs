@@ -10,7 +10,7 @@
 
 use ix_testkit::{buffer_id, Bytes};
 use ix_net::ip::Ipv4Addr;
-use ix_tcp::{FlowId, StackError, TcpEvent};
+use ix_tcp::{FlowId, StackError, TcpEvent, TcpShard};
 
 /// Event conditions are exactly the stack's upcall events — the dataplane
 /// copies them into the user-visible array unchanged (zero-copy for
@@ -66,6 +66,59 @@ pub enum Syscall {
         /// The flow handle.
         handle: FlowId,
     },
+}
+
+impl Syscall {
+    /// Executes this call against `shard`, the one place any engine turns
+    /// a batched system call into protocol work. Validation failures
+    /// return errors rather than corrupting state — the §4.5 security
+    /// property that "no sequence of batched system calls ... can be used
+    /// to violate correct adherence to TCP". A `Sendv`'s emptied
+    /// scatter-gather vector goes back to `ctx`.
+    pub fn execute(self, shard: &mut TcpShard, now_ns: u64, ctx: &mut UserCtx) -> SyscallResult {
+        let done = |r: Result<(), StackError>| match r {
+            Ok(()) => SyscallResult::Ok,
+            Err(e) => SyscallResult::Err(e),
+        };
+        match self {
+            Syscall::Connect { cookie, dst_ip, dst_port } => {
+                match shard.connect(now_ns, dst_ip, dst_port, cookie) {
+                    Ok(_) => SyscallResult::InProgress,
+                    Err(e) => SyscallResult::Err(e),
+                }
+            }
+            Syscall::Accept { handle, cookie } => done(shard.accept(handle, cookie)),
+            Syscall::Sendv { handle, sg } => {
+                let mut total: u32 = 0;
+                let mut failed = None;
+                for chunk in &sg {
+                    // Zero-copy: the stack's retransmit queue slices the
+                    // app's own refcounted block (`sendv` semantics, §3 —
+                    // the buffer stays shared and immutable until acked).
+                    match shard.send_bytes(now_ns, handle, chunk) {
+                        Ok(n) => {
+                            total += n as u32;
+                            if n < chunk.len() {
+                                break; // Window exhausted: partial send.
+                            }
+                        }
+                        Err(e) => {
+                            failed = Some(e);
+                            break;
+                        }
+                    }
+                }
+                ctx.recycle_sg(sg);
+                match failed {
+                    Some(e) if total == 0 => SyscallResult::Err(e),
+                    _ => SyscallResult::Sent(total),
+                }
+            }
+            Syscall::RecvDone { handle, bytes } => done(shard.recv_done(now_ns, handle, bytes)),
+            Syscall::Close { handle } => done(shard.close(now_ns, handle)),
+            Syscall::Abort { handle } => done(shard.abort(now_ns, handle)),
+        }
+    }
 }
 
 /// The return code the dataplane writes back over a batched system call.

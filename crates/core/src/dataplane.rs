@@ -27,13 +27,13 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use ix_nic::cache::DdioModel;
-use ix_nic::host::{CoreRef, CpuDomain};
+use ix_nic::host::{CoreRef, CpuDomain, Host};
 use ix_nic::nic::{Nic, NicRef, QueueId};
 use ix_sim::{EventTarget, Nanos, Simulator};
 use ix_tcp::{StackConfig, TcpShard};
 use ix_testkit::buffer_id;
 
-use crate::api::{IxApp, Syscall, SyscallResult, UserCtx};
+use crate::api::{IxApp, SyscallResult, UserCtx};
 use crate::params::CostParams;
 
 /// Counters for one elastic thread.
@@ -116,45 +116,6 @@ pub struct ElasticThread {
 pub type ThreadRef = Rc<RefCell<ElasticThread>>;
 
 impl ElasticThread {
-    /// Creates a thread; [`Dataplane::launch`] wires it to the NIC.
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        id: usize,
-        cost: CostParams,
-        shard: TcpShard,
-        app: Box<dyn IxApp>,
-        queues: Vec<(NicRef, QueueId)>,
-        core: CoreRef,
-        ddio: Option<DdioModel>,
-        host_conns: Rc<Cell<u64>>,
-    ) -> ElasticThread {
-        let nq = queues.len();
-        ElasticThread {
-            id,
-            cost,
-            shard,
-            app,
-            queues,
-            core,
-            ddio,
-            host_conns,
-            my_conns_last: 0,
-            pending_results: Vec::new(),
-            iteration_scheduled: false,
-            idle_wake: None,
-            tx_cursor: 0,
-            rx_since_replenish: vec![0; nq],
-            parked: false,
-            rx_scratch: Vec::new(),
-            out_scratch: Vec::new(),
-            tx_scratch: Vec::new(),
-            ctx: UserCtx::default(),
-            kicked_scratch: Vec::new(),
-            scratch_cap_hwm: 0,
-            stats: DataplaneStats::default(),
-        }
-    }
-
     /// Mutable access to the application (for test/bench inspection).
     pub fn app_mut(&mut self) -> &mut dyn IxApp {
         self.app.as_mut()
@@ -368,7 +329,7 @@ impl ElasticThread {
             let mut syscalls = std::mem::take(&mut ctx.syscalls);
             let n = syscalls.len() as u64;
             for s in syscalls.drain(..) {
-                let r = ElasticThread::dispatch(t, &mut ctx, now_ns, s);
+                let r = s.execute(&mut t.shard, now_ns, &mut ctx);
                 t.pending_results.push(r);
             }
             ctx.unload(syscalls);
@@ -490,70 +451,6 @@ impl ElasticThread {
             }
         }
     }
-
-    /// Executes one validated system call against the shard. Validation
-    /// failures return errors rather than corrupting state — the §4.5
-    /// security property that "no sequence of batched system calls ...
-    /// can be used to violate correct adherence to TCP".
-    fn dispatch(
-        t: &mut ElasticThread,
-        ctx: &mut UserCtx,
-        now_ns: u64,
-        s: Syscall,
-    ) -> SyscallResult {
-        match s {
-            Syscall::Connect { cookie, dst_ip, dst_port } => {
-                match t.shard.connect(now_ns, dst_ip, dst_port, cookie) {
-                    Ok(_) => SyscallResult::InProgress,
-                    Err(e) => SyscallResult::Err(e),
-                }
-            }
-            Syscall::Accept { handle, cookie } => match t.shard.accept(handle, cookie) {
-                Ok(()) => SyscallResult::Ok,
-                Err(e) => SyscallResult::Err(e),
-            },
-            Syscall::Sendv { handle, sg } => {
-                let mut total: u32 = 0;
-                let mut failed = None;
-                for chunk in &sg {
-                    // Zero-copy: the stack's retransmit queue slices the
-                    // app's own refcounted block (`sendv` semantics, §3 —
-                    // the buffer stays shared and immutable until acked).
-                    match t.shard.send_bytes(now_ns, handle, chunk) {
-                        Ok(n) => {
-                            total += n as u32;
-                            if n < chunk.len() {
-                                break; // Window exhausted: partial send.
-                            }
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                ctx.recycle_sg(sg);
-                match failed {
-                    Some(e) if total == 0 => SyscallResult::Err(e),
-                    _ => SyscallResult::Sent(total),
-                }
-            }
-            Syscall::RecvDone { handle, bytes } => {
-                match t.shard.recv_done(now_ns, handle, bytes) {
-                    Ok(()) => SyscallResult::Ok,
-                    Err(e) => SyscallResult::Err(e),
-                }
-            }
-            Syscall::Close { handle } => match t.shard.close(now_ns, handle) {
-                Ok(()) => SyscallResult::Ok,
-                Err(e) => SyscallResult::Err(e),
-            },
-            Syscall::Abort { handle } => match t.shard.abort(now_ns, handle) {
-                Ok(()) => SyscallResult::Ok,
-                Err(e) => SyscallResult::Err(e),
-            },
-        }
-    }
 }
 
 /// What one [`ElasticThread::user_phase`] did, for the caller's cost
@@ -615,70 +512,46 @@ impl Dataplane {
     /// hashing keeps each connection on one thread).
     pub fn launch(
         sim: &mut Simulator,
-        host: &ix_nic::host::Host,
+        host: &Host,
         n_threads: usize,
         cost: CostParams,
         stack_cfg: StackConfig,
         listen_port: Option<u16>,
         mut app_factory: impl FnMut(usize) -> Box<dyn IxApp>,
     ) -> Dataplane {
-        assert!(n_threads <= host.cores.len(), "not enough hardware threads");
-        let n_queues = host.nics[0].borrow().queues();
-        assert!(n_threads <= n_queues, "not enough NIC queues");
         let host_conns = Rc::new(Cell::new(0u64));
         let ddio = DdioModel::new(host.nics[0].borrow().params());
-        // Restrict RSS to the queues that have elastic threads behind
-        // them: redirection entry i -> queue (i % n_threads).
-        for nic in &host.nics {
-            nic.borrow_mut()
-                .set_redirection((0..128).map(|i| i % n_threads).collect());
-        }
-        let mut threads = Vec::with_capacity(n_threads);
-        for i in 0..n_threads {
-            let mut shard = TcpShard::new(stack_cfg.clone(), host.ip, host.mac);
-            if let Some(p) = listen_port {
-                shard.listen(p);
-            }
-            // RSS steering oracle for outbound connections (§4.4): the
-            // reply arrives on the queue the local NIC's RSS assigns.
-            let nic0 = host.nics[0].clone();
-            let local_ip = host.ip;
-            shard.set_steering(
-                i,
-                Rc::new(move |remote_ip, remote_port, local_port| {
-                    nic0.borrow()
-                        .queue_for_flow(remote_ip, local_ip, remote_port, local_port)
-                }),
-            );
-            let queues: Vec<(NicRef, QueueId)> =
-                host.nics.iter().map(|n| (n.clone(), i)).collect();
-            let th = Rc::new(RefCell::new(ElasticThread::new(
-                i,
-                cost.clone(),
+        let threads = launch_cores(
+            host,
+            n_threads,
+            &stack_cfg,
+            listen_port,
+            |id, shard, queues| ElasticThread {
+                id,
+                cost: cost.clone(),
                 shard,
-                app_factory(i),
-                queues.clone(),
-                host.cores[i].clone(),
-                Some(ddio.clone()),
-                host_conns.clone(),
-            )));
-            // RX notify: wake the thread when a frame lands on its
-            // queue. Weak capture: the NIC must not keep the engine (and
-            // its memory pools) alive — the notify edge would otherwise
-            // close an Rc cycle through the thread's queue list.
-            for (nic, q) in &queues {
-                let th2 = Rc::downgrade(&th);
-                nic.borrow_mut().set_notify(
-                    *q,
-                    Rc::new(move |sim: &mut Simulator, _q| {
-                        if let Some(th) = th2.upgrade() {
-                            ElasticThread::schedule_iteration(&th, sim);
-                        }
-                    }),
-                );
-            }
-            threads.push(th);
-        }
+                app: app_factory(id),
+                rx_since_replenish: vec![0; queues.len()],
+                queues,
+                core: host.cores[id].clone(),
+                ddio: Some(ddio.clone()),
+                host_conns: host_conns.clone(),
+                my_conns_last: 0,
+                pending_results: Vec::new(),
+                iteration_scheduled: false,
+                idle_wake: None,
+                tx_cursor: 0,
+                parked: false,
+                rx_scratch: Vec::new(),
+                out_scratch: Vec::new(),
+                tx_scratch: Vec::new(),
+                ctx: UserCtx::default(),
+                kicked_scratch: Vec::new(),
+                scratch_cap_hwm: 0,
+                stats: DataplaneStats::default(),
+            },
+            |th, sim, _| ElasticThread::schedule_iteration(th, sim),
+        );
         // Kick every thread once so pacing apps (load generators) start.
         for th in &threads {
             ElasticThread::schedule_iteration(th, sim);
@@ -730,4 +603,63 @@ impl Dataplane {
             ElasticThread::schedule_iteration(th, sim);
         }
     }
+}
+
+/// Brings up one engine's cores on `host`: the per-core wiring the IX
+/// dataplane and the Linux and mTCP models share, so that they differ
+/// only in how they schedule and charge the work.
+///
+/// Restricts RSS to the queues that have a core behind them
+/// (redirection entry `i -> i % n` on every port). Core `i` gets a
+/// [`TcpShard`] listening on `listen_port` (flow-consistent hashing
+/// keeps each connection on one core) with the RSS steering oracle for
+/// outbound connections (§4.4: the reply arrives on the queue the local
+/// NIC's RSS assigns), and queue `i` of every port; `build` turns them
+/// into the engine's core. A frame landing on a core's queue calls
+/// `on_rx` with the queue's index in that list.
+pub fn launch_cores<C: 'static>(
+    host: &Host,
+    n: usize,
+    stack_cfg: &StackConfig,
+    listen_port: Option<u16>,
+    mut build: impl FnMut(usize, TcpShard, Vec<(NicRef, QueueId)>) -> C,
+    on_rx: fn(&Rc<RefCell<C>>, &mut Simulator, usize),
+) -> Vec<Rc<RefCell<C>>> {
+    assert!(n <= host.cores.len(), "not enough hardware threads");
+    assert!(n <= host.nics[0].borrow().queues(), "not enough NIC queues");
+    for nic in &host.nics {
+        nic.borrow_mut().set_redirection((0..128).map(|i| i % n).collect());
+    }
+    (0..n)
+        .map(|i| {
+            let mut shard = TcpShard::new(stack_cfg.clone(), host.ip, host.mac);
+            if let Some(p) = listen_port {
+                shard.listen(p);
+            }
+            let (nic0, local_ip) = (host.nics[0].clone(), host.ip);
+            shard.set_steering(
+                i,
+                Rc::new(move |remote_ip, remote_port, local_port| {
+                    nic0.borrow().queue_for_flow(remote_ip, local_ip, remote_port, local_port)
+                }),
+            );
+            let queues = host.nics.iter().map(|n| (n.clone(), i)).collect();
+            let core = Rc::new(RefCell::new(build(i, shard, queues)));
+            // Weak capture: the NIC must not keep the engine (and its
+            // memory pools) alive — the notify edge would otherwise close
+            // an Rc cycle through the core's queue list.
+            for (qi, nic) in host.nics.iter().enumerate() {
+                let weak = Rc::downgrade(&core);
+                nic.borrow_mut().set_notify(
+                    i,
+                    Rc::new(move |sim: &mut Simulator, _| {
+                        if let Some(core) = weak.upgrade() {
+                            on_rx(&core, sim, qi);
+                        }
+                    }),
+                );
+            }
+            core
+        })
+        .collect()
 }

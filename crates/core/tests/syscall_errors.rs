@@ -3,11 +3,14 @@
 //! correct adherence to TCP"). A server application submits one batch
 //! of bad calls on a flow it has just accepted; the next cycle's
 //! `ctx.results` must name each failure, and a second, well-behaved flow
-//! on the same elastic thread must carry its byte stream unchanged.
+//! on the same core must carry its byte stream unchanged. The same
+//! application runs on the IX dataplane and on the Linux and mTCP
+//! models, which must agree on every verdict.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use ix_baselines::{LinuxHost, LinuxParams, MtcpHost, MtcpParams};
 use ix_core::api::{IxApp, Syscall, SyscallResult, UserCtx};
 use ix_core::dataplane::Dataplane;
 use ix_core::libix::{ConnCtx, Libix, LibixCtx, LibixHandler};
@@ -28,9 +31,11 @@ const MSG: usize = 1_000;
 
 /// Accepts every knock. On the first flow it submits a bad batch in the
 /// same cycle and records the next cycle's results for that batch; the
-/// second flow gets a plain echo.
+/// second flow gets a plain echo. The hostile flow is known by its
+/// handle: a `Recv` can reach the application in the wake-up that
+/// carries its `Knock`, before `Accept` has set a cookie.
 struct Server {
-    accepted: usize,
+    hostile: Option<FlowId>,
     /// Index in the batch of the first bad call, until its results are in.
     attack: Option<usize>,
     verdicts: Rc<RefCell<Vec<SyscallResult>>>,
@@ -61,15 +66,15 @@ impl IxApp for Server {
         for e in events.drain(..) {
             match e {
                 TcpEvent::Knock { flow, .. } => {
-                    let cookie = if self.accepted == 0 { HOSTILE } else { WELL_BEHAVED };
-                    self.accepted += 1;
+                    let cookie = if self.hostile.is_none() { HOSTILE } else { WELL_BEHAVED };
                     ctx.syscall(Syscall::Accept { handle: flow, cookie });
                     if cookie == HOSTILE {
+                        self.hostile = Some(flow);
                         self.attack = Some(Server::attack(ctx, flow));
                     }
                 }
-                TcpEvent::Recv { flow, cookie, payload } => {
-                    assert_eq!(cookie, WELL_BEHAVED, "the hostile flow carries no data");
+                TcpEvent::Recv { flow, payload, .. } => {
+                    assert_ne!(Some(flow), self.hostile, "the hostile flow carries no data");
                     ctx.syscall(Syscall::RecvDone { handle: flow, bytes: payload.len() as u32 });
                     ctx.sendv(flow, [Bytes::copy_from_slice(&payload)]);
                 }
@@ -136,29 +141,50 @@ impl LibixHandler for Client {
     }
 }
 
-#[test]
-fn bad_syscalls_return_errors_and_spare_the_other_flow() {
+/// The server's execution model.
+#[derive(Debug, Clone, Copy)]
+enum Engine {
+    Ix,
+    Linux,
+    Mtcp,
+}
+
+/// Runs the hostile server on `engine` against an IX client for 50 ms;
+/// returns the bad batch's verdicts and what the client got echoed.
+fn run(engine: Engine, stream: &[u8]) -> (Vec<SyscallResult>, Vec<u8>) {
     let mut sim = Simulator::new(11);
     let mut fabric = Fabric::new(8, MachineParams::default());
     let client = fabric.add_host(1, 2, 0);
     let server = fabric.add_host(1, 2, 0);
-    let server_ip = fabric.host(server).ip;
+    let (server_ip, server_mac) = (fabric.host(server).ip, fabric.host(server).mac);
+    let (client_ip, client_mac) = (fabric.host(client).ip, fabric.host(client).mac);
     let verdicts = Rc::new(RefCell::new(Vec::new()));
     let echoed = Rc::new(RefCell::new(Vec::new()));
-    let stream: Vec<u8> =
-        (0..STREAM as u32).map(|i| i.wrapping_mul(2654435761).to_le_bytes()[1]).collect();
 
     let v = verdicts.clone();
-    let sdp = Dataplane::launch(
-        &mut sim,
-        fabric.host(server),
-        1,
-        CostParams::default(),
-        StackConfig::default(),
-        Some(PORT),
-        move |_| Box::new(Server { accepted: 0, attack: None, verdicts: v.clone() }),
-    );
-    let (e, s) = (echoed.clone(), Bytes::from(stream.clone()));
+    let app = move |_| -> Box<dyn IxApp> {
+        Box::new(Server { hostile: None, attack: None, verdicts: v.clone() })
+    };
+    let (host, cfg) = (fabric.host(server), StackConfig::default());
+    // Held to the end of the run: the NIC's notify edges are weak.
+    let _server: Box<dyn std::any::Any> = match engine {
+        Engine::Ix => {
+            let e = Dataplane::launch(&mut sim, host, 1, CostParams::default(), cfg, Some(PORT), app);
+            e.seed_arp(client_ip, client_mac);
+            Box::new(e)
+        }
+        Engine::Linux => {
+            let e = LinuxHost::launch(&mut sim, host, 1, LinuxParams::default(), cfg, Some(PORT), app);
+            e.seed_arp(client_ip, client_mac);
+            Box::new(e)
+        }
+        Engine::Mtcp => {
+            let e = MtcpHost::launch(&mut sim, host, 1, MtcpParams::default(), cfg, Some(PORT), app);
+            e.seed_arp(client_ip, client_mac);
+            Box::new(e)
+        }
+    };
+    let (e, s) = (echoed.clone(), Bytes::copy_from_slice(stream));
     let cdp = Dataplane::launch(
         &mut sim,
         fabric.host(client),
@@ -177,20 +203,31 @@ fn bad_syscalls_return_errors_and_spare_the_other_flow() {
             }))
         },
     );
-    sdp.seed_arp(fabric.host(client).ip, fabric.host(client).mac);
-    cdp.seed_arp(server_ip, fabric.host(server).mac);
+    cdp.seed_arp(server_ip, server_mac);
     sim.run_until(SimTime(Nanos::from_millis(50).as_nanos()));
+    let verdicts = verdicts.borrow().clone();
+    let echoed = echoed.borrow().clone();
+    (verdicts, echoed)
+}
 
+#[test]
+fn bad_syscalls_return_errors_and_spare_the_other_flow() {
+    let stream: Vec<u8> =
+        (0..STREAM as u32).map(|i| i.wrapping_mul(2654435761).to_le_bytes()[1]).collect();
     use SyscallResult::{Err, Ok};
-    assert_eq!(
-        *verdicts.borrow(),
-        [
-            Err(StackError::BadHandle), // forged handle
-            Err(StackError::BadHandle), // stale generation
-            Err(StackError::BadCredit), // recv_done beyond what was delivered
-            Ok,                         // close
-            Err(StackError::BadState),  // sendv after close
-        ]
-    );
-    assert_eq!(*echoed.borrow(), stream, "the well-behaved flow's stream changed");
+    for engine in [Engine::Ix, Engine::Linux, Engine::Mtcp] {
+        let (verdicts, echoed) = run(engine, &stream);
+        assert_eq!(
+            verdicts,
+            [
+                Err(StackError::BadHandle), // forged handle
+                Err(StackError::BadHandle), // stale generation
+                Err(StackError::BadCredit), // recv_done beyond what was delivered
+                Ok,                         // close
+                Err(StackError::BadState),  // sendv after close
+            ],
+            "{engine:?}"
+        );
+        assert!(echoed == stream, "{engine:?}: the well-behaved flow's stream changed");
+    }
 }

@@ -32,7 +32,7 @@ fn mbuf_op() -> impl Strategy<Value = MbufOp> {
 }
 
 props! {
-    #![config(cases = 96)]
+    #![config(cases = 256)]
 
     /// The mbuf agrees with a plain `Vec<u8>` model of its data under
     /// arbitrary op programs, and headroom+len+tailroom always equals

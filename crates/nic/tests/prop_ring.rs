@@ -43,7 +43,7 @@ fn tag_of(m: &Mbuf) -> u32 {
 }
 
 props! {
-    #![config(cases = 96)]
+    #![config(cases = 256)]
 
     /// RX ring vs reference: frames come out in arrival order, drops
     /// happen exactly when no descriptor is posted, and

@@ -37,6 +37,17 @@ impl TcpShard {
         self.send_impl(now_ns, flow, data.as_slice(), Some(data))
     }
 
+    /// Checks that `flow` may take data: a live handle in Established
+    /// or CloseWait with no FIN queued. Every `sendv` is held to this,
+    /// whether the stack or a kernel send buffer takes the bytes.
+    pub fn sendable(&mut self, flow: FlowId) -> Result<(), StackError> {
+        let tcb = self.get_mut(flow)?;
+        match tcb.state {
+            TcpState::Established | TcpState::CloseWait if !tcb.fin_queued => Ok(()),
+            _ => Err(StackError::BadState),
+        }
+    }
+
     fn send_impl(
         &mut self,
         now_ns: u64,
@@ -45,15 +56,9 @@ impl TcpShard {
         shared: Option<&Bytes>,
     ) -> Result<usize, StackError> {
         self.now_ns = now_ns;
+        self.sendable(flow)?;
         let cfg_mss = self.cfg.mss as usize;
-        let tcb = self.get_mut(flow)?;
-        match tcb.state {
-            TcpState::Established | TcpState::CloseWait => {}
-            _ => return Err(StackError::BadState),
-        }
-        if tcb.fin_queued {
-            return Err(StackError::BadState);
-        }
+        let tcb = self.flows.get_mut(flow.key).expect("sendable");
         let usable = tcb.usable_window() as usize;
         let accepted = usable.min(data.len());
         let mss = (tcb.mss as usize).min(cfg_mss);

@@ -96,7 +96,7 @@ fn audit(map: &FlowMap<u32>, model: &Model) {
 }
 
 props! {
-    #![config(cases = 48)]
+    #![config(cases = 256)]
 
     /// Randomized churn keeps the bucket index and the probe table
     /// consistent, including across extract/absorb migration rounds.

@@ -67,6 +67,8 @@ fn op() -> impl Strategy<Value = Op> {
 }
 
 props! {
+    // 256 cases take ~15 s in debug; ci.sh's deep-prop row runs 1 000
+    // in release.
     #![config(cases = 64)]
 
     /// `FlowTable` (u64 → u32) is observationally a `HashMap`.

@@ -811,7 +811,7 @@ fn op_strategy() -> impl Strategy<Value = FrameOp> {
 }
 
 props! {
-    #![config(cases = 24)]
+    #![config(cases = 256)]
 
     #[test]
     fn pipeline_matches_reference_immediate(

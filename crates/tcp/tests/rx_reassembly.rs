@@ -493,7 +493,7 @@ fn isn_wraparound_is_transparent() {
 // ---------------------------------------------------------------------
 
 props! {
-    #![config(cases = 48)]
+    #![config(cases = 256)]
 
     #[test]
     fn reassembly_matches_naive_oracle(

@@ -328,7 +328,7 @@ fn teardown_releases_held_buffers() {
 }
 
 props! {
-    #![config(cases = 16)]
+    #![config(cases = 256)]
 
     /// Copy counters stay pinned and the gauge returns to zero for
     /// arbitrary burst sizes and arbitrary `recv_done` credit chunking.

@@ -228,7 +228,7 @@ fn retransmit_shares_storage_and_reap_releases_it() {
 }
 
 props! {
-    #![config(cases = 16)]
+    #![config(cases = 256)]
 
     /// Sharing holds for arbitrary send sizes: all segments of one
     /// `send_bytes` call alias one block, slices tile the accepted
