@@ -19,6 +19,9 @@ trap 'rm -rf "$tmp"' EXIT
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# `benchmark/` is a workspace of its own, so `--workspace` never lints
+# it, although it builds against every crate above.
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 # `input()` is the one receive path on a batch of one, byte-identical to
 # the `input_reference` oracle; every per-frame caller (Linux/mTCP

@@ -453,11 +453,6 @@ impl RotatingEchoClient {
         write(c, req);
         self.inflight += 1;
     }
-
-    /// Cumulative ready-ring probe words (for the probe-cost test).
-    pub fn ring_probes(&self) -> u64 {
-        self.ring.probes()
-    }
 }
 
 impl LibixHandler for RotatingEchoClient {

@@ -700,6 +700,8 @@ pub struct RunReport {
     pub filter: ix_nic::nic::FilterStats,
     /// Server NIC descriptor-exhaustion drops.
     pub nic_ring_drops: u64,
+    /// Server frames dropped at a full TX ring (the rings' own count).
+    pub tx_ring_drops: u64,
     /// Engine diagnostics (batching, drops, retransmissions).
     pub debug: String,
     /// NetPIPE client TCP counters.
@@ -795,7 +797,8 @@ pub fn run(sc: &Scenario) -> RunReport {
     r.conns = engine.conns();
     r.cpu_split = engine.cpu_split();
     for nic in &tb.fabric.host(tb.server).nics {
-        let n = nic.borrow();
+        let mut n = nic.borrow_mut();
+        r.tx_ring_drops += (0..n.queues()).map(|q| n.tx_ring(q).full_rejections).sum::<u64>();
         let f = n.filter_stats_total();
         r.filter.drops += f.drops;
         r.filter.passes += f.passes;

@@ -5,8 +5,11 @@
 //! drive the *same* protocol logic ([`ix_tcp::TcpShard`]) and the *same*
 //! application trait ([`ix_core::IxApp`]) as the IX dataplane. Syscall
 //! semantics ([`ix_core::api::Syscall::execute`]; Linux adds only its
-//! kernel send buffer) and core wiring
-//! ([`ix_core::dataplane::launch_cores`]) are shared too, so all that
+//! kernel send buffer), core wiring
+//! ([`ix_core::dataplane::launch_cores`]), the receive poll
+//! ([`poll_rx`]) and the TX flush ([`flush_tx`], over IX's
+//! [`ix_core::dataplane::tx_push`] and
+//! [`ix_core::dataplane::ring_doorbells`]) are shared too, so all that
 //! differs is what each step costs and when it is scheduled — the
 //! execution model, which is precisely the paper's thesis:
 //!
@@ -23,8 +26,10 @@
 //!   "which comes at the expense of higher latency than both IX and
 //!   Linux" (§5.2).
 
+use ix_core::dataplane::tx_push;
 use ix_mempool::Mbuf;
 use ix_nic::nic::{NicRef, QueueId};
+use ix_tcp::TcpShard;
 
 pub mod linux;
 pub mod mtcp;
@@ -54,4 +59,24 @@ fn poll_rx(queues: &[(NicRef, QueueId)], budget: usize, frames: &mut Vec<Mbuf>) 
             return;
         }
     }
+}
+
+/// One TX flush as both baselines make it: the shard's frames (taken by
+/// swapping in `scratch`) go through [`tx_push`] round-robin over
+/// `queues`, from the first on every flush, their NICs noted in `kicks`
+/// for the caller's doorbell. Returns the frames pushed.
+fn flush_tx(
+    shard: &mut TcpShard,
+    queues: &[(NicRef, QueueId)],
+    scratch: &mut Vec<Mbuf>,
+    kicks: &mut Vec<NicRef>,
+) -> u64 {
+    let mut tx = shard.take_tx_swap(std::mem::take(scratch));
+    let sent = tx.len() as u64;
+    for (i, f) in tx.drain(..).enumerate() {
+        let (nic, q) = &queues[i % queues.len()];
+        tx_push(nic, *q, f, kicks);
+    }
+    *scratch = tx;
+    sent
 }

@@ -32,9 +32,9 @@ use std::rc::Rc;
 
 use ix_testkit::{buffer_id, Bytes};
 use ix_core::api::{EventCond, IxApp, Syscall, SyscallResult, UserCtx};
-use ix_core::dataplane::launch_cores;
+use ix_core::dataplane::{launch_cores, ring_doorbells};
 use ix_nic::host::{CoreRef, CpuDomain};
-use ix_nic::nic::{Nic, NicRef, QueueId};
+use ix_nic::nic::{NicRef, QueueId};
 use ix_mempool::{LentQueues, Mbuf, Spares};
 use ix_sim::{EventTarget, Nanos, SimTime, Simulator};
 use ix_tcp::{AckPolicy, FlowId, FlowMap, StackConfig, TcpShard};
@@ -299,7 +299,10 @@ impl LinuxCore {
         LinuxCore::absorb_stack_events(&mut t, now_ns);
         // Transmit anything the stack produced (ACKs, retransmits,
         // sndbuf drains) from softirq context.
-        kernel += LinuxCore::flush_tx(&mut t);
+        let c = &mut *t;
+        let sent = crate::flush_tx(&mut c.shard, &c.queues, &mut c.tx_scratch, &mut c.pending_kicks);
+        c.stats.tx_packets += sent;
+        kernel += c.params.tx_pkt_ns * sent;
         let end = t.core.borrow_mut().run(now, Nanos(kernel), CpuDomain::Kernel);
         let more_rx = t
             .queues
@@ -317,8 +320,8 @@ impl LinuxCore {
             t.app_blocked = false;
             t.app_scheduled = true;
         }
+        ring_doorbells(&mut t.pending_kicks, sim);
         drop(t);
-        LinuxCore::ring_doorbells(this, sim);
         if wake_app {
             // Scheduler wake-up: the thread starts after the delay, once
             // the core is free.
@@ -393,17 +396,6 @@ impl LinuxCore {
         }
     }
 
-    /// Rings the doorbell of every NIC a flush pushed descriptors to.
-    fn ring_doorbells(this: &LinuxCoreRef, sim: &mut Simulator) {
-        let mut kicks = std::mem::take(&mut this.borrow_mut().pending_kicks);
-        for nic in kicks.drain(..) {
-            Nic::kick_tx(&nic, sim);
-        }
-        let mut t = this.borrow_mut();
-        debug_assert!(t.pending_kicks.is_empty(), "a doorbell flushes nothing");
-        t.pending_kicks = kicks;
-    }
-
     /// Pushes buffered bytes into the stack, as far as the window goes.
     /// A queue this empties hands its buffer back to `spare_chunks`.
     fn drain_sndbuf(
@@ -437,29 +429,6 @@ impl LinuxCore {
             }
         }
         spare_chunks.reclaim(&mut buf.chunks);
-    }
-
-    /// Pushes stack-produced frames to the NIC (charged by the caller).
-    fn flush_tx(t: &mut LinuxCore) -> u64 {
-        let recycled = std::mem::take(&mut t.tx_scratch);
-        let mut tx = t.shard.take_tx_swap(recycled);
-        let mut cost = 0;
-        let nq = t.queues.len();
-        // One doorbell per NIC per flush (flushes do not dedup against
-        // each other).
-        let first = t.pending_kicks.len();
-        for (i, f) in tx.drain(..).enumerate() {
-            cost += t.params.tx_pkt_ns;
-            let (nic, q) = t.queues[i % nq].clone();
-            let _ = nic.borrow_mut().tx_ring(q).push(f);
-            nic.borrow_mut().tx_ring(q).reclaim();
-            if !t.pending_kicks[first..].iter().any(|n| Rc::ptr_eq(n, &nic)) {
-                t.pending_kicks.push(nic);
-            }
-            t.stats.tx_packets += 1;
-        }
-        t.tx_scratch = tx;
-        cost
     }
 
     /// The application thread runs: `epoll_wait` returned.
@@ -511,7 +480,10 @@ impl LinuxCore {
         }
         ctx.unload(syscalls);
         t.ctx = ctx;
-        kernel += LinuxCore::flush_tx(&mut t);
+        let c = &mut *t;
+        let sent = crate::flush_tx(&mut c.shard, &c.queues, &mut c.tx_scratch, &mut c.pending_kicks);
+        c.stats.tx_packets += sent;
+        kernel += c.params.tx_pkt_ns * sent;
         let mid = t.core.borrow_mut().run(now, Nanos(kernel), CpuDomain::Kernel);
         let end = t.core.borrow_mut().run(mid, Nanos(user), CpuDomain::User);
         drop(t);
@@ -520,7 +492,7 @@ impl LinuxCore {
 
     /// After the app slice: kick TX, decide whether to loop or block.
     fn app_epilogue(this: &LinuxCoreRef, sim: &mut Simulator) {
-        LinuxCore::ring_doorbells(this, sim);
+        ring_doorbells(&mut this.borrow_mut().pending_kicks, sim);
         let (rerun, wake_in) = {
             let t = this.borrow();
             let more = !t.app_events.is_empty()
@@ -632,7 +604,10 @@ impl LinuxCore {
             t.tick_armed = false;
             t.shard.advance_timers(now_ns);
             let had_events = LinuxCore::absorb_stack_events(&mut t, now_ns);
-            let cost = 300 + LinuxCore::flush_tx(&mut t);
+            let c = &mut *t;
+            let sent = crate::flush_tx(&mut c.shard, &c.queues, &mut c.tx_scratch, &mut c.pending_kicks);
+            c.stats.tx_packets += sent;
+            let cost = 300 + c.params.tx_pkt_ns * sent;
             t.core.borrow_mut().run(now, Nanos(cost), CpuDomain::Kernel);
             let wake = had_events
                 && (t.app_blocked || t.idle_wake.is_some())
@@ -648,7 +623,7 @@ impl LinuxCore {
                 sim.schedule_event_in(Nanos(delay), this, EV_APP_RUN);
             }
         }
-        LinuxCore::ring_doorbells(this, sim);
+        ring_doorbells(&mut this.borrow_mut().pending_kicks, sim);
         LinuxCore::ensure_tick(this, sim);
     }
 }

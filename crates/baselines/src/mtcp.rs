@@ -19,9 +19,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use ix_core::api::{EventCond, IxApp, SyscallResult, UserCtx};
-use ix_core::dataplane::launch_cores;
+use ix_core::dataplane::{launch_cores, ring_doorbells};
 use ix_nic::host::{CoreRef, CpuDomain};
-use ix_nic::nic::{Nic, NicRef, QueueId};
+use ix_nic::nic::{NicRef, QueueId};
 use ix_mempool::Mbuf;
 use ix_sim::{EventTarget, Nanos, SimTime, Simulator};
 use ix_tcp::{AckPolicy, StackConfig, TcpShard};
@@ -165,7 +165,10 @@ impl MtcpCore {
         cost += t.params.event_ns * events.len() as u64;
         t.evq.append(&mut events);
         t.events_scratch = events;
-        cost += MtcpCore::flush_tx(&mut t);
+        let c = &mut *t;
+        let sent = crate::flush_tx(&mut c.shard, &c.queues, &mut c.tx_scratch, &mut c.pending_kicks);
+        c.stats.tx_packets += sent;
+        cost += c.params.tx_pkt_ns * sent;
         let end = t.core.borrow_mut().run(now, Nanos(cost), CpuDomain::Kernel);
         // Decide follow-ups.
         let rx_pending = t
@@ -193,8 +196,8 @@ impl MtcpCore {
                 wake = Some(wake.map_or(rel, |w| w.min(rel)));
             }
         }
+        ring_doorbells(&mut t.pending_kicks, sim);
         drop(t);
-        MtcpCore::ring_doorbells(this, sim);
         if schedule_app {
             sim.schedule_event_at(app_at, this, EV_APP_SLICE);
         }
@@ -204,18 +207,6 @@ impl MtcpCore {
             let id = sim.schedule_event_in(Nanos(ns.max(1)), this, EV_IDLE_WAKE);
             this.borrow_mut().idle_wake = Some(id);
         }
-    }
-
-    /// Rings the doorbell of every NIC a flush pushed descriptors to,
-    /// once per frame pushed (a draining NIC ignores the repeats).
-    fn ring_doorbells(this: &MtcpCoreRef, sim: &mut Simulator) {
-        let mut kicks = std::mem::take(&mut this.borrow_mut().pending_kicks);
-        for nic in kicks.drain(..) {
-            Nic::kick_tx(&nic, sim);
-        }
-        let mut t = this.borrow_mut();
-        debug_assert!(t.pending_kicks.is_empty(), "a doorbell flushes nothing");
-        t.pending_kicks = kicks;
     }
 
     /// One application slice at a batch boundary: consume all buffered
@@ -245,31 +236,16 @@ impl MtcpCore {
         }
         ctx.unload(syscalls);
         t.ctx = ctx;
-        kernel += MtcpCore::flush_tx(&mut t);
+        let c = &mut *t;
+        let sent = crate::flush_tx(&mut c.shard, &c.queues, &mut c.tx_scratch, &mut c.pending_kicks);
+        c.stats.tx_packets += sent;
+        kernel += c.params.tx_pkt_ns * sent;
         let mid = t.core.borrow_mut().run(now, Nanos(kernel), CpuDomain::Kernel);
-        let end = t.core.borrow_mut().run(mid, Nanos(user), CpuDomain::User);
-        let _ = end;
+        t.core.borrow_mut().run(mid, Nanos(user), CpuDomain::User);
+        ring_doorbells(&mut t.pending_kicks, sim);
         drop(t);
-        MtcpCore::ring_doorbells(this, sim);
         // The TCP thread resumes control of the core.
         MtcpCore::schedule_tcp(this, sim);
-    }
-
-    fn flush_tx(t: &mut MtcpCore) -> u64 {
-        let recycled = std::mem::take(&mut t.tx_scratch);
-        let mut tx = t.shard.take_tx_swap(recycled);
-        let mut cost = 0;
-        let nq = t.queues.len();
-        for (i, f) in tx.drain(..).enumerate() {
-            cost += t.params.tx_pkt_ns;
-            let (nic, q) = t.queues[i % nq].clone();
-            let _ = nic.borrow_mut().tx_ring(q).push(f);
-            nic.borrow_mut().tx_ring(q).reclaim();
-            t.pending_kicks.push(nic);
-            t.stats.tx_packets += 1;
-        }
-        t.tx_scratch = tx;
-        cost
     }
 }
 

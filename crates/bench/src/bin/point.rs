@@ -10,9 +10,9 @@
 //! With no arguments it prints NetPIPE, echo and memcached sanity
 //! numbers for every system, each followed by the engine's own
 //! instrumentation: event-scheduler counters (volume, cancellation
-//! ratio, queue depth, calendar-tier split), the server's mbuf churn and
-//! its TCP recovery counters, so a perf regression in the simulator
-//! itself is visible without a profiler.
+//! ratio, queue depth, calendar-tier split), the server's mbuf churn, TCP
+//! recovery counters and NIC ring drops, so a perf regression in the
+//! simulator itself is visible without a profiler.
 
 use ix_apps::harness::{run, App, RunReport, Scenario, System};
 use ix_apps::workload::WorkloadKind;
@@ -70,6 +70,7 @@ fn print_instrumentation(r: &RunReport) {
         t.parse_drops,
         t.checksum_drops,
     );
+    println!("         nic:   {} rx ring drops, {} tx ring drops", r.nic_ring_drops, r.tx_ring_drops);
 }
 
 fn sanity() {
@@ -129,12 +130,13 @@ fn main() {
                 ..Scenario::echo()
             });
             println!(
-                "{} cores={cores} ports={ports} s={msg} n={n} -> {:.2}M msg/s {:.2}Gbps rtt_avg={:.1}us p99={:.1}us",
+                "{} cores={cores} ports={ports} s={msg} n={n} -> {:.2}M msg/s {:.2}Gbps rtt_avg={:.1}us p99={:.1}us tx_ring_drops={}",
                 system.name(),
                 r.msgs_per_sec / 1e6,
                 r.goodput_gbps,
                 r.avg_ns as f64 / 1e3,
-                r.p99_ns as f64 / 1e3
+                r.p99_ns as f64 / 1e3,
+                r.tx_ring_drops
             );
         }
         ["kv", sys, wl, rps] => {
@@ -143,7 +145,7 @@ fn main() {
             let rps: f64 = rps.parse().expect("rps");
             let r = run(&kv(system, wl, rps));
             println!(
-                "{} {:?} target {:.0}K -> rps {:.0}K avg {:.1}us p99 {:.1}us agent {:.1}/{:.1}us shed {}",
+                "{} {:?} target {:.0}K -> rps {:.0}K avg {:.1}us p99 {:.1}us agent {:.1}/{:.1}us shed {} tx_ring_drops {}",
                 system.name(),
                 wl,
                 rps / 1e3,
@@ -152,7 +154,8 @@ fn main() {
                 r.p99_ns as f64 / 1e3,
                 r.agent_avg_ns as f64 / 1e3,
                 r.agent_p99_ns as f64 / 1e3,
-                r.shed
+                r.shed,
+                r.tx_ring_drops
             );
             println!("  {}", r.debug);
             println!("  store: ops={} lock_wait_total={:.1}ms", r.store_ops, r.store_lock_wait_ns as f64 / 1e6);
@@ -166,13 +169,14 @@ fn main() {
                 ..Scenario::conn_scale()
             });
             println!(
-                "{}-{}G conns={conns} -> {:.2}M msg/s rtt_avg={:.1}us misses/msg={:.1} server_conns={}",
+                "{}-{}G conns={conns} -> {:.2}M msg/s rtt_avg={:.1}us misses/msg={:.1} server_conns={} tx_ring_drops={}",
                 system.name(),
                 if *ports == "1" { 10 } else { 40 },
                 r.msgs_per_sec / 1e6,
                 r.avg_ns as f64 / 1e3,
                 r.misses_per_msg,
-                r.conns
+                r.conns,
+                r.tx_ring_drops
             );
         }
         _ => panic!("usage: point [echo <sys> <cores> <ports> <msg> <n> | kv <sys> <etc|usr> <rps> | conn <sys> <ports> <conns>]"),

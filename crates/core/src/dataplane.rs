@@ -51,7 +51,8 @@ pub struct DataplaneStats {
     pub syscalls: u64,
     /// Iterations whose batch hit the bound B.
     pub full_batches: u64,
-    /// TX frames dropped because the ring was full.
+    /// TX frames dropped because the ring was full: the rings' own
+    /// count, summed by [`Dataplane::stats`] (0 in a thread's `stats`).
     pub tx_ring_drops: u64,
     /// Sum of batch sizes (for average batch size).
     pub batch_sum: u64,
@@ -102,7 +103,7 @@ pub struct ElasticThread {
     /// with the shard's event queue, its result vector with
     /// `pending_results`, and its syscall batch is drained in place.
     ctx: UserCtx,
-    /// Reusable dedup list of NICs kicked by the commit event.
+    /// NICs [`tx_push`] noted for [`ring_doorbells`]; empty between events.
     kicked_scratch: Vec<NicRef>,
     /// High-water sum of scratch capacities; growth past it counts one
     /// `scratch_allocs` (ping-ponging buffers of unequal capacity stay
@@ -342,27 +343,13 @@ impl ElasticThread {
     /// The end of a cycle: its frames reach the TX rings, the doorbells
     /// ring, and the thread decides what to do next.
     fn commit(th: &ThreadRef, sim: &mut Simulator) {
-        let mut kicked = {
-            let mut t = th.borrow_mut();
-            let mut out = std::mem::take(&mut t.out_scratch);
-            let mut kicked = std::mem::take(&mut t.kicked_scratch);
-            debug_assert!(kicked.is_empty());
-            for (nic, q, f) in out.drain(..) {
-                if nic.borrow_mut().tx_ring(q).push(f).is_err() {
-                    t.stats.tx_ring_drops += 1;
-                }
-                nic.borrow_mut().tx_ring(q).reclaim();
-                if !kicked.iter().any(|n| Rc::ptr_eq(n, &nic)) {
-                    kicked.push(nic);
-                }
-            }
-            t.out_scratch = out; // drained; capacity retained
-            kicked
-        };
-        for nic in kicked.drain(..) {
-            Nic::kick_tx(&nic, sim);
+        let mut guard = th.borrow_mut();
+        let t = &mut *guard;
+        for (nic, q, f) in t.out_scratch.drain(..) {
+            tx_push(&nic, q, f, &mut t.kicked_scratch);
         }
-        th.borrow_mut().kicked_scratch = kicked;
+        ring_doorbells(&mut t.kicked_scratch, sim);
+        drop(guard);
         ElasticThread::post_cycle(th, sim);
     }
 
@@ -412,43 +399,32 @@ impl ElasticThread {
     /// control plane parks this thread (the Exokernel-style revocation
     /// protocol of §4.1): pending syscall results are delivered, the
     /// application flushes its buffered writes into the TCP stack, and
-    /// the produced frames are committed — so migration finds every byte
+    /// the produced frames go out through [`tx_push`] and
+    /// [`ring_doorbells`] at once — so migration finds every byte
     /// inside the (migratable) protocol state rather than stranded in
     /// user space. Control-plane transitions are rare and coarse-grained
     /// (§4.4), so their CPU cost is not charged to the measured domains.
     pub(crate) fn drain_user_work(th: &ThreadRef, sim: &mut Simulator) {
+        let mut guard = th.borrow_mut();
+        let t = &mut *guard;
         for _ in 0..32 {
-            let (out, kick) = {
-                let mut t = th.borrow_mut();
-                let now_ns = sim.now().as_nanos();
-                if ElasticThread::user_phase(&mut t, now_ns, false).is_none() {
-                    break;
-                }
-                t.shard.advance_timers(now_ns);
-                t.shard.end_cycle(now_ns);
-                let tx = t.shard.take_tx();
-                let nq = t.queues.len();
-                let mut out: Vec<(NicRef, QueueId, ix_mempool::Mbuf)> = Vec::new();
-                for f in tx {
-                    let (nic, q) = t.queues[t.tx_cursor % nq].clone();
-                    t.tx_cursor = t.tx_cursor.wrapping_add(1);
-                    out.push((nic, q, f));
-                }
-                (out, !t.queues.is_empty())
-            };
-            let mut kicked: Vec<NicRef> = Vec::new();
-            for (nic, q, f) in out {
-                let _ = nic.borrow_mut().tx_ring(q).push(f);
-                nic.borrow_mut().tx_ring(q).reclaim();
-                if !kicked.iter().any(|n| Rc::ptr_eq(n, &nic)) {
-                    kicked.push(nic);
-                }
+            let now_ns = sim.now().as_nanos();
+            if ElasticThread::user_phase(t, now_ns, false).is_none() {
+                break;
             }
-            if kick {
-                for nic in kicked {
-                    Nic::kick_tx(&nic, sim);
-                }
+            t.shard.advance_timers(now_ns);
+            t.shard.end_cycle(now_ns);
+            // Step (6), run synchronously. A commit still pending keeps
+            // its own frames staged in `out_scratch`.
+            let mut tx = t.shard.take_tx_swap(std::mem::take(&mut t.tx_scratch));
+            t.stats.tx_packets += tx.len() as u64;
+            for f in tx.drain(..) {
+                let (nic, q) = &t.queues[t.tx_cursor % t.queues.len()];
+                t.tx_cursor = t.tx_cursor.wrapping_add(1);
+                tx_push(nic, *q, f, &mut t.kicked_scratch);
             }
+            t.tx_scratch = tx;
+            ring_doorbells(&mut t.kicked_scratch, sim);
         }
     }
 }
@@ -577,9 +553,11 @@ impl Dataplane {
             s.events += t.stats.events;
             s.syscalls += t.stats.syscalls;
             s.full_batches += t.stats.full_batches;
-            s.tx_ring_drops += t.stats.tx_ring_drops;
             s.batch_sum += t.stats.batch_sum;
             s.scratch_allocs += t.stats.scratch_allocs;
+            // The one TX drop count is the rings' own (see [`tx_push`]).
+            let rings = t.queues.iter().map(|(nic, q)| nic.borrow_mut().tx_ring(*q).full_rejections);
+            s.tx_ring_drops = rings.fold(s.tx_ring_drops, |n, drops| n + drops);
         }
         s
     }
@@ -602,6 +580,31 @@ impl Dataplane {
         for th in &self.threads {
             ElasticThread::schedule_iteration(th, sim);
         }
+    }
+}
+
+/// Fig 1b step (6) for one frame, as every engine makes it: places
+/// `frame` on TX queue `q` of `nic`, reclaims the descriptors the wire
+/// has completed, and notes `nic` once in `kicks` for
+/// [`ring_doorbells`]. A full ring drops the frame and counts it in its
+/// own `full_rejections`, the one TX drop count.
+pub fn tx_push(nic: &NicRef, q: QueueId, frame: ix_mempool::Mbuf, kicks: &mut Vec<NicRef>) {
+    let mut n = nic.borrow_mut();
+    if let Err(rejected) = n.tx_ring(q).push(frame) {
+        drop(rejected);
+    }
+    n.tx_ring(q).reclaim();
+    drop(n);
+    if !kicks.iter().any(|k| Rc::ptr_eq(k, nic)) {
+        kicks.push(nic.clone());
+    }
+}
+
+/// Rings the doorbell of every NIC [`tx_push`] noted, in the order
+/// noted, and empties `kicks`.
+pub fn ring_doorbells(kicks: &mut Vec<NicRef>, sim: &mut Simulator) {
+    for nic in kicks.drain(..) {
+        Nic::kick_tx(&nic, sim);
     }
 }
 

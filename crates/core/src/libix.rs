@@ -273,11 +273,6 @@ impl<H: LibixHandler + 'static> Libix<H> {
         &self.handler
     }
 
-    /// Mutable access to the wrapped handler.
-    pub fn handler_mut(&mut self) -> &mut H {
-        &mut self.handler
-    }
-
     /// Live connection count.
     pub fn conn_count(&self) -> usize {
         self.conns.len()
@@ -299,22 +294,6 @@ impl<H: LibixHandler + 'static> Libix<H> {
     #[doc(hidden)]
     pub fn lent_queues(&self) -> LentQueues {
         self.spare_pending.census(self.conns.values().map(|c| &c.pending))
-    }
-
-    /// Diagnostic dump of per-connection user-level state, in cookie
-    /// order (sorted explicitly: the map itself is unordered).
-    pub fn debug_conns(&self) -> Vec<String> {
-        let mut conns: Vec<&Conn> = self.conns.values().collect();
-        conns.sort_unstable_by_key(|c| c.cookie);
-        conns
-            .into_iter()
-            .map(|c| {
-                format!(
-                    "cookie={} user={} handle=({:x},{}) pending={} writable={} closing={}",
-                    c.cookie, c.user, c.handle.key, c.handle.gen, c.pending_bytes, c.writable, c.closing
-                )
-            })
-            .collect()
     }
 
     /// Registers a new connection under `cookie`. It owns no buffer;

@@ -228,16 +228,6 @@ impl FaultSnapshot {
     pub fn dropped_total(&self) -> u64 {
         self.links.values().map(LinkCounters::dropped_total).sum()
     }
-
-    /// Sum of frames corrupted across all links.
-    pub fn corrupted_total(&self) -> u64 {
-        self.links.values().map(|l| l.corrupted).sum()
-    }
-
-    /// Sum of frames delayed for reordering across all links.
-    pub fn reordered_total(&self) -> u64 {
-        self.links.values().map(|l| l.reordered).sum()
-    }
 }
 
 /// Per-link mutable runtime state.

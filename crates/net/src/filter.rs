@@ -323,12 +323,6 @@ impl FilterPolicy {
         self
     }
 
-    /// Sets the action applied when no rule matches.
-    pub fn with_default(mut self, action: RuleAction) -> FilterPolicy {
-        self.default_action = action;
-        self
-    }
-
     // --- Hot path ---
 
     /// Resolves the verdict for one pre-parsed frame.

@@ -1,6 +1,6 @@
 //! IPv4 header encoding and decoding.
 
-use crate::checksum::{checksum, Checksum};
+use crate::checksum::checksum;
 use crate::NetError;
 
 /// A 32-bit IPv4 address.
@@ -154,14 +154,6 @@ impl Ipv4Header {
             src: Ipv4Addr(u32::from_be_bytes(src)),
             dst: Ipv4Addr(u32::from_be_bytes(dst)),
         })
-    }
-
-    /// Starts a transport checksum accumulator pre-loaded with this
-    /// header's pseudo-header, for a transport segment of `len` bytes.
-    pub fn pseudo_checksum(&self, len: u16) -> Checksum {
-        let mut c = Checksum::new();
-        crate::checksum::add_pseudo_header(&mut c, self.src, self.dst, self.proto.to_u8(), len);
-        c
     }
 }
 

@@ -389,11 +389,6 @@ impl Nic {
         sim.schedule_event_at(depart, nic, 0);
     }
 
-    /// Current time adjusted view: when the port will next be idle.
-    pub fn is_tx_draining(&self) -> bool {
-        self.tx_draining
-    }
-
     /// The machine parameters this NIC was built with.
     pub fn params(&self) -> &MachineParams {
         &self.params

@@ -71,11 +71,6 @@ impl RxRing {
         }
     }
 
-    /// Ring capacity in descriptors.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Empty descriptors currently available to the NIC.
     pub fn posted(&self) -> usize {
         self.posted
@@ -182,11 +177,6 @@ impl TxRing {
             transmitted: 0,
             full_rejections: 0,
         }
-    }
-
-    /// Ring capacity in descriptors.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Frames queued for the wire.
