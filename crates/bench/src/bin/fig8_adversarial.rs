@@ -60,6 +60,7 @@ fn main() {
             S(System::Ix, true, None, 0.0),
             S(System::Ix, true, syn, 4.0),
             S(System::Ix, false, syn, 4.0),
+            S(System::Ix, false, Some(AttackKind::UdpBlast), 4.0),
         ]
     } else {
         vec![

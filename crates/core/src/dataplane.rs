@@ -75,7 +75,7 @@ pub struct ElasticThread {
     /// `(nic, queue)` pairs served by this thread (one per port).
     queues: Vec<(NicRef, QueueId)>,
     core: CoreRef,
-    ddio: Option<DdioModel>,
+    ddio: DdioModel,
     /// Host-wide connection count (shared across threads) for the DDIO
     /// working-set model.
     host_conns: Rc<Cell<u64>>,
@@ -225,10 +225,7 @@ impl ElasticThread {
         }
 
         // DDIO / connection working-set penalty (§5.4).
-        let ddio_penalty = match (&t.ddio, t.cost.use_ddio_model) {
-            (Some(m), true) => m.penalty_ns(t.host_conns.get()),
-            _ => 0,
-        };
+        let ddio_penalty = t.ddio.penalty_ns(t.host_conns.get());
 
         // (2) Protocol processing: the whole polled batch goes through
         // the stack in one call, grouped by flow. CPU cost is charged
@@ -510,7 +507,7 @@ impl Dataplane {
                 rx_since_replenish: vec![0; queues.len()],
                 queues,
                 core: host.cores[id].clone(),
-                ddio: Some(ddio.clone()),
+                ddio: ddio.clone(),
                 host_conns: host_conns.clone(),
                 my_conns_last: 0,
                 pending_results: Vec::new(),

@@ -26,10 +26,10 @@ use ix_tcp::{DeadReason, FlowId, FlowMap, NO_BUCKET};
 
 use crate::api::{EventCond, IxApp, Syscall, SyscallResult, UserCtx};
 
-/// Default cap on bytes buffered per connection awaiting window space
-/// (the §4.3 "maximum pending send byte limit"; sized to cover bulk
-/// NetPIPE messages).
-pub const DEFAULT_MAX_PENDING: usize = 2 * 1024 * 1024;
+/// Cap on bytes buffered per connection awaiting window space (the §4.3
+/// "maximum pending send byte limit"; sized to cover bulk NetPIPE
+/// messages).
+pub const MAX_PENDING: usize = 2 * 1024 * 1024;
 
 /// Per-connection user-level state.
 #[derive(Debug)]
@@ -53,15 +53,21 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// Bytes buffered awaiting window space.
-    pub fn pending_bytes(&self) -> usize {
-        self.pending_bytes
-    }
-
     /// True once the handler has closed or aborted the connection.
     /// Events already queued for it in this cycle are still delivered.
     pub fn is_closing(&self) -> bool {
         self.closing
+    }
+
+    /// Queues `data` behind the unaccepted writes; returns `false`,
+    /// queuing nothing, if it would take them past [`MAX_PENDING`].
+    fn enqueue(&mut self, spare_pending: &mut Spares<VecDeque<Bytes>>, data: Bytes) -> bool {
+        if self.pending_bytes + data.len() > MAX_PENDING {
+            return false;
+        }
+        self.pending_bytes += data.len();
+        spare_pending.push_back(&mut self.pending, data);
+        true
     }
 }
 
@@ -71,7 +77,6 @@ pub struct ConnCtx<'a> {
     pub conn: &'a mut Conn,
     actions: &'a mut Vec<Action>,
     spare_pending: &'a mut Spares<VecDeque<Bytes>>,
-    max_pending: usize,
     /// Virtual time, ns.
     pub now_ns: u64,
     /// Accumulated application CPU charge for this cycle, ns.
@@ -80,8 +85,8 @@ pub struct ConnCtx<'a> {
 
 #[derive(Debug)]
 enum Action {
-    Close(u64),
-    Abort(u64),
+    /// Close (FIN), or abort (RST) when `rst`.
+    Close { cookie: u64, rst: bool },
     Connect { dst_ip: ix_net::Ipv4Addr, dst_port: u16, user: u64 },
     Write { cookie: u64, data: Bytes },
 }
@@ -91,19 +96,14 @@ impl ConnCtx<'_> {
     /// accepting nothing) if the pending-byte cap would be exceeded —
     /// the paper's "maximum pending send byte limit".
     pub fn write(&mut self, data: Bytes) -> bool {
-        if self.conn.pending_bytes + data.len() > self.max_pending {
-            return false;
-        }
-        self.conn.pending_bytes += data.len();
-        self.spare_pending.push_back(&mut self.conn.pending, data);
-        true
+        self.conn.enqueue(self.spare_pending, data)
     }
 
     /// Requests a graceful close after pending data drains.
     pub fn close(&mut self) {
         self.conn.closing = true;
         if self.conn.pending.is_empty() {
-            self.actions.push(Action::Close(self.conn.cookie));
+            self.actions.push(Action::Close { cookie: self.conn.cookie, rst: false });
         }
     }
 
@@ -113,7 +113,7 @@ impl ConnCtx<'_> {
         self.conn.pending.clear();
         self.spare_pending.reclaim(&mut self.conn.pending);
         self.conn.pending_bytes = 0;
-        self.actions.push(Action::Abort(self.conn.cookie));
+        self.actions.push(Action::Close { cookie: self.conn.cookie, rst: true });
     }
 
     /// Charges application CPU time.
@@ -131,7 +131,6 @@ impl ConnCtx<'_> {
 /// Global (per-thread) actions available outside connection callbacks.
 pub struct LibixCtx<'a> {
     actions: &'a mut Vec<Action>,
-    next_user: u64,
     /// Virtual time, ns.
     pub now_ns: u64,
     /// Accumulated application CPU charge, ns.
@@ -142,7 +141,6 @@ impl LibixCtx<'_> {
     /// Initiates an outbound connection; `user` tags it for callbacks.
     pub fn connect(&mut self, dst_ip: ix_net::Ipv4Addr, dst_port: u16, user: u64) {
         self.actions.push(Action::Connect { dst_ip, dst_port, user });
-        self.next_user += 1;
     }
 
     /// Queues data on an existing connection from outside a connection
@@ -218,41 +216,14 @@ pub struct Libix<H: LibixHandler + 'static> {
     /// flow handle recovers them.
     by_flow: HashMap<FlowId, u64>,
     next_cookie: u64,
-    /// `(cookie, bytes_submitted)` per Sendv in last cycle's batch,
-    /// aligned with the syscall indices, for result pairing.
-    submitted: Vec<SubmitRecord>,
-    max_pending: usize,
-    /// Counters.
-    pub stats: LibixStats,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum SubmitRecord {
-    Sendv { cookie: u64, bytes: usize },
-    Other,
-}
-
-/// libix-level counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LibixStats {
-    /// Connections accepted.
-    pub accepted: u64,
-    /// Connections opened.
-    pub connected: u64,
-    /// Bytes delivered to `on_data`.
-    pub bytes_in: u64,
-    /// Bytes fully accepted by the stack.
-    pub bytes_out: u64,
-    /// Writes rejected by the pending cap.
-    pub cap_rejections: u64,
-    /// Partial sendv results (window-limited) that were re-queued.
-    pub partial_sends: u64,
-    /// Connections adopted after control-plane flow migration.
-    pub adopted: u64,
+    /// `(index, cookie, bytes)` per `Sendv` in last cycle's batch: the
+    /// call's index in the batch, where its result comes back (§4.2),
+    /// and what it asked the stack to take.
+    submitted: Vec<(usize, u64, usize)>,
 }
 
 impl<H: LibixHandler + 'static> Libix<H> {
-    /// Wraps a handler with the default pending cap.
+    /// Wraps a handler.
     pub fn new(handler: H) -> Libix<H> {
         Libix {
             handler,
@@ -263,8 +234,6 @@ impl<H: LibixHandler + 'static> Libix<H> {
             by_flow: HashMap::new(),
             next_cookie: 1,
             submitted: Vec::new(),
-            max_pending: DEFAULT_MAX_PENDING,
-            stats: LibixStats::default(),
         }
     }
 
@@ -296,18 +265,13 @@ impl<H: LibixHandler + 'static> Libix<H> {
         self.spare_pending.census(self.conns.values().map(|c| &c.pending))
     }
 
-    /// Registers a new connection under `cookie`. It owns no buffer;
-    /// the spare stack gets room here, in the ramp, for the one it will
-    /// borrow and return. Takes the two fields it touches so the caller
-    /// can go on to run the handler against the returned `Conn`.
-    fn open_conn<'a>(
-        conns: &'a mut FlowMap<Conn>,
-        spare_pending: &mut Spares<VecDeque<Bytes>>,
-        handle: FlowId,
-        cookie: u64,
-        user: u64,
-    ) -> &'a mut Conn {
-        spare_pending.note_borrowers(conns.len() + 1);
+    /// Registers a new connection under a fresh cookie and returns the
+    /// cookie. It owns no buffer; the spare stack gets room here, in the
+    /// ramp, for the one it will borrow and return.
+    fn open_conn(&mut self, handle: FlowId, user: u64) -> u64 {
+        let cookie = self.next_cookie;
+        self.next_cookie += 1;
+        self.spare_pending.note_borrowers(self.conns.len() + 1);
         let conn = Conn {
             handle,
             cookie,
@@ -317,25 +281,59 @@ impl<H: LibixHandler + 'static> Libix<H> {
             writable: true,
             closing: false,
         };
-        let (slot, _) = conns.insert_in_bucket(cookie, NO_BUCKET, conn);
-        conns.slot_mut(slot)
+        self.conns.insert_in_bucket(cookie, NO_BUCKET, conn);
+        cookie
     }
 
-    /// Takes back whatever buffer a removed connection's write queue
-    /// still holds.
-    fn retire_conn(&mut self, mut conn: Conn) {
+    /// Removes the connection under `cookie`, taking back whatever
+    /// buffer its write queue still holds; returns its flow handle.
+    fn remove_conn(&mut self, cookie: u64) -> Option<FlowId> {
+        let mut conn = self.conns.remove(cookie)?;
         conn.pending.clear();
         self.spare_pending.reclaim(&mut conn.pending);
+        Some(conn.handle)
     }
 
-    fn flush_conn(conn: &mut Conn, ctx: &mut UserCtx, submitted: &mut Vec<SubmitRecord>) {
+    /// Accepts `flow` under a fresh cookie and runs `on_accept`: a
+    /// knock, or a flow the control plane migrated here (§4.4). In the
+    /// real system the multithreaded application shares its address
+    /// space, so a migrated flow's cookie still resolves; this
+    /// per-thread app model instead *adopts* the connection.
+    fn accept(&mut self, flow: FlowId, ctx: &mut UserCtx) -> u64 {
+        let cookie = self.open_conn(flow, 0);
+        ctx.syscall(Syscall::Accept { handle: flow, cookie });
+        self.by_flow.insert(flow, cookie);
+        self.callback(cookie, ctx, |h, c| h.on_accept(c));
+        self.dirty.push(cookie);
+        cookie
+    }
+
+    /// Runs `f`, one handler callback, on the connection under `cookie`;
+    /// `None` if there is no such connection.
+    fn callback<R>(
+        &mut self,
+        cookie: u64,
+        ctx: &mut UserCtx,
+        f: impl FnOnce(&mut H, &mut ConnCtx<'_>) -> R,
+    ) -> Option<R> {
+        let mut cctx = ConnCtx {
+            conn: self.conns.get_mut(cookie)?,
+            actions: &mut self.actions,
+            spare_pending: &mut self.spare_pending,
+            now_ns: ctx.now_ns,
+            charge_ns: &mut ctx.user_ns,
+        };
+        Some(f(&mut self.handler, &mut cctx))
+    }
+
+    fn flush_conn(conn: &mut Conn, ctx: &mut UserCtx, submitted: &mut Vec<(usize, u64, usize)>) {
         if conn.pending.is_empty() || !conn.writable {
             return;
         }
         // Coalesce every pending buffer into ONE sendv (§4.3).
         let bytes: usize = conn.pending.iter().map(Bytes::len).sum();
-        ctx.sendv(conn.handle, conn.pending.iter().cloned());
-        submitted.push(SubmitRecord::Sendv { cookie: conn.cookie, bytes });
+        let index = ctx.sendv(conn.handle, conn.pending.iter().cloned());
+        submitted.push((index, conn.cookie, bytes));
         // Optimistically mark unwritable until the result confirms full
         // acceptance; partial results re-arm on `sent`.
         conn.writable = false;
@@ -370,13 +368,8 @@ impl<H: LibixHandler + 'static> Libix<H> {
         }
         self.spare_pending.reclaim(&mut conn.pending);
         conn.pending_bytes -= accepted;
-        self.stats.bytes_out += accepted as u64;
-        if accepted == submitted_bytes {
-            conn.writable = true;
-        } else {
-            self.stats.partial_sends += 1;
-            // Window-limited: wait for a `sent` event to reissue.
-        }
+        // Window-limited otherwise: wait for a `sent` event to reissue.
+        conn.writable = accepted == submitted_bytes;
     }
 }
 
@@ -385,143 +378,68 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
         // The per-cycle lists are walked with `drain` and handed back,
         // so each keeps its buffer from cycle to cycle — including
         // `ctx.events`, which the engine recycles into its shard.
-        let mut actions = std::mem::take(&mut self.actions);
 
-        // Pair last cycle's syscall results.
-        let mut records = std::mem::take(&mut self.submitted);
-        for (i, rec) in records.drain(..).enumerate() {
-            if let SubmitRecord::Sendv { cookie, bytes } = rec {
-                let accepted = match ctx.results.get(i) {
-                    Some(SyscallResult::Sent(n)) => *n as usize,
-                    _ => 0,
-                };
-                self.apply_send_result(cookie, accepted, bytes);
-            }
+        // Pair last cycle's `sendv` results, each at its call's index.
+        let mut sends = std::mem::take(&mut self.submitted);
+        for (index, cookie, bytes) in sends.drain(..) {
+            let accepted = match ctx.results.get(index) {
+                Some(SyscallResult::Sent(n)) => *n as usize,
+                _ => 0,
+            };
+            self.apply_send_result(cookie, accepted, bytes);
         }
-        self.submitted = records;
+        // Sized for the batch just paired, like `UserCtx::load`'s pairs,
+        // so the list reaches its high-water capacity with `results`.
+        sends.reserve(ctx.results.len());
+        self.submitted = sends;
 
         // Pacing hook.
-        {
-            let mut lctx = LibixCtx {
-                actions: &mut actions,
-                next_user: 0,
-                now_ns: ctx.now_ns,
-                charge_ns: &mut ctx.user_ns,
-            };
-            self.handler.on_tick(&mut lctx);
-        }
+        self.handler.on_tick(&mut LibixCtx {
+            actions: &mut self.actions,
+            now_ns: ctx.now_ns,
+            charge_ns: &mut ctx.user_ns,
+        });
 
         // Event dispatch.
         let mut events = std::mem::take(&mut ctx.events);
         for ev in events.drain(..) {
             match ev {
                 EventCond::Knock { flow, .. } => {
-                    let cookie = self.next_cookie;
-                    self.next_cookie += 1;
-                    ctx.syscalls.push(Syscall::Accept { handle: flow, cookie });
-                    self.submitted.push(SubmitRecord::Other);
-                    self.by_flow.insert(flow, cookie);
-                    self.stats.accepted += 1;
-                    let conn = Libix::<H>::open_conn(
-                        &mut self.conns,
-                        &mut self.spare_pending,
-                        flow,
-                        cookie,
-                        0,
-                    );
-                    let mut cctx = ConnCtx {
-                        conn,
-                        actions: &mut actions,
-                        spare_pending: &mut self.spare_pending,
-                        max_pending: self.max_pending,
-                        now_ns: ctx.now_ns,
-                        charge_ns: &mut ctx.user_ns,
-                    };
-                    self.handler.on_accept(&mut cctx);
-                    self.dirty.push(cookie);
+                    self.accept(flow, ctx);
                 }
                 EventCond::Connected { flow, cookie, ok } => {
                     if ok {
                         self.by_flow.insert(flow, cookie);
                     }
-                    if let Some(conn) = self.conns.get_mut(cookie) {
-                        conn.handle = flow;
-                        self.stats.connected += ok as u64;
-                        let mut cctx = ConnCtx {
-                            conn,
-                            actions: &mut actions,
-                            spare_pending: &mut self.spare_pending,
-                            max_pending: self.max_pending,
-                            now_ns: ctx.now_ns,
-                            charge_ns: &mut ctx.user_ns,
-                        };
-                        self.handler.on_connected(&mut cctx, ok);
+                    let found = self.callback(cookie, ctx, |h, c| {
+                        c.conn.handle = flow;
+                        h.on_connected(c, ok);
+                    });
+                    if found.is_some() {
                         if ok {
                             self.dirty.push(cookie);
-                        } else if let Some(conn) = self.conns.remove(cookie) {
-                            self.retire_conn(conn);
+                        } else {
+                            self.remove_conn(cookie);
                         }
                     }
                 }
                 EventCond::Recv { cookie, flow, payload } => {
+                    let cookie = match self.resolve(cookie, flow) {
+                        Some(c) => c,
+                        None => self.accept(flow, ctx),
+                    };
                     let n = payload.len() as u32;
-                    let resolved = self.resolve(cookie, flow);
-                    let cookie = if let Some(c) = resolved {
-                        c
-                    } else {
-                        // A flow migrated here by the control plane
-                        // (§4.4): in the real system the multithreaded
-                        // application shares its address space, so the
-                        // cookie still resolves; our per-thread app model
-                        // instead *adopts* the connection, re-attaching a
-                        // local cookie.
-                        let cookie = self.next_cookie;
-                        self.next_cookie += 1;
-                        ctx.syscalls.push(Syscall::Accept { handle: flow, cookie });
-                        self.submitted.push(SubmitRecord::Other);
-                        self.by_flow.insert(flow, cookie);
-                        self.stats.adopted += 1;
-                        let conn = Libix::<H>::open_conn(
-                            &mut self.conns,
-                            &mut self.spare_pending,
-                            flow,
-                            cookie,
-                            0,
-                        );
-                        let mut cctx = ConnCtx {
-                            conn,
-                            actions: &mut actions,
-                            spare_pending: &mut self.spare_pending,
-                            max_pending: self.max_pending,
-                            now_ns: ctx.now_ns,
-                            charge_ns: &mut ctx.user_ns,
-                        };
-                        self.handler.on_accept(&mut cctx);
-                        cookie
-                    };
-                    let handle = if let Some(conn) = self.conns.get_mut(cookie) {
-                        self.stats.bytes_in += n as u64;
-                        let mut cctx = ConnCtx {
-                            conn,
-                            actions: &mut actions,
-                            spare_pending: &mut self.spare_pending,
-                            max_pending: self.max_pending,
-                            now_ns: ctx.now_ns,
-                            charge_ns: &mut ctx.user_ns,
-                        };
-                        self.handler.on_data(&mut cctx, &payload);
-                        self.dirty.push(cookie);
-                        Some(conn.handle)
-                    } else {
-                        None
-                    };
+                    let handle = self.callback(cookie, ctx, |h, c| {
+                        h.on_data(c, &payload);
+                        c.conn.handle
+                    });
                     // The libevent-compatible layer consumes the buffer
                     // when the callback returns: credit the window (the
                     // stack frees the mbuf when the credit covers it).
                     drop(payload);
                     if let Some(handle) = handle {
-                        ctx.syscalls.push(Syscall::RecvDone { handle, bytes: n });
-                        self.submitted.push(SubmitRecord::Other);
+                        self.dirty.push(cookie);
+                        ctx.syscall(Syscall::RecvDone { handle, bytes: n });
                     }
                 }
                 EventCond::Sent { cookie, flow, .. } => {
@@ -529,17 +447,11 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                         continue; // Window update for a flow this app
                                   // never adopted; nothing to re-flush.
                     };
-                    if let Some(conn) = self.conns.get_mut(cookie) {
-                        conn.writable = true;
-                        let mut cctx = ConnCtx {
-                            conn,
-                            actions: &mut actions,
-                            spare_pending: &mut self.spare_pending,
-                            max_pending: self.max_pending,
-                            now_ns: ctx.now_ns,
-                            charge_ns: &mut ctx.user_ns,
-                        };
-                        self.handler.on_sent(&mut cctx);
+                    let found = self.callback(cookie, ctx, |h, c| {
+                        c.conn.writable = true;
+                        h.on_sent(c);
+                    });
+                    if found.is_some() {
                         self.dirty.push(cookie);
                     }
                 }
@@ -548,77 +460,48 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                         continue; // Unknown (never-adopted) flow died.
                     };
                     self.by_flow.remove(&flow);
-                    if let Some(mut conn) = self.conns.remove(cookie) {
-                        let was_closing = conn.closing;
-                        let handle = conn.handle;
-                        let mut cctx = ConnCtx {
-                            conn: &mut conn,
-                            actions: &mut actions,
-                            spare_pending: &mut self.spare_pending,
-                            max_pending: self.max_pending,
-                            now_ns: ctx.now_ns,
-                            charge_ns: &mut ctx.user_ns,
-                        };
-                        self.handler.on_dead(&mut cctx, reason);
-                        if reason == DeadReason::PeerFin && !was_closing && !conn.closing {
+                    let closing = self.callback(cookie, ctx, |h, c| {
+                        h.on_dead(c, reason);
+                        c.conn.closing
+                    });
+                    if let Some(handle) = self.remove_conn(cookie) {
+                        if reason == DeadReason::PeerFin && closing == Some(false) {
                             // Default close-on-FIN for servers.
-                            ctx.syscalls.push(Syscall::Close { handle });
-                            self.submitted.push(SubmitRecord::Other);
+                            ctx.syscall(Syscall::Close { handle });
                         }
-                        self.retire_conn(conn);
                     }
                 }
             }
         }
-
         ctx.events = events;
 
         // Apply deferred actions.
+        let mut actions = std::mem::take(&mut self.actions);
         for a in actions.drain(..) {
             match a {
-                Action::Close(cookie) => {
-                    if let Some(conn) = self.conns.remove(cookie) {
-                        self.by_flow.remove(&conn.handle);
-                        ctx.syscalls.push(Syscall::Close { handle: conn.handle });
-                        self.submitted.push(SubmitRecord::Other);
-                        self.retire_conn(conn);
-                    }
-                }
-                Action::Abort(cookie) => {
-                    if let Some(conn) = self.conns.remove(cookie) {
-                        self.by_flow.remove(&conn.handle);
-                        ctx.syscalls.push(Syscall::Abort { handle: conn.handle });
-                        self.submitted.push(SubmitRecord::Other);
-                        self.retire_conn(conn);
+                Action::Close { cookie, rst } => {
+                    if let Some(handle) = self.remove_conn(cookie) {
+                        self.by_flow.remove(&handle);
+                        ctx.syscall(if rst {
+                            Syscall::Abort { handle }
+                        } else {
+                            Syscall::Close { handle }
+                        });
                     }
                 }
                 Action::Write { cookie, data } => {
                     if let Some(conn) = self.conns.get_mut(cookie) {
-                        if conn.pending_bytes + data.len() <= self.max_pending {
-                            conn.pending_bytes += data.len();
-                            self.spare_pending.push_back(&mut conn.pending, data);
+                        if conn.enqueue(&mut self.spare_pending, data) {
                             self.dirty.push(cookie);
-                        } else {
-                            self.stats.cap_rejections += 1;
                         }
                     }
                 }
                 Action::Connect { dst_ip, dst_port, user } => {
-                    let cookie = self.next_cookie;
-                    self.next_cookie += 1;
-                    Libix::<H>::open_conn(
-                        &mut self.conns,
-                        &mut self.spare_pending,
-                        FlowId { key: 0, gen: 0 },
-                        cookie,
-                        user,
-                    );
-                    ctx.syscalls.push(Syscall::Connect { cookie, dst_ip, dst_port });
-                    self.submitted.push(SubmitRecord::Other);
+                    let cookie = self.open_conn(FlowId { key: 0, gen: 0 }, user);
+                    ctx.syscall(Syscall::Connect { cookie, dst_ip, dst_port });
                 }
             }
         }
-
         self.actions = actions;
 
         // Transmit coalescing: one sendv per connection with new data.
@@ -657,9 +540,6 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
 
 impl<H: LibixHandler + std::fmt::Debug> std::fmt::Debug for Libix<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Libix")
-            .field("conns", &self.conns.len())
-            .field("stats", &self.stats)
-            .finish()
+        f.debug_struct("Libix").field("conns", &self.conns.len()).finish()
     }
 }

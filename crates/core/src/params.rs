@@ -53,9 +53,6 @@ pub struct CostParams {
     /// Upper bound B on packets processed per iteration (§5.1: B = 64
     /// maximizes microbenchmark throughput; Fig 6 sweeps it).
     pub batch_bound: usize,
-    /// Per-connection hot state for the DDIO working-set model (shared
-    /// with `ix_nic::cache`).
-    pub use_ddio_model: bool,
     /// Cold-batch penalty: per-packet work in a batch of `b` costs
     /// `(1 + cold_batch_penalty / b)×` the warm cost, modeling the
     /// instruction-cache, prefetch, and branch-predictor warmup the
@@ -87,7 +84,6 @@ impl Default for CostParams {
             pcie_doorbell_ns: 250,
             rx_replenish_batch: 32,
             batch_bound: 64,
-            use_ddio_model: true,
             cold_batch_penalty: 0.42,
             copy_api: false,
             copy_byte_ns_x1000: 350,

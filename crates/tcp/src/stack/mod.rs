@@ -65,19 +65,6 @@ impl core::fmt::Display for StackError {
 
 impl std::error::Error for StackError {}
 
-/// A received UDP datagram (surfaced separately from TCP events).
-#[derive(Debug)]
-pub struct UdpDatagram {
-    /// Sender address.
-    pub src_ip: Ipv4Addr,
-    /// Sender port.
-    pub src_port: u16,
-    /// Local destination port.
-    pub dst_port: u16,
-    /// Payload.
-    pub mbuf: Mbuf,
-}
-
 /// Aggregate stack counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StackStats {
@@ -121,7 +108,7 @@ pub struct StackStats {
     pub arp_tx: u64,
     /// ICMP echoes answered.
     pub icmp_echo: u64,
-    /// UDP datagrams received / sent.
+    /// UDP datagrams received and dropped: no application takes UDP.
     pub udp_rx: u64,
     /// UDP datagrams sent.
     pub udp_tx: u64,
@@ -254,8 +241,6 @@ pub struct TcpShard {
     tx: Vec<Mbuf>,
     /// Upcall events awaiting the engine.
     events: Vec<TcpEvent>,
-    /// Received UDP datagrams.
-    udp: Vec<UdpDatagram>,
     /// Flows with a deferred ACK pending (EndOfCycle policy).
     pending_acks: Vec<u64>,
     /// Reusable list of the timers one `advance_timers` pass fired.
@@ -327,7 +312,6 @@ impl TcpShard {
             pool,
             tx: Vec::new(),
             events: Vec::new(),
-            udp: Vec::new(),
             pending_acks: Vec::new(),
             fired_scratch: Vec::new(),
             spare_rtq: Spares::new(),
@@ -513,11 +497,6 @@ impl TcpShard {
         debug_assert!(replacement.is_empty());
         replacement.reserve(self.events.len());
         std::mem::replace(&mut self.events, replacement)
-    }
-
-    /// Drains received UDP datagrams.
-    pub fn take_udp(&mut self) -> Vec<UdpDatagram> {
-        std::mem::take(&mut self.udp)
     }
 
     /// True when the shard has nothing queued in any direction.

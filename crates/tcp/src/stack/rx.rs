@@ -10,7 +10,7 @@ use ix_net::tcp::{seq_le, seq_lt, TcpHeader};
 use ix_net::udp::UdpHeader;
 use ix_net::NetError;
 
-use super::{ParsedFrame, TcpShard, UdpDatagram};
+use super::{ParsedFrame, TcpShard};
 use crate::config::AckPolicy;
 use crate::event::{DeadReason, FlowId, TcpEvent};
 use crate::tcb::TcpState;
@@ -144,23 +144,13 @@ impl TcpShard {
         }
     }
 
-    fn input_udp(&mut self, ip: Ipv4Header, mut frame: Mbuf) {
-        let hdr = match UdpHeader::decode(frame.data(), ip.src, ip.dst) {
-            Ok(hdr) => hdr,
-            Err(e) => {
-                self.count_parse_drop(e);
-                return;
-            }
-        };
-        frame.truncate(hdr.len as usize);
-        frame.pull(UdpHeader::LEN);
-        self.stats.udp_rx += 1;
-        self.udp.push(UdpDatagram {
-            src_ip: ip.src,
-            src_port: hdr.src_port,
-            dst_port: hdr.dst_port,
-            mbuf: frame,
-        });
+    /// No application takes UDP: a valid datagram is counted and its
+    /// buffer goes straight back to the receive pool.
+    fn input_udp(&mut self, ip: Ipv4Header, frame: Mbuf) {
+        match UdpHeader::decode(frame.data(), ip.src, ip.dst) {
+            Ok(_) => self.stats.udp_rx += 1,
+            Err(e) => self.count_parse_drop(e),
+        }
     }
 
     /// State-machine dispatch for one validated TCP segment; `live` says

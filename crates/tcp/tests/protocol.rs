@@ -402,11 +402,6 @@ fn udp_roundtrip() {
     let mut p = Pair::new(StackConfig::default());
     p.a.udp_send(p.now, B_IP, 5000, 11211, b"get k");
     p.pump(1_000, 4);
-    let dg = p.b.take_udp();
-    assert_eq!(dg.len(), 1);
-    assert_eq!(dg[0].src_port, 5000);
-    assert_eq!(dg[0].dst_port, 11211);
-    assert_eq!(dg[0].mbuf.data(), b"get k");
     assert_eq!(p.b.stats.udp_rx, 1);
 }
 

@@ -327,6 +327,29 @@ fn teardown_releases_held_buffers() {
     );
 }
 
+/// No application takes UDP: each valid datagram is counted and its
+/// receive buffer goes straight back to the ring's pool. A shard that
+/// held them would empty the pool after `posted + spare` datagrams, and
+/// the ring would tail-drop every frame behind them.
+#[test]
+fn udp_datagrams_return_their_receive_buffers() {
+    let mut p = Pair::new(StackConfig::default());
+    let mut ring = RxRing::with_pool(16, 64);
+    let n = 48;
+    for _ in 0..n {
+        p.a.udp_send(p.now, B_IP, 5000, 11211, b"get k");
+        for f in p.a.take_tx() {
+            assert!(ring.push(f), "the ring has a posted descriptor and a free buffer");
+        }
+        while let Some(f) = ring.poll() {
+            p.b.input(p.now, f);
+            ring.replenish(1);
+        }
+    }
+    assert_eq!(p.b.stats.udp_rx, n);
+    assert_eq!(ring.pool_stats().outstanding, 0, "every datagram's buffer is back in the pool");
+}
+
 props! {
     #![config(cases = 256)]
 
