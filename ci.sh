@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate (README.md): build · test · clippy · microbench smoke ·
-# run gates · allocation ceilings, all OFFLINE — zero registry
-# dependencies (DESIGN.md §6b), so a cargo call that reaches for
-# crates.io is itself a regression.
+# README examples · run gates · allocation ceilings, all OFFLINE — zero
+# registry dependencies (DESIGN.md §6b), so a cargo call that reaches
+# for crates.io is itself a regression.
 #
 # `cargo test --workspace` is the only test run (a failing test names
 # itself) and nothing here compares two host timings: `benchmark/`'s
@@ -33,6 +33,15 @@ grep -q "^fn batch_of_one_is_byte_identical()" crates/tcp/tests/rx_batch.rs ||
 # Microbench smoke: every driver still builds and runs. Exit status
 # only — a 5 ms window measures nothing worth gating on.
 IX_BENCH_QUICK=1 cargo bench -q -p ix-bench --offline > /dev/null
+
+# README examples: clippy above only compiles them. Exit status only.
+cargo build --release --offline --quiet --examples
+for example in quickstart three_stacks key_value_store elastic_scaling; do
+    if ! ./target/release/examples/$example > /dev/null; then
+        echo "ci: FAIL — example ${example} exited non-zero" >&2
+        exit 1
+    fi
+done
 
 # Run gates, one row each: name | wall-clock budget (s) | command |
 # lines its stdout must contain (';'-separated) | file its stdout must

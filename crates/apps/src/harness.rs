@@ -33,7 +33,7 @@ use std::rc::Rc;
 use ix_baselines::linux::{LinuxHost, LinuxParams};
 use ix_baselines::mtcp::{MtcpHost, MtcpParams};
 use ix_core::api::IxApp;
-use ix_core::dataplane::Dataplane;
+use ix_core::dataplane::{Dataplane, EngineCore};
 use ix_core::ixcp::{self, FilterControl, MigrateReport, WatchdogStats};
 use ix_core::libix::{Libix, LibixHandler};
 use ix_core::params::CostParams;
@@ -110,23 +110,24 @@ impl ServerEngine {
         }
     }
 
-    /// Seeds every core's ARP table with one peer.
-    pub fn seed_arp(&self, ip: ix_net::Ipv4Addr, mac: ix_net::MacAddr) {
+    /// Calls `f` on every core's [`EngineCore`], in core order. Every
+    /// per-core aggregate below is a fold over this one visitor.
+    pub fn for_each_core(&self, mut f: impl FnMut(&mut EngineCore)) {
         match self {
-            ServerEngine::Ix(d) => d.seed_arp(ip, mac),
-            ServerEngine::Linux(l) => l.seed_arp(ip, mac),
-            ServerEngine::Mtcp(m) => m.seed_arp(ip, mac),
+            ServerEngine::Ix(d) => d.threads.iter().for_each(|t| f(&mut t.borrow_mut().base)),
+            ServerEngine::Linux(l) => l.cores.iter().for_each(|c| f(&mut c.borrow_mut().base)),
+            ServerEngine::Mtcp(m) => m.cores.iter().for_each(|c| f(&mut c.borrow_mut().base)),
         }
     }
 
-    /// Calls `f` on every core's TCP shard, in core order. Every
-    /// aggregate below is a fold over this one visitor.
+    /// Seeds every core's ARP table with one peer.
+    pub fn seed_arp(&self, ip: ix_net::Ipv4Addr, mac: ix_net::MacAddr) {
+        self.for_each_core(|c| c.shard.arp_seed(ip, mac));
+    }
+
+    /// Calls `f` on every core's TCP shard, in core order.
     pub fn for_each_shard(&self, mut f: impl FnMut(&TcpShard)) {
-        match self {
-            ServerEngine::Ix(d) => d.threads.iter().for_each(|t| f(&t.borrow().shard)),
-            ServerEngine::Linux(l) => l.cores.iter().for_each(|c| f(&c.borrow().shard)),
-            ServerEngine::Mtcp(m) => m.cores.iter().for_each(|c| f(&c.borrow().shard)),
-        }
+        self.for_each_core(|c| f(&c.shard));
     }
 
     /// Mbuf-pool statistics summed across cores: alloc/free churn,
@@ -177,20 +178,12 @@ impl ServerEngine {
 
     /// `(kernel_ns, user_ns)` CPU split across cores.
     pub fn cpu_split(&self) -> (u64, u64) {
-        match self {
-            ServerEngine::Ix(d) => d.cpu_split(),
-            ServerEngine::Linux(l) => l.cpu_split(),
-            ServerEngine::Mtcp(m) => {
-                let (mut k, mut u) = (0, 0);
-                for c in &m.cores {
-                    let t = c.borrow();
-                    let core = t.core_ref().borrow();
-                    k += core.kernel_ns;
-                    u += core.user_ns;
-                }
-                (k, u)
-            }
-        }
+        let mut split = (0, 0);
+        self.for_each_core(|c| {
+            let core = c.core.borrow();
+            split = (split.0 + core.kernel_ns, split.1 + core.user_ns);
+        });
+        split
     }
 }
 

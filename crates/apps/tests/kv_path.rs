@@ -205,7 +205,7 @@ fn a_length_beyond_the_limits_resets_the_connection() {
         let (mut served, mut rejected, mut conns) = (0, 0, 0);
         for th in &dp.threads {
             let mut th = th.borrow_mut();
-            let libix: &mut Libix<KvServer> = th.app_mut().as_any().downcast_mut().expect("libix");
+            let libix: &mut Libix<KvServer> = th.base.app_mut().as_any().downcast_mut().expect("libix");
             served += libix.handler().served;
             rejected += libix.handler().rejected;
             conns += libix.conn_count() + libix.handler().spilled_conns();

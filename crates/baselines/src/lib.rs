@@ -6,10 +6,12 @@
 //! application trait ([`ix_core::IxApp`]) as the IX dataplane. Syscall
 //! semantics ([`ix_core::api::Syscall::execute`]; Linux adds only its
 //! kernel send buffer), core wiring
-//! ([`ix_core::dataplane::launch_cores`]), the receive poll
-//! ([`poll_rx`]) and the TX flush ([`flush_tx`], over IX's
-//! [`ix_core::dataplane::tx_push`] and
-//! [`ix_core::dataplane::ring_doorbells`]) are shared too, so all that
+//! ([`ix_core::dataplane::launch_cores`]), the per-core state, frame
+//! counts and application step ([`ix_core::dataplane::EngineCore`]),
+//! the receive poll ([`poll_rx`]) and the TX flush ([`flush_tx`], over
+//! IX's [`ix_core::dataplane::tx_push`] and
+//! [`ix_core::dataplane::ring_doorbells`]) — both take the core's
+//! `EngineCore` and count its frames — are shared too, so all that
 //! differs is what each step costs and when it is scheduled — the
 //! execution model, which is precisely the paper's thesis:
 //!
@@ -26,10 +28,8 @@
 //!   "which comes at the expense of higher latency than both IX and
 //!   Linux" (§5.2).
 
-use ix_core::dataplane::tx_push;
+use ix_core::dataplane::{tx_push, EngineCore};
 use ix_mempool::Mbuf;
-use ix_nic::nic::{NicRef, QueueId};
-use ix_tcp::TcpShard;
 
 pub mod linux;
 pub mod mtcp;
@@ -38,15 +38,18 @@ pub use linux::{LinuxHost, LinuxParams};
 pub use mtcp::{MtcpHost, MtcpParams};
 
 /// One receive poll pass as both baselines make it: round-robin over
-/// `queues`, one frame per queue per round, each descriptor replenished
-/// as it is consumed (no doorbell coalescing), until every queue is
-/// empty or `frames` holds `budget`.
-fn poll_rx(queues: &[(NicRef, QueueId)], budget: usize, frames: &mut Vec<Mbuf>) {
-    loop {
+/// the core's queues, one frame per queue per round, each descriptor
+/// replenished as it is consumed (no doorbell coalescing), until every
+/// queue is empty or `budget` frames are in. Returns the batch in the
+/// core's `rx_scratch`, which the caller drains and puts back, and
+/// counts it in `rx_packets`.
+fn poll_rx(core: &mut EngineCore, budget: usize) -> Vec<Mbuf> {
+    let mut frames = std::mem::take(&mut core.rx_scratch);
+    'poll: loop {
         let mut any = false;
-        for (nic, q) in queues {
+        for (nic, q) in &core.queues {
             if frames.len() >= budget {
-                return;
+                break 'poll;
             }
             let mut n = nic.borrow_mut();
             if let Some(f) = n.rx_ring(*q).poll() {
@@ -56,27 +59,26 @@ fn poll_rx(queues: &[(NicRef, QueueId)], budget: usize, frames: &mut Vec<Mbuf>) 
             }
         }
         if !any {
-            return;
+            break;
         }
     }
+    core.rx_packets += frames.len() as u64;
+    frames
 }
 
 /// One TX flush as both baselines make it: the shard's frames (taken by
-/// swapping in `scratch`) go through [`tx_push`] round-robin over
-/// `queues`, from the first on every flush, their NICs noted in `kicks`
-/// for the caller's doorbell. Returns the frames pushed.
-fn flush_tx(
-    shard: &mut TcpShard,
-    queues: &[(NicRef, QueueId)],
-    scratch: &mut Vec<Mbuf>,
-    kicks: &mut Vec<NicRef>,
-) -> u64 {
-    let mut tx = shard.take_tx_swap(std::mem::take(scratch));
+/// swapping in `tx_scratch`) go through [`tx_push`] round-robin over
+/// the core's queues, from the first on every flush, their NICs noted
+/// in `kicks` for the caller's doorbell. Returns the frames pushed, and
+/// counts them in `tx_packets`.
+fn flush_tx(core: &mut EngineCore) -> u64 {
+    let mut tx = core.shard.take_tx_swap(std::mem::take(&mut core.tx_scratch));
     let sent = tx.len() as u64;
     for (i, f) in tx.drain(..).enumerate() {
-        let (nic, q) = &queues[i % queues.len()];
-        tx_push(nic, *q, f, kicks);
+        let (nic, q) = &core.queues[i % core.queues.len()];
+        tx_push(nic, *q, f, &mut core.kicks);
     }
-    *scratch = tx;
+    core.tx_scratch = tx;
+    core.tx_packets += sent;
     sent
 }

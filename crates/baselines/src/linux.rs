@@ -30,13 +30,12 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use ix_testkit::{buffer_id, Bytes};
 use ix_core::api::{EventCond, IxApp, Syscall, SyscallResult, UserCtx};
-use ix_core::dataplane::{launch_cores, ring_doorbells};
-use ix_nic::host::{CoreRef, CpuDomain};
-use ix_nic::nic::{NicRef, QueueId};
-use ix_mempool::{LentQueues, Mbuf, Spares};
+use ix_core::dataplane::{launch_cores, ring_doorbells, EngineCore};
+use ix_mempool::{LentQueues, Spares};
+use ix_nic::host::CpuDomain;
 use ix_sim::{EventTarget, Nanos, SimTime, Simulator};
+use ix_testkit::{buffer_id, Bytes};
 use ix_tcp::{AckPolicy, FlowId, FlowMap, StackConfig, TcpShard};
 
 /// Cost and behaviour parameters of the Linux model.
@@ -143,25 +142,136 @@ struct KernelSndBuf {
     app_waiting: bool,
 }
 
+impl KernelSndBuf {
+    /// Pushes buffered bytes into the stack, as far as the window goes.
+    /// A queue this empties hands its buffer back to `spare`.
+    fn drain(&mut self, shard: &mut TcpShard, spare: &mut Spares<VecDeque<Bytes>>, now_ns: u64, flow: FlowId) {
+        while let Some(front) = self.chunks.front_mut() {
+            // The chunk is already a refcounted block the kernel owns: the
+            // retransmit queue aliases it (the user-to-kernel copy was
+            // charged when `write` accepted it).
+            match shard.send_bytes(now_ns, flow, front) {
+                Ok(0) => break,
+                Ok(n) if n < front.len() => {
+                    let rest = front.slice(n..);
+                    *front = rest;
+                    self.bytes -= n;
+                    break;
+                }
+                Ok(n) => {
+                    self.bytes -= n;
+                    self.chunks.pop_front();
+                }
+                Err(_) => {
+                    self.chunks.clear();
+                    self.bytes = 0;
+                    break;
+                }
+            }
+        }
+        spare.reclaim(&mut self.chunks);
+    }
+}
+
+/// One core's kernel send buffers, by flow key (never iterated), and
+/// the spare stack behind their chunk queues: a socket borrows a queue
+/// buffer only while it has bytes the window has not taken.
+#[derive(Default)]
+struct SndBufs {
+    map: FlowMap<KernelSndBuf>,
+    spare: Spares<VecDeque<Bytes>>,
+}
+
+impl SndBufs {
+    /// Executes one syscall with Linux semantics: `Sendv` on a sendable
+    /// flow copies into the kernel send buffer, and `Close`/`Abort` drop
+    /// that buffer first; the stack does the rest, as on IX. The call's
+    /// kernel cost beyond the crossing is added to `kernel`.
+    fn dispatch(
+        &mut self,
+        s: Syscall,
+        shard: &mut TcpShard,
+        now_ns: u64,
+        ctx: &mut UserCtx,
+        params: &LinuxParams,
+        kernel: &mut u64,
+    ) -> SyscallResult {
+        match s {
+            Syscall::Sendv { handle, sg } => {
+                *kernel += params.write_ns;
+                if let Err(e) = shard.sendable(handle) {
+                    ctx.recycle_sg(sg);
+                    return SyscallResult::Err(e);
+                }
+                let total: usize = sg.iter().map(Bytes::len).sum();
+                // A socket's first write creates its entry; the spare
+                // stack has room for every socket's buffer from then on.
+                self.spare.note_borrowers(self.map.len() + 1);
+                let buf = self.map.get_or_insert_default(handle.key);
+                let accepted = total.min(params.sndbuf.saturating_sub(buf.bytes));
+                *kernel += (accepted as u64 * params.copy_byte_ns_x1000) / 1000;
+                let mut accept = accepted;
+                for chunk in &sg {
+                    if accept == 0 {
+                        break;
+                    }
+                    let take = accept.min(chunk.len());
+                    self.spare.push_back(&mut buf.chunks, chunk.slice(..take));
+                    buf.bytes += take;
+                    accept -= take;
+                }
+                ctx.recycle_sg(sg);
+                if accepted < total {
+                    buf.app_waiting = true;
+                }
+                // Drain as much as the window allows right now.
+                buf.drain(shard, &mut self.spare, now_ns, handle);
+                SyscallResult::Sent(accepted as u32)
+            }
+            Syscall::Close { handle } | Syscall::Abort { handle } => {
+                self.remove(handle.key);
+                s.execute(shard, now_ns, ctx)
+            }
+            other => other.execute(shard, now_ns, ctx),
+        }
+    }
+
+    /// The window of `flow` opened: pushes its buffered bytes into the
+    /// stack. Returns the space left in a buffer of `cap` bytes if the
+    /// application was waiting for it and some was freed (EPOLLOUT).
+    fn on_sent(&mut self, shard: &mut TcpShard, now_ns: u64, flow: FlowId, cap: usize) -> Option<u32> {
+        let buf = self.map.get_mut(flow.key)?;
+        let had = buf.bytes;
+        buf.drain(shard, &mut self.spare, now_ns, flow);
+        let freed = buf.bytes < had || buf.bytes == 0;
+        if !(buf.app_waiting && freed) {
+            return None;
+        }
+        buf.app_waiting = false;
+        Some((cap - buf.bytes) as u32)
+    }
+
+    /// Discards a closed socket's send buffer, taking back whatever
+    /// buffer its chunk queue still holds.
+    fn remove(&mut self, key: u64) {
+        if let Some(mut buf) = self.map.remove(key) {
+            buf.chunks.clear();
+            self.spare.reclaim(&mut buf.chunks);
+        }
+    }
+}
+
 /// One Linux core: RSS queue, softirq context, and a pinned application
 /// thread with its event loop.
 pub struct LinuxCore {
-    /// Core index (equals the RSS queue it owns).
-    pub id: usize,
+    /// The shard, application, queues and scratch every engine's core
+    /// has; its shard is the kernel's, for this core's flows.
+    pub base: EngineCore,
     params: LinuxParams,
-    /// The kernel TCP shard for this core's flows.
-    pub shard: TcpShard,
-    app: Box<dyn IxApp>,
-    queues: Vec<(NicRef, QueueId)>,
-    core: CoreRef,
-    /// Events awaiting the application (socket readiness queue).
+    /// Events awaiting the application (socket readiness queue);
+    /// ping-pongs with `base.ctx.events`.
     app_events: Vec<EventCond>,
-    pending_results: Vec<SyscallResult>,
-    /// Send buffers by flow key. Never iterated.
-    sndbufs: FlowMap<KernelSndBuf>,
-    /// The buffers behind the send buffers' chunk queues, lent to a
-    /// socket only while it has bytes the window has not taken.
-    spare_chunks: Spares<VecDeque<Bytes>>,
+    sndbufs: SndBufs,
     /// Application thread is blocked in `epoll_wait`.
     app_blocked: bool,
     /// An app-run event is scheduled.
@@ -172,22 +282,13 @@ pub struct LinuxCore {
     last_irq: Vec<SimTime>,
     /// Timer tick armed.
     tick_armed: bool,
-    idle_wake: Option<ix_sim::EventId>,
-    /// NICs with freshly pushed TX descriptors awaiting a doorbell.
-    pending_kicks: Vec<NicRef>,
-    /// The application thread's user context, kept across wake-ups: its
-    /// event vector ping-pongs with `app_events`, its result vector with
-    /// `pending_results`, and its syscall batch is drained in place.
-    ctx: UserCtx,
     /// Recycled per-pass scratch, each drained where it is used and put
-    /// back: the NAPI batch, its GRO flow keys, the sockets one wake-up
-    /// reads, and the buffers swapped into the shard's event and TX
-    /// queues when theirs are taken.
-    rx_scratch: Vec<Mbuf>,
+    /// back: the NAPI batch's GRO flow keys, the sockets one wake-up
+    /// reads, and the buffer swapped into the shard's event queue when
+    /// its events are taken.
     seen_flows: Vec<u64>,
     read_sockets: Vec<u64>,
     events_scratch: Vec<EventCond>,
-    tx_scratch: Vec<Mbuf>,
     /// Counters.
     pub stats: LinuxStats,
 }
@@ -199,43 +300,24 @@ pub struct LinuxStats {
     pub interrupts: u64,
     /// Softirq passes.
     pub softirqs: u64,
-    /// Packets processed in softirq.
-    pub rx_packets: u64,
-    /// Frames transmitted.
-    pub tx_packets: u64,
     /// Application wake-ups (epoll returns).
     pub wakeups: u64,
-    /// System calls issued by the application.
-    pub syscalls: u64,
-    /// Bytes copied between user and kernel space.
-    pub bytes_copied: u64,
 }
 
 /// Shared handle.
 pub type LinuxCoreRef = Rc<RefCell<LinuxCore>>;
 
 impl LinuxCore {
-    /// Mutable access to the application (for test/bench inspection).
-    pub fn app_mut(&mut self) -> &mut dyn IxApp {
-        self.app.as_mut()
-    }
-
     /// Identity of every vector the core recycles from pass to pass
-    /// (see [`ix_testkit::buffer_id`]): its own scratch, the user
-    /// context's and the shard's.
+    /// (see [`ix_testkit::buffer_id`]): the base's and its own scratch.
     pub fn scratch_buffers(&self) -> Vec<(usize, usize)> {
-        let mut ids = vec![
+        let mut ids = self.base.scratch_buffers();
+        ids.extend([
             buffer_id(&self.app_events),
-            buffer_id(&self.pending_results),
-            buffer_id(&self.pending_kicks),
-            buffer_id(&self.rx_scratch),
             buffer_id(&self.seen_flows),
             buffer_id(&self.read_sockets),
             buffer_id(&self.events_scratch),
-            buffer_id(&self.tx_scratch),
-        ];
-        ids.extend(self.ctx.scratch_buffers());
-        ids.extend(self.shard.scratch_buffers());
+        ]);
         ids
     }
 
@@ -244,7 +326,7 @@ impl LinuxCore {
     /// the spare stack.
     #[doc(hidden)]
     pub fn lent_queues(&self) -> LentQueues {
-        self.spare_chunks.census(self.sndbufs.values().map(|b| &b.chunks))
+        self.sndbufs.spare.census(self.sndbufs.map.values().map(|b| &b.chunks))
     }
 
     /// Interrupt entry: a frame arrived on this core's queue.
@@ -268,64 +350,48 @@ impl LinuxCore {
     fn softirq(this: &LinuxCoreRef, sim: &mut Simulator) {
         let now = sim.now();
         let now_ns = now.as_nanos();
-        let mut t = this.borrow_mut();
+        let mut guard = this.borrow_mut();
+        let t = &mut *guard;
         t.stats.softirqs += 1;
         let mut kernel = t.params.hardirq_ns;
-        let budget = t.params.napi_budget;
-        let mut frames = std::mem::take(&mut t.rx_scratch);
-        crate::poll_rx(&t.queues, budget, &mut frames);
-        t.stats.rx_packets += frames.len() as u64;
+        let mut frames = crate::poll_rx(&mut t.base, t.params.napi_budget);
         // GRO: within this NAPI batch, the first frame of each flow pays
         // the full stack path; same-flow continuations are coalesced.
-        let mut seen_flows = std::mem::take(&mut t.seen_flows);
         for f in frames.drain(..) {
             let key = flow_key_of(f.data());
-            if key != 0 && seen_flows.contains(&key) {
+            if key != 0 && t.seen_flows.contains(&key) {
                 kernel += t.params.gro_pkt_ns;
             } else {
                 kernel += t.params.softirq_pkt_ns;
                 if key != 0 {
-                    seen_flows.push(key);
+                    t.seen_flows.push(key);
                 }
             }
-            t.shard.input(now_ns, f);
+            t.base.shard.input(now_ns, f);
         }
-        t.rx_scratch = frames;
-        seen_flows.clear();
-        t.seen_flows = seen_flows;
+        t.base.rx_scratch = frames;
+        t.seen_flows.clear();
         // Kernel timers piggyback on softirq.
-        t.shard.advance_timers(now_ns);
+        t.base.shard.advance_timers(now_ns);
         // Stack events → socket readiness; Sent events drain sndbufs.
-        LinuxCore::absorb_stack_events(&mut t, now_ns);
+        t.absorb_stack_events(now_ns);
         // Transmit anything the stack produced (ACKs, retransmits,
         // sndbuf drains) from softirq context.
-        let c = &mut *t;
-        let sent = crate::flush_tx(&mut c.shard, &c.queues, &mut c.tx_scratch, &mut c.pending_kicks);
-        c.stats.tx_packets += sent;
-        kernel += c.params.tx_pkt_ns * sent;
-        let end = t.core.borrow_mut().run(now, Nanos(kernel), CpuDomain::Kernel);
+        kernel += t.params.tx_pkt_ns * crate::flush_tx(&mut t.base);
+        let end = t.base.core.borrow_mut().run(now, Nanos(kernel), CpuDomain::Kernel);
         let more_rx = t
+            .base
             .queues
             .iter()
             .any(|(nic, q)| nic.borrow_mut().rx_ring(*q).pending() > 0);
-        // Wake the app if it is blocked in epoll OR sleeping until a
-        // pacing deadline (data readiness preempts the timed sleep).
-        let wake_app = !t.app_events.is_empty()
-            && (t.app_blocked || t.idle_wake.is_some())
-            && !(t.app_scheduled && t.idle_wake.is_none());
-        if wake_app {
-            if let Some(w) = t.idle_wake.take() {
-                sim.cancel(w);
-            }
-            t.app_blocked = false;
-            t.app_scheduled = true;
-        }
-        ring_doorbells(&mut t.pending_kicks, sim);
-        drop(t);
+        let ready = !t.app_events.is_empty();
+        let wake_app = t.wake_app(sim, ready);
+        ring_doorbells(&mut t.base.kicks, sim);
+        let delay = t.params.sched_wakeup_ns;
+        drop(guard);
         if wake_app {
             // Scheduler wake-up: the thread starts after the delay, once
             // the core is free.
-            let delay = this.borrow().params.sched_wakeup_ns;
             sim.schedule_event_at(end + Nanos(delay), this, EV_APP_RUN);
         }
         if more_rx {
@@ -337,262 +403,120 @@ impl LinuxCore {
         }
     }
 
+    /// Takes the application thread out of `epoll_wait`, or out of its
+    /// sleep until a pacing deadline (data readiness preempts the timed
+    /// sleep), when `ready` and no run is scheduled yet. Returns whether
+    /// it did; the caller schedules the run.
+    fn wake_app(&mut self, sim: &mut Simulator, ready: bool) -> bool {
+        let sleeping = self.app_blocked || self.base.idle_wake.is_some();
+        let run_pending = self.app_scheduled && self.base.idle_wake.is_none();
+        if !ready || !sleeping || run_pending {
+            return false;
+        }
+        self.base.cancel_idle_wake(sim);
+        self.app_blocked = false;
+        self.app_scheduled = true;
+        true
+    }
+
     /// Maps stack upcalls to application-visible events, intercepting
     /// `Sent` to drain the kernel send buffers. Returns whether the stack
     /// had any.
-    fn absorb_stack_events(t: &mut LinuxCore, now_ns: u64) -> bool {
-        let recycled = std::mem::take(&mut t.events_scratch);
-        let mut events = t.shard.take_events_swap(recycled);
+    fn absorb_stack_events(&mut self, now_ns: u64) -> bool {
+        let mut events = self.base.shard.take_events_swap(std::mem::take(&mut self.events_scratch));
         let had_events = !events.is_empty();
         for ev in events.drain(..) {
             match ev {
                 EventCond::Sent { flow, cookie, bytes_acked, .. } => {
-                    // Window opened: push buffered bytes into the stack.
-                    let mut freed = false;
-                    if let Some(buf) = t.sndbufs.get_mut(flow.key) {
-                        let had = buf.bytes;
-                        Self::drain_sndbuf(&mut t.shard, &mut t.spare_chunks, now_ns, flow, buf);
-                        freed = buf.bytes < had || buf.bytes == 0;
-                    }
-                    // The app sees a Sent only if it was waiting for
-                    // buffer space (EPOLLOUT semantics).
-                    let waiting = t
-                        .sndbufs
-                        .get_mut(flow.key)
-                        .map(|b| {
-                            let w = b.app_waiting && freed;
-                            if w {
-                                b.app_waiting = false;
-                            }
-                            w
-                        })
-                        .unwrap_or(false);
-                    if waiting {
-                        let window = t
-                            .sndbufs
-                            .get(flow.key)
-                            .map(|b| (t.params.sndbuf - b.bytes) as u32)
-                            .unwrap_or(0);
-                        t.app_events.push(EventCond::Sent { flow, cookie, bytes_acked, window });
+                    let cap = self.params.sndbuf;
+                    if let Some(window) = self.sndbufs.on_sent(&mut self.base.shard, now_ns, flow, cap) {
+                        self.app_events.push(EventCond::Sent { flow, cookie, bytes_acked, window });
                     }
                 }
                 EventCond::Dead { flow, .. } => {
-                    t.drop_sndbuf(flow.key);
-                    t.app_events.push(ev);
+                    self.sndbufs.remove(flow.key);
+                    self.app_events.push(ev);
                 }
-                other => t.app_events.push(other),
+                other => self.app_events.push(other),
             }
         }
-        t.events_scratch = events;
+        self.events_scratch = events;
         had_events
-    }
-
-    /// Discards a closed socket's send buffer, taking back whatever
-    /// buffer its chunk queue still holds.
-    fn drop_sndbuf(&mut self, key: u64) {
-        if let Some(mut buf) = self.sndbufs.remove(key) {
-            buf.chunks.clear();
-            self.spare_chunks.reclaim(&mut buf.chunks);
-        }
-    }
-
-    /// Pushes buffered bytes into the stack, as far as the window goes.
-    /// A queue this empties hands its buffer back to `spare_chunks`.
-    fn drain_sndbuf(
-        shard: &mut TcpShard,
-        spare_chunks: &mut Spares<VecDeque<Bytes>>,
-        now_ns: u64,
-        flow: FlowId,
-        buf: &mut KernelSndBuf,
-    ) {
-        while let Some(front) = buf.chunks.front_mut() {
-            // The chunk is already a refcounted block the kernel owns: the
-            // retransmit queue aliases it (the user-to-kernel copy was
-            // charged when `write` accepted it).
-            match shard.send_bytes(now_ns, flow, front) {
-                Ok(0) => break,
-                Ok(n) if n < front.len() => {
-                    let rest = front.slice(n..);
-                    *front = rest;
-                    buf.bytes -= n;
-                    break;
-                }
-                Ok(n) => {
-                    buf.bytes -= n;
-                    buf.chunks.pop_front();
-                }
-                Err(_) => {
-                    buf.chunks.clear();
-                    buf.bytes = 0;
-                    break;
-                }
-            }
-        }
-        spare_chunks.reclaim(&mut buf.chunks);
     }
 
     /// The application thread runs: `epoll_wait` returned.
     fn app_run(this: &LinuxCoreRef, sim: &mut Simulator) {
         let now = sim.now();
-        let now_ns = now.as_nanos();
-        let mut t = this.borrow_mut();
+        let mut guard = this.borrow_mut();
+        let t = &mut *guard;
         t.app_scheduled = false;
         t.stats.wakeups += 1;
-        let mut ctx = std::mem::take(&mut t.ctx);
-        let core = &mut *t;
-        ctx.load(&mut core.app_events, &mut core.pending_results);
+        t.base.ctx.load(&mut t.app_events, &mut t.base.pending_results);
+        let (p, events) = (&t.params, &t.base.ctx.events);
         // Kernel-side costs of waking and harvesting events.
-        let mut kernel = t.params.ctx_switch_ns
-            + t.params.syscall_ns
-            + t.params.epoll_wait_ns
-            + t.params.epoll_event_ns * ctx.events.len() as u64;
+        let mut kernel = p.ctx_switch_ns + p.syscall_ns + p.epoll_wait_ns + p.epoll_event_ns * events.len() as u64;
         // Per-socket read() costs: one syscall per ready socket per wake
         // (the application drains each socket with a single read), plus
         // the user copy per byte.
-        let mut read_sockets = std::mem::take(&mut t.read_sockets);
-        for ev in &ctx.events {
+        for ev in events {
             if let EventCond::Recv { payload, flow, .. } = ev {
-                if !read_sockets.contains(&flow.key) {
-                    read_sockets.push(flow.key);
-                    kernel += t.params.syscall_ns + t.params.read_ns;
-                    t.stats.syscalls += 1;
+                if !t.read_sockets.contains(&flow.key) {
+                    t.read_sockets.push(flow.key);
+                    kernel += p.syscall_ns + p.read_ns;
                 }
                 // Linux copies every received byte across the kernel
                 // boundary at read() — the cost IX's zero-copy recv
                 // avoids by construction.
-                kernel += (payload.len() as u64 * t.params.copy_byte_ns_x1000) / 1000;
-                t.stats.bytes_copied += payload.len() as u64;
+                kernel += (payload.len() as u64 * p.copy_byte_ns_x1000) / 1000;
             }
         }
-        read_sockets.clear();
-        t.read_sockets = read_sockets;
-        ctx.now_ns = now_ns;
-        ctx.user_ns = 0;
-        t.app.on_cycle(&mut ctx);
-        let user = ctx.user_ns;
+        t.read_sockets.clear();
         // Application system calls, one kernel crossing each.
-        let mut syscalls = std::mem::take(&mut ctx.syscalls);
-        for s in syscalls.drain(..) {
-            t.stats.syscalls += 1;
-            kernel += t.params.syscall_ns;
-            let r = LinuxCore::dispatch(&mut t, &mut ctx, now_ns, s, &mut kernel);
-            t.pending_results.push(r);
-        }
-        ctx.unload(syscalls);
-        t.ctx = ctx;
-        let c = &mut *t;
-        let sent = crate::flush_tx(&mut c.shard, &c.queues, &mut c.tx_scratch, &mut c.pending_kicks);
-        c.stats.tx_packets += sent;
-        kernel += c.params.tx_pkt_ns * sent;
-        let mid = t.core.borrow_mut().run(now, Nanos(kernel), CpuDomain::Kernel);
-        let end = t.core.borrow_mut().run(mid, Nanos(user), CpuDomain::User);
-        drop(t);
+        let sndbufs = &mut t.sndbufs;
+        let ran = t.base.run_app(now.as_nanos(), |s, shard, now_ns, ctx| {
+            sndbufs.dispatch(s, shard, now_ns, ctx, p, &mut kernel)
+        });
+        kernel += p.syscall_ns * ran.syscalls;
+        kernel += p.tx_pkt_ns * crate::flush_tx(&mut t.base);
+        let mid = t.base.core.borrow_mut().run(now, Nanos(kernel), CpuDomain::Kernel);
+        let end = t.base.core.borrow_mut().run(mid, Nanos(ran.user_ns), CpuDomain::User);
+        drop(guard);
         sim.schedule_event_at(end, this, EV_APP_EPILOGUE);
     }
 
     /// After the app slice: kick TX, decide whether to loop or block.
     fn app_epilogue(this: &LinuxCoreRef, sim: &mut Simulator) {
-        ring_doorbells(&mut this.borrow_mut().pending_kicks, sim);
-        let (rerun, wake_in) = {
-            let t = this.borrow();
-            let more = !t.app_events.is_empty()
-                || !t.pending_results.is_empty()
-                || t.app.wants_cycle(sim.now().as_nanos());
-            let mut wake = None;
-            if let Some(d) = t.app.next_deadline_ns() {
-                wake = Some(d.saturating_sub(sim.now().as_nanos()).max(1));
-            }
-            (more, wake)
-        };
+        let now_ns = sim.now().as_nanos();
+        let mut guard = this.borrow_mut();
+        let t = &mut *guard;
+        ring_doorbells(&mut t.base.kicks, sim);
+        let rerun = !t.app_events.is_empty() || !t.base.pending_results.is_empty() || t.base.wants_cycle(now_ns);
         if rerun {
-            let mut t = this.borrow_mut();
             if !t.app_scheduled {
                 t.app_scheduled = true;
-                drop(t);
                 // Immediate re-loop: the thread did not block.
                 sim.schedule_event_at(sim.now(), this, EV_APP_RUN);
             }
+        } else if let Some(ns) = t.base.app_deadline_in(now_ns) {
+            t.base.cancel_idle_wake(sim);
+            t.app_blocked = false;
+            t.app_scheduled = true;
+            t.base.idle_wake = Some(sim.schedule_event_in(Nanos(ns), this, EV_IDLE_WAKE));
         } else {
-            let mut t = this.borrow_mut();
             t.app_blocked = true;
-            if let Some(ns) = wake_in {
-                if let Some(w) = t.idle_wake.take() {
-                    sim.cancel(w);
-                }
-                t.app_blocked = false;
-                t.app_scheduled = true;
-                drop(t);
-                let id = sim.schedule_event_in(Nanos(ns), this, EV_IDLE_WAKE);
-                this.borrow_mut().idle_wake = Some(id);
-            }
         }
+        drop(guard);
         LinuxCore::ensure_tick(this, sim);
-    }
-
-    /// Executes one syscall with Linux semantics: `Sendv` on a sendable
-    /// flow copies into the kernel send buffer, and `Close`/`Abort` drop
-    /// that buffer first; the stack does the rest, as on IX.
-    fn dispatch(
-        t: &mut LinuxCore,
-        ctx: &mut UserCtx,
-        now_ns: u64,
-        s: Syscall,
-        kernel: &mut u64,
-    ) -> SyscallResult {
-        match s {
-            Syscall::Sendv { handle, sg } => {
-                *kernel += t.params.write_ns;
-                if let Err(e) = t.shard.sendable(handle) {
-                    ctx.recycle_sg(sg);
-                    return SyscallResult::Err(e);
-                }
-                let total: usize = sg.iter().map(Bytes::len).sum();
-                // A socket's first write creates its entry; the spare
-                // stack has room for every socket's buffer from then on.
-                t.spare_chunks.note_borrowers(t.sndbufs.len() + 1);
-                let buf = t.sndbufs.get_or_insert_default(handle.key);
-                let space = t.params.sndbuf.saturating_sub(buf.bytes);
-                let mut accept = total.min(space);
-                let accepted = accept;
-                *kernel += (accepted as u64 * t.params.copy_byte_ns_x1000) / 1000;
-                t.stats.bytes_copied += accepted as u64;
-                for chunk in &sg {
-                    if accept == 0 {
-                        break;
-                    }
-                    let take = accept.min(chunk.len());
-                    t.spare_chunks.push_back(&mut buf.chunks, chunk.slice(..take));
-                    buf.bytes += take;
-                    accept -= take;
-                }
-                ctx.recycle_sg(sg);
-                if accepted < total {
-                    buf.app_waiting = true;
-                }
-                // Drain as much as the window allows right now.
-                Self::drain_sndbuf(&mut t.shard, &mut t.spare_chunks, now_ns, handle, buf);
-                SyscallResult::Sent(accepted as u32)
-            }
-            Syscall::Close { handle } | Syscall::Abort { handle } => {
-                t.drop_sndbuf(handle.key);
-                s.execute(&mut t.shard, now_ns, ctx)
-            }
-            other => other.execute(&mut t.shard, now_ns, ctx),
-        }
     }
 
     /// Arms the periodic timer tick while the core has live state.
     fn ensure_tick(this: &LinuxCoreRef, sim: &mut Simulator) {
-        let arm = {
-            let t = this.borrow();
-            !t.tick_armed && (t.shard.flow_count() > 0 || t.shard.has_timers())
-        };
-        if !arm {
+        let mut t = this.borrow_mut();
+        if t.tick_armed || (t.base.shard.flow_count() == 0 && !t.base.shard.has_timers()) {
             return;
         }
-        this.borrow_mut().tick_armed = true;
-        let jiffy = this.borrow().params.jiffy_ns;
-        sim.schedule_event_in(Nanos(jiffy), this, EV_TICK);
+        t.tick_armed = true;
+        sim.schedule_event_in(Nanos(t.params.jiffy_ns), this, EV_TICK);
     }
 
     /// The timer softirq: advance the wheel, flush retransmissions.
@@ -600,30 +524,18 @@ impl LinuxCore {
         let now = sim.now();
         let now_ns = now.as_nanos();
         {
-            let mut t = this.borrow_mut();
+            let mut guard = this.borrow_mut();
+            let t = &mut *guard;
             t.tick_armed = false;
-            t.shard.advance_timers(now_ns);
-            let had_events = LinuxCore::absorb_stack_events(&mut t, now_ns);
-            let c = &mut *t;
-            let sent = crate::flush_tx(&mut c.shard, &c.queues, &mut c.tx_scratch, &mut c.pending_kicks);
-            c.stats.tx_packets += sent;
-            let cost = 300 + c.params.tx_pkt_ns * sent;
-            t.core.borrow_mut().run(now, Nanos(cost), CpuDomain::Kernel);
-            let wake = had_events
-                && (t.app_blocked || t.idle_wake.is_some())
-                && !(t.app_scheduled && t.idle_wake.is_none());
-            if wake {
-                if let Some(w) = t.idle_wake.take() {
-                    sim.cancel(w);
-                }
-                t.app_blocked = false;
-                t.app_scheduled = true;
-                let delay = t.params.sched_wakeup_ns;
-                drop(t);
-                sim.schedule_event_in(Nanos(delay), this, EV_APP_RUN);
+            t.base.shard.advance_timers(now_ns);
+            let had_events = t.absorb_stack_events(now_ns);
+            let cost = 300 + t.params.tx_pkt_ns * crate::flush_tx(&mut t.base);
+            t.base.core.borrow_mut().run(now, Nanos(cost), CpuDomain::Kernel);
+            if t.wake_app(sim, had_events) {
+                sim.schedule_event_in(Nanos(t.params.sched_wakeup_ns), this, EV_APP_RUN);
             }
+            ring_doorbells(&mut t.base.kicks, sim);
         }
-        ring_doorbells(&mut this.borrow_mut().pending_kicks, sim);
         LinuxCore::ensure_tick(this, sim);
     }
 }
@@ -642,7 +554,7 @@ impl EventTarget for LinuxCore {
             EV_APP_RUN => LinuxCore::app_run(this, sim),
             EV_APP_EPILOGUE => LinuxCore::app_epilogue(this, sim),
             EV_IDLE_WAKE => {
-                this.borrow_mut().idle_wake = None;
+                this.borrow_mut().base.idle_wake = None;
                 LinuxCore::app_run(this, sim);
             }
             _ => {
@@ -650,15 +562,6 @@ impl EventTarget for LinuxCore {
                 LinuxCore::tick(this, sim);
             }
         }
-    }
-}
-
-impl std::fmt::Debug for LinuxCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LinuxCore")
-            .field("id", &self.id)
-            .field("stats", &self.stats)
-            .finish()
     }
 }
 
@@ -679,7 +582,7 @@ impl LinuxHost {
         params: LinuxParams,
         mut stack_cfg: StackConfig,
         listen_port: Option<u16>,
-        mut app_factory: impl FnMut(usize) -> Box<dyn IxApp>,
+        app_factory: impl FnMut(usize) -> Box<dyn IxApp>,
     ) -> LinuxHost {
         // The kernel uses classic delayed ACKs with a short piggyback
         // window, window scaling (wscale 7, as Linux 3.16 negotiates),
@@ -692,39 +595,28 @@ impl LinuxHost {
             n_cores,
             &stack_cfg,
             listen_port,
-            |id, shard, queues| LinuxCore {
-                id,
+            app_factory,
+            |base| LinuxCore {
                 params: params.clone(),
-                shard,
-                app: app_factory(id),
-                last_irq: vec![SimTime::ZERO; queues.len()],
-                queues,
-                core: host.cores[id].clone(),
+                last_irq: vec![SimTime::ZERO; base.queues.len()],
+                base,
                 app_events: Vec::new(),
-                pending_results: Vec::new(),
-                sndbufs: FlowMap::new(),
-                spare_chunks: Spares::new(),
+                sndbufs: SndBufs::default(),
                 app_blocked: true,
                 app_scheduled: false,
                 softirq_scheduled: false,
                 tick_armed: false,
-                idle_wake: None,
-                pending_kicks: Vec::new(),
-                ctx: UserCtx::default(),
-                rx_scratch: Vec::new(),
                 seen_flows: Vec::new(),
                 read_sockets: Vec::new(),
                 events_scratch: Vec::new(),
-                tx_scratch: Vec::new(),
                 stats: LinuxStats::default(),
             },
             LinuxCore::on_rx,
         );
         // Prime pacing apps (load generators).
         for lc in &cores {
-            let wants = lc.borrow().app.wants_cycle(sim.now().as_nanos());
-            if wants {
-                let mut t = lc.borrow_mut();
+            let mut t = lc.borrow_mut();
+            if t.base.wants_cycle(sim.now().as_nanos()) {
                 t.app_blocked = false;
                 t.app_scheduled = true;
                 drop(t);
@@ -737,21 +629,8 @@ impl LinuxHost {
     /// Seeds ARP on every core's shard.
     pub fn seed_arp(&self, ip: ix_net::Ipv4Addr, mac: ix_net::MacAddr) {
         for c in &self.cores {
-            c.borrow_mut().shard.arp_seed(ip, mac);
+            c.borrow_mut().base.shard.arp_seed(ip, mac);
         }
-    }
-
-    /// Aggregate kernel/user CPU split across cores.
-    pub fn cpu_split(&self) -> (u64, u64) {
-        let mut k = 0;
-        let mut u = 0;
-        for c in &self.cores {
-            let t = c.borrow();
-            let core = t.core.borrow();
-            k += core.kernel_ns;
-            u += core.user_ns;
-        }
-        (k, u)
     }
 
     /// Aggregate stats.
@@ -761,11 +640,7 @@ impl LinuxHost {
             let t = c.borrow();
             s.interrupts += t.stats.interrupts;
             s.softirqs += t.stats.softirqs;
-            s.rx_packets += t.stats.rx_packets;
-            s.tx_packets += t.stats.tx_packets;
             s.wakeups += t.stats.wakeups;
-            s.syscalls += t.stats.syscalls;
-            s.bytes_copied += t.stats.bytes_copied;
         }
         s
     }

@@ -18,13 +18,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ix_core::api::{EventCond, IxApp, SyscallResult, UserCtx};
-use ix_core::dataplane::{launch_cores, ring_doorbells};
-use ix_nic::host::{CoreRef, CpuDomain};
-use ix_nic::nic::{NicRef, QueueId};
-use ix_mempool::Mbuf;
+use ix_core::api::{EventCond, IxApp, Syscall};
+use ix_core::dataplane::{launch_cores, ring_doorbells, EngineCore};
+use ix_nic::host::CpuDomain;
 use ix_sim::{EventTarget, Nanos, SimTime, Simulator};
-use ix_tcp::{AckPolicy, StackConfig, TcpShard};
+use ix_tcp::{AckPolicy, StackConfig};
+use ix_testkit::buffer_id;
 
 /// Cost and behaviour parameters of the mTCP model.
 #[derive(Debug, Clone)]
@@ -72,34 +71,17 @@ impl Default for MtcpParams {
 
 /// One mTCP core: TCP thread + application thread pair.
 pub struct MtcpCore {
-    /// Core index (equals the RSS queue it owns).
-    pub id: usize,
+    /// The shard, application, queues and scratch every engine's core has.
+    pub base: EngineCore,
     params: MtcpParams,
-    /// The user-level TCP shard of the TCP thread.
-    pub shard: TcpShard,
-    app: Box<dyn IxApp>,
-    queues: Vec<(NicRef, QueueId)>,
-    core: CoreRef,
-    /// Events buffered for the next app batch.
+    /// Events buffered for the next app batch; ping-pongs with
+    /// `base.ctx.events`.
     evq: Vec<EventCond>,
-    pending_results: Vec<SyscallResult>,
-    /// The last time an app slice started (batch pacing).
-    last_app: SimTime,
     app_scheduled: bool,
     tcp_scheduled: bool,
-    idle_wake: Option<ix_sim::EventId>,
-    /// NICs with freshly pushed TX descriptors awaiting a doorbell.
-    pending_kicks: Vec<NicRef>,
-    /// The application thread's user context, kept across slices: its
-    /// event vector ping-pongs with `evq`, its result vector with
-    /// `pending_results`, and its syscall batch is drained in place.
-    ctx: UserCtx,
-    /// Recycled per-pass scratch, each drained where it is used and put
-    /// back: the polled batch, and the buffers swapped into the shard's
-    /// event and TX queues when theirs are taken.
-    rx_scratch: Vec<Mbuf>,
+    /// Recycled scratch swapped into the shard's event queue when its
+    /// events are taken.
     events_scratch: Vec<EventCond>,
-    tx_scratch: Vec<Mbuf>,
     /// Counters.
     pub stats: MtcpStats,
 }
@@ -109,20 +91,23 @@ pub struct MtcpCore {
 pub struct MtcpStats {
     /// TCP-thread poll passes.
     pub polls: u64,
-    /// Packets received.
-    pub rx_packets: u64,
-    /// Packets transmitted.
-    pub tx_packets: u64,
     /// Application batches delivered.
     pub app_batches: u64,
-    /// Events delivered to the application.
-    pub events: u64,
 }
 
 /// Shared handle.
 pub type MtcpCoreRef = Rc<RefCell<MtcpCore>>;
 
 impl MtcpCore {
+    /// Identity of every vector the core recycles from pass to pass
+    /// (see [`ix_testkit::buffer_id`]): the base's, `evq` and
+    /// `events_scratch`.
+    pub fn scratch_buffers(&self) -> Vec<(usize, usize)> {
+        let mut ids = self.base.scratch_buffers();
+        ids.extend([buffer_id(&self.evq), buffer_id(&self.events_scratch)]);
+        ids
+    }
+
     /// Schedules a TCP-thread pass as soon as the core frees up.
     fn schedule_tcp(this: &MtcpCoreRef, sim: &mut Simulator) {
         let start = {
@@ -131,11 +116,7 @@ impl MtcpCore {
                 return;
             }
             t.tcp_scheduled = true;
-            if let Some(w) = t.idle_wake.take() {
-                sim.cancel(w);
-            }
-            let busy = t.core.borrow().busy_until;
-            sim.now().max(busy)
+            t.base.wake(sim)
         };
         sim.schedule_event_at(start, this, EV_TCP_PASS);
     }
@@ -145,39 +126,34 @@ impl MtcpCore {
     fn tcp_pass(this: &MtcpCoreRef, sim: &mut Simulator) {
         let now = sim.now();
         let now_ns = now.as_nanos();
-        let mut t = this.borrow_mut();
+        let mut guard = this.borrow_mut();
+        let t = &mut *guard;
         t.tcp_scheduled = false;
         t.stats.polls += 1;
         let mut cost = t.params.poll_ns;
-        let batch = t.params.batch;
-        let mut frames = std::mem::take(&mut t.rx_scratch);
-        crate::poll_rx(&t.queues, batch, &mut frames);
-        t.stats.rx_packets += frames.len() as u64;
+        let mut frames = crate::poll_rx(&mut t.base, t.params.batch);
         for f in frames.drain(..) {
             cost += t.params.rx_pkt_ns + (f.len() as u64 * t.params.rx_byte_ns_x1000) / 1000;
-            t.shard.input(now_ns, f);
+            t.base.shard.input(now_ns, f);
         }
-        t.rx_scratch = frames;
-        t.shard.advance_timers(now_ns);
+        t.base.rx_scratch = frames;
+        t.base.shard.advance_timers(now_ns);
         // Buffer events for the app's next batch boundary.
-        let recycled = std::mem::take(&mut t.events_scratch);
-        let mut events = t.shard.take_events_swap(recycled);
+        let mut events = t.base.shard.take_events_swap(std::mem::take(&mut t.events_scratch));
         cost += t.params.event_ns * events.len() as u64;
         t.evq.append(&mut events);
         t.events_scratch = events;
-        let c = &mut *t;
-        let sent = crate::flush_tx(&mut c.shard, &c.queues, &mut c.tx_scratch, &mut c.pending_kicks);
-        c.stats.tx_packets += sent;
-        cost += c.params.tx_pkt_ns * sent;
-        let end = t.core.borrow_mut().run(now, Nanos(cost), CpuDomain::Kernel);
+        cost += t.params.tx_pkt_ns * crate::flush_tx(&mut t.base);
+        let end = t.base.core.borrow_mut().run(now, Nanos(cost), CpuDomain::Kernel);
         // Decide follow-ups.
         let rx_pending = t
+            .base
             .queues
             .iter()
             .any(|(nic, q)| nic.borrow_mut().rx_ring(*q).pending() > 0);
         let want_app = !t.evq.is_empty()
-            || !t.pending_results.is_empty()
-            || t.app.wants_cycle(now_ns);
+            || !t.base.pending_results.is_empty()
+            || t.base.wants_cycle(now_ns);
         // The app thread wakes on a fixed period grid (batched epoll
         // wake-ups), not on demand: this is where mTCP's latency goes.
         let q = t.params.quantum_ns;
@@ -188,24 +164,17 @@ impl MtcpCore {
             t.app_scheduled = true;
         }
         // The idle wake-up, worked out only when the pass ends idle.
-        let mut wake: Option<u64> = None;
-        if !rx_pending && !schedule_app {
-            wake = t.shard.next_timer_ns();
-            if let Some(d) = t.app.next_deadline_ns() {
-                let rel = d.saturating_sub(now_ns).max(1);
-                wake = Some(wake.map_or(rel, |w| w.min(rel)));
-            }
-        }
-        ring_doorbells(&mut t.pending_kicks, sim);
-        drop(t);
+        let wake = if !rx_pending && !schedule_app { t.base.idle_wake_in(now_ns) } else { None };
+        ring_doorbells(&mut t.base.kicks, sim);
+        drop(guard);
         if schedule_app {
             sim.schedule_event_at(app_at, this, EV_APP_SLICE);
         }
         if rx_pending {
             MtcpCore::schedule_tcp(this, sim);
         } else if let Some(ns) = wake {
-            let id = sim.schedule_event_in(Nanos(ns.max(1)), this, EV_IDLE_WAKE);
-            this.borrow_mut().idle_wake = Some(id);
+            let id = sim.schedule_event_in(Nanos(ns), this, EV_IDLE_WAKE);
+            this.borrow_mut().base.idle_wake = Some(id);
         }
     }
 
@@ -213,37 +182,20 @@ impl MtcpCore {
     /// events, run the handler, dispatch its batched requests.
     fn app_slice(this: &MtcpCoreRef, sim: &mut Simulator) {
         let now = sim.now();
-        let now_ns = now.as_nanos();
-        let mut t = this.borrow_mut();
+        let mut guard = this.borrow_mut();
+        let t = &mut *guard;
         t.app_scheduled = false;
-        t.last_app = now;
         t.stats.app_batches += 1;
-        let mut ctx = std::mem::take(&mut t.ctx);
-        let core = &mut *t;
-        ctx.load(&mut core.evq, &mut core.pending_results);
-        t.stats.events += ctx.events.len() as u64;
+        t.base.ctx.load(&mut t.evq, &mut t.base.pending_results);
+        let ran = t.base.run_app(now.as_nanos(), Syscall::execute);
         // Two context switches per exchange (into and out of the app).
-        let mut kernel = 2 * t.params.switch_ns + t.params.event_ns * ctx.events.len() as u64;
-        ctx.now_ns = now_ns;
-        ctx.user_ns = 0;
-        t.app.on_cycle(&mut ctx);
-        let user = ctx.user_ns;
-        let mut syscalls = std::mem::take(&mut ctx.syscalls);
-        for s in syscalls.drain(..) {
-            kernel += t.params.request_ns;
-            let r = s.execute(&mut t.shard, now_ns, &mut ctx);
-            t.pending_results.push(r);
-        }
-        ctx.unload(syscalls);
-        t.ctx = ctx;
-        let c = &mut *t;
-        let sent = crate::flush_tx(&mut c.shard, &c.queues, &mut c.tx_scratch, &mut c.pending_kicks);
-        c.stats.tx_packets += sent;
-        kernel += c.params.tx_pkt_ns * sent;
-        let mid = t.core.borrow_mut().run(now, Nanos(kernel), CpuDomain::Kernel);
-        t.core.borrow_mut().run(mid, Nanos(user), CpuDomain::User);
-        ring_doorbells(&mut t.pending_kicks, sim);
-        drop(t);
+        let mut kernel = 2 * t.params.switch_ns + t.params.event_ns * ran.events;
+        kernel += t.params.request_ns * ran.syscalls;
+        kernel += t.params.tx_pkt_ns * crate::flush_tx(&mut t.base);
+        let mid = t.base.core.borrow_mut().run(now, Nanos(kernel), CpuDomain::Kernel);
+        t.base.core.borrow_mut().run(mid, Nanos(ran.user_ns), CpuDomain::User);
+        ring_doorbells(&mut t.base.kicks, sim);
+        drop(guard);
         // The TCP thread resumes control of the core.
         MtcpCore::schedule_tcp(this, sim);
     }
@@ -261,26 +213,10 @@ impl EventTarget for MtcpCore {
             EV_APP_SLICE => MtcpCore::app_slice(this, sim),
             _ => {
                 debug_assert_eq!(arg, EV_IDLE_WAKE);
-                this.borrow_mut().idle_wake = None;
+                this.borrow_mut().base.idle_wake = None;
                 MtcpCore::schedule_tcp(this, sim);
             }
         }
-    }
-}
-
-impl MtcpCore {
-    /// The hardware thread this core pair runs on (for CPU accounting).
-    pub fn core_ref(&self) -> &CoreRef {
-        &self.core
-    }
-}
-
-impl std::fmt::Debug for MtcpCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MtcpCore")
-            .field("id", &self.id)
-            .field("stats", &self.stats)
-            .finish()
     }
 }
 
@@ -301,7 +237,7 @@ impl MtcpHost {
         params: MtcpParams,
         mut stack_cfg: StackConfig,
         listen_port: Option<u16>,
-        mut app_factory: impl FnMut(usize) -> Box<dyn IxApp>,
+        app_factory: impl FnMut(usize) -> Box<dyn IxApp>,
     ) -> MtcpHost {
         stack_cfg.ack_policy = AckPolicy::Delayed(100_000);
         let cores = launch_cores(
@@ -309,24 +245,14 @@ impl MtcpHost {
             n_cores,
             &stack_cfg,
             listen_port,
-            |id, shard, queues| MtcpCore {
-                id,
+            app_factory,
+            |base| MtcpCore {
+                base,
                 params: params.clone(),
-                shard,
-                app: app_factory(id),
-                queues,
-                core: host.cores[id].clone(),
                 evq: Vec::new(),
-                pending_results: Vec::new(),
-                last_app: SimTime::ZERO,
                 app_scheduled: false,
                 tcp_scheduled: false,
-                idle_wake: None,
-                pending_kicks: Vec::new(),
-                ctx: UserCtx::default(),
-                rx_scratch: Vec::new(),
                 events_scratch: Vec::new(),
-                tx_scratch: Vec::new(),
                 stats: MtcpStats::default(),
             },
             |mc, sim, _| MtcpCore::schedule_tcp(mc, sim),
@@ -340,7 +266,7 @@ impl MtcpHost {
     /// Seeds ARP on every core's shard.
     pub fn seed_arp(&self, ip: ix_net::Ipv4Addr, mac: ix_net::MacAddr) {
         for c in &self.cores {
-            c.borrow_mut().shard.arp_seed(ip, mac);
+            c.borrow_mut().base.shard.arp_seed(ip, mac);
         }
     }
 
@@ -350,10 +276,7 @@ impl MtcpHost {
         for c in &self.cores {
             let t = c.borrow();
             s.polls += t.stats.polls;
-            s.rx_packets += t.stats.rx_packets;
-            s.tx_packets += t.stats.tx_packets;
             s.app_batches += t.stats.app_batches;
-            s.events += t.stats.events;
         }
         s
     }

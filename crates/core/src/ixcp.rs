@@ -98,7 +98,7 @@ pub struct MigrateReport {
 fn dataplane_nics(threads: &[ThreadRef]) -> Vec<NicRef> {
     let mut nics: Vec<NicRef> = Vec::new();
     for th in threads {
-        for (nic, _q) in th.borrow().queues() {
+        for (nic, _q) in &th.borrow().base.queues {
             if !nics.iter().any(|n| Rc::ptr_eq(n, nic)) {
                 nics.push(nic.clone());
             }
@@ -109,7 +109,7 @@ fn dataplane_nics(threads: &[ThreadRef]) -> Vec<NicRef> {
 
 /// The current RSS redirection table (the same on every port).
 fn redirection(threads: &[ThreadRef]) -> Vec<usize> {
-    threads[0].borrow().queues()[0].0.borrow().redirection().to_vec()
+    threads[0].borrow().base.queues[0].0.borrow().redirection().to_vec()
 }
 
 /// Which threads [`remap`] wakes once the flows have moved.
@@ -160,15 +160,16 @@ fn remap(
         let th = &threads[i];
         {
             let mut t = th.borrow_mut();
-            for (nic, q) in t.queues().to_vec() {
+            let b = &mut t.base;
+            for (nic, q) in &b.queues {
                 loop {
-                    let frame = nic.borrow_mut().rx_ring(q).poll();
+                    let frame = nic.borrow_mut().rx_ring(*q).poll();
                     let Some(frame) = frame else { break };
-                    t.shard.input(now_ns, frame);
+                    b.shard.input(now_ns, frame);
                 }
                 let mut nn = nic.borrow_mut();
-                let un = nn.rx_ring(q).unreplenished();
-                nn.rx_ring(q).replenish(un);
+                let un = nn.rx_ring(*q).unreplenished();
+                nn.rx_ring(*q).replenish(un);
             }
         }
         ElasticThread::drain_user_work(th, sim);
@@ -180,7 +181,7 @@ fn remap(
         let t = th.borrow();
         for (b, &q) in map.iter().enumerate() {
             if q != i {
-                counts[q] += t.shard.bucket_len(b as u16);
+                counts[q] += t.base.shard.bucket_len(b as u16);
             }
         }
     }
@@ -189,7 +190,7 @@ fn remap(
         let mut t = th.borrow_mut();
         for (b, &q) in map.iter().enumerate() {
             if q != i {
-                t.shard.extract_bucket_into(b as u16, &mut batches[q]);
+                t.base.shard.extract_bucket_into(b as u16, &mut batches[q]);
             }
         }
     }
@@ -201,7 +202,7 @@ fn remap(
         if batch.is_empty() {
             continue;
         }
-        threads[q].borrow_mut().shard.absorb_flows(now_ns, batch);
+        threads[q].borrow_mut().base.shard.absorb_flows(now_ns, batch);
         if let Some(fc) = filter {
             fc.republish_shard(&threads[q]);
         }
@@ -275,7 +276,7 @@ pub fn start_queue_watchdog(
     let stats: WatchdogRef = Rc::new(RefCell::new(WatchdogStats::default()));
     let health: WatchdogHealth = Rc::new(RefCell::new(Vec::new()));
     let ctx = WatchdogCtx {
-        last: dp.threads.iter().map(|t| vec![None; t.borrow().queues().len()]).collect(),
+        last: dp.threads.iter().map(|t| vec![None; t.borrow().base.queues.len()]).collect(),
         threads: dp.threads.clone(),
         stats: stats.clone(),
         health: health.clone(),
@@ -317,7 +318,7 @@ fn watchdog_tick(sim: &mut Simulator, mut ctx: WatchdogCtx) {
         if t.parked {
             continue;
         }
-        for (pi, (nic, q)) in t.queues().iter().enumerate() {
+        for (pi, (nic, q)) in t.base.queues.iter().enumerate() {
             let (pending, received) = {
                 let mut n = nic.borrow_mut();
                 let r = n.rx_ring(*q);
@@ -378,7 +379,7 @@ fn resteer_hung_queues(sim: &mut Simulator, ctx: &WatchdogCtx, hung: &[usize]) {
     // retransmission recovers the loss.
     let mut discarded = 0u64;
     for &h in hung {
-        for (nic, q) in ctx.threads[h].borrow().queues() {
+        for (nic, q) in &ctx.threads[h].borrow().base.queues {
             let mut n = nic.borrow_mut();
             let ring = n.rx_ring(*q);
             while ring.poll().is_some() {
@@ -596,7 +597,7 @@ fn elastic_tick(sim: &mut Simulator, mut ctx: ElasticCtx) {
         }
         busy += 1;
         let mut mine = 0usize;
-        for (nic, q) in t.queues() {
+        for (nic, q) in &t.base.queues {
             mine += nic.borrow_mut().rx_ring(*q).take_depth_hwm();
         }
         max_pending = max_pending.max(mine);
@@ -691,10 +692,10 @@ fn elastic_tick(sim: &mut Simulator, mut ctx: ElasticCtx) {
         let (flows, backlog) = {
             let t = th.borrow();
             let mut backlog = 0usize;
-            for (nic, q) in t.queues() {
+            for (nic, q) in &t.base.queues {
                 backlog += nic.borrow_mut().rx_ring(*q).pending();
             }
-            (t.shard.flow_count(), backlog)
+            (t.base.shard.flow_count(), backlog)
         };
         if flows == 0 && backlog == 0 {
             ElasticThread::drain_user_work(th, sim);
@@ -817,7 +818,7 @@ impl FilterControl {
             nic.borrow_mut().set_filter(Some(snap.clone()));
         }
         for th in &self.threads {
-            th.borrow_mut().shard.set_filter_policy(Some(snap.clone()));
+            th.borrow_mut().base.shard.set_filter_policy(Some(snap.clone()));
         }
     }
 
@@ -850,7 +851,7 @@ impl FilterControl {
         if !self.installed.get() {
             return;
         }
-        th.borrow_mut().shard.set_filter_policy(Some(self.rcu.read()));
+        th.borrow_mut().base.shard.set_filter_policy(Some(self.rcu.read()));
     }
 
     /// Removes the filter from every NIC and shard (the dataplane
@@ -862,7 +863,7 @@ impl FilterControl {
             nic.borrow_mut().set_filter(None);
         }
         for th in &self.threads {
-            th.borrow_mut().shard.set_filter_policy(None);
+            th.borrow_mut().base.shard.set_filter_policy(None);
         }
     }
 

@@ -13,7 +13,9 @@
 //! * [`dataplane`] — elastic threads running the Fig 1b run-to-completion
 //!   cycle with adaptive, bounded batching; per-thread memory pools,
 //!   queues, and timers; VMX-transition cost accounting; CPU-time split
-//!   between dataplane ("kernel") and application ("user") domains.
+//!   between dataplane ("kernel") and application ("user") domains; and
+//!   the per-core state and application step all three engines share
+//!   ([`dataplane::EngineCore`]).
 //! * [`libix`] — the user-level `libix` library: a libevent-like
 //!   event-loop API with transmit coalescing and flow-control-aware
 //!   buffering (§4.3), so legacy-style applications port easily.

@@ -176,9 +176,8 @@ fn pipelined_echoes_complete_exactly() {
     assert!(r.done, "run incomplete: {} rtts", r.rtts_ns.len());
     assert_eq!(r.rtts_ns.len(), 200 * 4);
     // No packet loss end to end: server saw traffic, no ring drops.
-    let st = sdp.stats();
-    assert!(st.rx_packets > 0);
-    assert_eq!(st.tx_ring_drops, 0);
+    assert!(sdp.threads.iter().any(|t| t.borrow().base.rx_packets > 0));
+    assert_eq!(sdp.stats().tx_ring_drops, 0);
 }
 
 #[test]
@@ -189,7 +188,7 @@ fn rss_spreads_connections_across_elastic_threads() {
     let busy: Vec<u64> = sdp
         .threads
         .iter()
-        .map(|t| t.borrow().stats.rx_packets)
+        .map(|t| t.borrow().base.rx_packets)
         .collect();
     let active = busy.iter().filter(|&&p| p > 0).count();
     assert!(active >= 3, "RSS spread used only {active}/4 threads: {busy:?}");
@@ -200,7 +199,11 @@ fn kernel_dominates_dataplane_but_split_is_tracked() {
     let (mut sim, _fabric, sdp, _c, results) = setup(1, 64, 500, 2);
     sim.run_until(ix_sim::SimTime(Nanos::from_millis(200).as_nanos()));
     assert!(results.borrow().done);
-    let (kernel, user) = sdp.cpu_split();
+    let (kernel, user) = sdp.threads.iter().fold((0, 0), |(k, u), t| {
+        let t = t.borrow();
+        let core = t.base.core.borrow();
+        (k + core.kernel_ns, u + core.user_ns)
+    });
     assert!(kernel > 0 && user > 0);
     // The echo app charges 150 ns/request vs ~1 µs dataplane work: the
     // dataplane share is large for a trivial app, but bounded.
@@ -261,7 +264,7 @@ fn ixcp_revocation_migrates_flows_and_traffic_continues() {
     );
     // Parked threads hold no flows.
     for th in sdp.threads.iter().skip(2) {
-        assert_eq!(th.borrow().shard.flow_count(), 0, "parked thread kept flows");
+        assert_eq!(th.borrow().base.shard.flow_count(), 0, "parked thread kept flows");
     }
     // And the control plane can give them back.
     set_active_threads(&mut sim, &sdp, 4, None);

@@ -198,7 +198,7 @@ fn spike_adds_cores_then_idle_consolidates_without_loss() {
     // parked cores hold no flows.
     assert_eq!(unparked(&sdp), 1, "did not consolidate: {s:?}");
     for th in sdp.threads.iter().skip(1) {
-        assert_eq!(th.borrow().shard.flow_count(), 0, "parked thread kept flows");
+        assert_eq!(th.borrow().base.shard.flow_count(), 0, "parked thread kept flows");
     }
     // Energy proxy: strictly cheaper than a static 4-core allocation.
     assert!(s.busy_core_epochs < 4 * s.epochs, "no energy win: {s:?}");
@@ -216,7 +216,7 @@ fn migration_rate_is_bounded_per_epoch() {
         start_elastic_controller(&mut sim, &sdp, cfg, None, None, Nanos::from_millis(40).as_nanos());
     // Snapshot the redirection table just after every controller epoch.
     let snaps: Rc<RefCell<Vec<Vec<usize>>>> = Rc::new(RefCell::new(Vec::new()));
-    let nic = sdp.threads[0].borrow().queues()[0].0.clone();
+    let nic = sdp.threads[0].borrow().base.queues[0].0.clone();
     for k in 0..400u64 {
         let snaps = snaps.clone();
         let nic = nic.clone();
@@ -420,7 +420,7 @@ fn admission_gate_sheds_new_connections_under_saturation() {
     assert!(s.shed_epochs >= 1);
     assert!(s.shed_disables >= 1, "gate never lifted after calm: {s:?}");
     // SYNs really were dropped at the NIC edge, pre-allocation.
-    let nic = sdp.threads[0].borrow().queues()[0].0.clone();
+    let nic = sdp.threads[0].borrow().base.queues[0].0.clone();
     let fs = nic.borrow().filter_stats_total();
     assert!(fs.drops >= 1, "no SYN was shed: {fs:?}");
     assert_eq!(fs.drop_allocs, 0);
@@ -441,6 +441,7 @@ fn filter_republish_reaches_migration_destination() {
     let stale = Rc::new(FilterPolicy::new());
     sdp.threads[1]
         .borrow_mut()
+        .base
         .shard
         .set_filter_policy(Some(stale.clone()));
     // Re-expanding migrates flows back to core 1; the absorb must
@@ -448,8 +449,8 @@ fn filter_republish_reaches_migration_destination() {
     set_active_threads(&mut sim, &sdp, 2, Some(&fc));
     {
         let th = sdp.threads[1].borrow();
-        assert!(th.shard.flow_count() > 0, "no flows migrated to the destination");
-        let got = th.shard.filter_policy().expect("destination lost its policy");
+        assert!(th.base.shard.flow_count() > 0, "no flows migrated to the destination");
+        let got = th.base.shard.filter_policy().expect("destination lost its policy");
         assert!(
             Rc::ptr_eq(got, &fc.snapshot()),
             "destination classifies with a stale filter snapshot"
@@ -477,7 +478,7 @@ fn rcu_reclaims_under_update_and_uninstall_without_resurrection() {
     assert_eq!(held.rule_count(), 0, "held snapshot mutated under updates");
     assert_eq!(fc.snapshot().rule_count(), 3);
     // Shards and NICs track the newest version.
-    let nic = sdp.threads[0].borrow().queues()[0].0.clone();
+    let nic = sdp.threads[0].borrow().base.queues[0].0.clone();
     assert!(Rc::ptr_eq(nic.borrow().filter().expect("nic filter"), &fc.snapshot()));
 
     // Concurrent update/uninstall race, serialized both ways. Uninstall
@@ -488,7 +489,7 @@ fn rcu_reclaims_under_update_and_uninstall_without_resurrection() {
     fc.republish_shard(&sdp.threads[0]);
     assert!(nic.borrow().filter().is_none(), "update resurrected the NIC filter");
     for th in sdp.threads.iter() {
-        assert!(th.borrow().shard.filter_policy().is_none(), "shard filter resurrected");
+        assert!(th.borrow().base.shard.filter_policy().is_none(), "shard filter resurrected");
     }
     assert_eq!(fc.retired_len(), 0);
     // The rule table itself kept versioning (snapshot still advances).

@@ -165,7 +165,7 @@ fn run_scenario(drops: &[u64]) -> (Vec<(u64, String)>, StackStats) {
 
     let mut stats = StackStats::default();
     for th in &cdp.threads {
-        stats.absorb(&th.borrow().shard.stats);
+        stats.absorb(&th.borrow().base.shard.stats);
     }
     let recorded = trace.borrow().clone();
     (recorded, stats)

@@ -13,13 +13,17 @@
 //! * and have materialized no more mbuf storage in any pool than its
 //!   demand high-water mark plus one provisioning block.
 //!
-//! The second case is the other end of the scale: many connections, few
+//! The second case holds the same recycled vectors on a Linux and on an
+//! mTCP server, after 20 ms of plain load (the stall above needs the IX
+//! thread's `parked` switch).
+//!
+//! The third case is the other end of the scale: many connections, few
 //! of them busy. There an idle connection must own no buffer at all —
 //! its queues borrow one from their spare stack while they hold
 //! something — and the buffers in existence must follow the connections
 //! busy at once, not the connections open.
 //!
-//! The third is the application's end of the same rule: memcached under
+//! The fourth is the application's end of the same rule: memcached under
 //! the ETC mix builds every request and response in a recycled block
 //! and stores every item in the store's log, so its window makes no
 //! block, boxes no event and grows the log only by what was SET.
@@ -27,14 +31,14 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
+use ix_apps::harness::{EngineTuning, ServerEngine, System};
 use ix_apps::kvstore::{KvServer, SharedStore, SEGMENT};
 use ix_apps::mutilate::{LoadStats, MutilateClient};
 use ix_apps::workload::{Workload, WorkloadKind};
 use ix_baselines::linux::{LinuxHost, LinuxParams};
 use ix_core::api::IxApp;
-use ix_core::dataplane::Dataplane;
+use ix_core::dataplane::{Dataplane, EngineCore};
 use ix_core::libix::{ConnCtx, Libix, LibixCtx, LibixHandler};
-use ix_core::params::CostParams;
 use ix_mempool::{LentQueues, Spares, PROVISION_BLOCK};
 use ix_nic::fabric::Fabric;
 use ix_nic::params::MachineParams;
@@ -113,21 +117,32 @@ fn libix<H: LibixHandler + 'static>(app: &mut dyn IxApp) -> &mut Libix<H> {
     app.as_any().downcast_mut().expect("every application runs under Libix")
 }
 
-/// Every recycled vector and timer arena on the server and on the
-/// clients, sorted.
-fn scratch(server: &Dataplane, clients: &[LinuxHost]) -> Vec<(usize, usize)> {
+/// A core's shard timer arena and its `Libix`'s recycled vectors.
+fn app_scratch<H: LibixHandler + 'static>(core: &mut EngineCore) -> Vec<(usize, usize)> {
+    let mut ids = libix::<H>(core.app_mut()).scratch_buffers();
+    ids.push(core.shard.timer_arena());
+    ids
+}
+
+/// Every recycled vector and timer arena of the client cores.
+fn client_scratch(clients: &[LinuxHost]) -> Vec<(usize, usize)> {
     let mut ids = Vec::new();
-    for th in &server.threads {
-        let mut t = th.borrow_mut();
-        ids.extend(t.scratch_buffers());
-        ids.push(t.shard.timer_arena());
-        ids.extend(libix::<EchoServer>(t.app_mut()).scratch_buffers());
-    }
     for core in clients.iter().flat_map(|h| &h.cores) {
         let mut c = core.borrow_mut();
         ids.extend(c.scratch_buffers());
-        ids.push(c.shard.timer_arena());
-        ids.extend(libix::<EchoClient>(c.app_mut()).scratch_buffers());
+        ids.extend(app_scratch::<EchoClient>(&mut c.base));
+    }
+    ids
+}
+
+/// Every recycled vector and timer arena on the IX server and on the
+/// clients, sorted.
+fn scratch(server: &Dataplane, clients: &[LinuxHost]) -> Vec<(usize, usize)> {
+    let mut ids = client_scratch(clients);
+    for th in &server.threads {
+        let mut t = th.borrow_mut();
+        ids.extend(t.scratch_buffers());
+        ids.extend(app_scratch::<EchoServer>(&mut t.base));
     }
     ids.sort_unstable();
     ids
@@ -143,10 +158,23 @@ struct Bed {
 }
 
 fn launch<S: LibixHandler + 'static, H: LibixHandler + 'static>(
+    server_app: impl FnMut() -> S + 'static,
+    client_hosts: usize,
+    client: impl FnMut(ix_net::Ipv4Addr) -> H,
+) -> Bed {
+    let (sim, fabric, server, clients) = launch_on(System::Ix, server_app, client_hosts, client);
+    let ServerEngine::Ix(dp) = server else { unreachable!("launched IX") };
+    Bed { sim, fabric, dp, clients }
+}
+
+/// A `system` server and `client_hosts` Linux-model client machines on
+/// one switch, every application under `Libix`.
+fn launch_on<S: LibixHandler + 'static, H: LibixHandler + 'static>(
+    system: System,
     mut server_app: impl FnMut() -> S + 'static,
     client_hosts: usize,
     mut client: impl FnMut(ix_net::Ipv4Addr) -> H,
-) -> Bed {
+) -> (Simulator, Fabric, ServerEngine, Vec<LinuxHost>) {
     let mut sim = Simulator::new(11);
     let mut fabric = Fabric::new(8, MachineParams::default());
     let server = fabric.add_host(1, SERVER_THREADS, 0);
@@ -154,12 +182,12 @@ fn launch<S: LibixHandler + 'static, H: LibixHandler + 'static>(
         (0..client_hosts).map(|_| fabric.add_host(1, CLIENT_THREADS, 0)).collect();
     let (server_ip, server_mac) = (fabric.host(server).ip, fabric.host(server).mac);
 
-    let dp = Dataplane::launch(
+    let engine = ServerEngine::launch(
+        system,
         &mut sim,
         fabric.host(server),
         SERVER_THREADS,
-        CostParams::default(),
-        StackConfig::default(),
+        &EngineTuning::default(),
         Some(PORT),
         move |_| Box::new(Libix::new(server_app())),
     );
@@ -177,23 +205,29 @@ fn launch<S: LibixHandler + 'static, H: LibixHandler + 'static>(
                 |_| Box::new(Libix::new(client(server_ip))),
             );
             lh.seed_arp(server_ip, server_mac);
-            dp.seed_arp(host.ip, host.mac);
+            engine.seed_arp(host.ip, host.mac);
             lh
         })
         .collect();
-    Bed { sim, fabric, dp, clients }
+    (sim, fabric, engine, clients)
 }
 
-#[test]
-fn steady_state_allocates_nothing_and_pools_follow_demand() {
-    let completed = Rc::new(Cell::new(0u64));
-    let bed = launch(echo_server, CLIENT_HOSTS, |server| EchoClient {
+/// One echo client per client thread, counting round trips in
+/// `completed`.
+fn echo_client(completed: &Rc<Cell<u64>>) -> impl FnMut(ix_net::Ipv4Addr) -> EchoClient + '_ {
+    move |server| EchoClient {
         server,
         dialed: 0,
         got: vec![0; CONNS_PER_THREAD],
         template: Bytes::from(vec![0x5au8; MSG]),
         completed: completed.clone(),
-    });
+    }
+}
+
+#[test]
+fn steady_state_allocates_nothing_and_pools_follow_demand() {
+    let completed = Rc::new(Cell::new(0u64));
+    let bed = launch(echo_server, CLIENT_HOSTS, echo_client(&completed));
     let Bed { mut sim, fabric, dp, clients } = bed;
 
     // Warm-up: connections open, then the server stalls for a
@@ -238,11 +272,11 @@ fn steady_state_allocates_nothing_and_pools_follow_demand() {
     };
     for th in &dp.threads {
         let t = th.borrow();
-        within("server shard", t.shard.pool_provisioned(), t.shard.pool_stats().peak_outstanding);
+        within("server shard", t.base.shard.pool_provisioned(), t.base.shard.pool_stats().peak_outstanding);
     }
     for core in clients.iter().flat_map(|h| &h.cores) {
         let c = core.borrow();
-        within("client shard", c.shard.pool_provisioned(), c.shard.pool_stats().peak_outstanding);
+        within("client shard", c.base.shard.pool_provisioned(), c.base.shard.pool_stats().peak_outstanding);
     }
     for host in &fabric.hosts {
         for nic in &host.nics {
@@ -253,8 +287,40 @@ fn steady_state_allocates_nothing_and_pools_follow_demand() {
             }
         }
     }
-    let tcp = dp.threads.iter().map(|t| t.borrow().shard.stats.retransmits).sum::<u64>();
+    let tcp = dp.threads.iter().map(|t| t.borrow().base.shard.stats.retransmits).sum::<u64>();
     assert_eq!(tcp, 0, "lossless fabric");
+}
+
+#[test]
+fn linux_and_mtcp_servers_recycle_their_vectors() {
+    for system in [System::Linux, System::Mtcp] {
+        let completed = Rc::new(Cell::new(0u64));
+        let (mut sim, _fabric, server, clients) =
+            launch_on(system, echo_server, CLIENT_HOSTS, echo_client(&completed));
+        let scratch = || {
+            let mut ids: Vec<_> = match &server {
+                ServerEngine::Linux(l) => l.cores.iter().flat_map(|c| c.borrow().scratch_buffers()).collect(),
+                ServerEngine::Mtcp(m) => m.cores.iter().flat_map(|c| c.borrow().scratch_buffers()).collect(),
+                _ => unreachable!("the IX server is pinned above, after its stall"),
+            };
+            server.for_each_core(|c| ids.extend(app_scratch::<EchoServer>(c)));
+            ids.extend(client_scratch(&clients));
+            ids.sort_unstable();
+            ids
+        };
+        sim.run_until(SimTime(20_000_000));
+        let (msgs0, scratch0) = (completed.get(), scratch());
+        assert!(
+            scratch0.iter().filter(|&&(_, cap)| cap > 0).count() > scratch0.len() / 2,
+            "{system:?}: the warm-up exercised the recycled buffers"
+        );
+        sim.run_until(SimTime(100_000_000));
+        let msgs = completed.get() - msgs0;
+        assert!(msgs > 10_000, "{system:?}: only {msgs} messages in the window");
+        let mut fresh = scratch();
+        fresh.retain(|id| scratch0.binary_search(id).is_err());
+        assert!(fresh.is_empty(), "{system:?}: recycled buffers regrown or replaced: {fresh:?}");
+    }
 }
 
 /// Connections each client thread of the idle case holds open.
@@ -315,13 +381,13 @@ fn lent(server: &Dataplane, clients: &[LinuxHost]) -> Vec<LentQueues> {
     let mut all = Vec::new();
     for th in &server.threads {
         let mut t = th.borrow_mut();
-        all.extend(t.shard.lent_queues());
-        all.push(libix::<EchoServer>(t.app_mut()).lent_queues());
+        all.extend(t.base.shard.lent_queues());
+        all.push(libix::<EchoServer>(t.base.app_mut()).lent_queues());
     }
     for core in clients.iter().flat_map(|h| &h.cores) {
         let mut c = core.borrow_mut();
-        all.extend(c.shard.lent_queues());
-        all.push(libix::<RotatingClient>(c.app_mut()).lent_queues());
+        all.extend(c.base.shard.lent_queues());
+        all.push(libix::<RotatingClient>(c.base.app_mut()).lent_queues());
         all.push(c.lent_queues());
     }
     all
@@ -414,10 +480,10 @@ fn memcached_builds_in_recycled_blocks_and_stores_in_its_log() {
     // Blocks made so far by every handler, servers first.
     let made = || -> Vec<usize> {
         let servers = dp.threads.iter().map(|th| {
-            libix::<KvServer>(th.borrow_mut().app_mut()).handler().blocks().made()
+            libix::<KvServer>(th.borrow_mut().base.app_mut()).handler().blocks().made()
         });
         let loaders = clients.iter().flat_map(|h| &h.cores).map(|core| {
-            libix::<MutilateClient>(core.borrow_mut().app_mut()).handler().blocks().made()
+            libix::<MutilateClient>(core.borrow_mut().base.app_mut()).handler().blocks().made()
         });
         servers.chain(loaders).collect()
     };

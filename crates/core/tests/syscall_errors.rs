@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ix_baselines::{LinuxHost, LinuxParams, MtcpHost, MtcpParams};
+use ix_apps::harness::{EngineTuning, ServerEngine, System};
 use ix_core::api::{IxApp, Syscall, SyscallResult, UserCtx};
 use ix_core::dataplane::Dataplane;
 use ix_core::libix::{ConnCtx, Libix, LibixCtx, LibixHandler};
@@ -141,17 +141,9 @@ impl LibixHandler for Client {
     }
 }
 
-/// The server's execution model.
-#[derive(Debug, Clone, Copy)]
-enum Engine {
-    Ix,
-    Linux,
-    Mtcp,
-}
-
-/// Runs the hostile server on `engine` against an IX client for 50 ms;
+/// Runs the hostile server on `system` against an IX client for 50 ms;
 /// returns the bad batch's verdicts and what the client got echoed.
-fn run(engine: Engine, stream: &[u8]) -> (Vec<SyscallResult>, Vec<u8>) {
+fn run(system: System, stream: &[u8]) -> (Vec<SyscallResult>, Vec<u8>) {
     let mut sim = Simulator::new(11);
     let mut fabric = Fabric::new(8, MachineParams::default());
     let client = fabric.add_host(1, 2, 0);
@@ -165,25 +157,10 @@ fn run(engine: Engine, stream: &[u8]) -> (Vec<SyscallResult>, Vec<u8>) {
     let app = move |_| -> Box<dyn IxApp> {
         Box::new(Server { hostile: None, attack: None, verdicts: v.clone() })
     };
-    let (host, cfg) = (fabric.host(server), StackConfig::default());
+    let tuning = EngineTuning::default();
     // Held to the end of the run: the NIC's notify edges are weak.
-    let _server: Box<dyn std::any::Any> = match engine {
-        Engine::Ix => {
-            let e = Dataplane::launch(&mut sim, host, 1, CostParams::default(), cfg, Some(PORT), app);
-            e.seed_arp(client_ip, client_mac);
-            Box::new(e)
-        }
-        Engine::Linux => {
-            let e = LinuxHost::launch(&mut sim, host, 1, LinuxParams::default(), cfg, Some(PORT), app);
-            e.seed_arp(client_ip, client_mac);
-            Box::new(e)
-        }
-        Engine::Mtcp => {
-            let e = MtcpHost::launch(&mut sim, host, 1, MtcpParams::default(), cfg, Some(PORT), app);
-            e.seed_arp(client_ip, client_mac);
-            Box::new(e)
-        }
-    };
+    let engine = ServerEngine::launch(system, &mut sim, fabric.host(server), 1, &tuning, Some(PORT), app);
+    engine.seed_arp(client_ip, client_mac);
     let (e, s) = (echoed.clone(), Bytes::copy_from_slice(stream));
     let cdp = Dataplane::launch(
         &mut sim,
@@ -215,8 +192,8 @@ fn bad_syscalls_return_errors_and_spare_the_other_flow() {
     let stream: Vec<u8> =
         (0..STREAM as u32).map(|i| i.wrapping_mul(2654435761).to_le_bytes()[1]).collect();
     use SyscallResult::{Err, Ok};
-    for engine in [Engine::Ix, Engine::Linux, Engine::Mtcp] {
-        let (verdicts, echoed) = run(engine, &stream);
+    for system in [System::Ix, System::Linux, System::Mtcp] {
+        let (verdicts, echoed) = run(system, &stream);
         assert_eq!(
             verdicts,
             [
@@ -226,8 +203,8 @@ fn bad_syscalls_return_errors_and_spare_the_other_flow() {
                 Ok,                         // close
                 Err(StackError::BadState),  // sendv after close
             ],
-            "{engine:?}"
+            "{system:?}"
         );
-        assert!(echoed == stream, "{engine:?}: the well-behaved flow's stream changed");
+        assert!(echoed == stream, "{system:?}: the well-behaved flow's stream changed");
     }
 }

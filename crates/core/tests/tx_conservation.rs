@@ -22,13 +22,11 @@ use ix_core::ixcp;
 /// The port `harness::run` serves echo on.
 const PORT: u16 = 7000;
 
-/// The server engine's `tx_packets`.
+/// The server engine's `tx_packets`, summed over its cores.
 fn tx_packets(tb: &Testbed) -> u64 {
-    match tb.engine.as_ref().expect("server launched") {
-        ServerEngine::Ix(d) => d.stats().tx_packets,
-        ServerEngine::Linux(l) => l.stats().tx_packets,
-        ServerEngine::Mtcp(m) => m.stats().tx_packets,
-    }
+    let mut sent = 0;
+    tb.engine.as_ref().expect("server launched").for_each_core(|c| sent += c.tx_packets);
+    sent
 }
 
 /// `(transmitted + pending + full_rejections, full_rejections)` summed

@@ -118,5 +118,6 @@ fn main() {
     println!(
         "  (the paper's Fig 2 reports ~5.7 us one-way for 64B, i.e. ~11.4 us RTT)"
     );
-    println!("  server processed {} packets", sdp.stats().rx_packets);
+    let rx: u64 = sdp.threads.iter().map(|t| t.borrow().base.rx_packets).sum();
+    println!("  server processed {rx} packets");
 }
