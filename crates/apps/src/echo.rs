@@ -140,8 +140,6 @@ pub struct EchoClient {
     pub conns: usize,
     /// Whether to reopen after closing (sustained churn) or stop.
     pub reopen: bool,
-    /// Client-side application CPU per round trip.
-    pub think_ns: u64,
     stats: Rc<RefCell<EchoBenchStats>>,
     states: HashMap<u64, ConnState>,
     opened: usize,
@@ -171,7 +169,6 @@ impl EchoClient {
             n_per_conn,
             conns,
             reopen,
-            think_ns: 0,
             stats,
             states: HashMap::new(),
             opened: 0,
@@ -185,7 +182,6 @@ impl EchoClient {
     fn fire(&mut self, ctx: &mut ConnCtx<'_>) {
         let st = self.states.get_mut(&ctx.conn.user).expect("tracked");
         st.sent_at = ctx.now_ns;
-        ctx.charge(self.think_ns);
         let req = response(&mut self.template, self.msg_size);
         ctx.write(req);
     }
@@ -383,7 +379,6 @@ pub struct RotatingEchoClient {
     ring: ReadyRing,
     opened: usize,
     connected: usize,
-    inflight: usize,
     rotating: bool,
     /// Do not begin dialing before this instant. Harnesses stagger
     /// this across client threads to turn a synchronized 250k-SYN
@@ -422,7 +417,6 @@ impl RotatingEchoClient {
             ring: ReadyRing::new(conns),
             opened: 0,
             connected: 0,
-            inflight: 0,
             rotating: false,
             dial_at_ns: 0,
             start_at_ns: 0,
@@ -451,7 +445,6 @@ impl RotatingEchoClient {
         let c = slot.cookie;
         let req = response(&mut self.template, self.msg_size);
         write(c, req);
-        self.inflight += 1;
     }
 }
 
@@ -515,7 +508,6 @@ impl LibixHandler for RotatingEchoClient {
             }
         };
         if full {
-            self.inflight -= 1;
             self.fire_next(now, |cookie, d| {
                 if cookie == ctx.conn.cookie {
                     ctx.write(d);

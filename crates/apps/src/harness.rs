@@ -12,9 +12,10 @@
 //! beyond the paper add — a fault plan, an attacker and the pre-stack
 //! filter, the queue-hang watchdog, an MMPP spike under the elastic
 //! controller, the fig9-scale shard ping-pong. [`run`] assembles the
-//! testbed, runs it and returns one [`RunReport`]. Every figure binary,
-//! integration test and example goes through `run`, so an experiment is
-//! described in exactly one way and assembled in exactly one place.
+//! testbed, runs it and returns one [`RunReport`]. Every figure binary
+//! goes through `run`; a test or example that drives handlers of its
+//! own builds its cluster with [`Testbed`] (`new`, `launch_server`,
+//! `launch_client`), so a cluster is assembled in exactly one place.
 //!
 //! The assembly order is part of every pinned output. Same-instant
 //! events run in insertion order and RNG streams fork in call order, so

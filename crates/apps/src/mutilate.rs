@@ -24,6 +24,15 @@ use ix_testkit::Bytes;
 
 use crate::workload::{proto, Workload};
 
+/// Requests a load thread may have outstanding on one connection (the
+/// paper: four).
+const PIPELINE: usize = 4;
+/// Arrivals a load thread queues for pipeline capacity; later ones are
+/// shed.
+const BACKLOG_CAP: usize = 4096;
+/// The agent's pause between latency samples.
+const AGENT_GAP_NS: u64 = 50_000;
+
 /// Per-window latency series — the time-resolved view the elastic
 /// controller experiments need (a single whole-run histogram hides
 /// exactly the transient the spike is about).
@@ -154,8 +163,6 @@ pub struct MutilateClient {
     port: u16,
     /// Connections this thread maintains.
     pub conns: usize,
-    /// Pipeline bound per connection (the paper: 4).
-    pub pipeline: usize,
     /// Target request rate for this thread, requests/second.
     pub rate_rps: f64,
     workload: Workload,
@@ -173,17 +180,9 @@ pub struct MutilateClient {
     next_arrival_ns: u64,
     /// Arrivals waiting for pipeline capacity.
     backlog: VecDeque<u64>,
-    /// Shed requests beyond this backlog depth.
-    pub backlog_cap: usize,
     started: bool,
     /// Stop issuing at this time.
     pub stop_at_ns: u64,
-    /// Deliveries parsed entirely in place from the zero-copy `Bytes`
-    /// view (no response byte was staged anywhere).
-    pub inplace_parses: u64,
-    /// Byte-copy passes into a connection's reassembly buffer, taken
-    /// only when a response straddles a delivery boundary.
-    pub spill_copies: u64,
     /// MMPP burst modulation: while the shared flag is set, arrivals
     /// come at the second element's rate instead of `rate_rps`. One
     /// flag drives the whole fleet so a spike hits every client in the
@@ -208,7 +207,6 @@ impl MutilateClient {
             server,
             port,
             conns,
-            pipeline: 4,
             rate_rps,
             workload,
             rng,
@@ -221,11 +219,8 @@ impl MutilateClient {
             next_seq: 1,
             next_arrival_ns: 0,
             backlog: VecDeque::new(),
-            backlog_cap: 4096,
             started: false,
             stop_at_ns: u64::MAX,
-            inplace_parses: 0,
-            spill_copies: 0,
             burst: None,
         }
     }
@@ -246,7 +241,7 @@ impl MutilateClient {
             for probe in 0..self.ready.len() {
                 let idx = (self.rr + probe) % self.ready.len();
                 let io = &mut self.io[self.ready[idx] as usize];
-                if io.fifo.len() < self.pipeline {
+                if io.fifo.len() < PIPELINE {
                     self.rr = (idx + 1) % self.ready.len();
                     self.backlog.pop_front();
                     let seq = self.next_seq;
@@ -288,7 +283,7 @@ impl LibixHandler for MutilateClient {
             let gap = self.rng.exponential(1e9 / rate.max(1.0)) as u64;
             let arrived = self.next_arrival_ns;
             self.next_arrival_ns += gap.max(1);
-            if self.backlog.len() >= self.backlog_cap {
+            if self.backlog.len() >= BACKLOG_CAP {
                 self.stats.borrow_mut().shed += 1;
                 continue;
             }
@@ -327,7 +322,6 @@ impl LibixHandler for MutilateClient {
         // per-connection reassembly buffer.
         let spilled = !io.rx.is_empty();
         if spilled {
-            self.spill_copies += 1;
             io.rx.extend_from_slice(data);
         }
         let mut consumed = 0usize;
@@ -364,10 +358,7 @@ impl LibixHandler for MutilateClient {
                 io.rx.drain(..consumed);
             }
         } else if consumed < data.len() {
-            self.spill_copies += 1;
             io.rx.extend_from_slice(&data[consumed..]);
-        } else {
-            self.inplace_parses += 1;
         }
         ctx.charge(250 * completed as u64);
         // Capacity freed: pull from the backlog.
@@ -409,8 +400,6 @@ pub struct MutilateAgent {
     stats: Rc<RefCell<LoadStats>>,
     /// Request blocks, written in place and lent to TCP until acked.
     blocks: Blocks,
-    /// Pause between samples.
-    pub gap_ns: u64,
     started: bool,
     rx: Vec<u8>,
     sent_at: u64,
@@ -438,7 +427,6 @@ impl MutilateAgent {
             rng,
             stats,
             blocks: Blocks::new(),
-            gap_ns: 50_000,
             started: false,
             rx: Vec::new(),
             sent_at: 0,
@@ -521,9 +509,8 @@ impl LibixHandler for MutilateAgent {
         }
         if now < self.stop_at_ns {
             // Pause, then sample again from on_tick at the deadline.
-            self.next_fire_ns = now + self.gap_ns;
+            self.next_fire_ns = now + AGENT_GAP_NS;
         }
-        let _ = ctx;
     }
 
     fn wants_tick(&self, now_ns: u64) -> bool {
@@ -538,8 +525,6 @@ impl LibixHandler for MutilateAgent {
             None
         }
     }
-
-    fn on_sent(&mut self, _ctx: &mut ConnCtx<'_>) {}
 }
 
 /// Transition log of an MMPP modulator: `(virtual time, burst on)`.

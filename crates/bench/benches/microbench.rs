@@ -731,7 +731,7 @@ fn bench_rxbatch(r: &mut BenchRunner) {
             b.input(now, mk_mbuf(&wire(port, isn, 0, TcpFlags::SYN, Some(1460), &[])));
             b.end_cycle(now);
             let mut siss = None;
-            for mut f in b.take_tx() {
+            for mut f in b.take_tx_swap(Vec::new()) {
                 f.pull(EthHeader::LEN + Ipv4Header::LEN);
                 let (hdr, _) = TcpHeader::decode(f.data(), HOST2_IP, HOST1_IP).expect("tcp");
                 if hdr.flags.syn && hdr.flags.ack {
@@ -745,13 +745,13 @@ fn bench_rxbatch(r: &mut BenchRunner) {
                 mk_mbuf(&wire(port, isn.wrapping_add(1), srv_ack, TcpFlags::ACK, None, &[])),
             );
             b.end_cycle(now);
-            for e in b.take_events() {
+            for e in b.take_events_swap(Vec::new()) {
                 if let TcpEvent::Knock { flow, .. } = e {
                     b.accept(flow, u64::from(port)).unwrap();
                 }
             }
-            let _ = b.take_tx();
-            let _ = b.take_events();
+            let _ = b.take_tx_swap(Vec::new());
+            let _ = b.take_events_swap(Vec::new());
             if i < HOT_FLOWS {
                 hot_acks.push(srv_ack);
             }
@@ -824,8 +824,8 @@ fn bench_rxbatch(r: &mut BenchRunner) {
     /// drops the TX frames and credits every delivered payload straight
     /// back via `recv_done`, so the advertised window never closes.
     fn drain(shard: &mut TcpShard, now: u64) -> usize {
-        let mut n = shard.take_tx().len();
-        for e in shard.take_events() {
+        let mut n = shard.take_tx_swap(Vec::new()).len();
+        for e in shard.take_events_swap(Vec::new()) {
             n += 1;
             if let TcpEvent::Recv { flow, payload, .. } = e {
                 shard.recv_done(now, flow, payload.len() as u32).expect("credit");

@@ -6,154 +6,18 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+pub mod common;
+
+use common::{setup, PORT};
+use ix_apps::harness::{EngineTuning, System};
 use ix_core::dataplane::Dataplane;
 use ix_core::ixcp::{set_active_threads, start_elastic_controller, FilterControl};
-use ix_core::libix::{ConnCtx, Libix, LibixCtx, LibixHandler};
-use ix_core::params::CostParams;
+use ix_core::libix::{ConnCtx, LibixCtx, LibixHandler};
 use ix_core::{ElasticConfig, ElasticRef, WatchdogHealth};
 use ix_net::filter::{FilterPolicy, RuleAction};
 use ix_net::ip::IpProto;
-use ix_nic::fabric::Fabric;
-use ix_nic::params::MachineParams;
-use ix_sim::{Nanos, SimTime, Simulator};
+use ix_sim::Nanos;
 use ix_tcp::StackConfig;
-use ix_testkit::Bytes;
-
-const PORT: u16 = 9000;
-
-/// Echoes every byte back, charging `service_ns` per request — the knob
-/// that saturates a core.
-struct EchoServer {
-    service_ns: u64,
-}
-
-impl LibixHandler for EchoServer {
-    fn on_data(&mut self, ctx: &mut ConnCtx<'_>, data: &Bytes) {
-        ctx.charge(self.service_ns);
-        let reply = Bytes::copy_from_slice(data);
-        assert!(ctx.write(reply));
-    }
-}
-
-#[derive(Debug, Default)]
-struct PingStats {
-    rtts_ns: Vec<u64>,
-    done: bool,
-}
-
-/// Closed-loop ping-pong client: `conns` connections, `reps` echoes
-/// each. Any reset or lost byte leaves `done` false.
-struct PingClient {
-    server: ix_net::Ipv4Addr,
-    msg: usize,
-    reps: usize,
-    conns: usize,
-    started: usize,
-    inflight: std::collections::HashMap<u64, (usize, usize, u64)>,
-    results: Rc<RefCell<PingStats>>,
-    finished: usize,
-}
-
-impl PingClient {
-    fn fire(&mut self, ctx: &mut ConnCtx<'_>) {
-        let user = ctx.conn.user;
-        let st = self.inflight.get_mut(&user).expect("tracked");
-        st.2 = ctx.now_ns;
-        assert!(ctx.write(Bytes::from(vec![0x5au8; self.msg])));
-    }
-}
-
-impl LibixHandler for PingClient {
-    fn on_tick(&mut self, ctx: &mut LibixCtx<'_>) {
-        while self.started < self.conns {
-            let user = self.started as u64;
-            self.inflight.insert(user, (0, 0, 0));
-            ctx.connect(self.server, PORT, user);
-            self.started += 1;
-        }
-    }
-
-    fn on_connected(&mut self, ctx: &mut ConnCtx<'_>, ok: bool) {
-        assert!(ok, "connect failed");
-        self.fire(ctx);
-    }
-
-    fn on_data(&mut self, ctx: &mut ConnCtx<'_>, data: &Bytes) {
-        let user = ctx.conn.user;
-        let now = ctx.now_ns;
-        let msg = self.msg;
-        let st = self.inflight.get_mut(&user).expect("tracked");
-        st.0 += data.len();
-        assert!(st.0 <= msg, "over-delivery");
-        if st.0 == msg {
-            st.0 = 0;
-            st.1 += 1;
-            self.results.borrow_mut().rtts_ns.push(now - st.2);
-            if st.1 >= self.reps {
-                ctx.abort();
-                self.finished += 1;
-                if self.finished == self.conns {
-                    self.results.borrow_mut().done = true;
-                }
-            } else {
-                self.fire(ctx);
-            }
-        }
-    }
-
-    fn wants_tick(&self, _now: u64) -> bool {
-        self.started < self.conns
-    }
-}
-
-/// 2-host fabric: a 1-thread IX client driving a `server_threads` IX
-/// server whose echo handler charges `service_ns` per request.
-fn setup(
-    server_threads: usize,
-    service_ns: u64,
-    reps: usize,
-    conns: usize,
-) -> (Simulator, Fabric, Dataplane, Rc<RefCell<PingStats>>) {
-    let mut sim = Simulator::new(7);
-    let mut fabric = Fabric::new(8, MachineParams::default());
-    let client = fabric.add_host(1, 2, 0);
-    let server = fabric.add_host(1, 8, 0);
-    let results = Rc::new(RefCell::new(PingStats::default()));
-    let server_ip = fabric.host(server).ip;
-    let sdp = Dataplane::launch(
-        &mut sim,
-        fabric.host(server),
-        server_threads,
-        CostParams::default(),
-        StackConfig::default(),
-        Some(PORT),
-        move |_| Box::new(Libix::new(EchoServer { service_ns })),
-    );
-    let r2 = results.clone();
-    let cdp = Dataplane::launch(
-        &mut sim,
-        fabric.host(client),
-        1,
-        CostParams::default(),
-        StackConfig::default(),
-        None,
-        move |_| {
-            Box::new(Libix::new(PingClient {
-                server: server_ip,
-                msg: 64,
-                reps,
-                conns,
-                started: 0,
-                inflight: Default::default(),
-                results: r2.clone(),
-                finished: 0,
-            }))
-        },
-    );
-    sdp.seed_arp(fabric.host(client).ip, fabric.host(client).mac);
-    cdp.seed_arp(fabric.host(server).ip, fabric.host(server).mac);
-    (sim, fabric, sdp, results)
-}
 
 /// Controller tuning that trips on the closed-loop backlog the tests
 /// generate: over-SLA at >5 backlogged frames, fast consolidation.
@@ -177,12 +41,12 @@ fn unparked(dp: &Dataplane) -> usize {
 
 #[test]
 fn spike_adds_cores_then_idle_consolidates_without_loss() {
-    let (mut sim, _fabric, sdp, results) = setup(4, 5_000, 60, 32);
+    let (mut tb, sdp, _client, results) = setup(4, 5_000, 60, 32);
     // Start consolidated on one core; the controller must grow.
-    set_active_threads(&mut sim, &sdp, 1, None);
+    set_active_threads(&mut tb.sim, &sdp, 1, None);
     let stats: ElasticRef =
-        start_elastic_controller(&mut sim, &sdp, test_cfg(), None, None, Nanos::from_millis(40).as_nanos());
-    sim.run_until(SimTime(Nanos::from_millis(40).as_nanos()));
+        start_elastic_controller(&mut tb.sim, &sdp, test_cfg(), None, None, Nanos::from_millis(40).as_nanos());
+    tb.run_until_ns(Nanos::from_millis(40).as_nanos());
 
     let r = results.borrow();
     assert!(r.done, "traffic lost under elastic scaling: {} rtts", r.rtts_ns.len());
@@ -206,25 +70,25 @@ fn spike_adds_cores_then_idle_consolidates_without_loss() {
 
 #[test]
 fn migration_rate_is_bounded_per_epoch() {
-    let (mut sim, _fabric, sdp, results) = setup(4, 5_000, 60, 32);
-    set_active_threads(&mut sim, &sdp, 1, None);
+    let (mut tb, sdp, _client, results) = setup(4, 5_000, 60, 32);
+    set_active_threads(&mut tb.sim, &sdp, 1, None);
     let mut cfg = test_cfg();
     cfg.max_buckets_per_epoch = 8;
     let budget = cfg.max_buckets_per_epoch;
     let epoch = cfg.epoch_ns;
     let stats =
-        start_elastic_controller(&mut sim, &sdp, cfg, None, None, Nanos::from_millis(40).as_nanos());
+        start_elastic_controller(&mut tb.sim, &sdp, cfg, None, None, Nanos::from_millis(40).as_nanos());
     // Snapshot the redirection table just after every controller epoch.
     let snaps: Rc<RefCell<Vec<Vec<usize>>>> = Rc::new(RefCell::new(Vec::new()));
     let nic = sdp.threads[0].borrow().base.queues[0].0.clone();
     for k in 0..400u64 {
         let snaps = snaps.clone();
         let nic = nic.clone();
-        sim.schedule_in(Nanos(k * epoch + 1), move |_| {
+        tb.sim.schedule_in(Nanos(k * epoch + 1), move |_| {
             snaps.borrow_mut().push(nic.borrow().redirection().to_vec());
         });
     }
-    sim.run_until(SimTime(Nanos::from_millis(40).as_nanos()));
+    tb.run_until_ns(Nanos::from_millis(40).as_nanos());
 
     assert!(results.borrow().done);
     assert!(stats.borrow().buckets_moved > 0, "no resharding happened");
@@ -243,13 +107,13 @@ fn migration_rate_is_bounded_per_epoch() {
 
 #[test]
 fn hung_add_target_defers_with_backoff_then_retries() {
-    let (mut sim, _fabric, sdp, results) = setup(4, 5_000, 120, 32);
-    set_active_threads(&mut sim, &sdp, 1, None);
+    let (mut tb, sdp, _client, results) = setup(4, 5_000, 120, 32);
+    set_active_threads(&mut tb.sim, &sdp, 1, None);
     // The watchdog (simulated here) reports core 1 hung: adds must
     // defer rather than steer flow groups into a black hole.
     let health: WatchdogHealth = Rc::new(RefCell::new(vec![1]));
     let stats = start_elastic_controller(
-        &mut sim,
+        &mut tb.sim,
         &sdp,
         test_cfg(),
         None,
@@ -261,12 +125,12 @@ fn hung_add_target_defers_with_backoff_then_retries() {
     {
         let probe = probe.clone();
         let threads = sdp.threads.clone();
-        sim.schedule_in(Nanos(1_990_000), move |_| {
+        tb.sim.schedule_in(Nanos(1_990_000), move |_| {
             probe.set(threads.iter().filter(|t| !t.borrow().parked).count());
         });
     }
-    sim.schedule_in(Nanos(2_000_000), move |_| health.borrow_mut().clear());
-    sim.run_until(SimTime(Nanos::from_millis(60).as_nanos()));
+    tb.sim.schedule_in(Nanos(2_000_000), move |_| health.borrow_mut().clear());
+    tb.run_until_ns(Nanos::from_millis(60).as_nanos());
 
     assert!(results.borrow().done);
     let s = *stats.borrow();
@@ -313,79 +177,26 @@ impl LibixHandler for LateDialer {
 
 #[test]
 fn admission_gate_sheds_new_connections_under_saturation() {
-    let mut sim = Simulator::new(7);
-    let mut fabric = Fabric::new(8, MachineParams::default());
-    let client = fabric.add_host(1, 2, 0);
-    let late = fabric.add_host(1, 2, 0);
-    let server = fabric.add_host(1, 8, 0);
-    let server_ip = fabric.host(server).ip;
-    let results = Rc::new(RefCell::new(PingStats::default()));
     // One server core, 10 µs of work per echo, 16 closed-loop conns:
     // permanently saturated with no spare core to add.
-    let sdp = Dataplane::launch(
-        &mut sim,
-        fabric.host(server),
-        1,
-        CostParams::default(),
-        StackConfig::default(),
-        Some(PORT),
-        |_| Box::new(Libix::new(EchoServer { service_ns: 10_000 })),
-    );
-    let r2 = results.clone();
-    let cdp = Dataplane::launch(
-        &mut sim,
-        fabric.host(client),
-        1,
-        CostParams::default(),
-        StackConfig::default(),
-        None,
-        move |_| {
-            Box::new(Libix::new(PingClient {
-                server: server_ip,
-                msg: 64,
-                reps: 60,
-                conns: 16,
-                started: 0,
-                inflight: Default::default(),
-                results: r2.clone(),
-                finished: 0,
-            }))
-        },
-    );
+    let (mut tb, sdp, _client, results) = setup(1, 10_000, 60, 16);
+    let server = tb.server_ip();
     let ok = Rc::new(Cell::new(0usize));
     let failed = Rc::new(Cell::new(0usize));
-    let (ok2, failed2) = (ok.clone(), failed.clone());
     // The late dialer retries SYNs quickly so it reconnects promptly
     // once the gate lifts.
-    let ldp = Dataplane::launch(
-        &mut sim,
-        fabric.host(late),
-        1,
-        CostParams::default(),
-        StackConfig {
-            syn_rto_ns: 200_000,
-            ..StackConfig::default()
-        },
-        None,
-        move |_| {
-            Box::new(Libix::new(LateDialer {
-                server: server_ip,
-                at_ns: 1_000_000,
-                want: 2,
-                launched: 0,
-                next_user: 0,
-                ok: ok2.clone(),
-                failed: failed2.clone(),
-            }))
-        },
-    );
-    for dp in [&cdp, &ldp] {
-        sdp.seed_arp(
-            fabric.host(if std::ptr::eq(dp, &cdp) { client } else { late }).ip,
-            fabric.host(if std::ptr::eq(dp, &cdp) { client } else { late }).mac,
-        );
-        dp.seed_arp(fabric.host(server).ip, fabric.host(server).mac);
-    }
+    let late = tb.fabric.add_host(1, 2, 0);
+    let stack = StackConfig { syn_rto_ns: 200_000, ..StackConfig::default() };
+    let fast_syn = EngineTuning { stack, ..EngineTuning::default() };
+    let _late = tb.launch_client(late, System::Ix, 1, &fast_syn, |_| LateDialer {
+        server,
+        at_ns: 1_000_000,
+        want: 2,
+        launched: 0,
+        next_user: 0,
+        ok: ok.clone(),
+        failed: failed.clone(),
+    });
 
     let fc = Rc::new(FilterControl::install(&sdp, FilterPolicy::new()));
     // The epoch exceeds the closed-loop burst period (~170 us) so every
@@ -403,14 +214,14 @@ fn admission_gate_sheds_new_connections_under_saturation() {
         shed_calm_epochs: 4,
     };
     let stats = start_elastic_controller(
-        &mut sim,
+        &mut tb.sim,
         &sdp,
         cfg,
         Some(fc.clone()),
         None,
         Nanos::from_millis(40).as_nanos(),
     );
-    sim.run_until(SimTime(Nanos::from_millis(40).as_nanos()));
+    tb.run_until_ns(Nanos::from_millis(40).as_nanos());
 
     // Established traffic rode out the overload untouched.
     let r = results.borrow();
@@ -430,11 +241,11 @@ fn admission_gate_sheds_new_connections_under_saturation() {
 
 #[test]
 fn filter_republish_reaches_migration_destination() {
-    let (mut sim, _fabric, sdp, results) = setup(2, 150, 800, 8);
+    let (mut tb, sdp, _client, results) = setup(2, 150, 800, 8);
     let fc = FilterControl::install(&sdp, FilterPolicy::new());
     // Establish flows on both threads, then consolidate onto core 0.
-    sim.run_until(SimTime(Nanos::from_millis(1).as_nanos()));
-    set_active_threads(&mut sim, &sdp, 1, Some(&fc));
+    tb.run_until_ns(Nanos::from_millis(1).as_nanos());
+    set_active_threads(&mut tb.sim, &sdp, 1, Some(&fc));
     // A rule update lands while core 1 is parked; separately, core 1's
     // snapshot is forced stale (what a mid-migration capture looks like).
     fc.update(|p| p.clone().rule_port(IpProto::Tcp, 1234, RuleAction::Drop));
@@ -446,7 +257,7 @@ fn filter_republish_reaches_migration_destination() {
         .set_filter_policy(Some(stale.clone()));
     // Re-expanding migrates flows back to core 1; the absorb must
     // republish the *current* snapshot to the destination shard.
-    set_active_threads(&mut sim, &sdp, 2, Some(&fc));
+    set_active_threads(&mut tb.sim, &sdp, 2, Some(&fc));
     {
         let th = sdp.threads[1].borrow();
         assert!(th.base.shard.flow_count() > 0, "no flows migrated to the destination");
@@ -457,14 +268,14 @@ fn filter_republish_reaches_migration_destination() {
         );
         assert!(!Rc::ptr_eq(got, &stale));
     }
-    sim.run_until(SimTime(Nanos::from_millis(30).as_nanos()));
+    tb.run_until_ns(Nanos::from_millis(30).as_nanos());
     assert!(results.borrow().done);
 }
 
 #[test]
 fn rcu_reclaims_under_update_and_uninstall_without_resurrection() {
-    let (mut sim, _fabric, sdp, results) = setup(2, 150, 10, 4);
-    sim.run_until(SimTime(Nanos::from_millis(20).as_nanos()));
+    let (mut tb, sdp, _client, results) = setup(2, 150, 10, 4);
+    tb.run_until_ns(Nanos::from_millis(20).as_nanos());
     assert!(results.borrow().done);
 
     let fc = FilterControl::install(&sdp, FilterPolicy::new());
@@ -503,7 +314,7 @@ fn inert_controller_is_byte_identical_to_no_controller() {
     // bit-for-bit the run with no controller at all (determinism pin
     // for every pre-existing figure).
     let run = |elastic: bool| -> Vec<u64> {
-        let (mut sim, _fabric, sdp, results) = setup(4, 5_000, 40, 16);
+        let (mut tb, sdp, _client, results) = setup(4, 5_000, 40, 16);
         if elastic {
             let cfg = ElasticConfig {
                 sla_ns: u64::MAX,
@@ -511,7 +322,7 @@ fn inert_controller_is_byte_identical_to_no_controller() {
                 ..test_cfg()
             };
             let _ = start_elastic_controller(
-                &mut sim,
+                &mut tb.sim,
                 &sdp,
                 cfg,
                 None,
@@ -519,7 +330,7 @@ fn inert_controller_is_byte_identical_to_no_controller() {
                 Nanos::from_millis(30).as_nanos(),
             );
         }
-        sim.run_until(SimTime(Nanos::from_millis(30).as_nanos()));
+        tb.run_until_ns(Nanos::from_millis(30).as_nanos());
         assert!(results.borrow().done);
         let r = results.borrow().rtts_ns.clone();
         r

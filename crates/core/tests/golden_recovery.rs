@@ -14,13 +14,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ix_core::dataplane::Dataplane;
-use ix_core::libix::{ConnCtx, Libix, LibixCtx, LibixHandler};
-use ix_core::params::CostParams;
+use ix_apps::harness::{EngineTuning, System, Testbed};
+use ix_core::libix::{ConnCtx, LibixCtx, LibixHandler};
 use ix_faults::{FaultPlan, LinkFaults};
-use ix_nic::fabric::Fabric;
-use ix_nic::params::MachineParams;
-use ix_sim::{Nanos, Simulator};
+use ix_sim::Nanos;
 use ix_tcp::{DeadReason, StackConfig, StackStats};
 use ix_testkit::Bytes;
 
@@ -118,57 +115,29 @@ fn config() -> StackConfig {
 /// indices on the client's cable) and returns the recorded trace plus
 /// the client-side stack stats.
 fn run_scenario(drops: &[u64]) -> (Vec<(u64, String)>, StackStats) {
-    let mut sim = Simulator::new(7);
-    let mut fabric = Fabric::new(8, MachineParams::default());
-    let client = fabric.add_host(1, 2, 0);
-    let server = fabric.add_host(1, 8, 0);
-    let server_ip = fabric.host(server).ip;
+    let mut tb = Testbed::new(7, 1, 1);
     let trace: Trace = Rc::new(RefCell::new(Vec::new()));
 
-    let client_port = fabric.host_port(client, 0);
+    let client_port = tb.fabric.host_port(tb.clients[0], 0);
     let plan = FaultPlan::new(1).with_link(
         client_port,
         LinkFaults { scripted_drops: drops.to_vec(), ..LinkFaults::default() },
     );
-    fabric.install_faults(plan);
+    tb.fabric.install_faults(plan);
 
-    let t = trace.clone();
-    let sdp = Dataplane::launch(
-        &mut sim,
-        fabric.host(server),
-        1,
-        CostParams::default(),
-        config(),
-        Some(9000),
-        move |_| Box::new(Libix::new(TraceServer { trace: t.clone() })),
-    );
-    let t = trace.clone();
-    let cdp = Dataplane::launch(
-        &mut sim,
-        fabric.host(client),
-        1,
-        CostParams::default(),
-        config(),
-        None,
-        move |_| {
-            Box::new(Libix::new(TraceClient {
-                server: server_ip,
-                started: false,
-                got: 0,
-                trace: t.clone(),
-            }))
-        },
-    );
-    sdp.seed_arp(fabric.host(client).ip, fabric.host(client).mac);
-    cdp.seed_arp(fabric.host(server).ip, fabric.host(server).mac);
-    sim.run_until(ix_sim::SimTime(Nanos::from_millis(80).as_nanos()));
+    let tuning = EngineTuning { stack: config(), ..EngineTuning::default() };
+    tb.launch_server(System::Ix, 1, &tuning, 9000, |_| TraceServer { trace: trace.clone() });
+    let server_ip = tb.server_ip();
+    let client = tb.launch_client(tb.clients[0], System::Ix, 1, &tuning, |_| TraceClient {
+        server: server_ip,
+        started: false,
+        got: 0,
+        trace: trace.clone(),
+    });
+    tb.run_until_ns(Nanos::from_millis(80).as_nanos());
 
-    let mut stats = StackStats::default();
-    for th in &cdp.threads {
-        stats.absorb(&th.borrow().base.shard.stats);
-    }
     let recorded = trace.borrow().clone();
-    (recorded, stats)
+    (recorded, client.tcp_stats())
 }
 
 /// Per-link frame indices (both directions of the client's cable) of

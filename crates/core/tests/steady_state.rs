@@ -31,19 +31,16 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use ix_apps::harness::{EngineTuning, ServerEngine, System};
+use ix_apps::harness::{EngineTuning, ServerEngine, System, Testbed};
 use ix_apps::kvstore::{KvServer, SharedStore, SEGMENT};
 use ix_apps::mutilate::{LoadStats, MutilateClient};
 use ix_apps::workload::{Workload, WorkloadKind};
-use ix_baselines::linux::{LinuxHost, LinuxParams};
+use ix_baselines::linux::LinuxHost;
 use ix_core::api::IxApp;
 use ix_core::dataplane::{Dataplane, EngineCore};
 use ix_core::libix::{ConnCtx, Libix, LibixCtx, LibixHandler};
 use ix_mempool::{LentQueues, Spares, PROVISION_BLOCK};
-use ix_nic::fabric::Fabric;
-use ix_nic::params::MachineParams;
 use ix_sim::{SimRng, SimTime, Simulator};
-use ix_tcp::StackConfig;
 use ix_testkit::Bytes;
 
 const PORT: u16 = 9000;
@@ -151,65 +148,43 @@ fn scratch(server: &Dataplane, clients: &[LinuxHost]) -> Vec<(usize, usize)> {
 /// An IX server and `client_hosts` Linux-model client machines on one
 /// switch, every application under `Libix`.
 struct Bed {
-    sim: Simulator,
-    fabric: Fabric,
+    tb: Testbed,
     dp: Dataplane,
     clients: Vec<LinuxHost>,
 }
 
 fn launch<S: LibixHandler + 'static, H: LibixHandler + 'static>(
-    server_app: impl FnMut() -> S + 'static,
+    server_app: impl FnMut() -> S,
     client_hosts: usize,
     client: impl FnMut(ix_net::Ipv4Addr) -> H,
 ) -> Bed {
-    let (sim, fabric, server, clients) = launch_on(System::Ix, server_app, client_hosts, client);
-    let ServerEngine::Ix(dp) = server else { unreachable!("launched IX") };
-    Bed { sim, fabric, dp, clients }
+    let (tb, clients) = launch_on(System::Ix, server_app, client_hosts, client);
+    let Some(ServerEngine::Ix(dp)) = tb.engine.clone() else { unreachable!("launched IX") };
+    Bed { tb, dp, clients }
 }
 
 /// A `system` server and `client_hosts` Linux-model client machines on
 /// one switch, every application under `Libix`.
 fn launch_on<S: LibixHandler + 'static, H: LibixHandler + 'static>(
     system: System,
-    mut server_app: impl FnMut() -> S + 'static,
+    mut server_app: impl FnMut() -> S,
     client_hosts: usize,
     mut client: impl FnMut(ix_net::Ipv4Addr) -> H,
-) -> (Simulator, Fabric, ServerEngine, Vec<LinuxHost>) {
-    let mut sim = Simulator::new(11);
-    let mut fabric = Fabric::new(8, MachineParams::default());
-    let server = fabric.add_host(1, SERVER_THREADS, 0);
-    let client_ids: Vec<_> =
-        (0..client_hosts).map(|_| fabric.add_host(1, CLIENT_THREADS, 0)).collect();
-    let (server_ip, server_mac) = (fabric.host(server).ip, fabric.host(server).mac);
-
-    let engine = ServerEngine::launch(
-        system,
-        &mut sim,
-        fabric.host(server),
-        SERVER_THREADS,
-        &EngineTuning::default(),
-        Some(PORT),
-        move |_| Box::new(Libix::new(server_app())),
-    );
-    let clients: Vec<LinuxHost> = client_ids
-        .iter()
-        .map(|&id| {
-            let host = fabric.host(id);
-            let lh = LinuxHost::launch(
-                &mut sim,
-                host,
-                CLIENT_THREADS,
-                LinuxParams::default(),
-                StackConfig::default(),
-                None,
-                |_| Box::new(Libix::new(client(server_ip))),
-            );
-            lh.seed_arp(server_ip, server_mac);
-            engine.seed_arp(host.ip, host.mac);
-            lh
+) -> (Testbed, Vec<LinuxHost>) {
+    let mut tb = Testbed::new(11, 1, client_hosts);
+    let tuning = EngineTuning::default();
+    tb.launch_server(system, SERVER_THREADS, &tuning, PORT, |_| server_app());
+    let server = tb.server_ip();
+    let clients = tb
+        .clients
+        .clone()
+        .into_iter()
+        .map(|id| match tb.launch_client(id, System::Linux, CLIENT_THREADS, &tuning, |_| client(server)) {
+            ServerEngine::Linux(lh) => lh,
+            _ => unreachable!("launched Linux"),
         })
         .collect();
-    (sim, fabric, engine, clients)
+    (tb, clients)
 }
 
 /// One echo client per client thread, counting round trips in
@@ -228,7 +203,8 @@ fn echo_client(completed: &Rc<Cell<u64>>) -> impl FnMut(ix_net::Ipv4Addr) -> Ech
 fn steady_state_allocates_nothing_and_pools_follow_demand() {
     let completed = Rc::new(Cell::new(0u64));
     let bed = launch(echo_server, CLIENT_HOSTS, echo_client(&completed));
-    let Bed { mut sim, fabric, dp, clients } = bed;
+    let Bed { mut tb, dp, clients } = bed;
+    let sim = &mut tb.sim;
 
     // Warm-up: connections open, then the server stalls for a
     // millisecond so that every connection's request is queued at once.
@@ -245,7 +221,7 @@ fn steady_state_allocates_nothing_and_pools_follow_demand() {
     for th in &dp.threads {
         th.borrow_mut().parked = false;
     }
-    dp.kick(&mut sim);
+    dp.kick(sim);
     sim.run_until(SimTime(20_000_000));
     let (msgs0, sim0, scratch0) = (completed.get(), sim.counters(), scratch(&dp, &clients));
     assert!(
@@ -278,7 +254,7 @@ fn steady_state_allocates_nothing_and_pools_follow_demand() {
         let c = core.borrow();
         within("client shard", c.base.shard.pool_provisioned(), c.base.shard.pool_stats().peak_outstanding);
     }
-    for host in &fabric.hosts {
+    for host in &tb.fabric.hosts {
         for nic in &host.nics {
             let mut n = nic.borrow_mut();
             for q in 0..n.queues() {
@@ -295,8 +271,9 @@ fn steady_state_allocates_nothing_and_pools_follow_demand() {
 fn linux_and_mtcp_servers_recycle_their_vectors() {
     for system in [System::Linux, System::Mtcp] {
         let completed = Rc::new(Cell::new(0u64));
-        let (mut sim, _fabric, server, clients) =
-            launch_on(system, echo_server, CLIENT_HOSTS, echo_client(&completed));
+        let (mut tb, clients) = launch_on(system, echo_server, CLIENT_HOSTS, echo_client(&completed));
+        let server = tb.engine.clone().expect("server launched");
+        let sim = &mut tb.sim;
         let scratch = || {
             let mut ids: Vec<_> = match &server {
                 ServerEngine::Linux(l) => l.cores.iter().flat_map(|c| c.borrow().scratch_buffers()).collect(),
@@ -410,8 +387,8 @@ fn idle_connections_hold_no_buffers() {
         template: Bytes::from(vec![0x5au8; MSG]),
         completed: completed.clone(),
     });
-    // (The fabric is the wire: it has to outlive the run.)
-    let Bed { mut sim, dp, clients, fabric: _fabric } = bed;
+    let Bed { mut tb, dp, clients } = bed;
+    let sim = &mut tb.sim;
     let threads = CLIENT_THREADS;
     let conns = threads * IDLE_CONNS_PER_THREAD;
 
@@ -430,13 +407,13 @@ fn idle_connections_hold_no_buffers() {
             }
         }
     };
-    sample(&mut sim, 24_000_000, 2_000);
+    sample(sim, 24_000_000, 2_000);
     sim.run_until(SimTime(60_000_000));
     let (msgs0, lent0) = (completed.get(), lent(&dp, &clients));
     assert!(msgs0 > 3 * conns as u64, "only {msgs0} messages in the warm-up");
 
     // The window, sampled more coarsely.
-    sample(&mut sim, 200_000_000, 250_000);
+    sample(sim, 200_000_000, 250_000);
     let msgs = completed.get() - msgs0;
     assert!(msgs > 10 * conns as u64, "only {msgs} messages in the window");
     for ((l0, l1), &hw) in lent0.iter().zip(lent(&dp, &clients)).zip(&busy_hw) {
@@ -462,7 +439,7 @@ fn memcached_builds_in_recycled_blocks_and_stores_in_its_log() {
     let store = SharedStore::new();
     let stats = LoadStats::new(0, u64::MAX);
     let (st, ls, mut seeder) = (store.clone(), stats.clone(), SimRng::new(5));
-    let Bed { mut sim, dp, clients, fabric: _fabric } = launch(
+    let Bed { mut tb, dp, clients } = launch(
         move || KvServer::new(st.clone()),
         CLIENT_HOSTS,
         |server| {
@@ -477,6 +454,7 @@ fn memcached_builds_in_recycled_blocks_and_stores_in_its_log() {
             )
         },
     );
+    let sim = &mut tb.sim;
     // Blocks made so far by every handler, servers first.
     let made = || -> Vec<usize> {
         let servers = dp.threads.iter().map(|th| {
@@ -499,7 +477,7 @@ fn memcached_builds_in_recycled_blocks_and_stores_in_its_log() {
     for th in &dp.threads {
         th.borrow_mut().parked = false;
     }
-    dp.kick(&mut sim);
+    dp.kick(sim);
     sim.run_until(SimTime(20_000_000));
     let (made0, sim0, done0) = (made(), sim.counters(), stats.borrow().completed_total);
     let (segments0, log0, keys0) = {

@@ -10,16 +10,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ix_apps::harness::{EngineTuning, ServerEngine, System};
+use ix_apps::harness::{EngineTuning, ServerEngine, System, Testbed};
 use ix_core::api::{IxApp, Syscall, SyscallResult, UserCtx};
-use ix_core::dataplane::Dataplane;
-use ix_core::libix::{ConnCtx, Libix, LibixCtx, LibixHandler};
-use ix_core::params::CostParams;
+use ix_core::libix::{ConnCtx, LibixCtx, LibixHandler};
 use ix_net::Ipv4Addr;
-use ix_nic::fabric::Fabric;
-use ix_nic::params::MachineParams;
-use ix_sim::{Nanos, SimTime, Simulator};
-use ix_tcp::{FlowId, StackConfig, StackError, TcpEvent};
+use ix_sim::Nanos;
+use ix_tcp::{FlowId, StackError, TcpEvent};
 use ix_testkit::Bytes;
 
 const PORT: u16 = 9000;
@@ -144,12 +140,7 @@ impl LibixHandler for Client {
 /// Runs the hostile server on `system` against an IX client for 50 ms;
 /// returns the bad batch's verdicts and what the client got echoed.
 fn run(system: System, stream: &[u8]) -> (Vec<SyscallResult>, Vec<u8>) {
-    let mut sim = Simulator::new(11);
-    let mut fabric = Fabric::new(8, MachineParams::default());
-    let client = fabric.add_host(1, 2, 0);
-    let server = fabric.add_host(1, 2, 0);
-    let (server_ip, server_mac) = (fabric.host(server).ip, fabric.host(server).mac);
-    let (client_ip, client_mac) = (fabric.host(client).ip, fabric.host(client).mac);
+    let mut tb = Testbed::new(11, 1, 1);
     let verdicts = Rc::new(RefCell::new(Vec::new()));
     let echoed = Rc::new(RefCell::new(Vec::new()));
 
@@ -158,30 +149,19 @@ fn run(system: System, stream: &[u8]) -> (Vec<SyscallResult>, Vec<u8>) {
         Box::new(Server { hostile: None, attack: None, verdicts: v.clone() })
     };
     let tuning = EngineTuning::default();
-    // Held to the end of the run: the NIC's notify edges are weak.
-    let engine = ServerEngine::launch(system, &mut sim, fabric.host(server), 1, &tuning, Some(PORT), app);
-    engine.seed_arp(client_ip, client_mac);
-    let (e, s) = (echoed.clone(), Bytes::copy_from_slice(stream));
-    let cdp = Dataplane::launch(
-        &mut sim,
-        fabric.host(client),
-        1,
-        CostParams::default(),
-        StackConfig::default(),
-        None,
-        move |_| {
-            Box::new(Libix::new(Client {
-                server: server_ip,
-                dialed: 0,
-                first_up: false,
-                stream: s.clone(),
-                sent: 0,
-                echoed: e.clone(),
-            }))
-        },
-    );
-    cdp.seed_arp(server_ip, server_mac);
-    sim.run_until(SimTime(Nanos::from_millis(50).as_nanos()));
+    let host = tb.fabric.host(tb.server);
+    tb.engine = Some(ServerEngine::launch(system, &mut tb.sim, host, 1, &tuning, Some(PORT), app));
+    let server = tb.server_ip();
+    let stream = Bytes::copy_from_slice(stream);
+    let _client = tb.launch_client(tb.clients[0], System::Ix, 1, &tuning, |_| Client {
+        server,
+        dialed: 0,
+        first_up: false,
+        stream: stream.clone(),
+        sent: 0,
+        echoed: echoed.clone(),
+    });
+    tb.run_until_ns(Nanos::from_millis(50).as_nanos());
     let verdicts = verdicts.borrow().clone();
     let echoed = echoed.borrow().clone();
     (verdicts, echoed)

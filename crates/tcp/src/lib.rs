@@ -10,7 +10,7 @@
 //! * **Event-based upcalls**: segment processing produces [`TcpEvent`]s
 //!   that map one-to-one onto the paper's event conditions (Table 1):
 //!   `knock`, `connected`, `recv`, `sent`, `dead`.
-//! * **Explicit flow control**: `send` accepts only what the sliding
+//! * **Explicit flow control**: `send_bytes` accepts only what the sliding
 //!   window permits (the paper's `sendv` semantics); the receive window
 //!   advances only when the application consumes data via `recv_done` —
 //!   "the networking stack sends acknowledgments to peers only as fast as
@@ -24,7 +24,8 @@
 //!   inverted.
 //!
 //! The stack also implements ARP (with a resolution queue), ICMP echo,
-//! and UDP — IX's own additions to lwIP's TCP core.
+//! and UDP receive (validated and counted; no socket API) — IX's own
+//! additions to lwIP's TCP core.
 //!
 //! The stack is *passive*: execution engines (the IX dataplane in
 //! `ix-core`, the Linux/mTCP models in `ix-baselines`) feed it frames,

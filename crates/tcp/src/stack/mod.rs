@@ -110,8 +110,6 @@ pub struct StackStats {
     pub icmp_echo: u64,
     /// UDP datagrams received and dropped: no application takes UDP.
     pub udp_rx: u64,
-    /// UDP datagrams sent.
-    pub udp_tx: u64,
     /// Outbound packets dropped because the mbuf pool was empty.
     pub pool_drops: u64,
     /// Payload byte-copies performed on the transmit path. The zero-copy
@@ -123,10 +121,6 @@ pub struct StackStats {
     /// Zero on the fast path; the ARP-cold park path allocates one to
     /// hold the serialized L3 frame while the next hop resolves.
     pub tx_transient_allocs: u64,
-    /// Owned retransmit-storage blocks materialized by the slice-based
-    /// `send` entry point (one per call; segments slice it O(1)).
-    /// `send_bytes` callers share their own block and never count here.
-    pub tx_rtq_blocks: u64,
     /// Payload byte-copies performed on the receive path between the
     /// ring's DMA buffer and the application's view. The zero-copy RX
     /// path delivers refcounted `Bytes` views of the mbuf itself, so
@@ -180,11 +174,9 @@ impl StackStats {
         self.arp_tx += other.arp_tx;
         self.icmp_echo += other.icmp_echo;
         self.udp_rx += other.udp_rx;
-        self.udp_tx += other.udp_tx;
         self.pool_drops += other.pool_drops;
         self.tx_payload_writes += other.tx_payload_writes;
         self.tx_transient_allocs += other.tx_transient_allocs;
-        self.tx_rtq_blocks += other.tx_rtq_blocks;
         self.rx_payload_copies += other.rx_payload_copies;
         self.rx_ooo_copies += other.rx_ooo_copies;
         self.rx_pool_outstanding += other.rx_pool_outstanding;
@@ -467,18 +459,8 @@ impl TcpShard {
         }
     }
 
-    /// Drains the frames generated since the last call; the engine moves
-    /// them to the NIC TX ring.
-    pub fn take_tx(&mut self) -> Vec<Mbuf> {
-        std::mem::take(&mut self.tx)
-    }
-
-    /// Drains pending upcall events.
-    pub fn take_events(&mut self) -> Vec<TcpEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Takes the outbound frame queue, leaving the (empty) `replacement`
+    /// Takes the frames generated since the last call (the engine moves
+    /// them to the NIC TX ring), leaving the (empty) `replacement`
     /// in its place so the engine can recycle buffer capacity across
     /// run-to-completion cycles instead of reallocating each one. The
     /// two buffers serve alternate cycles, so the one going on duty is
@@ -491,8 +473,8 @@ impl TcpShard {
     }
 
     /// Takes the pending upcall events, leaving the (empty)
-    /// `replacement` in their place (capacity-recycling counterpart of
-    /// [`TcpShard::take_events`]).
+    /// `replacement` in their place, as [`TcpShard::take_tx_swap`] does
+    /// for frames.
     pub fn take_events_swap(&mut self, mut replacement: Vec<TcpEvent>) -> Vec<TcpEvent> {
         debug_assert!(replacement.is_empty());
         replacement.reserve(self.events.len());

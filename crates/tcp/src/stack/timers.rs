@@ -150,7 +150,7 @@ impl TcpShard {
         seg.retransmitted = true;
         seg.tx_time_ns = now;
         // O(1): a refcount bump on the shared storage block — the
-        // retransmit serializes from the same bytes `send` queued, so no
+        // retransmit serializes from the same bytes `send_bytes` queued, so no
         // payload is copied until the segment lands in its pool mbuf.
         let spec_data: Bytes = seg.data.clone();
         let (seq, fin) = (seg.seq, seg.fin);

@@ -1,4 +1,4 @@
-//! The transmit side: `send`, UDP output, ACK generation, and the
+//! The transmit side: `send_bytes`, ACK generation, and the
 //! segment and frame builders.
 
 use ix_mempool::Mbuf;
@@ -6,7 +6,6 @@ use ix_net::arp::ArpPacket;
 use ix_net::eth::{EthHeader, EtherType, MacAddr};
 use ix_net::ip::{IpProto, Ipv4Addr, Ipv4Header};
 use ix_net::tcp::{TcpFlags, TcpHeader};
-use ix_net::udp::UdpHeader;
 use ix_testkit::Bytes;
 
 use super::{SegmentSpec, StackError, TcpShard, TimerEntry, TX_HEADROOM};
@@ -19,42 +18,13 @@ impl TcpShard {
     /// "the number of bytes that were accepted and sent by the TCP stack,
     /// as constrained by correct TCP sliding window operation").
     ///
-    /// The accepted prefix is copied once into a fresh refcounted storage
-    /// block; the retransmit queue holds O(1) slices of that block. When
-    /// the caller already owns the payload as a [`Bytes`], use
-    /// [`TcpShard::send_bytes`] to skip even that copy.
-    pub fn send(&mut self, now_ns: u64, flow: FlowId, data: &[u8]) -> Result<usize, StackError> {
-        self.send_impl(now_ns, flow, data, None)
-    }
-
-    /// Zero-copy variant of [`TcpShard::send`]: the retransmit queue
-    /// slices the caller's own storage block, so no payload byte is
-    /// copied until each segment is serialized into its pool mbuf — the
-    /// paper's `sendv` contract end-to-end. `Bytes` is immutable by
-    /// construction, which is exactly the §3 requirement that the
-    /// application not touch transmitted buffers until acknowledged.
+    /// Zero-copy: the retransmit queue slices the caller's own storage
+    /// block, so no payload byte is copied until each segment is
+    /// serialized into its pool mbuf — the paper's `sendv` contract end
+    /// to end. `Bytes` is immutable by construction, which is exactly the
+    /// §3 requirement that the application not touch transmitted buffers
+    /// until acknowledged.
     pub fn send_bytes(&mut self, now_ns: u64, flow: FlowId, data: &Bytes) -> Result<usize, StackError> {
-        self.send_impl(now_ns, flow, data.as_slice(), Some(data))
-    }
-
-    /// Checks that `flow` may take data: a live handle in Established
-    /// or CloseWait with no FIN queued. Every `sendv` is held to this,
-    /// whether the stack or a kernel send buffer takes the bytes.
-    pub fn sendable(&mut self, flow: FlowId) -> Result<(), StackError> {
-        let tcb = self.get_mut(flow)?;
-        match tcb.state {
-            TcpState::Established | TcpState::CloseWait if !tcb.fin_queued => Ok(()),
-            _ => Err(StackError::BadState),
-        }
-    }
-
-    fn send_impl(
-        &mut self,
-        now_ns: u64,
-        flow: FlowId,
-        data: &[u8],
-        shared: Option<&Bytes>,
-    ) -> Result<usize, StackError> {
         self.now_ns = now_ns;
         self.sendable(flow)?;
         let cfg_mss = self.cfg.mss as usize;
@@ -65,17 +35,9 @@ impl TcpShard {
         let had_flight = tcb.flight() > 0;
         let key = flow.key;
         if accepted > 0 {
-            // One storage block backs every rtq entry of this call: the
-            // caller's own block (send_bytes — nothing copied) or a single
-            // copy of the accepted prefix. Segments slice it O(1), so
-            // retransmission later needs no payload copy either.
-            let block = match shared {
-                Some(b) => b.slice(..accepted),
-                None => {
-                    self.stats.tx_rtq_blocks += 1;
-                    Bytes::copy_from_slice(&data[..accepted])
-                }
-            };
+            // Segments slice the caller's block O(1), so retransmission
+            // later needs no payload copy either.
+            let block = data.slice(..accepted);
             let mut off = 0usize;
             while off < accepted {
                 let len = mss.min(accepted - off);
@@ -131,53 +93,14 @@ impl TcpShard {
         Ok(accepted)
     }
 
-    /// Sends a UDP datagram.
-    pub fn udp_send(
-        &mut self,
-        now_ns: u64,
-        dst_ip: Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
-        payload: &[u8],
-    ) {
-        self.now_ns = now_ns;
-        let len = (UdpHeader::LEN + payload.len()) as u16;
-        let hdr = UdpHeader { src_port, dst_port, len };
-        self.stats.udp_tx += 1;
-        if self.arp.lookup(dst_ip).is_some() {
-            // Resolved next hop: one pool mbuf, payload written once into
-            // the tail, UDP/IP/Eth headers prepended in place. The
-            // checksum is fed from the caller's payload slice, so the
-            // wire bytes match the old staging-Vec construction exactly.
-            let Some(mut m) = self.pool.alloc_with_headroom(TX_HEADROOM) else {
-                // The Vec-chain path consumed an IP ident before it
-                // discovered pool exhaustion; keep consuming one so wire
-                // bytes after recovery stay identical.
-                self.ip_ident = self.ip_ident.wrapping_add(1);
-                self.stats.pool_drops += 1;
-                return;
-            };
-            m.extend_from_slice(payload);
-            if !payload.is_empty() {
-                self.stats.tx_payload_writes += 1;
-            }
-            hdr.encode(m.prepend(UdpHeader::LEN), self.local_ip, dst_ip, payload);
-            self.transmit_l4_mbuf(dst_ip, IpProto::Udp, m);
-        } else {
-            // Cold ARP entry: serialize once into a transient buffer and
-            // park it until the next hop resolves (no pool mbuf needed).
-            let ip = self.next_ipv4(IpProto::Udp, dst_ip, len as usize);
-            self.stats.tx_transient_allocs += 1;
-            let mut l3 = vec![0u8; ip.total_len as usize];
-            l3[Ipv4Header::LEN + UdpHeader::LEN..].copy_from_slice(payload);
-            if !payload.is_empty() {
-                self.stats.tx_payload_writes += 1;
-            }
-            let (ih, rest) = l3.split_at_mut(Ipv4Header::LEN);
-            let (uh, pl) = rest.split_at_mut(UdpHeader::LEN);
-            hdr.encode(uh, self.local_ip, dst_ip, pl);
-            ip.encode(ih);
-            self.park_l3(dst_ip, l3.into());
+    /// Checks that `flow` may take data: a live handle in Established
+    /// or CloseWait with no FIN queued. Every `sendv` is held to this,
+    /// whether the stack or a kernel send buffer takes the bytes.
+    pub fn sendable(&mut self, flow: FlowId) -> Result<(), StackError> {
+        let tcb = self.get_mut(flow)?;
+        match tcb.state {
+            TcpState::Established | TcpState::CloseWait if !tcb.fin_queued => Ok(()),
+            _ => Err(StackError::BadState),
         }
     }
 
@@ -378,7 +301,7 @@ impl TcpShard {
 
     /// Wraps an L4 payload already resident in an mbuf — headers go into
     /// the headroom in place — in IPv4, and routes it. Used by the ICMP
-    /// echo reply (aliasing the RX mbuf) and `udp_send`.
+    /// echo reply, which aliases the RX mbuf.
     pub(super) fn transmit_l4_mbuf(&mut self, dst_ip: Ipv4Addr, proto: IpProto, mut m: Mbuf) {
         let ip = self.next_ipv4(proto, dst_ip, m.len());
         ip.encode(m.prepend(Ipv4Header::LEN));

@@ -48,7 +48,7 @@ pub struct TxSeg {
     /// First sequence number.
     pub seq: u32,
     /// Payload bytes (empty for a bare FIN). A refcounted view into the
-    /// storage block the application handed to `send`, so queuing and
+    /// storage block the application handed to `send_bytes`, so queuing and
     /// retransmitting never copy payload — the zero-copy contract of the
     /// paper's `sendv` (§3: buffers stay immutable until acknowledged).
     pub data: Bytes,
@@ -157,7 +157,7 @@ impl TcbCold {
 /// The protocol control block for one connection: 208 bytes, and all an
 /// idle connection owns (its queues hold no buffer, its cold block is
 /// detached). `repr(C)` so that the declaration order is
-/// the memory order: what `fast_segment`, `deliver`, `send` and the ACK
+/// the memory order: what `fast_segment`, `deliver`, `send_bytes` and the ACK
 /// pass read comes first, the RTT estimator and handshake leftovers
 /// last.
 #[derive(Debug)]

@@ -13,43 +13,13 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
+pub mod common;
+
+use common::{events, mac, outbound, Wire, A_IP, B_IP};
 use ix_mempool::Mbuf;
-use ix_net::eth::MacAddr;
-use ix_net::ip::Ipv4Addr;
 use ix_tcp::{AckPolicy, DeadReason, FlowId, StackConfig, StackStats, TcpEvent, TcpShard, NUM_BUCKETS};
 use ix_testkit::prelude::*;
-
-const C_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const S_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-
-fn mac(i: u16) -> MacAddr {
-    MacAddr::from_host_index(i)
-}
-
-/// Deterministic per-frame wire decisions (SplitMix64 over a counter),
-/// identical to the `prop.rs` hostile-wire harness.
-struct Wire {
-    seed: u64,
-    drop_pct: u64,
-    dup_pct: u64,
-    delay_pct: u64,
-    counter: u64,
-}
-
-impl Wire {
-    fn decide(&mut self) -> (bool, bool, bool) {
-        self.counter += 1;
-        let mut z = self.seed.wrapping_add(self.counter.wrapping_mul(0x9e3779b97f4a7c15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^= z >> 31;
-        let roll = z % 100;
-        let drop = roll < self.drop_pct;
-        let dup = !drop && roll < self.drop_pct + self.dup_pct;
-        let delay = !drop && !dup && roll < self.drop_pct + self.dup_pct + self.delay_pct;
-        (drop, dup, delay)
-    }
-}
+use ix_testkit::Bytes;
 
 /// One client shard + a two-shard server host behind a redirection
 /// "switch": frames to the server land on whichever shard currently
@@ -68,12 +38,12 @@ struct Cluster {
 
 impl Cluster {
     fn new(ccfg: StackConfig, scfg: StackConfig) -> Cluster {
-        let mut c = TcpShard::new(ccfg, C_IP, mac(1));
-        let mut s0 = TcpShard::new(scfg.clone(), S_IP, mac(2));
-        let mut s1 = TcpShard::new(scfg, S_IP, mac(2));
-        c.arp_seed(S_IP, mac(2));
-        s0.arp_seed(C_IP, mac(1));
-        s1.arp_seed(C_IP, mac(1));
+        let mut c = TcpShard::new(ccfg, A_IP, mac(1));
+        let mut s0 = TcpShard::new(scfg.clone(), B_IP, mac(2));
+        let mut s1 = TcpShard::new(scfg, B_IP, mac(2));
+        c.arp_seed(B_IP, mac(2));
+        s0.arp_seed(A_IP, mac(1));
+        s1.arp_seed(A_IP, mac(1));
         s0.listen(80);
         s1.listen(80);
         Cluster {
@@ -101,9 +71,9 @@ impl Cluster {
     /// and timers on every shard.
     fn pump_round(&mut self, step_ns: u64) {
         self.now += step_ns;
-        let from_c = self.c.take_tx();
-        let from_s0 = self.s[0].take_tx();
-        let from_s1 = self.s[1].take_tx();
+        let from_c = outbound(&mut self.c);
+        let from_s0 = outbound(&mut self.s[0]);
+        let from_s1 = outbound(&mut self.s[1]);
         for f in from_c {
             if !self.cut_c2s.get() {
                 self.s[self.owner].input(self.now, f);
@@ -123,7 +93,7 @@ impl Cluster {
         self.s[1].advance_timers(now);
     }
 
-    /// Pumps until idle (bounded), like `protocol.rs`.
+    /// Pumps until idle (bounded), like [`common::Pair::pump`].
     fn pump(&mut self, step_ns: u64, max_rounds: usize) {
         for _ in 0..max_rounds {
             self.pump_round(step_ns);
@@ -134,17 +104,17 @@ impl Cluster {
     }
 
     fn establish(&mut self) -> (FlowId, FlowId) {
-        let cf = self.c.connect(self.now, S_IP, 80, 0xC).expect("connect");
+        let cf = self.c.connect(self.now, B_IP, 80, 0xC).expect("connect");
         self.pump(100_000, 64);
         let mut ok = false;
-        for e in self.c.take_events() {
+        for e in events(&mut self.c) {
             if let TcpEvent::Connected { ok: o, .. } = e {
                 ok = o;
             }
         }
         assert!(ok, "handshake failed");
         let mut sf = None;
-        for e in self.s[self.owner].take_events() {
+        for e in events(&mut self.s[self.owner]) {
             if let TcpEvent::Knock { flow, .. } = e {
                 self.s[self.owner].accept(flow, 0x5).unwrap();
                 sf = Some(flow);
@@ -182,10 +152,10 @@ fn persist_timer_rearms_on_destination_shard() {
     // Server floods until the client's 64 KiB window is full; the client
     // application credits nothing, so the advertised window closes and
     // the server's persist timer arms.
-    let blob = vec![0x7u8; 1460];
+    let blob = Bytes::from(vec![0x7u8; 1460]);
     let mut pushed = 0usize;
     for _ in 0..200 {
-        if let Ok(n) = cl.s[cl.owner].send(cl.now, sf, &blob) {
+        if let Ok(n) = cl.s[cl.owner].send_bytes(cl.now, sf, &blob) {
             pushed += n;
         }
         cl.pump_round(100_000);
@@ -195,7 +165,7 @@ fn persist_timer_rearms_on_destination_shard() {
     // Hold the delivered payloads alive like a slow application would.
     let mut held: Vec<ix_testkit::Bytes> = Vec::new();
     let mut got = 0usize;
-    for e in cl.c.take_events() {
+    for e in events(&mut cl.c) {
         if let TcpEvent::Recv { payload, .. } = e {
             got += payload.len();
             held.push(payload);
@@ -219,7 +189,7 @@ fn persist_timer_rearms_on_destination_shard() {
     // Default persist interval is 200 ms; run 600 ms of probes.
     for _ in 0..6_000 {
         cl.pump_round(100_000);
-        if cl.c.take_events().iter().any(|e| matches!(e, TcpEvent::Recv { .. })) {
+        if events(&mut cl.c).iter().any(|e| matches!(e, TcpEvent::Recv { .. })) {
             break;
         }
     }
@@ -230,7 +200,7 @@ fn persist_timer_rearms_on_destination_shard() {
     assert_eq!(cl.s[1 - cl.owner].stats.persist_probes, 0);
     // Probe answered -> window rediscovered -> the stream moves again.
     let before = cl.c.stats.bytes_rx;
-    if let Ok(n) = cl.s[cl.owner].send(cl.now, sf, &blob) {
+    if let Ok(n) = cl.s[cl.owner].send_bytes(cl.now, sf, &blob) {
         assert!(n > 0, "send window still closed after probe");
     }
     cl.pump(100_000, 256);
@@ -257,7 +227,7 @@ fn delack_timer_rearms_on_destination_shard() {
     let _ = (cf, sf);
 
     // One lone segment arms the delayed-ACK timer (first-segment branch).
-    cl.c.send(cl.now, cf, &[0x42u8; 100]).unwrap();
+    cl.c.send_bytes(cl.now, cf, &Bytes::from(vec![0x42u8; 100])).unwrap();
     cl.pump_round(1_000);
     cl.pump_round(1_000);
     assert_eq!(cl.s[cl.owner].stats.bytes_rx, 100);
@@ -272,9 +242,7 @@ fn delack_timer_rearms_on_destination_shard() {
     }
     assert_eq!(cl.c.stats.retransmits, 0, "ACK was recovered only by RTO");
     assert_eq!(cl.c.stats.rto_fires, 0);
-    let snd_acked = cl
-        .c
-        .take_events()
+    let snd_acked = events(&mut cl.c)
         .iter()
         .filter_map(|e| match e {
             TcpEvent::Sent { bytes_acked, .. } => Some(*bytes_acked as usize),
@@ -300,14 +268,14 @@ fn stats_and_gauges_conserve_across_migration() {
     let (cf, _sf) = cl.establish();
 
     // Uncredited in-order data: the server holds rx_held buffers.
-    cl.c.send(cl.now, cf, &[0x11u8; 2000]).unwrap();
+    cl.c.send_bytes(cl.now, cf, &Bytes::from(vec![0x11u8; 2000])).unwrap();
     cl.pump(100_000, 16);
     // An out-of-order segment: drop one frame, pass the next.
     cl.cut_c2s.set(true);
-    cl.c.send(cl.now, cf, &[0x22u8; 1000]).unwrap();
+    cl.c.send_bytes(cl.now, cf, &Bytes::from(vec![0x22u8; 1000])).unwrap();
     cl.pump_round(1_000);
     cl.cut_c2s.set(false);
-    cl.c.send(cl.now, cf, &[0x33u8; 1000]).unwrap();
+    cl.c.send_bytes(cl.now, cf, &Bytes::from(vec![0x33u8; 1000])).unwrap();
     cl.pump_round(1_000);
     cl.pump_round(1_000);
 
@@ -315,9 +283,9 @@ fn stats_and_gauges_conserve_across_migration() {
     // SYN-ACK is lost (the server parks in SynRcvd), and a third SYN
     // overflows the one-deep backlog.
     cl.cut_s2c.set(true);
-    cl.c.connect(cl.now, S_IP, 80, 0xB1).unwrap();
+    cl.c.connect(cl.now, B_IP, 80, 0xB1).unwrap();
     cl.pump_round(1_000);
-    cl.c.connect(cl.now, S_IP, 80, 0xB2).unwrap();
+    cl.c.connect(cl.now, B_IP, 80, 0xB2).unwrap();
     cl.pump_round(1_000);
 
     let shard_stats = cl.summed_stats();
@@ -359,21 +327,21 @@ fn loaded_flows_timeline(migrate: bool) -> Vec<(u64, &'static str)> {
     let mut cl = Cluster::new(ccfg, low_lat_cfg());
     let (cfa, sfa) = cl.establish();
     let (cfb, sfb) = cl.establish();
-    let blob = vec![0x7u8; 1460];
+    let blob = Bytes::from(vec![0x7u8; 1460]);
 
     // A: 2000 bytes in, delivered and never credited.
-    cl.c.send(cl.now, cfa, &[0x11u8; 2000]).unwrap();
+    cl.c.send_bytes(cl.now, cfa, &Bytes::from(vec![0x11u8; 2000])).unwrap();
     cl.pump(100_000, 16);
     // B: the server fills the client's 4 KiB window; the client credits
     // nothing, its ACK closes the window, the next send arms the probe.
-    while cl.s[0].send(cl.now, sfb, &blob).unwrap() > 0 {}
+    while cl.s[0].send_bytes(cl.now, sfb, &blob).unwrap() > 0 {}
     cl.pump(100_000, 16);
-    assert_eq!(cl.s[0].send(cl.now, sfb, &blob).unwrap(), 0, "window still open");
+    assert_eq!(cl.s[0].send_bytes(cl.now, sfb, &blob).unwrap(), 0, "window still open");
     // A: 3000 bytes out with the way back cut, so they stay queued.
     cl.cut_c2s.set(true);
-    assert_eq!(cl.s[0].send(cl.now, sfa, &[0x22u8; 3000]).unwrap(), 3000);
+    assert_eq!(cl.s[0].send_bytes(cl.now, sfa, &Bytes::from(vec![0x22u8; 3000])).unwrap(), 3000);
     cl.pump_round(100_000);
-    drop((cl.c.take_events(), cl.s[0].take_events()));
+    drop((events(&mut cl.c), events(&mut cl.s[0])));
 
     let bytes = |views: Vec<ix_testkit::Bytes>| views.concat();
     if migrate {
@@ -430,7 +398,7 @@ fn loaded_flows_timeline(migrate: bool) -> Vec<(u64, &'static str)> {
     cl.c.recv_done(cl.now, cfb, 4096).unwrap();
     cl.s[cl.owner].recv_done(cl.now, sfa, 2000).unwrap();
     cl.pump(100_000, 64);
-    drop((cl.c.take_events(), cl.s[0].take_events(), cl.s[1].take_events()));
+    drop((events(&mut cl.c), events(&mut cl.s[0]), events(&mut cl.s[1])));
     if migrate {
         // Borrowed on shard 0, handed back on shard 1 — which has made
         // no buffer of its own.
@@ -468,7 +436,7 @@ fn golden_rto_sequence_across_migration() {
 
     // Server queues two segments; the wire eats both.
     cl.cut_s2c.set(true);
-    let n = cl.s[0].send(cl.now, sf, &[0x5Au8; 2920]).unwrap();
+    let n = cl.s[0].send_bytes(cl.now, sf, &Bytes::from(vec![0x5Au8; 2920])).unwrap();
     trace.push(format!("+{}us send {} rtq={}", (cl.now - t0) / 1_000, n, cl.s[0].rtq_payloads(sf).len()));
     cl.pump_round(100_000);
     cl.pump_round(100_000);
@@ -497,7 +465,7 @@ fn golden_rto_sequence_across_migration() {
             retx1 = s.retransmits;
             trace.push(format!("+{}us retransmit#{} on dst", (cl.now - t0) / 1_000, retx1));
         }
-        for e in cl.c.take_events() {
+        for e in events(&mut cl.c) {
             if let TcpEvent::Recv { payload, .. } = e {
                 got += payload.len();
             }
@@ -545,8 +513,8 @@ struct TransferOutcome {
 }
 
 fn run_transfer(
-    c2s_data: &[u8],
-    s2c_data: &[u8],
+    c2s_data: &Bytes,
+    s2c_data: &Bytes,
     seed: u64,
     drop_pct: u64,
     migrate_every: Option<usize>,
@@ -585,9 +553,9 @@ fn run_transfer(
         // Wire: route every frame through drop/dup/delay, then deliver
         // to the flow's *current* owner.
         let mut moving: Vec<(bool, Mbuf)> = std::mem::take(&mut holding);
-        moving.extend(cl.c.take_tx().into_iter().map(|f| (true, f)));
-        moving.extend(cl.s[0].take_tx().into_iter().map(|f| (false, f)));
-        moving.extend(cl.s[1].take_tx().into_iter().map(|f| (false, f)));
+        moving.extend(outbound(&mut cl.c).into_iter().map(|f| (true, f)));
+        moving.extend(outbound(&mut cl.s[0]).into_iter().map(|f| (false, f)));
+        moving.extend(outbound(&mut cl.s[1]).into_iter().map(|f| (false, f)));
         for (to_s, f) in moving {
             let (drop, dup, delay) = wire.decide();
             if drop {
@@ -615,7 +583,7 @@ fn run_transfer(
         // Applications: both sides consume immediately; the test body is
         // the data source on both sides, so migration never strands
         // app-level state.
-        for e in cl.c.take_events() {
+        for e in events(&mut cl.c) {
             match e {
                 TcpEvent::Recv { payload, .. } => {
                     s2c.extend_from_slice(&payload[..]);
@@ -633,7 +601,7 @@ fn run_transfer(
             }
         }
         for si in 0..2 {
-            for e in cl.s[si].take_events() {
+            for e in events(&mut cl.s[si]) {
                 match e {
                     TcpEvent::Recv { payload, .. } => {
                         c2s.extend_from_slice(&payload[..]);
@@ -656,12 +624,12 @@ fn run_transfer(
 
         // Senders push as windows allow.
         if c_sent < c2s_data.len() {
-            if let Ok(n) = cl.c.send(now, cf, &c2s_data[c_sent..]) {
+            if let Ok(n) = cl.c.send_bytes(now, cf, &c2s_data.slice(c_sent..)) {
                 c_sent += n;
             }
         }
         if s_sent < s2c_data.len() && !s_dead {
-            if let Ok(n) = cl.s[cl.owner].send(now, sf, &s2c_data[s_sent..]) {
+            if let Ok(n) = cl.s[cl.owner].send_bytes(now, sf, &s2c_data.slice(s_sent..)) {
                 s_sent += n;
             }
         }
@@ -717,10 +685,11 @@ fn run_transfer(
     TransferOutcome { c2s, s2c, resets, abnormal_deaths, leaked_mbufs, migrations }
 }
 
-fn pattern(len: usize, salt: u32) -> Vec<u8> {
-    (0..len)
+fn pattern(len: usize, salt: u32) -> Bytes {
+    let bytes: Vec<u8> = (0..len)
         .map(|i| (i as u32).wrapping_mul(2654435761).wrapping_add(salt).to_le_bytes()[1])
-        .collect()
+        .collect();
+    Bytes::from(bytes)
 }
 
 /// Migrating mid-transfer is invisible: same delivered bytes as the
@@ -733,10 +702,10 @@ fn assert_migration_is_invisible(len: usize, seed: u64, drop_pct: u64, every: us
     let moved = run_transfer(&c2s, &s2c, seed, drop_pct, Some(every));
     assert!(moved.migrations > 0);
     // Zero payload divergence, in both directions, for both runs.
-    assert_eq!(&never.c2s, &c2s);
-    assert_eq!(&never.s2c, &s2c);
-    assert_eq!(&moved.c2s, &c2s);
-    assert_eq!(&moved.s2c, &s2c);
+    assert_eq!(never.c2s, &c2s[..]);
+    assert_eq!(never.s2c, &s2c[..]);
+    assert_eq!(moved.c2s, &c2s[..]);
+    assert_eq!(moved.s2c, &s2c[..]);
     // Zero resets.
     assert_eq!(never.resets, 0);
     assert_eq!(moved.resets, 0);

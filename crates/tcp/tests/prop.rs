@@ -5,62 +5,29 @@
 //! duplication, reordering), as long as connectivity is eventually
 //! restored.
 
-use ix_testkit::prelude::*;
+pub mod common;
 
+use common::{events, mac, outbound, Wire, A_IP, B_IP};
 use ix_mempool::Mbuf;
-use ix_net::eth::MacAddr;
-use ix_net::ip::Ipv4Addr;
 use ix_tcp::{StackConfig, TcpEvent, TcpShard};
-
-const A_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const B_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-
-/// Deterministic per-frame perturbation decisions from a seed.
-struct Wire {
-    seed: u64,
-    drop_pct: u64,
-    dup_pct: u64,
-    delay_pct: u64,
-    counter: u64,
-    /// Frames delayed by one pump round.
-    holding: Vec<(bool, Mbuf)>,
-}
-
-impl Wire {
-    fn decide(&mut self) -> (bool, bool, bool) {
-        // SplitMix64 over the frame counter.
-        self.counter += 1;
-        let mut z = self.seed.wrapping_add(self.counter.wrapping_mul(0x9e3779b97f4a7c15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^= z >> 31;
-        let roll = z % 100;
-        let drop = roll < self.drop_pct;
-        let dup = !drop && roll < self.drop_pct + self.dup_pct;
-        let delay = !drop && !dup && roll < self.drop_pct + self.dup_pct + self.delay_pct;
-        (drop, dup, delay)
-    }
-}
+use ix_testkit::prelude::*;
+use ix_testkit::Bytes;
 
 /// Runs a full transfer of `data` from a to b over a hostile wire;
 /// returns (received bytes, rounds used).
 fn hostile_transfer(data: &[u8], seed: u64, drop_pct: u64) -> (Vec<u8>, usize) {
+    let data = Bytes::copy_from_slice(data);
     let mut cfg = StackConfig::low_latency();
     cfg.syn_rto_ns = 1_000_000;
-    let mut a = TcpShard::new(cfg.clone(), A_IP, MacAddr::from_host_index(1));
-    let mut b = TcpShard::new(cfg, B_IP, MacAddr::from_host_index(2));
-    a.arp_seed(B_IP, MacAddr::from_host_index(2));
-    b.arp_seed(A_IP, MacAddr::from_host_index(1));
+    let mut a = TcpShard::new(cfg.clone(), A_IP, mac(1));
+    let mut b = TcpShard::new(cfg, B_IP, mac(2));
+    a.arp_seed(B_IP, mac(2));
+    b.arp_seed(A_IP, mac(1));
     b.listen(80);
 
-    let mut wire = Wire {
-        seed,
-        drop_pct,
-        dup_pct: 10,
-        delay_pct: 15,
-        counter: 0,
-        holding: Vec::new(),
-    };
+    let mut wire = Wire { seed, drop_pct, dup_pct: 10, delay_pct: 15, counter: 0 };
+    // Frames delayed by one pump round.
+    let mut holding: Vec<(bool, Mbuf)> = Vec::new();
 
     let mut now = 0u64;
     let cflow = a.connect(now, B_IP, 80, 1).expect("connect");
@@ -74,16 +41,16 @@ fn hostile_transfer(data: &[u8], seed: u64, drop_pct: u64) -> (Vec<u8>, usize) {
         rounds += 1;
         now += 100_000;
         // Release last round's delayed frames first (reordering).
-        let mut moving: Vec<(bool, Mbuf)> = std::mem::take(&mut wire.holding);
-        moving.extend(a.take_tx().into_iter().map(|f| (true, f)));
-        moving.extend(b.take_tx().into_iter().map(|f| (false, f)));
+        let mut moving: Vec<(bool, Mbuf)> = std::mem::take(&mut holding);
+        moving.extend(outbound(&mut a).into_iter().map(|f| (true, f)));
+        moving.extend(outbound(&mut b).into_iter().map(|f| (false, f)));
         for (to_b, f) in moving {
             let (drop, dup, delay) = wire.decide();
             if drop {
                 continue;
             }
             if delay {
-                wire.holding.push((to_b, f));
+                holding.push((to_b, f));
                 continue;
             }
             if dup {
@@ -101,12 +68,12 @@ fn hostile_transfer(data: &[u8], seed: u64, drop_pct: u64) -> (Vec<u8>, usize) {
             }
         }
         // Application behaviour.
-        for e in a.take_events() {
+        for e in events(&mut a) {
             if let TcpEvent::Connected { ok, .. } = e {
                 assert!(ok, "handshake must eventually succeed");
             }
         }
-        for e in b.take_events() {
+        for e in events(&mut b) {
             match e {
                 TcpEvent::Knock { flow, .. } => {
                     b.accept(flow, 2).unwrap();
@@ -123,7 +90,7 @@ fn hostile_transfer(data: &[u8], seed: u64, drop_pct: u64) -> (Vec<u8>, usize) {
         }
         // Sender pushes as the window allows (only once established).
         if sent < data.len() && a.flow_count() == 1 {
-            if let Ok(n) = a.send(now, cflow, &data[sent..]) {
+            if let Ok(n) = a.send_bytes(now, cflow, &data.slice(sent..)) {
                 sent += n;
             }
         }

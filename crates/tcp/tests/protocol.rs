@@ -2,120 +2,12 @@
 //! back-to-back through a lossy, reorderable "virtual wire", with no NIC
 //! or simulator involved — pure protocol behaviour.
 
+pub mod common;
+
+use common::{establish, events, mac, outbound, udp_frame, Pair, A_IP, B_IP};
 use ix_mempool::Mbuf;
-use ix_net::eth::MacAddr;
-use ix_net::ip::Ipv4Addr;
-use ix_tcp::{AckPolicy, DeadReason, FlowId, StackConfig, TcpEvent, TcpShard};
-
-/// A per-frame mutator (wire corruption), fed a running frame index.
-type Mangler = Box<dyn FnMut(u64, &mut Mbuf)>;
-
-/// A deterministic two-host wire harness.
-struct Pair {
-    a: TcpShard,
-    b: TcpShard,
-    now: u64,
-    /// Called per frame with a running index; return false to drop.
-    keep: Box<dyn FnMut(u64) -> bool>,
-    /// Called per kept frame; may mutate the frame in place.
-    mangle: Mangler,
-    frames_moved: u64,
-}
-
-const A_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const B_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-
-fn mac(i: u16) -> MacAddr {
-    MacAddr::from_host_index(i)
-}
-
-impl Pair {
-    fn new(cfg: StackConfig) -> Pair {
-        let mut a = TcpShard::new(cfg.clone(), A_IP, mac(1));
-        let mut b = TcpShard::new(cfg, B_IP, mac(2));
-        // Seed ARP so protocol tests focus on TCP; ARP itself has its own
-        // cold-start test below.
-        a.arp_seed(B_IP, mac(2));
-        b.arp_seed(A_IP, mac(1));
-        Pair {
-            a,
-            b,
-            now: 0,
-            keep: Box::new(|_| true),
-            mangle: Box::new(|_, _| {}),
-            frames_moved: 0,
-        }
-    }
-
-    /// Moves frames between the shards until both are idle or `max_rounds`
-    /// passes elapse. Each round advances time by `step_ns`.
-    fn pump(&mut self, step_ns: u64, max_rounds: usize) {
-        for _ in 0..max_rounds {
-            self.now += step_ns;
-            let from_a = self.a.take_tx();
-            let from_b = self.b.take_tx();
-            let idle = from_a.is_empty() && from_b.is_empty();
-            for mut f in from_a {
-                self.frames_moved += 1;
-                if (self.keep)(self.frames_moved) {
-                    (self.mangle)(self.frames_moved, &mut f);
-                    self.b.input(self.now, f);
-                }
-            }
-            for mut f in from_b {
-                self.frames_moved += 1;
-                if (self.keep)(self.frames_moved) {
-                    (self.mangle)(self.frames_moved, &mut f);
-                    self.a.input(self.now, f);
-                }
-            }
-            self.a.end_cycle(self.now);
-            self.b.end_cycle(self.now);
-            self.a.advance_timers(self.now);
-            self.b.advance_timers(self.now);
-            // Stop only when this round moved nothing and nothing new was
-            // produced by end-of-cycle ACKs or timers.
-            if idle && self.a.tx_len() == 0 && self.b.tx_len() == 0 {
-                break;
-            }
-        }
-    }
-
-    /// Runs the wire for `dur_ns` (for timer-driven behaviour).
-    fn run_for(&mut self, step_ns: u64, dur_ns: u64) {
-        let end = self.now + dur_ns;
-        while self.now < end {
-            self.pump(step_ns, 1);
-        }
-    }
-}
-
-/// Establishes a connection from `a` to `b` (which listens on `port`) and
-/// returns the two flow handles (client side, server side).
-fn establish(p: &mut Pair, port: u16) -> (FlowId, FlowId) {
-    p.b.listen(port);
-    let cf = p.a.connect(p.now, B_IP, port, 0xAAA).expect("connect");
-    p.pump(1_000, 32);
-    let mut client_flow = None;
-    for e in p.a.take_events() {
-        if let TcpEvent::Connected { flow, ok, .. } = e {
-            assert!(ok, "handshake failed");
-            client_flow = Some(flow);
-        }
-    }
-    let mut server_flow = None;
-    for e in p.b.take_events() {
-        if let TcpEvent::Knock { flow, src_ip, src_port } = e {
-            assert_eq!(src_ip, A_IP);
-            assert!(src_port >= 16_384);
-            p.b.accept(flow, 0xBBB).unwrap();
-            server_flow = Some(flow);
-        }
-    }
-    let cf2 = client_flow.expect("connected event");
-    assert_eq!(cf2, cf);
-    (cf, server_flow.expect("knock event"))
-}
+use ix_tcp::{AckPolicy, DeadReason, StackConfig, TcpEvent, TcpShard};
+use ix_testkit::Bytes;
 
 #[test]
 fn three_way_handshake() {
@@ -131,12 +23,12 @@ fn three_way_handshake() {
 fn small_echo_roundtrip() {
     let mut p = Pair::new(StackConfig::default());
     let (c, s) = establish(&mut p, 80);
-    let n = p.a.send(p.now, c, b"hello").unwrap();
+    let n = p.a.send_bytes(p.now, c, &Bytes::from_static(b"hello")).unwrap();
     assert_eq!(n, 5);
     p.pump(1_000, 16);
     // Server got the data.
     let mut got = Vec::new();
-    for e in p.b.take_events() {
+    for e in events(&mut p.b) {
         if let TcpEvent::Recv { payload, cookie, .. } = e {
             assert_eq!(cookie, 0xBBB);
             got.extend_from_slice(&payload[..]);
@@ -145,11 +37,11 @@ fn small_echo_roundtrip() {
     assert_eq!(got, b"hello");
     // Echo back.
     p.b.recv_done(p.now, s, 5).unwrap();
-    p.b.send(p.now, s, b"world").unwrap();
+    p.b.send_bytes(p.now, s, &Bytes::from_static(b"world")).unwrap();
     p.pump(1_000, 16);
     let mut back = Vec::new();
     let mut sent_seen = false;
-    for e in p.a.take_events() {
+    for e in events(&mut p.a) {
         match e {
             TcpEvent::Recv { payload, .. } => back.extend_from_slice(&payload[..]),
             TcpEvent::Sent { bytes_acked, .. } => {
@@ -171,6 +63,7 @@ fn large_transfer_is_segmented_and_exact() {
     let data: Vec<u8> = (0..100_000u32)
         .map(|i| (i.wrapping_mul(2654435761) >> 24) as u8)
         .collect();
+    let data = Bytes::from(data);
     let mut sent = 0usize;
     let mut received = Vec::new();
     let mut rounds = 0;
@@ -178,19 +71,19 @@ fn large_transfer_is_segmented_and_exact() {
         rounds += 1;
         assert!(rounds < 10_000, "transfer stalled at {} bytes", received.len());
         if sent < data.len() {
-            sent += p.a.send(p.now, c, &data[sent..]).unwrap();
+            sent += p.a.send_bytes(p.now, c, &data.slice(sent..)).unwrap();
         }
         p.pump(1_000, 4);
-        for e in p.b.take_events() {
+        for e in events(&mut p.b) {
             if let TcpEvent::Recv { payload, .. } = e {
                 received.extend_from_slice(&payload[..]);
                 p.b.recv_done(p.now, s, payload.len() as u32).unwrap();
             }
         }
         // Drain client events (Sent notifications).
-        p.a.take_events();
+        events(&mut p.a);
     }
-    assert_eq!(received, data, "stream corrupted");
+    assert_eq!(received, &data[..], "stream corrupted");
     assert!(p.a.stats.tx_segments > 68, "MSS segmentation expected");
 }
 
@@ -200,16 +93,16 @@ fn send_respects_window_and_recv_done_opens_it() {
     let mut p = Pair::new(cfg);
     let (c, s) = establish(&mut p, 80);
     // Fill the 4 KB window.
-    let data = vec![7u8; 10_000];
-    let n1 = p.a.send(p.now, c, &data).unwrap();
+    let data = Bytes::from(vec![7u8; 10_000]);
+    let n1 = p.a.send_bytes(p.now, c, &data).unwrap();
     assert_eq!(n1, 4_000, "accepts exactly the advertised window");
     p.pump(1_000, 8);
     // Server holds the mbufs (no recv_done): window stays shut.
-    let n2 = p.a.send(p.now, c, &data[n1..]).unwrap();
+    let n2 = p.a.send_bytes(p.now, c, &data.slice(n1..)).unwrap();
     assert_eq!(n2, 0, "window exhausted until the app consumes");
     // Server consumes; window reopens; client is notified via Sent.
     let mut held = 0;
-    for e in p.b.take_events() {
+    for e in events(&mut p.b) {
         if let TcpEvent::Recv { payload, .. } = e {
             held += payload.len() as u32;
         }
@@ -217,13 +110,11 @@ fn send_respects_window_and_recv_done_opens_it() {
     assert_eq!(held, 4_000);
     p.b.recv_done(p.now, s, held).unwrap();
     p.pump(1_000, 8);
-    let reopened = p
-        .a
-        .take_events()
+    let reopened = events(&mut p.a)
         .iter()
         .any(|e| matches!(e, TcpEvent::Sent { window, .. } if *window > 0));
     assert!(reopened, "client must learn the window reopened");
-    let n3 = p.a.send(p.now, c, &data[n1..]).unwrap();
+    let n3 = p.a.send_bytes(p.now, c, &data.slice(n1..)).unwrap();
     assert!(n3 > 0);
 }
 
@@ -236,11 +127,11 @@ fn retransmission_recovers_from_loss() {
     // Drop the first data frame after the handshake.
     let start = p.frames_moved;
     p.keep = Box::new(move |i| i != start + 1);
-    p.a.send(p.now, c, b"must arrive").unwrap();
+    p.a.send_bytes(p.now, c, &Bytes::from_static(b"must arrive")).unwrap();
     // Run long enough for the 1 ms RTO to fire.
     p.run_for(100_000, 20_000_000);
     let mut got = Vec::new();
-    for e in p.b.take_events() {
+    for e in events(&mut p.b) {
         if let TcpEvent::Recv { payload, .. } = e {
             got.extend_from_slice(&payload[..]);
         }
@@ -256,10 +147,10 @@ fn out_of_order_segments_reassemble() {
     let mut p = Pair::new(StackConfig::default());
     let (c, s) = establish(&mut p, 80);
     // Send two MSS-sized chunks in one call: two frames on the wire.
-    let data = vec![9u8; 2_920]; // 2 * 1460.
-    p.a.send(p.now, c, &data).unwrap();
+    let data = Bytes::from(vec![9u8; 2_920]); // 2 * 1460.
+    p.a.send_bytes(p.now, c, &data).unwrap();
     // Manually take and reorder.
-    let mut frames = p.a.take_tx();
+    let mut frames = outbound(&mut p.a);
     assert_eq!(frames.len(), 2);
     frames.reverse();
     for f in frames {
@@ -268,7 +159,7 @@ fn out_of_order_segments_reassemble() {
     p.b.end_cycle(p.now);
     p.pump(1_000, 8);
     let mut got = 0usize;
-    for e in p.b.take_events() {
+    for e in events(&mut p.b) {
         if let TcpEvent::Recv { payload, .. } = e {
             got += payload.len();
             p.b.recv_done(p.now, s, payload.len() as u32).unwrap();
@@ -284,9 +175,7 @@ fn graceful_close_fin_handshake() {
     p.a.close(p.now, c).unwrap();
     p.pump(1_000, 16);
     // Server sees Dead{PeerFin} and closes its side.
-    let dead = p
-        .b
-        .take_events()
+    let dead = events(&mut p.b)
         .into_iter()
         .find_map(|e| match e {
             TcpEvent::Dead { reason, .. } => Some(reason),
@@ -309,9 +198,7 @@ fn abort_sends_rst_and_peer_sees_reset() {
     p.a.abort(p.now, c).unwrap();
     assert_eq!(p.a.flow_count(), 0, "no TIME_WAIT on abort");
     p.pump(1_000, 8);
-    let reset = p
-        .b
-        .take_events()
+    let reset = events(&mut p.b)
         .into_iter()
         .any(|e| matches!(e, TcpEvent::Dead { reason: DeadReason::PeerReset, .. }));
     assert!(reset);
@@ -325,9 +212,7 @@ fn syn_to_closed_port_gets_rst() {
     // No listener on 81.
     p.a.connect(p.now, B_IP, 81, 7).unwrap();
     p.pump(1_000, 16);
-    let failed = p
-        .a
-        .take_events()
+    let failed = events(&mut p.a)
         .into_iter()
         .any(|e| matches!(e, TcpEvent::Connected { ok: false, cookie: 7, .. }));
     assert!(failed, "connect must fail with RST");
@@ -340,7 +225,7 @@ fn stale_handle_rejected_after_close() {
     let mut p = Pair::new(StackConfig::default());
     let (c, _s) = establish(&mut p, 80);
     p.a.abort(p.now, c).unwrap();
-    assert!(p.a.send(p.now, c, b"x").is_err());
+    assert!(p.a.send_bytes(p.now, c, &Bytes::from_static(b"x")).is_err());
     assert!(p.a.recv_done(p.now, c, 1).is_err());
     assert!(p.a.close(p.now, c).is_err());
 }
@@ -349,9 +234,9 @@ fn stale_handle_rejected_after_close() {
 fn recv_done_overcredit_rejected() {
     let mut p = Pair::new(StackConfig::default());
     let (c, s) = establish(&mut p, 80);
-    p.a.send(p.now, c, b"abc").unwrap();
+    p.a.send_bytes(p.now, c, &Bytes::from_static(b"abc")).unwrap();
     p.pump(1_000, 8);
-    p.b.take_events();
+    events(&mut p.b);
     assert!(p.b.recv_done(p.now, s, 1_000).is_err(), "overcredit must fail");
     assert!(p.b.recv_done(p.now, s, 3).is_ok());
 }
@@ -365,7 +250,7 @@ fn cold_arp_resolves_then_delivers() {
     // No ARP seeding: the SYN must wait for resolution.
     a.connect(0, B_IP, 80, 1).unwrap();
     // First TX from a is an ARP request (broadcast).
-    let tx = a.take_tx();
+    let tx = outbound(&mut a);
     assert_eq!(tx.len(), 1);
     assert_eq!(a.stats.arp_tx, 1);
     let mut now = 0u64;
@@ -383,15 +268,14 @@ fn cold_arp_resolves_then_delivers() {
         }
         a.end_cycle(now);
         b.end_cycle(now);
-        next.extend(a.take_tx().into_iter().map(|f| (true, f)));
-        next.extend(b.take_tx().into_iter().map(|f| (false, f)));
+        next.extend(outbound(&mut a).into_iter().map(|f| (true, f)));
+        next.extend(outbound(&mut b).into_iter().map(|f| (false, f)));
         frames = next;
         if frames.is_empty() {
             break;
         }
     }
-    let connected = a
-        .take_events()
+    let connected = events(&mut a)
         .into_iter()
         .any(|e| matches!(e, TcpEvent::Connected { ok: true, .. }));
     assert!(connected, "handshake completes after ARP resolution");
@@ -400,19 +284,14 @@ fn cold_arp_resolves_then_delivers() {
 #[test]
 fn udp_roundtrip() {
     let mut p = Pair::new(StackConfig::default());
-    p.a.udp_send(p.now, B_IP, 5000, 11211, b"get k");
-    p.pump(1_000, 4);
+    p.b.input(p.now, udp_frame(b"get k"));
     assert_eq!(p.b.stats.udp_rx, 1);
 }
 
 #[test]
 fn icmp_echo_replied() {
     let mut p = Pair::new(StackConfig::default());
-    // Build an ICMP echo request from a to b via the stack's own encoder:
-    // easiest is to use a raw frame through a's transmit path. We reach
-    // for the test-only trick of sending a ping as if from the app layer:
-    // craft the ICMP bytes and emit via udp_send's sibling is not public,
-    // so drive b directly with a hand-built frame.
+    // No shard sends ICMP requests, so drive b with a hand-built frame.
     use ix_net::eth::{EthHeader, EtherType};
     use ix_net::icmp::IcmpHeader;
     use ix_net::ip::{IpProto, Ipv4Header};
@@ -448,7 +327,7 @@ fn icmp_echo_replied() {
     .encode(m.prepend(EthHeader::LEN));
     p.b.input(p.now, m);
     assert_eq!(p.b.stats.icmp_echo, 1);
-    let reply = p.b.take_tx();
+    let reply = outbound(&mut p.b);
     assert_eq!(reply.len(), 1);
     // The reply is a valid echo-reply addressed to a.
     let mut f = reply.into_iter().next().unwrap();
@@ -486,9 +365,7 @@ fn handshake_syn_loss_retries() {
     p.keep = Box::new(|i| i != 1);
     p.a.connect(p.now, B_IP, 80, 5).unwrap();
     p.run_for(100_000, 10_000_000);
-    let connected = p
-        .a
-        .take_events()
+    let connected = events(&mut p.a)
         .into_iter()
         .any(|e| matches!(e, TcpEvent::Connected { ok: true, .. }));
     assert!(connected, "SYN retransmission completes the handshake");
@@ -503,9 +380,7 @@ fn churn_many_short_connections() {
     for round in 0..50 {
         let c = p.a.connect(p.now, B_IP, 80, round).unwrap();
         p.pump(1_000, 16);
-        let server_flow = p
-            .b
-            .take_events()
+        let server_flow = events(&mut p.b)
             .into_iter()
             .find_map(|e| match e {
                 TcpEvent::Knock { flow, .. } => Some(flow),
@@ -513,12 +388,10 @@ fn churn_many_short_connections() {
             })
             .expect("knock");
         p.b.accept(server_flow, round).unwrap();
-        p.a.take_events();
-        p.a.send(p.now, c, b"req").unwrap();
+        events(&mut p.a);
+        p.a.send_bytes(p.now, c, &Bytes::from_static(b"req")).unwrap();
         p.pump(1_000, 16);
-        let got: usize = p
-            .b
-            .take_events()
+        let got: usize = events(&mut p.b)
             .iter()
             .map(|e| match e {
                 TcpEvent::Recv { payload, .. } => payload.len(),
@@ -527,12 +400,12 @@ fn churn_many_short_connections() {
             .sum();
         assert_eq!(got, 3);
         p.b.recv_done(p.now, server_flow, 3).unwrap();
-        p.b.send(p.now, server_flow, b"rsp").unwrap();
+        p.b.send_bytes(p.now, server_flow, &Bytes::from_static(b"rsp")).unwrap();
         p.pump(1_000, 16);
-        p.a.take_events();
+        events(&mut p.a);
         p.a.abort(p.now, c).unwrap();
         p.pump(1_000, 16);
-        p.b.take_events();
+        events(&mut p.b);
         assert_eq!(p.a.flow_count(), 0, "round {round}");
         assert_eq!(p.b.flow_count(), 0, "round {round}");
     }
@@ -554,12 +427,12 @@ fn window_scaling_negotiated_and_applied() {
     let (c, s) = establish(&mut p, 80);
     // RFC 7323: the SYN/SYN-ACK windows themselves are never scaled, so
     // the first send is still bounded by 64KB...
-    let data = vec![3u8; 300_000];
-    let n1 = p.a.send(p.now, c, &data).unwrap();
+    let data = Bytes::from(vec![3u8; 300_000]);
+    let n1 = p.a.send_bytes(p.now, c, &data).unwrap();
     assert_eq!(n1, 65_535, "pre-scale window is the unscaled SYN-ACK value");
     p.pump(1_000, 64);
     let mut got = 0;
-    for e in p.b.take_events() {
+    for e in events(&mut p.b) {
         if let TcpEvent::Recv { payload, .. } = e {
             got += payload.len();
             p.b.recv_done(p.now, s, payload.len() as u32).unwrap();
@@ -567,14 +440,14 @@ fn window_scaling_negotiated_and_applied() {
     }
     assert_eq!(got, n1);
     p.pump(1_000, 16);
-    p.a.take_events();
+    events(&mut p.a);
     // ...but once scaled window advertisements flow, a single send can
     // put far more than 64KB in flight.
-    let n2 = p.a.send(p.now, c, &data).unwrap();
+    let n2 = p.a.send_bytes(p.now, c, &data).unwrap();
     assert!(n2 > 100_000, "scaled window accepted only {n2} bytes");
     p.pump(1_000, 64);
     let mut got2 = 0;
-    for e in p.b.take_events() {
+    for e in events(&mut p.b) {
         if let TcpEvent::Recv { payload, .. } = e {
             got2 += payload.len();
             p.b.recv_done(p.now, s, payload.len() as u32).unwrap();
@@ -598,17 +471,17 @@ fn window_scaling_requires_both_ends() {
     let mut now = 0;
     for _ in 0..16 {
         now += 1_000;
-        for f in a.take_tx() {
+        for f in outbound(&mut a) {
             b.input(now, f);
         }
-        for f in b.take_tx() {
+        for f in outbound(&mut b) {
             a.input(now, f);
         }
         a.end_cycle(now);
         b.end_cycle(now);
     }
-    a.take_events();
-    let n = a.send(now, c, &vec![0u8; 200_000]).unwrap();
+    events(&mut a);
+    let n = a.send_bytes(now, c, &Bytes::from(vec![0u8; 200_000])).unwrap();
     assert!(n <= 65_535, "unscaled peer must cap the window, accepted {n}");
 }
 
@@ -627,11 +500,11 @@ fn corrupted_frame_is_dropped_counted_and_recovered() {
             f.data_mut()[off] ^= 0xff;
         }
     });
-    p.a.send(p.now, c, b"integrity matters").unwrap();
+    p.a.send_bytes(p.now, c, &Bytes::from_static(b"integrity matters")).unwrap();
     // Run long enough for the 1 ms RTO to retransmit the dropped copy.
     p.run_for(100_000, 20_000_000);
     let mut got = Vec::new();
-    for e in p.b.take_events() {
+    for e in events(&mut p.b) {
         if let TcpEvent::Recv { payload, .. } = e {
             got.extend_from_slice(&payload[..]);
         }
@@ -659,11 +532,11 @@ fn fast_retransmit_fires_on_mid_burst_loss() {
     // each produce a duplicate ACK.
     let start = p.frames_moved;
     p.keep = Box::new(move |i| i != start + 1);
-    let data = vec![3u8; 8 * 1460];
-    p.a.send(p.now, c, &data).unwrap();
+    let data = Bytes::from(vec![3u8; 8 * 1460]);
+    p.a.send_bytes(p.now, c, &data).unwrap();
     p.run_for(50_000, 40_000_000);
     let mut got = 0usize;
-    for e in p.b.take_events() {
+    for e in events(&mut p.b) {
         if let TcpEvent::Recv { payload, .. } = e {
             got += payload.len();
             p.b.recv_done(p.now, s, payload.len() as u32).unwrap();
@@ -688,10 +561,10 @@ fn persist_probe_counter_increments() {
     let (c, s) = establish(&mut p, 80);
     // Fill the window; server does not consume, so it closes to zero and
     // the client must send persist probes.
-    let data = vec![5u8; 10_000];
-    p.a.send(p.now, c, &data).unwrap();
+    let data = Bytes::from(vec![5u8; 10_000]);
+    p.a.send_bytes(p.now, c, &data).unwrap();
     p.pump(1_000, 16);
-    p.a.send(p.now, c, &data).unwrap();
+    p.a.send_bytes(p.now, c, &data).unwrap();
     p.run_for(500_000, 20_000_000);
     assert!(
         p.a.stats.persist_probes >= 1,
@@ -700,14 +573,14 @@ fn persist_probe_counter_increments() {
     );
     // Server consumes; transfer resumes.
     let mut held = 0;
-    for e in p.b.take_events() {
+    for e in events(&mut p.b) {
         if let TcpEvent::Recv { payload, .. } = e {
             held += payload.len() as u32;
         }
     }
     p.b.recv_done(p.now, s, held).unwrap();
     p.pump(1_000, 32);
-    assert!(p.a.send(p.now, c, b"more").unwrap() > 0);
+    assert!(p.a.send_bytes(p.now, c, &Bytes::from_static(b"more")).unwrap() > 0);
 }
 
 #[test]

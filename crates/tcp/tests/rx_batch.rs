@@ -35,23 +35,20 @@
 //! the fast path for the trimming path, and the credit that finally
 //! arrives reopens the window with an update.
 
+pub mod common;
+
+use common::{events, mac, outbound, A_IP, B_IP};
 use ix_mempool::Mbuf;
-use ix_net::eth::{EthHeader, EtherType, MacAddr};
+use ix_net::eth::{EthHeader, EtherType};
 use ix_net::ip::{IpProto, Ipv4Addr, Ipv4Header};
 use ix_net::tcp::{TcpFlags, TcpHeader};
 use ix_tcp::{AckPolicy, FlowId, StackConfig, StackStats, TcpEvent, TcpShard};
 use ix_testkit::prelude::*;
 
-const A_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const B_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const SRV_PORT: u16 = 80;
 const N_FLOWS: usize = 4;
 /// Client tuples: the established flows plus two that only ever SYN.
 const N_TUPLES: usize = N_FLOWS + 2;
-
-fn mac(i: u16) -> MacAddr {
-    MacAddr::from_host_index(i)
-}
 
 fn cli_port(flow: usize) -> u16 {
     40_000 + flow as u16
@@ -198,7 +195,7 @@ struct CycleOut {
 
 fn drain(shard: &mut TcpShard) -> CycleOut {
     let mut tx = Vec::new();
-    for mut f in shard.take_tx() {
+    for mut f in outbound(shard) {
         let raw = f.data().to_vec();
         f.pull(EthHeader::LEN);
         let ip = Ipv4Header::decode(f.data()).expect("server emits valid IP");
@@ -207,8 +204,7 @@ fn drain(shard: &mut TcpShard) -> CycleOut {
         let plen = ip.total_len as usize - Ipv4Header::LEN - hlen;
         tx.push(TxFrame { raw, hdr, plen });
     }
-    let evs = shard
-        .take_events()
+    let evs = events(shard)
         .into_iter()
         .map(|e| match e {
             TcpEvent::Recv { flow, payload, .. } => (flow.key, Ev::Recv(payload.to_vec())),
@@ -324,8 +320,8 @@ impl Harness {
             let ackf = wire(flow, isn, sa_r, TcpFlags::ACK, &[], B_IP);
             h.feed(std::slice::from_ref(&ackf));
             let [id_p, id_r] = [&mut h.pipeline, &mut h.reference].map(|shard| {
-                let _ = shard.take_tx();
-                let knock = shard.take_events().into_iter().find_map(|e| match e {
+                let _ = outbound(shard);
+                let knock = events(shard).into_iter().find_map(|e| match e {
                     TcpEvent::Knock { flow: fl, .. } => Some(fl),
                     _ => None,
                 });

@@ -19,22 +19,19 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+pub mod common;
+
+use common::{events, mac, outbound, A_IP, B_IP};
 use ix_mempool::Mbuf;
-use ix_net::eth::{EthHeader, EtherType, MacAddr};
-use ix_net::ip::{IpProto, Ipv4Addr, Ipv4Header};
+use ix_net::eth::{EthHeader, EtherType};
+use ix_net::ip::{IpProto, Ipv4Header};
 use ix_net::tcp::{TcpFlags, TcpHeader};
 use ix_tcp::{FlowId, StackConfig, TcpEvent, TcpShard};
 use ix_testkit::prelude::*;
 use ix_testkit::Bytes;
 
-const A_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const B_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const CLI_PORT: u16 = 40_000;
 const SRV_PORT: u16 = 80;
-
-fn mac(i: u16) -> MacAddr {
-    MacAddr::from_host_index(i)
-}
 
 /// Wrapping sequence-space comparisons (RFC 793 arithmetic), mirrored
 /// from the stack so the oracle agrees near ISN wraparound.
@@ -117,7 +114,7 @@ impl Server {
         b.input(now, frame(isn.wrapping_sub(1), 0, TcpFlags::SYN, Some(1460), &[]));
         b.end_cycle(now);
         let mut siss = None;
-        for f in b.take_tx() {
+        for f in outbound(&mut b) {
             let (hdr, _) = decode(f);
             if hdr.flags.syn && hdr.flags.ack {
                 assert_eq!(hdr.ack, isn, "SYN-ACK acks our ISN");
@@ -130,13 +127,13 @@ impl Server {
         b.input(now, frame(isn, srv_ack, TcpFlags::ACK, None, &[]));
         b.end_cycle(now);
         let mut flow = None;
-        for e in b.take_events() {
+        for e in events(&mut b) {
             if let TcpEvent::Knock { flow: fl, .. } = e {
                 b.accept(fl, 0xB).unwrap();
                 flow = Some(fl);
             }
         }
-        let _ = b.take_tx();
+        let _ = outbound(&mut b);
         Server { b, now, flow: flow.expect("knock"), srv_ack }
     }
 
@@ -147,15 +144,13 @@ impl Server {
         self.b.input(self.now, frame(seq, self.srv_ack, TcpFlags::ACK, None, payload));
         self.b.end_cycle(self.now);
         let mut acks = Vec::new();
-        for f in self.b.take_tx() {
+        for f in outbound(&mut self.b) {
             let (hdr, plen) = decode(f);
             if hdr.flags.ack && plen == 0 {
                 acks.push((hdr.ack, hdr.window));
             }
         }
-        let recvs = self
-            .b
-            .take_events()
+        let recvs = events(&mut self.b)
             .into_iter()
             .filter_map(|e| match e {
                 TcpEvent::Recv { payload, .. } => Some(payload),
@@ -332,7 +327,7 @@ fn apply_and_check(srv: &mut Server, oracle: &mut Oracle, op: &Op, got: &mut Vec
                 srv.b.recv_done(srv.now, srv.flow, credit).expect("valid credit");
                 oracle.credit(credit);
                 // Any window-update ACK must restate the agreed state.
-                for f in srv.b.take_tx() {
+                for f in outbound(&mut srv.b) {
                     let (hdr, _) = decode(f);
                     assert_eq!(hdr.ack, oracle.rcv_nxt());
                     assert_eq!(hdr.window as u32, oracle.window());

@@ -17,88 +17,13 @@
 //!   for the app, and `recv_done` credit releases them front-to-back:
 //!   partial credit holds the buffer, full credit frees it.
 
-use ix_net::eth::MacAddr;
-use ix_net::ip::Ipv4Addr;
+pub mod common;
+
+use common::{establish, events, outbound, recv_payloads, udp_frame, Pair};
 use ix_nic::ring::RxRing;
-use ix_tcp::{FlowId, StackConfig, TcpEvent, TcpShard};
+use ix_tcp::StackConfig;
 use ix_testkit::prelude::*;
 use ix_testkit::Bytes;
-
-const A_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const B_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-
-fn mac(i: u16) -> MacAddr {
-    MacAddr::from_host_index(i)
-}
-
-/// Minimal two-shard wire (the `zerocopy.rs` Pair).
-struct Pair {
-    a: TcpShard,
-    b: TcpShard,
-    now: u64,
-}
-
-impl Pair {
-    fn new(cfg: StackConfig) -> Pair {
-        let mut a = TcpShard::new(cfg.clone(), A_IP, mac(1));
-        let mut b = TcpShard::new(cfg, B_IP, mac(2));
-        a.arp_seed(B_IP, mac(2));
-        b.arp_seed(A_IP, mac(1));
-        Pair { a, b, now: 0 }
-    }
-
-    fn pump(&mut self, step_ns: u64, max_rounds: usize) {
-        for _ in 0..max_rounds {
-            self.now += step_ns;
-            let from_a = self.a.take_tx();
-            let from_b = self.b.take_tx();
-            let idle = from_a.is_empty() && from_b.is_empty();
-            for f in from_a {
-                self.b.input(self.now, f);
-            }
-            for f in from_b {
-                self.a.input(self.now, f);
-            }
-            self.a.end_cycle(self.now);
-            self.b.end_cycle(self.now);
-            self.a.advance_timers(self.now);
-            self.b.advance_timers(self.now);
-            if idle && self.a.tx_len() == 0 && self.b.tx_len() == 0 {
-                break;
-            }
-        }
-    }
-}
-
-fn establish(p: &mut Pair, port: u16) -> (FlowId, FlowId) {
-    p.b.listen(port);
-    let cf = p.a.connect(p.now, B_IP, port, 0xA).expect("connect");
-    p.pump(1_000, 32);
-    for e in p.a.take_events() {
-        if let TcpEvent::Connected { ok, .. } = e {
-            assert!(ok, "handshake failed");
-        }
-    }
-    let mut server_flow = None;
-    for e in p.b.take_events() {
-        if let TcpEvent::Knock { flow, .. } = e {
-            p.b.accept(flow, 0xB).unwrap();
-            server_flow = Some(flow);
-        }
-    }
-    (cf, server_flow.expect("knock event"))
-}
-
-/// Pulls the `Recv` payloads out of an event batch, in order.
-fn recv_payloads(events: Vec<TcpEvent>) -> Vec<Bytes> {
-    events
-        .into_iter()
-        .filter_map(|e| match e {
-            TcpEvent::Recv { payload, .. } => Some(payload),
-            _ => None,
-        })
-        .collect()
-}
 
 /// The headline regression: an in-order burst is delivered with zero
 /// payload copies, each event view aliasing the storage of the frame
@@ -113,20 +38,21 @@ fn in_order_recv_is_zero_copy_and_aliases_the_frame() {
     // 3 full MSS segments plus a runt — four wire segments.
     let mss = 1460usize;
     let data: Vec<u8> = (0..3 * mss + 77).map(|i| (i % 251) as u8).collect();
-    let n = p.a.send(p.now, c, &data).unwrap();
+    let data = Bytes::from(data);
+    let n = p.a.send_bytes(p.now, c, &data).unwrap();
     assert_eq!(n, data.len());
 
     // Deliver by hand so each frame's storage can be captured first.
     p.now += 1_000;
     let mut frame_views = Vec::new();
-    for f in p.a.take_tx() {
+    for f in outbound(&mut p.a) {
         frame_views.push(f.as_bytes());
         p.b.input(p.now, f);
     }
     p.b.end_cycle(p.now);
     assert_eq!(frame_views.len(), 4, "four data segments on the wire");
 
-    let payloads = recv_payloads(p.b.take_events());
+    let payloads = recv_payloads(events(&mut p.b));
     assert_eq!(payloads.len(), 4, "one Recv per segment");
     let mut reassembled = Vec::new();
     for (view, frame) in payloads.iter().zip(&frame_views) {
@@ -136,7 +62,7 @@ fn in_order_recv_is_zero_copy_and_aliases_the_frame() {
         );
         reassembled.extend_from_slice(view);
     }
-    assert_eq!(reassembled, data, "payload bytes intact");
+    assert_eq!(reassembled, &data[..], "payload bytes intact");
 
     let d = p.b.stats;
     assert_eq!(
@@ -188,14 +114,14 @@ fn ring_buffer_is_the_buffer_the_app_sees() {
     let mut p = Pair::new(StackConfig::default());
     let (c, s) = establish(&mut p, 80);
 
-    let data = vec![0xABu8; 700];
-    p.a.send(p.now, c, &data).unwrap();
+    let data = Bytes::from(vec![0xABu8; 700]);
+    p.a.send_bytes(p.now, c, &data).unwrap();
 
     let mut ring = RxRing::with_pool(8, 16);
     ring.replenish(8);
     p.now += 1_000;
     let mut ring_views = Vec::new();
-    for f in p.a.take_tx() {
+    for f in outbound(&mut p.a) {
         assert!(ring.push(f), "descriptor posted, buffer free");
         let m = ring.poll().expect("pushed frame polls back");
         ring_views.push(m.as_bytes());
@@ -204,7 +130,7 @@ fn ring_buffer_is_the_buffer_the_app_sees() {
     p.b.end_cycle(p.now);
     assert_eq!(ring_views.len(), 1);
 
-    let payloads = recv_payloads(p.b.take_events());
+    let payloads = recv_payloads(events(&mut p.b));
     assert_eq!(payloads.len(), 1);
     assert!(
         payloads[0].ptr_eq(&ring_views[0]),
@@ -232,12 +158,12 @@ fn reordered_segment_is_buffered_not_copied() {
     let mut p = Pair::new(StackConfig::default());
     let (c, s) = establish(&mut p, 80);
 
-    let d1 = vec![0x11u8; 400];
-    let d2 = vec![0x22u8; 300];
-    p.a.send(p.now, c, &d1).unwrap();
-    let f1: Vec<_> = p.a.take_tx().into_iter().collect();
-    p.a.send(p.now, c, &d2).unwrap();
-    let f2: Vec<_> = p.a.take_tx().into_iter().collect();
+    let d1 = Bytes::from(vec![0x11u8; 400]);
+    let d2 = Bytes::from(vec![0x22u8; 300]);
+    p.a.send_bytes(p.now, c, &d1).unwrap();
+    let f1: Vec<_> = outbound(&mut p.a).into_iter().collect();
+    p.a.send_bytes(p.now, c, &d2).unwrap();
+    let f2: Vec<_> = outbound(&mut p.a).into_iter().collect();
     assert_eq!((f1.len(), f2.len()), (1, 1));
 
     // Deliver the second segment first: out of order, buffered whole.
@@ -247,7 +173,7 @@ fn reordered_segment_is_buffered_not_copied() {
         p.b.input(p.now, f);
     }
     p.b.end_cycle(p.now);
-    assert!(recv_payloads(p.b.take_events()).is_empty(), "no in-order data yet");
+    assert!(recv_payloads(events(&mut p.b)).is_empty(), "no in-order data yet");
     assert_eq!(p.b.stats.rx_pool_outstanding, 1, "ooo mbuf retained");
     assert_eq!(p.b.stats.rx_ooo_copies, 0);
 
@@ -257,7 +183,7 @@ fn reordered_segment_is_buffered_not_copied() {
         p.b.input(p.now, f);
     }
     p.b.end_cycle(p.now);
-    let payloads = recv_payloads(p.b.take_events());
+    let payloads = recv_payloads(events(&mut p.b));
     assert_eq!(payloads.len(), 2);
     assert_eq!(&payloads[0][..], &d1[..]);
     assert_eq!(&payloads[1][..], &d2[..]);
@@ -281,11 +207,11 @@ fn partial_credit_holds_the_front_buffer() {
     let mut p = Pair::new(StackConfig::default());
     let (c, s) = establish(&mut p, 80);
 
-    let d1 = vec![0x33u8; 500];
-    let d2 = vec![0x44u8; 200];
-    p.a.send(p.now, c, &d1).unwrap();
+    let d1 = Bytes::from(vec![0x33u8; 500]);
+    let d2 = Bytes::from(vec![0x44u8; 200]);
+    p.a.send_bytes(p.now, c, &d1).unwrap();
     p.pump(1_000, 4);
-    p.a.send(p.now, c, &d2).unwrap();
+    p.a.send_bytes(p.now, c, &d2).unwrap();
     p.pump(1_000, 4);
     assert_eq!(p.b.stats.rx_pool_outstanding, 2);
 
@@ -304,7 +230,7 @@ fn partial_credit_holds_the_front_buffer() {
     assert_eq!(p.b.stats.rx_pool_outstanding, 0);
     assert!(p.b.rx_held_payloads(s).is_empty());
 
-    let _ = recv_payloads(p.b.take_events());
+    let _ = recv_payloads(events(&mut p.b));
 }
 
 /// Closing a flow with buffers still held releases the gauge — no
@@ -314,7 +240,7 @@ fn teardown_releases_held_buffers() {
     let mut p = Pair::new(StackConfig::default());
     let (c, _s) = establish(&mut p, 80);
 
-    p.a.send(p.now, c, &vec![0x55u8; 900]).unwrap();
+    p.a.send_bytes(p.now, c, &Bytes::from(vec![0x55u8; 900])).unwrap();
     p.pump(1_000, 8);
     assert_eq!(p.b.stats.rx_pool_outstanding, 1, "buffer held, no credit yet");
 
@@ -337,10 +263,7 @@ fn udp_datagrams_return_their_receive_buffers() {
     let mut ring = RxRing::with_pool(16, 64);
     let n = 48;
     for _ in 0..n {
-        p.a.udp_send(p.now, B_IP, 5000, 11211, b"get k");
-        for f in p.a.take_tx() {
-            assert!(ring.push(f), "the ring has a posted descriptor and a free buffer");
-        }
+        assert!(ring.push(udp_frame(b"get k")), "the ring has a posted descriptor and a free buffer");
         while let Some(f) = ring.poll() {
             p.b.input(p.now, f);
             ring.replenish(1);
@@ -365,10 +288,11 @@ props! {
 
         let data: Vec<u8> =
             (0..len).map(|i| (i as u32).wrapping_mul(2654435761).to_le_bytes()[2]).collect();
-        let sent = p.a.send(p.now, c, &data).unwrap();
+        let data = Bytes::from(data);
+        let sent = p.a.send_bytes(p.now, c, &data).unwrap();
         p.pump(1_000, 64);
 
-        let payloads = recv_payloads(p.b.take_events());
+        let payloads = recv_payloads(events(&mut p.b));
         let got: usize = payloads.iter().map(|b| b.len()).sum();
         prop_assert_eq!(got, sent, "burst fully delivered");
         prop_assert_eq!(p.b.stats.rx_payload_copies, 0);

@@ -3,18 +3,18 @@
 //! appears only when a valid third ACK arrives — so a SYN flood cannot
 //! grow the TCB slab or hold receive buffers, no matter its rate.
 
+pub mod common;
+
+use common::{events, mac, outbound};
 use ix_mempool::Mbuf;
-use ix_net::eth::{EthHeader, EtherType, MacAddr};
+use ix_net::eth::{EthHeader, EtherType};
 use ix_net::ip::{IpProto, Ipv4Addr, Ipv4Header};
 use ix_net::tcp::{TcpFlags, TcpHeader};
 use ix_tcp::{StackConfig, TcpEvent, TcpShard};
+use ix_testkit::Bytes;
 
 const SHARD_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const PEER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 9);
-
-fn mac(i: u16) -> MacAddr {
-    MacAddr::from_host_index(i)
-}
 
 fn cookies_on() -> StackConfig {
     StackConfig { syn_cookies: true, ..StackConfig::default() }
@@ -91,7 +91,7 @@ fn cookie_handshake_defers_all_state_until_valid_ack() {
     assert_eq!(s.flow_count(), 0, "cookie SYN-ACK allocates no TCB");
     assert_eq!(s.flow_mem_stats().slab_slots, 0);
     assert_eq!(s.synrcvd_len(), 0);
-    let (_, synack) = parse(s.take_tx().into_iter().next().unwrap());
+    let (_, synack) = parse(outbound(&mut s).into_iter().next().unwrap());
     assert!(synack.flags.syn && synack.flags.ack);
     assert_eq!(synack.ack, 101, "acks the SYN's sequence number");
     assert_eq!(synack.wscale, None, "no window scaling on the cookie path");
@@ -100,8 +100,7 @@ fn cookie_handshake_defers_all_state_until_valid_ack() {
     assert_eq!(s.stats.syn_cookies_accepted, 1);
     assert_eq!(s.stats.conns_accepted, 1);
     assert_eq!(s.flow_count(), 1);
-    let knocked = s
-        .take_events()
+    let knocked = events(&mut s)
         .into_iter()
         .any(|e| matches!(e, TcpEvent::Knock { .. }));
     assert!(knocked, "accepting a cookie ACK raises the knock event");
@@ -120,13 +119,13 @@ fn cookie_handshake_interops_with_regular_client_stack() {
     let mut server_flow = None;
     for _ in 0..32 {
         now += 1_000;
-        for f in a.take_tx() {
+        for f in outbound(&mut a) {
             b.input(now, f);
         }
-        for f in b.take_tx() {
+        for f in outbound(&mut b) {
             a.input(now, f);
         }
-        for e in b.take_events() {
+        for e in events(&mut b) {
             if let TcpEvent::Knock { flow, .. } = e {
                 b.accept(flow, 0xB).unwrap();
                 server_flow = Some(flow);
@@ -141,24 +140,24 @@ fn cookie_handshake_interops_with_regular_client_stack() {
     let sf = server_flow.expect("cookie handshake must knock");
     assert_eq!(b.stats.syn_cookies_accepted, 1);
     // Client → server data, server echoes back.
-    a.send(now, cf, b"ping").unwrap();
+    a.send_bytes(now, cf, &Bytes::from_static(b"ping")).unwrap();
     let mut echoed = Vec::new();
     for _ in 0..32 {
         now += 1_000;
-        for f in a.take_tx() {
+        for f in outbound(&mut a) {
             b.input(now, f);
         }
-        for e in b.take_events() {
+        for e in events(&mut b) {
             if let TcpEvent::Recv { payload, .. } = e {
                 assert_eq!(payload.as_slice(), b"ping");
                 b.recv_done(now, sf, payload.len() as u32).unwrap();
-                b.send(now, sf, b"pong").unwrap();
+                b.send_bytes(now, sf, &Bytes::from_static(b"pong")).unwrap();
             }
         }
-        for f in b.take_tx() {
+        for f in outbound(&mut b) {
             a.input(now, f);
         }
-        for e in a.take_events() {
+        for e in events(&mut a) {
             if let TcpEvent::Recv { payload, .. } = e {
                 echoed.extend_from_slice(payload.as_slice());
             }
@@ -183,7 +182,7 @@ fn forged_ack_is_rejected_with_rst() {
     assert_eq!(s.stats.syn_cookies_accepted, 0);
     assert_eq!(s.flow_count(), 0);
     assert_eq!(s.stats.rst_tx, 1);
-    let (_, rst) = parse(s.take_tx().into_iter().next().unwrap());
+    let (_, rst) = parse(outbound(&mut s).into_iter().next().unwrap());
     assert!(rst.flags.rst && !rst.flags.ack);
     assert_eq!(rst.seq, 0xdead_beef, "reset seq comes from the forged ACK");
 }
@@ -194,13 +193,13 @@ fn cookie_from_previous_bucket_accepted_then_expires() {
     // Completing ACK lands one bucket later (a slow RTT): still valid.
     let mut s = server(cookies_on());
     s.input(0, frame(PEER_IP, syn(4000, 100), &[]));
-    let (_, synack) = parse(s.take_tx().into_iter().next().unwrap());
+    let (_, synack) = parse(outbound(&mut s).into_iter().next().unwrap());
     s.input(bucket_ns + bucket_ns / 2, frame(PEER_IP, ack(4000, 101, synack.seq.wrapping_add(1)), &[]));
     assert_eq!(s.stats.syn_cookies_accepted, 1, "previous-bucket cookie still valid");
     // Two buckets later: expired, rejected, reset.
     let mut s = server(cookies_on());
     s.input(0, frame(PEER_IP, syn(4000, 100), &[]));
-    let (_, synack) = parse(s.take_tx().into_iter().next().unwrap());
+    let (_, synack) = parse(outbound(&mut s).into_iter().next().unwrap());
     s.input(2 * bucket_ns + bucket_ns / 2, frame(PEER_IP, ack(4000, 101, synack.seq.wrapping_add(1)), &[]));
     assert_eq!(s.stats.syn_cookies_accepted, 0);
     assert_eq!(s.stats.syn_cookies_rejected, 1, "expired cookie rejected");
@@ -217,10 +216,10 @@ fn syn_flood_cannot_grow_tcb_slab_or_hold_buffers() {
         s.arp_seed(src, mac(9));
         s.input(0, frame(src, syn((1024 + (i % 60_000)) as u16, i), &[]));
         if i % 4096 == 0 {
-            s.take_tx(); // Drain SYN-ACK replies as a driver would.
+            outbound(&mut s); // Drain SYN-ACK replies as a driver would.
         }
     }
-    s.take_tx();
+    outbound(&mut s);
     assert_eq!(s.stats.syn_cookies_sent, FLOOD as u64);
     assert_eq!(s.flow_count(), 0);
     assert_eq!(s.flow_mem_stats().slab_slots, 0, "slab high-water is flood-independent");
@@ -232,10 +231,10 @@ fn syn_flood_cannot_grow_tcb_slab_or_hold_buffers() {
         s.arp_seed(src, mac(9));
         s.input(0, frame(src, syn((1024 + (i % 60_000)) as u16, i), &[]));
         if i % 4096 == 0 {
-            s.take_tx();
+            outbound(&mut s);
         }
     }
-    s.take_tx();
+    outbound(&mut s);
     assert_eq!(s.flow_count(), 1_024, "backlog bound holds");
     assert!(s.flow_mem_stats().slab_slots <= 1_024);
     assert_eq!(s.stats.synrcvd_overflow_drops, (FLOOD - 1_024) as u64);

@@ -3,18 +3,17 @@
 //! bound that keeps a SYN flood from pinning unbounded TCB-slab slots
 //! even with cookies off.
 
+pub mod common;
+
+use common::{mac, outbound};
 use ix_mempool::Mbuf;
-use ix_net::eth::{EthHeader, EtherType, MacAddr};
+use ix_net::eth::{EthHeader, EtherType};
 use ix_net::ip::{IpProto, Ipv4Addr, Ipv4Header};
 use ix_net::tcp::{TcpFlags, TcpHeader};
 use ix_tcp::{StackConfig, TcpShard};
 
 const SHARD_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const PEER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 9);
-
-fn mac(i: u16) -> MacAddr {
-    MacAddr::from_host_index(i)
-}
 
 fn shard(cfg: StackConfig) -> TcpShard {
     let mut s = TcpShard::new(cfg, SHARD_IP, mac(1));
@@ -71,7 +70,7 @@ fn no_listener_rst_ack_arm_takes_seq_from_ack() {
     s.input(0, frame(PEER_IP, tcp, b"xyz"));
     assert_eq!(s.stats.no_listener, 1);
     assert_eq!(s.stats.rst_tx, 1);
-    let tx = s.take_tx();
+    let tx = outbound(&mut s);
     assert_eq!(tx.len(), 1);
     let (ip, rst) = parse(tx.into_iter().next().unwrap());
     assert_eq!(ip.dst, PEER_IP);
@@ -107,7 +106,7 @@ fn no_listener_rst_else_arm_acks_full_sequence_span() {
         };
         s.input(0, frame(PEER_IP, tcp, &vec![0u8; plen]));
         assert_eq!(s.stats.rst_tx, 1, "{flags:?}");
-        let (_, rst) = parse(s.take_tx().into_iter().next().unwrap());
+        let (_, rst) = parse(outbound(&mut s).into_iter().next().unwrap());
         assert!(rst.flags.rst && rst.flags.ack, "{flags:?}: else-arm reset is RST+ACK");
         assert_eq!(rst.seq, 0, "{flags:?}: seq is zero");
         assert_eq!(rst.ack, 9_000 + span, "{flags:?}: ack covers the sequence span");
@@ -136,7 +135,7 @@ fn syn_backlog_caps_half_open_connections() {
     assert_eq!(s.stats.synrcvd_overflow_drops, 6);
     // Exactly one SYN-ACK per admitted connection; the overflow SYNs
     // were dropped silently (no RST — the client will retransmit).
-    assert_eq!(s.take_tx().len(), 4);
+    assert_eq!(outbound(&mut s).len(), 4);
     assert_eq!(s.stats.rst_tx, 0);
 }
 
@@ -160,7 +159,7 @@ fn backlog_slot_freed_when_handshake_completes() {
     s.input(0, frame(PEER_IP, syn(2001), &[]));
     assert_eq!(s.stats.synrcvd_overflow_drops, 1);
     // Complete the first handshake: its slot frees immediately.
-    let (_, synack) = parse(s.take_tx().into_iter().next().unwrap());
+    let (_, synack) = parse(outbound(&mut s).into_iter().next().unwrap());
     let ack = TcpHeader {
         src_port: 2000,
         dst_port: 80,

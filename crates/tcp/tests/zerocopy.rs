@@ -7,96 +7,18 @@
 //!   exactly **once** (into the tail of its pool mbuf) and allocates
 //!   **zero** transient heap buffers — down from four writes and three
 //!   staging allocations in the old Vec-chain pipeline;
-//! - `send` materializes exactly one refcounted storage block per call,
-//!   and `send_bytes` materializes none (the retransmit queue slices the
-//!   caller's own block);
+//! - `send_bytes` materializes no storage block of its own: the
+//!   retransmit queue slices the caller's block;
 //! - retransmission re-serializes from the *same* storage block (no
 //!   payload copy), and reaping an ACKed segment releases the last
 //!   stack-held reference.
 
-use ix_net::eth::MacAddr;
-use ix_net::ip::Ipv4Addr;
-use ix_tcp::{AckPolicy, FlowId, StackConfig, TcpEvent, TcpShard};
+pub mod common;
+
+use common::{establish, events, Pair};
+use ix_tcp::{AckPolicy, StackConfig, TcpEvent};
 use ix_testkit::prelude::*;
 use ix_testkit::Bytes;
-
-const A_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const B_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-
-fn mac(i: u16) -> MacAddr {
-    MacAddr::from_host_index(i)
-}
-
-/// Minimal two-shard wire (the `protocol.rs` Pair, without mangling).
-struct Pair {
-    a: TcpShard,
-    b: TcpShard,
-    now: u64,
-    /// When false, frames are dropped instead of delivered (loss).
-    deliver: bool,
-}
-
-impl Pair {
-    fn new(cfg: StackConfig) -> Pair {
-        let mut a = TcpShard::new(cfg.clone(), A_IP, mac(1));
-        let mut b = TcpShard::new(cfg, B_IP, mac(2));
-        a.arp_seed(B_IP, mac(2));
-        b.arp_seed(A_IP, mac(1));
-        Pair { a, b, now: 0, deliver: true }
-    }
-
-    fn pump(&mut self, step_ns: u64, max_rounds: usize) {
-        for _ in 0..max_rounds {
-            self.now += step_ns;
-            let from_a = self.a.take_tx();
-            let from_b = self.b.take_tx();
-            let idle = from_a.is_empty() && from_b.is_empty();
-            for f in from_a {
-                if self.deliver {
-                    self.b.input(self.now, f);
-                }
-            }
-            for f in from_b {
-                if self.deliver {
-                    self.a.input(self.now, f);
-                }
-            }
-            self.a.end_cycle(self.now);
-            self.b.end_cycle(self.now);
-            self.a.advance_timers(self.now);
-            self.b.advance_timers(self.now);
-            if idle && self.a.tx_len() == 0 && self.b.tx_len() == 0 {
-                break;
-            }
-        }
-    }
-
-    fn run_for(&mut self, step_ns: u64, dur_ns: u64) {
-        let end = self.now + dur_ns;
-        while self.now < end {
-            self.pump(step_ns, 1);
-        }
-    }
-}
-
-fn establish(p: &mut Pair, port: u16) -> (FlowId, FlowId) {
-    p.b.listen(port);
-    let cf = p.a.connect(p.now, B_IP, port, 0xA).expect("connect");
-    p.pump(1_000, 32);
-    for e in p.a.take_events() {
-        if let TcpEvent::Connected { ok, .. } = e {
-            assert!(ok, "handshake failed");
-        }
-    }
-    let mut server_flow = None;
-    for e in p.b.take_events() {
-        if let TcpEvent::Knock { flow, .. } = e {
-            p.b.accept(flow, 0xB).unwrap();
-            server_flow = Some(flow);
-        }
-    }
-    (cf, server_flow.expect("knock event"))
-}
 
 /// The headline regression: per data segment on the warm-ARP fast path,
 /// exactly one pool mbuf allocation and one payload write; zero transient
@@ -112,8 +34,8 @@ fn data_segment_costs_one_write_one_alloc() {
 
     // 4 full MSS segments plus a runt — five wire segments.
     let mss = 1460usize;
-    let data = vec![0x5Au8; 4 * mss + 100];
-    let n = p.a.send(p.now, c, &data).unwrap();
+    let data = Bytes::from(vec![0x5Au8; 4 * mss + 100]);
+    let n = p.a.send_bytes(p.now, c, &data).unwrap();
     assert_eq!(n, data.len(), "window must accept the whole burst");
     let segs = data.len().div_ceil(mss) as u64;
 
@@ -130,11 +52,6 @@ fn data_segment_costs_one_write_one_alloc() {
         "the fast path must not allocate staging buffers"
     );
     assert_eq!(
-        stats1.tx_rtq_blocks - stats0.tx_rtq_blocks,
-        1,
-        "one shared storage block per send() call"
-    );
-    assert_eq!(
         pool1.allocs - pool0.allocs,
         segs,
         "exactly one pool mbuf per emitted segment"
@@ -142,9 +59,7 @@ fn data_segment_costs_one_write_one_alloc() {
 
     // The transfer still completes correctly.
     p.pump(1_000, 64);
-    let got: usize = p
-        .b
-        .take_events()
+    let got: usize = events(&mut p.b)
         .into_iter()
         .filter_map(|e| match e {
             TcpEvent::Recv { payload, .. } => Some(payload.len()),
@@ -155,23 +70,16 @@ fn data_segment_costs_one_write_one_alloc() {
 }
 
 /// `send_bytes` is zero-copy end to end: every retransmit-queue entry
-/// aliases the caller's own storage block, and no owned block is
-/// materialized by the stack.
+/// aliases the caller's own storage block.
 #[test]
 fn send_bytes_shares_the_callers_block() {
     let mut p = Pair::new(StackConfig::default());
     let (c, _s) = establish(&mut p, 80);
 
     let block = Bytes::from(vec![0xC3u8; 3 * 1460]);
-    let stats0 = p.a.stats;
     let n = p.a.send_bytes(p.now, c, &block).unwrap();
     assert_eq!(n, block.len());
 
-    assert_eq!(
-        p.a.stats.tx_rtq_blocks - stats0.tx_rtq_blocks,
-        0,
-        "send_bytes must not materialize an owned block"
-    );
     let rtq = p.a.rtq_payloads(c);
     assert_eq!(rtq.len(), 3);
     for seg in &rtq {
@@ -197,7 +105,7 @@ fn retransmit_shares_storage_and_reap_releases_it() {
 
     let block = Bytes::from(vec![0x7Eu8; 500]);
     // Black-hole the wire: the data segment (and nothing else) is lost.
-    p.deliver = false;
+    p.keep = Box::new(|_| false);
     p.a.send_bytes(p.now, c, &block).unwrap();
     let transient0 = p.a.stats.tx_transient_allocs;
 
@@ -217,7 +125,7 @@ fn retransmit_shares_storage_and_reap_releases_it() {
     drop(rtq);
 
     // Heal the wire; the retransmit goes through and the ACK reaps it.
-    p.deliver = true;
+    p.keep = Box::new(|_| true);
     p.run_for(100_000, 20_000_000);
     assert!(p.a.rtq_payloads(c).is_empty(), "ACK must reap the rtq");
     assert_eq!(

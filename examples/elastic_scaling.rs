@@ -8,15 +8,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ix_testkit::Bytes;
+use ix::apps::harness::{EngineTuning, ServerEngine, System, Testbed};
 use ix::core::dataplane::Dataplane;
 use ix::core::ixcp::set_active_threads;
-use ix::core::libix::{ConnCtx, Libix, LibixCtx, LibixHandler};
-use ix::core::params::CostParams;
-use ix::nic::fabric::Fabric;
-use ix::nic::params::MachineParams;
-use ix::sim::{Nanos, SimTime, Simulator};
-use ix::tcp::StackConfig;
+use ix::core::libix::{ConnCtx, LibixCtx, LibixHandler};
+use ix::sim::Nanos;
+use ix_testkit::Bytes;
 
 struct Echo;
 impl LibixHandler for Echo {
@@ -54,43 +51,20 @@ impl LibixHandler for Pinger {
 }
 
 fn main() {
-    let mut sim = Simulator::new(9);
-    let mut fabric = Fabric::new(4, MachineParams::default());
-    let server = fabric.add_host(1, 8, 0);
-    let client = fabric.add_host(1, 2, 0);
-    let server_ip = fabric.host(server).ip;
-
-    let sdp = Dataplane::launch(
-        &mut sim,
-        fabric.host(server),
-        4,
-        CostParams::default(),
-        StackConfig::default(),
-        Some(9090),
-        |_| Box::new(Libix::new(Echo)),
-    );
+    let mut tb = Testbed::new(9, 1, 1);
+    let tuning = EngineTuning::default();
+    tb.launch_server(System::Ix, 4, &tuning, 9090, |_| Echo);
+    let Some(ServerEngine::Ix(sdp)) = tb.engine.clone() else { unreachable!("launched IX") };
     let count = Rc::new(RefCell::new(0u64));
-    let c2 = count.clone();
-    let cdp = Dataplane::launch(
-        &mut sim,
-        fabric.host(client),
-        1,
-        CostParams::default(),
-        StackConfig::default(),
-        None,
-        move |_| {
-            Box::new(Libix::new(Pinger {
-                server: server_ip,
-                conns: 32,
-                started: false,
-                count: c2.clone(),
-            }))
-        },
-    );
-    sdp.seed_arp(fabric.host(client).ip, fabric.host(client).mac);
-    cdp.seed_arp(server_ip, fabric.host(server).mac);
+    let server = tb.server_ip();
+    let _client = tb.launch_client(tb.clients[0], System::Ix, 1, &tuning, |_| Pinger {
+        server,
+        conns: 32,
+        started: false,
+        count: count.clone(),
+    });
 
-    let ms = |n: u64| SimTime(Nanos::from_millis(n).as_nanos());
+    let ms = |n: u64| Nanos::from_millis(n).as_nanos();
     let rate = |c: &Rc<RefCell<u64>>, last: &mut u64, dt_ms: u64| {
         let now = *c.borrow();
         let r = (now - *last) as f64 / (dt_ms as f64 / 1e3) / 1e3;
@@ -100,17 +74,17 @@ fn main() {
     let mut last = 0u64;
     let active = |dp: &Dataplane| dp.threads.iter().filter(|t| !t.borrow().parked).count();
 
-    sim.run_until(ms(20));
+    tb.run_until_ns(ms(20));
     println!("t=20ms  threads=4  rate={:>7.1}K msg/s", rate(&count, &mut last, 20));
 
     println!(">>> IXCP revokes 3 of 4 elastic threads (flows migrate)");
-    set_active_threads(&mut sim, &sdp, 1, None);
-    sim.run_until(ms(40));
+    set_active_threads(&mut tb.sim, &sdp, 1, None);
+    tb.run_until_ns(ms(40));
     println!("t=40ms  threads={}  rate={:>7.1}K msg/s", active(&sdp), rate(&count, &mut last, 20));
 
     println!(">>> IXCP grants them back");
-    set_active_threads(&mut sim, &sdp, 4, None);
-    sim.run_until(ms(60));
+    set_active_threads(&mut tb.sim, &sdp, 4, None);
+    tb.run_until_ns(ms(60));
     println!("t=60ms  threads={}  rate={:>7.1}K msg/s", active(&sdp), rate(&count, &mut last, 20));
     assert!(*count.borrow() > 0);
 }

@@ -1,20 +1,16 @@
-//! Quickstart: build a two-host fabric, run an IX echo server and an IX
-//! client, and print the round-trip latency — the smallest end-to-end
-//! use of the public API.
+//! Quickstart: build the testbed with one client host, run an IX echo
+//! server and an IX client, and print the round-trip latency — the
+//! smallest end-to-end use of the public API.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use ix::apps::harness::{EngineTuning, System, Testbed};
+use ix::core::libix::{ConnCtx, LibixCtx, LibixHandler};
+use ix::sim::Nanos;
 use ix_testkit::Bytes;
-use ix::core::dataplane::Dataplane;
-use ix::core::libix::{ConnCtx, Libix, LibixCtx, LibixHandler};
-use ix::core::params::CostParams;
-use ix::nic::fabric::Fabric;
-use ix::nic::params::MachineParams;
-use ix::sim::{Nanos, SimTime, Simulator};
-use ix::tcp::StackConfig;
 
 /// Echo back everything we receive.
 struct Echo;
@@ -65,48 +61,25 @@ impl LibixHandler for Ping {
 }
 
 fn main() {
-    // A switch with two hosts: both will run the IX dataplane.
-    let mut sim = Simulator::new(42);
-    let mut fabric = Fabric::new(4, MachineParams::default());
-    let server = fabric.add_host(1, 2, 0);
-    let client = fabric.add_host(1, 2, 0);
-    let server_ip = fabric.host(server).ip;
+    // One server and one client host on a switch: both will run the IX
+    // dataplane.
+    let mut tb = Testbed::new(42, 1, 1);
+    let tuning = EngineTuning::default();
+    tb.launch_server(System::Ix, 1, &tuning, 7777, |_| Echo);
 
-    let sdp = Dataplane::launch(
-        &mut sim,
-        fabric.host(server),
-        1,
-        CostParams::default(),
-        StackConfig::default(),
-        Some(7777),
-        |_| Box::new(Libix::new(Echo)),
-    );
-
+    // Launching the client also seeds ARP both ways (the fabric is a
+    // single L2 segment).
     let rtts = Rc::new(RefCell::new(Vec::new()));
-    let r2 = rtts.clone();
-    let cdp = Dataplane::launch(
-        &mut sim,
-        fabric.host(client),
-        1,
-        CostParams::default(),
-        StackConfig::default(),
-        None,
-        move |_| {
-            Box::new(Libix::new(Ping {
-                server: server_ip,
-                sent_at: 0,
-                rtts: r2.clone(),
-                reps: 100,
-                started: false,
-            }))
-        },
-    );
+    let server = tb.server_ip();
+    let _client = tb.launch_client(tb.clients[0], System::Ix, 1, &tuning, |_| Ping {
+        server,
+        sent_at: 0,
+        rtts: rtts.clone(),
+        reps: 100,
+        started: false,
+    });
 
-    // ARP bring-up (the fabric is a single L2 segment).
-    sdp.seed_arp(fabric.host(client).ip, fabric.host(client).mac);
-    cdp.seed_arp(server_ip, fabric.host(server).mac);
-
-    sim.run_until(SimTime(Nanos::from_millis(50).as_nanos()));
+    tb.run_until_ns(Nanos::from_millis(50).as_nanos());
 
     let rtts = rtts.borrow();
     assert_eq!(rtts.len(), 100, "all pings answered");
@@ -118,6 +91,7 @@ fn main() {
     println!(
         "  (the paper's Fig 2 reports ~5.7 us one-way for 64B, i.e. ~11.4 us RTT)"
     );
-    let rx: u64 = sdp.threads.iter().map(|t| t.borrow().base.rx_packets).sum();
+    let mut rx = 0;
+    tb.engine.as_ref().expect("server launched").for_each_core(|c| rx += c.rx_packets);
     println!("  server processed {rx} packets");
 }

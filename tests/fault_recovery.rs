@@ -9,23 +9,15 @@
 //! The fault-mix strategy is also the workspace's first user of the
 //! `prop_filter` and weighted `prop_oneof!` combinators.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+pub mod common;
 
-use ix::apps::harness::{run, EngineTuning, Scenario};
-use ix::apps::kvstore::{KvServer, SharedStore};
-use ix::apps::workload::proto;
-use ix::baselines::linux::{LinuxHost, LinuxParams};
-use ix::core::dataplane::Dataplane;
-use ix::core::libix::{ConnCtx, Libix, LibixCtx, LibixHandler};
-use ix::core::params::CostParams;
+use common::set_then_get;
+use ix::apps::harness::{run, EngineTuning, Scenario, Testbed};
 use ix::faults::{FaultPlan, LinkFaults};
-use ix::nic::fabric::Fabric;
-use ix::nic::params::MachineParams;
-use ix::sim::{Nanos, SimTime, Simulator};
+use ix::sim::Nanos;
 use ix::tcp::StackConfig;
 use ix::testkit::prop::Strategy;
-use ix::testkit::{props, Bytes};
+use ix::testkit::props;
 
 /// One randomized fault to aim at a cable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,110 +87,18 @@ props! {
     }
 }
 
-/// Issues SET(key)=payload then GET(key) on a second connection and
-/// records what came back.
-struct SetGetClient {
-    server: ix::net::Ipv4Addr,
-    payload: Vec<u8>,
-    phase: u8,
-    rx: Vec<u8>,
-    got: Rc<RefCell<Option<Vec<u8>>>>,
-    started: bool,
-}
-
-impl LibixHandler for SetGetClient {
-    fn on_tick(&mut self, ctx: &mut LibixCtx<'_>) {
-        if !self.started {
-            self.started = true;
-            ctx.connect(self.server, 11211, 0);
-        }
-    }
-
-    fn on_connected(&mut self, ctx: &mut ConnCtx<'_>, ok: bool) {
-        assert!(ok);
-        let (op, seq) = if self.phase == 0 { (proto::OP_SET, 1) } else { (proto::OP_GET, 2) };
-        let req = proto::encode_request(op, seq, b"the-key", &self.payload);
-        ctx.write(Bytes::from(req));
-    }
-
-    fn on_data(&mut self, ctx: &mut ConnCtx<'_>, data: &Bytes) {
-        self.rx.extend_from_slice(data);
-        let Some(h) = proto::decode_response_header(&self.rx) else { return };
-        if self.rx.len() < h.total_len() {
-            return;
-        }
-        assert_eq!(h.status, proto::ST_OK);
-        let body = self.rx[proto::RSP_HDR..h.total_len()].to_vec();
-        self.rx.clear();
-        if self.phase == 0 {
-            // SET acknowledged; reconnect for the GET so the value
-            // crosses connections.
-            self.phase = 1;
-            ctx.close();
-            self.started = false;
-        } else {
-            *self.got.borrow_mut() = Some(body);
-            ctx.close();
-        }
-    }
-
-    fn wants_tick(&self, _now: u64) -> bool {
-        !self.started
-    }
-}
-
 /// SET then GET of a multi-segment value through a faulted cable; the
 /// GET must return the SET payload verbatim.
 fn kv_roundtrip_faulted(mix: &FaultMix, seed: u64) -> (Option<Vec<u8>>, Vec<u8>) {
-    let mut sim = Simulator::new(seed);
-    let mut fabric = Fabric::new(4, MachineParams::default());
-    let server = fabric.add_host(1, 4, 0);
-    let client = fabric.add_host(1, 2, 0);
-    let client_port = fabric.host_port(client, 0);
-    fabric.install_faults(
-        FaultPlan::new(seed ^ 0x6b76).with_link(client_port, mix.link_faults()),
-    );
-    let server_ip = fabric.host(server).ip;
-    let store = SharedStore::new();
-    let st = store.clone();
-    let cfg = StackConfig::low_latency();
-    let sdp = Dataplane::launch(
-        &mut sim,
-        fabric.host(server),
-        4,
-        CostParams::default(),
-        cfg.clone(),
-        Some(11211),
-        move |_| Box::new(Libix::new(KvServer::new(st.clone()))),
-    );
     // A payload spanning several TCP segments, so loss can hit the
     // middle of a burst.
     let payload: Vec<u8> = (0..10_000).map(|i| (i * 31 % 251) as u8).collect();
-    let got: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
-    let (g2, p2) = (got.clone(), payload.clone());
-    let lh = LinuxHost::launch(
-        &mut sim,
-        fabric.host(client),
-        1,
-        LinuxParams::default(),
-        cfg,
-        None,
-        move |_| {
-            Box::new(Libix::new(SetGetClient {
-                server: server_ip,
-                payload: p2.clone(),
-                phase: 0,
-                rx: Vec::new(),
-                got: g2.clone(),
-                started: false,
-            }))
-        },
-    );
-    sdp.seed_arp(fabric.host(client).ip, fabric.host(client).mac);
-    lh.seed_arp(server_ip, fabric.host(server).mac);
-    sim.run_until(SimTime(Nanos::from_millis(3_000).as_nanos()));
-    let out = got.borrow().clone();
-    (out, payload)
+    let faults = |tb: &mut Testbed| {
+        let client_port = tb.fabric.host_port(tb.clients[0], 0);
+        tb.fabric.install_faults(FaultPlan::new(seed ^ 0x6b76).with_link(client_port, mix.link_faults()));
+    };
+    let (got, _) = set_then_get(seed, &tuning(), faults, &payload, 3_000);
+    (got, payload)
 }
 
 props! {

@@ -4,129 +4,14 @@
 //! connection, including values large enough to span several TCP
 //! segments.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+pub mod common;
 
-use ix_testkit::Bytes;
-use ix::apps::kvstore::{KvServer, SharedStore};
-use ix::apps::workload::proto;
-use ix::baselines::linux::{LinuxHost, LinuxParams};
-use ix::core::dataplane::Dataplane;
-use ix::core::libix::{ConnCtx, Libix, LibixCtx, LibixHandler};
-use ix::core::params::CostParams;
-use ix::nic::fabric::Fabric;
-use ix::nic::params::MachineParams;
-use ix::sim::{Nanos, SimTime, Simulator};
-use ix::tcp::StackConfig;
-
-/// Issues SET(key)=payload then GET(key) on a second connection and
-/// checks the bytes round-trip.
-struct SetGetClient {
-    server: ix::net::Ipv4Addr,
-    payload: Vec<u8>,
-    phase: u8,
-    rx: Vec<u8>,
-    got: Rc<RefCell<Option<Vec<u8>>>>,
-    started: bool,
-}
-
-impl LibixHandler for SetGetClient {
-    fn on_tick(&mut self, ctx: &mut LibixCtx<'_>) {
-        if !self.started {
-            self.started = true;
-            ctx.connect(self.server, 11211, 0);
-        }
-    }
-
-    fn on_connected(&mut self, ctx: &mut ConnCtx<'_>, ok: bool) {
-        assert!(ok);
-        match self.phase {
-            0 => {
-                let req = proto::encode_request(proto::OP_SET, 1, b"the-key", &self.payload);
-                ctx.write(Bytes::from(req));
-            }
-            1 => {
-                let req =
-                    proto::encode_request(proto::OP_GET, 2, b"the-key", &vec![0u8; self.payload.len()]);
-                ctx.write(Bytes::from(req));
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    fn on_data(&mut self, ctx: &mut ConnCtx<'_>, data: &Bytes) {
-        self.rx.extend_from_slice(data);
-        let Some(h) = proto::decode_response_header(&self.rx) else { return };
-        if self.rx.len() < h.total_len() {
-            return;
-        }
-        assert_eq!(h.status, proto::ST_OK);
-        let body = self.rx[proto::RSP_HDR..h.total_len()].to_vec();
-        self.rx.clear();
-        match self.phase {
-            0 => {
-                // SET acknowledged; reconnect for the GET so the value
-                // crosses connections (and very likely server threads).
-                self.phase = 1;
-                ctx.close();
-                self.started = false;
-            }
-            1 => {
-                *self.got.borrow_mut() = Some(body);
-                ctx.close();
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    fn wants_tick(&self, _now: u64) -> bool {
-        !self.started
-    }
-}
+use common::set_then_get;
+use ix::apps::harness::EngineTuning;
 
 fn roundtrip(payload_len: usize) {
-    let mut sim = Simulator::new(77);
-    let mut fabric = Fabric::new(4, MachineParams::default());
-    let server = fabric.add_host(1, 4, 0);
-    let client = fabric.add_host(1, 2, 0);
-    let server_ip = fabric.host(server).ip;
-    let store = SharedStore::new();
-    let st = store.clone();
-    let sdp = Dataplane::launch(
-        &mut sim,
-        fabric.host(server),
-        4,
-        CostParams::default(),
-        StackConfig::default(),
-        Some(11211),
-        move |_| Box::new(Libix::new(KvServer::new(st.clone()))),
-    );
     let payload: Vec<u8> = (0..payload_len).map(|i| (i * 31 % 251) as u8).collect();
-    let got: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
-    let g2 = got.clone();
-    let p2 = payload.clone();
-    let lh = LinuxHost::launch(
-        &mut sim,
-        fabric.host(client),
-        1,
-        LinuxParams::default(),
-        StackConfig::default(),
-        None,
-        move |_| {
-            Box::new(Libix::new(SetGetClient {
-                server: server_ip,
-                payload: p2.clone(),
-                phase: 0,
-                rx: Vec::new(),
-                got: g2.clone(),
-                started: false,
-            }))
-        },
-    );
-    sdp.seed_arp(fabric.host(client).ip, fabric.host(client).mac);
-    lh.seed_arp(server_ip, fabric.host(server).mac);
-    sim.run_until(SimTime(Nanos::from_millis(400).as_nanos()));
-    let got = got.borrow();
+    let (got, store) = set_then_get(77, &EngineTuning::default(), |_| {}, &payload, 400);
     assert_eq!(
         got.as_deref(),
         Some(&payload[..]),
