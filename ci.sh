@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate (README.md): build · test · clippy · microbench smoke ·
 # README examples · run gates · allocation ceilings, all OFFLINE — zero
-# registry dependencies (DESIGN.md §6b), so a cargo call that reaches
+# registry dependencies (DESIGN.md §14), so a cargo call that reaches
 # for crates.io is itself a regression.
 #
 # `cargo test --workspace` is the only test run (a failing test names
@@ -70,7 +70,7 @@ cargo build --release --offline --quiet --examples
 #             zerocopy, rx_zerocopy, bucket_index), on the default seed
 #             and on a second one (~20 s with the test build, ~7 s for
 #             the second seed); prop.rs joins once its
-#             stream_integrity_hostile_wire case 54 (ROADMAP item 1) is
+#             stream_integrity_hostile_wire case 54 (ROADMAP item 2) is
 #             fixed
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 gates='
@@ -120,7 +120,7 @@ while IFS='|' read -r name budget_s cmd must same_as; do
     fi
 done <<< "$gates"
 
-# Host allocation discipline (DESIGN.md §5k): ceilings on what the
+# Host allocation discipline (DESIGN.md §13): ceilings on what the
 # benchmark row above recorded — counts of this program, not timings,
 # the same on every box for the quick run's one seed. Allocations per
 # message read echo_small 0.006, echo_churn 0.058, echo_bulk 0.21,

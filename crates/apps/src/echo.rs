@@ -9,7 +9,6 @@
 //! to avoid exhausting ephemeral ports."
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use ix_testkit::Bytes;
@@ -141,7 +140,7 @@ pub struct EchoClient {
     /// Whether to reopen after closing (sustained churn) or stop.
     pub reopen: bool,
     stats: Rc<RefCell<EchoBenchStats>>,
-    states: HashMap<u64, ConnState>,
+    states: FlowMap<ConnState>,
     opened: usize,
     live: usize,
     next_user: u64,
@@ -170,7 +169,7 @@ impl EchoClient {
             conns,
             reopen,
             stats,
-            states: HashMap::new(),
+            states: FlowMap::with_capacity(conns),
             opened: 0,
             live: 0,
             next_user: 0,
@@ -180,7 +179,7 @@ impl EchoClient {
     }
 
     fn fire(&mut self, ctx: &mut ConnCtx<'_>) {
-        let st = self.states.get_mut(&ctx.conn.user).expect("tracked");
+        let st = self.states.get_mut(ctx.conn.user).expect("tracked");
         st.sent_at = ctx.now_ns;
         let req = response(&mut self.template, self.msg_size);
         ctx.write(req);
@@ -205,7 +204,7 @@ impl LibixHandler for EchoClient {
     fn on_connected(&mut self, ctx: &mut ConnCtx<'_>, ok: bool) {
         if !ok {
             self.live -= 1;
-            self.states.remove(&ctx.conn.user);
+            self.states.remove(ctx.conn.user);
             return;
         }
         self.fire(ctx);
@@ -214,7 +213,7 @@ impl LibixHandler for EchoClient {
     fn on_data(&mut self, ctx: &mut ConnCtx<'_>, data: &Bytes) {
         let user = ctx.conn.user;
         let now = ctx.now_ns;
-        let Some(st) = self.states.get_mut(&user) else { return };
+        let Some(st) = self.states.get_mut(user) else { return };
         st.received += data.len();
         if st.received < self.msg_size {
             return;
@@ -226,7 +225,7 @@ impl LibixHandler for EchoClient {
         if st.done_msgs >= self.n_per_conn || now >= self.stop_at_ns {
             // RST close, per the benchmark definition.
             ctx.abort();
-            self.states.remove(&user);
+            self.states.remove(user);
             self.live -= 1;
             self.stats.borrow_mut().conns_closed += 1;
             // on_tick reopens if configured.
@@ -236,7 +235,7 @@ impl LibixHandler for EchoClient {
     }
 
     fn on_dead(&mut self, ctx: &mut ConnCtx<'_>, _reason: ix_tcp::DeadReason) {
-        if self.states.remove(&ctx.conn.user).is_some() {
+        if self.states.remove(ctx.conn.user).is_some() {
             self.live -= 1;
         }
     }

@@ -217,17 +217,10 @@ pub struct EngineTuning {
 
 impl Testbed {
     /// Builds the cluster: one server with `server_ports` bonded ports
-    /// and `n_clients` single-port clients, all on one switch with room
-    /// for two more hosts.
+    /// and `n_clients` single-port clients, all on one switch. A host
+    /// added later gets new switch ports.
     pub fn new(seed: u64, server_ports: usize, n_clients: usize) -> Testbed {
-        Testbed::sized(seed, server_ports, n_clients, 2)
-    }
-
-    /// [`Testbed::new`] with switch ports for `late_hosts` single-port
-    /// hosts added after the clients. The switch's size moves nothing: a
-    /// flood skips unattached ports.
-    fn sized(seed: u64, server_ports: usize, n_clients: usize, late_hosts: usize) -> Testbed {
-        let mut fabric = Fabric::new(server_ports + n_clients + late_hosts, MachineParams::default());
+        let mut fabric = Fabric::new(server_ports + n_clients, MachineParams::default());
         // Server: 8 cores + 8 hyperthreads, as the Xeon E5-2665 socket.
         let server = fabric.add_host(server_ports, 8, 8);
         let clients: Vec<HostId> = (0..n_clients).map(|_| fabric.add_host(1, 8, 0)).collect();
@@ -766,18 +759,9 @@ const PER_FRAME_NS: u64 = 2_000;
 const MIGRATIONS: usize = 8;
 const SETTLE_NS: u64 = 2_000_000;
 
-/// Switch headroom for hosts added after the clients: the most any
-/// scenario adds (agent, attacker, dialer).
-const LATE_HOSTS: usize = 3;
-
-/// Builds the scenario's server and clients.
-fn testbed(sc: &Scenario) -> Testbed {
-    Testbed::sized(sc.seed, sc.server_ports, sc.n_clients, LATE_HOSTS)
-}
-
 /// Runs one experiment.
 pub fn run(sc: &Scenario) -> RunReport {
-    let mut tb = testbed(sc);
+    let mut tb = Testbed::new(sc.seed, sc.server_ports, sc.n_clients);
     let faults = (!sc.faults.is_none()).then(|| tb.fabric.install_faults(sc.faults.clone()));
     let mut r = match sc.app {
         App::Netpipe { msg, reps } => netpipe(&mut tb, sc, msg, reps),
@@ -1225,7 +1209,7 @@ mod tests {
     fn port_helpers_match_the_assembled_fabric() {
         for server_ports in [1, 4] {
             let sc = Scenario { server_ports, n_clients: 3, ..Scenario::kv() };
-            let tb = testbed(&sc);
+            let tb = Testbed::new(sc.seed, sc.server_ports, sc.n_clients);
             assert_eq!(sc.server_port(), tb.fabric.host_port(tb.server, 0));
             for (k, &id) in tb.clients.iter().enumerate() {
                 assert_eq!(sc.client_port(k), tb.fabric.host_port(id, 0), "client {k}, {server_ports} server ports");

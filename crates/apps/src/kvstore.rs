@@ -12,11 +12,11 @@
 //! frequency").
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use ix_core::libix::{ConnCtx, LibixHandler};
 use ix_mempool::{Blocks, Spares};
+use ix_tcp::FlowMap;
 use ix_testkit::Bytes;
 
 use crate::workload::proto;
@@ -248,7 +248,7 @@ pub struct KvServer {
     /// exists only while a request straddles delivery boundaries. The
     /// common case finds the map empty, parses the delivered view in
     /// place and never touches it.
-    partial: HashMap<u64, Vec<u8>>,
+    partial: FlowMap<Vec<u8>>,
     /// Drained spill buffers awaiting the next straddle.
     spare_spills: Spares<Vec<u8>>,
     /// Requests served by this thread.
@@ -271,7 +271,7 @@ impl KvServer {
             store,
             base_ns: 1_300,
             blocks: Blocks::new(),
-            partial: HashMap::new(),
+            partial: FlowMap::new(),
             spare_spills: Spares::new(),
             served: 0,
             rejected: 0,
@@ -370,7 +370,7 @@ impl KvServer {
         mut write: impl FnMut(Bytes),
     ) -> Delivery {
         let mut local_now = now_ns;
-        let spill = if self.partial.is_empty() { None } else { self.partial.remove(&cookie) };
+        let spill = if self.partial.is_empty() { None } else { self.partial.remove(cookie) };
         let consumed = match spill {
             // Contiguous fast path: nothing buffered for this
             // connection, so requests parse directly from the delivered
@@ -431,7 +431,7 @@ impl LibixHandler for KvServer {
     }
 
     fn on_dead(&mut self, ctx: &mut ConnCtx<'_>, _reason: ix_tcp::DeadReason) {
-        if let Some(mut buf) = self.partial.remove(&ctx.conn.cookie) {
+        if let Some(mut buf) = self.partial.remove(ctx.conn.cookie) {
             buf.clear();
             self.spare_spills.give(buf);
         }

@@ -1,5 +1,5 @@
 //! The memcached request path against models of what it replaced
-//! (DESIGN.md §5k, "the application's end"):
+//! (DESIGN.md §13, "the memcached path"):
 //!
 //! * the log-structured store against a `HashMap` — results, `len()` and
 //!   every lock charge;

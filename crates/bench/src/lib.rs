@@ -21,16 +21,10 @@ pub fn us(ns: u64) -> String {
     format!("{:.2}", ns as f64 / 1000.0)
 }
 
-/// Formats messages/second in millions with two decimals.
-pub fn mmsgs(v: f64) -> String {
-    format!("{:.2}", v / 1e6)
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn formatting() {
         assert_eq!(super::us(5_700), "5.70");
-        assert_eq!(super::mmsgs(8_800_000.0), "8.80");
     }
 }

@@ -17,8 +17,8 @@
 //! write coalescing, partial-send reissue on `sent` events, and the
 //! pending-byte cap.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 
 use ix_mempool::{LentQueues, Spares};
 use ix_testkit::{buffer_id, Bytes};
@@ -210,11 +210,13 @@ pub struct Libix<H: LibixHandler + 'static> {
     /// that its buffer, like `dirty`'s and `submitted`'s, is drained in
     /// place and serves every cycle.
     actions: Vec<Action>,
-    /// Flow-handle → cookie map: events generated by the dataplane
-    /// *before* an `accept`/`connect` cookie attachment executes carry a
-    /// stale cookie (the knock/data race within one batch); resolving by
-    /// flow handle recovers them.
-    by_flow: HashMap<FlowId, u64>,
+    /// Flow key → `(cookie, generation)`: events generated by the
+    /// dataplane *before* an `accept`/`connect` cookie attachment
+    /// executes carry a stale cookie (the knock/data race within one
+    /// batch); resolving by flow handle recovers them. An entry answers
+    /// only a handle of its own generation. Cookies start at 1, so the
+    /// entry fits 16 bytes.
+    by_flow: FlowMap<(NonZeroU64, u32)>,
     next_cookie: u64,
     /// `(index, cookie, bytes)` per `Sendv` in last cycle's batch: the
     /// call's index in the batch, where its result comes back (§4.2),
@@ -231,7 +233,7 @@ impl<H: LibixHandler + 'static> Libix<H> {
             dirty: Vec::new(),
             spare_pending: Spares::new(),
             actions: Vec::new(),
-            by_flow: HashMap::new(),
+            by_flow: FlowMap::new(),
             next_cookie: 1,
             submitted: Vec::new(),
         }
@@ -302,7 +304,7 @@ impl<H: LibixHandler + 'static> Libix<H> {
     fn accept(&mut self, flow: FlowId, ctx: &mut UserCtx) -> u64 {
         let cookie = self.open_conn(flow, 0);
         ctx.syscall(Syscall::Accept { handle: flow, cookie });
-        self.by_flow.insert(flow, cookie);
+        self.note_flow(flow, cookie);
         self.callback(cookie, ctx, |h, c| h.on_accept(c));
         self.dirty.push(cookie);
         cookie
@@ -347,7 +349,28 @@ impl<H: LibixHandler + 'static> Libix<H> {
             // that collides with an unrelated local connection (cookies
             // are per-thread counters).
             Some(c) if c.handle == flow => Some(cookie),
-            _ => self.by_flow.get(&flow).copied(),
+            _ => self.flow_cookie(flow),
+        }
+    }
+
+    /// Records `cookie` as the connection of `flow` in `by_flow`.
+    fn note_flow(&mut self, flow: FlowId, cookie: u64) {
+        let cookie = NonZeroU64::new(cookie).expect("cookies start at 1");
+        self.by_flow.insert(flow.key, (cookie, flow.gen));
+    }
+
+    /// The cookie `by_flow` holds for exactly this handle.
+    fn flow_cookie(&self, flow: FlowId) -> Option<u64> {
+        match self.by_flow.get(flow.key) {
+            Some(&(cookie, gen)) if gen == flow.gen => Some(cookie.get()),
+            _ => None,
+        }
+    }
+
+    /// Drops `by_flow`'s entry for exactly this handle.
+    fn forget_flow(&mut self, flow: FlowId) {
+        if self.flow_cookie(flow).is_some() {
+            self.by_flow.remove(flow.key);
         }
     }
 
@@ -409,7 +432,7 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                 }
                 EventCond::Connected { flow, cookie, ok } => {
                     if ok {
-                        self.by_flow.insert(flow, cookie);
+                        self.note_flow(flow, cookie);
                     }
                     let found = self.callback(cookie, ctx, |h, c| {
                         c.conn.handle = flow;
@@ -459,7 +482,7 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
                     let Some(cookie) = self.resolve(cookie, flow) else {
                         continue; // Unknown (never-adopted) flow died.
                     };
-                    self.by_flow.remove(&flow);
+                    self.forget_flow(flow);
                     let closing = self.callback(cookie, ctx, |h, c| {
                         h.on_dead(c, reason);
                         c.conn.closing
@@ -481,7 +504,7 @@ impl<H: LibixHandler + 'static> IxApp for Libix<H> {
             match a {
                 Action::Close { cookie, rst } => {
                     if let Some(handle) = self.remove_conn(cookie) {
-                        self.by_flow.remove(&handle);
+                        self.forget_flow(handle);
                         ctx.syscall(if rst {
                             Syscall::Abort { handle }
                         } else {

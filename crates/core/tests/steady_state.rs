@@ -1,4 +1,4 @@
-//! Host allocation discipline, end to end (DESIGN.md §5k): an IX echo
+//! Host allocation discipline, end to end (DESIGN.md §13): an IX echo
 //! server under closed-loop load from Linux-model clients, all
 //! applications on `Libix`. Once the warm-up has taken every buffer to
 //! its high-water size, a long window must

@@ -252,7 +252,7 @@ impl Blocks {
 }
 
 /// Where one [`Spares`] stack's queue buffers are at one instant, for
-/// the tests that pin the lending discipline (DESIGN.md §5k).
+/// the tests that pin the lending discipline (DESIGN.md §13).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LentQueues {
     /// Queues holding something: each has one buffer on loan.

@@ -29,7 +29,7 @@ pub use ip::{IpProto, Ipv4Addr, Ipv4Header};
 pub use rss::{toeplitz_hash, RssKey, TOEPLITZ_DEFAULT_KEY};
 pub use tcp::{TcpFlags, TcpHeader};
 pub use udp::UdpHeader;
-pub use wire::{frame_wire_bytes, FlowTuple, ETH_MTU, MAX_FRAME, MIN_FRAME};
+pub use wire::{frame_wire_bytes, ETH_MTU, MAX_FRAME, MIN_FRAME};
 
 /// Worst-case transmit-side header stack: Ethernet (14) + option-less
 /// IPv4 (20) + the protocol-maximum TCP header (60). The zero-copy TX

@@ -69,13 +69,6 @@ pub fn hash_ipv4_tuple(key: &RssKey, src: Ipv4Addr, dst: Ipv4Addr, src_port: u16
     toeplitz_hash(key, &input)
 }
 
-/// Maps a hash to one of `n` queues the way the 82599 does: the low 7 bits
-/// index a 128-entry redirection table, here filled round-robin.
-pub fn queue_for_hash(hash: u32, n_queues: u16) -> u16 {
-    debug_assert!(n_queues > 0);
-    ((hash & 0x7f) % n_queues as u32) as u16
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,29 +123,6 @@ mod tests {
         // A different source port gives (almost certainly) a different hash.
         let c = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, src, dst, 1001, 80);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn queue_mapping_in_range_and_balanced() {
-        let n = 8u16;
-        let mut counts = vec![0u32; n as usize];
-        for port in 1000u16..3000 {
-            let h = hash_ipv4_tuple(
-                &TOEPLITZ_DEFAULT_KEY,
-                Ipv4Addr::new(10, 0, 0, 1),
-                Ipv4Addr::new(10, 0, 0, 2),
-                port,
-                80,
-            );
-            let q = queue_for_hash(h, n);
-            assert!(q < n);
-            counts[q as usize] += 1;
-        }
-        // Each queue should get a roughly fair share (within 3x of fair).
-        let fair = 2000 / n as u32;
-        for (q, &c) in counts.iter().enumerate() {
-            assert!(c > fair / 3, "queue {q} starved: {c}");
-        }
     }
 
     #[test]

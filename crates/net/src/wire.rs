@@ -1,11 +1,11 @@
-//! Frame-size arithmetic and flow identification.
+//! Frame-size arithmetic.
 //!
 //! The goodput ceilings the paper reports (8.8 M msgs/s at 64 B on 10GbE,
 //! 34.5 Gbps at 8 KB on 4x10GbE) are consequences of Ethernet framing
 //! overhead; this module is the single place that arithmetic lives.
 
 use crate::eth::EthHeader;
-use crate::ip::{IpProto, Ipv4Addr, Ipv4Header};
+use crate::ip::Ipv4Header;
 use crate::tcp::TcpHeader;
 
 /// Standard Ethernet MTU: the largest IP datagram per frame. The paper's
@@ -52,45 +52,6 @@ pub fn serialization_ns(l2_payload: usize, gbps: f64) -> u64 {
     (bits / gbps).round() as u64
 }
 
-/// A TCP/UDP flow 4-tuple, from the point of view of the local host
-/// (local address/port first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FlowTuple {
-    /// Local IPv4 address.
-    pub local_ip: Ipv4Addr,
-    /// Remote IPv4 address.
-    pub remote_ip: Ipv4Addr,
-    /// Local port.
-    pub local_port: u16,
-    /// Remote port.
-    pub remote_port: u16,
-    /// Transport protocol.
-    pub proto: IpProto,
-}
-
-impl FlowTuple {
-    /// The same flow as seen from the remote end.
-    pub fn reversed(self) -> FlowTuple {
-        FlowTuple {
-            local_ip: self.remote_ip,
-            remote_ip: self.local_ip,
-            local_port: self.remote_port,
-            remote_port: self.local_port,
-            proto: self.proto,
-        }
-    }
-}
-
-impl core::fmt::Display for FlowTuple {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "{}:{} <-> {}:{}",
-            self.local_ip, self.local_port, self.remote_ip, self.remote_port
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,19 +87,5 @@ mod tests {
         assert_eq!(serialization_ns(46, 10.0), 67);
         // Full frame at 10 Gbps: 1538 * 0.8 = 1230.4 ns.
         assert_eq!(serialization_ns(1500, 10.0), 1230);
-    }
-
-    #[test]
-    fn flow_tuple_reversal() {
-        let t = FlowTuple {
-            local_ip: Ipv4Addr::new(10, 0, 0, 1),
-            remote_ip: Ipv4Addr::new(10, 0, 0, 2),
-            local_port: 1234,
-            remote_port: 80,
-            proto: IpProto::Tcp,
-        };
-        let r = t.reversed();
-        assert_eq!(r.local_port, 80);
-        assert_eq!(r.reversed(), t);
     }
 }

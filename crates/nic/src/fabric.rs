@@ -25,7 +25,8 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Creates a fabric with a `ports`-port switch.
+    /// Creates a fabric whose switch starts with `ports` ports; it grows
+    /// as [`Fabric::add_host`] needs more.
     pub fn new(ports: usize, params: MachineParams) -> Fabric {
         Fabric {
             switch: Rc::new(RefCell::new(Switch::new(ports, params.clone()))),
@@ -37,11 +38,8 @@ impl Fabric {
 
     /// Adds a host with `n_ports` NIC ports (bonded if more than one,
     /// sharing one MAC and IP) and `cores` full-speed hardware threads
-    /// plus `hyperthreads` reduced-speed ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the switch runs out of ports.
+    /// plus `hyperthreads` reduced-speed ones, on the next free switch
+    /// ports.
     pub fn add_host(&mut self, n_ports: usize, cores: usize, hyperthreads: usize) -> HostId {
         let id = HostId(self.hosts.len() as u16);
         let mac = MacAddr::from_host_index(id.0 + 1);
@@ -50,10 +48,6 @@ impl Fabric {
         for _ in 0..n_ports {
             let port = self.next_port;
             self.next_port += 1;
-            assert!(
-                (port as usize) < self.switch.borrow().port_count(),
-                "switch out of ports"
-            );
             let nic = Rc::new(RefCell::new(Nic::new(
                 mac,
                 self.params.queues_per_port,
@@ -103,11 +97,6 @@ impl Fabric {
     /// The machine parameters the fabric was built with.
     pub fn params(&self) -> &MachineParams {
         &self.params
-    }
-
-    /// Finds the host owning `ip`, if any.
-    pub fn host_by_ip(&self, ip: Ipv4Addr) -> Option<&Host> {
-        self.hosts.iter().find(|h| h.ip == ip)
     }
 }
 
@@ -203,6 +192,21 @@ mod tests {
         };
         let got = dst_nic.borrow_mut().rx_ring(q).poll().unwrap();
         assert!(got.data().ends_with(b"ping"));
+    }
+
+    #[test]
+    fn switch_grows_for_hosts_beyond_its_size() {
+        let mut sim = Simulator::new(1);
+        let mut f = Fabric::new(2, MachineParams::default());
+        let hosts: Vec<HostId> = (0..5).map(|_| f.add_host(1, 1, 0)).collect();
+        assert_eq!(f.switch.borrow().port_count(), 5);
+        let last = *hosts.last().unwrap();
+        let frame = frame_between(&f, HostId(0), last, b"late");
+        let src_nic = f.host(HostId(0)).nics[0].clone();
+        src_nic.borrow_mut().tx_ring(0).push(frame).ok().unwrap();
+        crate::nic::Nic::kick_tx(&src_nic, &mut sim);
+        sim.run();
+        assert_eq!(f.host(last).nics[0].borrow().stats.rx_frames, 1);
     }
 
     #[test]
@@ -319,8 +323,6 @@ mod tests {
     #[test]
     fn host_lookup() {
         let f = testbed();
-        assert!(f.host_by_ip(f.host(HostId(1)).ip).is_some());
-        assert!(f.host_by_ip(Ipv4Addr::new(1, 2, 3, 4)).is_none());
         assert_eq!(f.host(HostId(0)).cores.len(), 2);
     }
 

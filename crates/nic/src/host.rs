@@ -86,11 +86,6 @@ impl Core {
         end
     }
 
-    /// True when the core has no queued work at `now`.
-    pub fn idle_at(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
     /// Fraction of the window `[start, end)` this core spent busy.
     /// Callers snapshot `busy_ns` at the window edges.
     pub fn utilization(busy_ns_delta: u64, window: Nanos) -> f64 {
@@ -170,8 +165,7 @@ mod tests {
         let end = c.run(SimTime(10_000), Nanos(100), CpuDomain::Kernel);
         assert_eq!(end, SimTime(10_100));
         assert_eq!(c.busy_ns, 200);
-        assert!(c.idle_at(SimTime(20_000)));
-        assert!(!c.idle_at(SimTime(10_050)));
+        assert_eq!(c.busy_until, SimTime(10_100));
     }
 
     #[test]

@@ -136,10 +136,16 @@ impl Switch {
         self.faults = Some(faults);
     }
 
-    /// Attaches a NIC to a port and installs its MAC in the forwarding
-    /// table. For bonded MACs, call once per member port; entries
-    /// accumulate into a LAG.
+    /// Attaches a NIC to a port, adding ports up to it if the switch
+    /// has fewer, and installs its MAC in the forwarding table. For
+    /// bonded MACs, call once per member port; entries accumulate into a
+    /// LAG.
     pub fn attach(&mut self, port: u16, nic: NicRef, mac: MacAddr) {
+        let n = port as usize + 1;
+        if self.ports.len() < n {
+            self.ports.resize_with(n, SwitchPort::default);
+            self.attached.resize(n, None);
+        }
         self.attached[port as usize] = Some(nic);
         match self.table.get_mut(&mac) {
             None => {

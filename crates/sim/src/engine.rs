@@ -537,12 +537,6 @@ impl Simulator {
             }
         }
     }
-
-    /// Runs for `dur` of virtual time from the current instant.
-    pub fn run_for(&mut self, dur: Nanos) {
-        let deadline = self.now + dur;
-        self.run_until(deadline);
-    }
 }
 
 impl std::fmt::Debug for Simulator {

@@ -144,12 +144,6 @@ impl SimTime {
         Nanos(self.0 - earlier.0)
     }
 
-    /// Saturating version of [`SimTime::since`], returning zero if `earlier`
-    /// is in the future.
-    pub fn saturating_since(self, earlier: SimTime) -> Nanos {
-        Nanos(self.0.saturating_sub(earlier.0))
-    }
-
     /// Returns the later of the two instants.
     pub fn max(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.max(rhs.0))
@@ -206,7 +200,6 @@ mod tests {
         let t0 = SimTime(1_000);
         let t1 = t0 + Nanos(500);
         assert_eq!(t1.since(t0), Nanos(500));
-        assert_eq!(t0.saturating_since(t1), Nanos::ZERO);
         assert_eq!(t0.max(t1), t1);
     }
 

@@ -23,6 +23,23 @@ pub enum AckPolicy {
     Delayed(u64),
 }
 
+/// Maximum retransmission attempts before the connection is killed.
+pub const MAX_RETRIES: u32 = 15;
+
+/// TIME_WAIT hold time, ns. Abbreviated from 2*MSL: the evaluation
+/// workloads close with RST precisely to avoid TIME_WAIT state
+/// accumulation (§5.3), so only correctness tests observe this.
+pub const TIME_WAIT_NS: u64 = 1_000_000_000;
+
+/// How many ephemeral ports to probe for RSS-aligned outbound
+/// connections before giving up and taking the last candidate.
+pub const RSS_PROBE_LIMIT: u32 = 512;
+
+/// Width of the SYN-cookie timestamp bucket, ns: a cookie validates in
+/// its mint bucket and the next one, so this is half the minimum
+/// handshake-completion deadline.
+pub const SYN_COOKIE_BUCKET_NS: u64 = 1_000_000_000;
+
 /// Configuration for one [`crate::TcpShard`].
 #[derive(Debug, Clone)]
 pub struct StackConfig {
@@ -45,23 +62,14 @@ pub struct StackConfig {
     pub min_rto_ns: u64,
     /// Maximum retransmission timeout, ns.
     pub max_rto_ns: u64,
-    /// Maximum retransmission attempts before the connection is killed.
-    pub max_retries: u32,
     /// SYN retransmission timeout, ns.
     pub syn_rto_ns: u64,
-    /// TIME_WAIT hold time, ns. Abbreviated from 2*MSL: the evaluation
-    /// workloads close with RST precisely to avoid TIME_WAIT state
-    /// accumulation (§5.3), so only correctness tests observe this.
-    pub time_wait_ns: u64,
     /// Zero-window probe interval, ns.
     pub persist_ns: u64,
     /// ACK generation policy.
     pub ack_policy: AckPolicy,
     /// Capacity of the shard's mbuf pool (transmit-side allocation).
     pub mbuf_pool: usize,
-    /// How many ephemeral ports to probe for RSS-aligned outbound
-    /// connections before giving up and taking the last candidate.
-    pub rss_probe_limit: u32,
     /// When true, every passive open answers with a stateless SYN-cookie
     /// SYN-ACK and the TCB is allocated only on a validated cookie ACK
     /// (the filter policy's syn-challenge verdict enables the same path
@@ -74,10 +82,6 @@ pub struct StackConfig {
     /// slots. Generous by default so connection-scale sweeps (which
     /// legitimately burst handshakes) never see it.
     pub syn_backlog: usize,
-    /// Width of the SYN-cookie timestamp bucket, ns: a cookie validates
-    /// in its mint bucket and the next one, so this is half the minimum
-    /// handshake-completion deadline.
-    pub syn_cookie_bucket_ns: u64,
 }
 
 impl Default for StackConfig {
@@ -89,16 +93,12 @@ impl Default for StackConfig {
             initial_cwnd_segs: 10,
             min_rto_ns: 200_000_000,
             max_rto_ns: 120_000_000_000,
-            max_retries: 15,
             syn_rto_ns: 500_000_000,
-            time_wait_ns: 1_000_000_000,
             persist_ns: 200_000_000,
             ack_policy: AckPolicy::EndOfCycle,
             mbuf_pool: 8192,
-            rss_probe_limit: 512,
             syn_cookies: false,
             syn_backlog: 65_536,
-            syn_cookie_bucket_ns: 1_000_000_000,
         }
     }
 }

@@ -420,12 +420,13 @@ impl<T> FlowMap<T> {
         }
     }
 
-    /// A map pre-sized for `n` entries.
+    /// A map pre-sized for `n` entries: it allocates nothing more while
+    /// it holds at most `n` unbucketed entries.
     pub fn with_capacity(n: usize) -> Self {
         FlowMap {
             table: FlowTable::with_capacity(n),
             slab: Vec::with_capacity(n),
-            free: Vec::new(),
+            free: Vec::with_capacity(n),
             links: Vec::new(),
             heads: Vec::new(),
             tails: Vec::new(),

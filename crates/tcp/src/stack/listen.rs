@@ -7,6 +7,7 @@ use ix_net::tcp::{TcpFlags, TcpHeader};
 
 use super::{SegmentSpec, TcpShard, TimerEntry};
 use crate::event::{FlowId, TcpEvent};
+use crate::config::SYN_COOKIE_BUCKET_NS;
 use crate::syncookie;
 use crate::tcb::{TcpState, TimerKind};
 
@@ -135,7 +136,7 @@ impl TcpShard {
     /// the peer offered survives as a 2-bit class inside the cookie; no
     /// window scaling is negotiated (nowhere to remember the shift).
     fn send_cookie_synack(&mut self, key: u64, hdr: &TcpHeader) {
-        let bucket = self.now_ns / self.cfg.syn_cookie_bucket_ns;
+        let bucket = self.now_ns / SYN_COOKIE_BUCKET_NS;
         let peer_mss = hdr.mss.unwrap_or(536).min(self.cfg.mss as u16);
         let class = syncookie::mss_class(peer_mss);
         let cookie = syncookie::encode(self.cookie_secret, key, hdr.seq, bucket, class);
@@ -158,7 +159,7 @@ impl TcpShard {
     /// happens here, after the peer proved the round trip. Returns false
     /// (consuming the payload) when the cookie does not verify.
     fn try_cookie_accept(&mut self, key: u64, hdr: &TcpHeader, payload: Mbuf) -> bool {
-        let bucket_now = self.now_ns / self.cfg.syn_cookie_bucket_ns;
+        let bucket_now = self.now_ns / SYN_COOKIE_BUCKET_NS;
         let cookie = hdr.ack.wrapping_sub(1);
         let peer_iss = hdr.seq.wrapping_sub(1);
         let Some(mss) =

@@ -5,6 +5,7 @@ use ix_mempool::Spares;
 use ix_timerwheel::TimerWheel;
 
 use super::{TcpShard, TimerEntry};
+use crate::config::TIME_WAIT_NS;
 use crate::event::FlowId;
 use crate::flow_table::{FlowMap, NO_BUCKET, NUM_BUCKETS};
 use crate::tcb::{Tcb, TcbCold, TcpState, TimerKind};
@@ -180,7 +181,7 @@ impl TcpShard {
                 let residual = |kind: TimerKind| residuals.and_then(|r| r[kind as usize]);
                 let rto = residual(TimerKind::Rto).unwrap_or(tcb.rto_ns);
                 let need_tw = tcb.state == TcpState::TimeWait;
-                let tw = residual(TimerKind::TimeWait).unwrap_or(self.cfg.time_wait_ns);
+                let tw = residual(TimerKind::TimeWait).unwrap_or(TIME_WAIT_NS);
                 let persist = residual(TimerKind::Persist);
                 let delack = residual(TimerKind::DelAck);
                 // A pending delayed ACK stays on the timer path below; a

@@ -25,7 +25,7 @@ use ix_testkit::{buffer_id, Bytes};
 use ix_timerwheel::TimerWheel;
 
 use crate::arp_table::ArpTable;
-use crate::config::{AckPolicy, StackConfig};
+use crate::config::{AckPolicy, StackConfig, RSS_PROBE_LIMIT};
 use crate::event::{FlowId, TcpEvent};
 use crate::flow_table::{FlowMap, FlowMapMem, NUM_BUCKETS};
 use crate::tcb::{Tcb, TcbCold, TcpState, TimerKind, TxSeg};
@@ -223,7 +223,7 @@ pub struct TcpShard {
     /// Local MAC address.
     pub local_mac: MacAddr,
     /// Per-packet demux: open-addressing table over the packed
-    /// [`FlowId`] word into a contiguous TCB slab (DESIGN.md §5d).
+    /// [`FlowId`] word into a contiguous TCB slab (DESIGN.md §5).
     flows: FlowMap<Tcb>,
     listeners: HashSet<u16>,
     arp: ArpTable,
@@ -241,7 +241,7 @@ pub struct TcpShard {
     /// queue, and the cold blocks: lent to a flow only while its queue
     /// is non-empty (its cold state set), back on these stacks
     /// otherwise, so an idle flow owns its slab slot and nothing else
-    /// (DESIGN.md §5k). Two queue stacks because the two queues empty
+    /// (DESIGN.md §13). Two queue stacks because the two queues empty
     /// at different times — `rx_held` when the application credits,
     /// `rtq` when the peer acknowledges.
     spare_rtq: Spares<VecDeque<TxSeg>>,
@@ -655,8 +655,7 @@ impl TcpShard {
     /// Picks an ephemeral port whose reply tuple RSS-hashes back to this
     /// shard's queue (§4.4: "we simply probe the ephemeral port range").
     fn pick_ephemeral(&mut self, dst_ip: Ipv4Addr, dst_port: u16) -> Result<u16, StackError> {
-        let limit = self.cfg.rss_probe_limit;
-        for _ in 0..limit {
+        for _ in 0..RSS_PROBE_LIMIT {
             let port = self.eph_cursor;
             self.eph_cursor = if self.eph_cursor == u16::MAX { EPH_LO } else { self.eph_cursor + 1 };
             if self.flows.contains_key(FlowId::pack(dst_ip, dst_port, port)) {

@@ -163,7 +163,7 @@ impl TcpShard {
         }
     }
 
-    /// Processes a whole polled batch of frames (DESIGN.md §5j): (1)
+    /// Processes a whole polled batch of frames (DESIGN.md §4): (1)
     /// each frame takes the validating parse in arrival order — non-TCP
     /// frames are handled there, TCP segments are staged and chained
     /// onto their flow's group; (2) each same-flow run is processed

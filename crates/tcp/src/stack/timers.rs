@@ -5,6 +5,7 @@ use ix_net::tcp::TcpFlags;
 use ix_testkit::Bytes;
 
 use super::{SegmentSpec, TcpShard, TimerEntry};
+use crate::config::{MAX_RETRIES, TIME_WAIT_NS};
 use crate::event::{DeadReason, TcpEvent};
 use crate::tcb::{TcpState, TimerKind};
 
@@ -18,7 +19,7 @@ impl TcpShard {
             self.wheel.cancel(t);
         }
         let t = self.wheel.schedule(
-            self.cfg.time_wait_ns,
+            TIME_WAIT_NS,
             TimerEntry { key, gen, kind: TimerKind::TimeWait },
         );
         tcb.cold_mut(&mut self.spare_cold).timewait_timer = Some(t);
@@ -94,7 +95,7 @@ impl TcpShard {
         tcb.retries += 1;
         let snd_nxt = tcb.snd_nxt;
         tcb.cold_mut(&mut self.spare_cold).recovery_episode.get_or_insert((now, snd_nxt));
-        if tcb.retries > self.cfg.max_retries {
+        if tcb.retries > MAX_RETRIES {
             let (id, cookie, state) = (tcb.id, tcb.cookie, tcb.state);
             if state == TcpState::SynSent {
                 self.events.push(TcpEvent::Connected { flow: id, cookie, ok: false });

@@ -312,7 +312,7 @@ fn stats_and_gauges_conserve_across_migration() {
 }
 
 // ---------------------------------------------------------------------
-// Lent storage (DESIGN.md §5k). A flow's queue buffers are on loan from
+// Lent storage (DESIGN.md §13). A flow's queue buffers are on loan from
 // its shard's spare stacks and its timer residuals ride in its cold
 // block: both leave inside the TCB, and what was borrowed on one shard
 // is handed back on the other.

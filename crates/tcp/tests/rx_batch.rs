@@ -1,4 +1,4 @@
-//! Differential property suite for the RX path (DESIGN.md §5j). Every
+//! Differential property suite for the RX path (DESIGN.md §4). Every
 //! plan drives the *same* wire frames into two shards:
 //!
 //! - **pipeline** — the receive path under test: whole batches through

@@ -189,7 +189,7 @@ fn forged_ack_is_rejected_with_rst() {
 
 #[test]
 fn cookie_from_previous_bucket_accepted_then_expires() {
-    let bucket_ns = StackConfig::default().syn_cookie_bucket_ns;
+    let bucket_ns = ix_tcp::config::SYN_COOKIE_BUCKET_NS;
     // Completing ACK lands one bucket later (a slow RTT): still valid.
     let mut s = server(cookies_on());
     s.input(0, frame(PEER_IP, syn(4000, 100), &[]));
