@@ -749,11 +749,6 @@ pub struct RunReport {
 const SAMPLE_NS: u64 = 1_000_000;
 /// Latency-series window of the spike layer.
 const SERIES_NS: u64 = 1_000_000;
-/// The elastic controller's queue-delay SLA, epoch and per-frame
-/// service estimate; the SLA also judges the series windows.
-const SLA_NS: u64 = 300_000;
-const EPOCH_NS: u64 = 200_000;
-const PER_FRAME_NS: u64 = 2_000;
 /// Timed whole-shard migrations of the ping-pong, and the load time
 /// between them.
 const MIGRATIONS: usize = 8;
@@ -982,11 +977,7 @@ fn load(tb: &mut Testbed, sc: &Scenario) -> RunReport {
             let deadline = window_end + drain_ns.as_nanos();
             let (_, health) = ixcp::start_queue_watchdog(sim, dp, 1_000_000, deadline, fc.clone());
             let cfg = ix_core::ElasticConfig {
-                epoch_ns: EPOCH_NS,
-                sla_ns: SLA_NS,
-                per_frame_ns: PER_FRAME_NS,
                 shed_port: s.admission_gate.then_some(port),
-                shed_sla_ns: SLA_NS * 2,
                 ..ix_core::ElasticConfig::default()
             };
             ixcp::start_elastic_controller(sim, dp, cfg, fc, Some(health), deadline)
@@ -1139,7 +1130,8 @@ fn recovery(r: &mut RunReport, per: Vec<u64>, fault_from: u64) {
 
 /// Fig 9's absorb time, post-spike violations and core-time share.
 fn spike_metrics(r: &mut RunReport, transitions: &[(u64, bool)], active: &[usize], end: u64, cores: usize) {
-    let over = |k: usize| r.series[k].0 > SLA_NS;
+    let sla_ns = ix_core::ElasticConfig::default().sla_ns;
+    let over = |k: usize| r.series[k].0 > sla_ns;
     let start = |k: usize| k as u64 * SERIES_NS;
     // Within the first spike, when does the last over-SLA window end?
     let first_on = transitions.iter().find(|t| t.1).map(|t| t.0);

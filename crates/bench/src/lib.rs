@@ -1,11 +1,11 @@
 //! Benchmark harness for the IX reproduction.
 //!
 //! One binary per paper table/figure (see `src/bin/`): each regenerates
-//! the corresponding rows/series. Microbenchmarks of the hot data
-//! structures live under `benches/`. Shared output formatting lives
-//! here, alongside the parallel [`sweep`] runner the figure binaries
-//! farm their points out with. A binary's stdout is a pure function of
-//! its seed; the one host timing it takes goes to stderr.
+//! the corresponding rows/series. Shared output formatting lives here,
+//! alongside the parallel [`sweep`] runner the figure binaries farm
+//! their points out with. A binary's stdout is a pure function of its
+//! seed; the one host timing it takes goes to stderr. Per-layer host
+//! costs are timed by the standalone `benchmark/` crate.
 
 pub mod sweep;
 

@@ -465,14 +465,14 @@ pub struct ElasticConfig {
 impl Default for ElasticConfig {
     fn default() -> ElasticConfig {
         ElasticConfig {
-            epoch_ns: 50_000,
-            sla_ns: 100_000,
-            per_frame_ns: 1_000,
+            epoch_ns: 200_000,
+            sla_ns: 300_000,
+            per_frame_ns: 2_000,
             revoke_epochs: 20,
             min_active: 1,
             max_buckets_per_epoch: 16,
             shed_port: None,
-            shed_sla_ns: 200_000,
+            shed_sla_ns: 600_000,
             shed_calm_epochs: 6,
         }
     }

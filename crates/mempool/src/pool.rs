@@ -6,17 +6,12 @@ use std::sync::Arc;
 
 use crate::mbuf::{Mbuf, MBUF_DATA_SIZE};
 
-/// Simulated large-page size: IX allocates dataplane memory exclusively in
-/// 2 MB pages (§4.2). A unit of *capacity* ([`MbufPool::with_large_pages`]);
-/// host memory is committed in much smaller steps, see [`PROVISION_BLOCK`].
-pub const LARGE_PAGE: usize = 2 * 1024 * 1024;
-
 /// Buffers materialized each time a pool's free list runs dry below its
 /// capacity (64 KiB of storage). A testbed holds hundreds of pools — one
 /// per RX ring and per shard on every host — and most never have more
 /// than a few dozen buffers outstanding, so host memory follows
-/// `peak_outstanding` to within one block instead of jumping by a whole
-/// simulated large page on a pool's first use.
+/// `peak_outstanding` to within one block instead of committing a
+/// pool's whole capacity on its first use.
 pub const PROVISION_BLOCK: usize = 32;
 
 /// Allocation statistics for a pool.
@@ -136,11 +131,6 @@ impl MbufPool {
         }
     }
 
-    /// Creates a pool sized in simulated 2 MB large pages.
-    pub fn with_large_pages(pages: usize) -> MbufPool {
-        MbufPool::new(pages * (LARGE_PAGE / MBUF_DATA_SIZE))
-    }
-
     /// Allocates an mbuf, or `None` if the pool is exhausted. One borrow,
     /// one pop: the free list carries the outstanding/peak bookkeeping.
     pub fn alloc(&mut self) -> Option<Mbuf> {
@@ -154,28 +144,6 @@ impl MbufPool {
                 None
             }
         }
-    }
-
-    /// Allocates up to `n` mbufs in one free-list transaction, appending
-    /// them to `out`; returns how many were delivered (short on
-    /// exhaustion). This is the bulk ring-refill shape of a polled RX
-    /// path (IX §3: batching amortizes per-packet costs at every stage,
-    /// buffer management included) — one borrow for the whole batch
-    /// instead of one per buffer.
-    pub fn alloc_batch(&mut self, n: usize, out: &mut Vec<Mbuf>) -> usize {
-        let mut got = 0;
-        {
-            let mut list = self.list.borrow_mut();
-            out.reserve(n);
-            while got < n {
-                let Some(storage) = list.take() else { break };
-                out.push(Mbuf::from_storage(storage, Rc::downgrade(&self.list)));
-                got += 1;
-            }
-        }
-        self.stats.allocs += got as u64;
-        self.stats.exhausted += (n - got) as u64;
-        got
     }
 
     /// Allocates an mbuf pre-filled with `data`.
@@ -378,12 +346,6 @@ mod tests {
         m.extend_from_slice(b"data");
         m.prepend(94);
         assert_eq!(m.len(), 98);
-    }
-
-    #[test]
-    fn large_page_sizing() {
-        let pool = MbufPool::with_large_pages(1);
-        assert_eq!(pool.capacity(), LARGE_PAGE / MBUF_DATA_SIZE);
     }
 
     #[test]

@@ -12,9 +12,6 @@ use crate::NetError;
 pub struct Ipv4Addr(pub u32);
 
 impl Ipv4Addr {
-    /// The unspecified address `0.0.0.0`.
-    pub const UNSPECIFIED: Ipv4Addr = Ipv4Addr(0);
-
     /// Builds an address from dotted-quad octets.
     pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Ipv4Addr {
         Ipv4Addr(u32::from_be_bytes([a, b, c, d]))

@@ -5,8 +5,6 @@
 //! overhead; this module is the single place that arithmetic lives.
 
 use crate::eth::EthHeader;
-use crate::ip::Ipv4Header;
-use crate::tcp::TcpHeader;
 
 /// Standard Ethernet MTU: the largest IP datagram per frame. The paper's
 /// testbed never enables jumbo frames (§5.1).
@@ -24,9 +22,6 @@ pub const FCS_LEN: usize = 4;
 /// Preamble + start-of-frame delimiter (8) plus minimum inter-frame gap
 /// (12): per-frame wire overhead that never appears in any buffer.
 pub const PREAMBLE_IFG: usize = 20;
-
-/// TCP maximum segment size for a standard MTU: 1500 - 20 (IP) - 20 (TCP).
-pub const TCP_MSS: usize = ETH_MTU - Ipv4Header::LEN - TcpHeader::BASE_LEN;
 
 /// Returns the number of bytes a frame with `l2_payload` bytes of L2
 /// payload (IP datagram or ARP body) occupies on the wire, including
@@ -70,7 +65,6 @@ mod tests {
     fn full_frame() {
         assert_eq!(frame_wire_bytes(ETH_MTU), 1538);
         assert_eq!(MAX_FRAME, 1518);
-        assert_eq!(TCP_MSS, 1460);
     }
 
     #[test]

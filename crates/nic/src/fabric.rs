@@ -311,6 +311,47 @@ mod tests {
     }
 
     #[test]
+    fn tx_hang_defers_the_drain_and_a_lost_doorbell_strands_the_ring() {
+        use ix_faults::{FaultPlan, NicFaults};
+        /// End of the TX hang window over t = 0: far past the one-way
+        /// latency, so an unhung drain would have delivered long before.
+        const HANG_END: u64 = 50_000;
+        let rx_frames = |f: &Fabric| f.host(HostId(1)).nics[0].borrow().stats.rx_frames;
+
+        // A frame kicked inside the window leaves when it closes.
+        let mut sim = Simulator::new(1);
+        let mut f = testbed();
+        let port = f.host_port(HostId(0), 0);
+        let hang = NicFaults { tx_hangs: vec![(0, HANG_END)], ..NicFaults::default() };
+        let faults = f.install_faults(FaultPlan::new(1).with_nic(port, hang));
+        let frame = frame_between(&f, HostId(0), HostId(1), b"late");
+        let l2 = frame.len() - EthHeader::LEN;
+        let src_nic = f.host(HostId(0)).nics[0].clone();
+        src_nic.borrow_mut().tx_ring(0).push(frame).ok().unwrap();
+        crate::nic::Nic::kick_tx(&src_nic, &mut sim);
+        sim.run_until(SimTime(HANG_END - 1));
+        assert_eq!(rx_frames(&f), 0, "the frame left inside the hang window");
+        sim.run();
+        assert_eq!(rx_frames(&f), 1);
+        assert_eq!(sim.now(), SimTime(HANG_END + f.params().fabric_one_way_ns(l2)));
+        assert_eq!(faults.borrow().snapshot().nics[&port].tx_hang_defers, 1);
+
+        // A lost doorbell leaves the frame in the ring and the wire idle.
+        let mut sim = Simulator::new(1);
+        let mut f = testbed();
+        let lossy = NicFaults { doorbell_loss: 1.0, ..NicFaults::default() };
+        let faults = f.install_faults(FaultPlan::new(1).with_nic(port, lossy));
+        let frame = frame_between(&f, HostId(0), HostId(1), b"lost");
+        let src_nic = f.host(HostId(0)).nics[0].clone();
+        src_nic.borrow_mut().tx_ring(0).push(frame).ok().unwrap();
+        crate::nic::Nic::kick_tx(&src_nic, &mut sim);
+        sim.run();
+        assert_eq!(src_nic.borrow_mut().tx_ring(0).pending(), 1);
+        assert_eq!(rx_frames(&f), 0);
+        assert_eq!(faults.borrow().snapshot().nics[&port].doorbells_lost, 1);
+    }
+
+    #[test]
     fn wire_accounting_matches_frames() {
         // frame_wire_bytes is used for goodput math in the benches; check
         // one concrete case end to end.

@@ -85,15 +85,6 @@ impl Core {
         }
         end
     }
-
-    /// Fraction of the window `[start, end)` this core spent busy.
-    /// Callers snapshot `busy_ns` at the window edges.
-    pub fn utilization(busy_ns_delta: u64, window: Nanos) -> f64 {
-        if window.as_nanos() == 0 {
-            return 0.0;
-        }
-        busy_ns_delta as f64 / window.as_nanos() as f64
-    }
 }
 
 impl Default for Core {
@@ -173,12 +164,6 @@ mod tests {
         let mut ht = Core::with_speed(0.5);
         let end = ht.run(SimTime(0), Nanos(100), CpuDomain::Kernel);
         assert_eq!(end, SimTime(200));
-    }
-
-    #[test]
-    fn utilization_math() {
-        assert_eq!(Core::utilization(500, Nanos(1_000)), 0.5);
-        assert_eq!(Core::utilization(0, Nanos(0)), 0.0);
     }
 
     #[test]

@@ -41,5 +41,5 @@ pub mod time;
 
 pub use engine::{EventId, EventTarget, SimCounters, Simulator};
 pub use rng::SimRng;
-pub use stats::{Histogram, RunningStats};
+pub use stats::Histogram;
 pub use time::{Nanos, SimTime};

@@ -1,9 +1,9 @@
-//! Measurement utilities: latency histograms and running statistics.
+//! Measurement utility: the latency histogram.
 //!
 //! The paper reports average and 99th-percentile latency (Figs 5, 6,
 //! Table 2) and throughput in messages per second. `Histogram` is an
 //! HdrHistogram-style log-linear histogram tuned for microsecond-scale
-//! request latencies; `RunningStats` tracks count/mean cheaply.
+//! request latencies.
 
 use crate::time::Nanos;
 
@@ -163,72 +163,6 @@ impl Default for Histogram {
     }
 }
 
-/// Cheap count/sum/min/max tracker for throughput-style counters.
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty tracker.
-    pub fn new() -> RunningStats {
-        RunningStats {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of observations; zero if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest observation; zero if empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation; zero if empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,19 +253,5 @@ mod tests {
             };
             assert!(v < hi, "v={v} hi={hi}");
         }
-    }
-
-    #[test]
-    fn running_stats() {
-        let mut s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        s.record(1.0);
-        s.record(3.0);
-        s.record(5.0);
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.mean(), 3.0);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 5.0);
-        assert_eq!(s.sum(), 9.0);
     }
 }

@@ -54,7 +54,7 @@ pub struct StackConfig {
     pub window_scale: u8,
     /// Initial congestion window in segments (RFC 6928 IW10 was not yet
     /// standard practice on the 3.16 kernel era; 10 is used by all modern
-    /// stacks and keeps the microbenchmarks out of slow-start artifacts).
+    /// stacks and keeps the echo experiments out of slow-start artifacts).
     pub initial_cwnd_segs: u32,
     /// Minimum retransmission timeout, ns. The paper highlights support
     /// for timeouts as low as 16 µs for incast (§4.2); the default here

@@ -278,30 +278,6 @@ impl FlowTable {
         self.slots.iter().filter(|s| s.idx != EMPTY).map(|s| (s.key, s.idx))
     }
 
-    /// Collect every live key into a fresh vector, in slot order.
-    ///
-    /// Branchless occupancy scan: every slot's key is written and the
-    /// cursor advance is predicated, so the ~60/40 occupied/vacant
-    /// pattern (hash-random, hence unpredictable) costs no branch
-    /// mispredicts — about 3x faster than `iter()` over a loaded
-    /// table. The migration scan is built on this.
-    pub fn collect_keys(&self) -> Vec<u64> {
-        if self.len == 0 {
-            return Vec::new();
-        }
-        // One guard slot: the predicated write lands at `buf[len]` for
-        // vacant slots scanned after the last live key is recorded.
-        let mut buf = vec![0u64; self.len + 1];
-        let mut n = 0usize;
-        for s in &self.slots {
-            buf[n] = s.key;
-            n += usize::from(s.idx != EMPTY);
-        }
-        debug_assert_eq!(n, self.len);
-        buf.truncate(n);
-        buf
-    }
-
     /// Pre-size the probe array so `additional` more entries fit
     /// without growing. Bulk absorb ([`FlowMap::reserve`]) calls this
     /// once per migration instead of paying incremental rebuilds
@@ -359,7 +335,7 @@ const UNLINKED: Link = Link { prev: EMPTY, next: EMPTY, key: 0, bucket: NO_BUCKE
 
 /// `u64 → T` map backed by a [`FlowTable`] of slab indices: the drop-in
 /// replacement for `HashMap<u64, Tcb>` in [`TcpShard`], generic so the
-/// microbenches and differential tests exercise it with small payloads.
+/// differential tests exercise it with small payloads.
 ///
 /// Values live in a contiguous slab (`Vec<Option<T>>`) with a LIFO free
 /// list; the table maps keys to `u32` slots. Removing a value never
@@ -794,13 +770,6 @@ impl<T> FlowMap<T> {
     /// slab.
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
         self.table.iter().map(|(k, _)| k)
-    }
-
-    /// Collect every live key in slot order via the branchless probe
-    /// array scan (see [`FlowTable::collect_keys`]): a predicated pass
-    /// over 16-byte slots, not 250k TCB cache lines.
-    pub fn collect_keys(&self) -> Vec<u64> {
-        self.table.collect_keys()
     }
 
     /// Live entries (== `len()`), high-water slab slots, and resident

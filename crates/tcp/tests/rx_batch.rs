@@ -597,9 +597,10 @@ fn run_plan_all(isns: [u32; N_FLOWS], batches: &[Vec<FrameOp>]) {
 // Directed scenarios.
 // ---------------------------------------------------------------------
 
-/// 16 interleaved in-order segments (4 flows round-robin): the shape of
-/// the rxbatch microbench. Under Immediate the pipeline must coalesce to
-/// exactly one ACK per flow while the reference acks every segment.
+/// 16 interleaved in-order segments (4 flows round-robin): a polled RX
+/// batch from several hot flows. Under Immediate the pipeline must
+/// coalesce to exactly one ACK per flow while the reference acks every
+/// segment.
 #[test]
 fn interleaved_inorder_runs_coalesce_acks() {
     let mode = Mode { policy: AckPolicy::Immediate, syn_cookies: false, feed: Feed::Batch, tight: false };

@@ -2,11 +2,10 @@
 //! `bytes` crate.
 //!
 //! [`Bytes`] is a reference-counted view into a shared `Arc<[u8]>`
-//! backing store. Cloning, [`Bytes::slice`], and [`Bytes::split_to`] are
-//! O(1) and never copy payload — which is exactly the shared-immutability
-//! contract the IX zero-copy `sendv` path models (§3 of the paper: the
-//! application must keep transmitted buffers immutable until the peer
-//! acknowledges them).
+//! backing store. Cloning and [`Bytes::slice`] are O(1) and never copy
+//! payload — which is exactly the shared-immutability contract the IX
+//! zero-copy `sendv` path models (§3 of the paper: the application must
+//! keep transmitted buffers immutable until the peer acknowledges them).
 //!
 //! Only the API surface the workspace actually uses is provided; this is
 //! deliberately not a general-purpose buffer library.
@@ -18,8 +17,8 @@ use std::sync::Arc;
 
 /// An immutable, reference-counted slice of bytes.
 ///
-/// `Clone` is a refcount bump; `slice`/`split_to` produce new views into
-/// the same backing allocation.
+/// `Clone` is a refcount bump; `slice` produces a new view into the same
+/// backing allocation.
 #[derive(Clone)]
 pub struct Bytes {
     data: Arc<[u8]>,
@@ -117,18 +116,6 @@ impl Bytes {
             off: self.off + start,
             len: end - start,
         }
-    }
-
-    /// Splits off and returns the first `n` bytes; `self` keeps the rest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > self.len()`.
-    pub fn split_to(&mut self, n: usize) -> Bytes {
-        let head = self.slice(..n);
-        self.off += n;
-        self.len -= n;
-        head
     }
 
     /// True when both views share the same backing allocation, regardless
@@ -269,17 +256,6 @@ mod tests {
         assert_eq!(a.slice(..3), [0, 1, 2]);
         assert_eq!(a.slice(3..), [3, 4, 5]);
         assert_eq!(a.slice(..).len(), 6);
-    }
-
-    #[test]
-    fn split_to_partitions() {
-        let mut a = Bytes::from(vec![9, 8, 7, 6]);
-        let head = a.split_to(1);
-        assert_eq!(head, [9]);
-        assert_eq!(a, [8, 7, 6]);
-        let rest = a.split_to(3);
-        assert_eq!(rest, [8, 7, 6]);
-        assert!(a.is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # ix-testkit — in-tree test & bench substrate
+//! # ix-testkit — in-tree test substrate
 //!
 //! Everything the workspace previously pulled from crates.io for testing
 //! lives here, so the whole repo builds and tests **fully offline**:
@@ -9,8 +9,6 @@
 //! * [`prop`] — a deterministic, seedable property-testing harness with
 //!   greedy shrinking and a [`props!`] macro mirroring `proptest!`
 //!   syntax (replaces `proptest`).
-//! * [`bench`] — a minimal wall-clock bench runner (replaces
-//!   `criterion`).
 //! * [`SimRng`] — re-export of the simulator's SplitMix64-seeded
 //!   xoshiro256++ generator: the **one** RNG for workloads and tests, so
 //!   every result is reproducible from `(configuration, seed)` alone.
@@ -18,7 +16,6 @@
 //! Policy (see DESIGN.md): new test infrastructure goes here, and no
 //! crate in the workspace may depend on a registry crate.
 
-pub mod bench;
 pub mod bytes;
 pub mod prop;
 
