@@ -39,6 +39,7 @@ use ix_core::ixcp::{self, FilterControl, MigrateReport, WatchdogStats};
 use ix_core::libix::{Libix, LibixHandler};
 use ix_core::params::CostParams;
 use ix_faults::{FaultPlan, FaultSnapshot};
+use ix_net::rss::RSS_BUCKETS;
 use ix_nic::fabric::Fabric;
 use ix_nic::host::{Host, HostId};
 use ix_nic::params::MachineParams;
@@ -1075,7 +1076,7 @@ fn shard_pingpong(
     let m1 = total();
     r.burst_conns = tb.engine().conns();
     let migrate = |tb: &mut Testbed, core: usize| {
-        tb.with_ix(|sim, d| ixcp::reprogram_and_migrate(sim, d, vec![core; 128], None))
+        tb.with_ix(|sim, d| ixcp::reprogram_and_migrate(sim, d, vec![core; RSS_BUCKETS], None))
             .expect("the shard ping-pong drives an IX server")
     };
     migrate(tb, 0);

@@ -51,7 +51,7 @@ impl Workload {
     }
 
     /// Fraction of GET operations.
-    pub fn get_ratio(&self) -> f64 {
+    fn get_ratio(&self) -> f64 {
         match self.kind {
             WorkloadKind::Etc => 0.75,
             WorkloadKind::Usr => 0.99,

@@ -27,6 +27,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use ix_mempool::Mbuf;
+use ix_net::rss::RSS_BUCKETS;
 use ix_nic::cache::DdioModel;
 use ix_nic::host::{CoreRef, CpuDomain, Host};
 use ix_nic::nic::{Nic, NicRef, QueueId};
@@ -653,7 +654,7 @@ pub fn launch_cores<C: 'static>(
     assert!(n <= host.cores.len(), "not enough hardware threads");
     assert!(n <= host.nics[0].borrow().queues(), "not enough NIC queues");
     for nic in &host.nics {
-        nic.borrow_mut().set_redirection((0..128).map(|i| i % n).collect());
+        nic.borrow_mut().set_redirection((0..RSS_BUCKETS).map(|i| i % n).collect());
     }
     (0..n)
         .map(|i| {
@@ -661,13 +662,8 @@ pub fn launch_cores<C: 'static>(
             if let Some(p) = listen_port {
                 shard.listen(p);
             }
-            let (nic0, local_ip) = (host.nics[0].clone(), host.ip);
-            shard.set_steering(
-                i,
-                Rc::new(move |remote_ip, remote_port, local_port| {
-                    nic0.borrow().queue_for_flow(remote_ip, local_ip, remote_port, local_port)
-                }),
-            );
+            let nic0 = host.nics[0].clone();
+            shard.set_steering(i, Rc::new(move |bucket| nic0.borrow().redirection()[bucket as usize]));
             let base = EngineCore {
                 id: i,
                 shard,

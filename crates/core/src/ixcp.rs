@@ -36,6 +36,7 @@ use std::time::Instant;
 
 use ix_net::filter::{FilterPolicy, RuleAction};
 use ix_net::ip::IpProto;
+use ix_net::rss::RSS_BUCKETS;
 use ix_nic::nic::NicRef;
 use ix_sim::{Nanos, Simulator};
 use ix_tcp::Tcb;
@@ -249,7 +250,7 @@ pub fn set_active_threads(
     for (i, th) in dp.threads.iter().enumerate() {
         th.borrow_mut().parked = i >= n;
     }
-    let map: Vec<usize> = (0..128).map(|b| b % n).collect();
+    let map: Vec<usize> = (0..RSS_BUCKETS).map(|b| b % n).collect();
     let all: Vec<usize> = (0..dp.threads.len()).collect();
     remap(sim, &dp.threads, &map, &all, filter, Wake::Unparked);
 }

@@ -18,6 +18,7 @@
 use ix_apps::harness::{run, App, Scenario, ServerEngine, System, Testbed};
 use ix_apps::{EchoBenchStats, EchoClient, EchoServer};
 use ix_core::ixcp;
+use ix_net::rss::RSS_BUCKETS;
 
 /// The port `harness::run` serves echo on.
 const PORT: u16 = 7000;
@@ -73,7 +74,7 @@ fn every_pushed_frame_is_transmitted_queued_or_counted_dropped() {
             tb.run_until_ns(at);
             let (sent, (total, _)) = (tx_packets(&tb), rings(&tb));
             let Some(ServerEngine::Ix(d)) = &tb.engine else { unreachable!("only IX migrates") };
-            let map = (0..128).map(|b| (b + 1) % cores).collect();
+            let map = (0..RSS_BUCKETS).map(|b| (b + 1) % cores).collect();
             let moved = ixcp::reprogram_and_migrate(&mut tb.sim, d, map, None).moved;
             assert!(moved > 0, "the re-steer moved no flow");
             // Nothing but the quiesce ran: what it counted, it pushed.

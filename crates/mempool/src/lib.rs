@@ -28,4 +28,4 @@ pub mod pool;
 
 pub use lend::{Blocks, LentQueues, Spares};
 pub use mbuf::{Mbuf, MBUF_DATA_SIZE, MBUF_DEFAULT_HEADROOM};
-pub use pool::{MbufPool, ObjectPool, PoolStats, PROVISION_BLOCK};
+pub use pool::{MbufPool, PoolStats, PROVISION_BLOCK};

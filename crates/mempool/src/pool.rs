@@ -195,73 +195,6 @@ impl MbufPool {
     }
 }
 
-/// A generic fixed-capacity object pool with free-list recycling, used for
-/// hot-path bookkeeping objects other than packet buffers (TCP protocol
-/// control blocks, timer entries).
-///
-/// Objects are reset with the caller-supplied closure on release, so an
-/// `alloc` always observes a clean object — the same discipline the
-/// original's inlined allocation routines rely on.
-#[derive(Debug)]
-pub struct ObjectPool<T> {
-    free: Vec<T>,
-    make: fn() -> T,
-    capacity: usize,
-    outstanding: usize,
-}
-
-impl<T> ObjectPool<T> {
-    /// Creates a pool of `capacity` objects built with `make`.
-    pub fn new(capacity: usize, make: fn() -> T) -> ObjectPool<T> {
-        let mut free = Vec::with_capacity(capacity);
-        for _ in 0..capacity {
-            free.push(make());
-        }
-        ObjectPool {
-            free,
-            make,
-            capacity,
-            outstanding: 0,
-        }
-    }
-
-    /// Takes an object from the pool, or `None` when exhausted.
-    pub fn take(&mut self) -> Option<T> {
-        let obj = self.free.pop()?;
-        self.outstanding += 1;
-        Some(obj)
-    }
-
-    /// Returns an object to the pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more objects are returned than were taken.
-    pub fn put(&mut self, obj: T) {
-        assert!(self.outstanding > 0, "put without matching take");
-        self.outstanding -= 1;
-        self.free.push(obj);
-    }
-
-    /// Objects currently checked out.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Grows the pool by `n` fresh objects (control-plane resource grant).
-    pub fn grow(&mut self, n: usize) {
-        for _ in 0..n {
-            self.free.push((self.make)());
-        }
-        self.capacity += n;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,33 +279,5 @@ mod tests {
         m.extend_from_slice(b"data");
         m.prepend(94);
         assert_eq!(m.len(), 98);
-    }
-
-    #[test]
-    fn object_pool_take_put() {
-        let mut pool: ObjectPool<Vec<u8>> = ObjectPool::new(2, Vec::new);
-        let a = pool.take().unwrap();
-        let _b = pool.take().unwrap();
-        assert!(pool.take().is_none());
-        assert_eq!(pool.outstanding(), 2);
-        pool.put(a);
-        assert_eq!(pool.outstanding(), 1);
-        assert!(pool.take().is_some());
-    }
-
-    #[test]
-    fn object_pool_grow() {
-        let mut pool: ObjectPool<u32> = ObjectPool::new(0, || 0);
-        assert!(pool.take().is_none());
-        pool.grow(3);
-        assert_eq!(pool.capacity(), 3);
-        assert!(pool.take().is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "put without matching take")]
-    fn object_pool_double_put_panics() {
-        let mut pool: ObjectPool<u32> = ObjectPool::new(1, || 0);
-        pool.put(5);
     }
 }

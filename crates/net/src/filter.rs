@@ -1,14 +1,13 @@
-//! Pre-stack RX filtering: a fixed-offset pre-parse and an O(1)
-//! ACL/rate-policy table consulted at RX ring drain, *before* a frame is
-//! copied into a pool mbuf.
+//! Pre-stack RX filtering: an O(1) ACL/rate-policy table consulted at RX
+//! ring drain, *before* a frame is copied into a pool mbuf.
 //!
 //! The full RX path pays per-frame costs a hostile sender never earns:
 //! the DMA copy into a receive-pool mbuf, full header validation with
 //! checksums, a flow-table probe, and — for any SYN to a listened port —
 //! a TCB allocation. This module is the XDP-style "drop before you
-//! allocate" stage: [`pre_parse`] reads only the fixed-offset tuple
-//! fields (exactly what RSS hardware reads — no checksum, no option
-//! walk), and [`FilterPolicy::classify`] resolves a verdict with at most
+//! allocate" stage: it reads only what [`crate::peek::pre_parse`] peeked
+//! for RSS (the tuple and the TCP flags, no checksum, no option walk),
+//! and [`FilterPolicy::classify`] resolves a verdict with at most
 //! three probes of an open-addressing rule table using the same
 //! splitmix64 finisher as the per-shard flow table. Dropped frames never
 //! touch a pool; the NIC layer pins that as `filter_drop_allocs == 0`.
@@ -22,8 +21,8 @@
 
 use std::cell::Cell;
 
-use crate::eth::EthHeader;
 use crate::ip::{IpProto, Ipv4Addr};
+use crate::peek::PreParsed;
 
 /// Result of classifying one frame against the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,70 +108,6 @@ impl RateLimit {
 pub struct FilterRule {
     /// What to do with matching frames.
     pub action: RuleAction,
-}
-
-/// The minimal header view the filter reads: the RSS tuple plus the TCP
-/// flags byte, pulled from fixed offsets with no validation. Full
-/// validation still happens in the stack for frames that pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PreParsed {
-    /// L4 protocol.
-    pub proto: IpProto,
-    /// Source address.
-    pub src_ip: Ipv4Addr,
-    /// Destination address.
-    pub dst_ip: Ipv4Addr,
-    /// Source port (0 for ICMP/other).
-    pub src_port: u16,
-    /// Destination port (0 for ICMP/other).
-    pub dst_port: u16,
-    /// Raw TCP flags byte (0 for non-TCP).
-    pub tcp_flags: u8,
-}
-
-impl PreParsed {
-    /// True for a connection-opening SYN (SYN set, ACK clear).
-    pub fn is_syn_only(&self) -> bool {
-        self.tcp_flags & 0x12 == 0x02
-    }
-}
-
-/// Reads the tuple fields of an Ethernet/IPv4 frame at fixed offsets.
-/// Returns `None` for non-IPv4 or truncated frames — the filter has no
-/// opinion on those (ARP must always reach the stack).
-#[inline]
-pub fn pre_parse(data: &[u8]) -> Option<PreParsed> {
-    if data.len() < EthHeader::LEN + 20 {
-        return None;
-    }
-    if u16::from_be_bytes([data[12], data[13]]) != 0x0800 {
-        return None;
-    }
-    let ip = &data[EthHeader::LEN..];
-    let ihl = (ip[0] & 0x0f) as usize * 4;
-    let proto = IpProto::from_u8(ip[9]);
-    let src_ip = Ipv4Addr(u32::from_be_bytes([ip[12], ip[13], ip[14], ip[15]]));
-    let dst_ip = Ipv4Addr(u32::from_be_bytes([ip[16], ip[17], ip[18], ip[19]]));
-    let (src_port, dst_port, tcp_flags) = match proto {
-        IpProto::Tcp if ip.len() >= ihl + 14 => {
-            let l4 = &ip[ihl..];
-            (
-                u16::from_be_bytes([l4[0], l4[1]]),
-                u16::from_be_bytes([l4[2], l4[3]]),
-                l4[13],
-            )
-        }
-        IpProto::Udp if ip.len() >= ihl + 4 => {
-            let l4 = &ip[ihl..];
-            (
-                u16::from_be_bytes([l4[0], l4[1]]),
-                u16::from_be_bytes([l4[2], l4[3]]),
-                0,
-            )
-        }
-        _ => (0, 0, 0),
-    };
-    Some(PreParsed { proto, src_ip, dst_ip, src_port, dst_port, tcp_flags })
 }
 
 /// The splitmix64 finisher (the flow table's hash): one multiply chain
@@ -394,67 +329,6 @@ impl Default for FilterPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eth::{EthHeader, EtherType, MacAddr};
-    use crate::ip::Ipv4Header;
-    use crate::tcp::{TcpFlags, TcpHeader};
-
-    fn frame(src: Ipv4Addr, dst: Ipv4Addr, sp: u16, dp: u16, flags: TcpFlags) -> Vec<u8> {
-        let tcp = TcpHeader {
-            src_port: sp,
-            dst_port: dp,
-            seq: 7,
-            ack: 9,
-            flags,
-            window: 1000,
-            mss: None,
-            wscale: None,
-        };
-        let tlen = tcp.len();
-        let mut buf = vec![0u8; EthHeader::LEN + Ipv4Header::LEN + tlen];
-        tcp.encode(&mut buf[EthHeader::LEN + Ipv4Header::LEN..], src, dst, &[]);
-        Ipv4Header {
-            tos: 0,
-            total_len: (Ipv4Header::LEN + tlen) as u16,
-            ident: 0,
-            ttl: 64,
-            proto: IpProto::Tcp,
-            src,
-            dst,
-        }
-        .encode(&mut buf[EthHeader::LEN..]);
-        EthHeader {
-            dst: MacAddr::from_host_index(1),
-            src: MacAddr::from_host_index(2),
-            ethertype: EtherType::Ipv4,
-        }
-        .encode(&mut buf[..EthHeader::LEN]);
-        buf
-    }
-
-    #[test]
-    fn pre_parse_reads_tuple_and_flags() {
-        let src = Ipv4Addr::new(10, 9, 1, 2);
-        let dst = Ipv4Addr::new(10, 0, 0, 1);
-        let f = frame(src, dst, 3333, 80, TcpFlags::SYN);
-        let p = pre_parse(&f).unwrap();
-        assert_eq!(p.proto, IpProto::Tcp);
-        assert_eq!(p.src_ip, src);
-        assert_eq!(p.dst_ip, dst);
-        assert_eq!(p.src_port, 3333);
-        assert_eq!(p.dst_port, 80);
-        assert!(p.is_syn_only());
-        let f2 = frame(src, dst, 3333, 80, TcpFlags::SYN_ACK);
-        assert!(!pre_parse(&f2).unwrap().is_syn_only());
-    }
-
-    #[test]
-    fn pre_parse_rejects_non_ipv4() {
-        assert!(pre_parse(&[0u8; 10]).is_none());
-        let mut arp = vec![0u8; 64];
-        arp[12] = 0x08;
-        arp[13] = 0x06; // EtherType ARP.
-        assert!(pre_parse(&arp).is_none());
-    }
 
     #[test]
     fn precedence_src_over_net_over_port_over_default() {

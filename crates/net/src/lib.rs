@@ -2,8 +2,9 @@
 //!
 //! IX implements a full TCP/IP stack (derived from lwIP in the original,
 //! written from scratch here) over Ethernet. This crate holds the protocol
-//! constants, header encode/decode logic, internet checksums, the Toeplitz
-//! hash used by receive-side scaling (RSS), and the frame-size arithmetic
+//! constants, header encode/decode logic, the fixed-offset peek at a
+//! frame's flow tuple, internet checksums, the Toeplitz hash and bucket
+//! function used by receive-side scaling (RSS), and the frame-size arithmetic
 //! that determines wire-level goodput ceilings in Figs 2 and 3c of the
 //! paper.
 //!
@@ -17,6 +18,7 @@ pub mod eth;
 pub mod filter;
 pub mod icmp;
 pub mod ip;
+pub mod peek;
 pub mod rss;
 pub mod tcp;
 pub mod udp;
@@ -26,7 +28,7 @@ pub use arp::{ArpOp, ArpPacket};
 pub use eth::{EthHeader, EtherType, MacAddr};
 pub use icmp::{IcmpHeader, IcmpType};
 pub use ip::{IpProto, Ipv4Addr, Ipv4Header};
-pub use rss::{toeplitz_hash, RssKey, TOEPLITZ_DEFAULT_KEY};
+pub use rss::{toeplitz_hash, RssKey, RSS_BUCKETS, TOEPLITZ_DEFAULT_KEY};
 pub use tcp::{TcpFlags, TcpHeader};
 pub use udp::UdpHeader;
 pub use wire::{frame_wire_bytes, ETH_MTU, MAX_FRAME, MIN_FRAME};

@@ -69,6 +69,19 @@ pub fn hash_ipv4_tuple(key: &RssKey, src: Ipv4Addr, dst: Ipv4Addr, src_port: u16
     toeplitz_hash(key, &input)
 }
 
+/// Entries in the 82599's RSS redirection table: a flow's bucket is its
+/// hash's low 7 bits, and IXCP moves flow groups one bucket at a time.
+pub const RSS_BUCKETS: usize = 128;
+
+/// The redirection-table bucket of an IPv4 TCP/UDP tuple, in the
+/// argument order of [`hash_ipv4_tuple`] under the default key: the one
+/// bucket function the NIC (steering), the TCP shard (its bucket index
+/// and ephemeral-port probing) and IXCP (the table) share.
+pub fn bucket(src: Ipv4Addr, dst: Ipv4Addr, src_port: u16, dst_port: u16) -> u16 {
+    let hash = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, src, dst, src_port, dst_port);
+    (hash & (RSS_BUCKETS as u32 - 1)) as u16
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,6 +105,7 @@ mod tests {
             let dst = Ipv4Addr::new(d.0, d.1, d.2, d.3);
             let got = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, src, dst, sp, dp);
             assert_eq!(got, expect, "vector {src}:{sp} -> {dst}:{dp}");
+            assert_eq!(u32::from(bucket(src, dst, sp, dp)), expect & 0x7f);
         }
     }
 

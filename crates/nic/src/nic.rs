@@ -5,10 +5,10 @@ use std::rc::{Rc, Weak};
 
 use ix_faults::FaultsRef;
 use ix_mempool::Mbuf;
-use ix_net::eth::{EthHeader, EtherType, MacAddr};
-use ix_net::filter::{self, FilterPolicy, Verdict};
-use ix_net::ip::IpProto;
-use ix_net::rss::{hash_ipv4_tuple, RssKey, TOEPLITZ_DEFAULT_KEY};
+use ix_net::eth::{EthHeader, MacAddr};
+use ix_net::filter::{FilterPolicy, Verdict};
+use ix_net::peek::{self, PreParsed};
+use ix_net::rss::RSS_BUCKETS;
 use ix_sim::{EventTarget, Simulator};
 
 use crate::params::MachineParams;
@@ -63,8 +63,8 @@ pub struct Nic {
     /// The switch port this NIC is cabled to.
     pub switch_port: u16,
     params: MachineParams,
-    rss_key: RssKey,
-    /// 128-entry redirection table mapping `hash & 0x7f` to a queue.
+    /// The redirection table: `redirection[b]` is the queue for RSS
+    /// bucket `b` ([`ix_net::rss::bucket`]).
     redirection: Vec<QueueId>,
     rx: Vec<RxRing>,
     tx: Vec<TxRing>,
@@ -103,8 +103,7 @@ impl Nic {
         Nic {
             mac,
             switch_port: u16::MAX,
-            rss_key: TOEPLITZ_DEFAULT_KEY,
-            redirection: (0..128).map(|i| i % queues).collect(),
+            redirection: (0..RSS_BUCKETS).map(|i| i % queues).collect(),
             rx: (0..queues)
                 .map(|_| RxRing::with_pool(ring, ring + params.rx_extra_bufs))
                 .collect(),
@@ -193,7 +192,7 @@ impl Nic {
     /// hash bucket `i`; the control plane uses this to rebalance flow
     /// groups between elastic threads (§3, §4.4).
     pub fn set_redirection(&mut self, map: Vec<QueueId>) {
-        assert_eq!(map.len(), 128, "82599 redirection table has 128 entries");
+        assert_eq!(map.len(), RSS_BUCKETS, "82599 redirection table has {RSS_BUCKETS} entries");
         let q = self.queues();
         assert!(map.iter().all(|&m| m < q), "queue out of range");
         self.redirection = map;
@@ -217,45 +216,14 @@ impl Nic {
         &mut self.tx[q]
     }
 
-    /// Classifies a frame for RSS: hash of the IPv4/TCP-or-UDP 4-tuple,
-    /// or `None` for non-IP traffic (steered to queue 0, like the
-    /// 82599's non-RSS default queue).
-    fn classify(&self, data: &[u8]) -> QueueId {
-        // Minimal, allocation-free peek at the headers. Full validation
-        // happens in the stack; RSS hardware only reads the tuple fields.
-        if data.len() < EthHeader::LEN + 20 {
-            return 0;
+    /// Classifies a peeked frame for RSS: the redirection entry of a
+    /// TCP or UDP frame's bucket; queue 0, the 82599's non-RSS default
+    /// queue, for anything else.
+    fn classify(&self, pre: Option<&PreParsed>) -> QueueId {
+        match pre.and_then(PreParsed::rss_bucket) {
+            Some(b) => self.redirection[b as usize],
+            None => 0,
         }
-        let ethertype = u16::from_be_bytes([data[12], data[13]]);
-        if ethertype != EtherType::Ipv4.to_u16() {
-            return 0;
-        }
-        let ip = &data[EthHeader::LEN..];
-        let ihl = (ip[0] & 0x0f) as usize * 4;
-        let proto = IpProto::from_u8(ip[9]);
-        if !matches!(proto, IpProto::Tcp | IpProto::Udp) || ip.len() < ihl + 4 {
-            return 0;
-        }
-        let src = ix_net::Ipv4Addr(u32::from_be_bytes([ip[12], ip[13], ip[14], ip[15]]));
-        let dst = ix_net::Ipv4Addr(u32::from_be_bytes([ip[16], ip[17], ip[18], ip[19]]));
-        let l4 = &ip[ihl..];
-        let sp = u16::from_be_bytes([l4[0], l4[1]]);
-        let dp = u16::from_be_bytes([l4[2], l4[3]]);
-        let hash = hash_ipv4_tuple(&self.rss_key, src, dst, sp, dp);
-        self.redirection[(hash & 0x7f) as usize]
-    }
-
-    /// Computes the RSS queue a flow would be steered to on this NIC;
-    /// used by client stacks to probe ephemeral ports (§4.4).
-    pub fn queue_for_flow(
-        &self,
-        src: ix_net::Ipv4Addr,
-        dst: ix_net::Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
-    ) -> QueueId {
-        let hash = hash_ipv4_tuple(&self.rss_key, src, dst, src_port, dst_port);
-        self.redirection[(hash & 0x7f) as usize]
     }
 
     /// Wire side: a frame has finished arriving (including NIC RX fixed
@@ -264,36 +232,36 @@ impl Nic {
         let (hook, q) = {
             let mut n = nic.borrow_mut();
             let data = frame.data();
-            if data.len() < EthHeader::LEN {
-                n.stats.rx_mac_drops += 1;
-                return;
+            match peek::dst_mac(data) {
+                Some(dst) if dst == n.mac || dst.is_broadcast() || n.promiscuous => {}
+                _ => {
+                    n.stats.rx_mac_drops += 1;
+                    return;
+                }
             }
-            let dst = MacAddr([data[0], data[1], data[2], data[3], data[4], data[5]]);
-            if dst != n.mac && !dst.is_broadcast() && !n.promiscuous {
-                n.stats.rx_mac_drops += 1;
-                return;
-            }
-            let q = n.classify(data);
-            // Pre-stack filter: classify on fixed-offset fields and, on
-            // a drop verdict, discard *here* — before `RxRing::push`
-            // allocates the pool mbuf the frame would be copied into.
-            // The pool allocation-counter delta across the drop is
-            // recorded so tests can pin it at zero rather than trust
-            // the control flow.
-            if let Some(policy) = n.filter.clone() {
-                if let Some(pre) = filter::pre_parse(data) {
-                    match policy.classify(&pre, sim.now().as_nanos()) {
-                        Verdict::Pass => n.filter_stats[q].passes += 1,
-                        Verdict::SynChallenge => n.filter_stats[q].challenges += 1,
-                        Verdict::Drop => {
-                            let allocs_before = n.rx[q].pool_stats().allocs;
-                            drop(frame);
-                            let allocs_after = n.rx[q].pool_stats().allocs;
-                            n.filter_stats[q].drops += 1;
-                            n.filter_stats[q].drop_allocs += allocs_after - allocs_before;
-                            return;
-                        }
-                    }
+            // One peek serves RSS and the filter.
+            let pre = peek::pre_parse(data);
+            let q = n.classify(pre.as_ref());
+            // Pre-stack filter: on a drop verdict, discard *here* —
+            // before `RxRing::push` allocates the pool mbuf the frame
+            // would be copied into. The pool allocation-counter delta
+            // across the drop is recorded so tests can pin it at zero
+            // rather than trust the control flow.
+            let verdict = match (&n.filter, &pre) {
+                (Some(policy), Some(pre)) => Some(policy.classify(pre, sim.now().as_nanos())),
+                _ => None,
+            };
+            match verdict {
+                None => {}
+                Some(Verdict::Pass) => n.filter_stats[q].passes += 1,
+                Some(Verdict::SynChallenge) => n.filter_stats[q].challenges += 1,
+                Some(Verdict::Drop) => {
+                    let allocs_before = n.rx[q].pool_stats().allocs;
+                    drop(frame);
+                    let allocs_after = n.rx[q].pool_stats().allocs;
+                    n.filter_stats[q].drops += 1;
+                    n.filter_stats[q].drop_allocs += allocs_after - allocs_before;
+                    return;
                 }
             }
             let len = frame.len() as u64;
@@ -420,8 +388,14 @@ mod tests {
         Nic::new(MacAddr::from_host_index(1), 4, MachineParams::default())
     }
 
+    /// The queue RSS steers a frame to.
+    fn queue_of(nic: &Nic, f: &Mbuf) -> QueueId {
+        nic.classify(peek::pre_parse(f.data()).as_ref())
+    }
+
     /// Builds a minimal TCP/IPv4 frame to the given MAC with the tuple.
     fn tcp_frame(dst_mac: MacAddr, sport: u16, dport: u16) -> Mbuf {
+        use ix_net::eth::EtherType;
         use ix_net::ip::{IpProto, Ipv4Addr, Ipv4Header};
         use ix_net::tcp::{TcpFlags, TcpHeader};
         let mut m = Mbuf::standalone();
@@ -462,8 +436,8 @@ mod tests {
     fn rss_steers_consistently() {
         let nic = mk();
         let f = tcp_frame(nic.mac, 1234, 80);
-        let q1 = nic.classify(f.data());
-        let q2 = nic.classify(f.data());
+        let q1 = queue_of(&nic, &f);
+        let q2 = queue_of(&nic, &f);
         assert_eq!(q1, q2);
         assert!(q1 < 4);
     }
@@ -474,7 +448,7 @@ mod tests {
         let mut counts = vec![0u32; nic.queues()];
         for p in 1000..3000 {
             let f = tcp_frame(nic.mac, p, 80);
-            counts[nic.classify(f.data())] += 1;
+            counts[queue_of(&nic, &f)] += 1;
         }
         // Each queue gets a roughly fair share (within 3x of fair).
         let fair = 2000 / nic.queues() as u32;
@@ -489,7 +463,7 @@ mod tests {
         let nic = Rc::new(RefCell::new(mk()));
         let my_mac = nic.borrow().mac;
         let f = tcp_frame(my_mac, 1234, 80);
-        let q = nic.borrow().classify(f.data());
+        let q = queue_of(&nic.borrow(), &f);
         Nic::deliver(&nic, &mut sim, f);
         assert_eq!(nic.borrow().stats.rx_frames, 1);
         assert_eq!(nic.borrow_mut().rx_ring(q).pending(), 1);
@@ -505,7 +479,7 @@ mod tests {
         let nic = Rc::new(RefCell::new(mk()));
         let my_mac = nic.borrow().mac;
         let f = tcp_frame(my_mac, 5555, 80);
-        let q = nic.borrow().classify(f.data());
+        let q = queue_of(&nic.borrow(), &f);
         let hits = Rc::new(RefCell::new(Vec::new()));
         let h = hits.clone();
         nic.borrow_mut()
@@ -544,7 +518,7 @@ mod tests {
             FilterPolicy::new().rule_src(Ipv4Addr::new(10, 0, 0, 9), RuleAction::Drop);
         nic.borrow_mut().set_filter(Some(Rc::new(policy)));
         let f = tcp_frame(my_mac, 1234, 80);
-        let q = nic.borrow().classify(f.data());
+        let q = queue_of(&nic.borrow(), &f);
         let allocs_before = nic.borrow_mut().rx_ring(q).pool_stats().allocs;
         for _ in 0..100 {
             Nic::deliver(&nic, &mut sim, tcp_frame(my_mac, 1234, 80));
@@ -601,9 +575,9 @@ mod tests {
     fn redirection_table_reprogram() {
         let mut nic = mk();
         // Steer everything to queue 3.
-        nic.set_redirection(vec![3; 128]);
+        nic.set_redirection(vec![3; RSS_BUCKETS]);
         let f = tcp_frame(nic.mac, 1234, 80);
-        assert_eq!(nic.classify(f.data()), 3);
+        assert_eq!(queue_of(&nic, &f), 3);
     }
 
     #[test]

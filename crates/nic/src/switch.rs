@@ -12,7 +12,8 @@ use std::rc::Rc;
 
 use ix_faults::{FaultsRef, LinkVerdict};
 use ix_mempool::Mbuf;
-use ix_net::eth::{EthHeader, EtherType, MacAddr};
+use ix_net::eth::{EthHeader, MacAddr};
+use ix_net::peek;
 use ix_net::rss::{hash_ipv4_tuple, TOEPLITZ_DEFAULT_KEY};
 use ix_sim::{EventTarget, Nanos, SimTime, Simulator};
 
@@ -167,10 +168,9 @@ impl Switch {
     /// Resolves where a frame goes.
     fn resolve(&mut self, frame: &Mbuf) -> Route {
         let data = frame.data();
-        if data.len() < EthHeader::LEN {
+        let Some(dst) = peek::dst_mac(data) else {
             return Route::Drop;
-        }
-        let dst = MacAddr([data[0], data[1], data[2], data[3], data[4], data[5]]);
+        };
         if dst.is_broadcast() {
             self.stats.flooded += 1;
             return Route::Flood;
@@ -192,22 +192,13 @@ impl Switch {
     }
 
     /// The L3+L4 hash used for LAG member selection (§5.1: "four NIC
-    /// ports bonded by the switch with a L3+L4 hash").
+    /// ports bonded by the switch with a L3+L4 hash"): the Toeplitz hash
+    /// of the peeked tuple (addresses only for non-TCP/UDP IPv4), 0 for
+    /// a frame the peek reads nothing from.
     fn lag_hash(data: &[u8]) -> usize {
-        if data.len() < EthHeader::LEN + 24 {
-            return 0;
-        }
-        let ip = &data[EthHeader::LEN..];
-        let ihl = (ip[0] & 0x0f) as usize * 4;
-        if ip.len() < ihl + 4 {
-            return 0;
-        }
-        let src = ix_net::Ipv4Addr(u32::from_be_bytes([ip[12], ip[13], ip[14], ip[15]]));
-        let dst = ix_net::Ipv4Addr(u32::from_be_bytes([ip[16], ip[17], ip[18], ip[19]]));
-        let l4 = &ip[ihl..];
-        let sp = u16::from_be_bytes([l4[0], l4[1]]);
-        let dp = u16::from_be_bytes([l4[2], l4[3]]);
-        hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, src, dst, sp, dp) as usize
+        peek::pre_parse(data).map_or(0, |p| {
+            hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, p.src_ip, p.dst_ip, p.src_port, p.dst_port) as usize
+        })
     }
 
     /// A frame has fully arrived at `in_port`. Forwards it: cut-through
@@ -265,12 +256,10 @@ impl Switch {
         }
     }
 
-    /// True when the frame carries an IPv4 ethertype (and therefore
-    /// checksum protection for everything past the Ethernet header).
+    /// True when the peek reads an IPv4 header (and therefore checksum
+    /// protection for everything past the Ethernet header).
     fn is_ipv4(frame: &Mbuf) -> bool {
-        let data = frame.data();
-        data.len() > EthHeader::LEN
-            && u16::from_be_bytes([data[12], data[13]]) == EtherType::Ipv4.to_u16()
+        peek::pre_parse(frame.data()).is_some()
     }
 
     /// Flips one byte of an IPv4 frame at a checksum-protected offset

@@ -27,6 +27,8 @@
 //!
 //! [`FlowId`]: crate::event::FlowId
 
+use ix_net::rss::RSS_BUCKETS;
+
 /// Slot index sentinel for an empty table slot. Keys are *not* used to
 /// mark emptiness, so a key of 0 is a perfectly valid flow.
 const EMPTY: u32 = u32::MAX;
@@ -311,10 +313,6 @@ impl Default for FlowTable {
     }
 }
 
-/// RSS redirection-table size: flows hash into one of this many
-/// buckets, and migration moves whole buckets (paper §4.4 flow groups).
-pub const NUM_BUCKETS: usize = 128;
-
 /// Bucket sentinel for entries outside the bucket index (app-side maps,
 /// non-flow cookies). Unbucketed entries pay two untaken branches at
 /// insert/remove and are invisible to [`FlowMap::bucket_keys`].
@@ -368,8 +366,9 @@ pub struct FlowMap<T> {
     /// [`FlowMap::bucket_len`] is O(1) — the control plane pre-sizes
     /// migration batches from these without walking any list.
     counts: Vec<u32>,
-    /// `(key, slot)` pairs placed by [`FlowMap::stage_insert`] but not
-    /// yet probed into the table; drained by [`FlowMap::commit_staged`].
+    /// `(key, slot)` pairs threaded by [`FlowMap::stage_adopted`] but
+    /// not yet probed into the table; drained by
+    /// [`FlowMap::commit_staged`].
     staged: Vec<(u64, u32)>,
     /// Slabs replaced by [`FlowMap::adopt_slab`] (or the reserve-time
     /// compaction), awaiting incremental drop-glue reclamation. A
@@ -444,9 +443,9 @@ impl<T> FlowMap<T> {
     /// list node for every slab slot there is so far.
     fn thread(&mut self) {
         if !self.threaded() {
-            self.heads = vec![EMPTY; NUM_BUCKETS];
-            self.tails = vec![EMPTY; NUM_BUCKETS];
-            self.counts = vec![0; NUM_BUCKETS];
+            self.heads = vec![EMPTY; RSS_BUCKETS];
+            self.tails = vec![EMPTY; RSS_BUCKETS];
+            self.counts = vec![0; RSS_BUCKETS];
             self.links.reserve(self.slab.capacity());
             self.links.resize(self.slab.len(), UNLINKED);
         }
@@ -504,7 +503,7 @@ impl<T> FlowMap<T> {
     /// the slab slot index — the handle timer-arming uses instead of
     /// re-probing — and the displaced value if any.
     pub fn insert_in_bucket(&mut self, key: u64, bucket: u16, value: T) -> (u32, Option<T>) {
-        debug_assert!(bucket == NO_BUCKET || (bucket as usize) < NUM_BUCKETS);
+        debug_assert!(bucket == NO_BUCKET || (bucket as usize) < RSS_BUCKETS);
         let mut pending = Some(value);
         let threaded = self.threaded();
         let (slab, free, links) = (&mut self.slab, &mut self.free, &mut self.links);
@@ -526,25 +525,6 @@ impl<T> FlowMap<T> {
                 (idx, None)
             }
         }
-    }
-
-    /// Stage an insert of an *absent* key: the value takes a slab slot
-    /// and joins `bucket`'s list immediately (so the returned slot
-    /// handle and bucket walks work), but the probe-table write is
-    /// deferred to [`FlowMap::commit_staged`]. Bulk absorb stages every
-    /// flow, then commits once — the commit sorts the batch by home
-    /// slot so 250k probe-array writes stream in ascending address
-    /// order instead of hash-hopping across a cold 4 MB array.
-    ///
-    /// Until `commit_staged` runs, staged keys are invisible to
-    /// `get`/`remove`/`len` (they *are* visible to bucket walks and
-    /// [`FlowMap::slot_mut`]). Staging a key that is already live — or
-    /// staging it twice — panics at commit: a flow lives in exactly
-    /// one shard.
-    pub fn stage_insert(&mut self, key: u64, bucket: u16, value: T) -> u32 {
-        let idx = self.stage_push(key, value);
-        self.stage_adopted(idx, key, bucket);
-        idx
     }
 
     /// Adopt `values` wholesale as the slab of an *empty* map: the
@@ -629,9 +609,17 @@ impl<T> FlowMap<T> {
 
     /// Thread slot `idx` (from [`FlowMap::adopt_slab`] or
     /// [`FlowMap::stage_push`]) onto `bucket`'s list and queue its key
-    /// for the next [`FlowMap::commit_staged`].
+    /// for the next [`FlowMap::commit_staged`]. Bulk absorb stages every
+    /// flow, then commits once — the commit sorts the batch by home
+    /// slot so 250k probe-array writes stream in ascending address
+    /// order instead of hash-hopping across a cold 4 MB array.
+    ///
+    /// Until the commit, a staged key is invisible to
+    /// `get`/`remove`/`len` (bucket walks and [`FlowMap::slot_mut`] see
+    /// it). Staging a key that is already live — or staging it twice —
+    /// panics at commit: a flow lives in exactly one shard.
     pub fn stage_adopted(&mut self, idx: u32, key: u64, bucket: u16) {
-        debug_assert!(bucket == NO_BUCKET || (bucket as usize) < NUM_BUCKETS);
+        debug_assert!(bucket == NO_BUCKET || (bucket as usize) < RSS_BUCKETS);
         self.link_tail(idx, key, bucket);
         self.staged.push((key, idx));
     }

@@ -184,7 +184,7 @@ fn reserve_prevents_incremental_growth() {
     m.reserve(100_000);
     let cap = m.table.capacity();
     for k in 0..100_000u64 {
-        m.insert_in_bucket(k, (k % NUM_BUCKETS as u64) as u16, k);
+        m.insert_in_bucket(k, (k % RSS_BUCKETS as u64) as u16, k);
     }
     assert_eq!(m.table.capacity(), cap, "reserve should pre-size the table");
 }
@@ -201,8 +201,9 @@ fn staged_commit_matches_incremental_inserts() {
     incr.reserve(3000);
     for k in 0..3000u64 {
         let key = k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let b = (k % NUM_BUCKETS as u64) as u16;
-        let slot = staged.stage_insert(key, b, k);
+        let b = (k % RSS_BUCKETS as u64) as u16;
+        let slot = staged.stage_push(key, k);
+        staged.stage_adopted(slot, key, b);
         *staged.slot_mut(slot) += 1;
         incr.insert_in_bucket(key, b, k + 1);
     }
@@ -215,7 +216,7 @@ fn staged_commit_matches_incremental_inserts() {
         assert_eq!(staged.get(key), Some(&(k + 1)), "key {k}");
         assert_eq!(staged.bucket_of(key), incr.bucket_of(key));
     }
-    for b in 0..NUM_BUCKETS as u16 {
+    for b in 0..RSS_BUCKETS as u16 {
         let a: Vec<u64> = staged.bucket_keys(b).collect();
         let c: Vec<u64> = incr.bucket_keys(b).collect();
         assert_eq!(a, c, "bucket {b} walk order");
@@ -284,7 +285,8 @@ fn retired_slabs_drain_incrementally() {
 fn staging_a_live_key_panics_at_commit() {
     let mut m: FlowMap<u32> = FlowMap::new();
     m.insert_in_bucket(7, 0, 1);
-    m.stage_insert(7, 0, 2);
+    let slot = m.stage_push(7, 2);
+    m.stage_adopted(slot, 7, 0);
     m.commit_staged();
 }
 

@@ -44,6 +44,6 @@ pub mod tcb;
 pub use arp_table::ArpTable;
 pub use config::{AckPolicy, StackConfig};
 pub use event::{DeadReason, FlowId, TcpEvent};
-pub use flow_table::{FlowMap, FlowMapMem, FlowTable, NO_BUCKET, NUM_BUCKETS};
+pub use flow_table::{FlowMap, FlowMapMem, FlowTable, NO_BUCKET};
 pub use stack::{StackError, StackStats, TcpShard};
 pub use tcb::{Tcb, TcpState};

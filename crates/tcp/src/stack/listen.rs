@@ -3,6 +3,7 @@
 
 use ix_mempool::Mbuf;
 use ix_net::ip::Ipv4Addr;
+use ix_net::rss;
 use ix_net::tcp::{TcpFlags, TcpHeader};
 
 use super::{SegmentSpec, TcpShard, TimerEntry};
@@ -78,7 +79,7 @@ impl TcpShard {
             );
             tcb.rto_timer = Some(t);
             self.synrcvd_count += 1;
-            tcb.rss_bucket = self.rss_bucket_for(src_ip, hdr.src_port, hdr.dst_port);
+            tcb.rss_bucket = rss::bucket(src_ip, self.local_ip, hdr.src_port, hdr.dst_port);
             let bucket = tcb.rss_bucket;
             self.flows.insert_in_bucket(key, bucket, tcb);
             return;
@@ -181,7 +182,7 @@ impl TcpShard {
         self.stats.conns_accepted += 1;
         self.stats.syn_cookies_accepted += 1;
         self.events.push(TcpEvent::Knock { flow: id, src_ip, src_port });
-        tcb.rss_bucket = self.rss_bucket_for(src_ip, src_port, hdr.dst_port);
+        tcb.rss_bucket = rss::bucket(src_ip, self.local_ip, src_port, hdr.dst_port);
         let bucket = tcb.rss_bucket;
         self.flows.insert_in_bucket(key, bucket, tcb);
         // Data or FIN piggybacked on the handshake-completing ACK.

@@ -2,12 +2,13 @@
 //! absorb.
 
 use ix_mempool::Spares;
+use ix_net::rss;
 use ix_timerwheel::TimerWheel;
 
 use super::{TcpShard, TimerEntry};
 use crate::config::TIME_WAIT_NS;
 use crate::event::FlowId;
-use crate::flow_table::{FlowMap, NO_BUCKET, NUM_BUCKETS};
+use crate::flow_table::{FlowMap, NO_BUCKET};
 use crate::tcb::{Tcb, TcbCold, TcpState, TimerKind};
 
 impl TcpShard {
@@ -196,18 +197,10 @@ impl TcpShard {
                 // Flows migrated from a sibling shard carry their
                 // bucket; hand-built TCBs (tests, watchdog re-steers)
                 // get it computed here, once, for the rest of their
-                // life. Inlined `rss_bucket_for` — `tcb` borrows the
-                // flow map, so no whole-`self` call is possible here.
+                // life.
                 if tcb.rss_bucket == NO_BUCKET {
                     let (remote_ip, remote_port, local_port) = FlowId::unpack(key);
-                    let hash = ix_net::rss::hash_ipv4_tuple(
-                        &ix_net::rss::TOEPLITZ_DEFAULT_KEY,
-                        remote_ip,
-                        local_ip,
-                        remote_port,
-                        local_port,
-                    );
-                    tcb.rss_bucket = (hash & (NUM_BUCKETS as u32 - 1)) as u16;
+                    tcb.rss_bucket = rss::bucket(remote_ip, local_ip, remote_port, local_port);
                 }
                 bucket = tcb.rss_bucket;
                 if need_rto {

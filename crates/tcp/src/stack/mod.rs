@@ -20,6 +20,7 @@ use ix_mempool::{LentQueues, Mbuf, MbufPool, Spares};
 use ix_net::eth::MacAddr;
 use ix_net::filter::FilterPolicy;
 use ix_net::ip::Ipv4Addr;
+use ix_net::rss;
 use ix_net::tcp::{TcpFlags, TcpHeader};
 use ix_testkit::{buffer_id, Bytes};
 use ix_timerwheel::TimerWheel;
@@ -27,7 +28,7 @@ use ix_timerwheel::TimerWheel;
 use crate::arp_table::ArpTable;
 use crate::config::{AckPolicy, StackConfig, RSS_PROBE_LIMIT};
 use crate::event::{FlowId, TcpEvent};
-use crate::flow_table::{FlowMap, FlowMapMem, NUM_BUCKETS};
+use crate::flow_table::{FlowMap, FlowMapMem};
 use crate::tcb::{Tcb, TcbCold, TcpState, TimerKind, TxSeg};
 
 /// Headroom reserved when allocating a TX mbuf: enough for the worst-case
@@ -195,10 +196,9 @@ struct TimerEntry {
     kind: TimerKind,
 }
 
-/// Steering oracle: given (remote_ip, remote_port, local_port), which
-/// local queue would the *reply* traffic be delivered to. Used for
-/// ephemeral-port probing (§4.4).
-pub type SteerFn = Rc<dyn Fn(Ipv4Addr, u16, u16) -> usize>;
+/// Steering oracle: which local queue the NIC's redirection table maps
+/// an RSS bucket to. Used for ephemeral-port probing (§4.4).
+pub type SteerFn = Rc<dyn Fn(u16) -> usize>;
 
 /// One TCP segment out of the validating parse ([`TcpShard::parse`]):
 /// Ethernet, IPv4 and TCP headers verified (both checksums included) and
@@ -344,8 +344,9 @@ impl TcpShard {
     }
 
     /// Installs the RSS steering oracle: this shard serves `queue`, and
-    /// `steer` predicts the queue for a reply tuple. Outbound connections
-    /// then probe ephemeral ports until the reply lands here (§4.4).
+    /// `steer` maps a reply tuple's bucket to its queue. Outbound
+    /// connections then probe ephemeral ports until the reply lands here
+    /// (§4.4).
     pub fn set_steering(&mut self, queue: usize, steer: SteerFn) {
         self.steer = Some((queue, steer));
     }
@@ -360,22 +361,6 @@ impl TcpShard {
     /// Number of live flows.
     pub fn flow_count(&self) -> usize {
         self.flows.len()
-    }
-
-    /// RSS redirection-table bucket for a flow's *reply* tuple: the
-    /// same Toeplitz hash (and the same argument order) the NIC runs
-    /// over an arriving frame's `(src, dst, sport, dport)`, masked to
-    /// the 128-entry table. Computed once per flow at adoption;
-    /// extract/absorb then move whole buckets without re-hashing.
-    fn rss_bucket_for(&self, remote_ip: Ipv4Addr, remote_port: u16, local_port: u16) -> u16 {
-        let hash = ix_net::rss::hash_ipv4_tuple(
-            &ix_net::rss::TOEPLITZ_DEFAULT_KEY,
-            remote_ip,
-            self.local_ip,
-            remote_port,
-            local_port,
-        );
-        (hash & (NUM_BUCKETS as u32 - 1)) as u16
     }
 
     /// TCB-slab occupancy and resident bytes (live flows, high-water
@@ -517,7 +502,7 @@ impl TcpShard {
         cookie: u64,
     ) -> Result<FlowId, StackError> {
         self.now_ns = now_ns;
-        let local_port = self.pick_ephemeral(dst_ip, dst_port)?;
+        let (local_port, bucket) = self.pick_ephemeral(dst_ip, dst_port)?;
         let key = FlowId::pack(dst_ip, dst_port, local_port);
         let gen = self.next_gen;
         self.next_gen += 1;
@@ -543,8 +528,7 @@ impl TcpShard {
             TimerEntry { key, gen, kind: TimerKind::Rto },
         );
         tcb.rto_timer = Some(timer);
-        tcb.rss_bucket = self.rss_bucket_for(dst_ip, dst_port, local_port);
-        let bucket = tcb.rss_bucket;
+        tcb.rss_bucket = bucket;
         self.flows.insert_in_bucket(key, bucket, tcb);
         Ok(id)
     }
@@ -653,17 +637,20 @@ impl TcpShard {
     }
 
     /// Picks an ephemeral port whose reply tuple RSS-hashes back to this
-    /// shard's queue (§4.4: "we simply probe the ephemeral port range").
-    fn pick_ephemeral(&mut self, dst_ip: Ipv4Addr, dst_port: u16) -> Result<u16, StackError> {
+    /// shard's queue (§4.4: "we simply probe the ephemeral port range"),
+    /// with the reply tuple's bucket.
+    fn pick_ephemeral(&mut self, dst_ip: Ipv4Addr, dst_port: u16) -> Result<(u16, u16), StackError> {
         for _ in 0..RSS_PROBE_LIMIT {
             let port = self.eph_cursor;
             self.eph_cursor = if self.eph_cursor == u16::MAX { EPH_LO } else { self.eph_cursor + 1 };
             if self.flows.contains_key(FlowId::pack(dst_ip, dst_port, port)) {
                 continue;
             }
+            // The NIC hashes the reply: remote → local.
+            let bucket = rss::bucket(dst_ip, self.local_ip, dst_port, port);
             match &self.steer {
-                Some((queue, f)) if f(dst_ip, dst_port, port) != *queue => continue,
-                _ => return Ok(port),
+                Some((queue, f)) if f(bucket) != *queue => continue,
+                _ => return Ok((port, bucket)),
             }
         }
         Err(StackError::PortExhausted)

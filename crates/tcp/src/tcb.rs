@@ -197,8 +197,8 @@ pub struct Tcb {
     pub snd_wscale: u8,
     /// Negotiated shift we apply to windows we advertise.
     pub rcv_wscale: u8,
-    /// RSS redirection-table bucket this flow hashes into (`hash &
-    /// 0x7f`, the NIC's Toeplitz over the reply tuple), computed once
+    /// RSS redirection-table bucket this flow hashes into
+    /// ([`ix_net::rss::bucket`] of the reply tuple), computed once
     /// when the shard adopts the flow and carried across migrations so
     /// neither extract nor absorb re-runs the per-bit software hash.
     /// [`NO_BUCKET`](crate::flow_table::NO_BUCKET) until a shard

@@ -9,10 +9,11 @@
 
 use std::collections::HashMap;
 
+use ix_net::rss::RSS_BUCKETS;
 use ix_tcp::config::StackConfig;
 use ix_tcp::event::FlowId;
 use ix_tcp::tcb::TcpState;
-use ix_tcp::{FlowMap, Tcb, TcpShard, NO_BUCKET, NUM_BUCKETS};
+use ix_tcp::{FlowMap, Tcb, TcpShard, NO_BUCKET};
 use ix_testkit::prelude::*;
 
 /// One scripted operation against the map and its model.
@@ -39,7 +40,7 @@ fn key() -> impl Strategy<Value = u64> {
 fn bucket() -> impl Strategy<Value = u16> {
     prop_oneof![
         6 => 0u16..6,
-        1 => 0u16..NUM_BUCKETS as u16,
+        1 => 0u16..RSS_BUCKETS as u16,
     ]
 }
 
@@ -74,7 +75,7 @@ fn model_bucket_keys(model: &Model, b: u16) -> Vec<u64> {
 fn audit(map: &FlowMap<u32>, model: &Model) {
     prop_assert_eq!(map.len(), model.len());
     let mut seen: HashMap<u64, u16> = HashMap::new();
-    for b in 0..NUM_BUCKETS as u16 {
+    for b in 0..RSS_BUCKETS as u16 {
         let got: Vec<u64> = map.bucket_keys(b).collect();
         let want = model_bucket_keys(model, b);
         prop_assert_eq!(&got, &want, "bucket {} walk order", b);
@@ -189,7 +190,7 @@ props! {
             fresh.insert_in_bucket(k, b, i as u64);
             scarred.insert_in_bucket(k, b, i as u64);
         }
-        for b in 0..NUM_BUCKETS as u16 {
+        for b in 0..RSS_BUCKETS as u16 {
             let a: Vec<u64> = fresh.bucket_keys(b).collect();
             let c: Vec<u64> = scarred.bucket_keys(b).collect();
             prop_assert_eq!(a, c, "bucket {} order differs across layouts", b);
@@ -207,7 +208,7 @@ fn mk_tcb(cfg: &StackConfig, gen: u32, remote: u32, rport: u16, lport: u16) -> T
 /// Every bucket's flows, bucket 0..128, each in insertion order.
 fn extract_all(s: &mut TcpShard) -> Vec<Tcb> {
     let mut out = Vec::new();
-    (0..NUM_BUCKETS as u16).for_each(|b| s.extract_bucket_into(b, &mut out));
+    (0..RSS_BUCKETS as u16).for_each(|b| s.extract_bucket_into(b, &mut out));
     out
 }
 
@@ -262,7 +263,7 @@ fn absorbed_flows_land_on_their_bucket_list() {
     // Every flow is reachable through exactly one bucket walk.
     let mut found = 0usize;
     let mut per_bucket_total = 0usize;
-    for bkt in 0..NUM_BUCKETS as u16 {
+    for bkt in 0..RSS_BUCKETS as u16 {
         per_bucket_total += s.bucket_len(bkt);
         let mut group = Vec::new();
         s.extract_bucket_into(bkt, &mut group);

@@ -17,7 +17,8 @@ pub mod common;
 
 use common::{events, mac, outbound, Wire, A_IP, B_IP};
 use ix_mempool::Mbuf;
-use ix_tcp::{AckPolicy, DeadReason, FlowId, StackConfig, StackStats, TcpEvent, TcpShard, NUM_BUCKETS};
+use ix_net::rss::RSS_BUCKETS;
+use ix_tcp::{AckPolicy, DeadReason, FlowId, StackConfig, StackStats, TcpEvent, TcpShard};
 use ix_testkit::prelude::*;
 use ix_testkit::Bytes;
 
@@ -62,7 +63,7 @@ impl Cluster {
         let from = self.owner;
         let to = 1 - from;
         let mut flows = Vec::new();
-        (0..NUM_BUCKETS as u16).for_each(|b| self.s[from].extract_bucket_into(b, &mut flows));
+        (0..RSS_BUCKETS as u16).for_each(|b| self.s[from].extract_bucket_into(b, &mut flows));
         self.s[to].absorb_flows(self.now, flows);
         self.owner = to;
     }

@@ -106,6 +106,20 @@ fn hostile_transfer(data: &[u8], seed: u64, drop_pct: u64) -> (Vec<u8>, usize) {
     (received, rounds)
 }
 
+/// Why two byte streams differ, in a line: both lengths, the first
+/// offset where they differ and a 32-byte window of each from there.
+fn stream_diff(received: &[u8], sent: &[u8]) -> String {
+    let at = received.iter().zip(sent).position(|(r, s)| r != s).unwrap_or(received.len().min(sent.len()));
+    let window = |b: &[u8]| b[at.min(b.len())..(at + 32).min(b.len())].to_vec();
+    format!(
+        "received {} bytes of {} sent; first difference at offset {at}: received {:02x?}, sent {:02x?}",
+        received.len(),
+        sent.len(),
+        window(received),
+        window(sent)
+    )
+}
+
 /// Regression pinned from the retired `prop.proptest-regressions` file:
 /// proptest once shrank a stream-integrity failure to exactly this
 /// input (`cc 590d4e61…`), so it stays as an explicit case forever.
@@ -118,7 +132,7 @@ fn regression_hostile_wire_len4381_drop28() {
         .map(|i| (i as u32).wrapping_mul(2654435761).to_le_bytes()[1])
         .collect();
     let (received, _rounds) = hostile_transfer(&data, seed, drop_pct);
-    assert_eq!(received, data);
+    assert!(received == data, "{}", stream_diff(&received, &data));
 }
 
 props! {
@@ -137,7 +151,7 @@ props! {
     ) {
         let data: Vec<u8> = (0..len).map(|i| (i as u32).wrapping_mul(2654435761).to_le_bytes()[1]).collect();
         let (received, _rounds) = hostile_transfer(&data, seed, drop_pct);
-        prop_assert_eq!(received, data);
+        prop_assert!(received == data, "{}", stream_diff(&received, &data));
     }
 
     /// On a clean wire the transfer completes quickly (sanity against the

@@ -346,12 +346,14 @@ fn rss_probing_picks_aligned_ports() {
     let cfg = StackConfig::default();
     let mut a = TcpShard::new(cfg, A_IP, mac(1));
     a.arp_seed(B_IP, mac(2));
-    // Pretend there are 4 queues and this shard is queue 2; steer by a
-    // simple port hash stand-in.
-    a.set_steering(2, Rc::new(|_, _, port| (port as usize) % 4));
+    // Pretend there are 4 queues, bucket `b` on queue `b % 4`, and
+    // this shard is queue 2.
+    a.set_steering(2, Rc::new(|bucket| bucket as usize % 4));
     for _ in 0..10 {
         let f = a.connect(0, B_IP, 80, 0).unwrap();
-        assert_eq!(f.local_port() as usize % 4, 2, "port not RSS-aligned");
+        // The reply tuple (B → A) hashes into a bucket on queue 2.
+        let bucket = ix_net::rss::bucket(B_IP, A_IP, 80, f.local_port());
+        assert_eq!(bucket % 4, 2, "port not RSS-aligned");
     }
 }
 

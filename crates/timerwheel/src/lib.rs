@@ -46,7 +46,7 @@
 use std::fmt;
 use std::num::NonZeroU32;
 
-/// Default tick: 16 µs, the paper's highest-resolution timeout.
+/// The wheel's tick: 16 µs, the paper's highest-resolution timeout.
 pub const DEFAULT_RESOLUTION_NS: u64 = 16_000;
 
 /// Slots per wheel level (256, as in the classic design).
@@ -107,7 +107,6 @@ struct Entry<T> {
 
 /// A hierarchical timing wheel carrying payloads of type `T`.
 pub struct TimerWheel<T> {
-    resolution_ns: u64,
     /// Head of each bucket's chain, or [`NIL`].
     heads: Box<[u32; BUCKETS]>,
     /// Bit `b` is set iff `heads[b]` is not [`NIL`].
@@ -136,21 +135,9 @@ fn buckets_in(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
 }
 
 impl<T> TimerWheel<T> {
-    /// Creates a wheel with the default 16 µs resolution, starting at
-    /// time zero.
+    /// Creates a wheel with the 16 µs resolution, starting at time zero.
     pub fn new() -> TimerWheel<T> {
-        TimerWheel::with_resolution(DEFAULT_RESOLUTION_NS)
-    }
-
-    /// Creates a wheel with a custom tick length in nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resolution_ns` is zero.
-    pub fn with_resolution(resolution_ns: u64) -> TimerWheel<T> {
-        assert!(resolution_ns > 0);
         TimerWheel {
-            resolution_ns,
             heads: Box::new([NIL; BUCKETS]),
             occupied: [0; BUCKETS / 64],
             entries: Vec::new(),
@@ -165,7 +152,7 @@ impl<T> TimerWheel<T> {
 
     /// The wheel's tick length in nanoseconds.
     pub fn resolution_ns(&self) -> u64 {
-        self.resolution_ns
+        DEFAULT_RESOLUTION_NS
     }
 
     /// Number of currently scheduled timers.
@@ -180,7 +167,7 @@ impl<T> TimerWheel<T> {
 
     /// The current time in nanoseconds (tick-quantized).
     pub fn now_ns(&self) -> u64 {
-        self.now_tick * self.resolution_ns
+        self.now_tick * DEFAULT_RESOLUTION_NS
     }
 
     /// `(address, capacity)` of the entry arena, the one buffer the wheel
@@ -316,7 +303,7 @@ impl<T> TimerWheel<T> {
     /// Absolute tick `delay_ns` from the wheel's current time, rounded
     /// *up* to the next tick so timers never fire early.
     fn deadline_after(&self, delay_ns: u64) -> u64 {
-        self.now_tick + delay_ns.div_ceil(self.resolution_ns).max(1)
+        self.now_tick + delay_ns.div_ceil(DEFAULT_RESOLUTION_NS).max(1)
     }
 
     /// Arms a timer for `deadline` in `bucket` (its [`TimerWheel::place`]).
@@ -357,7 +344,7 @@ impl<T> TimerWheel<T> {
         if e.generation != id.generation || e.bucket == NO_BUCKET {
             return None;
         }
-        let remaining = e.deadline.saturating_sub(self.now_tick) * self.resolution_ns;
+        let remaining = e.deadline.saturating_sub(self.now_tick) * DEFAULT_RESOLUTION_NS;
         self.unlink(id.index());
         let payload =
             self.entries[id.index() as usize].payload.take().expect("live entry has payload");
@@ -487,7 +474,7 @@ impl<T> TimerWheel<T> {
     /// wheel is idle.
     pub fn next_deadline_ns(&self) -> Option<u64> {
         let tick = self.next_deadline_tick()?;
-        Some(tick.saturating_sub(self.now_tick) * self.resolution_ns)
+        Some(tick.saturating_sub(self.now_tick) * DEFAULT_RESOLUTION_NS)
     }
 
     /// Teleports the wheel to `tick` (which must not skip any deadline)
@@ -545,7 +532,7 @@ impl<T> TimerWheel<T> {
     /// Long idle gaps are skipped in O(live) rather than O(ticks), so a
     /// quiescent stack can be advanced across seconds cheaply.
     pub fn advance(&mut self, now_ns: u64, mut fire: impl FnMut(T)) {
-        let target_tick = now_ns / self.resolution_ns;
+        let target_tick = now_ns / DEFAULT_RESOLUTION_NS;
         const JUMP_THRESHOLD: u64 = 4 * SLOTS_PER_LEVEL as u64;
         // Look for a gap on entry, then once per lap of level 0 (a jump
         // re-places every live timer, so amortize it over 256 ticks).
@@ -597,7 +584,6 @@ impl<T> Default for TimerWheel<T> {
 impl<T> fmt::Debug for TimerWheel<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TimerWheel")
-            .field("resolution_ns", &self.resolution_ns)
             .field("now_tick", &self.now_tick)
             .field("live", &self.live)
             .finish()

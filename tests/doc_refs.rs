@@ -22,8 +22,12 @@ const PATH_ROOTS: &[&str] = &["crates/", "results/", "examples/", "tests/"];
 const DECLARED: &[(&str, &str)] = &[
     // §3 NIC and filter.
     ("fn", "deliver"),
-    ("fn", "classify"),
+    ("fn", "dst_mac"),
     ("fn", "pre_parse"),
+    ("struct", "PreParsed"),
+    ("fn", "classify"),
+    ("fn", "bucket"),
+    ("const", "RSS_BUCKETS"),
     ("struct", "FilterPolicy"),
     ("struct", "RxRing"),
     ("struct", "TxRing"),
